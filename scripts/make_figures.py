@@ -74,7 +74,7 @@ def main(out_root: str = "figures") -> int:
                 "--input", spec_path,
                 "--out", out_dir,
                 "--r", "0.8",
-                "--steps", str(LOOPS[name]),
+                "--loops", str(LOOPS[name]),
             ])
         finally:
             os.unlink(spec_path)

@@ -197,7 +197,7 @@ def _schedule_svg(rs: Sequence[float], nus: Sequence[float]) -> str:
 def cmd_leafplot(args: argparse.Namespace) -> int:
     current = _load_current(args.input)
     atom = current.atoms[0]
-    loops = args.steps
+    loops = args.loops
     curve = torus_curve(
         current.lam,
         atom.alpha,
@@ -213,8 +213,9 @@ def cmd_leafplot(args: argparse.Namespace) -> int:
         current,
         r_start=args.r_start,
         ratio=args.ratio,
-        steps=12,
+        steps=args.steps,
         cfg=_quad_config(args),
+        k0=args.k0,
     )
     with open(schedule_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_schedule_svg(est.rs, est.nus))
@@ -329,7 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--out", default=None, help="output directory")
     p_plot.add_argument("--r", type=float, default=0.5)
     p_plot.add_argument("--k0", type=int, default=0)
-    _add_schedule_flags(p_plot)  # --steps doubles as the loop count
+    p_plot.add_argument("--loops", type=int, default=12, help="turns of the torus curve")
+    _add_schedule_flags(p_plot)
     _add_quad_flags(p_plot)
     p_plot.set_defaults(func=cmd_leafplot)
 

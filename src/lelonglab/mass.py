@@ -4,7 +4,12 @@ Two independent routes to the mass of a current on the bidisc of radius r:
 
 * mass_quadrature: per atom, an adaptive v-integral of the exact u-window
   integral of the density times the leafwise area density, with certified
-  truncation of the half-plane tail.
+  truncation of the half-plane tail. The integrand does not depend on r,
+  so mass_quadrature_schedule integrates each atom once for a whole list of
+  radii: one GK15 partition seeded with every radius's v-limits, refined
+  until each radius meets the tolerance on its own panels. Poisson atoms
+  integrate their grid-model defect on the same nodes. mass_quadrature is
+  the one-radius case.
 * closed forms: the three-region brackets for positive eigenvalues and the
   elementary strip integrals Ia/Ib for negative ones.
 
@@ -17,11 +22,9 @@ verifiers, CLI) consumes these two engines.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -111,57 +114,94 @@ def _truncate_half_plane(spec, lam: Eigenvalue, am: float, v_lo: float, cfg: Qua
     return v_hi, tail
 
 
-def _atom_mass(lam: Eigenvalue, atom, r: float, k0: int, cfg: QuadratureConfig):
-    dom = leaf_domain(lam, atom.alpha_modulus, r)
-    if dom.is_empty:
-        return 0.0, 0.0
-    shift = coordinate_shift(lam, atom.alpha_modulus)
+def _atom_schedule(lam: Eigenvalue, atom, rs, k0: int, cfg: QuadratureConfig):
+    """Weighted (mass, error) of one atom at every radius in rs.
+
+    The integrand does not depend on r, only the v-limits do, so one
+    adaptive partition serves the whole schedule: it is seeded with every
+    radius's limits and refined until each radius meets the tolerance on
+    its own panels. Poisson atoms carry the grid-model defect as a second
+    row on the same nodes.
+    """
+    am = atom.alpha_modulus
+    spec = atom.spec
+    shift = coordinate_shift(lam, am)
+    where, lows, highs, heights = [], [], [], []
+    for n, r in enumerate(rs):
+        dom = leaf_domain(lam, am, r)
+        if dom.is_empty:
+            continue
+        where.append(n)
+        if dom.kind == "strip":
+            lows.append(dom.v_min)
+            highs.append(dom.v_max)
+        else:
+            v_lo = dom.v_min - shift
+            lows.append(v_lo)
+            heights.append(_truncate_half_plane(spec, lam, am, v_lo, cfg))
+    out = [(0.0, 0.0)] * len(rs)
+    if not where:
+        return out
+    tail_bound = 0.0
+    if heights:
+        # one truncation height for every radius: the highest any of them
+        # needs, so its tail bound covers them all
+        v_top, tail_bound = max(heights)
+        highs = [v_top] * len(lows)
     u0 = TWO_PI * k0
     u1 = u0 + TWO_PI
-    if dom.kind == "strip":
-        v_lo, v_hi = dom.v_min, dom.v_max
-        tail_bound = 0.0
-    else:
-        v_lo = dom.v_min - shift
-        v_hi, tail_bound = _truncate_half_plane(atom.spec, lam, atom.alpha_modulus, v_lo, cfg)
+    poisson = isinstance(spec, PoissonSpec)
 
     def integrand(v):
-        return jacobian_density(lam, atom.alpha_modulus, v) * window_integral(atom.spec, u0, u1, v)
+        jac = jacobian_density(lam, am, v)
+        window = window_integral(spec, u0, u1, v)
+        if not poisson:
+            return jac * window
+        # the boundary grid, not the subdivision, limits how well different
+        # u-windows of the same leaf can agree; account for it explicitly
+        return jac * np.stack((window, window_model_error(spec, u0, u1, v, window=window)))
 
-    value, err = integrate(
+    parts = integrate(
         integrand,
-        v_lo,
-        v_hi,
+        min(lows),
+        max(highs),
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
         max_depth=cfg.max_depth,
+        ranges=list(zip(lows, highs)),
     )
-    model_err = 0.0
-    if isinstance(atom.spec, PoissonSpec):
-        # the boundary grid, not the subdivision, limits how well different
-        # u-windows of the same leaf can agree; account for it explicitly
-        def model_defect(v):
-            return jacobian_density(lam, atom.alpha_modulus, v) * window_model_error(
-                atom.spec, u0, u1, v
-            )
+    for n, (value, err) in zip(where, parts):
+        model_err = 0.0
+        if poisson:
+            # Kronrod sum of the defect plus its own Kronrod-Gauss gap
+            value, err, model_err = float(value[0]), float(err[0]), float(value[1] + err[1])
+        out[n] = (atom.weight * value, atom.weight * (err + tail_bound + model_err))
+    return out
 
-        model_err, _ = integrate(
-            model_defect,
-            v_lo,
-            v_hi,
-            rel_tol=1e-2,
-            abs_tol=cfg.abs_tol,
-            max_depth=cfg.max_depth,
+
+def mass_quadrature_schedule(
+    current: Current,
+    rs,
+    k0: int = 0,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+) -> List[MassResult]:
+    """Masses at every radius in rs over the k0-th u-window, by quadrature.
+
+    Each atom is integrated once for all radii (see _atom_schedule); the
+    per-radius sums run over atoms in order.
+    """
+    rs = tuple(rs)
+    if not all(0.0 < r <= 1.0 for r in rs):
+        raise DomainError("radius must lie in (0, 1]")
+    parts = [_atom_schedule(current.lam, atom, rs, k0, cfg) for atom in current.atoms]
+    return [
+        MassResult(
+            value=sum(p[n][0] for p in parts),
+            error_estimate=sum(p[n][1] for p in parts),
+            r=r,
         )
-    return atom.weight * value, atom.weight * (err + tail_bound + model_err)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("LELONGLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        for n, r in enumerate(rs)
+    ]
 
 
 def mass_quadrature(
@@ -170,24 +210,8 @@ def mass_quadrature(
     k0: int = 0,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> MassResult:
-    """Mass on the bidisc of radius r over the k0-th u-window, by quadrature.
-
-    Atoms are independent; LELONGLAB_THREADS > 1 maps them across a thread
-    pool, with the reduction kept in atom order so results are bit-stable
-    regardless of worker count.
-    """
-    if not (0.0 < r <= 1.0):
-        raise DomainError("radius must lie in (0, 1]")
-    workers = _worker_count()
-    job = lambda atom: _atom_mass(current.lam, atom, r, k0, cfg)
-    if workers > 1 and len(current.atoms) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, current.atoms))
-    else:
-        parts = [job(atom) for atom in current.atoms]
-    value = sum(p[0] for p in parts)
-    err = sum(p[1] for p in parts)
-    return MassResult(value=value, error_estimate=err, r=r)
+    """Mass on the bidisc of radius r over the k0-th u-window, by quadrature."""
+    return mass_quadrature_schedule(current, (r,), k0=k0, cfg=cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +535,20 @@ def lelong_estimate(
     elif engine == "closed" and not closed_form_applicable(current):
         raise UnsupportedCurrentError("closed-form engine does not reproduce this current's mass")
 
-    rs, nus, errs = [], [], []
-    for n in range(steps):
-        r = r_start * ratio**n
-        if engine == "closed":
+    rs = [r_start * ratio**n for n in range(steps)]
+    if engine == "closed":
+        masses = []
+        for r in rs:
             value = mass_closed_form(current, r)
-            err = abs(value) * 1e-13
-        else:
-            result = mass_quadrature(current, r, k0=k0, cfg=cfg)
-            value, err = result.value, result.error_estimate
+            masses.append((value, abs(value) * 1e-13))
+    else:
+        masses = [
+            (m.value, m.error_estimate)
+            for m in mass_quadrature_schedule(current, rs, k0=k0, cfg=cfg)
+        ]
+    nus, errs = [], []
+    for r, (value, err) in zip(rs, masses):
         area = math.pi * r**2
-        rs.append(r)
         nus.append(value / area)
         errs.append(err / area)
 
@@ -598,18 +625,12 @@ def nu_limit_positive_periodic(current: Current) -> float:
     return 2.0 * acc
 
 
-def total_mass_reference(current: Current) -> float:
-    """Mass at r = 1, from whichever engine is trustworthy for the current."""
-    if closed_form_applicable(current):
-        return mass_closed_form(current, 1.0)
-    return mass_quadrature(current, 1.0).value
-
-
 __all__ = [
     "MassResult",
     "LelongEstimate",
     "QuadratureConfig",
     "mass_quadrature",
+    "mass_quadrature_schedule",
     "mass_closed_form",
     "mass_closed_form_positive_periodic",
     "mass_closed_form_negative_periodic",
@@ -624,5 +645,4 @@ __all__ = [
     "closed_form_applicable",
     "nu_limit_positive_periodic",
     "total_weight",
-    "total_mass_reference",
 ]

@@ -70,14 +70,12 @@ class TestMass:
         assert main(["mass", "--input", path]) == 2
         assert "lambda" in capsys.readouterr().err
 
-    def test_thread_pool_is_bit_stable(self, write_current, capsys, monkeypatch):
+    def test_rerun_is_byte_identical(self, write_current, capsys):
         path = write_current(MULTI_ATOM_JSON)
         assert main(["mass", "--input", path, "--r", "0.8"]) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("LELONGLAB_THREADS", "3")
+        first = capsys.readouterr().out
         assert main(["mass", "--input", path, "--r", "0.8"]) == 0
-        threaded = capsys.readouterr().out
-        assert threaded == serial
+        assert capsys.readouterr().out == first
 
 
 class TestLelong:
@@ -148,7 +146,7 @@ class TestLeafplot:
         path = write_current(FLAGSHIP_JSON)
         code = main([
             "leafplot", "--input", path, "--out", str(tmp_path),
-            "--r", "0.5", "--steps", "2",
+            "--r", "0.5", "--loops", "2",
         ])
         assert code == 0
         paths = json.loads(capsys.readouterr().out)
@@ -163,6 +161,27 @@ class TestLeafplot:
         # curve must be drawn as several disjoint polylines
         assert torus.count("<polyline") >= 2
         assert schedule.count("<circle") == 12
+
+    def test_steps_and_k0_drive_the_schedule(self, write_current, tmp_path, capsys, monkeypatch):
+        import lelonglab.cli
+
+        seen = {}
+        real = lelonglab.cli.lelong_estimate
+
+        def spy(current, **kwargs):
+            seen.update(kwargs)
+            return real(current, **kwargs)
+
+        monkeypatch.setattr(lelonglab.cli, "lelong_estimate", spy)
+        path = write_current(FLAGSHIP_JSON)
+        code = main([
+            "leafplot", "--input", path, "--out", str(tmp_path),
+            "--loops", "1", "--steps", "5", "--k0", "2",
+        ])
+        assert code == 0
+        capsys.readouterr()
+        assert seen["steps"] == 5 and seen["k0"] == 2
+        assert (tmp_path / "schedule.svg").read_text(encoding="utf-8").count("<circle") == 5
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from lelonglab import (
     translate,
     verify_monodromy_relation,
     window_integral,
+    window_model_error,
 )
 from lelonglab.foliation import Eigenvalue
 
@@ -296,6 +298,44 @@ class TestWindowIntegral:
     def test_needs_ordered_window(self):
         with pytest.raises(DomainError):
             window_integral(FourierSpec(), 1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("y", [-0.5, -3.0, -2.0 * math.pi, -804.2477, -1e4, -1e6])
+    @pytest.mark.parametrize("window", [(0.0, 2.0 * math.pi), (-1.3, 5.1), (6.0 * math.pi, 8.0 * math.pi)])
+    def test_poisson_kernel_against_mpmath(self, y, window):
+        # a three-point grid whose only nonzero sample sits at y: the window
+        # integral is then step/2 times one kernel entry over pi
+        u0, u1 = window
+        spec = PoissonSpec(ys=np.array([y, 0.0, -y]), values=np.array([1.0, 0.0, 0.0]))
+        vs = np.array([1e-3, 0.01, 0.5, 3.0, 40.0, 1e3])
+        got = window_integral(spec, u0, u1, vs)
+        mpmath.mp.dps = 40
+        for v, g in zip(vs, got):
+            yy, vv = mpmath.mpf(y), mpmath.mpf(v)
+            kern = mpmath.atan((yy - u0) / vv) - mpmath.atan((yy - u1) / vv)
+            want = float(-yy / 2 * kern / mpmath.pi)
+            assert g == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+class TestWindowModelError:
+    @pytest.mark.parametrize("spec", [bump_poisson(), flat_poisson(c_lin=0.4)])
+    def test_reused_window_gives_the_same_bound(self, spec):
+        u0, u1 = 2.0 * math.pi, 4.0 * math.pi
+        vs = np.array([0.0, 0.05, 0.5, 3.0])
+        window = window_integral(spec, u0, u1, vs)
+        reused = window_model_error(spec, u0, u1, vs, window=window)
+        assert np.array_equal(reused, window_model_error(spec, u0, u1, vs))
+        assert reused[0] == 0.0 and np.all(reused >= 0.0)
+
+    def test_bounds_the_full_grid_deviation(self):
+        # the full-grid sum of smooth data is far closer to the continuum
+        # than the half-grid probe: the probe gap must dominate its error
+        spec = bump_poisson(sigma=1.0, tail=0.0, step_div=6)
+        fine = bump_poisson(sigma=1.0, tail=0.0, step_div=96)
+        for v in (0.3, 1.0, 4.0):
+            gap = window_model_error(spec, 0.0, 2.0 * math.pi, v)
+            dev = abs(window_integral(spec, 0.0, 2.0 * math.pi, v)
+                      - window_integral(fine, 0.0, 2.0 * math.pi, v))
+            assert dev <= gap
 
 
 class TestBoundaryIntegral:

@@ -14,6 +14,7 @@ from lelonglab import (
     PoissonSpec,
     TransversalAtom,
     UnsupportedCurrentError,
+    accumulation_family,
     boundary_integral,
     boundary_reduction_check,
     build_current,
@@ -29,11 +30,16 @@ from lelonglab import (
     mass_closed_form_negative_periodic,
     mass_closed_form_positive_periodic,
     mass_quadrature,
+    mass_quadrature_schedule,
     monodromy_family,
     normalize,
     nu_limit_positive_periodic,
     total_weight,
 )
+
+import lelonglab.mass
+from lelonglab.quadrature import DEFAULT_CONFIG
+from lelonglab.theorems import corpus
 
 from conftest import flat_poisson
 
@@ -93,6 +99,95 @@ class TestMassQuadrature:
         m0 = mass_quadrature(flagship, 1.0, k0=0)
         m5 = mass_quadrature(flagship, 1.0, k0=5)
         assert m0.value == pytest.approx(m5.value, abs=2.0 * (m0.error_estimate + m5.error_estimate) + 1e-13)
+
+
+def _schedule_cases():
+    by_id = {case.case_id: case.current for case in corpus(42)}
+    half = Eigenvalue.rational(1, 2)
+    neg_half = Eigenvalue.negative(-0.5)
+    return {
+        "poisson-flat": by_id["pos-silver-poisson-flat"],
+        "poisson-linear": by_id["div-half-poisson-linear"],
+        # a b = 2 mode does not cancel over one 2 pi window
+        "trig-half-b2": single_atom_current(
+            half, 1.2, normalize(FourierSpec(b=2, a0=1.0, modes=((-1, 0.3, 0.1),)))
+        ),
+        "strip-family": build_current(neg_half, accumulation_family(
+            neg_half, 6, alpha_base=1.0 / 3.0, b0=0.25, modes=((-1, 0.03, 0.02),)
+        )),
+    }
+
+
+SCHEDULE_CASES = _schedule_cases()
+HALVINGS = tuple(0.5**n for n in range(12))
+
+
+class _IntegrateSpy:
+    """Wraps mass.integrate: counts integrand points and keeps every result."""
+
+    def __init__(self, monkeypatch):
+        self.points = 0
+        self.results = []
+        real = lelonglab.mass.integrate
+
+        def spy(f, a, b, **kwargs):
+            def counted(v):
+                self.points += np.size(v)
+                return f(v)
+
+            out = real(counted, a, b, **kwargs)
+            self.results.append(out)
+            return out
+
+        monkeypatch.setattr(lelonglab.mass, "integrate", spy)
+
+
+class TestScheduleQuadrature:
+    @pytest.mark.parametrize("k0", [0, 1])
+    @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+    def test_agrees_with_one_radius_route(self, case, k0, monkeypatch):
+        current = SCHEDULE_CASES[case]
+        if case == "trig-half-b2":
+            assert not closed_form_applicable(current)
+        spy = _IntegrateSpy(monkeypatch)
+        sched = mass_quadrature_schedule(current, HALVINGS, k0=k0)
+        per_range = [part for call in spy.results for part in call]
+        singles = [mass_quadrature(current, r, k0=k0) for r in HALVINGS]
+        for s, m in zip(sched, singles):
+            assert s.r == m.r
+            assert abs(s.value - m.value) <= s.error_estimate + m.error_estimate
+        assert any(m.value > 0.0 for m in singles)
+        cfg = DEFAULT_CONFIG
+        for value, err in per_range:
+            value, err = np.atleast_1d(value)[0], np.atleast_1d(err)[0]
+            assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+
+    def test_one_partition_per_atom(self, monkeypatch):
+        current = SCHEDULE_CASES["strip-family"]
+        spy = _IntegrateSpy(monkeypatch)
+        mass_quadrature_schedule(current, HALVINGS)
+        assert len(spy.results) == len(current.atoms)
+
+    def test_schedule_work_is_near_one_mass(self, monkeypatch):
+        # 3073-point flat grid; a schedule used to cost about 7 single masses
+        lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
+        current = single_atom_current(lam, 1.3, flat_poisson(half_turns=64))
+        spy = _IntegrateSpy(monkeypatch)
+        mass_quadrature(current, 1.0)
+        single = spy.points
+        spy.points = 0
+        est = lelong_estimate(current, steps=12)
+        assert len(est.nus) == 12
+        assert spy.points <= 2 * single
+
+    def test_empty_radii_are_zero(self, neg_single):
+        masses = mass_quadrature_schedule(neg_single, (1.0, 0.1, 0.01))
+        assert masses[0].value > 0.0
+        assert [(m.value, m.error_estimate) for m in masses[1:]] == [(0.0, 0.0)] * 2
+
+    def test_radius_validation(self, flagship):
+        with pytest.raises(DomainError):
+            mass_quadrature_schedule(flagship, (1.0, 0.0))
 
 
 class TestClosedFormPositive:
