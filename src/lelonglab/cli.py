@@ -77,7 +77,7 @@ def cmd_mass(args: argparse.Namespace) -> int:
         "discrepancy": None,
     }
     if closed_form_applicable(current):
-        closed = mass_closed_form(current, args.r)
+        closed = mass_closed_form(current, args.r, args.k0)
         payload["closed_form"] = closed
         payload["discrepancy"] = abs(result.value - closed)
     print(json.dumps(payload, indent=2))

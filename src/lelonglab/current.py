@@ -63,8 +63,8 @@ class Current:
 
 def _validate_atom(lam: Eigenvalue, atom: TransversalAtom, index: int):
     tag = f"atoms[{index}]"
-    if atom.alpha == 0:
-        raise InputError(f"{tag}.alpha: transversal point must be nonzero")
+    if not (0.0 < abs(atom.alpha) < math.inf):
+        raise InputError(f"{tag}.alpha: transversal point must be nonzero and finite")
     if not (atom.weight > 0.0) or not math.isfinite(atom.weight):
         raise InputError(f"{tag}.weight: weight must be positive and finite")
     spec = atom.spec

@@ -54,16 +54,20 @@ class FourierSpec:
     def __post_init__(self):
         if not isinstance(self.b, int) or self.b < 1:
             raise InvalidSpecError("spec.b: period multiple must be an integer >= 1")
-        if not (self.a0 >= 0.0) or not (self.b0 >= 0.0):
-            raise InvalidSpecError("spec.a0/spec.b0: constant and linear coefficients must be >= 0")
+        if not (0.0 <= self.a0 < math.inf):
+            raise InvalidSpecError("spec.a0: constant coefficient must be finite and >= 0")
+        if not (0.0 <= self.b0 < math.inf):
+            raise InvalidSpecError("spec.b0: linear coefficient must be finite and >= 0")
+        if not all(math.isfinite(c) for _, a, bb in self.modes for c in (a, bb)):
+            raise InvalidSpecError("spec.modes: mode coefficients must be finite")
         object.__setattr__(self, "modes", tuple((int(k), float(a), float(bb)) for k, a, bb in self.modes))
         for k, _, _ in self.modes:
             if k == 0:
                 raise InvalidSpecError("spec.modes: mode index k must be nonzero")
             if self.strip_c is None and k >= 0:
                 raise InvalidSpecError("spec.modes: half-plane modes must have k < 0")
-        if self.strip_c is not None and not (self.strip_c > 0.0):
-            raise InvalidSpecError("spec.strip_c: strip height must be positive")
+        if self.strip_c is not None and not (0.0 < self.strip_c < math.inf):
+            raise InvalidSpecError("spec.strip_c: strip height must be finite and positive")
 
     @property
     def on_strip(self) -> bool:
@@ -93,6 +97,8 @@ class PoissonSpec:
         values = np.asarray(self.values, dtype=float)
         if ys.ndim != 1 or values.shape != ys.shape or ys.size < 2:
             raise InvalidSpecError("spec.boundary: ys and values must be 1-d, equal length >= 2")
+        if not np.all(np.isfinite(ys)):
+            raise InvalidSpecError("spec.boundary.ys: grid must be finite")
         steps = np.diff(ys)
         if np.any(steps <= 0.0):
             raise InvalidSpecError("spec.boundary.ys: grid must be strictly increasing")
@@ -101,12 +107,12 @@ class PoissonSpec:
             raise InvalidSpecError("spec.boundary.ys: grid must be uniform")
         if abs(ys[0] + ys[-1]) > 1e-9 * max(1.0, ys[-1]):
             raise InvalidSpecError("spec.boundary.ys: grid must be symmetric about 0")
-        if np.any(values < 0.0):
-            raise InvalidSpecError("spec.boundary.values: boundary samples must be >= 0")
-        if not (self.tail >= 0.0):
-            raise InvalidSpecError("spec.boundary.tail: tail value must be >= 0")
-        if not (self.c_lin >= 0.0):
-            raise InvalidSpecError("spec.c_lin: linear coefficient must be >= 0")
+        if not np.all((values >= 0.0) & np.isfinite(values)):
+            raise InvalidSpecError("spec.boundary.values: boundary samples must be finite and >= 0")
+        if not (0.0 <= self.tail < math.inf):
+            raise InvalidSpecError("spec.boundary.tail: tail value must be finite and >= 0")
+        if not (0.0 <= self.c_lin < math.inf):
+            raise InvalidSpecError("spec.c_lin: linear coefficient must be finite and >= 0")
         ys.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "ys", ys)
@@ -329,6 +335,16 @@ def verify_monodromy_relation(
 # window integrals in u (exact, so mass quadrature stays one-dimensional)
 
 
+def mode_window_coefficients(spec: FourierSpec, u0: float, u1: float) -> Tuple[float, ...]:
+    """Per mode, the C_k such that C_k e^{k v / b} is its integral over u in [u0, u1]."""
+    out = []
+    for k, ak, bk in spec.modes:
+        ds = math.sin(k * u1 / spec.b) - math.sin(k * u0 / spec.b)
+        dc = math.cos(k * u1 / spec.b) - math.cos(k * u0 / spec.b)
+        out.append(spec.b / k * (ak * ds - bk * dc))
+    return tuple(out)
+
+
 def _arctan_primitive(s, v):
     # d/ds [ s arctan(s/v) - (v/2) log(v^2 + s^2) ] = arctan(s/v)
     return s * np.arctan(s / v) - 0.5 * v * np.log(v * v + s * s)
@@ -352,11 +368,8 @@ def window_integral(spec: HarmonicSpec, u0: float, u1: float, v):
             out = width * (spec.a0 * (1.0 - v_arr / spec.strip_c) + spec.b0 * v_arr)
         else:
             out = width * (spec.a0 + spec.b0 * v_arr)
-        for k, ak, bk in spec.modes:
-            scale = spec.b / k
-            ds = math.sin(k * u1 / spec.b) - math.sin(k * u0 / spec.b)
-            dc = math.cos(k * u1 / spec.b) - math.cos(k * u0 / spec.b)
-            out = out + np.exp(k * v_arr / spec.b) * scale * (ak * ds - bk * dc)
+        for (k, _, _), coef in zip(spec.modes, mode_window_coefficients(spec, u0, u1)):
+            out = out + np.exp(k * v_arr / spec.b) * coef
         out = np.asarray(out)
         return float(out) if out.ndim == 0 else out
     shape = v_arr.shape
@@ -369,24 +382,24 @@ def window_integral(spec: HarmonicSpec, u0: float, u1: float, v):
         out[at_boundary] = boundary_integral(spec, u0, u1)
     inside = ~at_boundary
     if np.any(inside):
+        weighted = spec.step * spec.values  # trapezoid weights times samples
+        weighted[[0, -1]] *= 0.5
         out[inside] = _poisson_window(
-            spec.ys, spec.values, spec.step, spec.tail, spec.half_width,
-            spec.c_lin, u0, u1, vv[inside],
+            spec.ys, weighted, spec.tail, spec.half_width, spec.c_lin, u0, u1, vv[inside],
         )
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _poisson_window(ys, values, step, tail, y_top, c_lin, u0, u1, vflat):
+def _poisson_window(ys, weighted, tail, y_top, c_lin, u0, u1, vflat):
+    # weighted: the boundary samples times their trapezoid weights
     width = u1 - u0
     vi = vflat[:, None]
     # arctan((y - u0)/v) - arctan((y - u1)/v) folded into one arctan2, valid
     # for v > 0 and u1 > u0: half the transcendental calls, and no
     # cancellation between two nearly equal angles far from the window
     kern = np.arctan2(width * vi, vi * vi + (ys - u0) * (ys - u1))
-    tw = np.full(ys.size, step)
-    tw[0] = tw[-1] = 0.5 * step
-    bulk = kern @ (tw * values)
+    bulk = kern @ weighted
     right = tail * (
         0.5 * math.pi * width
         - _arctan_primitive(y_top - u0, vflat)
@@ -426,9 +439,16 @@ def window_model_error(spec: PoissonSpec, u0: float, u1: float, v, window=None):
     out = np.zeros_like(vv)
     inside = vv > 0.0  # at v = 0 the window integral is data-exact
     if np.any(inside):
+        # every other node; an even-length grid keeps its last node too, one
+        # step past the others, so the probe spans the whole grid
+        ys, weighted = spec.ys[::2], 2.0 * spec.step * spec.values[::2]
+        weighted[[0, -1]] *= 0.5
+        if spec.ys.size % 2 == 0:
+            weighted[-1] *= 1.5
+            ys = np.append(ys, spec.ys[-1])
+            weighted = np.append(weighted, 0.5 * spec.step * spec.values[-1])
         coarse = _poisson_window(
-            spec.ys[::2], spec.values[::2], 2.0 * spec.step, spec.tail, spec.half_width,
-            spec.c_lin, u0, u1, vv[inside],
+            ys, weighted, spec.tail, spec.half_width, spec.c_lin, u0, u1, vv[inside],
         )
         out[inside] = np.abs(full[inside] - coarse)
     out = out.reshape(shape)
@@ -509,9 +529,10 @@ def spec_from_json(obj, path: str = "spec") -> HarmonicSpec:
                 modes=tuple((int(k), float(a), float(bb)) for k, a, bb in modes),
                 strip_c=(float(obj["strip_c"]) if obj.get("strip_c") is not None else None),
             )
+        except InvalidSpecError as exc:
+            # the constructors name fields from "spec"; name them from path
+            raise InvalidSpecError(path + str(exc).removeprefix("spec")) from exc
         except (TypeError, ValueError) as exc:
-            if isinstance(exc, InputError) or isinstance(exc, InvalidSpecError):
-                raise
             raise InputError(f"{path}: non-numeric field in fourier spec ({exc})") from exc
     if kind == "poisson":
         boundary = _require(obj, "boundary", path)
@@ -526,8 +547,8 @@ def spec_from_json(obj, path: str = "spec") -> HarmonicSpec:
                 tail=float(boundary.get("tail", 0.0)),
                 c_lin=float(obj.get("c_lin", 0.0)),
             )
+        except InvalidSpecError as exc:
+            raise InvalidSpecError(path + str(exc).removeprefix("spec")) from exc
         except (TypeError, ValueError) as exc:
-            if isinstance(exc, InvalidSpecError):
-                raise
             raise InputError(f"{path}.boundary: non-numeric boundary data ({exc})") from exc
     raise InputError(f"{path}.type: unknown spec type {kind!r}")

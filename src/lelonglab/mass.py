@@ -10,20 +10,20 @@ Two independent routes to the mass of a current on the bidisc of radius r:
   until each radius meets the tolerance on its own panels. Poisson atoms
   integrate their grid-model defect on the same nodes. mass_quadrature is
   the one-radius case.
-* closed forms: the three-region brackets for positive eigenvalues and the
-  elementary strip integrals Ia/Ib for negative ones.
+* mass_closed_form: exact for every trig-series current and u-window, as a
+  finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}.
 
-The two must agree to quadrature error whenever the window integrals of the
-oscillating modes cancel (single-period atoms, complete deck families); the
-test suite pins that agreement. Everything downstream (Lelong schedules,
+The two must agree to quadrature error; the test suite pins that agreement
+and checks the paper's displays (three-region brackets, strip integrals
+Ia/Ib) against the exact route. Everything downstream (Lelong schedules,
 verifiers, CLI) consumes these two engines.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
@@ -36,6 +36,7 @@ from .harmonic import (
     PoissonSpec,
     boundary_integral,
     evaluate,
+    mode_window_coefficients,
     window_integral,
     window_model_error,
 )
@@ -215,7 +216,7 @@ def mass_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# closed forms: positive eigenvalue
+# the paper's closed forms: positive eigenvalue
 
 
 def _bracket_a(lv: float, am: float, r: float) -> float:
@@ -242,33 +243,8 @@ def _bracket_b(lv: float, am: float, r: float) -> float:
     return out - decay * log_r / lv
 
 
-def mass_closed_form_positive_periodic(current: Current, r: float) -> float:
-    """Three-region closed form r^2 2 pi sum_j w_j (a0 A_j(r) + b0 B_j(r)).
-
-    Exact for the constant and linear parts of every trig density. The
-    oscillating modes integrate to zero over the 2 pi window only when each
-    mode index is a multiple of the declared period (always for b = 1) or
-    when the atoms assemble complete deck families; closed_form_applicable
-    decides whether this value also equals the windowed quadrature.
-    """
-    if not (0.0 < r <= 1.0):
-        raise DomainError("radius must lie in (0, 1]")
-    if current.lam.is_negative:
-        raise UnsupportedCurrentError("positive-eigenvalue closed form on a negative eigenvalue")
-    if not all(isinstance(a.spec, FourierSpec) for a in current.atoms):
-        raise UnsupportedCurrentError("closed form needs trig-series atoms")
-    lv = current.lam.value
-    acc = 0.0
-    for atom in current.atoms:
-        am = atom.alpha_modulus
-        acc += atom.weight * (
-            atom.spec.a0 * _bracket_a(lv, am, r) + atom.spec.b0 * _bracket_b(lv, am, r)
-        )
-    return r**2 * TWO_PI * acc
-
-
 # ---------------------------------------------------------------------------
-# closed forms: negative eigenvalue
+# the paper's strip integrals: negative eigenvalue
 
 
 def _check_strip_args(lv: float, am: float, r: float):
@@ -319,71 +295,108 @@ def ib(lv: float, am: float, r: float) -> float:
     )
 
 
-def mass_closed_form_negative_periodic(current: Current, r: float) -> float:
-    """Sum of admissible strip atoms: r^2 2 pi sum w (a0 Ia + b0 Ib).
-
-    Atoms with |alpha| >= r^(1-lambda) have empty plaques and drop out; the
-    admissibility comparison is strict, matching leaf_domain exactly.
-    """
-    if not (0.0 < r <= 1.0):
-        raise DomainError("radius must lie in (0, 1]")
-    if not current.lam.is_negative:
-        raise UnsupportedCurrentError("negative-eigenvalue closed form on a positive eigenvalue")
-    lv = current.lam.value
-    acc = 0.0
-    for atom in current.atoms:
-        spec = atom.spec
-        if not isinstance(spec, FourierSpec) or not spec.on_strip:
-            raise UnsupportedCurrentError("closed form needs strip trig atoms")
-        am = atom.alpha_modulus
-        if am >= r ** (1.0 - lv):
-            continue
-        acc += atom.weight * (spec.a0 * ia(lv, am, r) + spec.b0 * ib(lv, am, r))
-    return r**2 * TWO_PI * acc
-
-
 # ---------------------------------------------------------------------------
-# engine dispatch
+# exact route: every trig-series atom
+
+# The exact route's rounding bound is EXACT_ROUNDING eps times the fsum of the
+# term magnitudes in _exact_masses. A term passes through about ten roundings
+# (two logs, a subtraction, a division and the shift for its limits; its
+# coefficient and rate; exp or expm1; the products), each amplified no more
+# than its magnitude allows, and fsum adds one ulp: 16 covers that count.
+EXACT_ROUNDING = 16.0
 
 
-def _mode_residual_vanishes(current: Current, k0: int = 0) -> bool:
-    """True iff the windowed mode integrals cancel across the current.
+def _moments(sigma: float, lo: float, hi: float):
+    """e^{-sigma lo}, e^{-sigma hi} and int_0^{hi - lo} t^j e^{-sigma t} dt, j = 0, 1.
 
-    Collects, per decay rate k/b, the weighted u-window integrals of all
-    modes; complete deck families telescope these to zero and single-period
-    atoms have none to begin with. Zero residual means the closed form and
-    the windowed quadrature compute the same number.
+    hi = inf needs sigma > 0. Near and at the resonance sigma = 0 the
+    moments come from their Taylor series, so nothing cancels.
     """
+    e_lo = math.exp(-sigma * lo)
+    if hi == math.inf:
+        return e_lo, 0.0, 1.0 / sigma, 1.0 / sigma**2
+    length = hi - lo
+    x = sigma * length
+    if abs(x) < 0.5:
+        m0 = m1 = 0.0
+        term = 1.0  # (-x)^n / n!
+        for n in range(18):
+            m0 += term / (n + 1)
+            m1 += term / (n + 2)
+            term *= -x / (n + 1)
+        return e_lo, e_lo * math.exp(-x), m0 * length, m1 * length**2
+    em = math.expm1(-x)
+    m0 = -em / sigma
+    return e_lo, e_lo * (1.0 + em), m0, (m0 - length * (1.0 + em)) / sigma
+
+
+def _exact_masses(current: Current, rs, k0: int = 0) -> List[Tuple[float, float]]:
+    """(mass, rounding bound) of an all-trig current at each radius in rs.
+
+    Per atom, jacobian_density is two exponentials (_jac_terms) and the
+    k0-th window integral is (A + B v) + sum_k C_k e^{k v / b}, so the
+    integrand is a finite sum of (alpha + beta v) e^{-sigma v}. Each term is
+    integrated in closed form over the range the quadrature route uses:
+    leaf_domain, shifted by coordinate_shift and running to infinity on
+    half-planes.
+    """
+    if not closed_form_applicable(current):
+        raise UnsupportedCurrentError("exact mass needs trig-series atoms")
+    lam = current.lam
     u0 = TWO_PI * k0
     u1 = u0 + TWO_PI
-    sums: dict = {}
-    scales: dict = {}
+    values = [[] for _ in rs]
+    mags = [[] for _ in rs]
     for atom in current.atoms:
-        spec = atom.spec
-        for k, ak, bk in spec.modes:
-            key = Fraction(k, spec.b)
-            ds = math.sin(k * u1 / spec.b) - math.sin(k * u0 / spec.b)
-            dc = math.cos(k * u1 / spec.b) - math.cos(k * u0 / spec.b)
-            coef = atom.weight * (spec.b / k) * (ak * ds - bk * dc)
-            sums[key] = sums.get(key, 0.0) + coef
-            scales[key] = scales.get(key, 0.0) + atom.weight * (spec.b / abs(k)) * (abs(ak) + abs(bk))
-    return all(abs(sums[key]) <= 1e-10 * max(1.0, scales[key]) for key in sums)
+        am, spec = atom.alpha_modulus, atom.spec
+        # window parts (alpha, beta, growth rate, bound on |alpha|, bound on
+        # |beta|); a strip's base is a0 (1 - v/C) + b0 v, and a mode's bound
+        # also covers the rounding of its phases
+        drop = TWO_PI * spec.a0 / spec.strip_c if spec.on_strip else 0.0
+        base, slope = TWO_PI * spec.a0, TWO_PI * spec.b0
+        parts = [(base, slope - drop, 0.0, base, slope + drop)]
+        for (k, ak, bk), coef in zip(spec.modes, mode_window_coefficients(spec, u0, u1)):
+            grow = k / spec.b
+            coef_bound = (abs(ak) + abs(bk)) * (2.0 / abs(grow) + max(abs(u0), abs(u1)))
+            parts.append((coef, 0.0, grow, coef_bound, 0.0))
+        # weighted terms: alpha, beta, sigma, their bounds, and the size of sigma
+        w = atom.weight
+        terms = [
+            (w * c * a, w * c * b, s - grow, w * abs(c) * a_mag, w * abs(c) * b_mag,
+             abs(s) + abs(grow))
+            for c, s in _jac_terms(lam, am)
+            for a, b, grow, a_mag, b_mag in parts
+        ]
+        shift = coordinate_shift(lam, am)
+        log_am = abs(math.log(am))
+        for r, vals, sizes in zip(rs, values, mags):
+            dom = leaf_domain(lam, am, r)
+            if dom.is_empty:
+                continue
+            # coordinate_shift is 0 on strips; half-planes run to infinity
+            lo, hi = dom.v_min - shift, math.inf if dom.v_max is None else dom.v_max
+            # bounds |lo|, |hi| and what is rounded while computing them
+            cond = (log_am - math.log(r)) / abs(lam.value)
+            for a, b, sigma, a_mag, b_mag, rate in terms:
+                e_lo, e_hi, m0, m1 = _moments(sigma, lo, hi)
+                vals.append(e_lo * ((a + b * lo) * m0 + b * m1))
+                # the integral of the bounds, amplified by the exponent's
+                # size, plus the endpoint values times the size of the limits
+                size = a_mag + b_mag * cond
+                body = (1.0 + rate * cond) * (size * m0 + b_mag * m1)
+                sizes.append(e_lo * (body + cond * size) + e_hi * cond * size)
+    unit = EXACT_ROUNDING * sys.float_info.epsilon
+    return [(math.fsum(v), unit * math.fsum(m)) for v, m in zip(values, mags)]
 
 
 def closed_form_applicable(current: Current) -> bool:
-    """True iff the closed forms reproduce the windowed mass exactly."""
-    for atom in current.atoms:
-        if not isinstance(atom.spec, FourierSpec):
-            return False
-        if current.lam.is_negative and not atom.spec.on_strip:
-            return False
-    return _mode_residual_vanishes(current)
+    """True iff every atom is a trig series, so the exact route applies."""
+    return all(isinstance(atom.spec, FourierSpec) for atom in current.atoms)
 
 
-def mass_closed_form(current: Current, r: float) -> float:
-    if current.lam.is_negative:
-        return mass_closed_form_negative_periodic(current, r)
-    return mass_closed_form_positive_periodic(current, r)
+def mass_closed_form(current: Current, r: float, k0: int = 0) -> float:
+    """Exact mass of an all-trig current on the bidisc of radius r, k0-th u-window."""
+    return _exact_masses(current, (r,), k0)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +470,6 @@ def interval_window(n: int, k: int) -> Tuple[float, float]:
 def lower_bound_nonperiodic(
     current: Current,
     k: int = 2,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     n_max: int = 20,
 ) -> float:
     """Positive lower bound on the Lelong limit from boundary mass alone.
@@ -467,7 +479,6 @@ def lower_bound_nonperiodic(
     crude but certifiably below the limit for the corpus currents, which is
     all the positivity theorem needs in the aperiodic case.
     """
-    del cfg  # boundary integrals are exact; kept for interface symmetry
     if current.lam.is_negative:
         raise InputError("lower bound applies to positive eigenvalues")
     for atom in current.atoms:
@@ -511,16 +522,15 @@ def lelong_estimate(
     steps: int = 12,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     k0: int = 0,
-    engine: str = "auto",
     divergence_factor: float = 2.0,
 ) -> LelongEstimate:
     """nu(r) along a geometric schedule with a monotone limit bracket.
 
-    engine "auto" switches to the closed forms when they provably reproduce
-    the windowed mass (closed_form_applicable); "closed" and "quadrature"
-    force a route. monotone_ok accepts monotonicity in either direction
-    within per-point error bars: Skoda-style decay and b0-divergence are
-    both monotone schedules, a hump is neither.
+    All-trig currents take the exact route, with its rounding bound as the
+    error; any other current is integrated by mass_quadrature_schedule.
+    monotone_ok accepts monotonicity in either direction within per-point
+    error bars: Skoda-style decay and b0-divergence are both monotone
+    schedules, a hump is neither.
     """
     if not (0.0 < r_start <= 1.0):
         raise DomainError("r_start must lie in (0, 1]")
@@ -528,19 +538,10 @@ def lelong_estimate(
         raise InputError("ratio must lie in (0, 1)")
     if steps < 2:
         raise InputError("a schedule needs at least two steps")
-    if engine not in ("auto", "closed", "quadrature"):
-        raise InputError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        engine = "closed" if closed_form_applicable(current) else "quadrature"
-    elif engine == "closed" and not closed_form_applicable(current):
-        raise UnsupportedCurrentError("closed-form engine does not reproduce this current's mass")
 
     rs = [r_start * ratio**n for n in range(steps)]
-    if engine == "closed":
-        masses = []
-        for r in rs:
-            value = mass_closed_form(current, r)
-            masses.append((value, abs(value) * 1e-13))
+    if closed_form_applicable(current):
+        masses = _exact_masses(current, rs, k0)
     else:
         masses = [
             (m.value, m.error_estimate)
@@ -608,20 +609,19 @@ def nu_limit_positive_periodic(current: Current) -> float:
     """
     if current.lam.is_negative:
         raise UnsupportedCurrentError("positive limit on a negative eigenvalue")
+    if not closed_form_applicable(current):
+        raise UnsupportedCurrentError("closed-form limit needs trig atoms")
     lv = current.lam.value
     acc = 0.0
     for atom in current.atoms:
-        spec = atom.spec
-        if not isinstance(spec, FourierSpec):
-            raise UnsupportedCurrentError("closed-form limit needs trig atoms")
         am = atom.alpha_modulus
         if lv == 1.0:
             # at lambda = 1 the r-powers cancel and both regions are r-free
             bracket = 1.0 + am**2 if am < 1.0 else 1.0 + am ** (-2.0)
-            acc += atom.weight * spec.a0 * bracket
+            acc += atom.weight * atom.spec.a0 * bracket
         else:
             # every atom eventually lies in the outer region as r -> 0
-            acc += atom.weight * spec.a0 * lv
+            acc += atom.weight * atom.spec.a0 * lv
     return 2.0 * acc
 
 
@@ -632,8 +632,6 @@ __all__ = [
     "mass_quadrature",
     "mass_quadrature_schedule",
     "mass_closed_form",
-    "mass_closed_form_positive_periodic",
-    "mass_closed_form_negative_periodic",
     "ia",
     "ib",
     "boundary_reduction_check",

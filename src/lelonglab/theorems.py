@@ -99,35 +99,19 @@ def verify_positive_lambda(
         growing = atom.spec.b0 if isinstance(atom.spec, FourierSpec) else atom.spec.c_lin
         if growing > 0.0:
             raise InputError("positive-limit verifier needs b0 = 0 and c_lin = 0 atoms")
-    all_fourier = all(isinstance(a.spec, FourierSpec) for a in current.atoms)
-    if all_fourier and closed_form_applicable(current):
-        est = lelong_estimate(
-            current,
-            r_start=cfg.r_start,
-            ratio=cfg.ratio,
-            steps=max(cfg.steps, cfg.periodic_steps),
-            cfg=cfg.quad,
-            engine="closed",
-        )
+    all_fourier = closed_form_applicable(current)
+    steps = max(cfg.steps, cfg.periodic_steps) if all_fourier else cfg.steps
+    est = lelong_estimate(current, r_start=cfg.r_start, ratio=cfg.ratio, steps=steps, cfg=cfg.quad)
+    if all_fourier:
         reference = nu_limit_positive_periodic(current)
         tol = 1e-4 * cfg.tol_scale
         agrees = abs(est.limit_estimate - reference) <= tol * max(abs(reference), 1e-30)
         details = (
             f"pass iff bracket lower > 0 and |limit - {reference:.12g}| <= {tol:.3g} rel "
-            f"(closed-form schedule, {max(cfg.steps, cfg.periodic_steps)} halvings)"
+            f"(closed-form schedule, {steps} halvings)"
         )
     else:
-        est = lelong_estimate(
-            current,
-            r_start=cfg.r_start,
-            ratio=cfg.ratio,
-            steps=cfg.steps,
-            cfg=cfg.quad,
-            engine="quadrature",
-        )
-        reference = lower_bound_nonperiodic(
-            current, k=cfg.interval_k, cfg=cfg.quad, n_max=cfg.interval_n_max
-        )
+        reference = lower_bound_nonperiodic(current, k=cfg.interval_k, n_max=cfg.interval_n_max)
         agrees = est.limit_bracket[0] >= reference * (1.0 - 0.05 * cfg.tol_scale)
         details = (
             f"pass iff bracket lower > 0 and >= interval bound {reference:.12g} "
@@ -413,9 +397,8 @@ LEMMA_CASE_IDS = (
 )
 
 
-def verify_lemma_bounds(cfg: VerifyConfig = DEFAULT_VERIFY) -> List[VerificationReport]:
+def verify_lemma_bounds() -> List[VerificationReport]:
     """Direct evaluation of the quantitative lemma bounds on fixed lattices."""
-    del cfg  # lattices are exact arithmetic; config kept for interface symmetry
     return [
         _check_poisson_ratios(),
         _check_ia_bound(),
@@ -558,9 +541,9 @@ def run_corpus(
         else:
             reports.append(verify_b0_divergence(case.current, cfg, case.case_id))
     if only is None:
-        reports.extend(verify_lemma_bounds(cfg))
+        reports.extend(verify_lemma_bounds())
     elif only in LEMMA_CASE_IDS:
-        reports.extend(rep for rep in verify_lemma_bounds(cfg) if rep.case_id == only)
+        reports.extend(rep for rep in verify_lemma_bounds() if rep.case_id == only)
     return reports
 
 

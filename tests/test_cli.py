@@ -5,6 +5,15 @@ import re
 
 import pytest
 
+from lelonglab import (
+    Eigenvalue,
+    FourierSpec,
+    TransversalAtom,
+    build_current,
+    current_to_json,
+    mass_quadrature_schedule,
+    normalize,
+)
 from lelonglab.cli import main
 
 from conftest import FLAGSHIP_JSON
@@ -19,6 +28,11 @@ MULTI_ATOM_JSON = {
         {"alpha": [1.5, 0.0], "weight": 0.2, "spec": CONST_SPEC},
     ],
 }
+
+# one b = 3 atom whose mode cancels over the k0 = 0 window but not over k0 = 1
+B3_CURRENT = build_current(Eigenvalue.rational(1, 1), [TransversalAtom(
+    0.5, 1.0, normalize(FourierSpec(b=3, a0=1.0, modes=((-1, 0.2 * math.sqrt(3.0), 0.2),)))
+)])
 
 
 class TestMass:
@@ -70,12 +84,65 @@ class TestMass:
         assert main(["mass", "--input", path]) == 2
         assert "lambda" in capsys.readouterr().err
 
+    def test_k0_reaches_the_exact_route(self, write_current, capsys):
+        path = write_current(current_to_json(B3_CURRENT))
+        assert main(["mass", "--input", path, "--r", "1.0", "--k0", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["discrepancy"] <= payload["quadrature"]["error_estimate"]
+
     def test_rerun_is_byte_identical(self, write_current, capsys):
         path = write_current(MULTI_ATOM_JSON)
         assert main(["mass", "--input", path, "--r", "0.8"]) == 0
         first = capsys.readouterr().out
         assert main(["mass", "--input", path, "--r", "0.8"]) == 0
         assert capsys.readouterr().out == first
+
+
+STRIP_JSON = {
+    "lambda": {"value": -1.0, "class": "negative"},
+    "atoms": [{"alpha": [math.exp(-1.0), 0.0], "weight": 1.0, "spec": dict(CONST_SPEC, strip_c=1.0)}],
+}
+
+POISSON_JSON = {
+    "lambda": {"value": 0.5, "class": "rational", "a": 1, "b": 2},
+    "atoms": [{
+        "alpha": [1.1, 0.0],
+        "weight": 1.0,
+        "spec": {
+            "type": "poisson",
+            "boundary": {"ys": [-2.0, -1.0, 0.0, 1.0, 2.0], "values": [1.0] * 5, "tail": 1.0},
+            "c_lin": 0.0,
+        },
+    }],
+}
+
+
+NON_FINITE_CASES = [
+    # (field named in the error, valid input, keys into its atom, bad value)
+    ("atoms[0].alpha", FLAGSHIP_JSON, ("alpha",), [math.nan, 0.0]),
+    ("atoms[0].spec.a0", FLAGSHIP_JSON, ("spec", "a0"), math.inf),
+    ("atoms[0].spec.b0", FLAGSHIP_JSON, ("spec", "b0"), math.nan),
+    ("atoms[0].spec.modes", FLAGSHIP_JSON, ("spec", "modes"), [[-1, math.nan, 0.0]]),
+    ("atoms[0].spec.strip_c", STRIP_JSON, ("spec", "strip_c"), math.inf),
+    ("atoms[0].spec.boundary.ys", POISSON_JSON, ("spec", "boundary", "ys", 2), math.nan),
+    ("atoms[0].spec.boundary.values", POISSON_JSON, ("spec", "boundary", "values", 2), math.nan),
+    ("atoms[0].spec.boundary.tail", POISSON_JSON, ("spec", "boundary", "tail"), math.inf),
+    ("atoms[0].spec.c_lin", POISSON_JSON, ("spec", "c_lin"), math.nan),
+]
+
+
+@pytest.mark.parametrize("field, base, keys, bad", NON_FINITE_CASES,
+                         ids=[case[0] for case in NON_FINITE_CASES])
+def test_non_finite_field_is_input_error(field, base, keys, bad, write_current, capsys):
+    assert main(["mass", "--input", write_current(base)]) == 0
+    capsys.readouterr()
+    payload = json.loads(json.dumps(base))
+    target = payload["atoms"][0]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = bad
+    assert main(["mass", "--input", write_current(payload, "bad.json")]) == 2
+    assert f"{field}:" in capsys.readouterr().err
 
 
 class TestLelong:
@@ -108,6 +175,16 @@ class TestLelong:
         assert payload["rs"][0] == 0.5
         assert payload["rs"][1] == pytest.approx(0.125)
         assert len(payload["rs"]) == 4
+
+    def test_k0_reaches_the_exact_route(self, write_current, capsys):
+        path = write_current(current_to_json(B3_CURRENT))
+        assert main(["lelong", "--input", path, "--k0", "1", "--steps", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        masses = mass_quadrature_schedule(B3_CURRENT, payload["rs"], k0=1)
+        for nu, err, m in zip(payload["nus"], payload["errs"], masses):
+            area = math.pi * m.r**2
+            assert abs(nu - m.value / area) <= err + m.error_estimate / area
+        assert payload["nus"][0] != pytest.approx(payload["nus"][-1], rel=1e-3)
 
     def test_bad_ratio_is_input_error(self, write_current, capsys):
         path = write_current(FLAGSHIP_JSON)

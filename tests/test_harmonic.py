@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -73,6 +74,20 @@ class TestSpecValidation:
             PoissonSpec(ys=np.array([0.0, 1.0, 2.0]), values=np.ones(3))  # asymmetric
         with pytest.raises(InvalidSpecError):
             PoissonSpec(ys=np.array([-1.0, 1.0]), values=np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("field, spec", [
+        ("spec.a0", lambda: FourierSpec(a0=math.inf)),
+        ("spec.b0", lambda: FourierSpec(b0=math.nan)),
+        ("spec.modes", lambda: FourierSpec(modes=((-1, math.nan, 0.0),))),
+        ("spec.strip_c", lambda: FourierSpec(strip_c=math.inf)),
+        ("spec.boundary.ys", lambda: PoissonSpec(ys=np.array([-1.0, math.nan, 1.0]), values=np.ones(3))),
+        ("spec.boundary.values", lambda: PoissonSpec(ys=np.array([-1.0, 0.0, 1.0]), values=np.array([1.0, math.nan, 1.0]))),
+        ("spec.boundary.tail", lambda: PoissonSpec(ys=np.array([-1.0, 1.0]), values=np.ones(2), tail=math.inf)),
+        ("spec.c_lin", lambda: PoissonSpec(ys=np.array([-1.0, 1.0]), values=np.ones(2), c_lin=math.nan)),
+    ])
+    def test_non_finite_field_named(self, field, spec):
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(field)}: .*finite"):
+            spec()
 
     def test_poisson_arrays_frozen(self):
         spec = flat_poisson()
@@ -325,6 +340,26 @@ class TestWindowModelError:
         reused = window_model_error(spec, u0, u1, vs, window=window)
         assert np.array_equal(reused, window_model_error(spec, u0, u1, vs))
         assert reused[0] == 0.0 and np.all(reused >= 0.0)
+
+    @staticmethod
+    def _flat(n):
+        ys = np.linspace(-16.0 * math.pi, 16.0 * math.pi, n)
+        return PoissonSpec(ys=ys, values=np.ones(n), tail=1.0)
+
+    @pytest.mark.parametrize("odd, even", [(769, 768), (1537, 1536)])
+    def test_even_grid_probe_spans_the_grid(self, odd, even):
+        # an even-length grid has an odd number of steps; the half-grid
+        # probe must still reach its last node, or it reports the missing
+        # interval as model error
+        window = (0.0, 2.0 * math.pi, 0.5)
+        on_odd = window_model_error(self._flat(odd), *window)
+        on_even = window_model_error(self._flat(even), *window)
+        assert on_odd / 10.0 <= on_even <= 10.0 * on_odd
+
+    def test_odd_grid_probe_unchanged(self):
+        # frozen from the probe before it learned even grids
+        got = window_model_error(self._flat(769), 0.0, 2.0 * math.pi, np.array([0.05, 0.5, 2.0]))
+        assert list(got) == [1.3923305175467249e-08, 1.392045358983296e-07, 5.550900699091699e-07]
 
     def test_bounds_the_full_grid_deviation(self):
         # the full-grid sum of smooth data is far closer to the continuum

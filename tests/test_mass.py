@@ -27,8 +27,6 @@ from lelonglab import (
     lelong_to_json,
     lower_bound_nonperiodic,
     mass_closed_form,
-    mass_closed_form_negative_periodic,
-    mass_closed_form_positive_periodic,
     mass_quadrature,
     mass_quadrature_schedule,
     monodromy_family,
@@ -38,6 +36,7 @@ from lelonglab import (
 )
 
 import lelonglab.mass
+from lelonglab.mass import _bracket_a, _bracket_b, _exact_masses, _moments
 from lelonglab.quadrature import DEFAULT_CONFIG
 from lelonglab.theorems import corpus
 
@@ -147,8 +146,6 @@ class TestScheduleQuadrature:
     @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
     def test_agrees_with_one_radius_route(self, case, k0, monkeypatch):
         current = SCHEDULE_CASES[case]
-        if case == "trig-half-b2":
-            assert not closed_form_applicable(current)
         spy = _IntegrateSpy(monkeypatch)
         sched = mass_quadrature_schedule(current, HALVINGS, k0=k0)
         per_range = [part for call in spy.results for part in call]
@@ -156,6 +153,10 @@ class TestScheduleQuadrature:
         for s, m in zip(sched, singles):
             assert s.r == m.r
             assert abs(s.value - m.value) <= s.error_estimate + m.error_estimate
+            if case == "trig-half-b2":
+                # the b = 2 mode does not cancel, and the exact route still applies
+                value, bound = _exact_masses(current, [s.r], k0)[0]
+                assert abs(s.value - value) <= s.error_estimate + bound
         assert any(m.value > 0.0 for m in singles)
         cfg = DEFAULT_CONFIG
         for value, err in per_range:
@@ -192,7 +193,7 @@ class TestScheduleQuadrature:
 
 class TestClosedFormPositive:
     def test_flagship_exact(self, flagship):
-        assert mass_closed_form_positive_periodic(flagship, 1.0) == pytest.approx(
+        assert mass_closed_form(flagship, 1.0) == pytest.approx(
             2.5 * math.pi, rel=1e-14
         )
 
@@ -202,7 +203,7 @@ class TestClosedFormPositive:
         lam = Eigenvalue.rational(1, 1)
         with_b0 = single_atom_current(lam, 0.5, FourierSpec(b=1, a0=1.0, b0=1.0))
         without = single_atom_current(lam, 0.5, FourierSpec(b=1, a0=1.0))
-        diff = mass_closed_form_positive_periodic(with_b0, 0.1) - mass_closed_form_positive_periodic(without, 0.1)
+        diff = mass_closed_form(with_b0, 0.1) - mass_closed_form(without, 0.1)
         assert diff == pytest.approx(0.22011451848025903, rel=1e-12)
 
     def test_outer_region_agrees_with_quadrature(self):
@@ -211,19 +212,15 @@ class TestClosedFormPositive:
         lam = Eigenvalue.rational(1, 2)
         cur = single_atom_current(lam, 1.2, FourierSpec(b=1, a0=1.0, b0=0.6), weight=0.8)
         for r in (1.0, 0.4, 0.1):
-            closed = mass_closed_form_positive_periodic(cur, r)
+            closed = mass_closed_form(cur, r)
             result = mass_quadrature(cur, r)
             assert closed == pytest.approx(result.value, rel=1e-8)
-
-    def test_rejects_negative_eigenvalue(self, neg_single):
-        with pytest.raises(UnsupportedCurrentError):
-            mass_closed_form_positive_periodic(neg_single, 1.0)
 
     def test_rejects_poisson_atoms(self):
         lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
         cur = single_atom_current(lam, 1.3, flat_poisson())
         with pytest.raises(UnsupportedCurrentError):
-            mass_closed_form_positive_periodic(cur, 1.0)
+            mass_closed_form(cur, 1.0)
 
 
 class TestStripIntegrals:
@@ -266,21 +263,17 @@ class TestStripIntegrals:
 class TestClosedFormNegative:
     def test_single_atom(self, neg_single):
         want = 2.0 * math.pi * (1.0 - math.exp(-2.0))
-        assert mass_closed_form_negative_periodic(neg_single, 1.0) == pytest.approx(want, rel=1e-13)
+        assert mass_closed_form(neg_single, 1.0) == pytest.approx(want, rel=1e-13)
 
     def test_skips_inadmissible_atoms(self, neg_single):
         # at r = 0.5 the single strip is empty: closed form must return 0
-        assert mass_closed_form_negative_periodic(neg_single, 0.5) == 0.0
+        assert mass_closed_form(neg_single, 0.5) == 0.0
 
     def test_agrees_with_quadrature(self, neg_single):
         for r in (1.0, 0.9, 0.7):
-            closed = mass_closed_form_negative_periodic(neg_single, r)
+            closed = mass_closed_form(neg_single, r)
             result = mass_quadrature(neg_single, r)
             assert closed == pytest.approx(result.value, rel=1e-9, abs=1e-12)
-
-    def test_rejects_positive_eigenvalue(self, flagship):
-        with pytest.raises(UnsupportedCurrentError):
-            mass_closed_form_negative_periodic(flagship, 1.0)
 
 
 class TestClosedFormApplicable:
@@ -292,12 +285,16 @@ class TestClosedFormApplicable:
         spec = normalize(FourierSpec(b=2, a0=1.0, modes=((-2, 0.2, 0.1), (-4, 0.05, 0.0))))
         assert closed_form_applicable(single_atom_current(lam, 0.5, spec))
 
-    def test_fractional_mode_atom_not_applicable(self):
+    def test_fractional_mode_atom_applicable(self):
         # a lone b=2 atom with k=-1 leaves a half-period residual in the
-        # window; only the full orbit cancels it
+        # window; the exact route integrates it instead of needing an orbit
         lam = Eigenvalue.rational(1, 2)
         spec = normalize(FourierSpec(b=2, a0=1.0, modes=((-1, 0.2, 0.1),)))
-        assert not closed_form_applicable(single_atom_current(lam, 0.5, spec))
+        cur = single_atom_current(lam, 0.5, spec)
+        assert closed_form_applicable(cur)
+        for k0 in (0, 1):
+            result = mass_quadrature(cur, 0.5, k0=k0)
+            assert mass_closed_form(cur, 0.5, k0) == pytest.approx(result.value, rel=1e-8)
 
     def test_complete_orbit_applicable(self):
         lam = Eigenvalue.rational(1, 2)
@@ -317,6 +314,186 @@ class TestClosedFormApplicable:
             closed = mass_closed_form(cur, r)
             result = mass_quadrature(cur, r)
             assert closed == pytest.approx(result.value, rel=1e-8)
+
+
+class TestExactRoute:
+    """The exact route against the paper's displays, quadrature and mpmath."""
+
+    RADII = (1.0, 0.7, 0.3, 0.05, 2.0**-12)
+
+    @staticmethod
+    def _paper_mass(current, r):
+        # 2 pi r^2 sum w (a0 A + b0 B) with the three-region brackets, or
+        # with the strip integrals over the admissible atoms
+        lv = current.lam.value
+        acc = 0.0
+        for atom in current.atoms:
+            spec, am = atom.spec, atom.alpha_modulus
+            if lv > 0.0:
+                acc += atom.weight * (spec.a0 * _bracket_a(lv, am, r) + spec.b0 * _bracket_b(lv, am, r))
+            elif am < r ** (1.0 - lv):
+                acc += atom.weight * (spec.a0 * ia(lv, am, r) + spec.b0 * ib(lv, am, r))
+        return 2.0 * math.pi * r**2 * acc
+
+    @pytest.mark.parametrize("case", [c for c in corpus(42) if closed_form_applicable(c.current)],
+                             ids=lambda c: c.case_id)
+    def test_matches_paper_formulas(self, case):
+        # every corpus trig current is single-period or a complete orbit, so
+        # its modes cancel over the window and the paper's displays apply
+        for r in self.RADII:
+            paper = self._paper_mass(case.current, r)
+            assert mass_closed_form(case.current, r) == pytest.approx(paper, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("lam_value", [-0.5, -0.5 + 5e-10])
+    def test_resonant_strip_family(self, lam_value):
+        # mode k = -1 against the e^{-2 lambda v} jacobian term: decay rate
+        # 2 lambda + 1, exactly 0 at lambda = -1/2 and 1e-9 just above it
+        lam = Eigenvalue.negative(lam_value)
+        cur = build_current(lam, accumulation_family(
+            lam, 6, alpha_base=1.0 / 3.0, b0=0.25, modes=((-1, 0.03, 0.02),)
+        ))
+        for r in (1.0, 0.5, 0.2):
+            for k0 in (0, 1):
+                value, bound = _exact_masses(cur, [r], k0)[0]
+                result = mass_quadrature(cur, r, k0=k0)
+                assert value > 0.0
+                assert abs(value - result.value) <= result.error_estimate + bound
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-9, -1e-9, 0.3, -0.3])
+    def test_moments_series_branch(self, sigma):
+        # the series branch against quad, and continuous across the switch
+        lo, hi = 0.7, 1.9
+        e_lo, e_hi, m0, m1 = _moments(sigma, lo, hi)
+        want0, _ = quad(lambda t: math.exp(-sigma * t), 0.0, hi - lo, epsabs=0.0, epsrel=1e-13)
+        want1, _ = quad(lambda t: t * math.exp(-sigma * t), 0.0, hi - lo, epsabs=0.0, epsrel=1e-13)
+        assert (m0, m1) == (pytest.approx(want0, rel=1e-13), pytest.approx(want1, rel=1e-13))
+        assert e_hi == pytest.approx(math.exp(-sigma * hi), rel=1e-15)
+        length = 1.0
+        for x in (0.5 * (1.0 - 1e-12), 0.5, -0.5 * (1.0 - 1e-12), -0.5):
+            assert _moments(x, 0.0, length)[2:] == pytest.approx(
+                _moments(x * (1.0 + 1e-12), 0.0, length)[2:], rel=1e-11
+            )
+
+    def test_rejects_poisson(self):
+        lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
+        with pytest.raises(UnsupportedCurrentError):
+            _exact_masses(single_atom_current(lam, 1.3, flat_poisson()), [1.0])
+
+    @staticmethod
+    def _mp_mass(current, r):
+        # the defining integral at 40 digits, from the same float inputs
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 40
+        lv, big_r = mp.mpf(current.lam.value), mp.mpf(r)
+        total = mp.mpf(0)
+        for atom in current.atoms:
+            am, spec = mp.mpf(atom.alpha_modulus), atom.spec
+            cut = big_r ** (1 - lv)
+            if lv > 0:
+                v_min = (mp.log(am) - mp.log(big_r)) / lv if am >= cut else -mp.log(big_r)
+                lo = v_min - (mp.log(am) / lv if am >= 1 else 0)
+                limits = [lo, lo + 1, lo + 4, lo + 16, lo + 64, mp.inf]
+            elif am < cut:
+                limits = mp.linspace(-mp.log(big_r), (mp.log(am) - mp.log(big_r)) / lv, 5)
+            else:
+                continue
+            if am < 1:
+                c1, c2 = 2, 2 * (lv * am) ** 2
+            else:
+                c1, c2 = 2 * am ** (-2 / lv), 2 * lv**2
+
+            def density(v, spec=spec, c1=c1, c2=c2):
+                base = mp.mpf(spec.a0) + mp.mpf(spec.b0) * v
+                if spec.on_strip:
+                    base -= mp.mpf(spec.a0) * v / mp.mpf(spec.strip_c)
+                window = 2 * mp.pi * base
+                for k, ak, bk in spec.modes:
+                    ds = mp.sin(2 * mp.pi * k / spec.b)
+                    dc = mp.cos(2 * mp.pi * k / spec.b) - 1
+                    window += mp.exp(k * v / spec.b) * spec.b / mp.mpf(k) * (ak * ds - bk * dc)
+                return (c1 * mp.exp(-2 * v) + c2 * mp.exp(-2 * lv * v)) * window
+
+            total += mp.mpf(atom.weight) * mp.quad(density, limits)
+        return total
+
+    @pytest.mark.parametrize("case", ["flagship", "trig-half-b2", "resonant-strips"])
+    def test_rounding_bound_against_mpmath(self, case, flagship):
+        neg_half = Eigenvalue.negative(-0.5)
+        current = {
+            "flagship": flagship,
+            "trig-half-b2": SCHEDULE_CASES["trig-half-b2"],
+            "resonant-strips": build_current(neg_half, accumulation_family(
+                neg_half, 6, alpha_base=1.0 / 3.0, b0=0.25, modes=((-1, 0.03, 0.02),)
+            )),
+        }[case]
+        for r in (1.0, 0.3, 2.0**-10):
+            value, bound = _exact_masses(current, [r])[0]
+            if value == 0.0:
+                continue
+            assert float(abs(value - self._mp_mass(current, r))) <= bound <= 1e-12 * abs(value)
+
+    def test_rounding_bound_covers_the_limits(self):
+        # a strip just inside the bidisc is 1e-9 long, and its length comes
+        # from a difference of logs: rounding the limits, not the integrand,
+        # dominates the error, and the bound must still cover it
+        lam = Eigenvalue.negative(-1.0)
+        am = 0.25 * (1.0 - 1e-9)
+        spec = normalize(FourierSpec(b=1, a0=1.0, b0=0.5, strip_c=-math.log(am)))
+        current = build_current(lam, [TransversalAtom(am, 1.0, spec)])
+        value, bound = _exact_masses(current, [0.5])[0]
+        assert value > 0.0
+        assert float(abs(value - self._mp_mass(current, 0.5))) <= bound
+
+
+_LAMBDAS = (
+    Eigenvalue.rational(1, 1),
+    Eigenvalue.rational(1, 2),
+    Eigenvalue.irrational(math.sqrt(2.0) - 1.0),
+    Eigenvalue.negative(-1.0),
+    Eigenvalue.negative(-0.5),
+    Eigenvalue.negative(-0.25),
+)
+
+
+@st.composite
+def _trig_currents(draw):
+    """One trig atom with up to two modes that need not cancel."""
+    lam = draw(st.sampled_from(_LAMBDAS))
+    b = draw(st.sampled_from((1, 2, 3)))
+    ks = draw(st.lists(st.integers(1, 4), max_size=2, unique=True))
+    coefs = [draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))) for _ in ks]
+    if lam.is_negative:
+        # |alpha| <= 0.7 keeps the strip height above 0.35, so b0 v at the
+        # top outweighs modes capped at 0.05 (|a| + |b|) over the strip
+        am = draw(st.floats(0.05, 0.7))
+        height = math.log(am) / lam.value
+        b0 = draw(st.sampled_from((0.3, 0.6))) if ks else 0.0
+        signs = [draw(st.sampled_from((-1, 1))) for _ in ks]
+        modes = tuple(
+            (s * k, 0.05 * a * damp, 0.05 * c * damp)
+            for s, k, (a, c) in zip(signs, ks, coefs)
+            for damp in [math.exp(-max(s * k, 0) * height / b)]
+        )
+        spec = FourierSpec(b=b, a0=1.0, b0=b0, modes=modes, strip_c=height)
+    else:
+        am = draw(st.floats(0.1, 3.0))
+        l1 = sum(abs(a) + abs(c) for a, c in coefs) or 1.0
+        modes = tuple((-k, 0.45 * a / l1, 0.45 * c / l1) for k, (a, c) in zip(ks, coefs))
+        spec = FourierSpec(b=b, a0=1.0, b0=draw(st.sampled_from((0.0, 0.5))), modes=modes)
+    return build_current(lam, [TransversalAtom(am, 1.0, normalize(spec))])
+
+
+@given(
+    current=_trig_currents(),
+    k0=st.sampled_from((0, 1, 2)),
+    log2_r=st.floats(-10.0, 0.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_route_matches_quadrature(current, k0, log2_r):
+    r = 2.0**log2_r
+    value, bound = _exact_masses(current, [r], k0)[0]
+    result = mass_quadrature(current, r, k0=k0)
+    assert abs(value - result.value) <= result.error_estimate + bound
 
 
 class TestBoundaryReduction:
@@ -408,9 +585,10 @@ class TestLelongEstimate:
         assert est.limit_bracket[0] <= 2.5 <= est.limit_bracket[1]
 
     def test_engines_agree(self, flagship):
-        closed = lelong_estimate(flagship, steps=6, engine="closed")
-        numeric = lelong_estimate(flagship, steps=6, engine="quadrature")
-        assert np.allclose(closed.nus, numeric.nus, rtol=1e-8)
+        exact = lelong_estimate(flagship, steps=6)
+        numeric = mass_quadrature_schedule(flagship, exact.rs)
+        nus = [m.value / (math.pi * m.r**2) for m in numeric]
+        assert np.allclose(exact.nus, nus, rtol=1e-8)
 
     def test_auto_prefers_closed_for_applicable(self, flagship):
         est = lelong_estimate(flagship, steps=6)
@@ -449,8 +627,6 @@ class TestLelongEstimate:
             lelong_estimate(flagship, ratio=1.5)
         with pytest.raises(InputError):
             lelong_estimate(flagship, steps=1)
-        with pytest.raises(InputError):
-            lelong_estimate(flagship, engine="galerkin")
 
     def test_json_shape(self, flagship):
         est = lelong_estimate(flagship, steps=4)
