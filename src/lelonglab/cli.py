@@ -117,15 +117,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     reports = run_corpus(seed=args.seed, cfg=cfg, only=args.case)
     payload = [report_to_json(rep) for rep in reports]
+    # stdout carries the JSON report alone; the table is for people
     print(json.dumps(payload, indent=2))
-    for rep in reports:
-        mark = "pass" if rep.verdict else "FAIL"
-        print(f"{rep.case_id:<30} {rep.claim:<15} lam={rep.lam:+.4f}  {mark}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
     failures = sum(1 for rep in reports if not rep.verdict)
-    print(f"{len(reports) - failures}/{len(reports)} verifiers passed")
+    table = [
+        f"{rep.case_id:<30} {rep.claim:<15} lam={rep.lam:+.4f}  {'pass' if rep.verdict else 'FAIL'}"
+        for rep in reports
+    ]
+    table.append(f"{len(reports) - failures}/{len(reports)} verifiers passed")
+    sys.stderr.write("\n".join(table) + "\n")
     return 0 if failures == 0 else 1
 
 

@@ -39,10 +39,13 @@ class QuadratureFailure(LelongLabError, RuntimeError):
     """Adaptive quadrature failed to reach tolerance.
 
     Carries the best estimate and its error bound so callers can decide
-    whether the partial answer is still useful.
+    whether the partial answer is still useful. A lockstep failure also
+    carries its job and the indices of the ranges it leaves unresolved.
     """
 
-    def __init__(self, message, best_estimate, error_estimate):
+    def __init__(self, message, best_estimate, error_estimate, job=None, ranges=()):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
+        self.job = job
+        self.ranges = ranges

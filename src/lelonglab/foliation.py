@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -173,22 +173,32 @@ def coordinate_shift(lam: Eigenvalue, alpha_modulus: float) -> float:
     return 0.0
 
 
-def jacobian_density(lam: Eigenvalue, alpha_modulus: float, v):
+def _jacobian_coefficients(lv: float, alpha_modulus: float) -> Tuple[float, float]:
+    """(c1, c2) with jacobian_density = 2 (c1 e^{-2v} + c2 e^{-2 lambda v})."""
+    if alpha_modulus < 1.0:
+        return 1.0, (lv * alpha_modulus) ** 2
+    return alpha_modulus ** (-2.0 / lv), lv**2
+
+
+def jacobian_density(lam: Eigenvalue, alpha_modulus, v):
     """Leafwise area density 2(|z'|^2 + |w'|^2) along psi, as a function of v.
 
-    Accepts a scalar or ndarray v. The two branches agree at |alpha| = 1;
-    the outer branch absorbs the coordinate_shift above, which is why it
-    carries |alpha|^{-2/lambda} rather than |alpha|^2.
+    Accepts a scalar or ndarray v, and a scalar or ndarray of moduli that
+    broadcasts against v (one atom per row, say). The two branches agree at
+    |alpha| = 1; the outer branch absorbs the coordinate_shift above, which
+    is why it carries |alpha|^{-2/lambda} rather than |alpha|^2.
     """
     lv = lam.value
     v = np.asarray(v, dtype=float)
-    if alpha_modulus < 1.0:
-        out = 2.0 * (np.exp(-2.0 * v) + (lv * alpha_modulus) ** 2 * np.exp(-2.0 * lv * v))
+    moduli = np.asarray(alpha_modulus, dtype=float)
+    if moduli.ndim == 0:
+        c1, c2 = _jacobian_coefficients(lv, float(moduli))
     else:
-        out = 2.0 * (
-            alpha_modulus ** (-2.0 / lv) * np.exp(-2.0 * v)
-            + lv ** 2 * np.exp(-2.0 * lv * v)
-        )
+        # in float arithmetic modulus by modulus, so each entry is bit for
+        # bit what a scalar call gives
+        pairs = [_jacobian_coefficients(lv, am) for am in moduli.ravel().tolist()]
+        c1, c2 = np.array(pairs).T.reshape((2,) + moduli.shape)
+    out = 2.0 * (c1 * np.exp(-2.0 * v) + c2 * np.exp(-2.0 * lv * v))
     return float(out) if out.ndim == 0 else out
 
 

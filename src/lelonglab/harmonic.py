@@ -138,9 +138,9 @@ HarmonicSpec = Union[FourierSpec, PoissonSpec]
 # evaluation
 
 
-def _check_v_domain(spec: HarmonicSpec, v: np.ndarray):
+def _check_v_domain(spec, v: np.ndarray):
     # ndarray methods, not np.min/np.max: this runs on every quadrature
-    # panel, where the module functions' dispatch costs more than the scan
+    # round, where the module functions' dispatch costs more than the scan
     v_lo = float(v.min())
     if v_lo < -DOMAIN_SLACK:
         raise DomainError(f"v = {v_lo} below the boundary of the leaf domain")
@@ -148,6 +148,15 @@ def _check_v_domain(spec: HarmonicSpec, v: np.ndarray):
         v_hi = float(v.max())
         if v_hi > spec.strip_c * (1.0 + DOMAIN_SLACK) + DOMAIN_SLACK:
             raise DomainError(f"v = {v_hi} above the strip height {spec.strip_c}")
+    elif isinstance(spec, FourierWindow):
+        # row by row: each row's heights against its own strip height, which
+        # is inf on half-planes
+        over = v > spec.strip_c * (1.0 + DOMAIN_SLACK) + DOMAIN_SLACK
+        if over.any():
+            row = np.flatnonzero(over.any(axis=-1))[0]
+            v_hi = np.broadcast_to(v, over.shape)[row].max()
+            strip_c = np.broadcast_to(spec.strip_c, over.shape)[row, 0]
+            raise DomainError(f"v = {v_hi} above the strip height {strip_c}")
 
 
 def boundary_value(spec: PoissonSpec, y):
@@ -345,6 +354,56 @@ def mode_window_coefficients(spec: FourierSpec, u0: float, u1: float) -> Tuple[f
     return tuple(out)
 
 
+@dataclass(frozen=True, eq=False)
+class FourierWindow:
+    """Trig specs stacked one per row, with their integrals over u in [u0, u1].
+
+    Each spec field is a column of shape (n, 1), or (n, M) for the modes,
+    so a window broadcasts against an (n, nodes) block of heights, row i
+    being the i-th spec. strip_c is inf on half-planes, where a0 (1 - v / strip_c)
+    is then a0; rows with fewer than M modes are padded with zero modes.
+    """
+
+    u0: float
+    u1: float
+    a0: np.ndarray
+    b0: np.ndarray
+    strip_c: np.ndarray
+    b: np.ndarray
+    ks: np.ndarray
+    coefs: np.ndarray  # mode_window_coefficients over [u0, u1]
+
+    def take(self, rows) -> "FourierWindow":
+        """The window of the specs at rows, in that order."""
+        return FourierWindow(self.u0, self.u1, self.a0[rows], self.b0[rows], self.strip_c[rows],
+                             self.b[rows], self.ks[rows], self.coefs[rows])
+
+
+def fourier_window(specs, u0: float, u1: float) -> FourierWindow:
+    """The row-stacked window of a sequence of FourierSpecs over [u0, u1]."""
+    specs = list(specs)
+    width = max((len(spec.modes) for spec in specs), default=0)
+    ks = np.zeros((len(specs), width))
+    coefs = np.zeros((len(specs), width))
+    for row, spec in enumerate(specs):
+        for m, ((k, _, _), coef) in enumerate(zip(spec.modes, mode_window_coefficients(spec, u0, u1))):
+            ks[row, m] = k
+            coefs[row, m] = coef
+
+    def column(values):
+        return np.array(values, dtype=float).reshape(-1, 1)
+
+    return FourierWindow(
+        u0, u1,
+        a0=column([spec.a0 for spec in specs]),
+        b0=column([spec.b0 for spec in specs]),
+        strip_c=column([spec.strip_c if spec.on_strip else math.inf for spec in specs]),
+        b=column([spec.b for spec in specs]),
+        ks=ks,
+        coefs=coefs,
+    )
+
+
 def _arctan_primitive(s, v):
     # d/ds [ s arctan(s/v) - (v/2) log(v^2 + s^2) ] = arctan(s/v)
     return s * np.arctan(s / v) - 0.5 * v * np.log(v * v + s * s)
@@ -353,24 +412,28 @@ def _arctan_primitive(s, v):
 def window_integral(spec: HarmonicSpec, u0: float, u1: float, v):
     """Integral of the density over u in [u0, u1] at height(s) v, exact in u.
 
-    For trig specs the antiderivative is elementary. For Poisson specs the
-    u-integral commutes with the finite trapezoid sum defining eval, so the
-    result is the trapezoid sum of arctan differences plus closed-form tail
-    terms: exactly the u-integral of eval, not a second approximation.
+    For trig specs the antiderivative is elementary. spec may also be a
+    FourierWindow built for the same [u0, u1]: then row i of the (n, k)
+    block v holds heights for its i-th spec. One FourierSpec is the
+    one-row case. For Poisson specs the u-integral commutes with the finite
+    trapezoid sum defining eval, so the result is the trapezoid sum of
+    arctan differences plus closed-form tail terms: exactly the u-integral
+    of eval, not a second approximation.
     """
     if not u1 > u0:
         raise DomainError("window integral needs u0 < u1")
     v_arr = np.asarray(v, dtype=float)
-    _check_v_domain(spec, v_arr)
-    width = u1 - u0
     if isinstance(spec, FourierSpec):
-        if spec.on_strip:
-            out = width * (spec.a0 * (1.0 - v_arr / spec.strip_c) + spec.b0 * v_arr)
-        else:
-            out = width * (spec.a0 + spec.b0 * v_arr)
-        for (k, _, _), coef in zip(spec.modes, mode_window_coefficients(spec, u0, u1)):
-            out = out + np.exp(k * v_arr / spec.b) * coef
-        out = np.asarray(out)
+        spec = fourier_window((spec,), u0, u1)
+    if isinstance(spec, FourierWindow) and (spec.u0, spec.u1) != (u0, u1):
+        raise InputError("window integral over another u-window than its FourierWindow's")
+    _check_v_domain(spec, v_arr)
+    if isinstance(spec, FourierWindow):
+        out = (u1 - u0) * (spec.a0 * (1.0 - v_arr / spec.strip_c) + spec.b0 * v_arr)
+        for m in range(spec.ks.shape[1]):
+            out = out + np.exp(spec.ks[:, m:m + 1] * v_arr / spec.b) * spec.coefs[:, m:m + 1]
+        if spec.a0.shape[0] == 1:
+            out = out.reshape(v_arr.shape)
         return float(out) if out.ndim == 0 else out
     shape = v_arr.shape
     vv = np.ravel(v_arr)

@@ -7,9 +7,11 @@ Two independent routes to the mass of a current on the bidisc of radius r:
   truncation of the half-plane tail. The integrand does not depend on r,
   so mass_quadrature_schedule integrates each atom once for a whole list of
   radii: one GK15 partition seeded with every radius's v-limits, refined
-  until each radius meets the tolerance on its own panels. Poisson atoms
-  integrate their grid-model defect on the same nodes. mass_quadrature is
-  the one-radius case.
+  until each radius meets the tolerance on its own panels. All atoms are
+  refined in lockstep, one integrand call per round for every atom's new
+  panels: trig atoms as rows of one FourierWindow, Poisson atoms one panel
+  per kernel block, with their grid-model defect on the same nodes.
+  mass_quadrature is the one-radius case.
 * mass_closed_form: exact for every trig-series current and u-window, as a
   finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}.
 
@@ -29,18 +31,19 @@ from typing import List, Tuple
 import numpy as np
 
 from .current import Current, total_weight
-from .errors import DomainError, InputError, UnsupportedCurrentError
+from .errors import DomainError, InputError, QuadratureFailure, UnsupportedCurrentError
 from .foliation import Eigenvalue, coordinate_shift, jacobian_density, leaf_domain
 from .harmonic import (
     FourierSpec,
     PoissonSpec,
     boundary_integral,
     evaluate,
+    fourier_window,
     mode_window_coefficients,
     window_integral,
     window_model_error,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_lockstep
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,17 +118,13 @@ def _truncate_half_plane(spec, lam: Eigenvalue, am: float, v_lo: float, cfg: Qua
     return v_hi, tail
 
 
-def _atom_schedule(lam: Eigenvalue, atom, rs, k0: int, cfg: QuadratureConfig):
-    """Weighted (mass, error) of one atom at every radius in rs.
+def _atom_ranges(lam: Eigenvalue, atom, rs, cfg: QuadratureConfig):
+    """Radii with a nonempty plaque, their v-ranges and the tail bound of one atom.
 
-    The integrand does not depend on r, only the v-limits do, so one
-    adaptive partition serves the whole schedule: it is seeded with every
-    radius's limits and refined until each radius meets the tolerance on
-    its own panels. Poisson atoms carry the grid-model defect as a second
-    row on the same nodes.
+    Strips run between their ends. Half-planes share one truncation height:
+    the highest any of their radii needs, so its tail bound covers them all.
     """
     am = atom.alpha_modulus
-    spec = atom.spec
     shift = coordinate_shift(lam, am)
     where, lows, highs, heights = [], [], [], []
     for n, r in enumerate(rs):
@@ -139,45 +138,12 @@ def _atom_schedule(lam: Eigenvalue, atom, rs, k0: int, cfg: QuadratureConfig):
         else:
             v_lo = dom.v_min - shift
             lows.append(v_lo)
-            heights.append(_truncate_half_plane(spec, lam, am, v_lo, cfg))
-    out = [(0.0, 0.0)] * len(rs)
-    if not where:
-        return out
+            heights.append(_truncate_half_plane(atom.spec, lam, am, v_lo, cfg))
     tail_bound = 0.0
     if heights:
-        # one truncation height for every radius: the highest any of them
-        # needs, so its tail bound covers them all
         v_top, tail_bound = max(heights)
         highs = [v_top] * len(lows)
-    u0 = TWO_PI * k0
-    u1 = u0 + TWO_PI
-    poisson = isinstance(spec, PoissonSpec)
-
-    def integrand(v):
-        jac = jacobian_density(lam, am, v)
-        window = window_integral(spec, u0, u1, v)
-        if not poisson:
-            return jac * window
-        # the boundary grid, not the subdivision, limits how well different
-        # u-windows of the same leaf can agree; account for it explicitly
-        return jac * np.stack((window, window_model_error(spec, u0, u1, v, window=window)))
-
-    parts = integrate(
-        integrand,
-        min(lows),
-        max(highs),
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_depth=cfg.max_depth,
-        ranges=list(zip(lows, highs)),
-    )
-    for n, (value, err) in zip(where, parts):
-        model_err = 0.0
-        if poisson:
-            # Kronrod sum of the defect plus its own Kronrod-Gauss gap
-            value, err, model_err = float(value[0]), float(err[0]), float(value[1] + err[1])
-        out[n] = (atom.weight * value, atom.weight * (err + tail_bound + model_err))
-    return out
+    return where, list(zip(lows, highs)), tail_bound
 
 
 def mass_quadrature_schedule(
@@ -188,17 +154,79 @@ def mass_quadrature_schedule(
 ) -> List[MassResult]:
     """Masses at every radius in rs over the k0-th u-window, by quadrature.
 
-    Each atom is integrated once for all radii (see _atom_schedule); the
-    per-radius sums run over atoms in order.
+    The integrand does not depend on r, only the v-limits do, so each atom
+    is one job of a single integrate_lockstep call: one adaptive partition
+    per atom, seeded with every radius's limits and refined until each
+    radius meets the tolerance on its own panels. The atoms share each
+    round's integrand call. Trig rows are evaluated together through a
+    row-stacked FourierWindow; Poisson rows one panel, and so one kernel
+    block, at a time, with the grid-model defect as a second row on the
+    same nodes. The per-radius sums run over atoms in order.
     """
     rs = tuple(rs)
     if not all(0.0 < r <= 1.0 for r in rs):
         raise DomainError("radius must lie in (0, 1]")
-    parts = [_atom_schedule(current.lam, atom, rs, k0, cfg) for atom in current.atoms]
+    lam = current.lam
+    jobs, owners = [], []  # owners: (atom index, radius indices, tail bound) per job
+    for i, atom in enumerate(current.atoms):
+        where, spans, tail_bound = _atom_ranges(lam, atom, rs, cfg)
+        if where:
+            jobs.append((min(lo for lo, _ in spans), max(hi for _, hi in spans), spans))
+            owners.append((i, where, tail_bound))
+    atoms = [current.atoms[i] for i, _, _ in owners]
+    u0 = TWO_PI * k0
+    u1 = u0 + TWO_PI
+    moduli = np.array([atom.alpha_modulus for atom in atoms]).reshape(-1, 1)
+    is_trig = np.array([isinstance(atom.spec, FourierSpec) for atom in atoms], dtype=bool)
+    window = fourier_window([atom.spec for atom in atoms if isinstance(atom.spec, FourierSpec)], u0, u1)
+    window_row = np.cumsum(is_trig) - 1  # job -> row of window
+    poisson = not is_trig.all()
+
+    def trig_rows(rows, v):
+        return jacobian_density(lam, moduli[rows], v) * window_integral(
+            window.take(window_row[rows]), u0, u1, v
+        )
+
+    def integrand(rows, v):
+        if not poisson:
+            return trig_rows(rows, v)
+        out = np.zeros((len(rows), 2, v.shape[1]))
+        trig = is_trig[rows]
+        if trig.any():
+            out[trig, 0] = trig_rows(rows[trig], v[trig])
+        for p in np.flatnonzero(~trig):
+            atom = atoms[rows[p]]
+            jac = jacobian_density(lam, atom.alpha_modulus, v[p])
+            row = window_integral(atom.spec, u0, u1, v[p])
+            # the boundary grid, not the subdivision, limits how well different
+            # u-windows of the same leaf can agree; account for it explicitly
+            out[p] = jac * np.stack((row, window_model_error(atom.spec, u0, u1, v[p], window=row)))
+        return out
+
+    try:
+        parts = integrate_lockstep(
+            integrand, jobs, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_depth=cfg.max_depth,
+        )
+    except QuadratureFailure as exc:
+        i, where, _ = owners[exc.job]
+        radii = ", ".join(repr(rs[where[n]]) for n in exc.ranges)
+        raise QuadratureFailure(
+            f"atoms[{i}] at r = {radii}: {exc}", exc.best_estimate, exc.error_estimate,
+            job=exc.job, ranges=exc.ranges,
+        ) from exc
+    per_atom = [[(0.0, 0.0)] * len(rs) for _ in current.atoms]
+    for (i, where, tail_bound), job_parts in zip(owners, parts):
+        weight = current.atoms[i].weight
+        for n, (value, err) in zip(where, job_parts):
+            model_err = 0.0
+            if poisson:
+                # Kronrod sum of the defect plus its own Kronrod-Gauss gap
+                value, err, model_err = float(value[0]), float(err[0]), float(value[1] + err[1])
+            per_atom[i][n] = (weight * value, weight * (err + tail_bound + model_err))
     return [
         MassResult(
-            value=sum(p[n][0] for p in parts),
-            error_estimate=sum(p[n][1] for p in parts),
+            value=sum(p[n][0] for p in per_atom),
+            error_estimate=sum(p[n][1] for p in per_atom),
             r=r,
         )
         for n, r in enumerate(rs)

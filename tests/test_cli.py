@@ -1,7 +1,9 @@
 import csv
+import io
 import json
 import math
 import re
+import sys
 
 import pytest
 
@@ -195,19 +197,39 @@ class TestLelong:
 class TestVerify:
     def test_single_case_passes(self, capsys):
         assert main(["verify", "--case", "pos-unit-inner-const"]) == 0
-        out = capsys.readouterr().out
-        assert "pos-unit-inner-const" in out
-        assert "1/1 verifiers passed" in out
+        err = capsys.readouterr().err
+        assert "pos-unit-inner-const" in err
+        assert "1/1 verifiers passed" in err
 
     def test_full_corpus_passes(self, capsys):
         assert main(["verify"]) == 0
-        assert "22/22 verifiers passed" in capsys.readouterr().out
+        assert "22/22 verifiers passed" in capsys.readouterr().err
 
     def test_zero_tolerance_fails_with_exit_one(self, capsys):
         assert main(["verify", "--tol-scale", "0", "--case", "div-unit-linear-part"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "0/1 verifiers passed" in out
+        err = capsys.readouterr().err
+        assert "FAIL" in err
+        assert "0/1 verifiers passed" in err
+
+    def test_stdout_is_one_json_document(self, tmp_path, capsys, monkeypatch):
+        class Writes(io.StringIO):
+            calls = 0
+
+            def write(self, text):
+                Writes.calls += 1
+                return super().write(text)
+
+        table = Writes()
+        monkeypatch.setattr(sys, "stderr", table)
+        report = tmp_path / "report.json"
+        assert main(["verify", "--case", "pos-unit-inner-const", "--out", str(report)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == json.loads(report.read_text(encoding="utf-8"))
+        assert payload[0]["case_id"] == "pos-unit-inner-const"
+        # the table and the summary line go to stderr in one write
+        assert Writes.calls == 1
+        assert table.getvalue().startswith("pos-unit-inner-const ")
+        assert table.getvalue().endswith("\n1/1 verifiers passed\n")
 
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -143,6 +143,18 @@ class TestPsiAndJacobian:
         assert out.shape == (2,)
         assert out[0] > out[1] > 0.0
 
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_array_of_moduli_is_the_scalar_calls(self, lam):
+        # one modulus per row, both branches, bit for bit; numpy's own power
+        # rounds differently from float ** on a few percent of such moduli
+        moduli = np.exp(np.random.default_rng(5).uniform(-12.0, 3.0, 240))
+        moduli[:3] = (1e-4, 0.9999999, 1.0)
+        vs = np.linspace(0.0, 6.0, 15 * moduli.size).reshape(moduli.size, 15)
+        block = jacobian_density(lam, moduli[:, None], vs)
+        assert block.shape == vs.shape
+        for am, v, row in zip(moduli.tolist(), vs, block):
+            assert np.array_equal(row, jacobian_density(lam, am, v))
+
 
 class TestMonodromy:
     @given(

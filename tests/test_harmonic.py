@@ -29,6 +29,7 @@ from lelonglab import (
     window_model_error,
 )
 from lelonglab.foliation import Eigenvalue
+from lelonglab.harmonic import fourier_window
 
 from conftest import flat_poisson
 
@@ -313,6 +314,42 @@ class TestWindowIntegral:
     def test_needs_ordered_window(self):
         with pytest.raises(DomainError):
             window_integral(FourierSpec(), 1.0, 1.0, 0.5)
+
+    STACKED = (
+        FourierSpec(b=2, a0=0.8, b0=0.3, modes=((-1, 0.2, 0.1), (-3, 0.05, 0.02))),
+        FourierSpec(b=1, a0=1.0, modes=((-2, 0.1, 0.05), (1, 0.002, 0.0)), strip_c=2.5),
+        FourierSpec(b=1, a0=1.0),
+        FourierSpec(b=3, a0=0.5, b0=0.1, modes=((-1, 0.01, -0.02),), strip_c=4.0),
+    )
+
+    @pytest.mark.parametrize("window", [(0.0, 2.0 * math.pi), (-1.3, 5.1)])
+    def test_stacked_window_is_the_per_spec_call(self, window):
+        # rows padded with zero modes, half-planes with an infinite strip
+        # height: each row is bit for bit its own spec's window integral
+        u0, u1 = window
+        stacked = fourier_window(self.STACKED, u0, u1)
+        rows = np.array([3, 0, 2, 1, 3])
+        vs = np.linspace(0.0, 2.5, 15 * rows.size).reshape(rows.size, 15)
+        block = window_integral(stacked.take(rows), u0, u1, vs)
+        assert block.shape == vs.shape
+        for row, v, got in zip(rows, vs, block):
+            assert np.array_equal(got, window_integral(self.STACKED[row], u0, u1, v))
+
+    def test_stacked_window_checks_each_strip(self):
+        stacked = fourier_window(self.STACKED, 0.0, 2.0 * math.pi)
+        vs = np.full((4, 15), 3.0)
+        vs[1] = 2.0  # the only row whose strip is lower than 3
+        window_integral(stacked, 0.0, 2.0 * math.pi, vs)
+        vs[1, 7] = 2.6
+        with pytest.raises(DomainError, match="v = 2.6 above the strip height 2.5"):
+            window_integral(stacked, 0.0, 2.0 * math.pi, vs)
+        with pytest.raises(DomainError, match="below the boundary"):
+            window_integral(stacked, 0.0, 2.0 * math.pi, -vs)
+
+    def test_stacked_window_is_tied_to_its_u_window(self):
+        stacked = fourier_window(self.STACKED, 0.0, 2.0 * math.pi)
+        with pytest.raises(InputError):
+            window_integral(stacked, 0.0, 1.0, np.zeros((4, 15)))
 
     @pytest.mark.parametrize("y", [-0.5, -3.0, -2.0 * math.pi, -804.2477, -1e4, -1e6])
     @pytest.mark.parametrize("window", [(0.0, 2.0 * math.pi), (-1.3, 5.1), (6.0 * math.pi, 8.0 * math.pi)])

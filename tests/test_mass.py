@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lelonglab import (
     FourierSpec,
     InputError,
     PoissonSpec,
+    QuadratureFailure,
     TransversalAtom,
     UnsupportedCurrentError,
     accumulation_family,
@@ -37,7 +39,7 @@ from lelonglab import (
 
 import lelonglab.mass
 from lelonglab.mass import _bracket_a, _bracket_b, _exact_masses, _moments
-from lelonglab.quadrature import DEFAULT_CONFIG
+from lelonglab.quadrature import DEFAULT_CONFIG, QuadratureConfig
 from lelonglab.theorems import corpus
 
 from conftest import flat_poisson
@@ -122,23 +124,25 @@ HALVINGS = tuple(0.5**n for n in range(12))
 
 
 class _IntegrateSpy:
-    """Wraps mass.integrate: counts integrand points and keeps every result."""
+    """Wraps mass.integrate_lockstep: counts calls and integrand points, keeps every job's result."""
 
     def __init__(self, monkeypatch):
+        self.calls = 0
         self.points = 0
-        self.results = []
-        real = lelonglab.mass.integrate
+        self.results = []  # one list of per-range (value, error) pairs per job
+        real = lelonglab.mass.integrate_lockstep
 
-        def spy(f, a, b, **kwargs):
-            def counted(v):
+        def spy(f, jobs, **kwargs):
+            def counted(rows, v):
                 self.points += np.size(v)
-                return f(v)
+                return f(rows, v)
 
-            out = real(counted, a, b, **kwargs)
-            self.results.append(out)
+            self.calls += 1
+            out = real(counted, jobs, **kwargs)
+            self.results.extend(out)
             return out
 
-        monkeypatch.setattr(lelonglab.mass, "integrate", spy)
+        monkeypatch.setattr(lelonglab.mass, "integrate_lockstep", spy)
 
 
 class TestScheduleQuadrature:
@@ -148,7 +152,7 @@ class TestScheduleQuadrature:
         current = SCHEDULE_CASES[case]
         spy = _IntegrateSpy(monkeypatch)
         sched = mass_quadrature_schedule(current, HALVINGS, k0=k0)
-        per_range = [part for call in spy.results for part in call]
+        per_range = [part for job in spy.results for part in job]
         singles = [mass_quadrature(current, r, k0=k0) for r in HALVINGS]
         for s, m in zip(sched, singles):
             assert s.r == m.r
@@ -167,7 +171,47 @@ class TestScheduleQuadrature:
         current = SCHEDULE_CASES["strip-family"]
         spy = _IntegrateSpy(monkeypatch)
         mass_quadrature_schedule(current, HALVINGS)
+        assert spy.calls == 1
         assert len(spy.results) == len(current.atoms)
+        assert all(len(job) > 0 for job in spy.results)
+
+    def test_mixed_current_matches_its_atoms(self):
+        # trig and Poisson atoms in one lockstep call, each as if alone; the
+        # trig rows ride in the two-row block here, whose sums may round
+        # differently in the last bit
+        lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
+        trig = TransversalAtom(0.7, 0.4, normalize(FourierSpec(b=1, a0=1.0, modes=((-1, 0.2, 0.1),))))
+        poisson = TransversalAtom(1.3, 0.6, flat_poisson())
+        rs = (1.0, 0.5, 0.1)
+        both = mass_quadrature_schedule(build_current(lam, [poisson, trig]), rs, k0=1)
+        alone = [mass_quadrature_schedule(build_current(lam, [atom]), rs, k0=1) for atom in (poisson, trig)]
+        for m, (p, t) in zip(both, zip(*alone)):
+            assert m.value == pytest.approx(p.value + t.value, rel=1e-14)
+            assert m.error_estimate == pytest.approx(p.error_estimate + t.error_estimate, rel=1e-6)
+
+    def test_failure_names_atom_radius_and_interval(self):
+        # the short strip of atom 0 converges on its seed panel; the long
+        # strip of atom 1 needs more than one split
+        lam = Eigenvalue.negative(-0.5)
+        atoms = [
+            TransversalAtom(0.9, 1.0, FourierSpec(b=1, a0=1.0, strip_c=math.log(0.9) / -0.5)),
+            TransversalAtom(1e-4, 1.0, normalize(FourierSpec(
+                b=1, a0=1.0, b0=0.2, modes=((-1, 0.03, 0.01),), strip_c=math.log(1e-4) / -0.5,
+            ))),
+        ]
+        cfg = QuadratureConfig(max_depth=1)
+        current = build_current(lam, atoms)
+        with pytest.raises(QuadratureFailure) as exc_info:
+            mass_quadrature_schedule(current, (1.0, 0.5), cfg=cfg)
+        failure = exc_info.value
+        message = str(failure)
+        assert message.startswith("atoms[1] at r = ")
+        lo, hi = map(float, re.search(r"no convergence at depth 1 on \[(\S+), (\S+)\]", message).groups())
+        assert 0.0 <= lo < hi <= atoms[1].spec.strip_c
+        for n in failure.ranges:
+            assert repr((1.0, 0.5)[n]) in message
+        # atom 0 alone is fine at that depth
+        mass_quadrature_schedule(build_current(lam, atoms[:1]), (1.0, 0.5), cfg=cfg)
 
     def test_schedule_work_is_near_one_mass(self, monkeypatch):
         # 3073-point flat grid; a schedule used to cost about 7 single masses

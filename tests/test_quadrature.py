@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lelonglab import InputError, QuadratureConfig, QuadratureFailure, integrate
-from lelonglab.quadrature import _NODES, _W_KRONROD
+from lelonglab.quadrature import _NODES, _W_KRONROD, integrate_lockstep
 
 
 class TestIntegrate:
@@ -168,6 +169,139 @@ class TestSubRanges:
         assert type(failure.error_estimate) is float
         assert 5.0 < failure.best_estimate < 10.5
         assert failure.error_estimate > 0.0
+
+
+def _job_integrand(kind, params):
+    """A vectorized integrand with per-job parameters."""
+    if kind == "exp":
+        rate, freq = params[0], 10.0 * abs(params[1])
+        return lambda x: np.exp(rate * x) * (2.0 + np.sin(freq * x))
+    # degree 17 and up is past what the 7-point Gauss rule integrates exactly
+    return lambda x: np.polynomial.polynomial.polyval(x / 4.0, params)
+
+
+def _rows_of(integrands, seen=None):
+    """f(rows, v) evaluating every row with its own job's integrand."""
+
+    def f(rows, v):
+        if seen is not None:
+            seen.append(np.bincount(rows, minlength=len(integrands)))
+        out = np.empty(v.shape)
+        for j in np.unique(rows):
+            out[rows == j] = integrands[j](v[rows == j])
+        return out
+
+    return f
+
+
+_SPANS = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted), min_size=1, max_size=3
+)
+_JOBS = st.lists(
+    st.tuples(
+        st.sampled_from(["exp", "poly"]),
+        st.floats(-3.0, 3.0),
+        st.floats(1e-3, 10.0),
+        st.lists(st.floats(-2.0, 2.0), min_size=18, max_size=21),
+        _SPANS,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestLockstep:
+    @given(jobs=_JOBS)
+    @settings(max_examples=60, deadline=None)
+    def test_each_job_as_if_alone(self, jobs):
+        integrands, specs = [], []
+        for kind, a, width, params, spans in jobs:
+            integrands.append(_job_integrand(kind, params))
+            specs.append((a, a + width, [(a + width * lo, a + width * hi) for lo, hi in spans]))
+        seen = []
+        together = integrate_lockstep(_rows_of(integrands, seen), specs, rel_tol=1e-10)
+        per_job = np.sum(seen, axis=0) if seen else np.zeros(len(specs), dtype=int)
+        for j, (g, (a, b, spans)) in enumerate(zip(integrands, specs)):
+            calls = []
+            alone = integrate(lambda x: calls.append(1) or g(x), a, b, rel_tol=1e-10, ranges=spans)
+            assert per_job[j] == len(calls)
+            for (value, err), (want, want_err) in zip(together[j], alone):
+                assert value == pytest.approx(want, rel=1e-14, abs=1e-300)
+                assert err == pytest.approx(want_err, rel=1e-14, abs=1e-300)
+        # one call seeds every job, then one call per round: a job splits
+        # one panel per round, so the busiest job sets the count
+        if seen:
+            splits = (per_job - seen[0]) // 2
+            assert len(seen) == 1 + max(splits)
+
+    def test_no_jobs(self):
+        assert integrate_lockstep(_rows_of([]), []) == []
+
+    def test_panel_budget_is_per_job(self):
+        easy, hard = np.exp, lambda x: np.cos(200.0 * x)
+        jobs = [(0.0, 1.0, [(0.0, 1.0)]), (0.0, 10.0, [(0.0, 10.0)]), (0.0, 2.0, [(0.0, 2.0)])]
+        with pytest.raises(QuadratureFailure, match="panel budget 20 exhausted") as exc_info:
+            integrate_lockstep(_rows_of([easy, hard, easy]), jobs, max_panels=20)
+        assert exc_info.value.job == 1
+        assert exc_info.value.ranges == (0,)
+        # the easy jobs alone stay within that budget
+        parts = integrate_lockstep(_rows_of([easy, easy]), [jobs[0], jobs[2]], max_panels=20)
+        assert parts[0][0][0] == pytest.approx(math.e - 1.0, rel=1e-12)
+
+    def test_lowest_failing_job_is_reported(self):
+        # jobs 1 and 2 run out of depth in the same round; job 0 converges
+        hard = lambda x: np.cos(200.0 * x)
+        jobs = [(0.0, 1.0, [(0.0, 1.0)]), (0.0, 10.0, [(0.0, 10.0)]), (0.0, 10.0, [(0.0, 10.0)])]
+        with pytest.raises(QuadratureFailure, match="no convergence at depth 3") as exc_info:
+            integrate_lockstep(_rows_of([np.exp, hard, hard]), jobs, max_depth=3)
+        assert exc_info.value.job == 1
+
+    def test_nonfinite_row_names_its_interval(self):
+        def spiky(x):
+            # finite on the seed panel's nodes, infinite once refined near 0.999
+            return np.where(x > 0.999, math.inf, np.sin(50.0 * x))
+
+        jobs = [(0.0, 1.0, [(0.0, 1.0)])] * 3
+        with pytest.raises(QuadratureFailure, match="non-finite") as exc_info:
+            integrate_lockstep(_rows_of([np.exp, spiky, spiky]), jobs)
+        failure = exc_info.value
+        assert failure.job == 1
+        lo, hi = map(float, re.search(r"on \[(\S+), (\S+)\]", str(failure)).groups())
+        assert 0.0 <= lo < hi == 1.0 and hi - lo < 0.5
+        assert math.isnan(failure.best_estimate)
+
+    def test_nonfinite_seed_panel(self):
+        jobs = [(0.0, 1.0, [(0.0, 0.5), (0.5, 1.0)]), (2.0, 3.0, [(2.0, 3.0)])]
+        nan_past_two = lambda x: np.where(x > 2.5, math.nan, x)
+        with pytest.raises(QuadratureFailure, match=r"non-finite integrand on \[2\.0, 3\.0\]") as exc_info:
+            integrate_lockstep(_rows_of([np.exp, nan_past_two]), jobs)
+        assert exc_info.value.job == 1
+
+    def test_rows_of_several_integrands(self):
+        # (P, 2, 15) blocks, as the Poisson atoms give: row 0 steers, the
+        # second row (the grid-model defect there) rides on the same nodes
+        def pair(params):
+            g = _job_integrand("exp", params)
+            return lambda x: np.stack((g(x), 1e-3 * np.abs(np.cos(x))))
+
+        pairs = [pair((-0.3, 0.4)), pair((0.2, 1.9))]
+        jobs = [(0.0, 9.0, [(0.0, 9.0), (2.0, 9.0)]), (-1.0, 4.0, [(-1.0, 4.0)])]
+
+        def f(rows, v):
+            return np.stack([pairs[j](x) for j, x in zip(rows, v)])
+
+        together = integrate_lockstep(f, jobs)
+        for j, (a, b, spans) in enumerate(jobs):
+            alone = integrate(pairs[j], a, b, ranges=spans)
+            steer = []
+            integrate(lambda x: steer.append(1) or pairs[j](x)[0], a, b, ranges=spans)
+            pair_calls = []
+            integrate(lambda x: pair_calls.append(1) or pairs[j](x), a, b, ranges=spans)
+            assert len(pair_calls) == len(steer)
+            for (value, err), (want, want_err) in zip(together[j], alone):
+                assert value.shape == err.shape == (2,)
+                assert np.array_equal(value, want) and np.array_equal(err, want_err)
+                assert value[1] > 0.0
 
 
 class TestConfig:
