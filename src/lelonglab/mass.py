@@ -10,8 +10,10 @@ Two independent routes to the mass of a current on the bidisc of radius r:
   until each radius meets the tolerance on its own panels. All atoms are
   refined in lockstep, one integrand call per round for every atom's new
   panels: trig atoms as rows of one FourierWindow, Poisson atoms one panel
-  per kernel block, with their grid-model defect on the same nodes.
-  mass_quadrature is the one-radius case.
+  per kernel block through their PoissonWindow (far grid nodes by moments,
+  near ones directly), with their grid-model defect, and the expansion's
+  truncation remainder, on the same nodes. mass_quadrature is the
+  one-radius case.
 * mass_closed_form: exact for every trig-series current and u-window, as a
   finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}.
 
@@ -40,6 +42,7 @@ from .harmonic import (
     evaluate,
     fourier_window,
     mode_window_coefficients,
+    poisson_window,
     window_integral,
     window_model_error,
 )
@@ -161,7 +164,9 @@ def mass_quadrature_schedule(
     round's integrand call. Trig rows are evaluated together through a
     row-stacked FourierWindow; Poisson rows one panel, and so one kernel
     block, at a time, with the grid-model defect as a second row on the
-    same nodes. The per-radius sums run over atoms in order.
+    same nodes. Each Poisson atom's PoissonWindow, with its shell ladders,
+    is built once here and serves both rows of every panel. The per-radius
+    sums run over atoms in order.
     """
     rs = tuple(rs)
     if not all(0.0 < r <= 1.0 for r in rs):
@@ -181,6 +186,9 @@ def mass_quadrature_schedule(
     window = fourier_window([atom.spec for atom in atoms if isinstance(atom.spec, FourierSpec)], u0, u1)
     window_row = np.cumsum(is_trig) - 1  # job -> row of window
     poisson = not is_trig.all()
+    # one PoissonWindow per Poisson atom: its grids and shell ladders serve
+    # every panel, for the value row and the model-error row alike
+    prepared = [None if trig else poisson_window(atom.spec, u0, u1) for atom, trig in zip(atoms, is_trig)]
 
     def trig_rows(rows, v):
         return jacobian_density(lam, moduli[rows], v) * window_integral(
@@ -195,12 +203,13 @@ def mass_quadrature_schedule(
         if trig.any():
             out[trig, 0] = trig_rows(rows[trig], v[trig])
         for p in np.flatnonzero(~trig):
-            atom = atoms[rows[p]]
+            atom, grids = atoms[rows[p]], prepared[rows[p]]
             jac = jacobian_density(lam, atom.alpha_modulus, v[p])
-            row = window_integral(atom.spec, u0, u1, v[p])
+            row = window_integral(atom.spec, u0, u1, v[p], prepared=grids)
             # the boundary grid, not the subdivision, limits how well different
             # u-windows of the same leaf can agree; account for it explicitly
-            out[p] = jac * np.stack((row, window_model_error(atom.spec, u0, u1, v[p], window=row)))
+            model = window_model_error(atom.spec, u0, u1, v[p], window=row, prepared=grids)
+            out[p] = jac * np.stack((row, model))
         return out
 
     try:

@@ -29,7 +29,8 @@ from lelonglab import (
     window_model_error,
 )
 from lelonglab.foliation import Eigenvalue
-from lelonglab.harmonic import fourier_window
+from lelonglab import harmonic
+from lelonglab.harmonic import FAR_ORDER, FAR_RATIO, LADDER_MIN_POINTS, fourier_window, poisson_window
 
 from conftest import flat_poisson
 
@@ -408,6 +409,109 @@ class TestWindowModelError:
             dev = abs(window_integral(spec, 0.0, 2.0 * math.pi, v)
                       - window_integral(fine, 0.0, 2.0 * math.pi, v))
             assert dev <= gap
+
+
+def _grid_spec(n, step, shape, tail, c_lin, seed):
+    """An n-node symmetric grid of the given step with flat, bump or random data."""
+    ys = np.linspace(-0.5 * (n - 1) * step, 0.5 * (n - 1) * step, n)
+    if shape == "flat":
+        values = np.ones(n)
+    elif shape == "bump":
+        values = tail + np.exp(-(ys / 7.0) ** 2)
+    else:
+        values = np.random.default_rng(seed).uniform(0.0, 3.0, n)
+    return PoissonSpec(ys=ys, values=values, tail=tail, c_lin=c_lin)
+
+
+class TestFarField:
+    @pytest.mark.parametrize("h", [math.pi, 1e-3, 40.0])
+    @pytest.mark.parametrize("factor", [1.0001, 1.7, 25.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_single_node_series_identity(self, h, factor, sign):
+        # one far node at s: its moments (R / |s|)^p about a shell R that
+        # the heights allow reproduce its kernel entry at every height
+        vs = np.array([1e-6, 0.1, 0.5, 1.0, 3.0, 17.0]) * h
+        radius = FAR_RATIO * (h + vs.max())
+        s = sign * factor * radius
+        p = np.arange(2, FAR_ORDER + 1, 2)
+        betas = harmonic._far_coefficients(((radius / abs(s)) ** p)[None, :], np.array([h / radius]))
+        got = harmonic._far_sum(betas[0], vs / radius)
+        want = np.arctan2(2.0 * h * vs, vs * vs + s * s - h * h)
+        x = (h + vs.max()) / abs(s)
+        assert x < 1.0 / FAR_RATIO
+        assert np.all(np.abs(got - want) <= 2.0 * x ** (FAR_ORDER + 1) / (1.0 - x) + 4e-16 * want)
+
+    @given(
+        n=st.integers(min_value=LADDER_MIN_POINTS, max_value=20000),
+        step=st.one_of(
+            st.integers(min_value=6, max_value=48).map(lambda m: math.pi / m),
+            st.floats(min_value=0.02, max_value=0.3),
+        ),
+        shape=st.sampled_from(["flat", "bump", "random"]),
+        tail=st.floats(min_value=0.0, max_value=2.0),
+        c_lin=st.sampled_from([0.0, 0.6]),
+        k0=st.integers(min_value=-2, max_value=2),
+        probe=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        v_lo=st.floats(min_value=1e-4, max_value=60.0),
+        spread=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ladder_against_direct_sum(self, n, step, shape, tail, c_lin, k0, probe, seed, v_lo, spread):
+        spec = _grid_spec(n, step, shape, tail, c_lin, seed)
+        u0 = 2.0 * math.pi * k0
+        u1 = u0 + 2.0 * math.pi
+        window = poisson_window(spec, u0, u1)
+        grid = window.probe if probe else window.full
+        ys, weighted = (harmonic._probe_samples if probe else harmonic._full_samples)(spec)
+        direct = harmonic._boundary_grid(ys, weighted, u0, u1, ladder=False)
+        assert grid.radii.size > 0 or grid.gap.size < LADDER_MIN_POINTS
+        # a 15-node block in (0, 60]
+        vs = v_lo + (60.0 - v_lo) * spread * np.sort(np.random.default_rng(seed).uniform(size=15))
+        args = (spec.tail, spec.half_width, spec.c_lin, u0, u1, vs)
+        got = harmonic._poisson_window(grid, *args)
+        want = harmonic._poisson_window(direct, *args)
+        if grid.shell(vs.max()) is None:
+            assert np.array_equal(got, want)
+        else:
+            tol = grid.remainder(vs.max()) + 1e-14 * math.pi * weighted.sum()
+            assert np.all(np.abs(got - want) <= tol)
+
+    def test_small_grids_stay_direct(self):
+        spec = flat_poisson(c_lin=0.4)  # 769 nodes, probe 385
+        window = poisson_window(spec, 0.0, 2.0 * math.pi)
+        assert window.full.radii.size == window.probe.radii.size == 0
+        vs = np.array([0.0, 0.05, 0.5, 3.0, 40.0])
+        row = window_integral(spec, 0.0, 2.0 * math.pi, vs, prepared=window)
+        assert np.array_equal(row, window_integral(spec, 0.0, 2.0 * math.pi, vs))
+        assert np.array_equal(
+            window_model_error(spec, 0.0, 2.0 * math.pi, vs, prepared=window),
+            window_model_error(spec, 0.0, 2.0 * math.pi, vs),
+        )
+
+    def test_model_error_carries_the_remainders(self):
+        spec = flat_poisson(half_turns=256)  # 12289 nodes
+        u0, u1 = 2.0 * math.pi, 4.0 * math.pi
+        window = poisson_window(spec, u0, u1)
+        vs = np.linspace(0.5, 4.0, 15)
+        remainder = 2.0 * window.full.remainder(4.0) + window.probe.remainder(4.0)
+        assert 0.0 < remainder < 1e-13
+        row = window_integral(spec, u0, u1, vs, prepared=window)
+        coarse = harmonic._poisson_window(window.probe, spec.tail, spec.half_width, spec.c_lin, u0, u1, vs)
+        got = window_model_error(spec, u0, u1, vs, prepared=window)
+        assert np.array_equal(got, np.abs(row - coarse) + remainder)
+        plain = window_model_error(spec, u0, u1, vs)
+        assert np.allclose(got, plain, rtol=0.0, atol=remainder + 1e-12)
+
+    def test_prepared_window_is_tied_to_its_spec_and_u_window(self):
+        spec = flat_poisson()
+        window = poisson_window(spec, 0.0, 2.0 * math.pi)
+        with pytest.raises(InputError):
+            window_integral(spec, 0.0, 1.0, 0.5, prepared=window)
+        with pytest.raises(InputError):
+            window_model_error(flat_poisson(), 0.0, 2.0 * math.pi, 0.5, prepared=window)
+        with pytest.raises(DomainError):
+            poisson_window(spec, 1.0, 1.0)
 
 
 class TestBoundaryIntegral:

@@ -38,6 +38,7 @@ from lelonglab import (
 )
 
 import lelonglab.mass
+from lelonglab import harmonic
 from lelonglab.mass import _bracket_a, _bracket_b, _exact_masses, _moments
 from lelonglab.quadrature import DEFAULT_CONFIG, QuadratureConfig
 from lelonglab.theorems import corpus
@@ -233,6 +234,60 @@ class TestScheduleQuadrature:
     def test_radius_validation(self, flagship):
         with pytest.raises(DomainError):
             mass_quadrature_schedule(flagship, (1.0, 0.0))
+
+
+class _KernelSpy:
+    """Wraps harmonic._poisson_window: kernel entries summed directly, and all the grid holds."""
+
+    def __init__(self, monkeypatch):
+        self.direct = 0
+        self.dense = 0
+        self.calls = 0
+        real = harmonic._poisson_window
+
+        def spy(grid, *args):
+            v = args[-1]
+            j = grid.shell(float(v.max()))
+            near = grid.gap.size if j is None else int(grid.near[j, 1] - grid.near[j, 0])
+            self.calls += 1
+            self.direct += near * v.size
+            self.dense += grid.gap.size * v.size
+            return real(grid, *args)
+
+        monkeypatch.setattr(harmonic, "_poisson_window", spy)
+
+
+class TestFarFieldSchedule:
+    # (eigenvalue, |alpha|, c_lin) of the two flat-data schedules
+    CASES = {
+        "silver": (Eigenvalue.irrational(math.sqrt(2.0) - 1.0), 1.3, 0.0),
+        "half-linear": (Eigenvalue.rational(1, 2), 1.1, 0.6),
+    }
+
+    @pytest.mark.parametrize("k0", [0, 1])
+    @pytest.mark.parametrize("half_turns", [64, 256])  # 3073 and 12289 nodes
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_errors_cover_the_trig_twin(self, case, half_turns, k0, monkeypatch):
+        # flat data with flat tails extends to 1 + c_lin v, exactly the
+        # density of the trig twin, whose masses are exact
+        lam, modulus, c_lin = self.CASES[case]
+        spy = _KernelSpy(monkeypatch)
+        est = lelong_estimate(single_atom_current(lam, modulus, flat_poisson(c_lin, half_turns)), k0=k0)
+        twin = single_atom_current(lam, modulus, FourierSpec(b=1, a0=1.0, b0=c_lin))
+        for r, nu, err, (mass, bound) in zip(est.rs, est.nus, est.errs, _exact_masses(twin, est.rs, k0)):
+            area = math.pi * r * r
+            assert abs(nu - mass / area) <= err + bound / area
+        if half_turns == 256:
+            assert spy.direct <= 0.1 * spy.dense
+
+    @pytest.mark.parametrize("case_id", ["pos-silver-poisson-flat", "div-half-poisson-linear"])
+    def test_corpus_grids_are_summed_directly(self, case_id, monkeypatch):
+        current = next(case.current for case in corpus(42) if case.case_id == case_id)
+        assert current.atoms[0].spec.ys.size == 769
+        spy = _KernelSpy(monkeypatch)
+        lelong_estimate(current)
+        assert spy.calls > 0
+        assert spy.direct == spy.dense
 
 
 class TestClosedFormPositive:
