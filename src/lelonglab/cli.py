@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -297,7 +298,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # entry point
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused: parse_args leaves the parser
+    # unchanged, and the subcommands look their engines up at call time
     parser = argparse.ArgumentParser(
         prog="lelonglab",
         description="mass and Lelong-number computations for harmonic currents "

@@ -61,6 +61,21 @@ class Current:
     atoms: Tuple[TransversalAtom, ...]
 
 
+def _base_value(spec: HarmonicSpec) -> float:
+    """Density at u = v = 0, equal to evaluate(spec, 0.0, 0.0).
+
+    For trig specs that is a0 + sum_k a_k, since every sine vanishes and
+    every exponential is 1 there; the terms are added left to right, in the
+    order evaluate adds them, so the sums agree to the bit.
+    """
+    if isinstance(spec, PoissonSpec):
+        return evaluate(spec, 0.0, 0.0)
+    base = float(spec.a0)
+    for _, a, _ in spec.modes:
+        base += a
+    return base
+
+
 def _validate_atom(lam: Eigenvalue, atom: TransversalAtom, index: int):
     tag = f"atoms[{index}]"
     if not (0.0 < abs(atom.alpha) < math.inf):
@@ -82,12 +97,17 @@ def _validate_atom(lam: Eigenvalue, atom: TransversalAtom, index: int):
     else:
         if isinstance(spec, FourierSpec) and spec.on_strip:
             raise InvalidSpecError(f"{tag}.spec: positive eigenvalue atoms live on a half-plane, not a strip")
-    base = evaluate(spec, 0.0, 0.0)
+    base = _base_value(spec)
     if abs(base - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError(f"{tag}.spec: density at the base point is {base}, expected 1")
     if isinstance(spec, FourierSpec):
         if spec.on_strip:
-            if not check_positivity(spec):
+            # called through this module's name, which perfbench's tracer wraps
+            try:
+                positive = check_positivity(spec)
+            except InvalidSpecError as exc:
+                raise InvalidSpecError(f"{tag}." + str(exc)) from exc
+            if not positive:
                 raise InvalidSpecError(f"{tag}.spec: strip density dips negative")
         elif spec.mode_l1() > spec.a0 * (1.0 + L1_SLACK) + L1_SLACK:
             raise InvalidSpecError(

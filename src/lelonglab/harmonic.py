@@ -27,9 +27,20 @@ from .errors import DomainError, InputError, InvalidSpecError, NormalizationErro
 
 TWO_PI = 2.0 * math.pi
 
-# v is capped here when positivity-scanning a half-plane: decaying modes are
-# dominated by a0 + b0 v long before this.
+# v is capped here when positivity-scanning Poisson data: the density is
+# dominated by its tails and c_lin v long before this.
 POSITIVITY_V_CAP = 50.0
+
+# A density counts as positive when it stays above -POSITIVITY_TOL.
+POSITIVITY_TOL = 1e-12
+
+# Certified scan of a multi-mode trig edge that fails the envelope test: one
+# period starts as EDGE_SCAN_START intervals, and the bisection gives up
+# after EDGE_SCAN_BUDGET samples in all. A near-touching minimum costs a few
+# samples per halving, so the budget only runs out on specs whose minimum
+# sits within rounding of -POSITIVITY_TOL.
+EDGE_SCAN_START = 64
+EDGE_SCAN_BUDGET = 1 << 16
 
 # Slack for "v inside the domain" checks; quadrature nodes sit at exact
 # interval endpoints, so the comparison cannot be strict.
@@ -44,11 +55,11 @@ class FourierSpec:
 
     On a half-plane (strip_c None) the base is a0 + b0 v and every mode must
     have k < 0 so it decays as v grows. On a strip of height C the base is
-    a0 (1 - v/C) + b0 v and modes of either sign are allowed, positivity
-    being checked numerically instead of structurally. The coefficient
-    ell-1 bound that guarantees half-plane positivity is deliberately NOT
-    enforced here (check_positivity must be able to see violating specs);
-    build_current enforces it.
+    a0 (1 - v/C) + b0 v and modes of either sign are allowed; positivity is
+    then certified on the two strip edges by check_positivity. The
+    coefficient ell-1 bound that guarantees half-plane positivity is
+    deliberately NOT enforced here (check_positivity must be able to see
+    violating specs); build_current enforces it.
     """
 
     b: int = 1
@@ -234,23 +245,93 @@ def laplacian_residual(spec: HarmonicSpec, u: float, v: float, h: float) -> floa
     return (s - 4.0 * c) / h**2
 
 
-def check_positivity(spec: HarmonicSpec, grid_u: int = 64, grid_v: int = 48) -> bool:
-    """Sample one u-period times the v-domain; true iff nothing dips below -1e-12.
+def _edges(spec: FourierSpec):
+    """(v, base value) of each edge that holds the density's minimum."""
+    if spec.on_strip:
+        return ((0.0, spec.a0), (spec.strip_c, spec.b0 * spec.strip_c))
+    return ((0.0, spec.a0),)
 
-    For Poisson data, whose kernel is positivity-preserving by construction,
-    the scan covers the sampled boundary window plus one extra period.
+
+def _scan_edge(spec: FourierSpec, base: float, growth, amps) -> bool:
+    """Certified scan of T(u) = base + sum_k g_k (a_k cos + b_k sin)(k u/b).
+
+    g_k = e^{k v/b} is the mode's growth to the edge and R_k = hypot(a_k,
+    b_k) g_k its amplitude there. Each interval of half-width h around a
+    sample u_i is bounded below by T(u_i) - |T'(u_i)| h - M h^2 / 2, with
+    M = sum_k (k/b)^2 R_k >= |T''|, less a rounding allowance. Intervals
+    whose bound is below -POSITIVITY_TOL are bisected. True once every
+    interval is certified, False as soon as a sample dips below
+    -POSITIVITY_TOL.
+    """
+    ks = np.array([k for k, _, _ in spec.modes], dtype=float)
+    freqs = ks / spec.b
+    cos_coef = np.array([a for _, a, _ in spec.modes]) * growth
+    sin_coef = np.array([bb for _, _, bb in spec.modes]) * growth
+    curvature = float(np.dot(freqs**2, amps))
+    # the sums round at a few eps of their terms; a phase k u/b <= 2 pi |k|
+    # and a sample point round at eps of their size, moving T by that much
+    # times its slope
+    eps = np.finfo(float).eps
+    rounding = 4.0 * eps * (ks.size + 2) * (abs(base) + float(np.dot(1.0 + TWO_PI * np.abs(ks), amps)))
+    half = math.pi * spec.b / EDGE_SCAN_START
+    mids = (2.0 * np.arange(EDGE_SCAN_START) + 1.0) * half
+    samples = 0
+    while mids.size:
+        samples += mids.size
+        if samples > EDGE_SCAN_BUDGET:
+            raise InvalidSpecError(f"spec: positivity could not be certified within {EDGE_SCAN_BUDGET} edge samples")
+        phase = np.multiply.outer(mids, freqs)
+        cos, sin = np.cos(phase), np.sin(phase)
+        value = base + cos @ cos_coef + sin @ sin_coef
+        # negated comparisons, so a NaN counts as a dip, never as certified
+        if not np.all(value >= -POSITIVITY_TOL):
+            return False
+        slope = np.abs(cos @ (freqs * sin_coef) - sin @ (freqs * cos_coef))
+        lower = value - slope * half - 0.5 * curvature * half * half - rounding
+        open_mids = mids[~(lower >= -POSITIVITY_TOL)]
+        half *= 0.5
+        mids = np.concatenate((open_mids - half, open_mids + half))
+    return True
+
+
+def _trig_positive(spec: FourierSpec) -> bool:
+    # Harmonic and 2 pi b-periodic in u, so the minimum over a strip lies on
+    # an edge; on a half-plane it lies on v = 0, since the density tends to
+    # a0 + b0 v >= 0 as v grows. On an edge the density is
+    # base + sum_k R_k cos(k u/b - phi_k), at least base - sum_k R_k, with
+    # equality for one mode.
+    for v, base in _edges(spec):
+        growth = [math.exp(k * v / spec.b) for k, _, _ in spec.modes]
+        amps = [math.hypot(a, bb) * g for (_, a, bb), g in zip(spec.modes, growth)]
+        if base - sum(amps) >= -POSITIVITY_TOL:
+            continue
+        if len(amps) == 1 or not _scan_edge(spec, base, growth, amps):
+            return False
+    return True
+
+
+def check_positivity(spec: HarmonicSpec, grid_u: int = 64, grid_v: int = 48) -> bool:
+    """True iff the density stays above -1e-12 on its whole domain.
+
+    Trig specs are certified on their edges, with no 2-D grid: the strip
+    edges v = 0 and v = C, or v = 0 on a half-plane. An edge passes when
+    base - sum_k R_k >= -1e-12, which is exact for one mode; a multi-mode
+    edge that fails this envelope gets a certified 1-D scan over one period
+    (_scan_edge). A spec whose scan runs out of budget raises
+    InvalidSpecError instead of answering.
+
+    Poisson data, whose kernel is positivity-preserving by construction, is
+    sampled on a grid_u x grid_v grid over the boundary window plus one
+    extra period, with v up to POSITIVITY_V_CAP.
     """
     if grid_u < 1 or grid_v < 1:
         raise InputError("positivity grid sizes must be >= 1")
     if isinstance(spec, FourierSpec):
-        us = np.linspace(0.0, TWO_PI * spec.b, grid_u, endpoint=False)
-        v_top = spec.strip_c if spec.on_strip else POSITIVITY_V_CAP
-    else:
-        us = np.linspace(-spec.half_width - TWO_PI, spec.half_width + TWO_PI, grid_u)
-        v_top = POSITIVITY_V_CAP
-    vs = np.linspace(0.0, v_top, grid_v)
+        return _trig_positive(spec)
+    us = np.linspace(-spec.half_width - TWO_PI, spec.half_width + TWO_PI, grid_u)
+    vs = np.linspace(0.0, POSITIVITY_V_CAP, grid_v)
     vals = evaluate(spec, us[:, None], vs[None, :])
-    return bool(np.min(vals) >= -1e-12)
+    return bool(np.min(vals) >= -POSITIVITY_TOL)
 
 
 def normalize(spec: HarmonicSpec) -> HarmonicSpec:

@@ -99,6 +99,21 @@ class TestMass:
         assert main(["mass", "--input", path, "--r", "0.8"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_parser_is_built_once(self, write_current, capsys):
+        import lelonglab.cli
+
+        path = write_current(MULTI_ATOM_JSON)
+        lelonglab.cli._build_parser.cache_clear()
+        assert main(["mass", "--input", path, "--r", "0.8"]) == 0
+        first = capsys.readouterr().out
+        # flags of one call do not leak into the next
+        assert main(["mass", "--input", path, "--r", "0.5", "--k0", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["k0"] == 1
+        assert main(["mass", "--input", path, "--r", "0.8"]) == 0
+        assert capsys.readouterr().out == first
+        info = lelonglab.cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
 
 STRIP_JSON = {
     "lambda": {"value": -1.0, "class": "negative"},

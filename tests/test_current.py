@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lelonglab import (
     EmptyLeafError,
@@ -15,6 +17,7 @@ from lelonglab import (
     TransversalAtom,
     accumulation_family,
     build_current,
+    check_positivity,
     current_from_json,
     current_to_json,
     eigenvalue_from_json,
@@ -26,6 +29,8 @@ from lelonglab import (
     normalize,
     total_weight,
 )
+from lelonglab import harmonic
+from lelonglab.current import _base_value
 
 from conftest import flat_poisson
 
@@ -95,6 +100,54 @@ class TestBuildCurrent:
         bad = TransversalAtom(0.7, 1.0, FourierSpec(b=1, a0=2.0))
         with pytest.raises(NormalizationError, match="atoms\\[1\\]"):
             build_current(Eigenvalue.rational(1, 1), [good, bad])
+
+
+class TestStripPositivity:
+    def test_dipping_strip_rejected(self):
+        # one mode, so its envelope is exact: the density dips to about
+        # -1.2e-3 on the upper edge, between the points of a 64 x 48 grid
+        lam = Eigenvalue.negative(-0.5)
+        spec = normalize(FourierSpec(
+            b=3, a0=1.0, b0=0.777, modes=((2, -0.2707, 0.0743),), strip_c=math.log(0.777) / -0.5,
+        ))
+        us = np.linspace(0.0, 6.0 * math.pi, 20001)
+        assert evaluate(spec, us, spec.strip_c).min() < -1e-3
+        with pytest.raises(InvalidSpecError, match=r"atoms\[0\]\.spec: strip density dips negative"):
+            build_current(lam, [TransversalAtom(0.777, 1.0, spec)])
+        assert not check_positivity(spec)
+
+    def test_uncertified_strip_names_atom(self, monkeypatch):
+        # positive, but its v = 0 edge fails the envelope, so it is scanned,
+        # and the scan needs more than a budget of one sample
+        spec = normalize(FourierSpec(
+            b=2, a0=1.0, b0=2.0, modes=((1, 0.6, 0.0), (-2, 0.5, 0.0)), strip_c=0.7,
+        ))
+        flat = TransversalAtom(math.exp(-0.7), 1.0, FourierSpec(b=1, a0=1.0, strip_c=0.7))
+        atom = TransversalAtom(math.exp(-0.7), 1.0, spec)
+        build_current(Eigenvalue.negative(-1.0), [flat, atom])
+        monkeypatch.setattr(harmonic, "EDGE_SCAN_BUDGET", 1)
+        with pytest.raises(InvalidSpecError, match=r"atoms\[1\]\.spec: positivity could not be certified"):
+            build_current(Eigenvalue.negative(-1.0), [flat, atom])
+
+
+@st.composite
+def base_point_specs(draw):
+    strip = draw(st.booleans())
+    ks = st.sampled_from([-3, -2, -1, 1, 2, 3] if strip else [-3, -2, -1])
+    coef = st.floats(min_value=-2.0, max_value=2.0)
+    return FourierSpec(
+        b=draw(st.sampled_from([1, 2, 3])),
+        a0=draw(st.floats(min_value=0.0, max_value=4.0)),
+        b0=draw(st.floats(min_value=0.0, max_value=4.0)),
+        modes=tuple(draw(st.lists(st.tuples(ks, coef, coef), max_size=5))),
+        strip_c=draw(st.floats(min_value=0.01, max_value=20.0)) if strip else None,
+    )
+
+
+@given(spec=base_point_specs())
+@settings(max_examples=300, deadline=None)
+def test_base_point_matches_evaluate_bit_for_bit(spec):
+    assert _base_value(spec).hex() == evaluate(spec, 0.0, 0.0).hex()
 
 
 class TestPeriodicity:

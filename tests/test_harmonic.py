@@ -1,12 +1,14 @@
 import math
 import re
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from lelonglab import (
     DomainError,
@@ -212,6 +214,116 @@ class TestPositivity:
     def test_grid_validation(self):
         with pytest.raises(InputError):
             check_positivity(FourierSpec(), grid_u=0)
+
+    def test_multi_mode_edge_certified_by_scan(self):
+        # (1 - cos u)^2 + 1e-9: positive, but its envelope 1.5 - 2 - 0.5 is -1
+        spec = FourierSpec(b=1, a0=1.5 + 1e-9, modes=((-1, -2.0, 0.0), (-2, 0.5, 0.0)))
+        assert check_positivity(spec)
+        dipping = FourierSpec(b=1, a0=1.5 - 1e-9, modes=((-1, -2.0, 0.0), (-2, 0.5, 0.0)))
+        assert not check_positivity(dipping)
+
+    def test_trig_spec_makes_no_2d_evaluate_call(self, monkeypatch):
+        ndims = []
+        real = harmonic.evaluate
+
+        def spy(spec, u, v):
+            ndims.append(np.broadcast(np.asarray(u), np.asarray(v)).ndim)
+            return real(spec, u, v)
+
+        monkeypatch.setattr(harmonic, "evaluate", spy)
+        specs = [
+            FourierSpec(b=1, a0=1.0, modes=((-1, 0.3, 0.2),)),
+            FourierSpec(b=3, a0=1.0, b0=0.5, modes=((2, 0.1, -0.2),), strip_c=1.2),
+            # fails the envelope on v = 0, so the edge is scanned
+            FourierSpec(b=2, a0=1.0, b0=2.0, modes=((1, 0.6, 0.0), (-2, 0.5, 0.0)), strip_c=0.7),
+        ]
+        for spec in specs:
+            assert check_positivity(spec)
+        assert max(ndims, default=0) < 2
+        # the spy does see the Poisson grid scan
+        assert check_positivity(bump_poisson())
+        assert max(ndims) == 2
+
+
+@st.composite
+def trig_specs(draw, min_modes=1, max_modes=3, strip=st.booleans()):
+    strip = draw(strip)
+    b = draw(st.sampled_from([1, 2, 3]))
+    ks = st.sampled_from([-3, -2, -1, 1, 2, 3] if strip else [-3, -2, -1])
+    coef = st.floats(min_value=-0.5, max_value=0.5)
+    modes = draw(st.lists(st.tuples(ks, coef, coef), min_size=min_modes, max_size=max_modes))
+    return FourierSpec(
+        b=b,
+        a0=draw(st.floats(min_value=0.0, max_value=2.0)),
+        b0=draw(st.floats(min_value=0.0, max_value=2.0)),
+        modes=tuple(modes),
+        strip_c=draw(st.floats(min_value=0.1, max_value=1.5)) if strip else None,
+    )
+
+
+def _edge_heights(spec):
+    return (0.0, spec.strip_c) if spec.on_strip else (0.0,)
+
+
+class TestEdgeCertificate:
+    """check_positivity on trig specs against a fine grid on the edges."""
+
+    FINE = 1 << 14
+
+    def fine_grid(self, spec):
+        us = np.linspace(0.0, 2.0 * math.pi * spec.b, self.FINE, endpoint=False)
+        return us, us[1]
+
+    def grid_miss(self, spec, v, h):
+        """M h^2 / 8: how far the true minimum can sit below the grid's."""
+        curvature = sum((k / spec.b) ** 2 * math.hypot(a, bb) * math.exp(k * v / spec.b)
+                        for k, a, bb in spec.modes)
+        return curvature * h * h / 8.0
+
+    def fine_minimum(self, spec):
+        """Least sample on the edges, and the most the grid can miss by."""
+        us, h = self.fine_grid(spec)
+        sampled = min(float(evaluate(spec, us, v).min()) for v in _edge_heights(spec))
+        return sampled, max(self.grid_miss(spec, v, h) for v in _edge_heights(spec))
+
+    @given(spec=trig_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_against_fine_grid(self, spec):
+        accepted = check_positivity(spec)
+        sampled, miss = self.fine_minimum(spec)
+        if sampled < -1e-12:
+            assert not accepted
+        if sampled - miss >= 1e-6:
+            assert accepted
+
+    @given(spec=trig_specs(max_modes=1))
+    @settings(max_examples=200, deadline=None)
+    def test_one_mode_exact(self, spec):
+        ((k, a, bb),) = spec.modes
+        lowest = min(
+            (spec.a0 * (1.0 - v / spec.strip_c) + spec.b0 * v if spec.on_strip else spec.a0)
+            - math.hypot(a, bb) * math.exp(k * v / spec.b)
+            for v in _edge_heights(spec)
+        )
+        assert check_positivity(spec) == (lowest >= -1e-12)
+
+    @given(spec=trig_specs(min_modes=2, strip=st.just(False)), dip=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_near_touching_minimum(self, spec, dip):
+        # shift a0 so the minimum on v = 0 sits just below or just above 0:
+        # a dip far narrower than the scan's first 64 intervals
+        us, h = self.fine_grid(spec)
+        values = evaluate(spec, us, 0.0)
+        i = int(np.argmin(values))
+        polished = minimize_scalar(
+            lambda u: evaluate(spec, u, 0.0), bounds=(us[i] - h, us[i] + h),
+            method="bounded", options={"xatol": 1e-12},
+        )
+        lowest = min(float(polished.fun), float(values[i]))
+        shift = -1e-6 if dip else 1e-6 + self.grid_miss(spec, 0.0, h)
+        a0 = spec.a0 - lowest + shift
+        assume(a0 >= 0.0)
+        assert check_positivity(replace(spec, a0=a0)) == (not dip)
 
 
 class TestNormalize:
