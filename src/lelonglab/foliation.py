@@ -15,6 +15,7 @@ branch presumes (see jacobian_density).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -134,6 +135,45 @@ def psi(lam: Eigenvalue, alpha: complex, zeta: complex) -> LeafPoint:
     return LeafPoint(cmath.exp(1j * zeta), alpha * cmath.exp(1j * lam.value * zeta))
 
 
+def float_map(fn, values, *args) -> np.ndarray:
+    """fn(x, *args) of every entry x of an array, called on Python floats.
+
+    Each entry is then bit for bit what a scalar call gives: numpy's exp,
+    log and power round differently from math's on a few percent of inputs.
+    """
+    values = np.asarray(values, dtype=float)
+    each = map(fn, values.ravel().tolist(), *(itertools.repeat(a) for a in args))
+    return np.fromiter(each, float, values.size).reshape(values.shape)
+
+
+def plaque_limits(lam: Eigenvalue, moduli, rs):
+    """(v_min, v_max, empty) of the plaques of leaves through moduli, at radii rs.
+
+    Each is an (atoms, radii) array, in unshifted leaf coordinates like
+    leaf_domain, entry [i, n] for moduli[i] and rs[n]: v_max is inf on
+    half-planes, and v_min and v_max mean nothing where empty is True.
+    This is the one plaque formula; leaf_domain is its scalar case.
+    """
+    moduli = np.asarray(moduli, dtype=float).reshape(-1)
+    radii = np.asarray(rs, dtype=float).reshape(-1)
+    # negated comparisons, so a NaN fails them
+    if not (np.minimum.reduce(moduli, initial=1.0) > 0.0 and np.maximum.reduce(moduli, initial=1.0) < math.inf):
+        raise DomainError("alpha modulus must be positive and finite")
+    if not (np.minimum.reduce(radii, initial=1.0) > 0.0 and np.maximum.reduce(radii, initial=1.0) <= 1.0):
+        raise DomainError("radius must lie in (0, 1]")
+    lv = lam.value
+    logs = float_map(math.log, np.concatenate((moduli, radii)))
+    log_am, log_r = logs[:moduli.size, None], logs[moduli.size:]
+    above = moduli[:, None] >= float_map(math.pow, radii, 1.0 - lv)  # |w| < r binds, or nothing is left
+    cut = (log_am - log_r) / lv
+    entry = np.empty(above.shape)
+    entry[:] = -log_r
+    if lv > 0.0:
+        return np.where(above, cut, entry), np.full(above.shape, math.inf), np.zeros(above.shape, dtype=bool)
+    # lambda < 0: |w| < r needs v < (log|alpha| - log r)/lambda, an upper cut
+    return entry, cut, above
+
+
 def leaf_domain(lam: Eigenvalue, alpha_modulus: float, r: float) -> LeafDomain:
     """v-range carved out of the leaf through |alpha| by the open bidisc rD^2.
 
@@ -141,36 +181,29 @@ def leaf_domain(lam: Eigenvalue, alpha_modulus: float, r: float) -> LeafDomain:
     For lambda > 0 both cut from below and the binding one wins; for
     lambda < 0 they cut from opposite sides and may leave nothing.
     """
-    if not (alpha_modulus > 0.0 and math.isfinite(alpha_modulus)):
-        raise DomainError("alpha modulus must be positive and finite")
-    if not (0.0 < r <= 1.0):
-        raise DomainError("radius must lie in (0, 1]")
-    lv = lam.value
-    threshold = r ** (1.0 - lv)
-    if lv > 0.0:
-        if alpha_modulus >= threshold:
-            return LeafDomain("half_plane", v_min=(math.log(alpha_modulus) - math.log(r)) / lv)
-        return LeafDomain("half_plane", v_min=-math.log(r))
-    # lambda < 0: |w| < r needs v < (log|alpha| - log r)/lambda, an upper cut.
-    if alpha_modulus >= threshold:
+    v_min, v_max, empty = plaque_limits(lam, (alpha_modulus,), (r,))
+    if empty[0, 0]:
         return LeafDomain("empty")
-    return LeafDomain(
-        "strip",
-        v_min=-math.log(r),
-        v_max=(math.log(alpha_modulus) - math.log(r)) / lv,
-    )
+    if lam.value > 0.0:
+        return LeafDomain("half_plane", v_min=float(v_min[0, 0]))
+    return LeafDomain("strip", v_min=float(v_min[0, 0]), v_max=float(v_max[0, 0]))
 
 
-def coordinate_shift(lam: Eigenvalue, alpha_modulus: float) -> float:
+def coordinate_shift(lam: Eigenvalue, alpha_modulus):
     """Shift baked into the |alpha| >= 1 branch of jacobian_density.
 
     The area density below is written for the plaque parameter measured from
     the leaf's own entry point into the bidisc; for lambda > 0 and |alpha| >= 1
-    that differs from the unshifted v by log|alpha|/lambda.
+    that differs from the unshifted v by log|alpha|/lambda. Takes a modulus
+    or an array of them.
     """
-    if lam.value > 0.0 and alpha_modulus >= 1.0:
-        return math.log(alpha_modulus) / lam.value
-    return 0.0
+    moduli = np.asarray(alpha_modulus, dtype=float)
+    outer = moduli >= 1.0
+    if lam.value > 0.0:
+        shift = np.where(outer, float_map(math.log, np.where(outer, moduli, 1.0)) / lam.value, 0.0)
+    else:
+        shift = np.zeros(moduli.shape)
+    return float(shift) if shift.ndim == 0 else shift
 
 
 def _jacobian_coefficients(lv: float, alpha_modulus: float) -> Tuple[float, float]:
@@ -180,24 +213,48 @@ def _jacobian_coefficients(lv: float, alpha_modulus: float) -> Tuple[float, floa
     return alpha_modulus ** (-2.0 / lv), lv**2
 
 
+@dataclass(frozen=True, eq=False)
+class JacobianRows:
+    """jacobian_density's coefficients for an array of moduli.
+
+    coefficients[0] and coefficients[1] are c1 and c2, each shaped like the
+    moduli. They are worked out once, modulus by modulus in float
+    arithmetic, then taken by row as often as needed:
+    jacobian_density(lam, rows, v) gives bit for bit what it gives for the
+    moduli themselves.
+    """
+
+    coefficients: np.ndarray
+
+    def take(self, rows) -> "JacobianRows":
+        """The coefficients of the moduli at rows, in that order."""
+        return JacobianRows(self.coefficients[:, rows])
+
+
+def jacobian_rows(lam: Eigenvalue, moduli) -> JacobianRows:
+    """The JacobianRows of an array of moduli."""
+    moduli = np.asarray(moduli, dtype=float)
+    pairs = [_jacobian_coefficients(lam.value, am) for am in moduli.ravel().tolist()]
+    return JacobianRows(np.array(pairs, dtype=float).reshape(-1, 2).T.reshape((2,) + moduli.shape))
+
+
 def jacobian_density(lam: Eigenvalue, alpha_modulus, v):
     """Leafwise area density 2(|z'|^2 + |w'|^2) along psi, as a function of v.
 
     Accepts a scalar or ndarray v, and a scalar or ndarray of moduli that
-    broadcasts against v (one atom per row, say). The two branches agree at
-    |alpha| = 1; the outer branch absorbs the coordinate_shift above, which
-    is why it carries |alpha|^{-2/lambda} rather than |alpha|^2.
+    broadcasts against v (one atom per row, say), or their JacobianRows.
+    The two branches agree at |alpha| = 1; the outer branch absorbs the
+    coordinate_shift above, which is why it carries |alpha|^{-2/lambda}
+    rather than |alpha|^2.
     """
     lv = lam.value
     v = np.asarray(v, dtype=float)
-    moduli = np.asarray(alpha_modulus, dtype=float)
-    if moduli.ndim == 0:
-        c1, c2 = _jacobian_coefficients(lv, float(moduli))
+    if isinstance(alpha_modulus, JacobianRows):
+        c1, c2 = alpha_modulus.coefficients
+    elif np.ndim(alpha_modulus) == 0:
+        c1, c2 = _jacobian_coefficients(lv, float(alpha_modulus))
     else:
-        # in float arithmetic modulus by modulus, so each entry is bit for
-        # bit what a scalar call gives
-        pairs = [_jacobian_coefficients(lv, am) for am in moduli.ravel().tolist()]
-        c1, c2 = np.array(pairs).T.reshape((2,) + moduli.shape)
+        c1, c2 = jacobian_rows(lam, alpha_modulus).coefficients
     out = 2.0 * (c1 * np.exp(-2.0 * v) + c2 * np.exp(-2.0 * lv * v))
     return float(out) if out.ndim == 0 else out
 

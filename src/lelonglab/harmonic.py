@@ -24,6 +24,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, InputError, InvalidSpecError, NormalizationError
+from .foliation import float_map
 
 TWO_PI = 2.0 * math.pi
 
@@ -431,14 +432,23 @@ def verify_monodromy_relation(
 # window integrals in u (exact, so mass quadrature stays one-dimensional)
 
 
-def mode_window_coefficients(spec: FourierSpec, u0: float, u1: float) -> Tuple[float, ...]:
-    """Per mode, the C_k such that C_k e^{k v / b} is its integral over u in [u0, u1]."""
-    out = []
-    for k, ak, bk in spec.modes:
-        ds = math.sin(k * u1 / spec.b) - math.sin(k * u0 / spec.b)
-        dc = math.cos(k * u1 / spec.b) - math.cos(k * u0 / spec.b)
-        out.append(spec.b / k * (ak * ds - bk * dc))
-    return tuple(out)
+def mode_table(specs, u0: float, u1: float):
+    """Every mode of a sequence of FourierSpecs as flat arrays, in spec and mode order.
+
+    Returns (owner, k, a_k, b_k, b, C_k): the index of the spec a mode
+    belongs to, the mode and that spec's period multiple b, and C_k with
+    C_k e^{k v / b} the mode's integral over u in [u0, u1]. Each C_k is bit
+    for bit what scalar arithmetic gives: sin and cos go through math.
+    """
+    rows = [(i, k, ak, bk, spec.b) for i, spec in enumerate(specs) for k, ak, bk in spec.modes]
+    owner, k, ak, bk, b = np.array(rows, dtype=float).reshape(-1, 5).T
+    if not rows:  # mode-free specs: no numpy calls on empty arrays
+        return owner.astype(int), k, ak, bk, b, k
+    n = k.size
+    phases = np.concatenate((k * u1 / b, k * u0 / b))
+    sin, cos = float_map(math.sin, phases), float_map(math.cos, phases)
+    ds, dc = sin[:n] - sin[n:], cos[:n] - cos[n:]
+    return owner.astype(int), k, ak, bk, b, b / k * (ak * ds - bk * dc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,7 +468,7 @@ class FourierWindow:
     strip_c: np.ndarray
     b: np.ndarray
     ks: np.ndarray
-    coefs: np.ndarray  # mode_window_coefficients over [u0, u1]
+    coefs: np.ndarray  # mode_table's C_k over [u0, u1]
 
     def take(self, rows) -> "FourierWindow":
         """The window of the specs at rows, in that order."""
@@ -469,13 +479,13 @@ class FourierWindow:
 def fourier_window(specs, u0: float, u1: float) -> FourierWindow:
     """The row-stacked window of a sequence of FourierSpecs over [u0, u1]."""
     specs = list(specs)
-    width = max((len(spec.modes) for spec in specs), default=0)
-    ks = np.zeros((len(specs), width))
-    coefs = np.zeros((len(specs), width))
-    for row, spec in enumerate(specs):
-        for m, ((k, _, _), coef) in enumerate(zip(spec.modes, mode_window_coefficients(spec, u0, u1))):
-            ks[row, m] = k
-            coefs[row, m] = coef
+    owner, k, _, _, _, coef = mode_table(specs, u0, u1)
+    counts = np.bincount(owner, minlength=len(specs))
+    slot = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    ks = np.zeros((len(specs), int(counts.max(initial=0))))
+    coefs = np.zeros(ks.shape)
+    ks[owner, slot] = k
+    coefs[owner, slot] = coef
 
     def column(values):
         return np.array(values, dtype=float).reshape(-1, 1)

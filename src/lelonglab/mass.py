@@ -34,14 +34,23 @@ import numpy as np
 
 from .current import Current, total_weight
 from .errors import DomainError, InputError, QuadratureFailure, UnsupportedCurrentError
-from .foliation import Eigenvalue, coordinate_shift, jacobian_density, leaf_domain
+from .foliation import (
+    Eigenvalue,
+    _jacobian_coefficients,
+    coordinate_shift,
+    float_map,
+    jacobian_density,
+    jacobian_rows,
+    leaf_domain,
+    plaque_limits,
+)
 from .harmonic import (
     FourierSpec,
     PoissonSpec,
     boundary_integral,
     evaluate,
     fourier_window,
-    mode_window_coefficients,
+    mode_table,
     poisson_window,
     window_integral,
     window_model_error,
@@ -96,10 +105,8 @@ def _tail_integral(p: float, q: float, rate: float, v0: float) -> float:
 
 def _jac_terms(lam: Eigenvalue, am: float) -> Tuple[Tuple[float, float], Tuple[float, float]]:
     """Coefficient/rate pairs with jacobian_density = sum c e^{-rate v}."""
-    lv = lam.value
-    if am < 1.0:
-        return (2.0, 2.0), (2.0 * (lv * am) ** 2, 2.0 * lv)
-    return (2.0 * am ** (-2.0 / lv), 2.0), (2.0 * lv**2, 2.0 * lv)
+    c1, c2 = _jacobian_coefficients(lam.value, am)
+    return (2.0 * c1, 2.0), (2.0 * c2, 2.0 * lam.value)
 
 
 def _truncate_half_plane(spec, lam: Eigenvalue, am: float, v_lo: float, cfg: QuadratureConfig):
@@ -121,32 +128,28 @@ def _truncate_half_plane(spec, lam: Eigenvalue, am: float, v_lo: float, cfg: Qua
     return v_hi, tail
 
 
-def _atom_ranges(lam: Eigenvalue, atom, rs, cfg: QuadratureConfig):
-    """Radii with a nonempty plaque, their v-ranges and the tail bound of one atom.
+def _atom_ranges(lam: Eigenvalue, atoms, rs, cfg: QuadratureConfig):
+    """Per atom: the radii with a nonempty plaque, their v-ranges and the tail bound.
 
-    Strips run between their ends. Half-planes share one truncation height:
-    the highest any of their radii needs, so its tail bound covers them all.
+    The plaques of every atom and radius come from one plaque_limits call.
+    Strips run between their ends. Half-planes share one truncation height
+    per atom: the highest any of its radii needs, so its tail bound covers
+    them all.
     """
-    am = atom.alpha_modulus
-    shift = coordinate_shift(lam, am)
-    where, lows, highs, heights = [], [], [], []
-    for n, r in enumerate(rs):
-        dom = leaf_domain(lam, am, r)
-        if dom.is_empty:
-            continue
-        where.append(n)
-        if dom.kind == "strip":
-            lows.append(dom.v_min)
-            highs.append(dom.v_max)
-        else:
-            v_lo = dom.v_min - shift
-            lows.append(v_lo)
-            heights.append(_truncate_half_plane(atom.spec, lam, am, v_lo, cfg))
-    tail_bound = 0.0
-    if heights:
-        v_top, tail_bound = max(heights)
-        highs = [v_top] * len(lows)
-    return where, list(zip(lows, highs)), tail_bound
+    moduli = np.array([atom.alpha_modulus for atom in atoms])
+    v_min, v_max, empty = plaque_limits(lam, moduli, rs)
+    lows = (v_min - coordinate_shift(lam, moduli)[:, None]).tolist()
+    highs = v_max.tolist()
+    out = []
+    for atom, nonempty, low, high in zip(atoms, (~empty).tolist(), lows, highs):
+        where = [n for n, ok in enumerate(nonempty) if ok]
+        tail_bound = 0.0
+        if lam.value > 0.0 and where:  # half-planes
+            heights = [_truncate_half_plane(atom.spec, lam, atom.alpha_modulus, low[n], cfg) for n in where]
+            v_top, tail_bound = max(heights)
+            high = [v_top] * len(rs)
+        out.append((where, [(low[n], high[n]) for n in where], tail_bound))
+    return out
 
 
 def mass_quadrature_schedule(
@@ -173,15 +176,15 @@ def mass_quadrature_schedule(
         raise DomainError("radius must lie in (0, 1]")
     lam = current.lam
     jobs, owners = [], []  # owners: (atom index, radius indices, tail bound) per job
-    for i, atom in enumerate(current.atoms):
-        where, spans, tail_bound = _atom_ranges(lam, atom, rs, cfg)
+    for i, (where, spans, tail_bound) in enumerate(_atom_ranges(lam, current.atoms, rs, cfg)):
         if where:
             jobs.append((min(lo for lo, _ in spans), max(hi for _, hi in spans), spans))
             owners.append((i, where, tail_bound))
     atoms = [current.atoms[i] for i, _, _ in owners]
     u0 = TWO_PI * k0
     u1 = u0 + TWO_PI
-    moduli = np.array([atom.alpha_modulus for atom in atoms]).reshape(-1, 1)
+    # the area density's coefficients, worked out once per atom and taken by row
+    area = jacobian_rows(lam, np.array([atom.alpha_modulus for atom in atoms]).reshape(-1, 1))
     is_trig = np.array([isinstance(atom.spec, FourierSpec) for atom in atoms], dtype=bool)
     window = fourier_window([atom.spec for atom in atoms if isinstance(atom.spec, FourierSpec)], u0, u1)
     window_row = np.cumsum(is_trig) - 1  # job -> row of window
@@ -191,7 +194,7 @@ def mass_quadrature_schedule(
     prepared = [None if trig else poisson_window(atom.spec, u0, u1) for atom, trig in zip(atoms, is_trig)]
 
     def trig_rows(rows, v):
-        return jacobian_density(lam, moduli[rows], v) * window_integral(
+        return jacobian_density(lam, area.take(rows), v) * window_integral(
             window.take(window_row[rows]), u0, u1, v
         )
 
@@ -343,87 +346,144 @@ def ib(lv: float, am: float, r: float) -> float:
 EXACT_ROUNDING = 16.0
 
 
-def _moments(sigma: float, lo: float, hi: float):
+def _moments(sigma, lo, hi):
     """e^{-sigma lo}, e^{-sigma hi} and int_0^{hi - lo} t^j e^{-sigma t} dt, j = 0, 1.
 
-    hi = inf needs sigma > 0. Near and at the resonance sigma = 0 the
-    moments come from their Taylor series, so nothing cancels.
+    Entry by entry for arrays of one shape, or for floats. hi = inf needs
+    sigma > 0. Near and at the resonance sigma = 0 the moments come from
+    their Taylor series, so nothing cancels. Every exp, expm1 and power
+    goes through math, entry by entry, and the rest is numpy arithmetic in
+    scalar order, so each entry is bit for bit what float arithmetic gives.
     """
-    e_lo = math.exp(-sigma * lo)
-    if hi == math.inf:
-        return e_lo, 0.0, 1.0 / sigma, 1.0 / sigma**2
-    length = hi - lo
-    x = sigma * length
-    if abs(x) < 0.5:
-        m0 = m1 = 0.0
-        term = 1.0  # (-x)^n / n!
-        for n in range(18):
-            m0 += term / (n + 1)
-            m1 += term / (n + 2)
-            term *= -x / (n + 1)
-        return e_lo, e_lo * math.exp(-x), m0 * length, m1 * length**2
-    em = math.expm1(-x)
-    m0 = -em / sigma
-    return e_lo, e_lo * (1.0 + em), m0, (m0 - length * (1.0 + em)) / sigma
+    sigma, lo, hi = (np.asarray(x, dtype=float) for x in (sigma, lo, hi))
+    shape = sigma.shape
+    sigma, lo, hi = sigma.ravel(), lo.ravel(), hi.ravel()
+    e_lo = float_map(math.exp, -sigma * lo)
+    e_hi, m0, m1 = np.zeros(sigma.size), np.empty(sigma.size), np.empty(sigma.size)
+    tail = hi == math.inf
+    at = np.flatnonzero(tail)
+    if at.size:
+        s = sigma[at]
+        m0[at] = 1.0 / s
+        m1[at] = 1.0 / float_map(math.pow, s, 2.0)
+    fin = np.flatnonzero(~tail)
+    if not fin.size:  # half-planes only
+        return _shaped((e_lo, e_hi, m0, m1), shape)
+    length = hi[fin] - lo[fin]
+    x = sigma[fin] * length
+    series = np.abs(x) < 0.5
+    at, xs, ls = fin[series], x[series], length[series]
+    if at.size:
+        # the terms (-x)^n / n! and the partial sums over n = 0..17, each
+        # accumulated in order, as the scalar recurrence does
+        n = np.arange(1.0, 19.0)[:, None]
+        steps = np.ones((18, at.size))
+        steps[1:] = -xs / n[:-1]
+        terms = np.cumprod(steps, axis=0)
+        sums = np.zeros((2, 19, at.size))
+        sums[0, 1:] = terms / n
+        sums[1, 1:] = terms / (n + 1.0)
+        s0, s1 = np.cumsum(sums, axis=1)[:, -1]
+        e_hi[at] = e_lo[at] * float_map(math.exp, -xs)
+        m0[at] = s0 * ls
+        m1[at] = s1 * float_map(math.pow, ls, 2.0)
+    at, xs, ls = fin[~series], x[~series], length[~series]
+    if at.size:
+        sg = sigma[at]
+        em = float_map(math.expm1, -xs)
+        m0[at] = -em / sg
+        e_hi[at] = e_lo[at] * (1.0 + em)
+        m1[at] = (m0[at] - ls * (1.0 + em)) / sg
+    return _shaped((e_lo, e_hi, m0, m1), shape)
+
+
+def _shaped(arrays, shape):
+    """Flat arrays in the given shape, or floats for shape ()."""
+    return tuple(a.reshape(shape) for a in arrays) if shape else tuple(float(a[0]) for a in arrays)
 
 
 def _exact_masses(current: Current, rs, k0: int = 0) -> List[Tuple[float, float]]:
     """(mass, rounding bound) of an all-trig current at each radius in rs.
 
-    Per atom, jacobian_density is two exponentials (_jac_terms) and the
-    k0-th window integral is (A + B v) + sum_k C_k e^{k v / b}, so the
-    integrand is a finite sum of (alpha + beta v) e^{-sigma v}. Each term is
-    integrated in closed form over the range the quadrature route uses:
-    leaf_domain, shifted by coordinate_shift and running to infinity on
-    half-planes.
+    Per atom, jacobian_density is two exponentials (its jacobian_rows
+    coefficients, rates 2 and 2 lambda) and the k0-th window integral is
+    (A + B v) + sum_k C_k e^{k v / b}, so the integrand is a finite sum of
+    (alpha + beta v) e^{-sigma v}. Each term is integrated in closed form
+    over the range the quadrature route uses: the plaque, shifted by
+    coordinate_shift and running to infinity on half-planes.
+
+    Every term at every radius is one entry of a few flat arrays, with no
+    Python loop over atoms or terms. The rounding bound is accounted term
+    by term, so the arrays keep one entry per term and math.fsum adds each
+    radius's terms. Every exp, expm1, log and power goes through math,
+    entry by entry, and the rest is numpy arithmetic in scalar order:
+    np.exp rounds differently from math.exp on a few percent of inputs,
+    and would move the masses in their last bits.
     """
     if not closed_form_applicable(current):
         raise UnsupportedCurrentError("exact mass needs trig-series atoms")
     lam = current.lam
     u0 = TWO_PI * k0
     u1 = u0 + TWO_PI
-    values = [[] for _ in rs]
-    mags = [[] for _ in rs]
-    for atom in current.atoms:
-        am, spec = atom.alpha_modulus, atom.spec
-        # window parts (alpha, beta, growth rate, bound on |alpha|, bound on
-        # |beta|); a strip's base is a0 (1 - v/C) + b0 v, and a mode's bound
-        # also covers the rounding of its phases
-        drop = TWO_PI * spec.a0 / spec.strip_c if spec.on_strip else 0.0
-        base, slope = TWO_PI * spec.a0, TWO_PI * spec.b0
-        parts = [(base, slope - drop, 0.0, base, slope + drop)]
-        for (k, ak, bk), coef in zip(spec.modes, mode_window_coefficients(spec, u0, u1)):
-            grow = k / spec.b
-            coef_bound = (abs(ak) + abs(bk)) * (2.0 / abs(grow) + max(abs(u0), abs(u1)))
-            parts.append((coef, 0.0, grow, coef_bound, 0.0))
-        # weighted terms: alpha, beta, sigma, their bounds, and the size of sigma
-        w = atom.weight
-        terms = [
-            (w * c * a, w * c * b, s - grow, w * abs(c) * a_mag, w * abs(c) * b_mag,
-             abs(s) + abs(grow))
-            for c, s in _jac_terms(lam, am)
-            for a, b, grow, a_mag, b_mag in parts
-        ]
-        shift = coordinate_shift(lam, am)
-        log_am = abs(math.log(am))
-        for r, vals, sizes in zip(rs, values, mags):
-            dom = leaf_domain(lam, am, r)
-            if dom.is_empty:
-                continue
-            # coordinate_shift is 0 on strips; half-planes run to infinity
-            lo, hi = dom.v_min - shift, math.inf if dom.v_max is None else dom.v_max
-            # bounds |lo|, |hi| and what is rounded while computing them
-            cond = (log_am - math.log(r)) / abs(lam.value)
-            for a, b, sigma, a_mag, b_mag, rate in terms:
-                e_lo, e_hi, m0, m1 = _moments(sigma, lo, hi)
-                vals.append(e_lo * ((a + b * lo) * m0 + b * m1))
-                # the integral of the bounds, amplified by the exponent's
-                # size, plus the endpoint values times the size of the limits
-                size = a_mag + b_mag * cond
-                body = (1.0 + rate * cond) * (size * m0 + b_mag * m1)
-                sizes.append(e_lo * (body + cond * size) + e_hi * cond * size)
+    specs = [atom.spec for atom in current.atoms]
+    moduli, weights, a0, b0, strip_c = np.array([
+        (atom.alpha_modulus, atom.weight, spec.a0, spec.b0, spec.strip_c if spec.on_strip else math.inf)
+        for atom, spec in zip(current.atoms, specs)
+    ]).T
+    owner, k, ak, bk, b, coef = mode_table(specs, u0, u1)
+    # window parts (alpha, beta, growth rate, bound on |alpha|, bound on
+    # |beta|): every atom's base, a0 (1 - v/C) + b0 v on a strip of height
+    # C, then every mode, whose bound also covers the rounding of its phases
+    n_atoms = len(specs)
+    drop = TWO_PI * a0 / strip_c
+    base, slope = TWO_PI * a0, TWO_PI * b0
+    grow = k / b
+    parts = np.zeros((5, n_atoms + owner.size))
+    parts[0, :n_atoms] = parts[3, :n_atoms] = base
+    parts[1, :n_atoms] = slope - drop
+    parts[4, :n_atoms] = slope + drop
+    part_owner = np.arange(n_atoms)
+    if owner.size:
+        parts[0, n_atoms:] = coef
+        parts[2, n_atoms:] = grow
+        parts[3, n_atoms:] = (np.abs(ak) + np.abs(bk)) * (2.0 / np.abs(grow) + max(abs(u0), abs(u1)))
+        part_owner = np.concatenate((part_owner, owner))
+    grow = parts[2]
+    # weighted terms, one per jacobian exponential and window part: alpha,
+    # beta, their bounds, sigma and its size
+    c = 2.0 * jacobian_rows(lam, moduli).coefficients[:, part_owner]
+    rates = np.array([[2.0], [2.0 * lam.value]])
+    terms = np.empty((6,) + c.shape)
+    terms[:2] = weights[part_owner] * c
+    terms[2:4] = weights[part_owner] * np.abs(c)
+    terms[:4] *= parts[[0, 1, 3, 4], None, :]
+    terms[4] = rates - grow
+    terms[5] = np.abs(rates) + np.abs(grow)
+    # the plaques' limits and the bound on their size, per atom and radius;
+    # coordinate_shift is 0 on strips, and half-planes run to infinity
+    v_min, v_max, empty = plaque_limits(lam, moduli, rs)
+    logs = float_map(math.log, np.concatenate((moduli, rs)))
+    limits = np.empty((3,) + v_min.shape)
+    limits[0] = v_min - coordinate_shift(lam, moduli)[:, None]
+    limits[1] = v_max
+    limits[2] = (np.abs(logs[:n_atoms, None]) - logs[n_atoms:]) / abs(lam.value)
+    # one entry per radius, window part whose atom has a nonempty plaque at
+    # that radius, and jacobian term, in that order
+    radius, part = np.nonzero(~empty.T[:, part_owner])
+    a, bt, a_mag, b_mag, sigma, rate = terms[:, :, part].swapaxes(1, 2).reshape(6, -1)
+    lo, hi, cond = limits[:, part_owner[part].repeat(2), radius.repeat(2)]
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic would
+        e_lo, e_hi, m0, m1 = _moments(sigma, lo, hi)
+        values = e_lo * ((a + bt * lo) * m0 + bt * m1)
+        # the integral of the bounds, amplified by the exponent's size,
+        # plus the endpoint values times the size of the limits
+        size = a_mag + b_mag * cond
+        body = (1.0 + rate * cond) * (size * m0 + b_mag * m1)
+        mags = e_lo * (body + cond * size) + e_hi * cond * size
+    values, mags = values.tolist(), mags.tolist()
+    ends = (2 * np.cumsum(np.bincount(radius, minlength=len(rs)))).tolist()
     unit = EXACT_ROUNDING * sys.float_info.epsilon
-    return [(math.fsum(v), unit * math.fsum(m)) for v, m in zip(values, mags)]
+    return [(math.fsum(values[i:j]), unit * math.fsum(mags[i:j])) for i, j in zip([0] + ends, ends)]
 
 
 def closed_form_applicable(current: Current) -> bool:

@@ -261,11 +261,19 @@ def _check_poisson_ratios() -> VerificationReport:
     )
 
 
+# the (t, r) lattice of the strip and region lemmas, built once; the region
+# checks compute with its numpy scalars, the strip checks with floats
+_LATTICE_T = np.linspace(0.1, 0.9, 9)
+_LATTICE_R = np.linspace(0.05, 0.95, 10)
+_LATTICE_T.setflags(write=False)
+_LATTICE_R.setflags(write=False)
+
+
 def _strip_lattice():
     for lv in (-1.0, -0.5, -0.25):
-        for t in np.linspace(0.1, 0.9, 9):
-            for r in np.linspace(0.05, 0.95, 10):
-                yield lv, float(t), float(r)
+        for t in _LATTICE_T.tolist():
+            for r in _LATTICE_R.tolist():
+                yield lv, t, r
 
 
 def _check_ia_bound() -> VerificationReport:
@@ -321,16 +329,16 @@ def _check_interval_kernel() -> VerificationReport:
     min_margin = math.inf
     us = np.linspace(0.0, TWO_PI, 27)[1:-1]
     for k in (2, 3, 5):
+        # every window of this k at once: (window, u, y) kernel values
         width = TWO_PI * k
-        for n in range(-20, 21):
-            lo, hi = interval_window(n, k)
-            ys = np.linspace(lo, hi, 33, endpoint=False)
-            kern = width / (width**2 + (us[:, None] - ys[None, :]) ** 2)
-            floor = kernel_weight(n) / width
-            margin = float(np.min(kern - floor))
-            min_margin = min(min_margin, margin)
-            checked += kern.size
-            violations += int(np.sum(kern < floor))
+        ns = range(-20, 21)
+        lo, hi = np.array([interval_window(n, k) for n in ns]).T
+        ys = np.linspace(lo, hi, 33, endpoint=False, axis=1)
+        kern = width / (width**2 + (us[None, :, None] - ys[:, None, :]) ** 2)
+        floor = np.array([kernel_weight(n) for n in ns])[:, None, None] / width
+        min_margin = min(min_margin, float(np.min(kern - floor)))
+        checked += kern.size
+        violations += int(np.sum(kern < floor))
     return _lattice_report(
         "lemma-interval-kernel",
         checked,
@@ -345,8 +353,8 @@ def _check_region_inner() -> VerificationReport:
     checked = violations = 0
     min_margin = math.inf
     for lv in (0.3, 0.7, 1.0):
-        for t in np.linspace(0.1, 0.9, 9):
-            for r in np.linspace(0.05, 0.95, 10):
+        for t in _LATTICE_T:
+            for r in _LATTICE_R:
                 am = float(t) * r ** (1.0 - lv)
                 value = 1.0 + lv * am**2 * r ** (2.0 * lv - 2.0)
                 margin = min(value - 1.0, 1.0 + lv - value)
@@ -369,7 +377,7 @@ def _check_region_outer() -> VerificationReport:
     min_margin = math.inf
     for lv in (0.3, 0.7, 1.0):
         for s in (1.05, 1.5, 2.0, 4.0, 8.0):
-            for r in np.linspace(0.05, 0.95, 10):
+            for r in _LATTICE_R:
                 am = s * r ** (1.0 - lv)
                 value = am ** (-2.0 / lv) * r ** (2.0 / lv - 2.0) + lv
                 margin = min(value - lv, 1.0 + lv - value)

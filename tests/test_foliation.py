@@ -17,6 +17,7 @@ from lelonglab import (
     psi,
     torus_curve,
 )
+from lelonglab.foliation import plaque_limits
 
 LAMBDAS = [
     Eigenvalue.rational(1, 1),
@@ -216,3 +217,42 @@ class TestTorusCurve:
             torus_curve(lam, 1.0, 0.5, 2.0, 1)
         with pytest.raises(InputError):
             torus_curve(lam, 1.0, 0.5, -2.0, 10)
+
+
+class TestPlaqueArrays:
+    """plaque_limits and coordinate_shift on arrays, bit for bit the scalar formulas."""
+
+    @given(
+        idx=st.integers(min_value=0, max_value=len(LAMBDAS) - 1),
+        moduli=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8),
+        rs=st.lists(st.one_of(st.just(1.0), st.floats(1e-4, 1.0)), min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_entries_are_the_scalar_plaques(self, idx, moduli, rs):
+        from oracles import _leaf_domain
+
+        lam = LAMBDAS[idx]
+        v_min, v_max, empty = plaque_limits(lam, moduli, rs)
+        shifts = coordinate_shift(lam, np.array(moduli))
+        for i, am in enumerate(moduli):
+            assert float.hex(float(shifts[i])) == float.hex(coordinate_shift(lam, am))
+            for n, r in enumerate(rs):
+                want = _leaf_domain(lam.value, am, r)
+                dom = leaf_domain(lam, am, r)
+                assert bool(empty[i, n]) == (want is None) == dom.is_empty
+                if want is None:
+                    continue
+                got = (float(v_min[i, n]), None if lam.value > 0.0 else float(v_max[i, n]))
+                assert [None if x is None else float.hex(x) for x in got] == [
+                    None if x is None else float.hex(x) for x in want]
+                assert (dom.v_min, dom.v_max) == got
+                assert math.copysign(1.0, dom.v_min) == math.copysign(1.0, want[0])
+
+    def test_validation(self):
+        lam = Eigenvalue.negative(-0.5)
+        for moduli, rs in (([0.5, 0.0], [0.5]), ([0.5, math.nan], [0.5]), ([math.inf], [0.5])):
+            with pytest.raises(DomainError, match="alpha modulus"):
+                plaque_limits(lam, moduli, rs)
+        for rs in ([0.5, 0.0], [1.5], [math.nan]):
+            with pytest.raises(DomainError, match="radius"):
+                plaque_limits(lam, [0.5], rs)

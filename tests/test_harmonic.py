@@ -448,6 +448,17 @@ class TestWindowIntegral:
         for row, v, got in zip(rows, vs, block):
             assert np.array_equal(got, window_integral(self.STACKED[row], u0, u1, v))
 
+    @pytest.mark.parametrize("window", [(0.0, 2.0 * math.pi), (-1.3, 5.1), (4.0 * math.pi, 6.0 * math.pi)])
+    def test_stacked_coefficients_are_the_scalar_formula(self, window):
+        from oracles import mode_window_coefficients as scalar_coefficients
+
+        stacked = fourier_window(self.STACKED, *window)
+        for row, spec in enumerate(self.STACKED):
+            want = scalar_coefficients(spec, *window)
+            got = stacked.coefs[row, :len(want)].tolist()
+            assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
+            assert not stacked.coefs[row, len(want):].any()
+
     def test_stacked_window_checks_each_strip(self):
         stacked = fourier_window(self.STACKED, 0.0, 2.0 * math.pi)
         vs = np.full((4, 15), 3.0)

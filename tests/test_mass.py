@@ -755,3 +755,86 @@ class TestPositiveLimit:
 
     def test_total_weight(self, flagship):
         assert total_weight(flagship) == 1.0
+
+
+def _same_pairs(got, want):
+    """Lists of (value, bound) float pairs equal bit for bit, signs of zeros included."""
+    return [tuple(float.hex(x) for x in pair) for pair in got] == [
+        tuple(float.hex(x) for x in pair) for pair in want
+    ]
+
+
+@st.composite
+def _trig_families(draw):
+    """1-12 trig atoms with 0-3 modes each, not validated as a current.
+
+    The exact route's arithmetic needs no valid current, and unvalidated
+    atoms reach more of it: moduli on both sides of 1, empty plaques, modes
+    of either sign on strips, and rates sigma = 0 where a mode's growth k/b
+    meets a jacobian rate (2 or 2 lambda).
+    """
+    from lelonglab.current import Current
+
+    lam = draw(st.sampled_from(_LAMBDAS))
+    atoms = []
+    for _ in range(draw(st.integers(1, 12))):
+        b = draw(st.sampled_from((1, 2, 3)))
+        ks = draw(st.lists(st.integers(1, 4), max_size=3, unique=True))
+        signs = [draw(st.sampled_from((-1, 1))) if lam.is_negative else -1 for _ in ks]
+        modes = tuple((s * k, draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1)))
+                      for s, k in zip(signs, ks))
+        b0 = draw(st.sampled_from((0.0, 0.25, 0.5)))
+        if lam.is_negative:
+            am = draw(st.floats(0.02, 0.98))
+            spec = FourierSpec(b=b, a0=1.0, b0=b0, modes=modes, strip_c=math.log(am) / lam.value)
+        else:
+            am = draw(st.floats(0.1, 3.0))
+            spec = FourierSpec(b=b, a0=1.0, b0=b0, modes=modes)
+        atoms.append(TransversalAtom(am, draw(st.floats(0.01, 2.0)), spec))
+    return Current(lam=lam, atoms=tuple(atoms))
+
+
+class TestExactRouteArrays:
+    """_exact_masses against the term-by-term loop of tests/oracles.py, bit for bit."""
+
+    @given(
+        current=_trig_families(),
+        k0=st.sampled_from((0, 1, 2)),
+        rs=st.lists(st.one_of(st.just(1.0), st.floats(2.0**-12, 1.0)), min_size=1, max_size=16),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_masses_and_bounds(self, current, k0, rs):
+        from oracles import exact_masses
+
+        assert _same_pairs(_exact_masses(current, rs, k0), exact_masses(current, rs, k0))
+
+    @pytest.mark.parametrize("lam_value", [-0.5, -0.5 + 5e-10, -0.25])
+    def test_resonant_strips(self, lam_value):
+        # modes k/b = 2 lambda: the e^{-2 lambda v} term's rate is 0 or 1e-9
+        from oracles import exact_masses
+
+        lam = Eigenvalue.negative(lam_value)
+        b = 1 if lam_value < -0.3 else 2
+        cur = build_current(lam, accumulation_family(
+            lam, 12, alpha_base=1.0 / 3.0, b0=0.25, modes=((-1, 0.03, 0.02),)
+        ))
+        cur = build_current(lam, [TransversalAtom(a.alpha, a.weight, FourierSpec(
+            b=b, a0=a.spec.a0, b0=a.spec.b0, modes=a.spec.modes, strip_c=a.spec.strip_c))
+            for a in cur.atoms])
+        rs = [2.0**-n for n in range(16)]
+        for k0 in (0, 1):
+            assert _same_pairs(_exact_masses(cur, rs, k0), exact_masses(cur, rs, k0))
+
+    def test_corpus_currents(self):
+        from oracles import exact_masses
+
+        rs = [0.7**n for n in range(16)]
+        for case in corpus(42):
+            if closed_form_applicable(case.current):
+                got = _exact_masses(case.current, rs)
+                assert _same_pairs(got, exact_masses(case.current, rs)), case.case_id
+
+    def test_radius_validation(self, flagship):
+        for bad in (0.0, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                _exact_masses(flagship, [0.5, bad])

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lelonglab import InputError, QuadratureConfig, QuadratureFailure, integrate
@@ -316,3 +316,144 @@ class TestConfig:
             QuadratureConfig(rel_tol=-1.0)
         with pytest.raises(InputError):
             QuadratureConfig(max_depth=0)
+
+
+def _logged(f, log):
+    """f(rows, v), recording a copy of every row block and node block."""
+
+    def g(rows, v):
+        log.append((rows.copy(), v.copy()))
+        return f(rows, v)
+
+    return g
+
+
+def _outcome(engine, f, jobs, **kw):
+    log = []
+    try:
+        result = ("ok", engine(_logged(f, log), jobs, **kw))
+    except QuadratureFailure as exc:
+        result = ("failure", str(exc), exc.job, exc.ranges, exc.best_estimate, exc.error_estimate)
+    return result, log
+
+
+def _same_numbers(x, y):
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return type(x) is type(y) and x.shape == y.shape and x.tobytes() == y.tobytes()
+    if isinstance(x, float) and isinstance(y, float):
+        return type(x) is type(y) and (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+                                       or math.isnan(x) and math.isnan(y))
+    if isinstance(x, (list, tuple)):
+        return type(x) is type(y) and len(x) == len(y) and all(map(_same_numbers, x, y))
+    return x == y
+
+
+def _assert_same_as_heap(f, jobs, **kw):
+    from oracles import integrate_lockstep as heap_lockstep
+
+    got, got_log = _outcome(integrate_lockstep, f, jobs, **kw)
+    want, want_log = _outcome(heap_lockstep, f, jobs, **kw)
+    assert _same_numbers(got, want), (got, want)
+    assert len(got_log) == len(want_log)
+    for (rows, v), (want_rows, want_v) in zip(got_log, want_log):
+        assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows)
+        assert v.tobytes() == want_v.tobytes()
+    return got, got_log
+
+
+def _noisy(seed):
+    """1 on [a, b] plus a Kronrod-only error that depends on the panel.
+
+    Errors of converged ranges jump when a shared panel is split, so ranges
+    reopen and parked panels come back into play.
+    """
+
+    def g(x):
+        half = (x[-1] - x[7]) / _NODES[-1]
+        key = hash((seed, round(float(x[7]), 9), round(float(half), 9))) % 1000
+        out = np.ones_like(x)
+        with np.errstate(divide="ignore", over="ignore"):  # a panel too narrow for its nodes is non-finite
+            out[0::2] += 1e-3 * key / 1000.0 / (half * _W_KRONROD[0::2].sum())
+        return out
+
+    return g
+
+
+_RANGES = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted), min_size=1, max_size=4
+)
+
+
+class TestAgainstHeapEngine:
+    """Bit for bit what the heap engine of tests/oracles.py gives."""
+
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                st.sampled_from(["exp", "poly", "noisy"]),
+                st.floats(-3.0, 3.0),
+                st.floats(1e-3, 10.0),
+                st.lists(st.floats(-2.0, 2.0), min_size=18, max_size=21),
+                _RANGES,
+                st.sampled_from([None] * 12 + [0.3, 0.9]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        two_rows=st.booleans(),
+        rel_tol=st.sampled_from([1e-3, 1e-10]),
+        max_depth=st.sampled_from([3, 6, 16]),
+        max_panels=st.sampled_from([4, 12, 20000]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_partitions_numbers_and_failures(self, jobs, two_rows, rel_tol, max_depth, max_panels):
+        integrands, specs = [], []
+        for j, (kind, a, width, params, spans, spike) in enumerate(jobs):
+            g = _noisy(j) if kind == "noisy" else _job_integrand(kind, params)
+            if spike is not None:  # infinite past a point, found while refining or at once
+                cut = a + width * spike
+                g = (lambda g, cut: lambda x: np.where(x > cut, math.inf, g(x)))(g, cut)
+            if two_rows:
+                g = (lambda g: lambda x: np.stack((g(x), np.abs(np.cos(x)))))(g)
+            integrands.append(g)
+            specs.append((a, a + width, [(a + width * lo, a + width * hi) for lo, hi in spans]))
+
+        def f(rows, v):
+            return np.stack([integrands[j](x) for j, x in zip(rows.tolist(), v)])
+
+        (kind, *rest), _ = _assert_same_as_heap(f, specs, rel_tol=rel_tol, abs_tol=1e-12,
+                                                max_depth=max_depth, max_panels=max_panels)
+        event(kind if kind == "ok" else rest[0].split(" ")[0])
+
+    def test_reopened_range(self):
+        # the injected errors of test_reopened_range_gets_its_parked_panels_back
+        inject = {(0.0, 1.0): 1e-3, (1.0, 2.0): 5e-4, (2.0, 3.0): 1e-4,
+                  (1.0, 1.5): 6e-4, (1.5, 2.0): 6e-4}
+
+        def g(x):
+            half = (x[-1] - x[7]) / _NODES[-1]
+            lo, hi = round(float(x[7] - half), 9), round(float(x[7] + half), 9)
+            out = np.where(x < 2.0, 1.0, -1.0)
+            out[0::2] += inject.get((lo, hi), 0.0) / (half * _W_KRONROD[0::2].sum())
+            return out
+
+        def f(rows, v):
+            return np.stack([g(x) for x in v])
+
+        jobs = [(0.0, 3.0, [(0.0, 2.0), (1.0, 3.0)])] * 3
+        (_, parts), log = _assert_same_as_heap(f, jobs, rel_tol=1e-3, abs_tol=1e-9)
+        assert parts[2][0][0] == pytest.approx(2.0, abs=1e-12)
+        # [0, 1] was parked while only B was open, and is split after A reopens
+        lefts = [float(x[7] - (x[-1] - x[7]) / _NODES[-1]) for _, v in log for x in v]
+        assert any(abs(lo - 0.5) < 1e-12 for lo in lefts)
+
+    def test_invalid_jobs(self):
+        jobs = [(0.0, 1.0, [(0.0, 1.0)]), (0.0, 1.0, [(0.2, 0.1)]), (math.nan, 1.0, [])]
+        for bad in ([jobs[0], (0.0, math.inf, [])], [jobs[0], (2.0, 1.0, [])], jobs, jobs[::-1]):
+            with pytest.raises(InputError) as got:
+                integrate_lockstep(_rows_of([np.exp] * 3), bad)
+            from oracles import integrate_lockstep as heap_lockstep
+
+            with pytest.raises(InputError) as want:
+                heap_lockstep(_rows_of([np.exp] * 3), bad)
+            assert str(got.value) == str(want.value)
