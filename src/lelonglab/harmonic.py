@@ -13,6 +13,9 @@ sums over the boundary grid; a PoissonWindow, built once per atom and
 schedule, sums the nodes far from the window through their moments on a
 ladder of shells (a one-level far-field expansion) and the rest directly,
 with a truncation remainder that window_model_error adds to its bound.
+The window integral and its grid-model error come from one kernel block
+(poisson_rows): the error's half-density probe grid takes its entries
+from the full grid's block, since its nodes are among the full grid's.
 """
 
 from __future__ import annotations
@@ -588,7 +591,9 @@ class BoundaryGrid:
 
     def shell(self, v_max: float) -> Optional[int]:
         """The smallest shell whose far nodes converge at heights up to v_max, if any."""
-        j = int(np.searchsorted(self.radii, FAR_RATIO * (self.half + v_max)))
+        # the ndarray method: this runs several times per kernel block,
+        # where np.searchsorted's dispatch costs more than the search
+        j = int(self.radii.searchsorted(FAR_RATIO * (self.half + v_max)))
         return j if j < self.radii.size else None
 
     def remainder(self, v_max: float) -> float:
@@ -725,66 +730,23 @@ def window_integral(spec: HarmonicSpec, u0: float, u1: float, v, prepared: Optio
     prepared.full.remainder(max v); without it every node is summed
     directly.
     """
+    v_arr = np.asarray(v, dtype=float)
+    if isinstance(spec, PoissonSpec):
+        return _shaped(_poisson_rows(spec, u0, u1, v_arr, prepared, model=False)[0], v_arr.shape)
     if not u1 > u0:
         raise DomainError("window integral needs u0 < u1")
-    v_arr = np.asarray(v, dtype=float)
     if isinstance(spec, FourierSpec):
         spec = fourier_window((spec,), u0, u1)
-    if isinstance(spec, FourierWindow) and (spec.u0, spec.u1) != (u0, u1):
+    if (spec.u0, spec.u1) != (u0, u1):
         raise InputError("window integral over another u-window than its FourierWindow's")
     _check_prepared(spec, u0, u1, prepared)
     _check_v_domain(spec, v_arr)
-    if isinstance(spec, FourierWindow):
-        out = (u1 - u0) * (spec.a0 * (1.0 - v_arr / spec.strip_c) + spec.b0 * v_arr)
-        for m in range(spec.ks.shape[1]):
-            out = out + np.exp(spec.ks[:, m:m + 1] * v_arr / spec.b) * spec.coefs[:, m:m + 1]
-        if spec.a0.shape[0] == 1:
-            out = out.reshape(v_arr.shape)
-        return float(out) if out.ndim == 0 else out
-    shape = v_arr.shape
-    vv = np.ravel(v_arr)
-    out = np.empty_like(vv)
-    at_boundary = vv <= 0.0
-    if np.any(at_boundary):
-        # kernel tends to a Dirac comb: the u-integral tends to the
-        # boundary integral over the window
-        out[at_boundary] = boundary_integral(spec, u0, u1)
-    inside = ~at_boundary
-    if np.any(inside):
-        if prepared is None:
-            grid = _boundary_grid(*_full_samples(spec), u0, u1, ladder=False)
-        else:
-            grid = prepared.full
-        out[inside] = _poisson_window(grid, spec.tail, spec.half_width, spec.c_lin, u0, u1, vv[inside])
-    out = out.reshape(shape)
+    out = (u1 - u0) * (spec.a0 * (1.0 - v_arr / spec.strip_c) + spec.b0 * v_arr)
+    for m in range(spec.ks.shape[1]):
+        out = out + np.exp(spec.ks[:, m:m + 1] * v_arr / spec.b) * spec.coefs[:, m:m + 1]
+    if spec.a0.shape[0] == 1:
+        out = out.reshape(v_arr.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def _poisson_window(grid: BoundaryGrid, tail, y_top, c_lin, u0, u1, vflat):
-    # the one kernel sum: the near nodes of the block's shell directly, the
-    # far ones through the shell's moments; every node when no shell fits
-    width = u1 - u0
-    vi = vflat[:, None]
-    j = grid.shell(float(vflat.max()))
-    near = slice(None) if j is None else slice(*grid.near[j])
-    # arctan((y - u0)/v) - arctan((y - u1)/v) folded into one arctan2, valid
-    # for v > 0 and u1 > u0: half the transcendental calls, and no
-    # cancellation between two nearly equal angles far from the window
-    kern = np.arctan2(width * vi, vi * vi + grid.gap[near])
-    bulk = kern @ grid.weighted[near]
-    if j is not None:
-        bulk = bulk + _far_sum(grid.betas[j], vflat / grid.radii[j])
-    right = tail * (
-        0.5 * math.pi * width
-        - _arctan_primitive(y_top - u0, vflat)
-        + _arctan_primitive(y_top - u1, vflat)
-    )
-    left = tail * (
-        0.5 * math.pi * width
-        + _arctan_primitive(-y_top - u0, vflat)
-        - _arctan_primitive(-y_top - u1, vflat)
-    )
-    return (bulk + right + left) / math.pi + c_lin * vflat * width
 
 
 def window_model_error(spec: PoissonSpec, u0: float, u1: float, v, window=None,
@@ -800,36 +762,142 @@ def window_model_error(spec: PoissonSpec, u0: float, u1: float, v, window=None,
     terms are continuum-exact and identical on both grids, so the gap is
     that of the grid sums alone.
 
-    window, if given, is window_integral(spec, u0, u1, v, prepared) already
-    computed at the same heights; passing it saves the full-grid kernel sum.
-    With prepared, the PoissonWindow of spec over [u0, u1], both grids'
-    far sums are truncated expansions, so their remainder bounds at the
-    largest height are added: the full grid's twice, once for the window
-    integral itself and once for its part in the gap, and the probe's once.
+    The probe's nodes are every other node of the grid, plus the last one
+    on an even-length grid, so without window its kernel entries are taken
+    from the window integral's own kernel block, and nothing is summed
+    twice (see poisson_rows). window, if given, is window_integral(spec,
+    u0, u1, v, prepared) already computed at the same heights: then only
+    the probe is summed. With prepared, the PoissonWindow of spec over
+    [u0, u1], both grids' far sums are truncated expansions, so their
+    remainder bounds at the largest height are added: the full grid's
+    twice, once for the window integral itself and once for its part in
+    the gap, and the probe's once.
     """
+    v_arr = np.asarray(v, dtype=float)
+    if window is None:
+        return _shaped(_poisson_rows(spec, u0, u1, v_arr, prepared, model=True)[1], v_arr.shape)
     if not u1 > u0:
         raise DomainError("window integral needs u0 < u1")
     _check_prepared(spec, u0, u1, prepared)
-    v_arr = np.asarray(v, dtype=float)
-    if window is None:
-        window = window_integral(spec, u0, u1, v_arr, prepared)
-    shape = v_arr.shape
     vv = np.ravel(v_arr)
     full = np.ravel(np.asarray(window, dtype=float))
     out = np.zeros_like(vv)
     inside = vv > 0.0  # at v = 0 the window integral is data-exact
     if np.any(inside):
         v_in = vv[inside]
-        if prepared is None:
-            probe, remainder = _boundary_grid(*_probe_samples(spec), u0, u1, ladder=False), 0.0
-        else:
-            v_max = float(v_in.max())
-            probe = prepared.probe
-            remainder = 2.0 * prepared.full.remainder(v_max) + probe.remainder(v_max)
+        probe = _probe_grid(spec, u0, u1, prepared)
         coarse = _poisson_window(probe, spec.tail, spec.half_width, spec.c_lin, u0, u1, v_in)
-        out[inside] = np.abs(full[inside] - coarse) + remainder
-    out = out.reshape(shape)
+        out[inside] = np.abs(full[inside] - coarse) + _remainder(prepared, v_in)
+    return _shaped(out, v_arr.shape)
+
+
+def poisson_rows(spec: PoissonSpec, u0: float, u1: float, v, prepared: Optional[PoissonWindow] = None):
+    """window_integral and window_model_error at heights v, from one kernel block.
+
+    Row 0 of the result is the window integral and row 1 its grid-model
+    error bound, each shaped like v and bit for bit what the two functions
+    give on their own. Each kernel entry is computed once: the probe's sum
+    takes its entries from the full grid's block, and the tail and linear
+    terms, the same on both grids, are worked out once.
+    """
+    v_arr = np.asarray(v, dtype=float)
+    return _poisson_rows(spec, u0, u1, v_arr, prepared, model=True).reshape((2,) + v_arr.shape)
+
+
+def _shaped(flat: np.ndarray, shape):
+    out = flat.reshape(shape)
     return float(out) if out.ndim == 0 else out
+
+
+def _probe_grid(spec: PoissonSpec, u0: float, u1: float, prepared: Optional[PoissonWindow]) -> BoundaryGrid:
+    return prepared.probe if prepared is not None else _boundary_grid(*_probe_samples(spec), u0, u1, ladder=False)
+
+
+def _remainder(prepared: Optional[PoissonWindow], v_in: np.ndarray) -> float:
+    """The far sums' remainder bounds in window_model_error at heights up to max v_in."""
+    if prepared is None:  # every node summed directly
+        return 0.0
+    v_max = float(v_in.max())
+    return 2.0 * prepared.full.remainder(v_max) + prepared.probe.remainder(v_max)
+
+
+def _poisson_rows(spec: PoissonSpec, u0: float, u1: float, v_arr: np.ndarray,
+                  prepared: Optional[PoissonWindow], model: bool):
+    """Row 0: the window integral at the heights v_arr, flat; row 1, if model: its model error bound."""
+    if not u1 > u0:
+        raise DomainError("window integral needs u0 < u1")
+    _check_prepared(spec, u0, u1, prepared)
+    _check_v_domain(spec, v_arr)
+    vv = np.ravel(v_arr)
+    out = np.zeros((2 if model else 1, vv.size))
+    at_boundary = vv <= 0.0
+    if at_boundary.any():
+        # kernel tends to a Dirac comb: the u-integral tends to the
+        # boundary integral over the window, which is data-exact
+        out[0, at_boundary] = boundary_integral(spec, u0, u1)
+    inside = ~at_boundary
+    if inside.any():
+        v_in = vv[inside]
+        args = (spec.tail, spec.half_width, spec.c_lin, u0, u1, v_in)
+        full = prepared.full if prepared is not None else _boundary_grid(*_full_samples(spec), u0, u1, ladder=False)
+        if model:
+            row, coarse = _poisson_window(full, *args, probe=_probe_grid(spec, u0, u1, prepared))
+            out[1, inside] = np.abs(row - coarse) + _remainder(prepared, v_in)
+        else:
+            row = _poisson_window(full, *args)
+        out[0, inside] = row
+    return out
+
+
+def _poisson_window(grid: BoundaryGrid, tail, y_top, c_lin, u0, u1, vflat, probe: Optional[BoundaryGrid] = None):
+    """The one Poisson kernel sum of grid at the heights vflat > 0.
+
+    The near nodes of the heights' shell are summed directly, as one
+    arctan2 block, and the far ones through the shell's moments; every node
+    when no shell fits. With probe, the half-density grid of the same spec
+    and window, returns (grid's sum, probe's sum): the probe's entries are
+    columns of the same block, so it computes no kernel entry of its own.
+    """
+    width = u1 - u0
+    vi = vflat[:, None]
+    v_max = float(vflat.max())
+    n = grid.gap.size
+    j = grid.shell(v_max)
+    near = (0, n) if j is None else tuple(grid.near[j])
+    # probe node k is grid node 2k, but for an even-length grid's last,
+    # which is its last node; with the same shells (the same radii) a
+    # probe's near nodes are among the grid's, else the block takes them all
+    jp = None if probe is None else probe.shell(v_max)
+    lo, hi = (0, n) if probe is not None and jp is None else near
+    # arctan((y - u0)/v) - arctan((y - u1)/v) folded into one arctan2, valid
+    # for v > 0 and u1 > u0: half the transcendental calls, and no
+    # cancellation between two nearly equal angles far from the window
+    kern = np.arctan2(width * vi, vi * vi + grid.gap[lo:hi])
+    ends = np.array([[y_top - u0], [y_top - u1], [-y_top - u0], [-y_top - u1]])
+    prim = _arctan_primitive(ends, vflat)
+    right = tail * (0.5 * math.pi * width - prim[0] + prim[1])
+    left = tail * (0.5 * math.pi * width + prim[2] - prim[3])
+    linear = c_lin * vflat * width
+    cols = None if (lo, hi) == near else slice(near[0] - lo, near[1] - lo)
+    value = (_grid_sum(grid, j, kern, cols, vflat) + right + left) / math.pi + linear
+    if probe is None:
+        return value
+    p_near = (0, probe.gap.size) if jp is None else probe.near[jp]
+    cols = np.minimum(2 * np.arange(*p_near), n - 1) - lo
+    coarse = (_grid_sum(probe, jp, kern, cols, vflat) + right + left) / math.pi + linear
+    return value, coarse
+
+
+def _grid_sum(grid: BoundaryGrid, j: Optional[int], kern: np.ndarray, cols, vflat) -> np.ndarray:
+    """The trapezoid kernel sum of grid through shell j, its near entries being kern[:, cols]."""
+    # a contiguous copy, never a strided view: the matrix-vector product
+    # rounds differently on a view, and would move the sums in their last bits
+    block = kern if cols is None else np.ascontiguousarray(kern[:, cols])
+    near = slice(None) if j is None else slice(*grid.near[j])
+    bulk = block @ grid.weighted[near]
+    if j is not None:
+        bulk = bulk + _far_sum(grid.betas[j], vflat / grid.radii[j])
+    return bulk
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ Two independent routes to the mass of a current on the bidisc of radius r:
   refined in lockstep, one integrand call per round for every atom's new
   panels: trig atoms as rows of one FourierWindow, Poisson atoms one panel
   per kernel block through their PoissonWindow (far grid nodes by moments,
-  near ones directly), with their grid-model defect, and the expansion's
-  truncation remainder, on the same nodes. mass_quadrature is the
+  near ones directly), with their grid-model defect, summed from the same
+  block, and the expansion's truncation remainder. mass_quadrature is the
   one-radius case.
 * mass_closed_form: exact for every trig-series current and u-window, as a
   finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}.
@@ -51,9 +51,10 @@ from .harmonic import (
     evaluate,
     fourier_window,
     mode_table,
+    poisson_rows,
     poisson_window,
     window_integral,
-    window_model_error,
+    window_model_error,  # not called here: perfbench's layer trace wraps it by name
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_lockstep
 
@@ -114,18 +115,17 @@ def _truncate_half_plane(spec, lam: Eigenvalue, am: float, v_lo: float, cfg: Qua
     p, q = _envelope_coefficients(spec)
     p *= TWO_PI
     q *= TWO_PI
-    terms = _jac_terms(lam, am)
+    (c1, r1), (c2, r2) = _jac_terms(lam, am)
     threshold = cfg.abs_tol * 10.0 ** (-cfg.v_tail_cutoff_digits)
 
     def env(v: float) -> float:
-        return (p + q * v) * sum(c * math.exp(-rate * v) for c, rate in terms)
+        return (p + q * v) * (c1 * math.exp(-r1 * v) + c2 * math.exp(-r2 * v))
 
     v_hi = v_lo + 1.0
     step = max(0.5, 0.5 / min(1.0, lam.value))
     while env(v_hi) > threshold and v_hi < v_lo + 5000.0:
         v_hi += step
-    tail = sum(_tail_integral(p, q, rate, v_hi) for _, rate in terms)
-    return v_hi, tail
+    return v_hi, _tail_integral(p, q, r1, v_hi) + _tail_integral(p, q, r2, v_hi)
 
 
 def _atom_ranges(lam: Eigenvalue, atoms, rs, cfg: QuadratureConfig):
@@ -166,10 +166,10 @@ def mass_quadrature_schedule(
     radius meets the tolerance on its own panels. The atoms share each
     round's integrand call. Trig rows are evaluated together through a
     row-stacked FourierWindow; Poisson rows one panel, and so one kernel
-    block, at a time, with the grid-model defect as a second row on the
-    same nodes. Each Poisson atom's PoissonWindow, with its shell ladders,
-    is built once here and serves both rows of every panel. The per-radius
-    sums run over atoms in order.
+    block, at a time, with the grid-model defect as a second row summed
+    from the same block (harmonic.poisson_rows). Each Poisson atom's
+    PoissonWindow, with its shell ladders, is built once here and serves
+    both rows of every panel. The per-radius sums run over atoms in order.
     """
     rs = tuple(rs)
     if not all(0.0 < r <= 1.0 for r in rs):
@@ -205,14 +205,12 @@ def mass_quadrature_schedule(
         trig = is_trig[rows]
         if trig.any():
             out[trig, 0] = trig_rows(rows[trig], v[trig])
-        for p in np.flatnonzero(~trig):
-            atom, grids = atoms[rows[p]], prepared[rows[p]]
-            jac = jacobian_density(lam, atom.alpha_modulus, v[p])
-            row = window_integral(atom.spec, u0, u1, v[p], prepared=grids)
+        panels = np.flatnonzero(~trig)
+        jac = jacobian_density(lam, area.take(rows[panels]), v[panels])
+        for p, job, jac_p in zip(panels.tolist(), rows[panels].tolist(), jac):
             # the boundary grid, not the subdivision, limits how well different
             # u-windows of the same leaf can agree; account for it explicitly
-            model = window_model_error(atom.spec, u0, u1, v[p], window=row, prepared=grids)
-            out[p] = jac * np.stack((row, model))
+            out[p] = jac_p * poisson_rows(atoms[job].spec, u0, u1, v[p], prepared=prepared[job])
         return out
 
     try:

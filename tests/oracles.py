@@ -1,10 +1,15 @@
-"""Loop-and-heap reference implementations the array code is checked against.
+"""Earlier reference implementations the current code is checked against.
 
 integrate_lockstep refines each job with a heap of panels and a parked list,
 and exact_masses sums the exact route term by term in scalar Python. Both
 are the earlier implementations of quadrature.integrate_lockstep and
 mass._exact_masses, kept verbatim as oracles: the array versions must give
 the same numbers bit for bit, the same integrand calls and the same failures.
+poisson_rows sums a Poisson window's full grid and its half-density probe
+as two kernel blocks, each with its own tail terms, and truncate_half_plane
+sums the truncation envelope with a generator: the earlier forms of
+harmonic.poisson_rows and mass._truncate_half_plane, which must agree with
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -15,9 +20,18 @@ import sys
 
 import numpy as np
 
-from lelonglab.errors import InputError, QuadratureFailure
+from lelonglab.errors import DomainError, InputError, QuadratureFailure
 from lelonglab.foliation import coordinate_shift
-from lelonglab.mass import EXACT_ROUNDING, TWO_PI
+from lelonglab.harmonic import (
+    _boundary_grid,
+    _check_prepared,
+    _check_v_domain,
+    _far_sum,
+    _full_samples,
+    _probe_samples,
+    boundary_integral,
+)
+from lelonglab.mass import EXACT_ROUNDING, TWO_PI, _envelope_coefficients, _tail_integral
 from lelonglab.quadrature import _NODES, _W_GAUSS, _W_KRONROD
 
 
@@ -276,3 +290,79 @@ def exact_masses(current, rs, k0=0):
                 sizes.append(e_lo * (body + cond * size) + e_hi * cond * size)
     unit = EXACT_ROUNDING * sys.float_info.epsilon
     return [(math.fsum(v), unit * math.fsum(m)) for v, m in zip(values, mags)]
+
+
+def _poisson_window(grid, tail, y_top, c_lin, u0, u1, vflat):
+    width = u1 - u0
+    vi = vflat[:, None]
+    j = grid.shell(float(vflat.max()))
+    near = slice(None) if j is None else slice(*grid.near[j])
+    kern = np.arctan2(width * vi, vi * vi + grid.gap[near])
+    bulk = kern @ grid.weighted[near]
+    if j is not None:
+        bulk = bulk + _far_sum(grid.betas[j], vflat / grid.radii[j])
+    right = tail * (
+        0.5 * math.pi * width
+        - _arctan_primitive(y_top - u0, vflat)
+        + _arctan_primitive(y_top - u1, vflat)
+    )
+    left = tail * (
+        0.5 * math.pi * width
+        + _arctan_primitive(-y_top - u0, vflat)
+        - _arctan_primitive(-y_top - u1, vflat)
+    )
+    return (bulk + right + left) / math.pi + c_lin * vflat * width
+
+
+def _arctan_primitive(s, v):
+    return s * np.arctan(s / v) - 0.5 * v * np.log(v * v + s * s)
+
+
+def poisson_rows(spec, u0, u1, v, prepared=None):
+    """(window integral, model error) of a Poisson spec: full grid, then probe grid."""
+    if not u1 > u0:
+        raise DomainError("window integral needs u0 < u1")
+    _check_prepared(spec, u0, u1, prepared)
+    v_arr = np.asarray(v, dtype=float)
+    _check_v_domain(spec, v_arr)
+    vv = np.ravel(v_arr)
+    value = np.empty_like(vv)
+    at_boundary = vv <= 0.0
+    if np.any(at_boundary):
+        value[at_boundary] = boundary_integral(spec, u0, u1)
+    inside = ~at_boundary
+    if np.any(inside):
+        full = _boundary_grid(*_full_samples(spec), u0, u1, ladder=False) if prepared is None else prepared.full
+        value[inside] = _poisson_window(full, spec.tail, spec.half_width, spec.c_lin, u0, u1, vv[inside])
+    model = np.zeros_like(vv)
+    inside = vv > 0.0
+    if np.any(inside):
+        v_in = vv[inside]
+        if prepared is None:
+            probe, remainder = _boundary_grid(*_probe_samples(spec), u0, u1, ladder=False), 0.0
+        else:
+            v_max = float(v_in.max())
+            probe = prepared.probe
+            remainder = 2.0 * prepared.full.remainder(v_max) + probe.remainder(v_max)
+        coarse = _poisson_window(probe, spec.tail, spec.half_width, spec.c_lin, u0, u1, v_in)
+        model[inside] = np.abs(value[inside] - coarse) + remainder
+    return value.reshape(v_arr.shape), model.reshape(v_arr.shape)
+
+
+def truncate_half_plane(spec, lam, am, v_lo, cfg):
+    p, q = _envelope_coefficients(spec)
+    p *= TWO_PI
+    q *= TWO_PI
+    terms = _jac_terms(lam, am)
+    threshold = cfg.abs_tol * 10.0 ** (-cfg.v_tail_cutoff_digits)
+
+    def env(v):
+        return (p + q * v) * sum(c * math.exp(-rate * v) for c, rate in terms)
+
+    v_hi = v_lo + 1.0
+    step = max(0.5, 0.5 / min(1.0, lam.value))
+    while env(v_hi) > threshold and v_hi < v_lo + 5000.0:
+        v_hi += step
+    tail = sum(_tail_integral(p, q, rate, v_hi) for _, rate in terms)
+    return v_hi, tail
+

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from lelonglab import (
     FourierSpec,
     TransversalAtom,
     build_current,
+    corpus,
     current_to_json,
     mass_quadrature_schedule,
     normalize,
@@ -253,6 +255,25 @@ class TestVerify:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload[0]["case_id"] == "neg-unit-single-strip"
         assert payload[0]["verdict"] == "pass"
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestGoldenOutputs:
+    """The CLI's output, byte for byte, against tests/data (see scripts/make_golden.py)."""
+
+    def test_verify_report(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--seed", "42", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (GOLDEN / "verify-seed42.json").read_bytes()
+
+    @pytest.mark.parametrize("case_id", ["pos-silver-poisson-flat", "div-half-poisson-linear"])
+    def test_poisson_schedule(self, case_id, write_current, capsys):
+        current = next(case.current for case in corpus(42) if case.case_id == case_id)
+        assert main(["lelong", "--input", write_current(current_to_json(current))]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"lelong-{case_id}.json").read_bytes()
 
 
 class TestLeafplot:

@@ -637,6 +637,71 @@ class TestFarField:
             poisson_window(spec, 1.0, 1.0)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestOneKernelBlock:
+    @given(
+        # up to 2397 nodes the grid has a shell ladder but its probe has none
+        n=st.one_of(st.integers(min_value=300, max_value=20000),
+                    st.integers(min_value=LADDER_MIN_POINTS, max_value=2 * LADDER_MIN_POINTS - 1)),
+        step=st.one_of(
+            st.integers(min_value=6, max_value=48).map(lambda m: math.pi / m),
+            st.floats(min_value=0.02, max_value=0.3),
+        ),
+        shape=st.sampled_from(["flat", "bump", "random"]),
+        tail=st.floats(min_value=0.0, max_value=2.0),
+        c_lin=st.sampled_from([0.0, 0.6]),
+        k0=st.integers(min_value=-2, max_value=2),
+        prepared=st.booleans(),
+        zeros=st.integers(min_value=0, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+        v_lo=st.floats(min_value=1e-4, max_value=60.0),
+        spread=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_two_pass_sums(self, n, step, shape, tail, c_lin, k0, prepared, zeros, seed, v_lo, spread):
+        # the probe's entries taken from the full grid's block, and the tail
+        # terms worked out once, give the two separate sums bit for bit
+        from oracles import poisson_rows as two_pass
+
+        spec = _grid_spec(n, step, shape, tail, c_lin, seed)
+        u0 = 2.0 * math.pi * k0
+        u1 = u0 + 2.0 * math.pi
+        window = poisson_window(spec, u0, u1) if prepared else None
+        # a 15-node block in [0, 60], its first nodes at v = 0
+        vs = v_lo + (60.0 - v_lo) * spread * np.sort(np.random.default_rng(seed).uniform(size=15))
+        vs[:zeros] = 0.0
+        value, model = two_pass(spec, u0, u1, vs, window)
+        rows = harmonic.poisson_rows(spec, u0, u1, vs, prepared=window)
+        assert rows.shape == (2, 15)
+        assert _bits(rows[0]) == _bits(value) and _bits(rows[1]) == _bits(model)
+        assert _bits(window_integral(spec, u0, u1, vs, prepared=window)) == _bits(value)
+        assert _bits(window_model_error(spec, u0, u1, vs, prepared=window)) == _bits(model)
+        assert _bits(window_model_error(spec, u0, u1, vs, window=value, prepared=window)) == _bits(model)
+
+    @pytest.mark.parametrize("n", [769, 768])
+    def test_rows_keep_the_shape_of_v(self, n):
+        spec = TestWindowModelError._flat(n)
+        vs = np.array([[0.0, 0.5], [2.0, 7.0]])
+        rows = harmonic.poisson_rows(spec, 0.0, 2.0 * math.pi, vs)
+        assert rows.shape == (2, 2, 2)
+        assert _bits(rows[0]) == _bits(window_integral(spec, 0.0, 2.0 * math.pi, vs))
+        assert _bits(rows[1]) == _bits(window_model_error(spec, 0.0, 2.0 * math.pi, vs))
+        assert harmonic.poisson_rows(spec, 0.0, 2.0 * math.pi, 0.5).shape == (2,)
+
+    def test_rows_check_their_inputs(self):
+        spec = flat_poisson()
+        window = poisson_window(spec, 0.0, 2.0 * math.pi)
+        with pytest.raises(DomainError, match="u0 < u1"):
+            harmonic.poisson_rows(spec, 1.0, 1.0, 0.5)
+        with pytest.raises(InputError):
+            harmonic.poisson_rows(flat_poisson(), 0.0, 2.0 * math.pi, 0.5, prepared=window)
+        with pytest.raises(DomainError, match="below the boundary"):
+            harmonic.poisson_rows(spec, 0.0, 2.0 * math.pi, np.array([0.5, -0.1]), prepared=window)
+
+
 class TestBoundaryIntegral:
     def test_flat_window(self):
         spec = flat_poisson()

@@ -245,14 +245,14 @@ class _KernelSpy:
         self.calls = 0
         real = harmonic._poisson_window
 
-        def spy(grid, *args):
+        def spy(grid, *args, **kwargs):
             v = args[-1]
             j = grid.shell(float(v.max()))
             near = grid.gap.size if j is None else int(grid.near[j, 1] - grid.near[j, 0])
             self.calls += 1
             self.direct += near * v.size
             self.dense += grid.gap.size * v.size
-            return real(grid, *args)
+            return real(grid, *args, **kwargs)
 
         monkeypatch.setattr(harmonic, "_poisson_window", spy)
 
@@ -288,6 +288,106 @@ class TestFarFieldSchedule:
         lelong_estimate(current)
         assert spy.calls > 0
         assert spy.direct == spy.dense
+
+
+class _Arctan2Count:
+    """Stands in for numpy inside harmonic, recording the shape of every arctan2 block."""
+
+    def __init__(self, monkeypatch):
+        self.blocks = []
+        monkeypatch.setattr(harmonic, "np", self)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def arctan2(self, y, x):
+        out = np.arctan2(y, x)
+        self.blocks.append(out.shape)
+        return out
+
+
+class TestOneKernelBlockPerPanel:
+    # (current, kernel entries of its 12-halving schedule): the two
+    # benchmark-sized flat atoms and the corpus's two Poisson currents
+    CASES = {
+        "silver-12289": (lambda: single_atom_current(
+            Eigenvalue.irrational(math.sqrt(2.0) - 1.0), 1.3, flat_poisson(0.0, 256)), 179955),
+        "half-linear-12289": (lambda: single_atom_current(
+            Eigenvalue.rational(1, 2), 1.1, flat_poisson(0.6, 256)), 199680),
+        "pos-silver-poisson-flat": (lambda: next(
+            case.current for case in corpus(42) if case.case_id == "pos-silver-poisson-flat"), 161490),
+        "div-half-poisson-linear": (lambda: next(
+            case.current for case in corpus(42) if case.case_id == "div-half-poisson-linear"), 184560),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_probe_takes_its_entries_from_the_panel_block(self, case, monkeypatch):
+        # each panel computes one arctan2 block, the full grid's near nodes
+        # at its interior heights, and the probe none
+        make, entries = self.CASES[case]
+        current = make()
+        count = _Arctan2Count(monkeypatch)
+        panels = []
+        real = lelonglab.mass.poisson_rows
+
+        def spy(spec, u0, u1, v, prepared=None):
+            first = len(count.blocks)
+            out = real(spec, u0, u1, v, prepared=prepared)
+            inside = v[v > 0.0]
+            j = prepared.full.shell(float(inside.max()))
+            near = spec.ys.size if j is None else int(prepared.full.near[j, 1] - prepared.full.near[j, 0])
+            panels.append((count.blocks[first:], (inside.size, near)))
+            return out
+
+        monkeypatch.setattr(lelonglab.mass, "poisson_rows", spy)
+        lelong_estimate(current)
+        assert panels
+        for blocks, block in panels:
+            assert blocks == [block]
+        assert sum(rows * cols for _, (rows, cols) in panels) == entries
+        if current.atoms[0].spec.ys.size == 769:  # no ladder: every node direct
+            assert all(cols == 769 for _, (_, cols) in panels)
+
+
+class TestTruncation:
+    @given(
+        fourier=st.booleans(),
+        base=st.floats(min_value=0.0, max_value=3.0),
+        slope=st.floats(min_value=0.0, max_value=2.0),
+        mode=st.floats(min_value=-0.5, max_value=0.5),
+        lam=st.one_of(st.floats(min_value=0.01, max_value=1.0), st.sampled_from([1.0, 0.5, math.sqrt(2.0) - 1.0])),
+        modulus=st.floats(min_value=0.01, max_value=5.0),
+        v_lo=st.floats(min_value=-10.0, max_value=40.0),
+        cfg=st.sampled_from([DEFAULT_CONFIG, QuadratureConfig(abs_tol=1e-9, v_tail_cutoff_digits=1.5)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_envelope_matches_the_generator_sum(self, fourier, base, slope, mode, lam, modulus, v_lo, cfg):
+        from oracles import truncate_half_plane
+
+        if fourier:
+            spec = FourierSpec(b=1, a0=base, b0=slope, modes=((-1, mode, 0.0),))
+        else:
+            ys = np.linspace(-math.pi, math.pi, 5)
+            spec = PoissonSpec(ys=ys, values=base + abs(mode) * np.cos(ys) ** 2, tail=base, c_lin=slope)
+        eig = Eigenvalue.irrational(lam)
+        got = lelonglab.mass._truncate_half_plane(spec, eig, modulus, v_lo, cfg)
+        want = truncate_half_plane(spec, eig, modulus, v_lo, cfg)
+        assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
+
+    def test_corpus_schedules_keep_their_heights(self):
+        # every atom and radius of the corpus's half-plane schedules
+        from oracles import truncate_half_plane
+
+        rs = [0.5**n for n in range(12)]
+        for case in corpus(42):
+            lam = case.current.lam
+            if lam.is_negative:
+                continue
+            for atom in case.current.atoms:
+                (_, spans, _), = lelonglab.mass._atom_ranges(lam, [atom], rs, DEFAULT_CONFIG)
+                for v_lo, _ in spans:
+                    args = (atom.spec, lam, atom.alpha_modulus, v_lo, DEFAULT_CONFIG)
+                    assert lelonglab.mass._truncate_half_plane(*args) == truncate_half_plane(*args)
 
 
 class TestClosedFormPositive:
