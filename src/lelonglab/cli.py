@@ -24,7 +24,7 @@ from .current import (
     build_current,
     current_from_json,
 )
-from .errors import LelongLabError, QuadratureFailure
+from .errors import InputError, LelongLabError, QuadratureFailure
 from .foliation import Eigenvalue, torus_curve
 from .harmonic import FourierSpec, normalize
 from .mass import (
@@ -42,8 +42,23 @@ MARGIN = 40
 
 
 def _load_current(path: str) -> Current:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    # imported here, not at the top: verify and sweep read no input file, so
+    # they should pay neither orjson's import time nor its memory
+    import orjson
+
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        payload = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        # orjson refuses NaN and Infinity literals, numbers that overflow to
+        # inf, lone surrogate escapes and invalid UTF-8; json takes the text
+        # the way it always has, and names what is wrong with it
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not valid UTF-8 ({exc})") from exc
+        payload = json.loads(text)
     return current_from_json(payload)
 
 

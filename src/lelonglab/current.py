@@ -29,6 +29,7 @@ from .harmonic import (
     boundary_value,
     check_positivity,
     evaluate,
+    json_int,
     normalize,
     spec_from_json,
     spec_to_json,
@@ -244,23 +245,43 @@ def eigenvalue_to_json(lam: Eigenvalue) -> dict:
     return out
 
 
+def _eigenvalue_value(obj: dict, path: str) -> float:
+    try:
+        return float(obj["value"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}.value: non-numeric eigenvalue value ({exc})") from exc
+
+
 def eigenvalue_from_json(obj, path: str = "lambda") -> Eigenvalue:
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected an object")
     kind = obj.get("class")
+    # no repr of a non-string: the two decoders give big integers as int or float
+    if not isinstance(kind, str):
+        raise InputError(f"{path}.class: expected one of the strings 'rational', 'irrational', 'negative'")
     if kind == "rational":
         if "a" not in obj or "b" not in obj:
             raise InputError(f"{path}: rational eigenvalue needs integer fields a and b")
-        a, b = obj["a"], obj["b"]
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise InputError(f"{path}.a/.b: must be integers")
-        value = float(obj.get("value", a / b))
-        return Eigenvalue(value, "rational", a, b)
-    if kind in ("irrational", "negative"):
+        a, b = json_int(obj["a"], f"{path}.a"), json_int(obj["b"], f"{path}.b")
+        if "value" in obj:
+            value = _eigenvalue_value(obj, path)
+        elif b == 0:
+            # the default value a/b needs b != 0; the constructor rejects b < 0
+            raise InputError(f"{path}.b: rational eigenvalue needs an integer b >= 1")
+        else:
+            value = a / b
+        fields = (value, kind, a, b)
+    elif kind in ("irrational", "negative"):
         if "value" not in obj:
             raise InputError(f"{path}.value: missing eigenvalue value")
-        return Eigenvalue(float(obj["value"]), kind)
-    raise InputError(f"{path}.class: unknown eigenvalue class {kind!r}")
+        fields = (_eigenvalue_value(obj, path), kind)
+    else:
+        raise InputError(f"{path}.class: unknown eigenvalue class {kind!r}")
+    try:
+        return Eigenvalue(*fields)
+    except InputError as exc:
+        # the constructor names fields from "lambda"; name them from path
+        raise InputError(path + str(exc).removeprefix("lambda")) from exc
 
 
 def current_to_json(current: Current) -> dict:
@@ -295,7 +316,7 @@ def current_from_json(obj) -> Current:
         try:
             alpha = complex(float(alpha_pair[0]), float(alpha_pair[1]))
             weight = float(_get(entry, "weight", tag))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{tag}: non-numeric alpha or weight ({exc})") from exc
         spec = spec_from_json(_get(entry, "spec", tag), f"{tag}.spec")
         atoms.append(TransversalAtom(alpha=alpha, weight=weight, spec=spec))

@@ -49,31 +49,31 @@ class Eigenvalue:
     b: Optional[int] = None
 
     def __post_init__(self):
+        # errors name the field of the input file, as the spec constructors do
         if self.kind not in ("rational", "irrational", "negative"):
-            raise InputError(f"unknown eigenvalue kind {self.kind!r}")
+            raise InputError(f"lambda.class: unknown eigenvalue class {self.kind!r}")
         if not math.isfinite(self.value) or self.value == 0.0:
-            raise InputError("eigenvalue must be finite and nonzero")
+            raise InputError("lambda.value: eigenvalue must be finite and nonzero")
         if abs(self.value) > 1.0 + 1e-15:
-            raise InputError("eigenvalue must lie in [-1, 0) or (0, 1]")
+            raise InputError("lambda.value: eigenvalue must lie in [-1, 0) or (0, 1]")
         if self.kind == "negative":
             if self.value >= 0.0:
-                raise InputError("negative eigenvalue must have value < 0")
+                raise InputError("lambda.value: negative eigenvalue must have value < 0")
             if self.a is not None or self.b is not None:
-                raise InputError("negative eigenvalue carries no fraction")
+                raise InputError("lambda: negative eigenvalue carries no fraction")
         else:
             if self.value <= 0.0:
-                raise InputError(f"{self.kind} eigenvalue must have value > 0")
+                raise InputError(f"lambda.value: {self.kind} eigenvalue must have value > 0")
         if self.kind == "rational":
-            if not isinstance(self.a, int) or not isinstance(self.b, int):
-                raise InputError("rational eigenvalue needs integer a, b")
-            if self.a < 1 or self.b < 1:
-                raise InputError("rational eigenvalue needs a, b >= 1")
+            for name, n in (("a", self.a), ("b", self.b)):
+                if not isinstance(n, int) or n < 1:
+                    raise InputError(f"lambda.{name}: rational eigenvalue needs an integer {name} >= 1")
             if gcd(self.a, self.b) != 1:
-                raise InputError("rational eigenvalue fraction must be reduced")
+                raise InputError("lambda: rational eigenvalue fraction a/b must be reduced")
             if self.value != self.a / self.b:
-                raise InputError("rational eigenvalue value must equal a/b")
+                raise InputError("lambda.value: rational eigenvalue value must equal a/b")
         if self.kind == "irrational" and (self.a is not None or self.b is not None):
-            raise InputError("irrational eigenvalue carries no fraction")
+            raise InputError("lambda: irrational eigenvalue carries no fraction")
 
     @staticmethod
     def rational(a: int, b: int) -> "Eigenvalue":

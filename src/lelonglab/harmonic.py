@@ -958,26 +958,43 @@ def _require(obj: dict, field: str, path: str):
     return obj[field]
 
 
+def json_int(value, path: str) -> int:
+    """An integer field of a decoded input file, checked.
+
+    Only JSON integers pass: no bools, no floats, and |n| < 2**63. The bound
+    keeps the two decoders in step, since orjson returns integers beyond 64
+    bits as floats and json returns them as ints; both are refused alike.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or not -(2**63) < value < 2**63:
+        raise InputError(f"{path}: expected an integer with |n| < 2**63")
+    return value
+
+
 def spec_from_json(obj, path: str = "spec") -> HarmonicSpec:
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected an object")
     kind = _require(obj, "type", path)
+    # no repr of a non-string: the two decoders give big integers as int or float
+    if not isinstance(kind, str):
+        raise InputError(f"{path}.type: expected the string 'fourier' or 'poisson'")
     if kind == "fourier":
         modes = obj.get("modes", [])
         if not isinstance(modes, list) or any(not isinstance(m, (list, tuple)) or len(m) != 3 for m in modes):
             raise InputError(f"{path}.modes: expected a list of [k, a_k, b_k] triples")
+        b = json_int(obj.get("b", 1), f"{path}.b")
+        ks = [json_int(mode[0], f"{path}.modes") for mode in modes]
         try:
             return FourierSpec(
-                b=int(obj.get("b", 1)),
+                b=b,
                 a0=float(obj.get("a0", 0.0)),
                 b0=float(obj.get("b0", 0.0)),
-                modes=tuple((int(k), float(a), float(bb)) for k, a, bb in modes),
+                modes=tuple((k, float(a), float(bb)) for k, (_, a, bb) in zip(ks, modes)),
                 strip_c=(float(obj["strip_c"]) if obj.get("strip_c") is not None else None),
             )
         except InvalidSpecError as exc:
             # the constructors name fields from "spec"; name them from path
             raise InvalidSpecError(path + str(exc).removeprefix("spec")) from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}: non-numeric field in fourier spec ({exc})") from exc
     if kind == "poisson":
         boundary = _require(obj, "boundary", path)
@@ -994,6 +1011,6 @@ def spec_from_json(obj, path: str = "spec") -> HarmonicSpec:
             )
         except InvalidSpecError as exc:
             raise InvalidSpecError(path + str(exc).removeprefix("spec")) from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}.boundary: non-numeric boundary data ({exc})") from exc
     raise InputError(f"{path}.type: unknown spec type {kind!r}")

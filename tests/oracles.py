@@ -9,17 +9,21 @@ poisson_rows sums a Poisson window's full grid and its half-density probe
 as two kernel blocks, each with its own tail terms, and truncate_half_plane
 sums the truncation envelope with a generator: the earlier forms of
 harmonic.poisson_rows and mass._truncate_half_plane, which must agree with
-them bit for bit.
+them bit for bit. load_current decodes every input file with the stdlib
+json, as cli._load_current does only for the texts orjson refuses: the two
+must load the same current from any text, or fail with the same error.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import sys
 
 import numpy as np
 
+from lelonglab.current import current_from_json
 from lelonglab.errors import DomainError, InputError, QuadratureFailure
 from lelonglab.foliation import coordinate_shift
 from lelonglab.harmonic import (
@@ -33,6 +37,16 @@ from lelonglab.harmonic import (
 )
 from lelonglab.mass import EXACT_ROUNDING, TWO_PI, _envelope_coefficients, _tail_integral
 from lelonglab.quadrature import _NODES, _W_GAUSS, _W_KRONROD
+
+
+def load_current(path):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 ({exc})") from exc
+    return current_from_json(json.loads(text))
 
 
 def _job_spans(a, b, ranges):

@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lelonglab import (
     Eigenvalue,
@@ -18,6 +22,7 @@ from lelonglab import (
     mass_quadrature_schedule,
     normalize,
 )
+from lelonglab import cli
 from lelonglab.cli import main
 
 from conftest import FLAGSHIP_JSON
@@ -347,3 +352,177 @@ class TestSweep:
         assert main(["sweep", "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+def _replaced(base, keys, value):
+    """A copy of the payload base with the entry at keys set to value."""
+    payload = json.loads(json.dumps(base))
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return payload
+
+
+INTEGER_FIELD_CASES = [
+    # (field named in the error, keys into the flagship payload, bad value)
+    ("atoms[0].spec.b", ("atoms", 0, "spec", "b"), 2.5),
+    ("atoms[0].spec.b", ("atoms", 0, "spec", "b"), True),
+    ("atoms[0].spec.b", ("atoms", 0, "spec", "b"), 1.0),
+    ("atoms[0].spec.b", ("atoms", 0, "spec", "b"), 2**63),
+    ("atoms[0].spec.modes", ("atoms", 0, "spec", "modes"), [[-1.7, 0.1, 0.0]]),
+    ("atoms[0].spec.modes", ("atoms", 0, "spec", "modes"), [[-(2**64), 0.0, 0.0]]),
+    ("lambda.a", ("lambda", "a"), True),
+    ("lambda.b", ("lambda", "b"), 1.0),
+    ("lambda.b", ("lambda", "b"), 10**30),
+]
+
+
+@pytest.mark.parametrize("field, keys, bad", INTEGER_FIELD_CASES,
+                         ids=[f"{case[0]}={case[2]!r}" for case in INTEGER_FIELD_CASES])
+def test_integer_field_takes_only_json_integers(field, keys, bad, write_current, capsys):
+    assert main(["mass", "--input", write_current(_replaced(FLAGSHIP_JSON, keys, bad))]) == 2
+    assert f"input error: {field}: expected an integer with |n| < 2**63" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam, field", [
+    ({"class": "rational", "a": 1, "b": 0}, "lambda.b"),
+    ({"class": "rational", "a": 1, "b": 0, "value": 0.5}, "lambda.b"),
+    ({"class": "rational", "a": 1, "b": 2, "value": 0.3}, "lambda.value"),
+    ({"class": "rational", "a": 2, "b": 4}, "lambda"),
+    ({"class": "negative", "value": 0.5}, "lambda.value"),
+    ({"class": "irrational", "value": None}, "lambda.value"),
+])
+def test_eigenvalue_errors_name_the_field(lam, field, write_current, capsys):
+    payload = dict(FLAGSHIP_JSON, **{"lambda": lam})
+    assert main(["mass", "--input", write_current(payload)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {field}: ")
+
+
+@pytest.mark.parametrize("field, keys", [
+    ("atoms[0]", ("atoms", 0, "weight")),
+    ("atoms[0].spec", ("atoms", 0, "spec", "a0")),
+    ("atoms[0].spec.boundary", ("atoms", 0, "spec", "boundary", "values", 2)),
+])
+def test_integer_too_large_for_a_float_is_input_error(field, keys, write_current, capsys):
+    # 10**400 is written out as 401 digits, too large for a double
+    payload = _replaced(POISSON_JSON if "boundary" in keys else FLAGSHIP_JSON, keys, 10**400)
+    assert main(["mass", "--input", write_current(payload)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {field}: non-numeric")
+
+
+def test_non_utf8_input_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"lambda": \xff}')
+    assert main(["mass", "--input", str(path), "--r", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {path}: not valid UTF-8 (")
+
+
+# Input documents for the decoder comparison: each @field@ holds a valid
+# value, or for a few drawn fields a raw token. The tokens are texts that
+# orjson refuses (NaN, Infinity, overflow to inf, lone surrogates, bytes that
+# are not UTF-8, a leading zero), integers at and beyond 2**63 and 2**64 that
+# orjson returns as floats, floats and bools in integer fields, and plain
+# numbers written with long mantissas.
+FOURIER_DOC = (
+    b'{"lambda": {"value": @value@, "class": @class@, "a": @a@, "b": @b@}, '
+    b'"atoms": [{"alpha": [@re@, @im@], "weight": @weight@, "spec": {"type": @type@, '
+    b'"b": @sb@, "a0": @a0@, "b0": @b0@, "modes": [[@k@, @ak@, @bk@]]}}]}'
+)
+FOURIER_FIELDS = {
+    "value": b"0.5", "class": b'"rational"', "a": b"1", "b": b"2", "re": b"0.5", "im": b"0.0",
+    "weight": b"1.0", "type": b'"fourier"', "sb": b"2", "a0": b"1.0", "b0": b"0.25",
+    "k": b"-1", "ak": b"0.0", "bk": b"0.1",
+}
+POISSON_DOC = (
+    b'{"lambda": {"value": @value@, "class": "irrational"}, "atoms": [{"alpha": [@re@, 0.0], '
+    b'"weight": @weight@, "spec": {"type": "poisson", "boundary": {"ys": [-2.0, -1.0, @y@, 1.0, 2.0], '
+    b'"values": [1.0, @v@, 1.0, 1.0, 1.0], "tail": @tail@}, "c_lin": @clin@}}]}'
+)
+POISSON_FIELDS = {
+    "value": b"0.4142135623730951", "re": b"1.1", "weight": b"1.0", "y": b"0.0", "v": b"1.0",
+    "tail": b"1.0", "clin": b"0.0",
+}
+RAW_TOKENS = [
+    b"NaN", b"Infinity", b"-Infinity", b"1e400", b"-1e400", b"true", b"null", b"-0", b"-0.0",
+    b"2.5", b"-1.7", b"1.0", b"01", b"9223372036854775807", b"9223372036854775808", b"-9223372036854775808",
+    b"18446744073709551616", b"1000000000000000000000000000000",
+    b'"\\ud800"', b'"x\\udc00"', b'"\\ud83d\\ude00"', b'"\xff"', b'"\xc3("', b'"\xed\xa0\x80"', b"\x80",
+]
+TOKENS = st.one_of(
+    st.sampled_from(RAW_TOKENS),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: repr(x).encode()),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,2})\.[0-9]{15,30}(e-?[0-9]{1,3})?", fullmatch=True).map(str.encode),
+    st.integers(-(2**70), 2**70).map(lambda n: str(n).encode()),
+)
+
+
+def _fill(doc, fields, tokens):
+    for name, valid in fields.items():
+        doc = doc.replace(b"@%s@" % name.encode(), tokens.get(name, valid))
+    return doc
+
+
+@st.composite
+def input_documents(draw):
+    doc, fields = draw(st.sampled_from([(FOURIER_DOC, FOURIER_FIELDS), (POISSON_DOC, POISSON_FIELDS)]))
+    drawn = draw(st.sets(st.sampled_from(sorted(fields)), max_size=3))
+    return _fill(doc, fields, {name: draw(TOKENS) for name in sorted(drawn)})
+
+
+def _current_bits(current):
+    atoms = []
+    for atom in current.atoms:
+        spec = atom.spec
+        if isinstance(spec, FourierSpec):
+            fields = (spec.b, spec.a0.hex(), spec.b0.hex(),
+                      tuple((k, a.hex(), bb.hex()) for k, a, bb in spec.modes),
+                      None if spec.strip_c is None else spec.strip_c.hex())
+        else:
+            fields = (spec.ys.dtype.str, spec.ys.tobytes(), spec.values.dtype.str, spec.values.tobytes(),
+                      spec.tail.hex(), spec.c_lin.hex())
+        atoms.append((atom.alpha.real.hex(), atom.alpha.imag.hex(), atom.weight.hex(), fields))
+    lam = current.lam
+    return lam.value.hex(), lam.kind, lam.a, lam.b, tuple(atoms)
+
+
+def _outcome(load, path):
+    try:
+        return _current_bits(load(str(path)))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestDecoders:
+    """cli._load_current (orjson, json for what it refuses) against the json-only oracle."""
+
+    def test_valid_file_never_reaches_json(self, write_current, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stdlib json decoded a file orjson accepts")
+
+        monkeypatch.setattr(cli.json, "loads", refuse)
+        current = cli._load_current(write_current(POISSON_JSON))
+        assert current.atoms[0].spec.ys.size == 5
+
+    def test_cli_import_leaves_orjson_out(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = "import sys, lelonglab.cli; print('orjson' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert out.stdout.strip() == "False"
+
+    @given(doc=input_documents())
+    # integers beyond 64 bits, which orjson gives as floats and json as ints,
+    # in a string field (the gap this property first found), an integer
+    # field and a float field
+    @example(doc=_fill(FOURIER_DOC, FOURIER_FIELDS, {"type": b"18446744073709551616"}))
+    @example(doc=_fill(FOURIER_DOC, FOURIER_FIELDS, {"class": b"18446744073709551616"}))
+    @example(doc=_fill(FOURIER_DOC, FOURIER_FIELDS, {"sb": b"18446744073709551617"}))
+    @example(doc=_fill(FOURIER_DOC, FOURIER_FIELDS, {"b0": b"18446744073709551617"}))
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_current_or_same_error(self, doc, tmp_path):
+        from oracles import load_current
+
+        path = tmp_path / "doc.json"
+        path.write_bytes(doc)
+        assert _outcome(cli._load_current, path) == _outcome(load_current, path)
