@@ -29,6 +29,7 @@ from .harmonic import (
     boundary_value,
     check_positivity,
     evaluate,
+    json_float,
     json_int,
     normalize,
     spec_from_json,
@@ -247,8 +248,8 @@ def eigenvalue_to_json(lam: Eigenvalue) -> dict:
 
 def _eigenvalue_value(obj: dict, path: str) -> float:
     try:
-        return float(obj["value"])
-    except (TypeError, ValueError, OverflowError) as exc:
+        return json_float(obj["value"], path, "value")
+    except OverflowError as exc:
         raise InputError(f"{path}.value: non-numeric eigenvalue value ({exc})") from exc
 
 
@@ -262,7 +263,7 @@ def eigenvalue_from_json(obj, path: str = "lambda") -> Eigenvalue:
     if kind == "rational":
         if "a" not in obj or "b" not in obj:
             raise InputError(f"{path}: rational eigenvalue needs integer fields a and b")
-        a, b = json_int(obj["a"], f"{path}.a"), json_int(obj["b"], f"{path}.b")
+        a, b = json_int(obj["a"], path, "a"), json_int(obj["b"], path, "b")
         if "value" in obj:
             value = _eigenvalue_value(obj, path)
         elif b == 0:
@@ -313,10 +314,11 @@ def current_from_json(obj) -> Current:
         alpha_pair = _get(entry, "alpha", tag)
         if not isinstance(alpha_pair, (list, tuple)) or len(alpha_pair) != 2:
             raise InputError(f"{tag}.alpha: expected [re, im]")
+        weight = _get(entry, "weight", tag)
         try:
-            alpha = complex(float(alpha_pair[0]), float(alpha_pair[1]))
-            weight = float(_get(entry, "weight", tag))
-        except (TypeError, ValueError, OverflowError) as exc:
+            alpha = complex(json_float(alpha_pair[0], tag, "alpha"), json_float(alpha_pair[1], tag, "alpha"))
+            weight = json_float(weight, tag, "weight")
+        except OverflowError as exc:
             raise InputError(f"{tag}: non-numeric alpha or weight ({exc})") from exc
         spec = spec_from_json(_get(entry, "spec", tag), f"{tag}.spec")
         atoms.append(TransversalAtom(alpha=alpha, weight=weight, spec=spec))

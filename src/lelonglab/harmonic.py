@@ -9,13 +9,13 @@ Poisson value is a trapezoid sum of harmonic kernels plus closed-form
 arctangent tails, each harmonic in (u, v) on its own.
 
 Integrals over a u-window are exact in u. For Poisson data they are kernel
-sums over the boundary grid; a PoissonWindow, built once per atom and
-schedule, sums the nodes far from the window through their moments on a
-ladder of shells (a one-level far-field expansion) and the rest directly,
-with a truncation remainder that window_model_error adds to its bound.
-The window integral and its grid-model error come from one kernel block
-(poisson_rows): the error's half-density probe grid takes its entries
-from the full grid's block, since its nodes are among the full grid's.
+sums over the boundary grid, and a PoissonWindow is the one way into them:
+poisson_rows(window, v) gives the window integral and its grid-model error
+from one kernel block, since the error's half-density probe grid has its
+nodes among the full grid's. A window built on a grid of LADDER_MIN_POINTS
+nodes or more sums the nodes far from the u-window through their moments on
+a ladder of shells (a one-level far-field expansion) and the rest directly,
+and adds the expansion's truncation remainder to the error row.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ from .errors import DomainError, InputError, InvalidSpecError, NormalizationErro
 from .foliation import float_map
 
 TWO_PI = 2.0 * math.pi
-
-# v is capped here when positivity-scanning Poisson data: the density is
-# dominated by its tails and c_lin v long before this.
-POSITIVITY_V_CAP = 50.0
 
 # A density counts as positive when it stays above -POSITIVITY_TOL.
 POSITIVITY_TOL = 1e-12
@@ -298,12 +294,25 @@ def _scan_edge(spec: FourierSpec, base: float, growth, amps) -> bool:
     return True
 
 
-def _trig_positive(spec: FourierSpec) -> bool:
-    # Harmonic and 2 pi b-periodic in u, so the minimum over a strip lies on
-    # an edge; on a half-plane it lies on v = 0, since the density tends to
-    # a0 + b0 v >= 0 as v grows. On an edge the density is
-    # base + sum_k R_k cos(k u/b - phi_k), at least base - sum_k R_k, with
-    # equality for one mode.
+def check_positivity(spec: HarmonicSpec) -> bool:
+    """True iff the density stays above -1e-12 on its whole domain.
+
+    A trig spec is harmonic and 2 pi b-periodic in u, so its minimum over a
+    strip lies on an edge, v = 0 or v = C; on a half-plane it lies on v = 0,
+    since the density tends to a0 + b0 v >= 0 as v grows. No 2-D grid is
+    needed. On an edge the density is base + sum_k R_k cos(k u/b - phi_k),
+    at least base - sum_k R_k with equality for one mode, and the edge
+    passes when that is >= -1e-12. A multi-mode edge that fails this
+    envelope gets a certified 1-D scan over one period (_scan_edge). A spec
+    whose scan runs out of budget raises InvalidSpecError instead of
+    answering.
+
+    A PoissonSpec is positive by construction, so the answer is True: its
+    constructor refuses negative samples, tail and c_lin, and the Poisson
+    kernel, the tail terms and c_lin v keep nonnegative data nonnegative.
+    """
+    if isinstance(spec, PoissonSpec):
+        return True
     for v, base in _edges(spec):
         growth = [math.exp(k * v / spec.b) for k, _, _ in spec.modes]
         amps = [math.hypot(a, bb) * g for (_, a, bb), g in zip(spec.modes, growth)]
@@ -312,30 +321,6 @@ def _trig_positive(spec: FourierSpec) -> bool:
         if len(amps) == 1 or not _scan_edge(spec, base, growth, amps):
             return False
     return True
-
-
-def check_positivity(spec: HarmonicSpec, grid_u: int = 64, grid_v: int = 48) -> bool:
-    """True iff the density stays above -1e-12 on its whole domain.
-
-    Trig specs are certified on their edges, with no 2-D grid: the strip
-    edges v = 0 and v = C, or v = 0 on a half-plane. An edge passes when
-    base - sum_k R_k >= -1e-12, which is exact for one mode; a multi-mode
-    edge that fails this envelope gets a certified 1-D scan over one period
-    (_scan_edge). A spec whose scan runs out of budget raises
-    InvalidSpecError instead of answering.
-
-    Poisson data, whose kernel is positivity-preserving by construction, is
-    sampled on a grid_u x grid_v grid over the boundary window plus one
-    extra period, with v up to POSITIVITY_V_CAP.
-    """
-    if grid_u < 1 or grid_v < 1:
-        raise InputError("positivity grid sizes must be >= 1")
-    if isinstance(spec, FourierSpec):
-        return _trig_positive(spec)
-    us = np.linspace(-spec.half_width - TWO_PI, spec.half_width + TWO_PI, grid_u)
-    vs = np.linspace(0.0, POSITIVITY_V_CAP, grid_v)
-    vals = evaluate(spec, us[:, None], vs[None, :])
-    return bool(np.min(vals) >= -POSITIVITY_TOL)
 
 
 def normalize(spec: HarmonicSpec) -> HarmonicSpec:
@@ -605,16 +590,15 @@ class BoundaryGrid:
         return 2.0 * self.far_weight[j] * x ** (FAR_ORDER + 1) / ((1.0 - x) * math.pi)
 
 
-def _no_shells():
-    return np.empty(0), np.empty((0, 2), dtype=int), np.empty((0, FAR_ORDER // 2)), np.empty(0)
-
-
 def _shells(s: np.ndarray, weighted: np.ndarray, half: float):
-    """radii, near, betas and far_weight of the shell ladder of nodes at s = y - c."""
+    """radii, near, betas and far_weight of the shell ladder of nodes at s = y - c.
+
+    Grids under LADDER_MIN_POINTS nodes, and grids inside the first shell, get none.
+    """
     dist = np.abs(s)
     extent = float(dist.max())
-    if extent <= FAR_RATIO * half:
-        return _no_shells()
+    if s.size < LADDER_MIN_POINTS or extent <= FAR_RATIO * half:
+        return np.empty(0), np.empty((0, 2), dtype=int), np.empty((0, FAR_ORDER // 2)), np.empty(0)
     count = math.ceil(math.log(extent / (FAR_RATIO * half)) / math.log(SHELL_GROWTH))
     radii = FAR_RATIO * half * SHELL_GROWTH ** np.arange(count + 1)
     radii = radii[radii < extent]  # every shell keeps a far node
@@ -648,13 +632,10 @@ def _shells(s: np.ndarray, weighted: np.ndarray, half: float):
     return radii, near, _far_coefficients(moments, half / radii), far_weight
 
 
-def _boundary_grid(ys, weighted, u0: float, u1: float, ladder: bool) -> BoundaryGrid:
-    """ys's grid over [u0, u1], with a shell ladder if asked for and worth it."""
+def _boundary_grid(ys, weighted, u0: float, u1: float) -> BoundaryGrid:
+    """ys's grid over [u0, u1], with its shell ladder."""
     half = 0.5 * (u1 - u0)
-    if ladder and ys.size >= LADDER_MIN_POINTS:
-        shells = _shells(ys - 0.5 * (u0 + u1), weighted, half)
-    else:
-        shells = _no_shells()
+    shells = _shells(ys - 0.5 * (u0 + u1), weighted, half)
     return BoundaryGrid(half, weighted, (ys - u0) * (ys - u1), *shells)
 
 
@@ -666,7 +647,7 @@ def _full_samples(spec: PoissonSpec):
 
 
 def _probe_samples(spec: PoissonSpec):
-    """The same for the half-density grid of window_model_error's probe."""
+    """The same for the half-density grid of the grid-model error's probe."""
     # every other node; an even-length grid keeps its last node too, one
     # step past the others, so the probe spans the whole grid
     ys, weighted = spec.ys[::2], 2.0 * spec.step * spec.values[::2]
@@ -683,8 +664,8 @@ class PoissonWindow:
     """A PoissonSpec prepared for kernel sums over u in [u0, u1].
 
     The counterpart of FourierWindow for sampled data, built once per atom
-    and schedule: the full grid and the half-grid probe of
-    window_model_error, each with its shell ladder (see BoundaryGrid).
+    and schedule: the full grid and the half-grid probe of the grid-model
+    error, each with its shell ladder (see BoundaryGrid).
     """
 
     spec: PoissonSpec
@@ -700,14 +681,9 @@ def poisson_window(spec: PoissonSpec, u0: float, u1: float) -> PoissonWindow:
         raise DomainError("window integral needs u0 < u1")
     return PoissonWindow(
         spec, u0, u1,
-        full=_boundary_grid(*_full_samples(spec), u0, u1, ladder=True),
-        probe=_boundary_grid(*_probe_samples(spec), u0, u1, ladder=True),
+        full=_boundary_grid(*_full_samples(spec), u0, u1),
+        probe=_boundary_grid(*_probe_samples(spec), u0, u1),
     )
-
-
-def _check_prepared(spec, u0: float, u1: float, prepared: Optional[PoissonWindow]):
-    if prepared is not None and (prepared.spec is not spec or (prepared.u0, prepared.u1) != (u0, u1)):
-        raise InputError("window integral with a PoissonWindow of another spec or u-window")
 
 
 def _arctan_primitive(s, v):
@@ -715,7 +691,7 @@ def _arctan_primitive(s, v):
     return s * np.arctan(s / v) - 0.5 * v * np.log(v * v + s * s)
 
 
-def window_integral(spec: HarmonicSpec, u0: float, u1: float, v, prepared: Optional[PoissonWindow] = None):
+def window_integral(spec: HarmonicSpec, u0: float, u1: float, v):
     """Integral of the density over u in [u0, u1] at height(s) v, exact in u.
 
     For trig specs the antiderivative is elementary. spec may also be a
@@ -724,22 +700,19 @@ def window_integral(spec: HarmonicSpec, u0: float, u1: float, v, prepared: Optio
     one-row case. For Poisson specs the u-integral commutes with the finite
     trapezoid sum defining eval, so the result is the trapezoid sum of
     arctan differences plus closed-form tail terms: exactly the u-integral
-    of eval, not a second approximation. With prepared, the PoissonWindow of
-    spec over [u0, u1], the grid nodes far from the window are summed
-    through their moments, with an error of at most
-    prepared.full.remainder(max v); without it every node is summed
-    directly.
+    of eval, not a second approximation. It is row 0 of poisson_rows on
+    the PoissonWindow of spec over [u0, u1]; on a grid with a shell ladder
+    its far sum is within that window's full.remainder(max v).
     """
-    v_arr = np.asarray(v, dtype=float)
     if isinstance(spec, PoissonSpec):
-        return _shaped(_poisson_rows(spec, u0, u1, v_arr, prepared, model=False)[0], v_arr.shape)
+        return _row(poisson_rows(poisson_window(spec, u0, u1), v)[0])
     if not u1 > u0:
         raise DomainError("window integral needs u0 < u1")
     if isinstance(spec, FourierSpec):
         spec = fourier_window((spec,), u0, u1)
     if (spec.u0, spec.u1) != (u0, u1):
         raise InputError("window integral over another u-window than its FourierWindow's")
-    _check_prepared(spec, u0, u1, prepared)
+    v_arr = np.asarray(v, dtype=float)
     _check_v_domain(spec, v_arr)
     out = (u1 - u0) * (spec.a0 * (1.0 - v_arr / spec.strip_c) + spec.b0 * v_arr)
     for m in range(spec.ks.shape[1]):
@@ -749,8 +722,7 @@ def window_integral(spec: HarmonicSpec, u0: float, u1: float, v, prepared: Optio
     return float(out) if out.ndim == 0 else out
 
 
-def window_model_error(spec: PoissonSpec, u0: float, u1: float, v, window=None,
-                       prepared: Optional[PoissonWindow] = None):
+def window_model_error(spec: PoissonSpec, u0: float, u1: float, v):
     """Bound on the boundary-grid part of the Poisson window integral.
 
     The trapezoid kernel sum is the defining evaluation, but only the
@@ -760,104 +732,59 @@ def window_model_error(spec: PoissonSpec, u0: float, u1: float, v, window=None,
     continuum both in the smooth O(step^2) regime and in the near-boundary
     regime where the error is first order in the step. Tail and linear
     terms are continuum-exact and identical on both grids, so the gap is
-    that of the grid sums alone.
-
-    The probe's nodes are every other node of the grid, plus the last one
-    on an even-length grid, so without window its kernel entries are taken
-    from the window integral's own kernel block, and nothing is summed
-    twice (see poisson_rows). window, if given, is window_integral(spec,
-    u0, u1, v, prepared) already computed at the same heights: then only
-    the probe is summed. With prepared, the PoissonWindow of spec over
-    [u0, u1], both grids' far sums are truncated expansions, so their
-    remainder bounds at the largest height are added: the full grid's
-    twice, once for the window integral itself and once for its part in
-    the gap, and the probe's once.
+    that of the grid sums alone. It is row 1 of poisson_rows on the
+    PoissonWindow of spec over [u0, u1].
     """
-    v_arr = np.asarray(v, dtype=float)
-    if window is None:
-        return _shaped(_poisson_rows(spec, u0, u1, v_arr, prepared, model=True)[1], v_arr.shape)
-    if not u1 > u0:
-        raise DomainError("window integral needs u0 < u1")
-    _check_prepared(spec, u0, u1, prepared)
-    vv = np.ravel(v_arr)
-    full = np.ravel(np.asarray(window, dtype=float))
-    out = np.zeros_like(vv)
-    inside = vv > 0.0  # at v = 0 the window integral is data-exact
-    if np.any(inside):
-        v_in = vv[inside]
-        probe = _probe_grid(spec, u0, u1, prepared)
-        coarse = _poisson_window(probe, spec.tail, spec.half_width, spec.c_lin, u0, u1, v_in)
-        out[inside] = np.abs(full[inside] - coarse) + _remainder(prepared, v_in)
-    return _shaped(out, v_arr.shape)
+    return _row(poisson_rows(poisson_window(spec, u0, u1), v)[1])
 
 
-def poisson_rows(spec: PoissonSpec, u0: float, u1: float, v, prepared: Optional[PoissonWindow] = None):
-    """window_integral and window_model_error at heights v, from one kernel block.
+def _row(row: np.ndarray):
+    return float(row) if row.ndim == 0 else row
 
-    Row 0 of the result is the window integral and row 1 its grid-model
-    error bound, each shaped like v and bit for bit what the two functions
-    give on their own. Each kernel entry is computed once: the probe's sum
-    takes its entries from the full grid's block, and the tail and linear
-    terms, the same on both grids, are worked out once.
+
+def poisson_rows(window: PoissonWindow, v):
+    """The window integral and its grid-model error bound at heights v.
+
+    Row 0 of the result is the integral of window.spec over u in
+    [window.u0, window.u1] and row 1 its grid-model error bound, each shaped
+    like v; at v = 0 the integral is the data-exact boundary integral and
+    the bound 0. Both rows come from one kernel block (_poisson_window).
+    Where a shell of the window's ladders fits, the far sums are truncated
+    expansions, so their remainder bounds at the largest height are added
+    to row 1: the full grid's twice, once for the integral itself and once
+    for its part in the gap, and the probe's once.
     """
+    spec = window.spec
     v_arr = np.asarray(v, dtype=float)
-    return _poisson_rows(spec, u0, u1, v_arr, prepared, model=True).reshape((2,) + v_arr.shape)
-
-
-def _shaped(flat: np.ndarray, shape):
-    out = flat.reshape(shape)
-    return float(out) if out.ndim == 0 else out
-
-
-def _probe_grid(spec: PoissonSpec, u0: float, u1: float, prepared: Optional[PoissonWindow]) -> BoundaryGrid:
-    return prepared.probe if prepared is not None else _boundary_grid(*_probe_samples(spec), u0, u1, ladder=False)
-
-
-def _remainder(prepared: Optional[PoissonWindow], v_in: np.ndarray) -> float:
-    """The far sums' remainder bounds in window_model_error at heights up to max v_in."""
-    if prepared is None:  # every node summed directly
-        return 0.0
-    v_max = float(v_in.max())
-    return 2.0 * prepared.full.remainder(v_max) + prepared.probe.remainder(v_max)
-
-
-def _poisson_rows(spec: PoissonSpec, u0: float, u1: float, v_arr: np.ndarray,
-                  prepared: Optional[PoissonWindow], model: bool):
-    """Row 0: the window integral at the heights v_arr, flat; row 1, if model: its model error bound."""
-    if not u1 > u0:
-        raise DomainError("window integral needs u0 < u1")
-    _check_prepared(spec, u0, u1, prepared)
     _check_v_domain(spec, v_arr)
     vv = np.ravel(v_arr)
-    out = np.zeros((2 if model else 1, vv.size))
+    out = np.zeros((2, vv.size))
     at_boundary = vv <= 0.0
     if at_boundary.any():
         # kernel tends to a Dirac comb: the u-integral tends to the
         # boundary integral over the window, which is data-exact
-        out[0, at_boundary] = boundary_integral(spec, u0, u1)
+        out[0, at_boundary] = boundary_integral(spec, window.u0, window.u1)
     inside = ~at_boundary
     if inside.any():
         v_in = vv[inside]
-        args = (spec.tail, spec.half_width, spec.c_lin, u0, u1, v_in)
-        full = prepared.full if prepared is not None else _boundary_grid(*_full_samples(spec), u0, u1, ladder=False)
-        if model:
-            row, coarse = _poisson_window(full, *args, probe=_probe_grid(spec, u0, u1, prepared))
-            out[1, inside] = np.abs(row - coarse) + _remainder(prepared, v_in)
-        else:
-            row = _poisson_window(full, *args)
-        out[0, inside] = row
-    return out
+        value, coarse = _poisson_window(window, v_in)
+        v_max = float(v_in.max())
+        remainder = 2.0 * window.full.remainder(v_max) + window.probe.remainder(v_max)
+        out[0, inside] = value
+        out[1, inside] = np.abs(value - coarse) + remainder
+    return out.reshape((2,) + v_arr.shape)
 
 
-def _poisson_window(grid: BoundaryGrid, tail, y_top, c_lin, u0, u1, vflat, probe: Optional[BoundaryGrid] = None):
-    """The one Poisson kernel sum of grid at the heights vflat > 0.
+def _poisson_window(window: PoissonWindow, vflat):
+    """The window's two kernel sums at the heights vflat > 0: (full grid's, probe's).
 
     The near nodes of the heights' shell are summed directly, as one
     arctan2 block, and the far ones through the shell's moments; every node
-    when no shell fits. With probe, the half-density grid of the same spec
-    and window, returns (grid's sum, probe's sum): the probe's entries are
-    columns of the same block, so it computes no kernel entry of its own.
+    when no shell fits. The probe's entries are columns of the same block,
+    so it computes no kernel entry of its own.
     """
+    spec, grid, probe = window.spec, window.full, window.probe
+    u0, u1 = window.u0, window.u1
     width = u1 - u0
     vi = vflat[:, None]
     v_max = float(vflat.max())
@@ -867,21 +794,20 @@ def _poisson_window(grid: BoundaryGrid, tail, y_top, c_lin, u0, u1, vflat, probe
     # probe node k is grid node 2k, but for an even-length grid's last,
     # which is its last node; with the same shells (the same radii) a
     # probe's near nodes are among the grid's, else the block takes them all
-    jp = None if probe is None else probe.shell(v_max)
-    lo, hi = (0, n) if probe is not None and jp is None else near
+    jp = probe.shell(v_max)
+    lo, hi = (0, n) if jp is None else near
     # arctan((y - u0)/v) - arctan((y - u1)/v) folded into one arctan2, valid
     # for v > 0 and u1 > u0: half the transcendental calls, and no
     # cancellation between two nearly equal angles far from the window
     kern = np.arctan2(width * vi, vi * vi + grid.gap[lo:hi])
+    y_top = spec.half_width
     ends = np.array([[y_top - u0], [y_top - u1], [-y_top - u0], [-y_top - u1]])
     prim = _arctan_primitive(ends, vflat)
-    right = tail * (0.5 * math.pi * width - prim[0] + prim[1])
-    left = tail * (0.5 * math.pi * width + prim[2] - prim[3])
-    linear = c_lin * vflat * width
+    right = spec.tail * (0.5 * math.pi * width - prim[0] + prim[1])
+    left = spec.tail * (0.5 * math.pi * width + prim[2] - prim[3])
+    linear = spec.c_lin * vflat * width
     cols = None if (lo, hi) == near else slice(near[0] - lo, near[1] - lo)
     value = (_grid_sum(grid, j, kern, cols, vflat) + right + left) / math.pi + linear
-    if probe is None:
-        return value
     p_near = (0, probe.gap.size) if jp is None else probe.near[jp]
     cols = np.minimum(2 * np.arange(*p_near), n - 1) - lo
     coarse = (_grid_sum(probe, jp, kern, cols, vflat) + right + left) / math.pi + linear
@@ -958,16 +884,33 @@ def _require(obj: dict, field: str, path: str):
     return obj[field]
 
 
-def json_int(value, path: str) -> int:
-    """An integer field of a decoded input file, checked.
+# json_int and json_float run for every field of every atom, so they join path
+# and field only for an error. They test exact types: the decoders give numbers
+# as int or float, and a bool, whose type is bool, is refused.
+
+
+def json_int(value, path: str, field: str) -> int:
+    """The integer field `field` of the object at path in a decoded input file.
 
     Only JSON integers pass: no bools, no floats, and |n| < 2**63. The bound
     keeps the two decoders in step, since orjson returns integers beyond 64
     bits as floats and json returns them as ints; both are refused alike.
     """
-    if isinstance(value, bool) or not isinstance(value, int) or not -(2**63) < value < 2**63:
-        raise InputError(f"{path}: expected an integer with |n| < 2**63")
+    if type(value) is not int or not -(2**63) < value < 2**63:
+        raise InputError(f"{path}.{field}: expected an integer with |n| < 2**63")
     return value
+
+
+def json_float(value, path: str, field: str) -> float:
+    """The float field `field` of the object at path in a decoded input file.
+
+    Only JSON numbers pass: no strings, no bools, no null. An integer too
+    large for a float raises OverflowError, which callers report as a
+    non-numeric field of the enclosing object.
+    """
+    if type(value) is not float and type(value) is not int:
+        raise InputError(f"{path}.{field}: expected a number")
+    return float(value)
 
 
 def spec_from_json(obj, path: str = "spec") -> HarmonicSpec:
@@ -981,20 +924,22 @@ def spec_from_json(obj, path: str = "spec") -> HarmonicSpec:
         modes = obj.get("modes", [])
         if not isinstance(modes, list) or any(not isinstance(m, (list, tuple)) or len(m) != 3 for m in modes):
             raise InputError(f"{path}.modes: expected a list of [k, a_k, b_k] triples")
-        b = json_int(obj.get("b", 1), f"{path}.b")
-        ks = [json_int(mode[0], f"{path}.modes") for mode in modes]
+        b = json_int(obj.get("b", 1), path, "b")
+        ks = [json_int(mode[0], path, "modes") for mode in modes]
+        strip_c = obj.get("strip_c")
         try:
             return FourierSpec(
                 b=b,
-                a0=float(obj.get("a0", 0.0)),
-                b0=float(obj.get("b0", 0.0)),
-                modes=tuple((k, float(a), float(bb)) for k, (_, a, bb) in zip(ks, modes)),
-                strip_c=(float(obj["strip_c"]) if obj.get("strip_c") is not None else None),
+                a0=json_float(obj.get("a0", 0.0), path, "a0"),
+                b0=json_float(obj.get("b0", 0.0), path, "b0"),
+                modes=tuple((k, json_float(a, path, "modes"), json_float(bb, path, "modes"))
+                            for k, (_, a, bb) in zip(ks, modes)),
+                strip_c=None if strip_c is None else json_float(strip_c, path, "strip_c"),
             )
         except InvalidSpecError as exc:
             # the constructors name fields from "spec"; name them from path
             raise InvalidSpecError(path + str(exc).removeprefix("spec")) from exc
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise InputError(f"{path}: non-numeric field in fourier spec ({exc})") from exc
     if kind == "poisson":
         boundary = _require(obj, "boundary", path)
@@ -1003,14 +948,18 @@ def spec_from_json(obj, path: str = "spec") -> HarmonicSpec:
         ys = _require(boundary, "ys", f"{path}.boundary")
         values = _require(boundary, "values", f"{path}.boundary")
         try:
+            ys, values = np.asarray(ys, dtype=float), np.asarray(values, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"{path}.boundary: non-numeric boundary data ({exc})") from exc
+        try:
             return PoissonSpec(
-                ys=np.asarray(ys, dtype=float),
-                values=np.asarray(values, dtype=float),
-                tail=float(boundary.get("tail", 0.0)),
-                c_lin=float(obj.get("c_lin", 0.0)),
+                ys=ys,
+                values=values,
+                tail=json_float(boundary.get("tail", 0.0), f"{path}.boundary", "tail"),
+                c_lin=json_float(obj.get("c_lin", 0.0), path, "c_lin"),
             )
         except InvalidSpecError as exc:
             raise InvalidSpecError(path + str(exc).removeprefix("spec")) from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"{path}.boundary: non-numeric boundary data ({exc})") from exc
+        except OverflowError as exc:
+            raise InputError(f"{path}: non-numeric field in poisson spec ({exc})") from exc
     raise InputError(f"{path}.type: unknown spec type {kind!r}")

@@ -191,7 +191,7 @@ def mass_quadrature_schedule(
     poisson = not is_trig.all()
     # one PoissonWindow per Poisson atom: its grids and shell ladders serve
     # every panel, for the value row and the model-error row alike
-    prepared = [None if trig else poisson_window(atom.spec, u0, u1) for atom, trig in zip(atoms, is_trig)]
+    windows = [None if trig else poisson_window(atom.spec, u0, u1) for atom, trig in zip(atoms, is_trig)]
 
     def trig_rows(rows, v):
         return jacobian_density(lam, area.take(rows), v) * window_integral(
@@ -210,7 +210,7 @@ def mass_quadrature_schedule(
         for p, job, jac_p in zip(panels.tolist(), rows[panels].tolist(), jac):
             # the boundary grid, not the subdivision, limits how well different
             # u-windows of the same leaf can agree; account for it explicitly
-            out[p] = jac_p * poisson_rows(atoms[job].spec, u0, u1, v[p], prepared=prepared[job])
+            out[p] = jac_p * poisson_rows(windows[job], v[p])
         return out
 
     try:
@@ -595,6 +595,11 @@ def lower_bound_nonperiodic(
 # Lelong schedule
 
 
+# a schedule counts as diverging when, besides a rising linear fit against
+# -log r, its last nu exceeds this multiple of its first (or of that error)
+DIVERGENCE_FACTOR = 2.0
+
+
 def _fit_against_log(rs, nus) -> Tuple[float, float]:
     # fit the asymptotic tail: early radii carry decaying transients from
     # the outer-region terms that would pollute slope and R^2
@@ -617,7 +622,6 @@ def lelong_estimate(
     steps: int = 12,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     k0: int = 0,
-    divergence_factor: float = 2.0,
 ) -> LelongEstimate:
     """nu(r) along a geometric schedule with a monotone limit bracket.
 
@@ -667,7 +671,7 @@ def lelong_estimate(
     diverging = bool(
         slope > 0.0
         and r_squared > 0.99
-        and nus[-1] > divergence_factor * max(first, errs[0])
+        and nus[-1] > DIVERGENCE_FACTOR * max(first, errs[0])
     )
     return LelongEstimate(
         rs=tuple(rs),

@@ -27,6 +27,7 @@ from .errors import InputError
 from .foliation import Eigenvalue
 from .harmonic import FourierSpec, PoissonSpec, normalize
 from .mass import (
+    _bracket_a,
     closed_form_applicable,
     ia,
     ib,
@@ -52,17 +53,21 @@ class VerificationReport:
     details: str
 
 
+# The verifiers' schedules: STEPS halvings from r = 1. Closed-form schedules
+# are cheap, so the periodic limit check runs deeper; 16 halvings put the
+# slowest corpus decay safely inside 1e-4.
+R_START = 1.0
+RATIO = 0.5
+STEPS = 12
+PERIODIC_STEPS = 16
+# window index and series length of the interval lower bound
+INTERVAL_K = 2
+INTERVAL_N_MAX = 20
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     quad: QuadratureConfig = DEFAULT_CONFIG
-    r_start: float = 1.0
-    ratio: float = 0.5
-    steps: int = 12
-    # closed-form schedules are cheap, so the periodic limit check runs
-    # deeper; 16 halvings put the slowest corpus decay safely inside 1e-4
-    periodic_steps: int = 16
-    interval_k: int = 2
-    interval_n_max: int = 20
     # scales every pass threshold; 0 turns each check into an unmeetable
     # exact-equality demand (the forced-failure path)
     tol_scale: float = 1.0
@@ -100,8 +105,8 @@ def verify_positive_lambda(
         if growing > 0.0:
             raise InputError("positive-limit verifier needs b0 = 0 and c_lin = 0 atoms")
     all_fourier = closed_form_applicable(current)
-    steps = max(cfg.steps, cfg.periodic_steps) if all_fourier else cfg.steps
-    est = lelong_estimate(current, r_start=cfg.r_start, ratio=cfg.ratio, steps=steps, cfg=cfg.quad)
+    steps = PERIODIC_STEPS if all_fourier else STEPS
+    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=steps, cfg=cfg.quad)
     if all_fourier:
         reference = nu_limit_positive_periodic(current)
         tol = 1e-4 * cfg.tol_scale
@@ -111,7 +116,7 @@ def verify_positive_lambda(
             f"(closed-form schedule, {steps} halvings)"
         )
     else:
-        reference = lower_bound_nonperiodic(current, k=cfg.interval_k, n_max=cfg.interval_n_max)
+        reference = lower_bound_nonperiodic(current, k=INTERVAL_K, n_max=INTERVAL_N_MAX)
         agrees = est.limit_bracket[0] >= reference * (1.0 - 0.05 * cfg.tol_scale)
         details = (
             f"pass iff bracket lower > 0 and >= interval bound {reference:.12g} "
@@ -143,13 +148,7 @@ def verify_negative_periodic(
         raise InputError("vanishing-limit verifier needs a negative eigenvalue")
     if is_periodic(current) is None:
         raise InputError("vanishing-limit verifier needs a periodic current")
-    est = lelong_estimate(
-        current,
-        r_start=cfg.r_start,
-        ratio=cfg.ratio,
-        steps=cfg.steps,
-        cfg=cfg.quad,
-    )
+    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
     nu_start, nu_end = est.nus[0], est.nus[-1]
     decay_ok = nu_end < 0.05 * cfg.tol_scale * nu_start
     r_end = est.rs[-1]
@@ -199,13 +198,7 @@ def verify_b0_divergence(
     )
     if not has_growth:
         raise InputError("divergence verifier needs an atom with b0 > 0 or c_lin > 0")
-    est = lelong_estimate(
-        current,
-        r_start=cfg.r_start,
-        ratio=cfg.ratio,
-        steps=cfg.steps,
-        cfg=cfg.quad,
-    )
+    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
     r2_floor = 1.0 - 0.01 * cfg.tol_scale
     slope_ok = est.slope > 0.0
     fit_ok = est.r_squared > r2_floor
@@ -356,7 +349,7 @@ def _check_region_inner() -> VerificationReport:
         for t in _LATTICE_T:
             for r in _LATTICE_R:
                 am = float(t) * r ** (1.0 - lv)
-                value = 1.0 + lv * am**2 * r ** (2.0 * lv - 2.0)
+                value = _bracket_a(lv, am, r)
                 margin = min(value - 1.0, 1.0 + lv - value)
                 min_margin = min(min_margin, margin)
                 checked += 1
@@ -379,7 +372,7 @@ def _check_region_outer() -> VerificationReport:
         for s in (1.05, 1.5, 2.0, 4.0, 8.0):
             for r in _LATTICE_R:
                 am = s * r ** (1.0 - lv)
-                value = am ** (-2.0 / lv) * r ** (2.0 / lv - 2.0) + lv
+                value = _bracket_a(lv, am, r)
                 margin = min(value - lv, 1.0 + lv - value)
                 min_margin = min(min_margin, margin)
                 checked += 1

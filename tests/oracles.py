@@ -9,9 +9,11 @@ poisson_rows sums a Poisson window's full grid and its half-density probe
 as two kernel blocks, each with its own tail terms, and truncate_half_plane
 sums the truncation envelope with a generator: the earlier forms of
 harmonic.poisson_rows and mass._truncate_half_plane, which must agree with
-them bit for bit. load_current decodes every input file with the stdlib
-json, as cli._load_current does only for the texts orjson refuses: the two
-must load the same current from any text, or fail with the same error.
+them bit for bit. Without a PoissonWindow, poisson_rows sums grids it builds
+with no shells, every node directly: the reference for the far field.
+load_current decodes every input file with the stdlib json, as
+cli._load_current does only for the texts orjson refuses: the two must load
+the same current from any text, or fail with the same error.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from lelonglab.current import current_from_json
 from lelonglab.errors import DomainError, InputError, QuadratureFailure
 from lelonglab.foliation import coordinate_shift
 from lelonglab.harmonic import (
-    _boundary_grid,
-    _check_prepared,
+    FAR_ORDER,
+    BoundaryGrid,
     _check_v_domain,
     _far_sum,
     _full_samples,
@@ -332,11 +334,25 @@ def _arctan_primitive(s, v):
     return s * np.arctan(s / v) - 0.5 * v * np.log(v * v + s * s)
 
 
-def poisson_rows(spec, u0, u1, v, prepared=None):
-    """(window integral, model error) of a Poisson spec: full grid, then probe grid."""
+def _direct_grid(ys, weighted, u0, u1):
+    """The grid of ys over [u0, u1] with no shells."""
+    return BoundaryGrid(0.5 * (u1 - u0), weighted, (ys - u0) * (ys - u1), np.empty(0),
+                        np.empty((0, 2), dtype=int), np.empty((0, FAR_ORDER // 2)), np.empty(0))
+
+
+def poisson_rows(spec, u0, u1, v, window=None):
+    """(window integral, model error) of a Poisson spec: full grid, then probe grid.
+
+    With window, the PoissonWindow of spec over [u0, u1], its two grids are
+    summed; without it, two grids with no shells.
+    """
     if not u1 > u0:
         raise DomainError("window integral needs u0 < u1")
-    _check_prepared(spec, u0, u1, prepared)
+    if window is None:
+        full = _direct_grid(*_full_samples(spec), u0, u1)
+        probe = _direct_grid(*_probe_samples(spec), u0, u1)
+    else:
+        full, probe = window.full, window.probe
     v_arr = np.asarray(v, dtype=float)
     _check_v_domain(spec, v_arr)
     vv = np.ravel(v_arr)
@@ -346,18 +362,13 @@ def poisson_rows(spec, u0, u1, v, prepared=None):
         value[at_boundary] = boundary_integral(spec, u0, u1)
     inside = ~at_boundary
     if np.any(inside):
-        full = _boundary_grid(*_full_samples(spec), u0, u1, ladder=False) if prepared is None else prepared.full
         value[inside] = _poisson_window(full, spec.tail, spec.half_width, spec.c_lin, u0, u1, vv[inside])
     model = np.zeros_like(vv)
     inside = vv > 0.0
     if np.any(inside):
         v_in = vv[inside]
-        if prepared is None:
-            probe, remainder = _boundary_grid(*_probe_samples(spec), u0, u1, ladder=False), 0.0
-        else:
-            v_max = float(v_in.max())
-            probe = prepared.probe
-            remainder = 2.0 * prepared.full.remainder(v_max) + probe.remainder(v_max)
+        v_max = float(v_in.max())
+        remainder = 2.0 * full.remainder(v_max) + probe.remainder(v_max)
         coarse = _poisson_window(probe, spec.tail, spec.half_width, spec.c_lin, u0, u1, v_in)
         model[inside] = np.abs(value[inside] - coarse) + remainder
     return value.reshape(v_arr.shape), model.reshape(v_arr.shape)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lelonglab import (
     Eigenvalue,
     FourierSpec,
+    InputError,
     TransversalAtom,
     build_current,
     corpus,
@@ -422,8 +423,9 @@ def test_non_utf8_input_is_input_error(tmp_path, capsys):
 # value, or for a few drawn fields a raw token. The tokens are texts that
 # orjson refuses (NaN, Infinity, overflow to inf, lone surrogates, bytes that
 # are not UTF-8, a leading zero), integers at and beyond 2**63 and 2**64 that
-# orjson returns as floats, floats and bools in integer fields, and plain
-# numbers written with long mantissas.
+# orjson returns as floats, floats and bools in integer fields, numbers
+# written as strings and bools in float fields, and plain numbers written
+# with long mantissas.
 FOURIER_DOC = (
     b'{"lambda": {"value": @value@, "class": @class@, "a": @a@, "b": @b@}, '
     b'"atoms": [{"alpha": [@re@, @im@], "weight": @weight@, "spec": {"type": @type@, '
@@ -447,7 +449,7 @@ RAW_TOKENS = [
     b"NaN", b"Infinity", b"-Infinity", b"1e400", b"-1e400", b"true", b"null", b"-0", b"-0.0",
     b"2.5", b"-1.7", b"1.0", b"01", b"9223372036854775807", b"9223372036854775808", b"-9223372036854775808",
     b"18446744073709551616", b"1000000000000000000000000000000",
-    b'"\\ud800"', b'"x\\udc00"', b'"\\ud83d\\ude00"', b'"\xff"', b'"\xc3("', b'"\xed\xa0\x80"', b"\x80",
+    b'"0.5"', b"false", b'"\\ud800"', b'"x\\udc00"', b'"\\ud83d\\ude00"', b'"\xff"', b'"\xc3("', b'"\xed\xa0\x80"', b"\x80",
 ]
 TOKENS = st.one_of(
     st.sampled_from(RAW_TOKENS),
@@ -493,6 +495,22 @@ def _outcome(load, path):
         return type(exc), str(exc)
 
 
+STRICT_FLOAT_CASES = [
+    # (field named in the error, valid input, keys into it, bad value)
+    ("lambda.value", FLAGSHIP_JSON, ("lambda", "value"), "1.0"),
+    ("atoms[0].alpha", FLAGSHIP_JSON, ("atoms", 0, "alpha"), ["0.5", False]),
+    ("atoms[0].alpha", FLAGSHIP_JSON, ("atoms", 0, "alpha"), [0.5, False]),
+    ("atoms[0].weight", FLAGSHIP_JSON, ("atoms", 0, "weight"), True),
+    ("atoms[0].spec.a0", FLAGSHIP_JSON, ("atoms", 0, "spec", "a0"), "1.0"),
+    ("atoms[0].spec.b0", FLAGSHIP_JSON, ("atoms", 0, "spec", "b0"), None),
+    ("atoms[0].spec.modes", FLAGSHIP_JSON, ("atoms", 0, "spec", "modes"), [[-1, "0.1", 0.0]]),
+    ("atoms[0].spec.modes", FLAGSHIP_JSON, ("atoms", 0, "spec", "modes"), [[-1, 0.1, True]]),
+    ("atoms[0].spec.strip_c", STRIP_JSON, ("atoms", 0, "spec", "strip_c"), "1.0"),
+    ("atoms[0].spec.boundary.tail", POISSON_JSON, ("atoms", 0, "spec", "boundary", "tail"), "1.0"),
+    ("atoms[0].spec.c_lin", POISSON_JSON, ("atoms", 0, "spec", "c_lin"), False),
+]
+
+
 class TestDecoders:
     """cli._load_current (orjson, json for what it refuses) against the json-only oracle."""
 
@@ -519,6 +537,9 @@ class TestDecoders:
     @example(doc=_fill(FOURIER_DOC, FOURIER_FIELDS, {"class": b"18446744073709551616"}))
     @example(doc=_fill(FOURIER_DOC, FOURIER_FIELDS, {"sb": b"18446744073709551617"}))
     @example(doc=_fill(FOURIER_DOC, FOURIER_FIELDS, {"b0": b"18446744073709551617"}))
+    # strings and bools in float fields, which float() used to take
+    @example(doc=_fill(FOURIER_DOC, FOURIER_FIELDS, {"re": b'"0.5"', "im": b"false", "a0": b'"1.0"'}))
+    @example(doc=_fill(POISSON_DOC, POISSON_FIELDS, {"weight": b"true", "tail": b'"1.0"', "value": b'"1.0"'}))
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_current_or_same_error(self, doc, tmp_path):
         from oracles import load_current
@@ -526,3 +547,15 @@ class TestDecoders:
         path = tmp_path / "doc.json"
         path.write_bytes(doc)
         assert _outcome(cli._load_current, path) == _outcome(load_current, path)
+
+    @pytest.mark.parametrize("field, base, keys, bad", STRICT_FLOAT_CASES,
+                             ids=[f"{case[0]}={case[3]!r}" for case in STRICT_FLOAT_CASES])
+    def test_float_field_takes_only_json_numbers(self, field, base, keys, bad, write_current, capsys):
+        from oracles import load_current
+
+        path = write_current(_replaced(base, keys, bad))
+        for load in (cli._load_current, load_current):
+            with pytest.raises(InputError, match=f"^{re.escape(field)}: expected a number$"):
+                load(path)
+        assert main(["mass", "--input", path]) == 2
+        assert f"input error: {field}: expected a number" in capsys.readouterr().err

@@ -245,14 +245,14 @@ class _KernelSpy:
         self.calls = 0
         real = harmonic._poisson_window
 
-        def spy(grid, *args, **kwargs):
-            v = args[-1]
+        def spy(window, v):
+            grid = window.full
             j = grid.shell(float(v.max()))
             near = grid.gap.size if j is None else int(grid.near[j, 1] - grid.near[j, 0])
             self.calls += 1
             self.direct += near * v.size
             self.dense += grid.gap.size * v.size
-            return real(grid, *args, **kwargs)
+            return real(window, v)
 
         monkeypatch.setattr(harmonic, "_poisson_window", spy)
 
@@ -330,12 +330,12 @@ class TestOneKernelBlockPerPanel:
         panels = []
         real = lelonglab.mass.poisson_rows
 
-        def spy(spec, u0, u1, v, prepared=None):
+        def spy(window, v):
             first = len(count.blocks)
-            out = real(spec, u0, u1, v, prepared=prepared)
+            out = real(window, v)
             inside = v[v > 0.0]
-            j = prepared.full.shell(float(inside.max()))
-            near = spec.ys.size if j is None else int(prepared.full.near[j, 1] - prepared.full.near[j, 0])
+            j = window.full.shell(float(inside.max()))
+            near = window.spec.ys.size if j is None else int(window.full.near[j, 1] - window.full.near[j, 0])
             panels.append((count.blocks[first:], (inside.size, near)))
             return out
 
