@@ -1,11 +1,12 @@
 """Regenerate the golden CLI outputs under tests/data/.
 
 tests/test_cli.py (TestGoldenOutputs) compares the CLI's output with these
-files byte for byte: the verify report at seed 42, and the lelong schedule
-of each of the corpus's two Poisson currents. Regenerate them only for a
-change that is meant to move the numbers, and say so with the change:
+files byte for byte: the verify report at seed 42, the lelong schedule of
+each of the corpus's two Poisson currents, and the sweep CSV with its
+default schedule. Regenerate them only for a change that is meant to move
+the numbers, and say so with the change:
 
-    PYTHONPATH=src python scripts/make_golden.py
+    PYTHONPATH=src python scripts/make_golden.py [out_dir]
 """
 
 import contextlib
@@ -28,6 +29,11 @@ def main(out_root: str = os.path.join("tests", "data")) -> int:
         status = cli_main(["verify", "--seed", "42", "--out", os.path.join(out_root, "verify-seed42.json")])
     if status != 0:
         print("verify failed", file=sys.stderr)
+        return status
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli_main(["sweep", "--out", os.path.join(out_root, "sweep.csv")])
+    if status != 0:
+        print("sweep failed", file=sys.stderr)
         return status
     currents = {case.case_id: case.current for case in corpus(42)}
     for case_id in POISSON_CASES:

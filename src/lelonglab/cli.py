@@ -133,11 +133,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     reports = run_corpus(seed=args.seed, cfg=cfg, only=args.case)
     payload = [report_to_json(rep) for rep in reports]
+    text = json.dumps(payload, indent=2)
     # stdout carries the JSON report alone; the table is for people
-    print(json.dumps(payload, indent=2))
+    print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(text)
     failures = sum(1 for rep in reports if not rep.verdict)
     table = [
         f"{rep.case_id:<30} {rep.claim:<15} lam={rep.lam:+.4f}  {'pass' if rep.verdict else 'FAIL'}"

@@ -26,6 +26,7 @@ from .harmonic import (
     FourierSpec,
     HarmonicSpec,
     PoissonSpec,
+    _require,
     boundary_value,
     check_positivity,
     evaluate,
@@ -302,8 +303,8 @@ def current_to_json(current: Current) -> dict:
 def current_from_json(obj) -> Current:
     if not isinstance(obj, dict):
         raise InputError("current: expected a JSON object")
-    lam = eigenvalue_from_json(_get(obj, "lambda"), "lambda")
-    atoms_obj = _get(obj, "atoms")
+    lam = eigenvalue_from_json(_require(obj, "lambda", ""), "lambda")
+    atoms_obj = _require(obj, "atoms", "")
     if not isinstance(atoms_obj, list) or not atoms_obj:
         raise InputError("atoms: expected a nonempty list")
     atoms = []
@@ -311,21 +312,15 @@ def current_from_json(obj) -> Current:
         tag = f"atoms[{i}]"
         if not isinstance(entry, dict):
             raise InputError(f"{tag}: expected an object")
-        alpha_pair = _get(entry, "alpha", tag)
+        alpha_pair = _require(entry, "alpha", tag)
         if not isinstance(alpha_pair, (list, tuple)) or len(alpha_pair) != 2:
             raise InputError(f"{tag}.alpha: expected [re, im]")
-        weight = _get(entry, "weight", tag)
+        weight = _require(entry, "weight", tag)
         try:
             alpha = complex(json_float(alpha_pair[0], tag, "alpha"), json_float(alpha_pair[1], tag, "alpha"))
             weight = json_float(weight, tag, "weight")
         except OverflowError as exc:
             raise InputError(f"{tag}: non-numeric alpha or weight ({exc})") from exc
-        spec = spec_from_json(_get(entry, "spec", tag), f"{tag}.spec")
+        spec = spec_from_json(_require(entry, "spec", tag), f"{tag}.spec")
         atoms.append(TransversalAtom(alpha=alpha, weight=weight, spec=spec))
     return build_current(lam, atoms)
-
-
-def _get(obj: dict, field: str, path: str = "current"):
-    if field not in obj:
-        raise InputError(f"{path}.{field}: missing required field" if path != "current" else f"{field}: missing required field")
-    return obj[field]

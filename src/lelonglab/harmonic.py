@@ -879,8 +879,10 @@ def spec_to_json(spec: HarmonicSpec) -> dict:
 
 
 def _require(obj: dict, field: str, path: str):
+    """obj[field]; the error names the field under path, or alone if path is empty."""
     if field not in obj:
-        raise InputError(f"{path}.{field}: missing required field")
+        name = f"{path}.{field}" if path else field
+        raise InputError(f"{name}: missing required field")
     return obj[field]
 
 

@@ -285,7 +285,8 @@ def _bracket_b(lv: float, am: float, r: float) -> float:
 # the paper's strip integrals: negative eigenvalue
 
 
-def _check_strip_args(lv: float, am: float, r: float):
+def _strip_terms(lv: float, am: float, r: float):
+    """log|alpha|, log r and the inner and outer weights of the strip integrals."""
     if not lv < 0.0:
         raise DomainError("strip integrals need a negative eigenvalue")
     if not (0.0 < r <= 1.0):
@@ -294,6 +295,9 @@ def _check_strip_args(lv: float, am: float, r: float):
         raise DomainError(
             f"|alpha| = {am} outside the admissible range (0, r^(1-lambda)) at r = {r}"
         )
+    s_in = am**2 * r ** (2.0 * lv - 2.0)  # e^{-2 lambda v} weight at work
+    s_out = am ** (-2.0 / lv) * r ** (2.0 / lv - 2.0)
+    return math.log(am), math.log(r), s_in, s_out
 
 
 def ia(lv: float, am: float, r: float) -> float:
@@ -301,11 +305,7 @@ def ia(lv: float, am: float, r: float) -> float:
 
     (1/r^2) int (1 - lambda v / log|alpha|) jac dv over the plaque strip.
     """
-    _check_strip_args(lv, am, r)
-    log_am = math.log(am)
-    log_r = math.log(r)
-    s_in = am**2 * r ** (2.0 * lv - 2.0)  # e^{-2 lambda v} weight at work
-    s_out = am ** (-2.0 / lv) * r ** (2.0 / lv - 2.0)
+    log_am, log_r, s_in, s_out = _strip_terms(lv, am, r)
     return (
         1.0
         + lv * s_in
@@ -321,11 +321,7 @@ def ia(lv: float, am: float, r: float) -> float:
 
 def ib(lv: float, am: float, r: float) -> float:
     """Strip integral of v against the area density, (1/r^2) int v jac dv."""
-    _check_strip_args(lv, am, r)
-    log_am = math.log(am)
-    log_r = math.log(r)
-    s_in = am**2 * r ** (2.0 * lv - 2.0)
-    s_out = am ** (-2.0 / lv) * r ** (2.0 / lv - 2.0)
+    log_am, log_r, s_in, s_out = _strip_terms(lv, am, r)
     return 0.5 * (
         -s_out * (lv + 2.0 * log_am - 2.0 * log_r) / lv
         + s_in * (1.0 - 2.0 * lv * log_r)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -280,6 +281,26 @@ class TestGoldenOutputs:
         current = next(case.current for case in corpus(42) if case.case_id == case_id)
         assert main(["lelong", "--input", write_current(current_to_json(current))]) == 0
         assert capsys.readouterr().out.encode() == (GOLDEN / f"lelong-{case_id}.json").read_bytes()
+
+    def test_sweep_csv(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
+
+    def test_figures(self, tmp_path, capsys):
+        # scripts/make_figures.py, run into tmp_path, redraws figures/ byte for byte
+        root = Path(__file__).resolve().parents[1]
+        figures = root / "figures"
+        spec = importlib.util.spec_from_file_location("make_figures", root / "scripts" / "make_figures.py")
+        make_figures = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_figures)
+        assert make_figures.main(str(tmp_path)) == 0
+        capsys.readouterr()
+        expected = sorted(p.relative_to(figures) for p in figures.rglob("*.svg"))
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.svg")) == expected
+        for rel in expected:
+            assert (tmp_path / rel).read_bytes() == (figures / rel).read_bytes(), rel
 
 
 class TestLeafplot:

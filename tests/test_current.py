@@ -262,3 +262,23 @@ class TestSerialization:
                     "atoms": [{"weight": 1.0, "spec": {"type": "fourier", "a0": 1.0}}],
                 }
             )
+
+    @pytest.mark.parametrize(
+        "drop, message",
+        [
+            ("lambda", "lambda: missing required field"),
+            ("atoms", "atoms: missing required field"),
+            ("alpha", "atoms[0].alpha: missing required field"),
+            ("weight", "atoms[0].weight: missing required field"),
+            ("spec", "atoms[0].spec: missing required field"),
+            ("type", "atoms[0].spec.type: missing required field"),
+        ],
+    )
+    def test_missing_field_message(self, drop, message):
+        atom = {"alpha": [0.5, 0.0], "weight": 1.0, "spec": {"type": "fourier", "b": 1, "a0": 1.0}}
+        payload = {"lambda": {"value": 1.0, "class": "rational", "a": 1, "b": 1}, "atoms": [atom]}
+        for obj in (payload, atom, atom["spec"]):
+            obj.pop(drop, None)
+        with pytest.raises(InputError) as info:
+            current_from_json(payload)
+        assert str(info.value) == message

@@ -18,7 +18,7 @@ from lelonglab import (
     verify_negative_periodic,
     verify_positive_lambda,
 )
-from lelonglab.theorems import DUAL_ROUTE_CASE_IDS, LEMMA_CASE_IDS
+from lelonglab.theorems import DUAL_ROUTE_CASE_IDS, LEMMA_CASE_IDS, LEMMAS, check_bounds
 
 
 class TestCorpus:
@@ -137,6 +137,40 @@ class TestLemmaLattices:
         for rep in verify_lemma_bounds():
             assert rep.observed[3] >= 0.0, rep.case_id
 
+    def test_table_order(self):
+        assert LEMMA_CASE_IDS == tuple(LEMMAS) == (
+            "lemma-poisson-ratio",
+            "lemma-strip-a-bound",
+            "lemma-strip-b-bound",
+            "lemma-interval-kernel",
+            "lemma-region-inner",
+            "lemma-region-outer",
+        )
+
+
+class TestCheckBounds:
+    """The one bound checker, on 3-point lattices worked out by hand."""
+
+    def test_counts_and_margin(self):
+        # margins 0.5, 0.25 (to the upper bound) and 0.25: no violation
+        assert check_bounds([0.5, 0.75, 0.25], 0.0, 1.0) == (0, 3, 0, 0.25)
+        # per-point bounds; the second point sits 0.5 above its upper bound
+        assert check_bounds([1.0, 2.5, 3.0], [0.0, 1.0, 2.0], [2.0, 2.0, 3.5]) == (1, 3, 0, -0.5)
+
+    def test_a_value_on_a_bound_is_a_violation(self):
+        assert check_bounds([0.0, 0.5, 1.0], 0.0, 1.0) == (2, 3, 0, 0.0)
+        assert check_bounds([1.0, 2.0, 3.0], [1.0, 0.0, 0.0], [4.0, 4.0, 3.0]) == (2, 3, 0, 0.0)
+
+    def test_a_missing_bound_never_causes_one(self):
+        assert check_bounds([-1e308, 0.0, 1e308]) == (0, 3, 0, math.inf)
+        assert check_bounds([-1.0, 0.0, 2.0], upper=3.0) == (0, 3, 0, 1.0)
+        assert check_bounds([-1.0, 0.0, 2.0], lower=-1.5) == (0, 3, 0, 0.5)
+        lower, upper = [-math.inf, 0.0, -math.inf], [math.inf, math.inf, 4.0]
+        assert check_bounds([1.0, 2.0, 3.0], lower, upper) == (0, 3, 0, 1.0)
+
+    def test_skipped_points_pass_through(self):
+        assert check_bounds([1.0, 2.0, 3.0], upper=[2.0, 3.0, 4.0], skipped=4) == (0, 3, 4, 1.0)
+
 
 class TestRunCorpus:
     def test_all_twenty_two_verdicts_pass(self):
@@ -153,6 +187,11 @@ class TestRunCorpus:
         assert [r.case_id for r in reports] == ["pos-unit-inner-const"]
         lemma = run_corpus(only="lemma-region-outer")
         assert [r.case_id for r in lemma] == ["lemma-region-outer"]
+
+    @pytest.mark.parametrize("case_id", LEMMA_CASE_IDS)
+    def test_only_lemma_matches_the_full_run(self, case_id):
+        full = next(r for r in run_corpus() if r.case_id == case_id)
+        assert run_corpus(only=case_id) == [full]
 
     def test_unknown_case_id_lists_known_ones(self):
         with pytest.raises(InputError, match="pos-unit-inner-const"):
