@@ -5,13 +5,24 @@ alpha_j, a positive weight, and a normalized harmonic density on the leaf's
 plaque domain. All the integral formulas downstream reduce to weighted sums
 over these atoms, which is what makes closed-form/quadrature comparisons
 exact up to quadrature error.
+
+A current keeps its atoms as one AtomTable: alpha, |alpha| and the weights
+as columns, the trig specs as FourierColumns with their flat mode table,
+and each Poisson spec as its object. current_from_json fills the table
+straight from the decoded lists, checking each field's type column by
+column; build_current builds it from atom objects. One validator checks
+the table for both, and both mass routes read it. A loaded current builds
+its TransversalAtom and FourierSpec objects only when .atoms is first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import eq, is_not, itemgetter
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,8 +32,10 @@ from .errors import (
     InvalidSpecError,
     NormalizationError,
 )
-from .foliation import Eigenvalue, monodromy
+from .foliation import Eigenvalue, float_map, monodromy
 from .harmonic import (
+    POSITIVITY_TOL,
+    FourierColumns,
     FourierSpec,
     HarmonicSpec,
     PoissonSpec,
@@ -30,6 +43,7 @@ from .harmonic import (
     boundary_value,
     check_positivity,
     evaluate,
+    fourier_columns,
     json_float,
     json_int,
     normalize,
@@ -46,6 +60,10 @@ NORMALIZATION_TOL = 1e-12
 # produced by exact translations accumulate a few ulps.
 L1_SLACK = 1e-9
 
+# math.exp overflows a little above this; an edge growth e^{k C / b} past it
+# is left to check_positivity, which meets the overflow as it always has
+EXP_SAFE = 709.0
+
 
 @dataclass(frozen=True)
 class TransversalAtom:
@@ -58,64 +76,209 @@ class TransversalAtom:
         return abs(self.alpha)
 
 
-@dataclass(frozen=True)
+# a NamedTuple, not a dataclass: it costs a fifth as much to define at import
+class AtomTable(NamedTuple):
+    """The atoms of a current as columns, one row per atom, in atom order.
+
+    alpha_re, alpha_im, moduli and weights are float columns, and trig marks
+    the trig-series atoms. fourier holds their specs; poisson holds each
+    Poisson atom's spec, and None on trig rows. The moduli are np.hypot of
+    alpha, bit for bit abs(alpha) wherever abs does not overflow.
+    """
+
+    alpha_re: np.ndarray
+    alpha_im: np.ndarray
+    moduli: np.ndarray
+    weights: np.ndarray
+    trig: np.ndarray
+    fourier: FourierColumns
+    poisson: Tuple[Optional[PoissonSpec], ...]
+
+    def atom(self, i: int) -> TransversalAtom:
+        """Row i as a TransversalAtom."""
+        spec = self.poisson[i]
+        if spec is None:
+            cols = self.fourier
+            at = cols.owner == i
+            strip_c = float(cols.strip_c[i])
+            spec = FourierSpec(
+                b=int(cols.b[i]),
+                a0=float(cols.a0[i]),
+                b0=float(cols.b0[i]),
+                modes=tuple(zip(cols.k[at].tolist(), cols.ak[at].tolist(), cols.bk[at].tolist())),
+                strip_c=None if strip_c == math.inf else strip_c,
+            )
+        return TransversalAtom(complex(self.alpha_re[i], self.alpha_im[i]), float(self.weights[i]), spec)
+
+
+def atom_table(atoms: Sequence[TransversalAtom]) -> AtomTable:
+    """The AtomTable of a sequence of atoms."""
+    specs = [atom.spec for atom in atoms]
+    alpha = np.array([atom.alpha for atom in atoms], dtype=complex)
+    trig = [isinstance(spec, FourierSpec) for spec in specs]
+    return AtomTable(
+        alpha.real, alpha.imag, np.hypot(alpha.real, alpha.imag),
+        np.array([atom.weight for atom in atoms], dtype=float), np.array(trig, dtype=bool),
+        fourier_columns(specs), tuple(None if t else spec for t, spec in zip(trig, specs)),
+    )
+
+
 class Current:
-    lam: Eigenvalue
-    atoms: Tuple[TransversalAtom, ...]
+    """An eigenvalue and its atoms.
+
+    Current(lam, atoms) takes the atoms as they are, unchecked; build_current
+    and current_from_json validate. The AtomTable is built on first use and
+    kept. A current loaded from JSON starts from its table, and builds its
+    atoms on first access to .atoms. Two currents are equal when their
+    eigenvalues and atoms are.
+    """
+
+    __slots__ = ("lam", "_atoms", "_table")
+
+    def __init__(self, lam: Eigenvalue, atoms: Sequence[TransversalAtom]):
+        self.lam = lam
+        self._atoms = tuple(atoms)
+        self._table = None
+
+    @classmethod
+    def _from_table(cls, lam: Eigenvalue, table: AtomTable) -> "Current":
+        current = cls.__new__(cls)
+        current.lam, current._atoms, current._table = lam, None, table
+        return current
+
+    @property
+    def atoms(self) -> Tuple[TransversalAtom, ...]:
+        if self._atoms is None:
+            self._atoms = tuple(map(self._table.atom, range(self._table.trig.size)))
+        return self._atoms
+
+    @property
+    def table(self) -> AtomTable:
+        if self._table is None:
+            self._table = atom_table(self._atoms)
+        return self._table
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lam, self.atoms) == (other.lam, other.atoms)
+
+    def __hash__(self):
+        return hash((self.lam, self.atoms))
+
+    def __repr__(self):
+        return f"Current(lam={self.lam!r}, atoms={self.atoms!r})"
 
 
-def _base_value(spec: HarmonicSpec) -> float:
-    """Density at u = v = 0, equal to evaluate(spec, 0.0, 0.0).
+def _base_values(table: AtomTable) -> np.ndarray:
+    """Density of every atom at u = v = 0, equal to evaluate(spec, 0.0, 0.0).
 
     For trig specs that is a0 + sum_k a_k, since every sine vanishes and
     every exponential is 1 there; the terms are added left to right, in the
     order evaluate adds them, so the sums agree to the bit.
     """
-    if isinstance(spec, PoissonSpec):
-        return evaluate(spec, 0.0, 0.0)
-    base = float(spec.a0)
-    for _, a, _ in spec.modes:
-        base += a
+    cols = table.fourier
+    base = cols.a0.copy()
+    np.add.at(base, cols.owner, cols.ak)
+    for i, spec in enumerate(table.poisson):
+        if spec is not None:
+            base[i] = evaluate(spec, 0.0, 0.0)
     return base
 
 
-def _validate_atom(lam: Eigenvalue, atom: TransversalAtom, index: int):
-    tag = f"atoms[{index}]"
-    if not (0.0 < abs(atom.alpha) < math.inf):
-        raise InputError(f"{tag}.alpha: transversal point must be nonzero and finite")
-    if not (atom.weight > 0.0) or not math.isfinite(atom.weight):
-        raise InputError(f"{tag}.weight: weight must be positive and finite")
-    spec = atom.spec
-    am = atom.alpha_modulus
-    if lam.is_negative:
-        if am >= 1.0:
-            raise EmptyLeafError(f"{tag}: leaf through |alpha| = {am} misses the bidisc when the eigenvalue is negative")
-        if not isinstance(spec, FourierSpec) or not spec.on_strip:
-            raise InvalidSpecError(f"{tag}.spec: negative eigenvalue atoms need a strip spec")
-        c_expected = math.log(am) / lam.value
-        if abs(spec.strip_c - c_expected) > 1e-9 * max(1.0, c_expected):
-            raise InvalidSpecError(
-                f"{tag}.spec.strip_c: strip height {spec.strip_c} does not match log|alpha|/lambda = {c_expected}"
-            )
-    else:
-        if isinstance(spec, FourierSpec) and spec.on_strip:
-            raise InvalidSpecError(f"{tag}.spec: positive eigenvalue atoms live on a half-plane, not a strip")
-    base = _base_value(spec)
-    if abs(base - 1.0) > NORMALIZATION_TOL:
-        raise NormalizationError(f"{tag}.spec: density at the base point is {base}, expected 1")
-    if isinstance(spec, FourierSpec):
-        if spec.on_strip:
-            # called through this module's name, which perfbench's tracer wraps
+def _envelope_holds(cols: FourierColumns) -> np.ndarray:
+    """Per row of strip specs: c - sum_k R_k >= -POSITIVITY_TOL on both edges.
+
+    On the edge v = 0, c = a0 and R_k = hypot(a_k, b_k); on v = C, c = b0 C
+    and R_k = hypot(a_k, b_k) e^{k C / b}. hypot and exp go through math and
+    each sum runs left to right from 0, so a row holds exactly when
+    check_positivity's envelope holds on both edges. A row with a growth
+    exponent above EXP_SAFE fails. Call it with floating-point warnings off.
+    """
+    rows, owner = cols.a0.size, cols.owner
+    low, high = cols.a0.copy(), cols.b0 * cols.strip_c
+    if owner.size:
+        radii = np.fromiter(map(math.hypot, cols.ak.tolist(), cols.bk.tolist()), float, owner.size)
+        rate = cols.k * cols.strip_c[owner] / cols.b[owner]
+        safe = rate <= EXP_SAFE
+        low -= np.bincount(owner, radii, rows)
+        high -= np.bincount(owner, radii * float_map(math.exp, np.where(safe, rate, 0.0)), rows)
+        low[owner[~safe]] = -math.inf
+    return (low >= -POSITIVITY_TOL) & (high >= -POSITIVITY_TOL)
+
+
+def _validate(lam: Eigenvalue, table: AtomTable, atom) -> None:
+    """Check every atom invariant on the table; raise for the first atom that breaks one.
+
+    The checks, in their order for each atom: alpha nonzero and finite, a
+    positive finite weight; for a negative eigenvalue |alpha| < 1, a strip
+    spec and the strip height log|alpha|/lambda, for a positive one no
+    strip; density 1 at the base point; then a strip's positivity, or a
+    half-plane trig spec's ell-1 budget. Each is one array test over all
+    atoms. A strip whose envelope does not certify it goes to
+    check_positivity, by this module's name, which perfbench's tracer wraps.
+    atom(i) gives the i-th TransversalAtom, for the error message alone.
+    """
+    cols = table.fourier
+    am, weights = table.moduli, table.weights
+    strip = cols.strip_c < math.inf  # inf on half-planes and on Poisson rows
+    base = _base_values(table)
+    negative = lam.is_negative
+
+    def alpha_error(a, tag, i):
+        abs(a.alpha)  # raises OverflowError where np.hypot overflowed to inf, as it always has
+        return InputError(f"{tag}.alpha: transversal point must be nonzero and finite")
+
+    def height_error(a, tag, i):
+        c_expected = math.log(a.alpha_modulus) / lam.value
+        return InvalidSpecError(
+            f"{tag}.spec.strip_c: strip height {a.spec.strip_c} does not match log|alpha|/lambda = {c_expected}"
+        )
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        pair = np.array((am, weights))
+        bad_alpha, bad_weight = ~((0.0 < pair) & (pair < math.inf))
+        checks = [
+            (bad_alpha, alpha_error),
+            (bad_weight, lambda a, tag, i: InputError(f"{tag}.weight: weight must be positive and finite")),
+        ]
+        if negative:
+            # only atoms with 0 < |alpha| < 1 reach this check
+            c_expected = float_map(math.log, np.where(am > 0.0, am, 1.0)) / lam.value
+            checks += [
+                (am >= 1.0, lambda a, tag, i: EmptyLeafError(
+                    f"{tag}: leaf through |alpha| = {a.alpha_modulus} misses the bidisc when the eigenvalue is negative")),
+                (~strip, lambda a, tag, i: InvalidSpecError(f"{tag}.spec: negative eigenvalue atoms need a strip spec")),
+                (np.abs(cols.strip_c - c_expected) > 1e-9 * np.maximum(1.0, c_expected), height_error),
+            ]
+        else:
+            checks.append((strip, lambda a, tag, i: InvalidSpecError(
+                f"{tag}.spec: positive eigenvalue atoms live on a half-plane, not a strip")))
+        checks.append((np.abs(base - 1.0) > NORMALIZATION_TOL, lambda a, tag, i: NormalizationError(
+            f"{tag}.spec: density at the base point is {float(base[i])}, expected 1")))
+        if not negative:
+            l1 = np.bincount(cols.owner, np.abs(cols.ak) + np.abs(cols.bk), am.size)
+            checks.append((l1 > cols.a0 * (1.0 + L1_SLACK) + L1_SLACK, lambda a, tag, i: InvalidSpecError(
+                f"{tag}.spec: mode coefficients sum to {a.spec.mode_l1()}, exceeding a0 = {a.spec.a0}")))
+        holds = _envelope_holds(cols) if negative else None
+    broken = reduce(np.logical_or, [mask for mask, _ in checks])
+    first = int(broken.argmax())
+    if not broken[first]:
+        first = am.size
+    if negative:
+        # a strip's positivity is its last check, so it counts only for the
+        # atoms before the first that breaks another
+        for i in np.flatnonzero(~holds[:first]).tolist():
+            tag = f"atoms[{i}]"
             try:
-                positive = check_positivity(spec)
+                positive = check_positivity(atom(i).spec)
             except InvalidSpecError as exc:
                 raise InvalidSpecError(f"{tag}." + str(exc)) from exc
             if not positive:
                 raise InvalidSpecError(f"{tag}.spec: strip density dips negative")
-        elif spec.mode_l1() > spec.a0 * (1.0 + L1_SLACK) + L1_SLACK:
-            raise InvalidSpecError(
-                f"{tag}.spec: mode coefficients sum to {spec.mode_l1()}, exceeding a0 = {spec.a0}"
-            )
+    if first < am.size:
+        error = next(error for mask, error in checks if mask[first])
+        raise error(atom(first), f"atoms[{first}]", first)
     # Poisson positivity is structural: nonnegative samples, tail, c_lin.
 
 
@@ -123,14 +286,13 @@ def build_current(lam: Eigenvalue, atoms: Sequence[TransversalAtom]) -> Current:
     """Validate every atom invariant and assemble the current."""
     if not atoms:
         raise InputError("atoms: a current needs at least one atom")
-    atoms = tuple(atoms)
-    for i, atom in enumerate(atoms):
-        _validate_atom(lam, atom, i)
-    return Current(lam=lam, atoms=atoms)
+    current = Current(lam, atoms)
+    _validate(lam, current.table, current.atoms.__getitem__)
+    return current
 
 
 def total_weight(current: Current) -> float:
-    return sum(atom.weight for atom in current.atoms)
+    return sum(current.table.weights.tolist())
 
 
 def _poisson_period(spec: PoissonSpec, b_max: int) -> Optional[int]:
@@ -300,15 +462,91 @@ def current_to_json(current: Current) -> dict:
     }
 
 
-def current_from_json(obj) -> Current:
-    if not isinstance(obj, dict):
-        raise InputError("current: expected a JSON object")
-    lam = eigenvalue_from_json(_require(obj, "lambda", ""), "lambda")
-    atoms_obj = _require(obj, "atoms", "")
-    if not isinstance(atoms_obj, list) or not atoms_obj:
-        raise InputError("atoms: expected a nonempty list")
-    atoms = []
-    for i, entry in enumerate(atoms_obj):
+class _Broken(Exception):
+    """Some atom entry breaks a field rule; _name_broken_atom says which and how."""
+
+
+def _floats(values: list) -> np.ndarray:
+    """values as a float array when each passes json_float, else _Broken."""
+    if not set(map(type, values)) <= {float, int}:
+        raise _Broken
+    try:
+        return np.fromiter(map(float, values), float, len(values))
+    except OverflowError:
+        raise _Broken from None
+
+
+def _ints(values: list) -> np.ndarray:
+    """values as an int64 array when each passes json_int, else _Broken."""
+    if not (set(map(type, values)) <= {int} and -(2**63) < min(values, default=0)
+            and max(values, default=0) < 2**63):
+        raise _Broken
+    return np.array(values, dtype=np.int64)
+
+
+def _column(objs: list, field: str, default=None) -> list:
+    """obj.get(field, default) of every dict in objs."""
+    return list(map(dict.get, objs, repeat(field), repeat(default)))
+
+
+def _json_table(entries: list) -> AtomTable:
+    """The AtomTable of decoded atom entries, every field rule checked column by column.
+
+    The rules are json_float's and json_int's, spec_from_json's and
+    FourierSpec's; a broken one raises _Broken. Poisson specs go through
+    spec_from_json one by one, after every other rule held, so the first
+    Poisson spec to fail is the first broken atom.
+    """
+    if not all(map(isinstance, entries, repeat(dict))):
+        raise _Broken
+    try:
+        alphas, weights, specs = (list(map(itemgetter(field), entries)) for field in ("alpha", "weight", "spec"))
+    except KeyError:
+        raise _Broken from None
+    if not (all(map(isinstance, alphas, repeat((list, tuple)))) and set(map(len, alphas)) == {2}
+            and all(map(isinstance, specs, repeat(dict)))):
+        raise _Broken
+    alpha_re, alpha_im = (_floats(list(map(itemgetter(j), alphas))) for j in (0, 1))
+    weights = _floats(weights)
+    kinds = _column(specs, "type")
+    trig = list(map(eq, kinds, repeat("fourier")))
+    if trig.count(True) + kinds.count("poisson") != len(kinds):
+        raise _Broken
+    fourier = list(compress(specs, trig))
+    modes = _column(fourier, "modes", [])
+    if not all(map(isinstance, modes, repeat(list))):
+        raise _Broken
+    flat = list(chain.from_iterable(modes))
+    if not (all(map(isinstance, flat, repeat((list, tuple)))) and set(map(len, flat)) <= {3}):
+        raise _Broken
+    b = _ints(_column(fourier, "b", 1))
+    k, ak, bk = _ints(list(map(itemgetter(0), flat))), *(_floats(list(map(itemgetter(j), flat))) for j in (1, 2))
+    a0, b0 = _floats(_column(fourier, "a0", 0.0)), _floats(_column(fourier, "b0", 0.0))
+    heights = _column(fourier, "strip_c")
+    on_strip = np.fromiter(map(is_not, heights, repeat(None)), bool, len(heights))
+    strip_c = np.full(len(fourier), math.inf)
+    strip_c[on_strip] = _floats(list(compress(heights, on_strip)))
+    counts = list(map(len, modes))
+    # FourierSpec's rules
+    if not ((b >= 1).all() and ((0.0 <= a0) & (a0 < math.inf) & (0.0 <= b0) & (b0 < math.inf)).all()
+            and (np.isfinite(ak) & np.isfinite(bk) & (k != 0) & ((k < 0) | np.repeat(on_strip, counts))).all()
+            and ((0.0 < strip_c) & (strip_c < math.inf) | ~on_strip).all()):
+        raise _Broken
+    poisson = [None if t else spec_from_json(spec, f"atoms[{i}].spec") for i, (t, spec) in enumerate(zip(trig, specs))]
+    rows = np.flatnonzero(trig)
+    n = len(entries)
+    columns = [np.ones(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.full(n, math.inf)]
+    for column, values in zip(columns, (b, a0, b0, strip_c)):
+        column[rows] = values
+    return AtomTable(
+        alpha_re, alpha_im, np.hypot(alpha_re, alpha_im), weights, np.array(trig, dtype=bool),
+        FourierColumns(*columns, np.repeat(rows, counts), k, ak, bk), tuple(poisson),
+    )
+
+
+def _name_broken_atom(entries: list):
+    """Raise the error of the first atom entry that breaks a field rule."""
+    for i, entry in enumerate(entries):
         tag = f"atoms[{i}]"
         if not isinstance(entry, dict):
             raise InputError(f"{tag}: expected an object")
@@ -317,10 +555,24 @@ def current_from_json(obj) -> Current:
             raise InputError(f"{tag}.alpha: expected [re, im]")
         weight = _require(entry, "weight", tag)
         try:
-            alpha = complex(json_float(alpha_pair[0], tag, "alpha"), json_float(alpha_pair[1], tag, "alpha"))
-            weight = json_float(weight, tag, "weight")
+            for value, field in ((alpha_pair[0], "alpha"), (alpha_pair[1], "alpha"), (weight, "weight")):
+                json_float(value, tag, field)
         except OverflowError as exc:
             raise InputError(f"{tag}: non-numeric alpha or weight ({exc})") from exc
-        spec = spec_from_json(_require(entry, "spec", tag), f"{tag}.spec")
-        atoms.append(TransversalAtom(alpha=alpha, weight=weight, spec=spec))
-    return build_current(lam, atoms)
+        spec_from_json(_require(entry, "spec", tag), f"{tag}.spec")
+    raise AssertionError("the column checks refused atoms that the field checks accept")
+
+
+def current_from_json(obj) -> Current:
+    if not isinstance(obj, dict):
+        raise InputError("current: expected a JSON object")
+    lam = eigenvalue_from_json(_require(obj, "lambda", ""), "lambda")
+    entries = _require(obj, "atoms", "")
+    if not isinstance(entries, list) or not entries:
+        raise InputError("atoms: expected a nonempty list")
+    try:
+        table = _json_table(entries)
+    except _Broken:
+        _name_broken_atom(entries)
+    _validate(lam, table, table.atom)
+    return Current._from_table(lam, table)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -420,23 +420,56 @@ def verify_monodromy_relation(
 # window integrals in u (exact, so mass quadrature stays one-dimensional)
 
 
-def mode_table(specs, u0: float, u1: float):
-    """Every mode of a sequence of FourierSpecs as flat arrays, in spec and mode order.
+# a NamedTuple, not a dataclass: it costs a fifth as much to define at import
+class FourierColumns(NamedTuple):
+    """A sequence of FourierSpecs as columns, one row per spec.
 
-    Returns (owner, k, a_k, b_k, b, C_k): the index of the spec a mode
-    belongs to, the mode and that spec's period multiple b, and C_k with
-    C_k e^{k v / b} the mode's integral over u in [u0, u1]. Each C_k is bit
-    for bit what scalar arithmetic gives: sin and cos go through math.
+    Per row: the period multiple b, a0, b0 and strip_c, which is inf on
+    half-planes. Per mode, in row and mode order: owner, the row it belongs
+    to, and k, a_k, b_k. b and k are int64, so every JSON integer field
+    keeps its value. A row may also stand for a spec that is not a trig
+    series; it then holds the zero density, b = 1 and no modes.
     """
-    rows = [(i, k, ak, bk, spec.b) for i, spec in enumerate(specs) for k, ak, bk in spec.modes]
-    owner, k, ak, bk, b = np.array(rows, dtype=float).reshape(-1, 5).T
-    if not rows:  # mode-free specs: no numpy calls on empty arrays
-        return owner.astype(int), k, ak, bk, b, k
+
+    b: np.ndarray
+    a0: np.ndarray
+    b0: np.ndarray
+    strip_c: np.ndarray
+    owner: np.ndarray
+    k: np.ndarray
+    ak: np.ndarray
+    bk: np.ndarray
+
+
+def fourier_columns(specs) -> FourierColumns:
+    """The FourierColumns of a sequence of specs; other specs get zero rows."""
+    rows = [(spec.b, spec.a0, spec.b0, math.inf if spec.strip_c is None else spec.strip_c)
+            if isinstance(spec, FourierSpec) else (1, 0.0, 0.0, math.inf) for spec in specs]
+    modes = [(i, k, ak, bk) for i, spec in enumerate(specs) if isinstance(spec, FourierSpec)
+             for k, ak, bk in spec.modes]
+    b, a0, b0, strip_c = zip(*rows) if rows else ((),) * 4
+    owner, k, ak, bk = zip(*modes) if modes else ((),) * 4
+    return FourierColumns(
+        np.array(b, dtype=np.int64), np.array(a0, dtype=float), np.array(b0, dtype=float),
+        np.array(strip_c, dtype=float), np.array(owner, dtype=np.intp), np.array(k, dtype=np.int64),
+        np.array(ak, dtype=float), np.array(bk, dtype=float),
+    )
+
+
+def mode_integrals(cols: FourierColumns, u0: float, u1: float) -> np.ndarray:
+    """C_k per mode of cols, with C_k e^{k v / b} the mode's integral over u in [u0, u1].
+
+    Each C_k is bit for bit what scalar arithmetic gives: sin and cos go
+    through math.
+    """
+    if not cols.k.size:  # mode-free specs: no numpy calls on empty arrays
+        return np.zeros(0)
+    k, b = cols.k.astype(float), cols.b[cols.owner].astype(float)
     n = k.size
     phases = np.concatenate((k * u1 / b, k * u0 / b))
     sin, cos = float_map(math.sin, phases), float_map(math.cos, phases)
     ds, dc = sin[:n] - sin[n:], cos[:n] - cos[n:]
-    return owner.astype(int), k, ak, bk, b, b / k * (ak * ds - bk * dc)
+    return b / k * (cols.ak * ds - cols.bk * dc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,7 +489,7 @@ class FourierWindow:
     strip_c: np.ndarray
     b: np.ndarray
     ks: np.ndarray
-    coefs: np.ndarray  # mode_table's C_k over [u0, u1]
+    coefs: np.ndarray  # mode_integrals's C_k over [u0, u1]
 
     def take(self, rows) -> "FourierWindow":
         """The window of the specs at rows, in that order."""
@@ -465,25 +498,21 @@ class FourierWindow:
 
 
 def fourier_window(specs, u0: float, u1: float) -> FourierWindow:
-    """The row-stacked window of a sequence of FourierSpecs over [u0, u1]."""
-    specs = list(specs)
-    owner, k, _, _, _, coef = mode_table(specs, u0, u1)
-    counts = np.bincount(owner, minlength=len(specs))
-    slot = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-    ks = np.zeros((len(specs), int(counts.max(initial=0))))
+    """The row-stacked window over [u0, u1] of a sequence of FourierSpecs or of their columns."""
+    cols = specs if isinstance(specs, FourierColumns) else fourier_columns(specs)
+    rows = cols.a0.size
+    counts = np.bincount(cols.owner, minlength=rows)
+    slot = np.arange(cols.owner.size) - (np.cumsum(counts) - counts)[cols.owner]
+    ks = np.zeros((rows, int(counts.max(initial=0))))
     coefs = np.zeros(ks.shape)
-    ks[owner, slot] = k
-    coefs[owner, slot] = coef
-
-    def column(values):
-        return np.array(values, dtype=float).reshape(-1, 1)
-
+    ks[cols.owner, slot] = cols.k
+    coefs[cols.owner, slot] = mode_integrals(cols, u0, u1)
     return FourierWindow(
         u0, u1,
-        a0=column([spec.a0 for spec in specs]),
-        b0=column([spec.b0 for spec in specs]),
-        strip_c=column([spec.strip_c if spec.on_strip else math.inf for spec in specs]),
-        b=column([spec.b for spec in specs]),
+        a0=cols.a0.reshape(-1, 1),
+        b0=cols.b0.reshape(-1, 1),
+        strip_c=cols.strip_c.reshape(-1, 1),
+        b=cols.b.astype(float).reshape(-1, 1),
         ks=ks,
         coefs=coefs,
     )

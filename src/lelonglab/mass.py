@@ -28,11 +28,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Tuple
 
 import numpy as np
 
-from .current import Current, total_weight
+from .current import AtomTable, Current, total_weight
 from .errors import DomainError, InputError, QuadratureFailure, UnsupportedCurrentError
 from .foliation import (
     Eigenvalue,
@@ -50,7 +51,7 @@ from .harmonic import (
     boundary_integral,
     evaluate,
     fourier_window,
-    mode_table,
+    mode_integrals,
     poisson_rows,
     poisson_window,
     window_integral,
@@ -99,6 +100,18 @@ def _envelope_coefficients(spec) -> Tuple[float, float]:
     return peak, spec.c_lin
 
 
+def _envelopes(table: AtomTable) -> List[Tuple[float, float]]:
+    """_envelope_coefficients of every atom of the table.
+
+    A trig row's ell-1 sum runs left to right from 0, as FourierSpec.mode_l1
+    adds it, so each pair is bit for bit the spec's.
+    """
+    cols = table.fourier
+    peaks = cols.a0 + np.bincount(cols.owner, np.abs(cols.ak) + np.abs(cols.bk), cols.a0.size)
+    return [(p, q) if spec is None else _envelope_coefficients(spec)
+            for p, q, spec in zip(peaks.tolist(), cols.b0.tolist(), table.poisson)]
+
+
 def _tail_integral(p: float, q: float, rate: float, v0: float) -> float:
     # int_{v0}^inf (p + q v) e^{-rate v} dv
     return math.exp(-rate * v0) * ((p + q * v0) / rate + q / rate**2)
@@ -110,9 +123,12 @@ def _jac_terms(lam: Eigenvalue, am: float) -> Tuple[Tuple[float, float], Tuple[f
     return (2.0 * c1, 2.0), (2.0 * c2, 2.0 * lam.value)
 
 
-def _truncate_half_plane(spec, lam: Eigenvalue, am: float, v_lo: float, cfg: QuadratureConfig):
-    """Truncation height plus a certified bound on the discarded tail."""
-    p, q = _envelope_coefficients(spec)
+def _truncate_half_plane(envelope, lam: Eigenvalue, am: float, v_lo: float, cfg: QuadratureConfig):
+    """Truncation height plus a certified bound on the discarded tail.
+
+    envelope is the spec's (P, Q) of _envelope_coefficients.
+    """
+    p, q = envelope
     p *= TWO_PI
     q *= TWO_PI
     (c1, r1), (c2, r2) = _jac_terms(lam, am)
@@ -128,24 +144,25 @@ def _truncate_half_plane(spec, lam: Eigenvalue, am: float, v_lo: float, cfg: Qua
     return v_hi, _tail_integral(p, q, r1, v_hi) + _tail_integral(p, q, r2, v_hi)
 
 
-def _atom_ranges(lam: Eigenvalue, atoms, rs, cfg: QuadratureConfig):
-    """Per atom: the radii with a nonempty plaque, their v-ranges and the tail bound.
+def _atom_ranges(lam: Eigenvalue, table: AtomTable, rs, cfg: QuadratureConfig):
+    """Per atom of the table: the radii with a nonempty plaque, their v-ranges and the tail bound.
 
     The plaques of every atom and radius come from one plaque_limits call.
     Strips run between their ends. Half-planes share one truncation height
     per atom: the highest any of its radii needs, so its tail bound covers
     them all.
     """
-    moduli = np.array([atom.alpha_modulus for atom in atoms])
+    moduli = table.moduli
     v_min, v_max, empty = plaque_limits(lam, moduli, rs)
     lows = (v_min - coordinate_shift(lam, moduli)[:, None]).tolist()
     highs = v_max.tolist()
+    envelopes = _envelopes(table) if lam.value > 0.0 else repeat(None)
     out = []
-    for atom, nonempty, low, high in zip(atoms, (~empty).tolist(), lows, highs):
+    for am, envelope, nonempty, low, high in zip(moduli.tolist(), envelopes, (~empty).tolist(), lows, highs):
         where = [n for n, ok in enumerate(nonempty) if ok]
         tail_bound = 0.0
         if lam.value > 0.0 and where:  # half-planes
-            heights = [_truncate_half_plane(atom.spec, lam, atom.alpha_modulus, low[n], cfg) for n in where]
+            heights = [_truncate_half_plane(envelope, lam, am, low[n], cfg) for n in where]
             v_top, tail_bound = max(heights)
             high = [v_top] * len(rs)
         out.append((where, [(low[n], high[n]) for n in where], tail_bound))
@@ -175,27 +192,28 @@ def mass_quadrature_schedule(
     if not all(0.0 < r <= 1.0 for r in rs):
         raise DomainError("radius must lie in (0, 1]")
     lam = current.lam
+    table = current.table
     jobs, owners = [], []  # owners: (atom index, radius indices, tail bound) per job
-    for i, (where, spans, tail_bound) in enumerate(_atom_ranges(lam, current.atoms, rs, cfg)):
+    for i, (where, spans, tail_bound) in enumerate(_atom_ranges(lam, table, rs, cfg)):
         if where:
             jobs.append((min(lo for lo, _ in spans), max(hi for _, hi in spans), spans))
             owners.append((i, where, tail_bound))
-    atoms = [current.atoms[i] for i, _, _ in owners]
+    atom_of = np.array([i for i, _, _ in owners], dtype=np.intp)  # job -> atom
     u0 = TWO_PI * k0
     u1 = u0 + TWO_PI
     # the area density's coefficients, worked out once per atom and taken by row
-    area = jacobian_rows(lam, np.array([atom.alpha_modulus for atom in atoms]).reshape(-1, 1))
-    is_trig = np.array([isinstance(atom.spec, FourierSpec) for atom in atoms], dtype=bool)
-    window = fourier_window([atom.spec for atom in atoms if isinstance(atom.spec, FourierSpec)], u0, u1)
-    window_row = np.cumsum(is_trig) - 1  # job -> row of window
+    area = jacobian_rows(lam, table.moduli[atom_of].reshape(-1, 1))
+    is_trig = table.trig[atom_of]
+    window = fourier_window(table.fourier, u0, u1)  # one row per atom
     poisson = not is_trig.all()
     # one PoissonWindow per Poisson atom: its grids and shell ladders serve
     # every panel, for the value row and the model-error row alike
-    windows = [None if trig else poisson_window(atom.spec, u0, u1) for atom, trig in zip(atoms, is_trig)]
+    windows = [None if trig else poisson_window(table.poisson[i], u0, u1)
+               for i, trig in zip(atom_of.tolist(), is_trig.tolist())]
 
     def trig_rows(rows, v):
         return jacobian_density(lam, area.take(rows), v) * window_integral(
-            window.take(window_row[rows]), u0, u1, v
+            window.take(atom_of[rows]), u0, u1, v
         )
 
     def integrand(rows, v):
@@ -224,9 +242,10 @@ def mass_quadrature_schedule(
             f"atoms[{i}] at r = {radii}: {exc}", exc.best_estimate, exc.error_estimate,
             job=exc.job, ranges=exc.ranges,
         ) from exc
-    per_atom = [[(0.0, 0.0)] * len(rs) for _ in current.atoms]
+    weights = table.weights.tolist()
+    per_atom = [[(0.0, 0.0)] * len(rs) for _ in weights]
     for (i, where, tail_bound), job_parts in zip(owners, parts):
-        weight = current.atoms[i].weight
+        weight = weights[i]
         for n, (value, err) in zip(where, job_parts):
             model_err = 0.0
             if poisson:
@@ -295,9 +314,19 @@ def _strip_terms(lv: float, am: float, r: float):
         raise DomainError(
             f"|alpha| = {am} outside the admissible range (0, r^(1-lambda)) at r = {r}"
         )
-    s_in = am**2 * r ** (2.0 * lv - 2.0)  # e^{-2 lambda v} weight at work
-    s_out = am ** (-2.0 / lv) * r ** (2.0 / lv - 2.0)
-    return math.log(am), math.log(r), s_in, s_out
+    log_am, log_r = math.log(am), math.log(r)
+    # On the admissible range both weights are below 1, but one power of a
+    # product can overflow while the other underflows; only then does the
+    # weight go through logarithms.
+    try:
+        s_in = am**2 * r ** (2.0 * lv - 2.0)  # e^{-2 lambda v} weight at work
+    except OverflowError:
+        s_in = math.exp(2.0 * log_am + (2.0 * lv - 2.0) * log_r)
+    try:
+        s_out = am ** (-2.0 / lv) * r ** (2.0 / lv - 2.0)
+    except OverflowError:
+        s_out = math.exp(-2.0 / lv * log_am + (2.0 / lv - 2.0) * log_r)
+    return log_am, log_r, s_in, s_out
 
 
 def ia(lv: float, am: float, r: float) -> float:
@@ -419,19 +448,17 @@ def _exact_masses(current: Current, rs, k0: int = 0) -> List[Tuple[float, float]
     lam = current.lam
     u0 = TWO_PI * k0
     u1 = u0 + TWO_PI
-    specs = [atom.spec for atom in current.atoms]
-    moduli, weights, a0, b0, strip_c = np.array([
-        (atom.alpha_modulus, atom.weight, spec.a0, spec.b0, spec.strip_c if spec.on_strip else math.inf)
-        for atom, spec in zip(current.atoms, specs)
-    ]).T
-    owner, k, ak, bk, b, coef = mode_table(specs, u0, u1)
+    table = current.table
+    cols = table.fourier
+    moduli, weights, owner, ak, bk = table.moduli, table.weights, cols.owner, cols.ak, cols.bk
+    coef = mode_integrals(cols, u0, u1)
     # window parts (alpha, beta, growth rate, bound on |alpha|, bound on
     # |beta|): every atom's base, a0 (1 - v/C) + b0 v on a strip of height
     # C, then every mode, whose bound also covers the rounding of its phases
-    n_atoms = len(specs)
-    drop = TWO_PI * a0 / strip_c
-    base, slope = TWO_PI * a0, TWO_PI * b0
-    grow = k / b
+    n_atoms = moduli.size
+    drop = TWO_PI * cols.a0 / cols.strip_c
+    base, slope = TWO_PI * cols.a0, TWO_PI * cols.b0
+    grow = cols.k.astype(float) / cols.b[owner].astype(float)
     parts = np.zeros((5, n_atoms + owner.size))
     parts[0, :n_atoms] = parts[3, :n_atoms] = base
     parts[1, :n_atoms] = slope - drop
@@ -482,7 +509,7 @@ def _exact_masses(current: Current, rs, k0: int = 0) -> List[Tuple[float, float]
 
 def closed_form_applicable(current: Current) -> bool:
     """True iff every atom is a trig series, so the exact route applies."""
-    return all(isinstance(atom.spec, FourierSpec) for atom in current.atoms)
+    return not any(current.table.poisson)
 
 
 def mass_closed_form(current: Current, r: float, k0: int = 0) -> float:
@@ -518,7 +545,7 @@ def boundary_reduction_check(
     dom = leaf_domain(lam, alpha_modulus, r)
     shift = coordinate_shift(lam, alpha_modulus)
     v_r = dom.v_min - shift
-    v_hi, _tail = _truncate_half_plane(spec, lam, alpha_modulus, v_r, cfg)
+    v_hi, _tail = _truncate_half_plane(_envelope_coefficients(spec), lam, alpha_modulus, v_r, cfg)
 
     def integrand(v):
         return jacobian_density(lam, alpha_modulus, v) * np.asarray(evaluate(spec, u, v))

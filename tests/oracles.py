@@ -11,9 +11,14 @@ sums the truncation envelope with a generator: the earlier forms of
 harmonic.poisson_rows and mass._truncate_half_plane, which must agree with
 them bit for bit. Without a PoissonWindow, poisson_rows sums grids it builds
 with no shells, every node directly: the reference for the far field.
-load_current decodes every input file with the stdlib json, as
-cli._load_current does only for the texts orjson refuses: the two must load
-the same current from any text, or fail with the same error.
+current_from_json and build_current are the per-atom loader and validator:
+one FourierSpec, one _validate_atom call and one positivity certificate per
+atom. The package's column loader and array validator must build the same
+current from the same input, or fail with the same error for the same atom.
+load_current decodes every input file with the stdlib json and loads it with
+that per-atom loader, as cli._load_current does with orjson and the column
+loader: the two must load the same current from any text, or fail with the
+same error.
 """
 
 from __future__ import annotations
@@ -22,20 +27,36 @@ import heapq
 import json
 import math
 import sys
+from typing import Sequence
 
 import numpy as np
 
-from lelonglab.current import current_from_json
-from lelonglab.errors import DomainError, InputError, QuadratureFailure
-from lelonglab.foliation import coordinate_shift
+from lelonglab.current import L1_SLACK, NORMALIZATION_TOL, Current, TransversalAtom, eigenvalue_from_json
+from lelonglab.errors import (
+    DomainError,
+    EmptyLeafError,
+    InputError,
+    InvalidSpecError,
+    NormalizationError,
+    QuadratureFailure,
+)
+from lelonglab.foliation import Eigenvalue, coordinate_shift
 from lelonglab.harmonic import (
     FAR_ORDER,
     BoundaryGrid,
+    FourierSpec,
+    HarmonicSpec,
+    PoissonSpec,
     _check_v_domain,
     _far_sum,
     _full_samples,
     _probe_samples,
+    _require,
     boundary_integral,
+    check_positivity,
+    evaluate,
+    json_float,
+    spec_from_json,
 )
 from lelonglab.mass import EXACT_ROUNDING, TWO_PI, _envelope_coefficients, _tail_integral
 from lelonglab.quadrature import _NODES, _W_GAUSS, _W_KRONROD
@@ -49,6 +70,96 @@ def load_current(path):
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 ({exc})") from exc
     return current_from_json(json.loads(text))
+
+
+def _base_value(spec: HarmonicSpec) -> float:
+    """Density at u = v = 0, equal to evaluate(spec, 0.0, 0.0).
+
+    For trig specs that is a0 + sum_k a_k, since every sine vanishes and
+    every exponential is 1 there; the terms are added left to right, in the
+    order evaluate adds them, so the sums agree to the bit.
+    """
+    if isinstance(spec, PoissonSpec):
+        return evaluate(spec, 0.0, 0.0)
+    base = float(spec.a0)
+    for _, a, _ in spec.modes:
+        base += a
+    return base
+
+
+def _validate_atom(lam: Eigenvalue, atom: TransversalAtom, index: int):
+    tag = f"atoms[{index}]"
+    if not (0.0 < abs(atom.alpha) < math.inf):
+        raise InputError(f"{tag}.alpha: transversal point must be nonzero and finite")
+    if not (atom.weight > 0.0) or not math.isfinite(atom.weight):
+        raise InputError(f"{tag}.weight: weight must be positive and finite")
+    spec = atom.spec
+    am = atom.alpha_modulus
+    if lam.is_negative:
+        if am >= 1.0:
+            raise EmptyLeafError(f"{tag}: leaf through |alpha| = {am} misses the bidisc when the eigenvalue is negative")
+        if not isinstance(spec, FourierSpec) or not spec.on_strip:
+            raise InvalidSpecError(f"{tag}.spec: negative eigenvalue atoms need a strip spec")
+        c_expected = math.log(am) / lam.value
+        if abs(spec.strip_c - c_expected) > 1e-9 * max(1.0, c_expected):
+            raise InvalidSpecError(
+                f"{tag}.spec.strip_c: strip height {spec.strip_c} does not match log|alpha|/lambda = {c_expected}"
+            )
+    else:
+        if isinstance(spec, FourierSpec) and spec.on_strip:
+            raise InvalidSpecError(f"{tag}.spec: positive eigenvalue atoms live on a half-plane, not a strip")
+    base = _base_value(spec)
+    if abs(base - 1.0) > NORMALIZATION_TOL:
+        raise NormalizationError(f"{tag}.spec: density at the base point is {base}, expected 1")
+    if isinstance(spec, FourierSpec):
+        if spec.on_strip:
+            try:
+                positive = check_positivity(spec)
+            except InvalidSpecError as exc:
+                raise InvalidSpecError(f"{tag}." + str(exc)) from exc
+            if not positive:
+                raise InvalidSpecError(f"{tag}.spec: strip density dips negative")
+        elif spec.mode_l1() > spec.a0 * (1.0 + L1_SLACK) + L1_SLACK:
+            raise InvalidSpecError(
+                f"{tag}.spec: mode coefficients sum to {spec.mode_l1()}, exceeding a0 = {spec.a0}"
+            )
+    # Poisson positivity is structural: nonnegative samples, tail, c_lin.
+
+
+def build_current(lam: Eigenvalue, atoms: Sequence[TransversalAtom]) -> Current:
+    """Validate every atom invariant and assemble the current."""
+    if not atoms:
+        raise InputError("atoms: a current needs at least one atom")
+    atoms = tuple(atoms)
+    for i, atom in enumerate(atoms):
+        _validate_atom(lam, atom, i)
+    return Current(lam=lam, atoms=atoms)
+
+
+def current_from_json(obj) -> Current:
+    if not isinstance(obj, dict):
+        raise InputError("current: expected a JSON object")
+    lam = eigenvalue_from_json(_require(obj, "lambda", ""), "lambda")
+    atoms_obj = _require(obj, "atoms", "")
+    if not isinstance(atoms_obj, list) or not atoms_obj:
+        raise InputError("atoms: expected a nonempty list")
+    atoms = []
+    for i, entry in enumerate(atoms_obj):
+        tag = f"atoms[{i}]"
+        if not isinstance(entry, dict):
+            raise InputError(f"{tag}: expected an object")
+        alpha_pair = _require(entry, "alpha", tag)
+        if not isinstance(alpha_pair, (list, tuple)) or len(alpha_pair) != 2:
+            raise InputError(f"{tag}.alpha: expected [re, im]")
+        weight = _require(entry, "weight", tag)
+        try:
+            alpha = complex(json_float(alpha_pair[0], tag, "alpha"), json_float(alpha_pair[1], tag, "alpha"))
+            weight = json_float(weight, tag, "weight")
+        except OverflowError as exc:
+            raise InputError(f"{tag}: non-numeric alpha or weight ({exc})") from exc
+        spec = spec_from_json(_require(entry, "spec", tag), f"{tag}.spec")
+        atoms.append(TransversalAtom(alpha=alpha, weight=weight, spec=spec))
+    return build_current(lam, atoms)
 
 
 def _job_spans(a, b, ranges):

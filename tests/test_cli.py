@@ -13,11 +13,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from lelonglab import (
     Eigenvalue,
     FourierSpec,
     InputError,
+    PoissonSpec,
     TransversalAtom,
+    accumulation_family,
     build_current,
     corpus,
     current_to_json,
@@ -580,3 +584,177 @@ class TestDecoders:
                 load(path)
         assert main(["mass", "--input", path]) == 2
         assert f"input error: {field}: expected a number" in capsys.readouterr().err
+
+
+# Many-atom documents for the column loader: strips, half-planes and a
+# Poisson atom under either sign of the eigenvalue, so that most documents
+# break some rule, with one or two fields of one or two atoms replaced by a
+# raw token or dropped. Each path is tried on the atoms it fits.
+ATOM_PATHS = [
+    ("alpha",), ("alpha", 0), ("alpha", 1), ("weight",), ("spec",), ("spec", "type"), ("spec", "b"),
+    ("spec", "a0"), ("spec", "b0"), ("spec", "strip_c"), ("spec", "modes"), ("spec", "modes", 0),
+    ("spec", "modes", 0, 0), ("spec", "modes", 0, 1), ("spec", "modes", 0, 2), ("spec", "boundary"),
+    ("spec", "boundary", "tail"), ("spec", "boundary", "values", 1), ("spec", "c_lin"),
+]
+
+
+def _atom_json(draw, kind, lam_value):
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    if kind == "poisson":
+        modulus = draw(st.floats(0.5, 2.0))
+        spec = {"type": "poisson", "boundary": {"ys": [-2.0, -1.0, 0.0, 1.0, 2.0], "values": [1.0] * 5,
+                                                "tail": 1.0}, "c_lin": draw(st.sampled_from([0.0, 0.5]))}
+    else:
+        strip = kind == "strip"
+        modulus = draw(st.floats(0.3, 0.95) if strip else st.floats(0.1, 3.0))
+        ks = draw(st.lists(st.sampled_from([-2, -1, 1, 2] if strip else [-3, -2, -1]), max_size=2))
+        modes = [[k, draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2))] for k in ks]
+        a0 = 1.0 - sum(a for _, a, _ in modes)
+        spec = {"type": "fourier", "b": draw(st.sampled_from([1, 2])), "a0": a0,
+                "b0": draw(st.floats(0.0, 1.0)), "modes": modes}
+    alpha = [modulus * math.cos(theta), modulus * math.sin(theta)]
+    if kind == "strip":
+        spec["strip_c"] = abs(math.log(abs(complex(*alpha))) / lam_value)
+    return {"alpha": alpha, "weight": draw(st.floats(0.1, 2.0)), "spec": spec}
+
+
+def _replace_at(doc, path, value):
+    """Set or, for value None, drop the entry at path; False if its parent is not there."""
+    for key in path[:-1]:
+        if not isinstance(doc, (dict, list)) or isinstance(doc, list) != isinstance(key, int):
+            return False
+        try:
+            doc = doc[key]
+        except (KeyError, IndexError):
+            return False
+    key = path[-1]
+    if not isinstance(doc, (dict, list)) or isinstance(doc, list) != isinstance(key, int):
+        return False
+    if isinstance(doc, list) and not key < len(doc):
+        return False
+    if value is None:
+        if isinstance(doc, dict):
+            doc.pop(key, None)
+        else:
+            del doc[key]
+    else:
+        doc[key] = value
+    return True
+
+
+@st.composite
+def many_atom_documents(draw):
+    negative = draw(st.booleans())
+    lam = {"value": -0.5, "class": "negative"} if negative else {"value": 0.5, "class": "rational", "a": 1, "b": 2}
+    count = draw(st.integers(2, 6))
+    usual = "strip" if negative else "half-plane"
+    kinds = [draw(st.sampled_from([usual, usual, usual, "strip", "half-plane"])) for _ in range(count)]
+    if draw(st.booleans()):
+        kinds[draw(st.integers(0, count - 1))] = "poisson"
+    doc = {"lambda": lam, "atoms": [_atom_json(draw, kind, lam["value"]) for kind in kinds]}
+    tokens = {}
+    for n in range(draw(st.integers(0, 2))):
+        path = (draw(st.integers(0, count - 1)),) + draw(st.sampled_from(ATOM_PATHS))
+        token = draw(st.one_of(st.none(), st.sampled_from(RAW_TOKENS)))
+        marker = f"@raw{n}@"
+        if _replace_at(doc["atoms"], path, None if token is None else marker) and token is not None:
+            tokens[marker] = token
+    text = json.dumps(doc).encode()
+    for marker, token in tokens.items():
+        text = text.replace(b'"%s"' % marker.encode(), token)
+    return text
+
+
+@st.composite
+def atom_lists(draw):
+    """(lam, atoms) with atoms that break the validator's rules now and then.
+
+    Flaws: |alpha| >= 1 at a negative eigenvalue, a strip height that does
+    not match, an unnormalized base, a half-plane ell-1 overflow, a
+    two-mode strip that may dip (its envelope fails, so it is scanned),
+    the wrong kind of spec for the eigenvalue, a weight or alpha that is 0.
+    """
+    negative = draw(st.booleans())
+    lam = Eigenvalue.negative(-0.5) if negative else Eigenvalue.rational(1, 2)
+    atoms = []
+    for _ in range(draw(st.integers(1, 6))):
+        flaw = draw(st.sampled_from([None, None, None, "alpha", "height", "base", "l1", "dip", "kind",
+                                     "weight", "zero"]))
+        strip = negative != (flaw == "kind")
+        modulus = draw(st.floats(0.2, 0.9) if strip else st.floats(0.1, 3.0))
+        if flaw == "alpha":
+            modulus = draw(st.floats(1.0, 2.0))
+        weight = draw(st.sampled_from([0.0, -1.0, math.nan])) if flaw == "weight" else draw(st.floats(0.1, 2.0))
+        if draw(st.integers(0, 7)) == 0 and not strip:
+            spec = normalize(PoissonSpec(ys=np.linspace(-2.0, 2.0, 5), values=np.ones(5), tail=1.0))
+        else:
+            dip = flaw == "dip" and strip
+            size = 0.7 if dip else 0.6 if flaw == "l1" else 0.1
+            ks = [1, -2] if dip else draw(st.lists(st.sampled_from([-2, -1, 1] if strip else [-2, -1]), max_size=2))
+            modes = tuple((k, draw(st.floats(0.0, size)), 0.0 if dip else draw(st.floats(-size, size))) for k in ks)
+            height = abs(math.log(modulus) / lam.value) if strip else None
+            if strip and flaw in ("height", "alpha"):
+                height = height * 1.5 + 0.5
+            spec = normalize(FourierSpec(b=draw(st.sampled_from([1, 2])), a0=1.0, b0=draw(st.floats(0.0, 2.0)),
+                                         modes=modes, strip_c=height))
+        if flaw == "base":
+            spec = FourierSpec(b=1, a0=1.5, strip_c=spec.strip_c) if isinstance(spec, FourierSpec) else PoissonSpec(
+                ys=spec.ys, values=spec.values * 1.5, tail=spec.tail * 1.5)
+        alpha = 0.0 if flaw == "zero" else modulus * complex(math.cos(1.0), math.sin(1.0))
+        atoms.append(TransversalAtom(alpha, weight, spec))
+    return lam, atoms
+
+
+def _built(build, lam, atoms):
+    try:
+        return _current_bits(build(lam, atoms))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestColumnLoader:
+    """The column loader and the array validator against the per-atom ones of tests/oracles.py."""
+
+    @given(doc=many_atom_documents())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_many_atoms_same_current_or_same_error(self, doc, tmp_path):
+        from oracles import load_current
+
+        path = tmp_path / "doc.json"
+        path.write_bytes(doc)
+        assert _outcome(cli._load_current, path) == _outcome(load_current, path)
+
+    @given(case=atom_lists())
+    # a strip whose scan certifies it, then one whose scan finds a dip
+    @example(case=(Eigenvalue.negative(-1.0), [TransversalAtom(math.exp(-0.7), 1.0, normalize(FourierSpec(
+        b=b, a0=1.0, b0=b0, modes=modes, strip_c=0.7))) for b, b0, modes in (
+            (2, 2.0, ((1, 0.6, 0.0), (-2, 0.5, 0.0))), (1, 0.1, ((1, 0.5, 0.0), (-1, 0.6, 0.0))))]))
+    @settings(max_examples=300, deadline=None)
+    def test_build_current_same_current_or_same_error(self, case):
+        import oracles
+
+        lam, atoms = case
+        assert _built(build_current, lam, atoms) == _built(oracles.build_current, lam, atoms)
+
+    def test_mass_builds_no_atom_objects(self, write_current, capsys, monkeypatch):
+        from oracles import load_current
+
+        lam = Eigenvalue.negative(-0.5)
+        family = accumulation_family(lam, 32, alpha_base=0.9, b0=0.2, modes=((-1, 0.02, -0.01),))
+        path = write_current(current_to_json(build_current(lam, family)))
+        argvs = [["mass", "--input", path, "--r", r, "--k0", k0] for r in ("1.0", "0.5") for k0 in ("0", "-2")]
+        want = []
+        for argv in argvs:
+            assert main(argv) == 0
+            want.append(capsys.readouterr().out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mass built a per-atom object")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FourierSpec, "__post_init__", refuse)
+            patch.setattr(TransversalAtom, "__init__", refuse)
+            for argv, out in zip(argvs, want):
+                assert main(argv) == 0
+                assert capsys.readouterr().out == out
+        assert _current_bits(cli._load_current(path)) == _current_bits(load_current(path))

@@ -30,7 +30,7 @@ from lelonglab import (
     total_weight,
 )
 from lelonglab import harmonic
-from lelonglab.current import _base_value
+from lelonglab.current import _base_values, atom_table
 
 from conftest import flat_poisson
 
@@ -144,10 +144,11 @@ def base_point_specs(draw):
     )
 
 
-@given(spec=base_point_specs())
+@given(specs=st.lists(base_point_specs(), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_base_point_matches_evaluate_bit_for_bit(spec):
-    assert _base_value(spec).hex() == evaluate(spec, 0.0, 0.0).hex()
+def test_base_point_matches_evaluate_bit_for_bit(specs):
+    table = atom_table([TransversalAtom(0.5, 1.0, spec) for spec in specs])
+    assert [x.hex() for x in _base_values(table).tolist()] == [evaluate(s, 0.0, 0.0).hex() for s in specs]
 
 
 class TestPeriodicity:

@@ -370,7 +370,8 @@ class TestTruncation:
             ys = np.linspace(-math.pi, math.pi, 5)
             spec = PoissonSpec(ys=ys, values=base + abs(mode) * np.cos(ys) ** 2, tail=base, c_lin=slope)
         eig = Eigenvalue.irrational(lam)
-        got = lelonglab.mass._truncate_half_plane(spec, eig, modulus, v_lo, cfg)
+        envelope = lelonglab.mass._envelope_coefficients(spec)
+        got = lelonglab.mass._truncate_half_plane(envelope, eig, modulus, v_lo, cfg)
         want = truncate_half_plane(spec, eig, modulus, v_lo, cfg)
         assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
 
@@ -384,10 +385,13 @@ class TestTruncation:
             if lam.is_negative:
                 continue
             for atom in case.current.atoms:
-                (_, spans, _), = lelonglab.mass._atom_ranges(lam, [atom], rs, DEFAULT_CONFIG)
+                table = build_current(lam, [atom]).table
+                (_, spans, _), = lelonglab.mass._atom_ranges(lam, table, rs, DEFAULT_CONFIG)
+                envelope = lelonglab.mass._envelope_coefficients(atom.spec)
                 for v_lo, _ in spans:
-                    args = (atom.spec, lam, atom.alpha_modulus, v_lo, DEFAULT_CONFIG)
-                    assert lelonglab.mass._truncate_half_plane(*args) == truncate_half_plane(*args)
+                    args = (lam, atom.alpha_modulus, v_lo, DEFAULT_CONFIG)
+                    got = lelonglab.mass._truncate_half_plane(envelope, *args)
+                    assert got == truncate_half_plane(atom.spec, *args)
 
 
 class TestClosedFormPositive:
@@ -443,6 +447,26 @@ class TestStripIntegrals:
         want_b, _ = quad(lambda v: v * jac(v), v_lo, v_hi, epsabs=1e-13)
         assert ia(lv, am, r) == pytest.approx(want_a / r**2, abs=1e-10)
         assert ib(lv, am, r) == pytest.approx(want_b / r**2, abs=1e-10)
+
+    @pytest.mark.parametrize("lv, t, r", [
+        (-0.01, 0.5, 1e-6),  # r^(2/lambda - 2) overflows, am^(-2/lambda) underflows
+        (-60.0, 0.5, 1e-3),  # r^(2 lambda - 2) overflows, am^2 is tiny
+        (-0.5, 0.5, 0.25),  # no power overflows
+    ])
+    def test_against_mpmath_where_a_power_overflows(self, lv, t, r):
+        mp = pytest.importorskip("mpmath").mp
+        am = t * r ** (1.0 - lv)
+        with mp.workdps(60):
+            lam, a, rr = mp.mpf(lv), mp.mpf(am), mp.mpf(r)
+            v_lo, v_hi = -mp.log(rr), (mp.log(a) - mp.log(rr)) / lam
+
+            def jac(v):
+                return 2 * (mp.exp(-2 * v) + (lam * a) ** 2 * mp.exp(-2 * lam * v))
+
+            want_a = mp.quad(lambda v: (1 - lam * v / mp.log(a)) * jac(v), [v_lo, v_hi]) / rr**2
+            want_b = mp.quad(lambda v: v * jac(v), [v_lo, v_hi]) / rr**2
+        assert ia(lv, am, r) == pytest.approx(float(want_a), rel=1e-12)
+        assert ib(lv, am, r) == pytest.approx(float(want_b), rel=1e-12)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
