@@ -1,9 +1,9 @@
 """Regenerate the golden CLI outputs under tests/data/.
 
 tests/test_cli.py (TestGoldenOutputs) compares the CLI's output with these
-files byte for byte: the verify report at seed 42, the lelong schedule of
-each of the corpus's two Poisson currents, and the sweep CSV with its
-default schedule. Regenerate them only for a change that is meant to move
+files byte for byte: the verify reports at seeds 42 and 7, the lelong
+schedule of each of the corpus's two Poisson currents, and the sweep CSV
+with its default schedule. Regenerate them only for a change that is meant to move
 the numbers, and say so with the change:
 
     PYTHONPATH=src python scripts/make_golden.py [out_dir]
@@ -21,15 +21,17 @@ from lelonglab.cli import main as cli_main
 from lelonglab.theorems import corpus
 
 POISSON_CASES = ("pos-silver-poisson-flat", "div-half-poisson-linear")
+VERIFY_SEEDS = ("42", "7")
 
 
 def main(out_root: str = os.path.join("tests", "data")) -> int:
     os.makedirs(out_root, exist_ok=True)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        status = cli_main(["verify", "--seed", "42", "--out", os.path.join(out_root, "verify-seed42.json")])
-    if status != 0:
-        print("verify failed", file=sys.stderr)
-        return status
+    for seed in VERIFY_SEEDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = cli_main(["verify", "--seed", seed, "--out", os.path.join(out_root, f"verify-seed{seed}.json")])
+        if status != 0:
+            print(f"verify failed at seed {seed}", file=sys.stderr)
+            return status
     with contextlib.redirect_stdout(io.StringIO()):
         status = cli_main(["sweep", "--out", os.path.join(out_root, "sweep.csv")])
     if status != 0:

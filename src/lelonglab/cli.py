@@ -21,15 +21,18 @@ from .current import (
     Current,
     TransversalAtom,
     accumulation_family,
-    build_current,
+    build_currents,
     current_from_json,
 )
 from .errors import InputError, LelongLabError, QuadratureFailure
 from .foliation import Eigenvalue, torus_curve
 from .harmonic import FourierSpec, normalize
 from .mass import (
+    _exact_masses,
     closed_form_applicable,
     lelong_estimate,
+    lelong_from_masses,
+    lelong_radii,
     lelong_to_json,
     mass_closed_form,
     mass_quadrature,
@@ -247,31 +250,24 @@ def cmd_leafplot(args: argparse.Namespace) -> int:
 # sweep: fixed (eigenvalue, family) grid, no randomness
 
 
-def _sweep_current(lam: Eigenvalue, family: str) -> Current:
+def _sweep_atoms(lam: Eigenvalue, family: str) -> Sequence[TransversalAtom]:
     if family == "single-constant":
         if lam.is_negative:
-            atoms = [TransversalAtom(math.exp(-1.0), 1.0,
-                                     FourierSpec(b=1, a0=1.0, strip_c=1.0 / -lam.value))]
-        else:
-            atoms = [TransversalAtom(0.5, 1.0, FourierSpec(b=1, a0=1.0))]
-        return build_current(lam, atoms)
+            return [TransversalAtom(math.exp(-1.0), 1.0, FourierSpec(b=1, a0=1.0, strip_c=1.0 / -lam.value))]
+        return [TransversalAtom(0.5, 1.0, FourierSpec(b=1, a0=1.0))]
     if family == "single-modes":
         modes = ((-1, 0.3, 0.1), (-2, 0.1, -0.05))
         if lam.is_negative:
-            return build_current(lam, accumulation_family(
-                lam, 1, alpha_base=0.25, weight_base=1.0, b0=0.2,
-                modes=((-1, 0.04, 0.02),)))
-        spec = normalize(FourierSpec(b=1, a0=1.0, modes=modes))
-        return build_current(lam, [TransversalAtom(1.2, 1.0, spec)])
+            return accumulation_family(lam, 1, alpha_base=0.25, weight_base=1.0, b0=0.2, modes=((-1, 0.04, 0.02),))
+        return [TransversalAtom(1.2, 1.0, normalize(FourierSpec(b=1, a0=1.0, modes=modes)))]
     if family == "geometric-family":
         if lam.is_negative:
-            return build_current(lam, accumulation_family(lam, 5))
-        atoms = [
+            return accumulation_family(lam, 5)
+        return [
             TransversalAtom(0.4, 0.5, FourierSpec(b=1, a0=1.0)),
             TransversalAtom(0.9, 0.3, FourierSpec(b=1, a0=1.0)),
             TransversalAtom(1.5, 0.2, FourierSpec(b=1, a0=1.0)),
         ]
-        return build_current(lam, atoms)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -279,25 +275,24 @@ SWEEP_FAMILIES = ("single-constant", "single-modes", "geometric-family")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # every sweep current is a trig series: one table, one exact-route call
     lams = (Eigenvalue.rational(1, 1), Eigenvalue.rational(1, 2), Eigenvalue.negative(-1.0))
-    cfg = _quad_config(args)
+    grid = [(lam, family) for lam in lams for family in SWEEP_FAMILIES]
+    rs = lelong_radii(args.r_start, args.ratio, args.steps)
+    _, table = build_currents([(lam, _sweep_atoms(lam, family)) for lam, family in grid])
     rows = []
-    for lam in lams:
-        for family in SWEEP_FAMILIES:
-            current = _sweep_current(lam, family)
-            est = lelong_estimate(
-                current, r_start=args.r_start, ratio=args.ratio, steps=args.steps, cfg=cfg
-            )
-            rows.append([
-                repr(lam.value),
-                family,
-                repr(est.rs[-1]),
-                repr(est.nus[-1]),
-                repr(est.limit_bracket[0]),
-                repr(est.limit_bracket[1]),
-                int(est.monotone_ok),
-                int(est.diverging),
-            ])
+    for (lam, family), masses in zip(grid, _exact_masses(table, rs)):
+        est = lelong_from_masses(rs, masses)
+        rows.append([
+            repr(lam.value),
+            family,
+            repr(est.rs[-1]),
+            repr(est.nus[-1]),
+            repr(est.limit_bracket[0]),
+            repr(est.limit_bracket[1]),
+            int(est.monotone_ok),
+            int(est.diverging),
+        ])
     out = args.out or "sweep.csv"
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

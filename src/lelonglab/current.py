@@ -13,6 +13,15 @@ straight from the decoded lists, checking each field's type column by
 column; build_current builds it from atom objects. One validator checks
 the table for both, and both mass routes read it. A loaded current builds
 its TransversalAtom and FourierSpec objects only when .atoms is first read.
+
+One AtomTable can hold many currents, row after row, with each row's
+eigenvalue and current index as two more columns. build_currents validates
+a whole corpus that way, in one _validate call whose sign-dependent checks
+are row masks, and the exact route (mass._exact_masses) integrates every
+current of such a table in one call. build_current is the batch of one.
+The per-call cost of the array code (about a dozen arrays and a few dozen
+numpy calls, whatever the atom count) is so paid once per table, not once
+per current.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, repeat
 from operator import eq, is_not, itemgetter
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,12 +87,15 @@ class TransversalAtom:
 
 # a NamedTuple, not a dataclass: it costs a fifth as much to define at import
 class AtomTable(NamedTuple):
-    """The atoms of a current as columns, one row per atom, in atom order.
+    """The atoms of one or more currents as columns, one row per atom.
 
+    Rows run current by current, each current's atoms in atom order.
     alpha_re, alpha_im, moduli and weights are float columns, and trig marks
     the trig-series atoms. fourier holds their specs; poisson holds each
     Poisson atom's spec, and None on trig rows. The moduli are np.hypot of
-    alpha, bit for bit abs(alpha) wherever abs does not overflow.
+    alpha, bit for bit abs(alpha) wherever abs does not overflow. lam is
+    each row's eigenvalue, and current the index of the row's current, so
+    every check and sum that depends on the eigenvalue reads it by row.
     """
 
     alpha_re: np.ndarray
@@ -93,6 +105,8 @@ class AtomTable(NamedTuple):
     trig: np.ndarray
     fourier: FourierColumns
     poisson: Tuple[Optional[PoissonSpec], ...]
+    lam: np.ndarray
+    current: np.ndarray
 
     def atom(self, i: int) -> TransversalAtom:
         """Row i as a TransversalAtom."""
@@ -111,8 +125,10 @@ class AtomTable(NamedTuple):
         return TransversalAtom(complex(self.alpha_re[i], self.alpha_im[i]), float(self.weights[i]), spec)
 
 
-def atom_table(atoms: Sequence[TransversalAtom]) -> AtomTable:
-    """The AtomTable of a sequence of atoms."""
+def atom_table(currents: Sequence[Tuple[Eigenvalue, Sequence[TransversalAtom]]]) -> AtomTable:
+    """The AtomTable of (eigenvalue, atoms) pairs, one current per pair."""
+    atoms = list(chain.from_iterable(group for _, group in currents))
+    counts = [len(group) for _, group in currents]
     specs = [atom.spec for atom in atoms]
     alpha = np.array([atom.alpha for atom in atoms], dtype=complex)
     trig = [isinstance(spec, FourierSpec) for spec in specs]
@@ -120,17 +136,19 @@ def atom_table(atoms: Sequence[TransversalAtom]) -> AtomTable:
         alpha.real, alpha.imag, np.hypot(alpha.real, alpha.imag),
         np.array([atom.weight for atom in atoms], dtype=float), np.array(trig, dtype=bool),
         fourier_columns(specs), tuple(None if t else spec for t, spec in zip(trig, specs)),
+        np.array([lam.value for lam, _ in currents], dtype=float).repeat(counts),
+        np.arange(len(counts)).repeat(counts),
     )
 
 
 class Current:
     """An eigenvalue and its atoms.
 
-    Current(lam, atoms) takes the atoms as they are, unchecked; build_current
-    and current_from_json validate. The AtomTable is built on first use and
-    kept. A current loaded from JSON starts from its table, and builds its
-    atoms on first access to .atoms. Two currents are equal when their
-    eigenvalues and atoms are.
+    Current(lam, atoms) takes the atoms as they are, unchecked; build_current,
+    build_currents and current_from_json validate. The AtomTable is built on
+    first use and kept. A current loaded from JSON starts from its table, and
+    builds its atoms on first access to .atoms. Two currents are equal when
+    their eigenvalues and atoms are.
     """
 
     __slots__ = ("lam", "_atoms", "_table")
@@ -155,7 +173,7 @@ class Current:
     @property
     def table(self) -> AtomTable:
         if self._table is None:
-            self._table = atom_table(self._atoms)
+            self._table = atom_table(((self.lam, self._atoms),))
         return self._table
 
     def __eq__(self, other):
@@ -207,7 +225,7 @@ def _envelope_holds(cols: FourierColumns) -> np.ndarray:
     return (low >= -POSITIVITY_TOL) & (high >= -POSITIVITY_TOL)
 
 
-def _validate(lam: Eigenvalue, table: AtomTable, atom) -> None:
+def _validate(table: AtomTable, atom) -> None:
     """Check every atom invariant on the table; raise for the first atom that breaks one.
 
     The checks, in their order for each atom: alpha nonzero and finite, a
@@ -215,22 +233,29 @@ def _validate(lam: Eigenvalue, table: AtomTable, atom) -> None:
     spec and the strip height log|alpha|/lambda, for a positive one no
     strip; density 1 at the base point; then a strip's positivity, or a
     half-plane trig spec's ell-1 budget. Each is one array test over all
-    atoms. A strip whose envelope does not certify it goes to
-    check_positivity, by this module's name, which perfbench's tracer wraps.
-    atom(i) gives the i-th TransversalAtom, for the error message alone.
+    atoms of all the table's currents, and the checks that depend on the
+    sign of the eigenvalue hold only on the rows of that sign. Rows run
+    current by current, so the first row that breaks a check belongs to the
+    first current that breaks one, and the error names the atom by its
+    index in that current, as a table of that current alone would. A strip
+    whose envelope does not certify it goes to check_positivity, by this
+    module's name, which perfbench's tracer wraps. atom(n, i) gives atom i
+    of current n, for the error message alone.
     """
     cols = table.fourier
-    am, weights = table.moduli, table.weights
+    am, weights, lv = table.moduli, table.weights, table.lam
     strip = cols.strip_c < math.inf  # inf on half-planes and on Poisson rows
     base = _base_values(table)
-    negative = lam.is_negative
+    negative = lv < 0.0
+    n_negative = int(np.count_nonzero(negative))
+    any_negative, any_positive = n_negative > 0, n_negative < am.size
 
     def alpha_error(a, tag, i):
         abs(a.alpha)  # raises OverflowError where np.hypot overflowed to inf, as it always has
         return InputError(f"{tag}.alpha: transversal point must be nonzero and finite")
 
     def height_error(a, tag, i):
-        c_expected = math.log(a.alpha_modulus) / lam.value
+        c_expected = math.log(a.alpha_modulus) / float(lv[i])
         return InvalidSpecError(
             f"{tag}.spec.strip_c: strip height {a.spec.strip_c} does not match log|alpha|/lambda = {c_expected}"
         )
@@ -242,52 +267,79 @@ def _validate(lam: Eigenvalue, table: AtomTable, atom) -> None:
             (bad_alpha, alpha_error),
             (bad_weight, lambda a, tag, i: InputError(f"{tag}.weight: weight must be positive and finite")),
         ]
-        if negative:
+        if any_negative:
             # only atoms with 0 < |alpha| < 1 reach this check
-            c_expected = float_map(math.log, np.where(am > 0.0, am, 1.0)) / lam.value
+            c_expected = float_map(math.log, np.where(am > 0.0, am, 1.0)) / lv
             checks += [
-                (am >= 1.0, lambda a, tag, i: EmptyLeafError(
+                (negative & (am >= 1.0), lambda a, tag, i: EmptyLeafError(
                     f"{tag}: leaf through |alpha| = {a.alpha_modulus} misses the bidisc when the eigenvalue is negative")),
-                (~strip, lambda a, tag, i: InvalidSpecError(f"{tag}.spec: negative eigenvalue atoms need a strip spec")),
-                (np.abs(cols.strip_c - c_expected) > 1e-9 * np.maximum(1.0, c_expected), height_error),
+                (negative & ~strip, lambda a, tag, i: InvalidSpecError(
+                    f"{tag}.spec: negative eigenvalue atoms need a strip spec")),
+                (negative & (np.abs(cols.strip_c - c_expected) > 1e-9 * np.maximum(1.0, c_expected)), height_error),
             ]
-        else:
-            checks.append((strip, lambda a, tag, i: InvalidSpecError(
+        if any_positive:
+            checks.append((~negative & strip, lambda a, tag, i: InvalidSpecError(
                 f"{tag}.spec: positive eigenvalue atoms live on a half-plane, not a strip")))
         checks.append((np.abs(base - 1.0) > NORMALIZATION_TOL, lambda a, tag, i: NormalizationError(
             f"{tag}.spec: density at the base point is {float(base[i])}, expected 1")))
-        if not negative:
+        if any_positive:
             l1 = np.bincount(cols.owner, np.abs(cols.ak) + np.abs(cols.bk), am.size)
-            checks.append((l1 > cols.a0 * (1.0 + L1_SLACK) + L1_SLACK, lambda a, tag, i: InvalidSpecError(
+            checks.append((~negative & (l1 > cols.a0 * (1.0 + L1_SLACK) + L1_SLACK), lambda a, tag, i: InvalidSpecError(
                 f"{tag}.spec: mode coefficients sum to {a.spec.mode_l1()}, exceeding a0 = {a.spec.a0}")))
-        holds = _envelope_holds(cols) if negative else None
-    broken = reduce(np.logical_or, [mask for mask, _ in checks])
-    first = int(broken.argmax())
-    if not broken[first]:
-        first = am.size
-    if negative:
+        holds = _envelope_holds(cols) if any_negative else None
+    broken = np.flatnonzero(reduce(np.logical_or, [mask for mask, _ in checks]))
+    first = int(broken[0]) if broken.size else am.size
+
+    def row(i):
+        # row i's atom and its tag, which counts from its current's first row
+        n = int(table.current[i])
+        j = i - int(np.searchsorted(table.current, n))
+        return atom(n, j), f"atoms[{j}]"
+
+    if any_negative:
         # a strip's positivity is its last check, so it counts only for the
         # atoms before the first that breaks another
-        for i in np.flatnonzero(~holds[:first]).tolist():
-            tag = f"atoms[{i}]"
+        for i in np.flatnonzero(negative[:first] & ~holds[:first]).tolist():
+            a, tag = row(i)
             try:
-                positive = check_positivity(atom(i).spec)
+                positive = check_positivity(a.spec)
             except InvalidSpecError as exc:
                 raise InvalidSpecError(f"{tag}." + str(exc)) from exc
             if not positive:
                 raise InvalidSpecError(f"{tag}.spec: strip density dips negative")
     if first < am.size:
         error = next(error for mask, error in checks if mask[first])
-        raise error(atom(first), f"atoms[{first}]", first)
+        raise error(*row(first), first)
     # Poisson positivity is structural: nonnegative samples, tail, c_lin.
 
 
-def build_current(lam: Eigenvalue, atoms: Sequence[TransversalAtom]) -> Current:
-    """Validate every atom invariant and assemble the current."""
-    if not atoms:
+def build_currents(
+    currents: Sequence[Tuple[Eigenvalue, Sequence[TransversalAtom]]],
+) -> Tuple[List[Current], AtomTable]:
+    """Validate every atom invariant of many currents at once and assemble them.
+
+    currents holds (eigenvalue, atoms) pairs. Their atoms make one
+    AtomTable, with each row's eigenvalue, and one _validate call checks it.
+    A current that breaks a rule raises the error build_current gives for
+    it; where several do, the first of them in order raises. Returns the
+    currents and their table, whose rows every exact-route sum reads once
+    for all of them. Each current builds its own table on first use.
+    """
+    built = [Current(lam, atoms) for lam, atoms in currents]
+    # an empty current is an error only if every current before it holds
+    empty = next((n for n, current in enumerate(built) if not current._atoms), len(built))
+    checked = built[:empty]
+    table = atom_table([(current.lam, current._atoms) for current in checked])
+    _validate(table, lambda n, i: checked[n]._atoms[i])
+    if empty < len(built):
         raise InputError("atoms: a current needs at least one atom")
-    current = Current(lam, atoms)
-    _validate(lam, current.table, current.atoms.__getitem__)
+    return built, table
+
+
+def build_current(lam: Eigenvalue, atoms: Sequence[TransversalAtom]) -> Current:
+    """Validate every atom invariant and assemble the current: the batch of one."""
+    (current,), table = build_currents(((lam, atoms),))
+    current._table = table
     return current
 
 
@@ -489,7 +541,7 @@ def _column(objs: list, field: str, default=None) -> list:
     return list(map(dict.get, objs, repeat(field), repeat(default)))
 
 
-def _json_table(entries: list) -> AtomTable:
+def _json_table(lam: Eigenvalue, entries: list) -> AtomTable:
     """The AtomTable of decoded atom entries, every field rule checked column by column.
 
     The rules are json_float's and json_int's, spec_from_json's and
@@ -541,6 +593,7 @@ def _json_table(entries: list) -> AtomTable:
     return AtomTable(
         alpha_re, alpha_im, np.hypot(alpha_re, alpha_im), weights, np.array(trig, dtype=bool),
         FourierColumns(*columns, np.repeat(rows, counts), k, ak, bk), tuple(poisson),
+        np.full(n, lam.value), np.zeros(n, dtype=np.intp),
     )
 
 
@@ -571,8 +624,8 @@ def current_from_json(obj) -> Current:
     if not isinstance(entries, list) or not entries:
         raise InputError("atoms: expected a nonempty list")
     try:
-        table = _json_table(entries)
+        table = _json_table(lam, entries)
     except _Broken:
         _name_broken_atom(entries)
-    _validate(lam, table, table.atom)
+    _validate(table, lambda n, i: table.atom(i))
     return Current._from_table(lam, table)

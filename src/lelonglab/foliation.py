@@ -146,13 +146,31 @@ def float_map(fn, values, *args) -> np.ndarray:
     return np.fromiter(each, float, values.size).reshape(values.shape)
 
 
-def plaque_limits(lam: Eigenvalue, moduli, rs):
+def lam_values(lam):
+    """An eigenvalue as a float, or per-row eigenvalues as a float array.
+
+    lam is an Eigenvalue, its value, or one value per row. Rows that all
+    share one value, a lone current's say, give that float, so they take
+    the scalar paths below, which give the same entries with less work.
+    """
+    if isinstance(lam, Eigenvalue):
+        return lam.value
+    if isinstance(lam, float):
+        return lam
+    lv = np.asarray(lam, dtype=float)
+    return float(lv[0]) if lv.size and (lv == lv[0]).all() else lv
+
+
+def plaque_limits(lam, moduli, rs):
     """(v_min, v_max, empty) of the plaques of leaves through moduli, at radii rs.
 
     Each is an (atoms, radii) array, in unshifted leaf coordinates like
     leaf_domain, entry [i, n] for moduli[i] and rs[n]: v_max is inf on
     half-planes, and v_min and v_max mean nothing where empty is True.
-    This is the one plaque formula; leaf_domain is its scalar case.
+    lam is an Eigenvalue or one eigenvalue per modulus (see lam_values), so
+    that the atoms of many currents take one call; each entry is the one
+    its eigenvalue alone gives. This is the one plaque formula; leaf_domain
+    is its scalar case.
     """
     moduli = np.asarray(moduli, dtype=float).reshape(-1)
     radii = np.asarray(rs, dtype=float).reshape(-1)
@@ -161,17 +179,35 @@ def plaque_limits(lam: Eigenvalue, moduli, rs):
         raise DomainError("alpha modulus must be positive and finite")
     if not (np.minimum.reduce(radii, initial=1.0) > 0.0 and np.maximum.reduce(radii, initial=1.0) <= 1.0):
         raise DomainError("radius must lie in (0, 1]")
-    lv = lam.value
+    lv = lam_values(lam)
+    if isinstance(lv, float):
+        bound = float_map(math.pow, radii, 1.0 - lv)
+    else:
+        # r^(1 - lambda) once per run of rows with one eigenvalue, such as a
+        # current's rows, then taken by row
+        first = np.empty(lv.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(lv[1:], lv[:-1], out=first[1:])
+        values = lv[first].tolist()
+        bound = np.empty((len(values), radii.size))
+        for j, value in enumerate(values):
+            bound[j] = float_map(math.pow, radii, 1.0 - value)
+        bound = bound[np.cumsum(first) - 1]
+        lv = lv.reshape(-1, 1)
     logs = float_map(math.log, np.concatenate((moduli, radii)))
     log_am, log_r = logs[:moduli.size, None], logs[moduli.size:]
-    above = moduli[:, None] >= float_map(math.pow, radii, 1.0 - lv)  # |w| < r binds, or nothing is left
+    above = moduli[:, None] >= bound  # |w| < r binds, or nothing is left
     cut = (log_am - log_r) / lv
     entry = np.empty(above.shape)
     entry[:] = -log_r
-    if lv > 0.0:
-        return np.where(above, cut, entry), np.full(above.shape, math.inf), np.zeros(above.shape, dtype=bool)
-    # lambda < 0: |w| < r needs v < (log|alpha| - log r)/lambda, an upper cut
-    return entry, cut, above
+    # lambda > 0: a half-plane above the binding cut; lambda < 0: |w| < r
+    # needs v < (log|alpha| - log r)/lambda, an upper cut
+    if isinstance(lv, float):
+        if lv > 0.0:
+            return np.where(above, cut, entry), np.full(above.shape, math.inf), np.zeros(above.shape, dtype=bool)
+        return entry, cut, above
+    positive = lv > 0.0
+    return np.where(positive & above, cut, entry), np.where(positive, math.inf, cut), ~positive & above
 
 
 def leaf_domain(lam: Eigenvalue, alpha_modulus: float, r: float) -> LeafDomain:
@@ -189,20 +225,20 @@ def leaf_domain(lam: Eigenvalue, alpha_modulus: float, r: float) -> LeafDomain:
     return LeafDomain("strip", v_min=float(v_min[0, 0]), v_max=float(v_max[0, 0]))
 
 
-def coordinate_shift(lam: Eigenvalue, alpha_modulus):
+def coordinate_shift(lam, alpha_modulus):
     """Shift baked into the |alpha| >= 1 branch of jacobian_density.
 
     The area density below is written for the plaque parameter measured from
     the leaf's own entry point into the bidisc; for lambda > 0 and |alpha| >= 1
     that differs from the unshifted v by log|alpha|/lambda. Takes a modulus
-    or an array of them.
+    or an array of them, and an Eigenvalue or one eigenvalue per modulus.
     """
     moduli = np.asarray(alpha_modulus, dtype=float)
-    outer = moduli >= 1.0
-    if lam.value > 0.0:
-        shift = np.where(outer, float_map(math.log, np.where(outer, moduli, 1.0)) / lam.value, 0.0)
-    else:
-        shift = np.zeros(moduli.shape)
+    lv = lam_values(lam)
+    outer = (moduli >= 1.0) & (lv > 0.0)
+    shift = np.zeros(moduli.shape)
+    if outer.any():
+        shift[outer] = float_map(math.log, moduli[outer]) / np.broadcast_to(lv, moduli.shape)[outer]
     return float(shift) if shift.ndim == 0 else shift
 
 
@@ -231,10 +267,12 @@ class JacobianRows:
         return JacobianRows(self.coefficients[:, rows])
 
 
-def jacobian_rows(lam: Eigenvalue, moduli) -> JacobianRows:
-    """The JacobianRows of an array of moduli."""
+def jacobian_rows(lam, moduli) -> JacobianRows:
+    """The JacobianRows of an array of moduli, for an Eigenvalue or one eigenvalue per modulus."""
     moduli = np.asarray(moduli, dtype=float)
-    pairs = [_jacobian_coefficients(lam.value, am) for am in moduli.ravel().tolist()]
+    lv = lam_values(lam)
+    lvs = itertools.repeat(lv) if isinstance(lv, float) else np.broadcast_to(lv, moduli.shape).ravel().tolist()
+    pairs = list(map(_jacobian_coefficients, lvs, moduli.ravel().tolist()))
     return JacobianRows(np.array(pairs, dtype=float).reshape(-1, 2).T.reshape((2,) + moduli.shape))
 
 

@@ -15,12 +15,18 @@ Two independent routes to the mass of a current on the bidisc of radius r:
   block, and the expansion's truncation remainder. mass_quadrature is the
   one-radius case.
 * mass_closed_form: exact for every trig-series current and u-window, as a
-  finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}.
+  finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}. Its
+  engine, _exact_masses, takes an AtomTable of one or many currents, each
+  row with its own eigenvalue, and sums every current at every radius in
+  one call: each term is one array entry and math.fsum, correctly rounded
+  in any order, adds each (current, radius) group, so a batch gives every
+  current the bits it gets alone.
 
 The two must agree to quadrature error; the test suite pins that agreement
 and checks the paper's displays (three-region brackets, strip integrals
 Ia/Ib) against the exact route. Everything downstream (Lelong schedules,
-verifiers, CLI) consumes these two engines.
+verifiers, CLI) consumes these two engines; lelong_from_masses turns the
+masses of a schedule, from either, into its LelongEstimate.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +48,7 @@ from .foliation import (
     float_map,
     jacobian_density,
     jacobian_rows,
+    lam_values,
     leaf_domain,
     plaque_limits,
 )
@@ -425,32 +432,36 @@ def _shaped(arrays, shape):
     return tuple(a.reshape(shape) for a in arrays) if shape else tuple(float(a[0]) for a in arrays)
 
 
-def _exact_masses(current: Current, rs, k0: int = 0) -> List[Tuple[float, float]]:
-    """(mass, rounding bound) of an all-trig current at each radius in rs.
+def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple[float, float]]]]:
+    """(mass, rounding bound) at each radius in rs, for every current of the table.
 
-    Per atom, jacobian_density is two exponentials (its jacobian_rows
-    coefficients, rates 2 and 2 lambda) and the k0-th window integral is
-    (A + B v) + sum_k C_k e^{k v / b}, so the integrand is a finite sum of
-    (alpha + beta v) e^{-sigma v}. Each term is integrated in closed form
-    over the range the quadrature route uses: the plaque, shifted by
-    coordinate_shift and running to infinity on half-planes.
+    One entry per current of the table, in order: its pairs, one per
+    radius, or None for a current with a Poisson atom, which the exact
+    route does not cover. Per atom, jacobian_density is two exponentials
+    (its jacobian_rows coefficients, rates 2 and 2 lambda) and the k0-th
+    window integral is (A + B v) + sum_k C_k e^{k v / b}, so the integrand
+    is a finite sum of (alpha + beta v) e^{-sigma v}. Each term is
+    integrated in closed form over the range the quadrature route uses: the
+    plaque, shifted by coordinate_shift and running to infinity on
+    half-planes.
 
-    Every term at every radius is one entry of a few flat arrays, with no
-    Python loop over atoms or terms. The rounding bound is accounted term
-    by term, so the arrays keep one entry per term and math.fsum adds each
-    radius's terms. Every exp, expm1, log and power goes through math,
+    Every term of every current at every radius is one entry of a few flat
+    arrays, with no Python loop over currents, atoms or terms; each atom's
+    eigenvalue is read by row. The rounding bound is accounted term by term,
+    so the arrays keep one entry per term and math.fsum adds each (current,
+    radius) group. An entry depends only on its atom, its eigenvalue, its
+    radius and k0, and math.fsum is correctly rounded in any order, so each
+    current's pairs are bit for bit those of a table of that current alone
+    at those radii alone. Every exp, expm1, log and power goes through math,
     entry by entry, and the rest is numpy arithmetic in scalar order:
     np.exp rounds differently from math.exp on a few percent of inputs,
     and would move the masses in their last bits.
     """
-    if not closed_form_applicable(current):
-        raise UnsupportedCurrentError("exact mass needs trig-series atoms")
-    lam = current.lam
     u0 = TWO_PI * k0
     u1 = u0 + TWO_PI
-    table = current.table
     cols = table.fourier
-    moduli, weights, owner, ak, bk = table.moduli, table.weights, cols.owner, cols.ak, cols.bk
+    moduli, weights, lv, owner, ak, bk = table.moduli, table.weights, table.lam, cols.owner, cols.ak, cols.bk
+    lam = lam_values(lv)  # one float for a lone current: the foliation helpers' scalar paths
     coef = mode_integrals(cols, u0, u1)
     # window parts (alpha, beta, growth rate, bound on |alpha|, bound on
     # |beta|): every atom's base, a0 (1 - v/C) + b0 v on a strip of height
@@ -473,7 +484,9 @@ def _exact_masses(current: Current, rs, k0: int = 0) -> List[Tuple[float, float]
     # weighted terms, one per jacobian exponential and window part: alpha,
     # beta, their bounds, sigma and its size
     c = 2.0 * jacobian_rows(lam, moduli).coefficients[:, part_owner]
-    rates = np.array([[2.0], [2.0 * lam.value]])
+    rates = np.empty(c.shape)
+    rates[0] = 2.0
+    rates[1] = 2.0 * lv[part_owner]
     terms = np.empty((6,) + c.shape)
     terms[:2] = weights[part_owner] * c
     terms[2:4] = weights[part_owner] * np.abs(c)
@@ -481,16 +494,25 @@ def _exact_masses(current: Current, rs, k0: int = 0) -> List[Tuple[float, float]
     terms[4] = rates - grow
     terms[5] = np.abs(rates) + np.abs(grow)
     # the plaques' limits and the bound on their size, per atom and radius;
-    # coordinate_shift is 0 on strips, and half-planes run to infinity
+    # coordinate_shift is 0 on strips, and half-planes run to infinity. The
+    # atoms of a current with a Poisson atom count as empty everywhere.
     v_min, v_max, empty = plaque_limits(lam, moduli, rs)
+    n_currents = int(table.current[-1]) + 1 if n_atoms else 0
+    exact = np.ones(n_currents, dtype=bool)
+    exact[table.current[~table.trig]] = False
+    empty |= ~exact[table.current][:, None]
     logs = float_map(math.log, np.concatenate((moduli, rs)))
     limits = np.empty((3,) + v_min.shape)
     limits[0] = v_min - coordinate_shift(lam, moduli)[:, None]
     limits[1] = v_max
-    limits[2] = (np.abs(logs[:n_atoms, None]) - logs[n_atoms:]) / abs(lam.value)
-    # one entry per radius, window part whose atom has a nonempty plaque at
-    # that radius, and jacobian term, in that order
+    limits[2] = (np.abs(logs[:n_atoms, None]) - logs[n_atoms:]) / np.abs(lv)[:, None]
+    # one entry per (current, radius) group, window part whose atom has a
+    # nonempty plaque at that radius, and jacobian term, in that order
+    n_radii = v_min.shape[1]
     radius, part = np.nonzero(~empty.T[:, part_owner])
+    group = table.current[part_owner[part]] * n_radii + radius
+    order = np.argsort(group, kind="stable")
+    radius, part = radius[order], part[order]
     a, bt, a_mag, b_mag, sigma, rate = terms[:, :, part].swapaxes(1, 2).reshape(6, -1)
     lo, hi, cond = limits[:, part_owner[part].repeat(2), radius.repeat(2)]
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic would
@@ -502,9 +524,17 @@ def _exact_masses(current: Current, rs, k0: int = 0) -> List[Tuple[float, float]
         body = (1.0 + rate * cond) * (size * m0 + b_mag * m1)
         mags = e_lo * (body + cond * size) + e_hi * cond * size
     values, mags = values.tolist(), mags.tolist()
-    ends = (2 * np.cumsum(np.bincount(radius, minlength=len(rs)))).tolist()
+    ends = (2 * np.cumsum(np.bincount(group, minlength=n_currents * n_radii))).tolist()
     unit = EXACT_ROUNDING * sys.float_info.epsilon
-    return [(math.fsum(values[i:j]), unit * math.fsum(mags[i:j])) for i, j in zip([0] + ends, ends)]
+    pairs = [(math.fsum(values[i:j]), unit * math.fsum(mags[i:j])) for i, j in zip([0] + ends, ends)]
+    return [pairs[n * n_radii:(n + 1) * n_radii] if ok else None for n, ok in enumerate(exact.tolist())]
+
+
+def _exact_schedule(current: Current, rs, k0: int = 0) -> List[Tuple[float, float]]:
+    """(mass, rounding bound) of an all-trig current at each radius in rs: its table's _exact_masses."""
+    if not closed_form_applicable(current):
+        raise UnsupportedCurrentError("exact mass needs trig-series atoms")
+    return _exact_masses(current.table, rs, k0)[0]
 
 
 def closed_form_applicable(current: Current) -> bool:
@@ -514,7 +544,7 @@ def closed_form_applicable(current: Current) -> bool:
 
 def mass_closed_form(current: Current, r: float, k0: int = 0) -> float:
     """Exact mass of an all-trig current on the bidisc of radius r, k0-th u-window."""
-    return _exact_masses(current, (r,), k0)[0][0]
+    return _exact_schedule(current, (r,), k0)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +668,17 @@ def _fit_against_log(rs, nus) -> Tuple[float, float]:
     return float(slope), 1.0 - ss_res / ss_tot
 
 
+def lelong_radii(r_start: float, ratio: float, steps: int) -> List[float]:
+    """The geometric schedule r_start ratio^n, n < steps, of lelong_estimate."""
+    if not (0.0 < r_start <= 1.0):
+        raise DomainError("r_start must lie in (0, 1]")
+    if not (0.0 < ratio < 1.0):
+        raise InputError("ratio must lie in (0, 1)")
+    if steps < 2:
+        raise InputError("a schedule needs at least two steps")
+    return [r_start * ratio**n for n in range(steps)]
+
+
 def lelong_estimate(
     current: Current,
     r_start: float = 1.0,
@@ -650,25 +691,27 @@ def lelong_estimate(
 
     All-trig currents take the exact route, with its rounding bound as the
     error; any other current is integrated by mass_quadrature_schedule.
-    monotone_ok accepts monotonicity in either direction within per-point
-    error bars: Skoda-style decay and b0-divergence are both monotone
-    schedules, a hump is neither.
+    lelong_from_masses judges the masses.
     """
-    if not (0.0 < r_start <= 1.0):
-        raise DomainError("r_start must lie in (0, 1]")
-    if not (0.0 < ratio < 1.0):
-        raise InputError("ratio must lie in (0, 1)")
-    if steps < 2:
-        raise InputError("a schedule needs at least two steps")
-
-    rs = [r_start * ratio**n for n in range(steps)]
+    rs = lelong_radii(r_start, ratio, steps)
     if closed_form_applicable(current):
-        masses = _exact_masses(current, rs, k0)
+        masses = _exact_schedule(current, rs, k0)
     else:
         masses = [
             (m.value, m.error_estimate)
             for m in mass_quadrature_schedule(current, rs, k0=k0, cfg=cfg)
         ]
+    return lelong_from_masses(rs, masses)
+
+
+def lelong_from_masses(rs: Sequence[float], masses: Sequence[Tuple[float, float]]) -> LelongEstimate:
+    """The LelongEstimate of (mass, error) pairs at the radii rs of a schedule.
+
+    monotone_ok accepts monotonicity in either direction within per-point
+    error bars: Skoda-style decay and b0-divergence are both monotone
+    schedules, a hump is neither.
+    """
+    steps = len(rs)
     nus, errs = [], []
     for r, (value, err) in zip(rs, masses):
         area = math.pi * r**2
@@ -731,7 +774,9 @@ def nu_limit_positive_periodic(current: Current) -> float:
     """
     if current.lam.is_negative:
         raise UnsupportedCurrentError("positive limit on a negative eigenvalue")
-    if not closed_form_applicable(current):
+    # read from the atoms, not closed_form_applicable: a current built in a
+    # batch has no table of its own until one is asked for
+    if not all(isinstance(atom.spec, FourierSpec) for atom in current.atoms):
         raise UnsupportedCurrentError("closed-form limit needs trig atoms")
     lv = current.lam.value
     acc = 0.0
@@ -761,6 +806,8 @@ __all__ = [
     "interval_window",
     "lower_bound_nonperiodic",
     "lelong_estimate",
+    "lelong_from_masses",
+    "lelong_radii",
     "lelong_to_json",
     "closed_form_applicable",
     "nu_limit_positive_periodic",

@@ -9,6 +9,14 @@ A value passes only if it lies strictly between its bounds. Every verdict is
 recomputable from the observed numbers and the tolerance spelled out in the
 report details; the corpus is generated deterministically from a seed that
 only jitters benign mode coefficients.
+
+Each verifier is a schedule and a judge of it. verify_* schedule one current
+with lelong_estimate; run_corpus builds the whole corpus with one
+build_currents call and schedules all 14 trig currents with one exact-route
+call at PERIODIC_STEPS radii, judging the STEPS-radius prefix where a
+verifier takes STEPS: an exact mass depends on its radius alone, so the
+prefix is bit for bit the STEPS-radius schedule. The two Poisson currents
+keep one quadrature schedule each.
 """
 
 from __future__ import annotations
@@ -21,10 +29,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .current import (
+    AtomTable,
     Current,
     TransversalAtom,
     accumulation_family,
-    build_current,
+    build_current,  # not called here: perfbench's layer trace wraps it by name
+    build_currents,
     is_periodic,
     monodromy_family,
 )
@@ -33,12 +43,15 @@ from .foliation import Eigenvalue
 from .harmonic import FourierSpec, PoissonSpec, normalize
 from .mass import (
     _bracket_a,
+    _exact_masses,
     closed_form_applicable,
     ia,
     ib,
     kernel_weight,
     interval_window,
     lelong_estimate,
+    lelong_from_masses,
+    lelong_radii,
     lower_bound_nonperiodic,
     mass_closed_form,
     nu_limit_positive_periodic,
@@ -89,7 +102,7 @@ class CorpusCase:
 
 
 # ---------------------------------------------------------------------------
-# theorem verifiers
+# theorem verifiers: a schedule, then its judge
 
 
 def verify_positive_lambda(
@@ -103,22 +116,25 @@ def verify_positive_lambda(
     additionally pinned to the closed-form limit; Poisson currents to the
     interval lower bound.
     """
+    steps = PERIODIC_STEPS if closed_form_applicable(current) else STEPS
+    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=steps, cfg=cfg.quad)
+    return _judge_positive(current, est, cfg, case_id)
+
+
+def _judge_positive(current: Current, est, cfg: VerifyConfig, case_id: str) -> VerificationReport:
     if current.lam.is_negative:
         raise InputError("positive-limit verifier needs a positive eigenvalue")
     for atom in current.atoms:
         growing = atom.spec.b0 if isinstance(atom.spec, FourierSpec) else atom.spec.c_lin
         if growing > 0.0:
             raise InputError("positive-limit verifier needs b0 = 0 and c_lin = 0 atoms")
-    all_fourier = closed_form_applicable(current)
-    steps = PERIODIC_STEPS if all_fourier else STEPS
-    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=steps, cfg=cfg.quad)
-    if all_fourier:
+    if all(isinstance(atom.spec, FourierSpec) for atom in current.atoms):
         reference = nu_limit_positive_periodic(current)
         tol = 1e-4 * cfg.tol_scale
         agrees = abs(est.limit_estimate - reference) <= tol * max(abs(reference), 1e-30)
         details = (
             f"pass iff bracket lower > 0 and |limit - {reference:.12g}| <= {tol:.3g} rel "
-            f"(closed-form schedule, {steps} halvings)"
+            f"(closed-form schedule, {len(est.rs)} halvings)"
         )
     else:
         reference = lower_bound_nonperiodic(current, k=INTERVAL_K, n_max=INTERVAL_N_MAX)
@@ -149,11 +165,18 @@ def verify_negative_periodic(
     nu(1). Structural half: the atoms still admissible at the end radius
     carry a closed-form tail below 1% of the full mass (or none are left).
     """
+    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
+    return _judge_negative(current, est, None, cfg, case_id)
+
+
+def _judge_negative(
+    current: Current, est, mass_one: Optional[float], cfg: VerifyConfig, case_id: str,
+) -> VerificationReport:
+    # mass_one is the exact mass at r = 1, or None to work it out if needed
     if not current.lam.is_negative:
         raise InputError("vanishing-limit verifier needs a negative eigenvalue")
     if is_periodic(current) is None:
         raise InputError("vanishing-limit verifier needs a periodic current")
-    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
     nu_start, nu_end = est.nus[0], est.nus[-1]
     decay_ok = nu_end < 0.05 * cfg.tol_scale * nu_start
     r_end = est.rs[-1]
@@ -171,7 +194,7 @@ def verify_negative_periodic(
             )
             for atom in admissible
         )
-        mass_ref = mass_closed_form(current, 1.0)
+        mass_ref = mass_closed_form(current, 1.0) if mass_one is None else mass_one
         tail_ok = tail < 0.01 * cfg.tol_scale * mass_ref
     else:
         tail = 0.0
@@ -195,6 +218,11 @@ def verify_b0_divergence(
     case_id: str = "b0-divergence",
 ) -> VerificationReport:
     """Linear boundary growth forces nu to diverge like -log r."""
+    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
+    return _judge_divergence(current, est, cfg, case_id)
+
+
+def _judge_divergence(current: Current, est, cfg: VerifyConfig, case_id: str) -> VerificationReport:
     if current.lam.is_negative:
         raise InputError("divergence verifier needs a positive eigenvalue")
     has_growth = any(
@@ -203,7 +231,6 @@ def verify_b0_divergence(
     )
     if not has_growth:
         raise InputError("divergence verifier needs an atom with b0 > 0 or c_lin > 0")
-    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
     r2_floor = 1.0 - 0.01 * cfg.tol_scale
     slope_ok = est.slope > 0.0
     fit_ok = est.r_squared > r2_floor
@@ -385,13 +412,13 @@ def _flat_poisson(c_lin: float = 0.0) -> PoissonSpec:
     return PoissonSpec(ys=ys, values=np.ones(n), tail=1.0, c_lin=c_lin)
 
 
-def corpus(seed: int = 42) -> List[CorpusCase]:
-    """The standard 16-case corpus; the seed only jitters mode coefficients."""
+def _corpus_batch(seed: int) -> Tuple[List[CorpusCase], AtomTable]:
+    """The corpus's cases and the one AtomTable of all their currents, from one build_currents call."""
     rng = np.random.default_rng(seed)
-    cases: List[CorpusCase] = []
+    entries = []
 
     def add(case_id: str, kind: str, lam: Eigenvalue, atoms):
-        cases.append(CorpusCase(case_id, kind, build_current(lam, atoms)))
+        entries.append((case_id, kind, lam, atoms))
 
     lam1 = Eigenvalue.rational(1, 1)
     lam12 = Eigenvalue.rational(1, 2)
@@ -447,7 +474,13 @@ def corpus(seed: int = 42) -> List[CorpusCase]:
     add("div-half-poisson-linear", "divergence", lam12,
         [TransversalAtom(1.1, 1.0, _flat_poisson(c_lin=0.6))])
 
-    return cases
+    currents, table = build_currents([(lam, atoms) for _, _, lam, atoms in entries])
+    return [CorpusCase(case_id, kind, current) for (case_id, kind, _, _), current in zip(entries, currents)], table
+
+
+def corpus(seed: int = 42) -> List[CorpusCase]:
+    """The standard 16-case corpus; the seed only jitters mode coefficients."""
+    return _corpus_batch(seed)[0]
 
 
 # the ten dual-route fixtures of the closed-form/quadrature acceptance gate
@@ -472,22 +505,34 @@ def run_corpus(
 ) -> List[VerificationReport]:
     """Run every applicable verifier over the corpus, reports in corpus order.
 
-    `only` filters to a single case id (theorem case or lemma lattice).
+    `only` filters to a single case id (theorem case or lemma lattice). The
+    corpus is built and validated as one table, and one exact-route call
+    gives every trig current its PERIODIC_STEPS-radius schedule; a STEPS-step
+    verifier judges its prefix, which is bit for bit the STEPS-step schedule.
+    Each Poisson current gets its own quadrature schedule.
     """
-    cases = corpus(seed)
+    cases, table = _corpus_batch(seed)
     known = [c.case_id for c in cases] + list(LEMMAS)
     if only is not None and only not in known:
         raise InputError(f"unknown case id {only!r}; known: {', '.join(known)}")
+    picked = [n for n, case in enumerate(cases) if only in (None, case.case_id)]
+    rs = lelong_radii(R_START, RATIO, PERIODIC_STEPS)
+    masses = _exact_masses(table, rs) if picked else []
     reports: List[VerificationReport] = []
-    for case in cases:
-        if only is not None and case.case_id != only:
-            continue
-        if case.kind == "positive":
-            reports.append(verify_positive_lambda(case.current, cfg, case.case_id))
-        elif case.kind == "negative":
-            reports.append(verify_negative_periodic(case.current, cfg, case.case_id))
+    for n in picked:
+        case, exact = cases[n], masses[n]
+        if exact is None:  # Poisson data
+            est = lelong_estimate(case.current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
         else:
-            reports.append(verify_b0_divergence(case.current, cfg, case.case_id))
+            steps = PERIODIC_STEPS if case.kind == "positive" else STEPS
+            est = lelong_from_masses(rs[:steps], exact[:steps])
+        if case.kind == "positive":
+            reports.append(_judge_positive(case.current, est, cfg, case.case_id))
+        elif case.kind == "negative":
+            # rs[0] = R_START = 1, so exact[0] holds the mass at r = 1
+            reports.append(_judge_negative(case.current, est, exact[0][0], cfg, case.case_id))
+        else:
+            reports.append(_judge_divergence(case.current, est, cfg, case.case_id))
     if only is None:
         reports.extend(verify_lemma_bounds())
     elif only in LEMMAS:

@@ -23,6 +23,7 @@ from lelonglab import (
     TransversalAtom,
     accumulation_family,
     build_current,
+    build_currents,
     corpus,
     current_to_json,
     mass_quadrature_schedule,
@@ -279,6 +280,12 @@ class TestGoldenOutputs:
         assert main(["verify", "--seed", "42", "--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_bytes() == (GOLDEN / "verify-seed42.json").read_bytes()
+
+    def test_verify_report_seed7(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--seed", "7", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (GOLDEN / "verify-seed7.json").read_bytes()
 
     @pytest.mark.parametrize("case_id", ["pos-silver-poisson-flat", "div-half-poisson-linear"])
     def test_poisson_schedule(self, case_id, write_current, capsys):
@@ -758,3 +765,40 @@ class TestColumnLoader:
                 assert main(argv) == 0
                 assert capsys.readouterr().out == out
         assert _current_bits(cli._load_current(path)) == _current_bits(load_current(path))
+
+
+@st.composite
+def current_batches(draw):
+    """1-5 (lam, atoms) pairs of either sign from atom_lists, now and then with no atoms."""
+    return [(draw(st.sampled_from([Eigenvalue.negative(-0.5), Eigenvalue.rational(1, 2)])), [])
+            if draw(st.integers(0, 9)) == 0 else draw(atom_lists())
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+def _batch_built(build, pairs):
+    try:
+        return [_current_bits(current) for current in build(pairs)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestBatchBuilder:
+    """build_currents against the per-atom build_current of tests/oracles.py, current by current."""
+
+    @given(pairs=current_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_same_currents_or_the_first_error(self, pairs):
+        import oracles
+
+        def one_by_one(pairs):
+            return [oracles.build_current(lam, atoms) for lam, atoms in pairs]
+
+        def batch(pairs):
+            currents, table = build_currents(pairs)
+            # one row per atom, current by current, each with its eigenvalue
+            counts = [len(atoms) for _, atoms in pairs]
+            assert table.current.tolist() == [n for n, count in enumerate(counts) for _ in range(count)]
+            assert table.lam.tolist() == [lam.value for lam, atoms in pairs for _ in atoms]
+            return currents
+
+        assert _batch_built(batch, pairs) == _batch_built(one_by_one, pairs)

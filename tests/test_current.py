@@ -147,7 +147,7 @@ def base_point_specs(draw):
 @given(specs=st.lists(base_point_specs(), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_base_point_matches_evaluate_bit_for_bit(specs):
-    table = atom_table([TransversalAtom(0.5, 1.0, spec) for spec in specs])
+    table = atom_table([(Eigenvalue.rational(1, 2), [TransversalAtom(0.5, 1.0, spec) for spec in specs])])
     assert [x.hex() for x in _base_values(table).tolist()] == [evaluate(s, 0.0, 0.0).hex() for s in specs]
 
 

@@ -39,7 +39,7 @@ from lelonglab import (
 
 import lelonglab.mass
 from lelonglab import harmonic
-from lelonglab.mass import _bracket_a, _bracket_b, _exact_masses, _moments
+from lelonglab.mass import _bracket_a, _bracket_b, _exact_masses, _exact_schedule, _moments
 from lelonglab.quadrature import DEFAULT_CONFIG, QuadratureConfig
 from lelonglab.theorems import corpus
 
@@ -160,7 +160,7 @@ class TestScheduleQuadrature:
             assert abs(s.value - m.value) <= s.error_estimate + m.error_estimate
             if case == "trig-half-b2":
                 # the b = 2 mode does not cancel, and the exact route still applies
-                value, bound = _exact_masses(current, [s.r], k0)[0]
+                value, bound = _exact_schedule(current, [s.r], k0)[0]
                 assert abs(s.value - value) <= s.error_estimate + bound
         assert any(m.value > 0.0 for m in singles)
         cfg = DEFAULT_CONFIG
@@ -274,7 +274,7 @@ class TestFarFieldSchedule:
         spy = _KernelSpy(monkeypatch)
         est = lelong_estimate(single_atom_current(lam, modulus, flat_poisson(c_lin, half_turns)), k0=k0)
         twin = single_atom_current(lam, modulus, FourierSpec(b=1, a0=1.0, b0=c_lin))
-        for r, nu, err, (mass, bound) in zip(est.rs, est.nus, est.errs, _exact_masses(twin, est.rs, k0)):
+        for r, nu, err, (mass, bound) in zip(est.rs, est.nus, est.errs, _exact_schedule(twin, est.rs, k0)):
             area = math.pi * r * r
             assert abs(nu - mass / area) <= err + bound / area
         if half_turns == 256:
@@ -577,7 +577,7 @@ class TestExactRoute:
         ))
         for r in (1.0, 0.5, 0.2):
             for k0 in (0, 1):
-                value, bound = _exact_masses(cur, [r], k0)[0]
+                value, bound = _exact_schedule(cur, [r], k0)[0]
                 result = mass_quadrature(cur, r, k0=k0)
                 assert value > 0.0
                 assert abs(value - result.value) <= result.error_estimate + bound
@@ -600,7 +600,7 @@ class TestExactRoute:
     def test_rejects_poisson(self):
         lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
         with pytest.raises(UnsupportedCurrentError):
-            _exact_masses(single_atom_current(lam, 1.3, flat_poisson()), [1.0])
+            _exact_schedule(single_atom_current(lam, 1.3, flat_poisson()), [1.0])
 
     @staticmethod
     def _mp_mass(current, r):
@@ -650,7 +650,7 @@ class TestExactRoute:
             )),
         }[case]
         for r in (1.0, 0.3, 2.0**-10):
-            value, bound = _exact_masses(current, [r])[0]
+            value, bound = _exact_schedule(current, [r])[0]
             if value == 0.0:
                 continue
             assert float(abs(value - self._mp_mass(current, r))) <= bound <= 1e-12 * abs(value)
@@ -663,7 +663,7 @@ class TestExactRoute:
         am = 0.25 * (1.0 - 1e-9)
         spec = normalize(FourierSpec(b=1, a0=1.0, b0=0.5, strip_c=-math.log(am)))
         current = build_current(lam, [TransversalAtom(am, 1.0, spec)])
-        value, bound = _exact_masses(current, [0.5])[0]
+        value, bound = _exact_schedule(current, [0.5])[0]
         assert value > 0.0
         assert float(abs(value - self._mp_mass(current, 0.5))) <= bound
 
@@ -714,7 +714,7 @@ def _trig_currents(draw):
 @settings(max_examples=60, deadline=None)
 def test_exact_route_matches_quadrature(current, k0, log2_r):
     r = 2.0**log2_r
-    value, bound = _exact_masses(current, [r], k0)[0]
+    value, bound = _exact_schedule(current, [r], k0)[0]
     result = mass_quadrature(current, r, k0=k0)
     assert abs(value - result.value) <= result.error_estimate + bound
 
@@ -930,7 +930,7 @@ class TestExactRouteArrays:
     def test_same_masses_and_bounds(self, current, k0, rs):
         from oracles import exact_masses
 
-        assert _same_pairs(_exact_masses(current, rs, k0), exact_masses(current, rs, k0))
+        assert _same_pairs(_exact_schedule(current, rs, k0), exact_masses(current, rs, k0))
 
     @pytest.mark.parametrize("lam_value", [-0.5, -0.5 + 5e-10, -0.25])
     def test_resonant_strips(self, lam_value):
@@ -947,7 +947,7 @@ class TestExactRouteArrays:
             for a in cur.atoms])
         rs = [2.0**-n for n in range(16)]
         for k0 in (0, 1):
-            assert _same_pairs(_exact_masses(cur, rs, k0), exact_masses(cur, rs, k0))
+            assert _same_pairs(_exact_schedule(cur, rs, k0), exact_masses(cur, rs, k0))
 
     def test_corpus_currents(self):
         from oracles import exact_masses
@@ -955,10 +955,39 @@ class TestExactRouteArrays:
         rs = [0.7**n for n in range(16)]
         for case in corpus(42):
             if closed_form_applicable(case.current):
-                got = _exact_masses(case.current, rs)
+                got = _exact_schedule(case.current, rs)
                 assert _same_pairs(got, exact_masses(case.current, rs)), case.case_id
 
     def test_radius_validation(self, flagship):
         for bad in (0.0, 1.5, math.nan):
             with pytest.raises(DomainError):
-                _exact_masses(flagship, [0.5, bad])
+                _exact_schedule(flagship, [0.5, bad])
+
+    @given(
+        currents=st.lists(_trig_families(), min_size=1, max_size=5),
+        k0=st.integers(-2, 2),
+        rs=st.lists(st.one_of(st.just(1.0), st.floats(2.0**-12, 1.0)), min_size=1, max_size=16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_one_table_of_many_currents(self, currents, k0, rs):
+        # currents of either sign in one table: each current's pairs are the
+        # oracle's for that current alone
+        from lelonglab.current import atom_table
+        from oracles import exact_masses
+
+        table = atom_table([(current.lam, current.atoms) for current in currents])
+        got = _exact_masses(table, rs, k0)
+        assert len(got) == len(currents)
+        for current, pairs in zip(currents, got):
+            assert _same_pairs(pairs, exact_masses(current, rs, k0))
+
+    def test_a_poisson_current_gets_none(self, flagship):
+        from lelonglab.current import atom_table
+
+        poisson = single_atom_current(Eigenvalue.rational(1, 2), 1.3, flat_poisson())
+        rs = [2.0**-n for n in range(6)]
+        table = atom_table([(c.lam, c.atoms) for c in (flagship, poisson, flagship)])
+        got = _exact_masses(table, rs)
+        assert got[1] is None
+        assert _same_pairs(got[0], _exact_schedule(flagship, rs))
+        assert _same_pairs(got[2], got[0])

@@ -201,6 +201,30 @@ class TestRunCorpus:
         reports = run_corpus(cfg=VerifyConfig(tol_scale=0.0))
         assert any(not r.verdict for r in reports)
 
+    def test_one_validation_and_one_exact_call(self, monkeypatch):
+        import lelonglab.current
+        import lelonglab.theorems
+
+        calls = []
+        for module, name in ((lelonglab.current, "_validate"), (lelonglab.theorems, "_exact_masses")):
+            def spy(*args, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        assert len(run_corpus()) == 22
+        assert sorted(calls) == ["_exact_masses", "_validate"]
+
+    def test_public_verifiers_give_the_batch_reports(self):
+        # each verify_* schedules its own current; run_corpus judges the
+        # prefixes of one batch at PERIODIC_STEPS radii: the reports agree
+        # to the bit
+        verify = {"positive": verify_positive_lambda, "negative": verify_negative_periodic,
+                  "divergence": verify_b0_divergence}
+        for seed in (42, 7):
+            single = [verify[case.kind](case.current, case_id=case.case_id) for case in corpus(seed)]
+            assert single == run_corpus(seed)[:len(single)]
+
     def test_report_json_shape(self):
         rep = run_corpus(only="neg-unit-single-strip")[0]
         payload = report_to_json(rep)
