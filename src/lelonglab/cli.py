@@ -277,6 +277,7 @@ SWEEP_FAMILIES = ("single-constant", "single-modes", "geometric-family")
 def cmd_sweep(args: argparse.Namespace) -> int:
     # every sweep current is a trig series: one table, one exact-route call
     lams = (Eigenvalue.rational(1, 1), Eigenvalue.rational(1, 2), Eigenvalue.negative(-1.0))
+    _quad_config(args)  # no quadrature runs, but --rel-tol and --abs-tol are checked as everywhere
     grid = [(lam, family) for lam in lams for family in SWEEP_FAMILIES]
     rs = lelong_radii(args.r_start, args.ratio, args.steps)
     _, table = build_currents([(lam, _sweep_atoms(lam, family)) for lam, family in grid])

@@ -135,7 +135,7 @@ def atom_table(currents: Sequence[Tuple[Eigenvalue, Sequence[TransversalAtom]]])
     return AtomTable(
         alpha.real, alpha.imag, np.hypot(alpha.real, alpha.imag),
         np.array([atom.weight for atom in atoms], dtype=float), np.array(trig, dtype=bool),
-        fourier_columns(specs), tuple(None if t else spec for t, spec in zip(trig, specs)),
+        fourier_columns(specs), tuple([None if t else spec for t, spec in zip(trig, specs)]),
         np.array([lam.value for lam, _ in currents], dtype=float).repeat(counts),
         np.arange(len(counts)).repeat(counts),
     )

@@ -146,19 +146,11 @@ def float_map(fn, values, *args) -> np.ndarray:
     return np.fromiter(each, float, values.size).reshape(values.shape)
 
 
-def lam_values(lam):
-    """An eigenvalue as a float, or per-row eigenvalues as a float array.
-
-    lam is an Eigenvalue, its value, or one value per row. Rows that all
-    share one value, a lone current's say, give that float, so they take
-    the scalar paths below, which give the same entries with less work.
-    """
+def lam_values(lam, shape) -> np.ndarray:
+    """One eigenvalue per entry of an array of that shape: an Eigenvalue's value, or the values given."""
     if isinstance(lam, Eigenvalue):
-        return lam.value
-    if isinstance(lam, float):
-        return lam
-    lv = np.asarray(lam, dtype=float)
-    return float(lv[0]) if lv.size and (lv == lv[0]).all() else lv
+        return np.full(shape, lam.value)
+    return np.asarray(lam, dtype=float).reshape(shape)
 
 
 def plaque_limits(lam, moduli, rs):
@@ -167,10 +159,9 @@ def plaque_limits(lam, moduli, rs):
     Each is an (atoms, radii) array, in unshifted leaf coordinates like
     leaf_domain, entry [i, n] for moduli[i] and rs[n]: v_max is inf on
     half-planes, and v_min and v_max mean nothing where empty is True.
-    lam is an Eigenvalue or one eigenvalue per modulus (see lam_values), so
-    that the atoms of many currents take one call; each entry is the one
-    its eigenvalue alone gives. This is the one plaque formula; leaf_domain
-    is its scalar case.
+    lam is an Eigenvalue or one eigenvalue per modulus, so that the atoms of
+    many currents take one call; each entry is the one its eigenvalue alone
+    gives. This is the one plaque formula; leaf_domain is its scalar case.
     """
     moduli = np.asarray(moduli, dtype=float).reshape(-1)
     radii = np.asarray(rs, dtype=float).reshape(-1)
@@ -179,21 +170,18 @@ def plaque_limits(lam, moduli, rs):
         raise DomainError("alpha modulus must be positive and finite")
     if not (np.minimum.reduce(radii, initial=1.0) > 0.0 and np.maximum.reduce(radii, initial=1.0) <= 1.0):
         raise DomainError("radius must lie in (0, 1]")
-    lv = lam_values(lam)
-    if isinstance(lv, float):
-        bound = float_map(math.pow, radii, 1.0 - lv)
-    else:
-        # r^(1 - lambda) once per run of rows with one eigenvalue, such as a
-        # current's rows, then taken by row
-        first = np.empty(lv.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(lv[1:], lv[:-1], out=first[1:])
-        values = lv[first].tolist()
-        bound = np.empty((len(values), radii.size))
-        for j, value in enumerate(values):
-            bound[j] = float_map(math.pow, radii, 1.0 - value)
-        bound = bound[np.cumsum(first) - 1]
-        lv = lv.reshape(-1, 1)
+    lv = lam_values(lam, moduli.shape)
+    # r^(1 - lambda) once per run of rows with one eigenvalue, such as a
+    # current's rows, then taken by row
+    first = np.empty(lv.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(lv[1:], lv[:-1], out=first[1:])
+    values = lv[first].tolist()
+    bound = np.empty((len(values), radii.size))
+    for j, value in enumerate(values):
+        bound[j] = float_map(math.pow, radii, 1.0 - value)
+    bound = bound[first.cumsum() - 1]
+    lv = lv[:, None]
     logs = float_map(math.log, np.concatenate((moduli, radii)))
     log_am, log_r = logs[:moduli.size, None], logs[moduli.size:]
     above = moduli[:, None] >= bound  # |w| < r binds, or nothing is left
@@ -202,10 +190,6 @@ def plaque_limits(lam, moduli, rs):
     entry[:] = -log_r
     # lambda > 0: a half-plane above the binding cut; lambda < 0: |w| < r
     # needs v < (log|alpha| - log r)/lambda, an upper cut
-    if isinstance(lv, float):
-        if lv > 0.0:
-            return np.where(above, cut, entry), np.full(above.shape, math.inf), np.zeros(above.shape, dtype=bool)
-        return entry, cut, above
     positive = lv > 0.0
     return np.where(positive & above, cut, entry), np.where(positive, math.inf, cut), ~positive & above
 
@@ -234,11 +218,11 @@ def coordinate_shift(lam, alpha_modulus):
     or an array of them, and an Eigenvalue or one eigenvalue per modulus.
     """
     moduli = np.asarray(alpha_modulus, dtype=float)
-    lv = lam_values(lam)
+    lv = lam_values(lam, moduli.shape)
     outer = (moduli >= 1.0) & (lv > 0.0)
     shift = np.zeros(moduli.shape)
     if outer.any():
-        shift[outer] = float_map(math.log, moduli[outer]) / np.broadcast_to(lv, moduli.shape)[outer]
+        shift[outer] = float_map(math.log, moduli[outer]) / lv[outer]
     return float(shift) if shift.ndim == 0 else shift
 
 
@@ -268,12 +252,21 @@ class JacobianRows:
 
 
 def jacobian_rows(lam, moduli) -> JacobianRows:
-    """The JacobianRows of an array of moduli, for an Eigenvalue or one eigenvalue per modulus."""
+    """The JacobianRows of an array of moduli, for an Eigenvalue or one eigenvalue per modulus.
+
+    Entry by entry _jacobian_coefficients: each branch's powers go through
+    math.pow on that branch's entries alone, so none can overflow where the
+    scalar formula does not reach it.
+    """
     moduli = np.asarray(moduli, dtype=float)
-    lv = lam_values(lam)
-    lvs = itertools.repeat(lv) if isinstance(lv, float) else np.broadcast_to(lv, moduli.shape).ravel().tolist()
-    pairs = list(map(_jacobian_coefficients, lvs, moduli.ravel().tolist()))
-    return JacobianRows(np.array(pairs, dtype=float).reshape(-1, 2).T.reshape((2,) + moduli.shape))
+    lv = lam_values(lam, moduli.shape)
+    outer = ~(moduli < 1.0)  # a NaN modulus takes the outer branch, as in the scalar formula
+    coefficients = np.ones((2,) + moduli.shape)
+    c1, c2 = coefficients
+    c1[outer] = np.fromiter(map(math.pow, moduli[outer].tolist(), (-2.0 / lv[outer]).tolist()), float)
+    # lambda^2 outside, (lambda |alpha|)^2 inside
+    c2[...] = float_map(math.pow, lv * np.where(outer, 1.0, moduli), 2.0)
+    return JacobianRows(coefficients)
 
 
 def jacobian_density(lam: Eigenvalue, alpha_modulus, v):

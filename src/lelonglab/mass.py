@@ -35,6 +35,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +49,6 @@ from .foliation import (
     float_map,
     jacobian_density,
     jacobian_rows,
-    lam_values,
     leaf_domain,
     plaque_limits,
 )
@@ -203,7 +203,7 @@ def mass_quadrature_schedule(
     jobs, owners = [], []  # owners: (atom index, radius indices, tail bound) per job
     for i, (where, spans, tail_bound) in enumerate(_atom_ranges(lam, table, rs, cfg)):
         if where:
-            jobs.append((min(lo for lo, _ in spans), max(hi for _, hi in spans), spans))
+            jobs.append((min(map(itemgetter(0), spans)), max(map(itemgetter(1), spans)), spans))
             owners.append((i, where, tail_bound))
     atom_of = np.array([i for i, _, _ in owners], dtype=np.intp)  # job -> atom
     u0 = TWO_PI * k0
@@ -461,7 +461,6 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     u1 = u0 + TWO_PI
     cols = table.fourier
     moduli, weights, lv, owner, ak, bk = table.moduli, table.weights, table.lam, cols.owner, cols.ak, cols.bk
-    lam = lam_values(lv)  # one float for a lone current: the foliation helpers' scalar paths
     coef = mode_integrals(cols, u0, u1)
     # window parts (alpha, beta, growth rate, bound on |alpha|, bound on
     # |beta|): every atom's base, a0 (1 - v/C) + b0 v on a strip of height
@@ -483,7 +482,7 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     grow = parts[2]
     # weighted terms, one per jacobian exponential and window part: alpha,
     # beta, their bounds, sigma and its size
-    c = 2.0 * jacobian_rows(lam, moduli).coefficients[:, part_owner]
+    c = 2.0 * jacobian_rows(lv, moduli).coefficients[:, part_owner]
     rates = np.empty(c.shape)
     rates[0] = 2.0
     rates[1] = 2.0 * lv[part_owner]
@@ -496,14 +495,14 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     # the plaques' limits and the bound on their size, per atom and radius;
     # coordinate_shift is 0 on strips, and half-planes run to infinity. The
     # atoms of a current with a Poisson atom count as empty everywhere.
-    v_min, v_max, empty = plaque_limits(lam, moduli, rs)
+    v_min, v_max, empty = plaque_limits(lv, moduli, rs)
     n_currents = int(table.current[-1]) + 1 if n_atoms else 0
     exact = np.ones(n_currents, dtype=bool)
     exact[table.current[~table.trig]] = False
     empty |= ~exact[table.current][:, None]
     logs = float_map(math.log, np.concatenate((moduli, rs)))
     limits = np.empty((3,) + v_min.shape)
-    limits[0] = v_min - coordinate_shift(lam, moduli)[:, None]
+    limits[0] = v_min - coordinate_shift(lv, moduli)[:, None]
     limits[1] = v_max
     limits[2] = (np.abs(logs[:n_atoms, None]) - logs[n_atoms:]) / np.abs(lv)[:, None]
     # one entry per (current, radius) group, window part whose atom has a
@@ -538,8 +537,16 @@ def _exact_schedule(current: Current, rs, k0: int = 0) -> List[Tuple[float, floa
 
 
 def closed_form_applicable(current: Current) -> bool:
-    """True iff every atom is a trig series, so the exact route applies."""
-    return not any(current.table.poisson)
+    """True iff every atom is a trig series, so the exact route applies.
+
+    Read from the current's table where it keeps one, and from its atoms
+    otherwise: a current built in a batch has no table of its own, and
+    builds none to answer.
+    """
+    table = current._table
+    if table is None:
+        return all(isinstance(atom.spec, FourierSpec) for atom in current.atoms)
+    return not any(table.poisson)
 
 
 def mass_closed_form(current: Current, r: float, k0: int = 0) -> float:
@@ -774,9 +781,7 @@ def nu_limit_positive_periodic(current: Current) -> float:
     """
     if current.lam.is_negative:
         raise UnsupportedCurrentError("positive limit on a negative eigenvalue")
-    # read from the atoms, not closed_form_applicable: a current built in a
-    # batch has no table of its own until one is asked for
-    if not all(isinstance(atom.spec, FourierSpec) for atom in current.atoms):
+    if not closed_form_applicable(current):
         raise UnsupportedCurrentError("closed-form limit needs trig atoms")
     lv = current.lam.value
     acc = 0.0

@@ -102,7 +102,7 @@ class CorpusCase:
 
 
 # ---------------------------------------------------------------------------
-# theorem verifiers: a schedule, then its judge
+# theorem verifiers: their argument checks, a schedule, then its judge
 
 
 def verify_positive_lambda(
@@ -116,19 +116,23 @@ def verify_positive_lambda(
     additionally pinned to the closed-form limit; Poisson currents to the
     interval lower bound.
     """
+    _check_positive(current)
     steps = PERIODIC_STEPS if closed_form_applicable(current) else STEPS
     est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=steps, cfg=cfg.quad)
     return _judge_positive(current, est, cfg, case_id)
 
 
-def _judge_positive(current: Current, est, cfg: VerifyConfig, case_id: str) -> VerificationReport:
+def _check_positive(current: Current) -> None:
     if current.lam.is_negative:
         raise InputError("positive-limit verifier needs a positive eigenvalue")
     for atom in current.atoms:
         growing = atom.spec.b0 if isinstance(atom.spec, FourierSpec) else atom.spec.c_lin
         if growing > 0.0:
             raise InputError("positive-limit verifier needs b0 = 0 and c_lin = 0 atoms")
-    if all(isinstance(atom.spec, FourierSpec) for atom in current.atoms):
+
+
+def _judge_positive(current: Current, est, cfg: VerifyConfig, case_id: str) -> VerificationReport:
+    if closed_form_applicable(current):
         reference = nu_limit_positive_periodic(current)
         tol = 1e-4 * cfg.tol_scale
         agrees = abs(est.limit_estimate - reference) <= tol * max(abs(reference), 1e-30)
@@ -165,18 +169,22 @@ def verify_negative_periodic(
     nu(1). Structural half: the atoms still admissible at the end radius
     carry a closed-form tail below 1% of the full mass (or none are left).
     """
+    _check_negative(current)
     est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
     return _judge_negative(current, est, None, cfg, case_id)
+
+
+def _check_negative(current: Current) -> None:
+    if not current.lam.is_negative:
+        raise InputError("vanishing-limit verifier needs a negative eigenvalue")
+    if is_periodic(current) is None:
+        raise InputError("vanishing-limit verifier needs a periodic current")
 
 
 def _judge_negative(
     current: Current, est, mass_one: Optional[float], cfg: VerifyConfig, case_id: str,
 ) -> VerificationReport:
     # mass_one is the exact mass at r = 1, or None to work it out if needed
-    if not current.lam.is_negative:
-        raise InputError("vanishing-limit verifier needs a negative eigenvalue")
-    if is_periodic(current) is None:
-        raise InputError("vanishing-limit verifier needs a periodic current")
     nu_start, nu_end = est.nus[0], est.nus[-1]
     decay_ok = nu_end < 0.05 * cfg.tol_scale * nu_start
     r_end = est.rs[-1]
@@ -218,11 +226,12 @@ def verify_b0_divergence(
     case_id: str = "b0-divergence",
 ) -> VerificationReport:
     """Linear boundary growth forces nu to diverge like -log r."""
+    _check_divergence(current)
     est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
     return _judge_divergence(current, est, cfg, case_id)
 
 
-def _judge_divergence(current: Current, est, cfg: VerifyConfig, case_id: str) -> VerificationReport:
+def _check_divergence(current: Current) -> None:
     if current.lam.is_negative:
         raise InputError("divergence verifier needs a positive eigenvalue")
     has_growth = any(
@@ -231,6 +240,9 @@ def _judge_divergence(current: Current, est, cfg: VerifyConfig, case_id: str) ->
     )
     if not has_growth:
         raise InputError("divergence verifier needs an atom with b0 > 0 or c_lin > 0")
+
+
+def _judge_divergence(current: Current, est, cfg: VerifyConfig, case_id: str) -> VerificationReport:
     r2_floor = 1.0 - 0.01 * cfg.tol_scale
     slope_ok = est.slope > 0.0
     fit_ok = est.r_squared > r2_floor
@@ -506,33 +518,37 @@ def run_corpus(
     """Run every applicable verifier over the corpus, reports in corpus order.
 
     `only` filters to a single case id (theorem case or lemma lattice). The
-    corpus is built and validated as one table, and one exact-route call
-    gives every trig current its PERIODIC_STEPS-radius schedule; a STEPS-step
-    verifier judges its prefix, which is bit for bit the STEPS-step schedule.
-    Each Poisson current gets its own quadrature schedule.
+    schedules are batched as the module docstring says; a lone trig case
+    gets its own exact-route call.
     """
     cases, table = _corpus_batch(seed)
     known = [c.case_id for c in cases] + list(LEMMAS)
     if only is not None and only not in known:
         raise InputError(f"unknown case id {only!r}; known: {', '.join(known)}")
-    picked = [n for n, case in enumerate(cases) if only in (None, case.case_id)]
+    picked = [case for case in cases if only in (None, case.case_id)]
     rs = lelong_radii(R_START, RATIO, PERIODIC_STEPS)
-    masses = _exact_masses(table, rs) if picked else []
+    if only is None:
+        masses = _exact_masses(table, rs)
+    else:  # a lone case: its own table, and the exact route only for trig data
+        masses = [_exact_masses(c.current.table, rs)[0] if closed_form_applicable(c.current) else None
+                  for c in picked]
+    checks = {"positive": _check_positive, "negative": _check_negative, "divergence": _check_divergence}
     reports: List[VerificationReport] = []
-    for n in picked:
-        case, exact = cases[n], masses[n]
+    for case, exact in zip(picked, masses):
+        current = case.current
+        checks[case.kind](current)
         if exact is None:  # Poisson data
-            est = lelong_estimate(case.current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
+            est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
         else:
             steps = PERIODIC_STEPS if case.kind == "positive" else STEPS
             est = lelong_from_masses(rs[:steps], exact[:steps])
         if case.kind == "positive":
-            reports.append(_judge_positive(case.current, est, cfg, case.case_id))
+            reports.append(_judge_positive(current, est, cfg, case.case_id))
         elif case.kind == "negative":
             # rs[0] = R_START = 1, so exact[0] holds the mass at r = 1
-            reports.append(_judge_negative(case.current, est, exact[0][0], cfg, case.case_id))
+            reports.append(_judge_negative(current, est, exact[0][0], cfg, case.case_id))
         else:
-            reports.append(_judge_divergence(case.current, est, cfg, case.case_id))
+            reports.append(_judge_divergence(current, est, cfg, case.case_id))
     if only is None:
         reports.extend(verify_lemma_bounds())
     elif only in LEMMAS:

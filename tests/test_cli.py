@@ -386,6 +386,15 @@ class TestSweep:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "0"), ("--rel-tol", "-1"), ("--rel-tol", "nan"),
+                                             ("--abs-tol", "0")])
+    def test_bad_tolerance_is_input_error(self, flag, value, tmp_path, capsys):
+        # the sweep runs no quadrature, but checks its tolerances as every command does
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", flag, value, "--out", str(out)]) == 2
+        assert "quadrature tolerances must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _replaced(base, keys, value):
     """A copy of the payload base with the entry at keys set to value."""

@@ -17,7 +17,7 @@ from lelonglab import (
     psi,
     torus_curve,
 )
-from lelonglab.foliation import plaque_limits
+from lelonglab.foliation import _jacobian_coefficients, jacobian_rows, plaque_limits
 
 LAMBDAS = [
     Eigenvalue.rational(1, 1),
@@ -247,6 +247,26 @@ class TestPlaqueArrays:
                     None if x is None else float.hex(x) for x in want]
                 assert (dom.v_min, dom.v_max) == got
                 assert math.copysign(1.0, dom.v_min) == math.copysign(1.0, want[0])
+
+    def test_per_row_eigenvalues_are_each_rows_own(self):
+        # rows of mixed eigenvalues, in runs and alone, against one call per
+        # row with its Eigenvalue: plaques, shifts and Jacobian coefficients
+        rng = np.random.default_rng(11)
+        lams = [LAMBDAS[i] for i in rng.integers(0, len(LAMBDAS), 60)] + [LAMBDAS[0]] * 4
+        moduli = np.exp(rng.uniform(-5.0, 1.0, len(lams)))
+        moduli[:3] = (1.0, 0.9999999, 1.0000001)
+        rs = [1.0, 0.5, 0.03]
+        lv = np.array([lam.value for lam in lams])
+        rows = plaque_limits(lv, moduli, rs)
+        shifts = coordinate_shift(lv, moduli)
+        coefficients = jacobian_rows(lv, moduli).coefficients
+        for i, (lam, am) in enumerate(zip(lams, moduli.tolist())):
+            one = plaque_limits(lam, [am], rs)
+            for got, want in zip(rows, one):
+                assert np.array_equal(got[i], want[0])
+            assert float.hex(float(shifts[i])) == float.hex(coordinate_shift(lam, am))
+            assert [float.hex(float(c)) for c in coefficients[:, i]] == [
+                float.hex(c) for c in _jacobian_coefficients(lam.value, am)]
 
     def test_validation(self):
         lam = Eigenvalue.negative(-0.5)

@@ -115,6 +115,18 @@ class TestVerifiers:
         with pytest.raises(InputError):
             verify_b0_divergence(neg_single)
 
+    def test_misapplied_verifiers_fail_before_scheduling(self, flagship, neg_single, monkeypatch):
+        import lelonglab.theorems
+
+        def no_schedule(*args, **kwargs):
+            raise AssertionError("scheduled before the argument checks")
+
+        monkeypatch.setattr(lelonglab.theorems, "lelong_estimate", no_schedule)
+        for verify, current in ((verify_positive_lambda, neg_single), (verify_negative_periodic, flagship),
+                                (verify_b0_divergence, flagship), (verify_b0_divergence, neg_single)):
+            with pytest.raises(InputError):
+                verify(current)
+
 
 class TestLemmaLattices:
     def test_all_bounds_hold(self):
@@ -214,6 +226,22 @@ class TestRunCorpus:
             monkeypatch.setattr(module, name, spy)
         assert len(run_corpus()) == 22
         assert sorted(calls) == ["_exact_masses", "_validate"]
+
+    def test_lone_case_schedules_only_its_own_current(self, monkeypatch):
+        import lelonglab.theorems
+
+        tables = []
+        real = lelonglab.theorems._exact_masses
+
+        def spy(table, rs):
+            tables.append(table)
+            return real(table, rs)
+
+        monkeypatch.setattr(lelonglab.theorems, "_exact_masses", spy)
+        assert run_corpus(only="pos-silver-poisson-flat")[0].verdict
+        assert tables == []  # Poisson data: no exact-route call
+        assert run_corpus(only="neg-unit-single-strip")[0].verdict
+        assert [table.trig.size for table in tables] == [1]
 
     def test_public_verifiers_give_the_batch_reports(self):
         # each verify_* schedules its own current; run_corpus judges the
