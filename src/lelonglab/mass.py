@@ -539,14 +539,10 @@ def _exact_schedule(current: Current, rs, k0: int = 0) -> List[Tuple[float, floa
 def closed_form_applicable(current: Current) -> bool:
     """True iff every atom is a trig series, so the exact route applies.
 
-    Read from the current's table where it keeps one, and from its atoms
-    otherwise: a current built in a batch has no table of its own, and
-    builds none to answer.
+    Read from current.table, which a current built in a batch builds on
+    first use and keeps for the exact route.
     """
-    table = current._table
-    if table is None:
-        return all(isinstance(atom.spec, FourierSpec) for atom in current.atoms)
-    return not any(table.poisson)
+    return not any(current.table.poisson)
 
 
 def mass_closed_form(current: Current, r: float, k0: int = 0) -> float:
@@ -702,7 +698,7 @@ def lelong_estimate(
     """
     rs = lelong_radii(r_start, ratio, steps)
     if closed_form_applicable(current):
-        masses = _exact_schedule(current, rs, k0)
+        masses = _exact_masses(current.table, rs, k0)[0]
     else:
         masses = [
             (m.value, m.error_estimate)
@@ -781,11 +777,11 @@ def nu_limit_positive_periodic(current: Current) -> float:
     """
     if current.lam.is_negative:
         raise UnsupportedCurrentError("positive limit on a negative eigenvalue")
-    if not closed_form_applicable(current):
-        raise UnsupportedCurrentError("closed-form limit needs trig atoms")
     lv = current.lam.value
     acc = 0.0
     for atom in current.atoms:
+        if not isinstance(atom.spec, FourierSpec):
+            raise UnsupportedCurrentError("closed-form limit needs trig atoms")
         am = atom.alpha_modulus
         if lv == 1.0:
             # at lambda = 1 the r-powers cancel and both regions are r-free

@@ -10,13 +10,14 @@ recomputable from the observed numbers and the tolerance spelled out in the
 report details; the corpus is generated deterministically from a seed that
 only jitters benign mode coefficients.
 
-Each verifier is a schedule and a judge of it. verify_* schedule one current
-with lelong_estimate; run_corpus builds the whole corpus with one
-build_currents call and schedules all 14 trig currents with one exact-route
-call at PERIODIC_STEPS radii, judging the STEPS-radius prefix where a
-verifier takes STEPS: an exact mass depends on its radius alone, so the
-prefix is bit for bit the STEPS-radius schedule. The two Poisson currents
-keep one quadrature schedule each.
+Each verifier is an argument check, a schedule and a judge of it, and one
+loop, _verify, runs them for a batch of cases whose currents are the rows of
+one AtomTable: every check first, then one exact-route call at
+PERIODIC_STEPS radii for the trig currents and a quadrature lelong_estimate
+for each current with a Poisson atom, each judged as it is scheduled.
+run_corpus builds the corpus with one build_currents call and runs it as one
+batch; each verify_* is the batch of one case on its current's own table, so
+it gives the report run_corpus gives for the same case.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .harmonic import FourierSpec, PoissonSpec, normalize
 from .mass import (
     _bracket_a,
     _exact_masses,
-    closed_form_applicable,
     ia,
     ib,
     kernel_weight,
@@ -53,7 +53,6 @@ from .mass import (
     lelong_from_masses,
     lelong_radii,
     lower_bound_nonperiodic,
-    mass_closed_form,
     nu_limit_positive_periodic,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -116,23 +115,18 @@ def verify_positive_lambda(
     additionally pinned to the closed-form limit; Poisson currents to the
     interval lower bound.
     """
-    _check_positive(current)
-    steps = PERIODIC_STEPS if closed_form_applicable(current) else STEPS
-    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=steps, cfg=cfg.quad)
-    return _judge_positive(current, est, cfg, case_id)
+    return _verify([CorpusCase(case_id, "positive", current)], current.table, cfg)[0]
 
 
 def _check_positive(current: Current) -> None:
     if current.lam.is_negative:
         raise InputError("positive-limit verifier needs a positive eigenvalue")
-    for atom in current.atoms:
-        growing = atom.spec.b0 if isinstance(atom.spec, FourierSpec) else atom.spec.c_lin
-        if growing > 0.0:
-            raise InputError("positive-limit verifier needs b0 = 0 and c_lin = 0 atoms")
+    if any(map(_grows, current.atoms)):
+        raise InputError("positive-limit verifier needs b0 = 0 and c_lin = 0 atoms")
 
 
-def _judge_positive(current: Current, est, cfg: VerifyConfig, case_id: str) -> VerificationReport:
-    if closed_form_applicable(current):
+def _judge_positive(current: Current, est, masses, cfg: VerifyConfig, case_id: str) -> VerificationReport:
+    if masses is not None:  # trig data
         reference = nu_limit_positive_periodic(current)
         tol = 1e-4 * cfg.tol_scale
         agrees = abs(est.limit_estimate - reference) <= tol * max(abs(reference), 1e-30)
@@ -169,9 +163,7 @@ def verify_negative_periodic(
     nu(1). Structural half: the atoms still admissible at the end radius
     carry a closed-form tail below 1% of the full mass (or none are left).
     """
-    _check_negative(current)
-    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
-    return _judge_negative(current, est, None, cfg, case_id)
+    return _verify([CorpusCase(case_id, "negative", current)], current.table, cfg)[0]
 
 
 def _check_negative(current: Current) -> None:
@@ -181,10 +173,9 @@ def _check_negative(current: Current) -> None:
         raise InputError("vanishing-limit verifier needs a periodic current")
 
 
-def _judge_negative(
-    current: Current, est, mass_one: Optional[float], cfg: VerifyConfig, case_id: str,
-) -> VerificationReport:
-    # mass_one is the exact mass at r = 1, or None to work it out if needed
+def _judge_negative(current: Current, est, masses, cfg: VerifyConfig, case_id: str) -> VerificationReport:
+    # a negative eigenvalue's atoms are trig strips, so masses is the exact
+    # schedule, and rs[0] = R_START = 1 puts the mass at r = 1 in masses[0]
     nu_start, nu_end = est.nus[0], est.nus[-1]
     decay_ok = nu_end < 0.05 * cfg.tol_scale * nu_start
     r_end = est.rs[-1]
@@ -202,8 +193,7 @@ def _judge_negative(
             )
             for atom in admissible
         )
-        mass_ref = mass_closed_form(current, 1.0) if mass_one is None else mass_one
-        tail_ok = tail < 0.01 * cfg.tol_scale * mass_ref
+        tail_ok = tail < 0.01 * cfg.tol_scale * masses[0][0]
     else:
         tail = 0.0
         tail_ok = True
@@ -226,23 +216,17 @@ def verify_b0_divergence(
     case_id: str = "b0-divergence",
 ) -> VerificationReport:
     """Linear boundary growth forces nu to diverge like -log r."""
-    _check_divergence(current)
-    est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
-    return _judge_divergence(current, est, cfg, case_id)
+    return _verify([CorpusCase(case_id, "divergence", current)], current.table, cfg)[0]
 
 
 def _check_divergence(current: Current) -> None:
     if current.lam.is_negative:
         raise InputError("divergence verifier needs a positive eigenvalue")
-    has_growth = any(
-        (atom.spec.b0 if isinstance(atom.spec, FourierSpec) else atom.spec.c_lin) > 0.0
-        for atom in current.atoms
-    )
-    if not has_growth:
+    if not any(map(_grows, current.atoms)):
         raise InputError("divergence verifier needs an atom with b0 > 0 or c_lin > 0")
 
 
-def _judge_divergence(current: Current, est, cfg: VerifyConfig, case_id: str) -> VerificationReport:
+def _judge_divergence(current: Current, est, masses, cfg: VerifyConfig, case_id: str) -> VerificationReport:
     r2_floor = 1.0 - 0.01 * cfg.tol_scale
     slope_ok = est.slope > 0.0
     fit_ok = est.r_squared > r2_floor
@@ -255,6 +239,35 @@ def _judge_divergence(current: Current, est, cfg: VerifyConfig, case_id: str) ->
         verdict=bool(slope_ok and fit_ok and growth_ok),
         details=f"pass iff fitted slope > 0, R^2 > {r2_floor:g}, and nu grows by 2x over the schedule",
     )
+
+
+def _grows(atom: TransversalAtom) -> bool:
+    return (atom.spec.b0 if isinstance(atom.spec, FourierSpec) else atom.spec.c_lin) > 0.0
+
+
+# each case kind's argument check and judge
+_KINDS = {
+    "positive": (_check_positive, _judge_positive),
+    "negative": (_check_negative, _judge_negative),
+    "divergence": (_check_divergence, _judge_divergence),
+}
+
+
+def _verify(cases: Sequence[CorpusCase], table: AtomTable, cfg: VerifyConfig) -> List[VerificationReport]:
+    """The reports of cases whose currents are, in order, the currents of table."""
+    for case in cases:
+        _KINDS[case.kind][0](case.current)
+    rs = lelong_radii(R_START, RATIO, PERIODIC_STEPS)
+    exact = _exact_masses(table, rs) if table.trig.any() else [None] * len(cases)
+    reports = []
+    for case, masses in zip(cases, exact):
+        if masses is None:
+            est = lelong_estimate(case.current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
+        else:  # an exact mass depends on its radius alone, so a prefix is bit for bit its schedule
+            steps = PERIODIC_STEPS if case.kind == "positive" else STEPS
+            est = lelong_from_masses(rs[:steps], masses[:steps])
+        reports.append(_KINDS[case.kind][1](case.current, est, masses, cfg, case.case_id))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -518,42 +531,19 @@ def run_corpus(
     """Run every applicable verifier over the corpus, reports in corpus order.
 
     `only` filters to a single case id (theorem case or lemma lattice). The
-    schedules are batched as the module docstring says; a lone trig case
-    gets its own exact-route call.
+    whole corpus is one _verify batch on its one table; a lone theorem case
+    is a batch of one on its own current's table.
     """
     cases, table = _corpus_batch(seed)
     known = [c.case_id for c in cases] + list(LEMMAS)
     if only is not None and only not in known:
         raise InputError(f"unknown case id {only!r}; known: {', '.join(known)}")
-    picked = [case for case in cases if only in (None, case.case_id)]
-    rs = lelong_radii(R_START, RATIO, PERIODIC_STEPS)
     if only is None:
-        masses = _exact_masses(table, rs)
-    else:  # a lone case: its own table, and the exact route only for trig data
-        masses = [_exact_masses(c.current.table, rs)[0] if closed_form_applicable(c.current) else None
-                  for c in picked]
-    checks = {"positive": _check_positive, "negative": _check_negative, "divergence": _check_divergence}
-    reports: List[VerificationReport] = []
-    for case, exact in zip(picked, masses):
-        current = case.current
-        checks[case.kind](current)
-        if exact is None:  # Poisson data
-            est = lelong_estimate(current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
-        else:
-            steps = PERIODIC_STEPS if case.kind == "positive" else STEPS
-            est = lelong_from_masses(rs[:steps], exact[:steps])
-        if case.kind == "positive":
-            reports.append(_judge_positive(current, est, cfg, case.case_id))
-        elif case.kind == "negative":
-            # rs[0] = R_START = 1, so exact[0] holds the mass at r = 1
-            reports.append(_judge_negative(current, est, exact[0][0], cfg, case.case_id))
-        else:
-            reports.append(_judge_divergence(current, est, cfg, case.case_id))
-    if only is None:
-        reports.extend(verify_lemma_bounds())
-    elif only in LEMMAS:
-        reports.append(_lemma_report(only))
-    return reports
+        return _verify(cases, table, cfg) + verify_lemma_bounds()
+    if only in LEMMAS:
+        return [_lemma_report(only)]
+    case = cases[known.index(only)]
+    return _verify([case], case.current.table, cfg)
 
 
 def report_to_json(report: VerificationReport) -> dict:

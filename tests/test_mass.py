@@ -20,6 +20,7 @@ from lelonglab import (
     boundary_integral,
     boundary_reduction_check,
     build_current,
+    build_currents,
     closed_form_applicable,
     ia,
     ib,
@@ -529,6 +530,17 @@ class TestClosedFormApplicable:
         lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
         assert not closed_form_applicable(single_atom_current(lam, 1.3, flat_poisson()))
 
+    def test_a_batch_current_answers_as_a_lone_one(self):
+        # a current from build_currents has no table of its own until asked
+        lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
+        trig = TransversalAtom(1.2, 1.0, FourierSpec(b=1, a0=1.0))
+        poisson = TransversalAtom(1.3, 1.0, flat_poisson())
+        groups = [[trig], [trig, poisson], [poisson]]
+        batch, _ = build_currents([(lam, atoms) for atoms in groups])
+        for current, atoms in zip(batch, groups):
+            assert closed_form_applicable(current) == closed_form_applicable(build_current(lam, atoms))
+        assert [closed_form_applicable(c) for c in batch] == [True, False, False]
+
     def test_orbit_quadrature_matches_closed(self):
         lam = Eigenvalue.rational(1, 2)
         mother = normalize(FourierSpec(b=2, a0=1.0, modes=((-1, 0.2, 0.1),)))
@@ -876,6 +888,18 @@ class TestPositiveLimit:
         assert nu_limit_positive_periodic(cur) == pytest.approx(2.0 * 0.5 * 0.8)
         est = lelong_estimate(cur, steps=16)
         assert est.limit_estimate == pytest.approx(0.8, rel=1e-4)
+
+    def test_poisson_atoms_are_unsupported(self):
+        lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
+        trig = TransversalAtom(1.2, 1.0, FourierSpec(b=1, a0=1.0))
+        poisson = TransversalAtom(1.3, 1.0, flat_poisson())
+        for atoms in ([poisson], [trig, poisson]):
+            with pytest.raises(UnsupportedCurrentError, match="trig atoms"):
+                nu_limit_positive_periodic(build_current(lam, atoms))
+
+    def test_negative_eigenvalue_is_unsupported(self, neg_single):
+        with pytest.raises(UnsupportedCurrentError, match="negative eigenvalue"):
+            nu_limit_positive_periodic(neg_single)
 
     def test_total_weight(self, flagship):
         assert total_weight(flagship) == 1.0

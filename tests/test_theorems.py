@@ -121,7 +121,10 @@ class TestVerifiers:
         def no_schedule(*args, **kwargs):
             raise AssertionError("scheduled before the argument checks")
 
+        # trig currents are scheduled by the exact route, Poisson ones by
+        # lelong_estimate
         monkeypatch.setattr(lelonglab.theorems, "lelong_estimate", no_schedule)
+        monkeypatch.setattr(lelonglab.theorems, "_exact_masses", no_schedule)
         for verify, current in ((verify_positive_lambda, neg_single), (verify_negative_periodic, flagship),
                                 (verify_b0_divergence, flagship), (verify_b0_divergence, neg_single)):
             with pytest.raises(InputError):
@@ -200,7 +203,9 @@ class TestRunCorpus:
         lemma = run_corpus(only="lemma-region-outer")
         assert [r.case_id for r in lemma] == ["lemma-region-outer"]
 
-    @pytest.mark.parametrize("case_id", LEMMA_CASE_IDS)
+    # every case id, not only the lemmas': a lone theorem case is a batch of
+    # one on its own table, and must give the report of the whole batch
+    @pytest.mark.parametrize("case_id", [case.case_id for case in corpus(42)] + list(LEMMA_CASE_IDS))
     def test_only_lemma_matches_the_full_run(self, case_id):
         full = next(r for r in run_corpus() if r.case_id == case_id)
         assert run_corpus(only=case_id) == [full]
