@@ -130,10 +130,7 @@ def cmd_lelong(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = VerifyConfig(
-        quad=QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol),
-        tol_scale=args.tol_scale,
-    )
+    cfg = VerifyConfig(quad=_quad_config(args), tol_scale=args.tol_scale)
     reports = run_corpus(seed=args.seed, cfg=cfg, only=args.case)
     payload = [report_to_json(rep) for rep in reports]
     text = json.dumps(payload, indent=2)
@@ -277,7 +274,6 @@ SWEEP_FAMILIES = ("single-constant", "single-modes", "geometric-family")
 def cmd_sweep(args: argparse.Namespace) -> int:
     # every sweep current is a trig series: one table, one exact-route call
     lams = (Eigenvalue.rational(1, 1), Eigenvalue.rational(1, 2), Eigenvalue.negative(-1.0))
-    _quad_config(args)  # no quadrature runs, but --rel-tol and --abs-tol are checked as everywhere
     grid = [(lam, family) for lam in lams for family in SWEEP_FAMILIES]
     rs = lelong_radii(args.r_start, args.ratio, args.steps)
     _, table = build_currents([(lam, _sweep_atoms(lam, family)) for lam, family in grid])
@@ -357,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="nu summary over a fixed (lambda, family) grid")
     p_sweep.add_argument("--out", default=None)
     _add_schedule_flags(p_sweep)
-    _add_quad_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

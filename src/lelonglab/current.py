@@ -70,7 +70,7 @@ NORMALIZATION_TOL = 1e-12
 L1_SLACK = 1e-9
 
 # math.exp overflows a little above this; an edge growth e^{k C / b} past it
-# is left to check_positivity, which meets the overflow as it always has
+# is left to check_positivity, which refuses the spec as an input error
 EXP_SAFE = 709.0
 
 
@@ -93,7 +93,7 @@ class AtomTable(NamedTuple):
     alpha_re, alpha_im, moduli and weights are float columns, and trig marks
     the trig-series atoms. fourier holds their specs; poisson holds each
     Poisson atom's spec, and None on trig rows. The moduli are np.hypot of
-    alpha, bit for bit abs(alpha) wherever abs does not overflow. lam is
+    alpha, bit for bit abs(alpha), and inf where abs would overflow. lam is
     each row's eigenvalue, and current the index of the row's current, so
     every check and sum that depends on the eigenvalue reads it by row.
     """
@@ -132,8 +132,10 @@ def atom_table(currents: Sequence[Tuple[Eigenvalue, Sequence[TransversalAtom]]])
     specs = [atom.spec for atom in atoms]
     alpha = np.array([atom.alpha for atom in atoms], dtype=complex)
     trig = [isinstance(spec, FourierSpec) for spec in specs]
+    with np.errstate(over="ignore"):  # _validate refuses an infinite modulus
+        moduli = np.hypot(alpha.real, alpha.imag)
     return AtomTable(
-        alpha.real, alpha.imag, np.hypot(alpha.real, alpha.imag),
+        alpha.real, alpha.imag, moduli,
         np.array([atom.weight for atom in atoms], dtype=float), np.array(trig, dtype=bool),
         fourier_columns(specs), tuple([None if t else spec for t, spec in zip(trig, specs)]),
         np.array([lam.value for lam, _ in currents], dtype=float).repeat(counts),
@@ -251,7 +253,6 @@ def _validate(table: AtomTable, atom) -> None:
     any_negative, any_positive = n_negative > 0, n_negative < am.size
 
     def alpha_error(a, tag, i):
-        abs(a.alpha)  # raises OverflowError where np.hypot overflowed to inf, as it always has
         return InputError(f"{tag}.alpha: transversal point must be nonzero and finite")
 
     def height_error(a, tag, i):
@@ -590,8 +591,10 @@ def _json_table(lam: Eigenvalue, entries: list) -> AtomTable:
     columns = [np.ones(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.full(n, math.inf)]
     for column, values in zip(columns, (b, a0, b0, strip_c)):
         column[rows] = values
+    with np.errstate(over="ignore"):  # _validate refuses an infinite modulus
+        moduli = np.hypot(alpha_re, alpha_im)
     return AtomTable(
-        alpha_re, alpha_im, np.hypot(alpha_re, alpha_im), weights, np.array(trig, dtype=bool),
+        alpha_re, alpha_im, moduli, weights, np.array(trig, dtype=bool),
         FourierColumns(*columns, np.repeat(rows, counts), k, ak, bk), tuple(poisson),
         np.full(n, lam.value), np.zeros(n, dtype=np.intp),
     )

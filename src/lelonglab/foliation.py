@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -226,22 +226,14 @@ def coordinate_shift(lam, alpha_modulus):
     return float(shift) if shift.ndim == 0 else shift
 
 
-def _jacobian_coefficients(lv: float, alpha_modulus: float) -> Tuple[float, float]:
-    """(c1, c2) with jacobian_density = 2 (c1 e^{-2v} + c2 e^{-2 lambda v})."""
-    if alpha_modulus < 1.0:
-        return 1.0, (lv * alpha_modulus) ** 2
-    return alpha_modulus ** (-2.0 / lv), lv**2
-
-
 @dataclass(frozen=True, eq=False)
 class JacobianRows:
     """jacobian_density's coefficients for an array of moduli.
 
     coefficients[0] and coefficients[1] are c1 and c2, each shaped like the
-    moduli. They are worked out once, modulus by modulus in float
-    arithmetic, then taken by row as often as needed:
-    jacobian_density(lam, rows, v) gives bit for bit what it gives for the
-    moduli themselves.
+    moduli, with jacobian_density = 2 (c1 e^{-2v} + c2 e^{-2 lambda v}).
+    They are worked out once, modulus by modulus in float arithmetic, then
+    taken by row as often as needed.
     """
 
     coefficients: np.ndarray
@@ -252,17 +244,19 @@ class JacobianRows:
 
 
 def jacobian_rows(lam, moduli) -> JacobianRows:
-    """The JacobianRows of an array of moduli, for an Eigenvalue or one eigenvalue per modulus.
+    """The JacobianRows of a modulus or an array of them, for an Eigenvalue or one eigenvalue per modulus.
 
-    Entry by entry _jacobian_coefficients: each branch's powers go through
-    math.pow on that branch's entries alone, so none can overflow where the
-    scalar formula does not reach it.
+    Inside the unit disc c1 = 1 and c2 = (lambda |alpha|)^2; outside,
+    c1 = |alpha|^{-2/lambda} and c2 = lambda^2. Each branch's powers go
+    through math.pow on that branch's entries alone, so none can overflow
+    where its branch does not reach it, and each entry is what float
+    arithmetic gives. A NaN modulus takes the outer branch.
     """
     moduli = np.asarray(moduli, dtype=float)
     lv = lam_values(lam, moduli.shape)
-    outer = ~(moduli < 1.0)  # a NaN modulus takes the outer branch, as in the scalar formula
+    outer = ~(moduli < 1.0)
     coefficients = np.ones((2,) + moduli.shape)
-    c1, c2 = coefficients
+    c1, c2 = coefficients[0, ...], coefficients[1, ...]  # views, for a 0-d modulus too
     c1[outer] = np.fromiter(map(math.pow, moduli[outer].tolist(), (-2.0 / lv[outer]).tolist()), float)
     # lambda^2 outside, (lambda |alpha|)^2 inside
     c2[...] = float_map(math.pow, lv * np.where(outer, 1.0, moduli), 2.0)
@@ -272,21 +266,16 @@ def jacobian_rows(lam, moduli) -> JacobianRows:
 def jacobian_density(lam: Eigenvalue, alpha_modulus, v):
     """Leafwise area density 2(|z'|^2 + |w'|^2) along psi, as a function of v.
 
-    Accepts a scalar or ndarray v, and a scalar or ndarray of moduli that
-    broadcasts against v (one atom per row, say), or their JacobianRows.
-    The two branches agree at |alpha| = 1; the outer branch absorbs the
-    coordinate_shift above, which is why it carries |alpha|^{-2/lambda}
-    rather than |alpha|^2.
+    Accepts a scalar or ndarray v, and either JacobianRows or a modulus or
+    ndarray of moduli, which go through jacobian_rows; the coefficients
+    broadcast against v (one atom per row, say). The two branches agree at
+    |alpha| = 1; the outer branch absorbs the coordinate_shift above, which
+    is why it carries |alpha|^{-2/lambda} rather than |alpha|^2.
     """
-    lv = lam.value
+    rows = alpha_modulus if isinstance(alpha_modulus, JacobianRows) else jacobian_rows(lam, alpha_modulus)
+    c1, c2 = rows.coefficients
     v = np.asarray(v, dtype=float)
-    if isinstance(alpha_modulus, JacobianRows):
-        c1, c2 = alpha_modulus.coefficients
-    elif np.ndim(alpha_modulus) == 0:
-        c1, c2 = _jacobian_coefficients(lv, float(alpha_modulus))
-    else:
-        c1, c2 = jacobian_rows(lam, alpha_modulus).coefficients
-    out = 2.0 * (c1 * np.exp(-2.0 * v) + c2 * np.exp(-2.0 * lv * v))
+    out = 2.0 * (c1 * np.exp(-2.0 * v) + c2 * np.exp(-2.0 * lam.value * v))
     return float(out) if out.ndim == 0 else out
 
 

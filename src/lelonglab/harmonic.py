@@ -304,8 +304,8 @@ def check_positivity(spec: HarmonicSpec) -> bool:
     at least base - sum_k R_k with equality for one mode, and the edge
     passes when that is >= -1e-12. A multi-mode edge that fails this
     envelope gets a certified 1-D scan over one period (_scan_edge). A spec
-    whose scan runs out of budget raises InvalidSpecError instead of
-    answering.
+    whose scan runs out of budget, or whose mode growth e^{k v / b} to an
+    edge overflows a float, raises InvalidSpecError instead of answering.
 
     A PoissonSpec is positive by construction, so the answer is True: its
     constructor refuses negative samples, tail and c_lin, and the Poisson
@@ -314,7 +314,12 @@ def check_positivity(spec: HarmonicSpec) -> bool:
     if isinstance(spec, PoissonSpec):
         return True
     for v, base in _edges(spec):
-        growth = [math.exp(k * v / spec.b) for k, _, _ in spec.modes]
+        try:
+            growth = [math.exp(k * v / spec.b) for k, _, _ in spec.modes]
+        except OverflowError:
+            raise InvalidSpecError(
+                f"spec.modes: a mode's growth e^(k v / b) to the edge v = {v} overflows a float"
+            ) from None
         amps = [math.hypot(a, bb) * g for (_, a, bb), g in zip(spec.modes, growth)]
         if base - sum(amps) >= -POSITIVITY_TOL:
             continue
@@ -497,9 +502,8 @@ class FourierWindow:
                              self.b[rows], self.ks[rows], self.coefs[rows])
 
 
-def fourier_window(specs, u0: float, u1: float) -> FourierWindow:
-    """The row-stacked window over [u0, u1] of a sequence of FourierSpecs or of their columns."""
-    cols = specs if isinstance(specs, FourierColumns) else fourier_columns(specs)
+def fourier_window(cols: FourierColumns, u0: float, u1: float) -> FourierWindow:
+    """The row-stacked window over [u0, u1] of the specs in cols, one row per spec."""
     rows = cols.a0.size
     counts = np.bincount(cols.owner, minlength=rows)
     slot = np.arange(cols.owner.size) - (np.cumsum(counts) - counts)[cols.owner]
@@ -738,7 +742,7 @@ def window_integral(spec: HarmonicSpec, u0: float, u1: float, v):
     if not u1 > u0:
         raise DomainError("window integral needs u0 < u1")
     if isinstance(spec, FourierSpec):
-        spec = fourier_window((spec,), u0, u1)
+        spec = fourier_window(fourier_columns((spec,)), u0, u1)
     if (spec.u0, spec.u1) != (u0, u1):
         raise InputError("window integral over another u-window than its FourierWindow's")
     v_arr = np.asarray(v, dtype=float)

@@ -40,11 +40,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .current import AtomTable, Current, total_weight
+from .current import AtomTable, Current
 from .errors import DomainError, InputError, QuadratureFailure, UnsupportedCurrentError
 from .foliation import (
     Eigenvalue,
-    _jacobian_coefficients,
     coordinate_shift,
     float_map,
     jacobian_density,
@@ -99,19 +98,18 @@ class LelongEstimate:
 # quadrature route
 
 
-def _envelope_coefficients(spec) -> Tuple[float, float]:
-    """(P, Q) with |window integral| <= 2 pi (P + Q v) on the half plane."""
-    if isinstance(spec, FourierSpec):
-        return spec.a0 + spec.mode_l1(), spec.b0
+def _envelope_coefficients(spec: PoissonSpec) -> Tuple[float, float]:
+    """(P, Q) with |window integral| <= 2 pi (P + Q v) on the half plane, for Poisson data."""
     peak = max(float(np.max(spec.values)), spec.tail)
     return peak, spec.c_lin
 
 
 def _envelopes(table: AtomTable) -> List[Tuple[float, float]]:
-    """_envelope_coefficients of every atom of the table.
+    """The (P, Q) envelope of every atom of the table.
 
-    A trig row's ell-1 sum runs left to right from 0, as FourierSpec.mode_l1
-    adds it, so each pair is bit for bit the spec's.
+    A trig row's bound is (a0 + sum_k |a_k| + |b_k|, b0), its ell-1 sum run
+    left to right from 0, as FourierSpec.mode_l1 adds it; a Poisson row's
+    is _envelope_coefficients.
     """
     cols = table.fourier
     peaks = cols.a0 + np.bincount(cols.owner, np.abs(cols.ak) + np.abs(cols.bk), cols.a0.size)
@@ -124,22 +122,19 @@ def _tail_integral(p: float, q: float, rate: float, v0: float) -> float:
     return math.exp(-rate * v0) * ((p + q * v0) / rate + q / rate**2)
 
 
-def _jac_terms(lam: Eigenvalue, am: float) -> Tuple[Tuple[float, float], Tuple[float, float]]:
-    """Coefficient/rate pairs with jacobian_density = sum c e^{-rate v}."""
-    c1, c2 = _jacobian_coefficients(lam.value, am)
-    return (2.0 * c1, 2.0), (2.0 * c2, 2.0 * lam.value)
-
-
-def _truncate_half_plane(envelope, lam: Eigenvalue, am: float, v_lo: float, cfg: QuadratureConfig):
+def _truncate_half_plane(envelope, lam: Eigenvalue, jac, v_lo: float, cfg: QuadratureConfig):
     """Truncation height plus a certified bound on the discarded tail.
 
-    envelope is the spec's (P, Q) of _envelope_coefficients.
+    envelope is the atom's (P, Q) of _envelopes, and jac its (c1, c2) of
+    jacobian_rows. The height is the first step where the integrand's
+    envelope falls below abs_tol / 1000.
     """
     p, q = envelope
     p *= TWO_PI
     q *= TWO_PI
-    (c1, r1), (c2, r2) = _jac_terms(lam, am)
-    threshold = cfg.abs_tol * 10.0 ** (-cfg.v_tail_cutoff_digits)
+    c1, c2 = 2.0 * jac[0], 2.0 * jac[1]
+    r1, r2 = 2.0, 2.0 * lam.value
+    threshold = cfg.abs_tol * 1e-3
 
     def env(v: float) -> float:
         return (p + q * v) * (c1 * math.exp(-r1 * v) + c2 * math.exp(-r2 * v))
@@ -157,19 +152,25 @@ def _atom_ranges(lam: Eigenvalue, table: AtomTable, rs, cfg: QuadratureConfig):
     The plaques of every atom and radius come from one plaque_limits call.
     Strips run between their ends. Half-planes share one truncation height
     per atom: the highest any of its radii needs, so its tail bound covers
-    them all.
+    them all; their envelopes and Jacobian coefficients come from one
+    _envelopes and one jacobian_rows call.
     """
     moduli = table.moduli
     v_min, v_max, empty = plaque_limits(lam, moduli, rs)
     lows = (v_min - coordinate_shift(lam, moduli)[:, None]).tolist()
     highs = v_max.tolist()
-    envelopes = _envelopes(table) if lam.value > 0.0 else repeat(None)
+    half_plane = lam.value > 0.0
+    if half_plane:
+        envelopes = _envelopes(table)
+        jacs = jacobian_rows(lam, moduli).coefficients.T.tolist()
+    else:
+        envelopes = jacs = repeat(None)
     out = []
-    for am, envelope, nonempty, low, high in zip(moduli.tolist(), envelopes, (~empty).tolist(), lows, highs):
+    for envelope, jac, nonempty, low, high in zip(envelopes, jacs, (~empty).tolist(), lows, highs):
         where = [n for n, ok in enumerate(nonempty) if ok]
         tail_bound = 0.0
-        if lam.value > 0.0 and where:  # half-planes
-            heights = [_truncate_half_plane(envelope, lam, am, low[n], cfg) for n in where]
+        if half_plane and where:
+            heights = [_truncate_half_plane(envelope, lam, jac, low[n], cfg) for n in where]
             v_top, tail_bound = max(heights)
             high = [v_top] * len(rs)
         out.append((where, [(low[n], high[n]) for n in where], tail_bound))
@@ -379,15 +380,12 @@ EXACT_ROUNDING = 16.0
 def _moments(sigma, lo, hi):
     """e^{-sigma lo}, e^{-sigma hi} and int_0^{hi - lo} t^j e^{-sigma t} dt, j = 0, 1.
 
-    Entry by entry for arrays of one shape, or for floats. hi = inf needs
+    Entry by entry for flat arrays of one length. hi = inf needs
     sigma > 0. Near and at the resonance sigma = 0 the moments come from
     their Taylor series, so nothing cancels. Every exp, expm1 and power
     goes through math, entry by entry, and the rest is numpy arithmetic in
     scalar order, so each entry is bit for bit what float arithmetic gives.
     """
-    sigma, lo, hi = (np.asarray(x, dtype=float) for x in (sigma, lo, hi))
-    shape = sigma.shape
-    sigma, lo, hi = sigma.ravel(), lo.ravel(), hi.ravel()
     e_lo = float_map(math.exp, -sigma * lo)
     e_hi, m0, m1 = np.zeros(sigma.size), np.empty(sigma.size), np.empty(sigma.size)
     tail = hi == math.inf
@@ -398,7 +396,7 @@ def _moments(sigma, lo, hi):
         m1[at] = 1.0 / float_map(math.pow, s, 2.0)
     fin = np.flatnonzero(~tail)
     if not fin.size:  # half-planes only
-        return _shaped((e_lo, e_hi, m0, m1), shape)
+        return e_lo, e_hi, m0, m1
     length = hi[fin] - lo[fin]
     x = sigma[fin] * length
     series = np.abs(x) < 0.5
@@ -424,12 +422,7 @@ def _moments(sigma, lo, hi):
         m0[at] = -em / sg
         e_hi[at] = e_lo[at] * (1.0 + em)
         m1[at] = (m0[at] - ls * (1.0 + em)) / sg
-    return _shaped((e_lo, e_hi, m0, m1), shape)
-
-
-def _shaped(arrays, shape):
-    """Flat arrays in the given shape, or floats for shape ()."""
-    return tuple(a.reshape(shape) for a in arrays) if shape else tuple(float(a[0]) for a in arrays)
+    return e_lo, e_hi, m0, m1
 
 
 def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple[float, float]]]]:
@@ -529,13 +522,6 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     return [pairs[n * n_radii:(n + 1) * n_radii] if ok else None for n, ok in enumerate(exact.tolist())]
 
 
-def _exact_schedule(current: Current, rs, k0: int = 0) -> List[Tuple[float, float]]:
-    """(mass, rounding bound) of an all-trig current at each radius in rs: its table's _exact_masses."""
-    if not closed_form_applicable(current):
-        raise UnsupportedCurrentError("exact mass needs trig-series atoms")
-    return _exact_masses(current.table, rs, k0)[0]
-
-
 def closed_form_applicable(current: Current) -> bool:
     """True iff every atom is a trig series, so the exact route applies.
 
@@ -547,7 +533,10 @@ def closed_form_applicable(current: Current) -> bool:
 
 def mass_closed_form(current: Current, r: float, k0: int = 0) -> float:
     """Exact mass of an all-trig current on the bidisc of radius r, k0-th u-window."""
-    return _exact_schedule(current, (r,), k0)[0][0]
+    masses = _exact_masses(current.table, (r,), k0)[0]
+    if masses is None:
+        raise UnsupportedCurrentError("exact mass needs trig-series atoms")
+    return masses[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +567,11 @@ def boundary_reduction_check(
     dom = leaf_domain(lam, alpha_modulus, r)
     shift = coordinate_shift(lam, alpha_modulus)
     v_r = dom.v_min - shift
-    v_hi, _tail = _truncate_half_plane(_envelope_coefficients(spec), lam, alpha_modulus, v_r, cfg)
+    area = jacobian_rows(lam, alpha_modulus)
+    v_hi, _tail = _truncate_half_plane(_envelope_coefficients(spec), lam, area.coefficients.tolist(), v_r, cfg)
 
     def integrand(v):
-        return jacobian_density(lam, alpha_modulus, v) * np.asarray(evaluate(spec, u, v))
+        return jacobian_density(lam, area, v) * np.asarray(evaluate(spec, u, v))
 
     value, _err = integrate(
         integrand,
@@ -796,7 +786,6 @@ def nu_limit_positive_periodic(current: Current) -> float:
 __all__ = [
     "MassResult",
     "LelongEstimate",
-    "QuadratureConfig",
     "mass_quadrature",
     "mass_quadrature_schedule",
     "mass_closed_form",
@@ -812,5 +801,4 @@ __all__ = [
     "lelong_to_json",
     "closed_form_applicable",
     "nu_limit_positive_periodic",
-    "total_weight",
 ]

@@ -65,15 +65,12 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_depth: int = 16
-    v_tail_cutoff_digits: float = 3.0
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise InputError("quadrature tolerances must be positive")
         if not (isinstance(self.max_depth, int) and self.max_depth >= 1):
             raise InputError("max_depth must be an integer >= 1")
-        if not (self.v_tail_cutoff_digits > 0.0):
-            raise InputError("v_tail_cutoff_digits must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

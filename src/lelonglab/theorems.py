@@ -77,9 +77,6 @@ R_START = 1.0
 RATIO = 0.5
 STEPS = 12
 PERIODIC_STEPS = 16
-# window index and series length of the interval lower bound
-INTERVAL_K = 2
-INTERVAL_N_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ def _judge_positive(current: Current, est, masses, cfg: VerifyConfig, case_id: s
             f"(closed-form schedule, {len(est.rs)} halvings)"
         )
     else:
-        reference = lower_bound_nonperiodic(current, k=INTERVAL_K, n_max=INTERVAL_N_MAX)
+        reference = lower_bound_nonperiodic(current)
         agrees = est.limit_bracket[0] >= reference * (1.0 - 0.05 * cfg.tol_scale)
         details = (
             f"pass iff bracket lower > 0 and >= interval bound {reference:.12g} "

@@ -7,9 +7,11 @@ mass._exact_masses, kept verbatim as oracles: the array versions must give
 the same numbers bit for bit, the same integrand calls and the same failures.
 poisson_rows sums a Poisson window's full grid and its half-density probe
 as two kernel blocks, each with its own tail terms, and truncate_half_plane
-sums the truncation envelope with a generator: the earlier forms of
-harmonic.poisson_rows and mass._truncate_half_plane, which must agree with
-them bit for bit. Without a PoissonWindow, poisson_rows sums grids it builds
+sums the truncation envelope with a generator, from each spec's own
+envelope: the earlier forms of harmonic.poisson_rows and
+mass._truncate_half_plane, which must agree with them bit for bit.
+jacobian_coefficients is the scalar formula of foliation.jacobian_rows,
+modulus by modulus. Without a PoissonWindow, poisson_rows sums grids it builds
 with no shells, every node directly: the reference for the far field.
 current_from_json and build_current are the per-atom loader and validator:
 one FourierSpec, one _validate_atom call and one positivity certificate per
@@ -58,7 +60,7 @@ from lelonglab.harmonic import (
     json_float,
     spec_from_json,
 )
-from lelonglab.mass import EXACT_ROUNDING, TWO_PI, _envelope_coefficients, _tail_integral
+from lelonglab.mass import EXACT_ROUNDING, TWO_PI, _tail_integral
 from lelonglab.quadrature import _NODES, _W_GAUSS, _W_KRONROD
 
 
@@ -89,7 +91,7 @@ def _base_value(spec: HarmonicSpec) -> float:
 
 def _validate_atom(lam: Eigenvalue, atom: TransversalAtom, index: int):
     tag = f"atoms[{index}]"
-    if not (0.0 < abs(atom.alpha) < math.inf):
+    if not (0.0 < math.hypot(atom.alpha.real, atom.alpha.imag) < math.inf):
         raise InputError(f"{tag}.alpha: transversal point must be nonzero and finite")
     if not (atom.weight > 0.0) or not math.isfinite(atom.weight):
         raise InputError(f"{tag}.weight: weight must be positive and finite")
@@ -340,11 +342,16 @@ def mode_window_coefficients(spec, u0, u1):
     return tuple(out)
 
 
+def jacobian_coefficients(lv, alpha_modulus):
+    """(c1, c2) with jacobian_density = 2 (c1 e^{-2v} + c2 e^{-2 lambda v})."""
+    if alpha_modulus < 1.0:
+        return 1.0, (lv * alpha_modulus) ** 2
+    return alpha_modulus ** (-2.0 / lv), lv**2
+
+
 def _jac_terms(lam, am):
-    lv = lam.value
-    if am < 1.0:
-        return (2.0, 2.0), (2.0 * (lv * am) ** 2, 2.0 * lv)
-    return (2.0 * am ** (-2.0 / lv), 2.0), (2.0 * lv**2, 2.0 * lv)
+    c1, c2 = jacobian_coefficients(lam.value, am)
+    return (2.0 * c1, 2.0), (2.0 * c2, 2.0 * lam.value)
 
 
 def _moments(sigma, lo, hi):
@@ -486,11 +493,14 @@ def poisson_rows(spec, u0, u1, v, window=None):
 
 
 def truncate_half_plane(spec, lam, am, v_lo, cfg):
-    p, q = _envelope_coefficients(spec)
+    if isinstance(spec, FourierSpec):
+        p, q = spec.a0 + spec.mode_l1(), spec.b0
+    else:
+        p, q = max(float(np.max(spec.values)), spec.tail), spec.c_lin
     p *= TWO_PI
     q *= TWO_PI
     terms = _jac_terms(lam, am)
-    threshold = cfg.abs_tol * 10.0 ** (-cfg.v_tail_cutoff_digits)
+    threshold = cfg.abs_tol * 10.0 ** (-3.0)
 
     def env(v):
         return (p + q * v) * sum(c * math.exp(-rate * v) for c, rate in terms)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,27 @@ class TestMass:
         path.write_text("{this is not json")
         assert main(["mass", "--input", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_overflowing_alpha_is_input_error(self, write_current, capsys):
+        # |alpha| overflows a float though both parts are finite
+        payload = json.loads(json.dumps(FLAGSHIP_JSON))
+        payload["atoms"][0]["alpha"] = [1.5e308, 1.5e308]
+        path = write_current(payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["mass", "--input", path]) == 2
+        assert "input error: atoms[0].alpha: transversal point must be nonzero and finite" in capsys.readouterr().err
+
+    def test_strip_growth_past_the_float_range_is_input_error(self, write_current, capsys):
+        # e^{k C / b} = e^{843} at the strip's upper edge: no float holds it
+        spec = {"type": "fourier", "b": 1, "a0": 0.999, "modes": [[4000, 0.001, 0.0]],
+                "strip_c": math.log(0.9) / -0.5}
+        path = write_current({
+            "lambda": {"value": -0.5, "class": "negative"},
+            "atoms": [{"alpha": [0.9, 0.0], "weight": 1.0, "spec": spec}],
+        })
+        assert main(["mass", "--input", path]) == 2
+        assert "input error: atoms[0].spec.modes: " in capsys.readouterr().err
 
     def test_missing_field_named_in_error(self, write_current, capsys):
         path = write_current({"atoms": FLAGSHIP_JSON["atoms"]})
@@ -386,13 +408,14 @@ class TestSweep:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("flag, value", [("--rel-tol", "0"), ("--rel-tol", "-1"), ("--rel-tol", "nan"),
-                                             ("--abs-tol", "0")])
-    def test_bad_tolerance_is_input_error(self, flag, value, tmp_path, capsys):
-        # the sweep runs no quadrature, but checks its tolerances as every command does
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "0"), ("--rel-tol", "1e-9"), ("--abs-tol", "0")])
+    def test_tolerance_flag_is_usage_error(self, flag, value, tmp_path, capsys):
+        # the sweep runs no quadrature, so it takes no tolerance, good or bad
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", flag, value, "--out", str(out)]) == 2
-        assert "quadrature tolerances must be positive" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep", flag, value, "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -90,6 +90,12 @@ class TestBuildCurrent:
         with pytest.raises(InputError):
             build_current(Eigenvalue.rational(1, 1), [atom])
 
+    def test_overflowing_alpha_rejected(self):
+        # both parts finite, the modulus past the float range; no warning either
+        atom = TransversalAtom(complex(1.5e308, 1.5e308), 1.0, FourierSpec())
+        with np.errstate(over="raise"), pytest.raises(InputError, match=r"atoms\[0\]\.alpha: transversal point"):
+            build_current(Eigenvalue.rational(1, 1), [atom])
+
     def test_nonpositive_weight_rejected(self):
         atom = TransversalAtom(0.5, 0.0, FourierSpec())
         with pytest.raises(InputError):

@@ -17,7 +17,9 @@ from lelonglab import (
     psi,
     torus_curve,
 )
-from lelonglab.foliation import _jacobian_coefficients, jacobian_rows, plaque_limits
+from lelonglab.foliation import jacobian_rows, plaque_limits
+
+from oracles import jacobian_coefficients
 
 LAMBDAS = [
     Eigenvalue.rational(1, 1),
@@ -146,15 +148,18 @@ class TestPsiAndJacobian:
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_array_of_moduli_is_the_scalar_calls(self, lam):
-        # one modulus per row, both branches, bit for bit; numpy's own power
-        # rounds differently from float ** on a few percent of such moduli
+        # one modulus per row, both branches, bit for bit against the scalar
+        # formula; numpy's own power rounds differently from float ** on a
+        # few percent of such moduli
         moduli = np.exp(np.random.default_rng(5).uniform(-12.0, 3.0, 240))
         moduli[:3] = (1e-4, 0.9999999, 1.0)
         vs = np.linspace(0.0, 6.0, 15 * moduli.size).reshape(moduli.size, 15)
         block = jacobian_density(lam, moduli[:, None], vs)
         assert block.shape == vs.shape
         for am, v, row in zip(moduli.tolist(), vs, block):
-            assert np.array_equal(row, jacobian_density(lam, am, v))
+            c1, c2 = jacobian_coefficients(lam.value, am)
+            assert np.array_equal(row, 2.0 * (c1 * np.exp(-2.0 * v) + c2 * np.exp(-2.0 * lam.value * v)))
+            assert float.hex(jacobian_density(lam, am, float(v[1]))) == float.hex(float(row[1]))
 
 
 class TestMonodromy:
@@ -266,7 +271,7 @@ class TestPlaqueArrays:
                 assert np.array_equal(got[i], want[0])
             assert float.hex(float(shifts[i])) == float.hex(coordinate_shift(lam, am))
             assert [float.hex(float(c)) for c in coefficients[:, i]] == [
-                float.hex(c) for c in _jacobian_coefficients(lam.value, am)]
+                float.hex(c) for c in jacobian_coefficients(lam.value, am)]
 
     def test_validation(self):
         lam = Eigenvalue.negative(-0.5)

@@ -32,7 +32,9 @@ from lelonglab import (
 )
 from lelonglab.foliation import Eigenvalue
 from lelonglab import harmonic
-from lelonglab.harmonic import FAR_ORDER, FAR_RATIO, LADDER_MIN_POINTS, fourier_window, poisson_window
+from lelonglab.harmonic import (
+    FAR_ORDER, FAR_RATIO, LADDER_MIN_POINTS, fourier_columns, fourier_window, poisson_window,
+)
 
 from conftest import flat_poisson
 
@@ -210,6 +212,12 @@ class TestPositivity:
 
     def test_poisson_positive(self):
         assert check_positivity(bump_poisson())
+
+    def test_growth_past_the_float_range_is_invalid(self):
+        # e^{k C / b} = e^{843} at the upper edge
+        spec = FourierSpec(b=1, a0=0.999, modes=((4000, 0.001, 0.0),), strip_c=math.log(0.9) / -0.5)
+        with pytest.raises(InvalidSpecError, match=r"^spec\.modes: .* overflows a float"):
+            check_positivity(spec)
 
     def test_multi_mode_edge_certified_by_scan(self):
         # (1 - cos u)^2 + 1e-9: positive, but its envelope 1.5 - 2 - 0.5 is -1
@@ -437,7 +445,7 @@ class TestWindowIntegral:
         # rows padded with zero modes, half-planes with an infinite strip
         # height: each row is bit for bit its own spec's window integral
         u0, u1 = window
-        stacked = fourier_window(self.STACKED, u0, u1)
+        stacked = fourier_window(fourier_columns(self.STACKED), u0, u1)
         rows = np.array([3, 0, 2, 1, 3])
         vs = np.linspace(0.0, 2.5, 15 * rows.size).reshape(rows.size, 15)
         block = window_integral(stacked.take(rows), u0, u1, vs)
@@ -449,7 +457,7 @@ class TestWindowIntegral:
     def test_stacked_coefficients_are_the_scalar_formula(self, window):
         from oracles import mode_window_coefficients as scalar_coefficients
 
-        stacked = fourier_window(self.STACKED, *window)
+        stacked = fourier_window(fourier_columns(self.STACKED), *window)
         for row, spec in enumerate(self.STACKED):
             want = scalar_coefficients(spec, *window)
             got = stacked.coefs[row, :len(want)].tolist()
@@ -457,7 +465,7 @@ class TestWindowIntegral:
             assert not stacked.coefs[row, len(want):].any()
 
     def test_stacked_window_checks_each_strip(self):
-        stacked = fourier_window(self.STACKED, 0.0, 2.0 * math.pi)
+        stacked = fourier_window(fourier_columns(self.STACKED), 0.0, 2.0 * math.pi)
         vs = np.full((4, 15), 3.0)
         vs[1] = 2.0  # the only row whose strip is lower than 3
         window_integral(stacked, 0.0, 2.0 * math.pi, vs)
@@ -468,7 +476,7 @@ class TestWindowIntegral:
             window_integral(stacked, 0.0, 2.0 * math.pi, -vs)
 
     def test_stacked_window_is_tied_to_its_u_window(self):
-        stacked = fourier_window(self.STACKED, 0.0, 2.0 * math.pi)
+        stacked = fourier_window(fourier_columns(self.STACKED), 0.0, 2.0 * math.pi)
         with pytest.raises(InputError):
             window_integral(stacked, 0.0, 1.0, np.zeros((4, 15)))
 

@@ -40,7 +40,9 @@ from lelonglab import (
 
 import lelonglab.mass
 from lelonglab import harmonic
-from lelonglab.mass import _bracket_a, _bracket_b, _exact_masses, _exact_schedule, _moments
+from lelonglab.current import atom_table
+from lelonglab.foliation import jacobian_rows
+from lelonglab.mass import _bracket_a, _bracket_b, _exact_masses, _moments
 from lelonglab.quadrature import DEFAULT_CONFIG, QuadratureConfig
 from lelonglab.theorems import corpus
 
@@ -49,6 +51,11 @@ from conftest import flat_poisson
 
 def single_atom_current(lam, alpha, spec, weight=1.0):
     return build_current(lam, [TransversalAtom(alpha, weight, spec)])
+
+
+def _exact_pairs(current, rs, k0=0):
+    """(mass, rounding bound) of an all-trig current at each radius: its table's exact route."""
+    return _exact_masses(current.table, rs, k0)[0]
 
 
 class TestMassQuadrature:
@@ -161,7 +168,7 @@ class TestScheduleQuadrature:
             assert abs(s.value - m.value) <= s.error_estimate + m.error_estimate
             if case == "trig-half-b2":
                 # the b = 2 mode does not cancel, and the exact route still applies
-                value, bound = _exact_schedule(current, [s.r], k0)[0]
+                value, bound = _exact_pairs(current, [s.r], k0)[0]
                 assert abs(s.value - value) <= s.error_estimate + bound
         assert any(m.value > 0.0 for m in singles)
         cfg = DEFAULT_CONFIG
@@ -275,7 +282,7 @@ class TestFarFieldSchedule:
         spy = _KernelSpy(monkeypatch)
         est = lelong_estimate(single_atom_current(lam, modulus, flat_poisson(c_lin, half_turns)), k0=k0)
         twin = single_atom_current(lam, modulus, FourierSpec(b=1, a0=1.0, b0=c_lin))
-        for r, nu, err, (mass, bound) in zip(est.rs, est.nus, est.errs, _exact_schedule(twin, est.rs, k0)):
+        for r, nu, err, (mass, bound) in zip(est.rs, est.nus, est.errs, _exact_pairs(twin, est.rs, k0)):
             area = math.pi * r * r
             assert abs(nu - mass / area) <= err + bound / area
         if half_turns == 256:
@@ -356,23 +363,26 @@ class TestTruncation:
         base=st.floats(min_value=0.0, max_value=3.0),
         slope=st.floats(min_value=0.0, max_value=2.0),
         mode=st.floats(min_value=-0.5, max_value=0.5),
+        sine=st.floats(min_value=-0.5, max_value=0.5),
         lam=st.one_of(st.floats(min_value=0.01, max_value=1.0), st.sampled_from([1.0, 0.5, math.sqrt(2.0) - 1.0])),
         modulus=st.floats(min_value=0.01, max_value=5.0),
         v_lo=st.floats(min_value=-10.0, max_value=40.0),
-        cfg=st.sampled_from([DEFAULT_CONFIG, QuadratureConfig(abs_tol=1e-9, v_tail_cutoff_digits=1.5)]),
+        cfg=st.sampled_from([DEFAULT_CONFIG, QuadratureConfig(abs_tol=1e-9)]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_envelope_matches_the_generator_sum(self, fourier, base, slope, mode, lam, modulus, v_lo, cfg):
+    def test_envelope_matches_the_generator_sum(self, fourier, base, slope, mode, sine, lam, modulus, v_lo, cfg):
         from oracles import truncate_half_plane
 
         if fourier:
-            spec = FourierSpec(b=1, a0=base, b0=slope, modes=((-1, mode, 0.0),))
+            spec = FourierSpec(b=1, a0=base, b0=slope, modes=((-1, mode, sine), (-2, sine, mode)))
         else:
             ys = np.linspace(-math.pi, math.pi, 5)
             spec = PoissonSpec(ys=ys, values=base + abs(mode) * np.cos(ys) ** 2, tail=base, c_lin=slope)
         eig = Eigenvalue.irrational(lam)
-        envelope = lelonglab.mass._envelope_coefficients(spec)
-        got = lelonglab.mass._truncate_half_plane(envelope, eig, modulus, v_lo, cfg)
+        table = atom_table([(eig, [TransversalAtom(modulus, 1.0, spec)])])
+        envelope, = lelonglab.mass._envelopes(table)
+        jac = jacobian_rows(eig, modulus).coefficients.tolist()
+        got = lelonglab.mass._truncate_half_plane(envelope, eig, jac, v_lo, cfg)
         want = truncate_half_plane(spec, eig, modulus, v_lo, cfg)
         assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
 
@@ -387,12 +397,12 @@ class TestTruncation:
                 continue
             for atom in case.current.atoms:
                 table = build_current(lam, [atom]).table
-                (_, spans, _), = lelonglab.mass._atom_ranges(lam, table, rs, DEFAULT_CONFIG)
-                envelope = lelonglab.mass._envelope_coefficients(atom.spec)
-                for v_lo, _ in spans:
-                    args = (lam, atom.alpha_modulus, v_lo, DEFAULT_CONFIG)
-                    got = lelonglab.mass._truncate_half_plane(envelope, *args)
-                    assert got == truncate_half_plane(atom.spec, *args)
+                (_, spans, tail_bound), = lelonglab.mass._atom_ranges(lam, table, rs, DEFAULT_CONFIG)
+                heights = [truncate_half_plane(atom.spec, lam, atom.alpha_modulus, v_lo, DEFAULT_CONFIG)
+                           for v_lo, _ in spans]
+                v_top, want_bound = max(heights)
+                assert all(v_hi == v_top for _, v_hi in spans)
+                assert tail_bound == want_bound
 
 
 class TestClosedFormPositive:
@@ -589,30 +599,39 @@ class TestExactRoute:
         ))
         for r in (1.0, 0.5, 0.2):
             for k0 in (0, 1):
-                value, bound = _exact_schedule(cur, [r], k0)[0]
+                value, bound = _exact_pairs(cur, [r], k0)[0]
                 result = mass_quadrature(cur, r, k0=k0)
                 assert value > 0.0
                 assert abs(value - result.value) <= result.error_estimate + bound
+
+    @staticmethod
+    def _moment(sigma, lo, hi):
+        # _moments of one entry
+        return tuple(float(x[0]) for x in _moments(*(np.array([x]) for x in (sigma, lo, hi))))
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-9, -1e-9, 0.3, -0.3])
     def test_moments_series_branch(self, sigma):
         # the series branch against quad, and continuous across the switch
         lo, hi = 0.7, 1.9
-        e_lo, e_hi, m0, m1 = _moments(sigma, lo, hi)
+        e_lo, e_hi, m0, m1 = self._moment(sigma, lo, hi)
         want0, _ = quad(lambda t: math.exp(-sigma * t), 0.0, hi - lo, epsabs=0.0, epsrel=1e-13)
         want1, _ = quad(lambda t: t * math.exp(-sigma * t), 0.0, hi - lo, epsabs=0.0, epsrel=1e-13)
         assert (m0, m1) == (pytest.approx(want0, rel=1e-13), pytest.approx(want1, rel=1e-13))
         assert e_hi == pytest.approx(math.exp(-sigma * hi), rel=1e-15)
         length = 1.0
         for x in (0.5 * (1.0 - 1e-12), 0.5, -0.5 * (1.0 - 1e-12), -0.5):
-            assert _moments(x, 0.0, length)[2:] == pytest.approx(
-                _moments(x * (1.0 + 1e-12), 0.0, length)[2:], rel=1e-11
+            assert self._moment(x, 0.0, length)[2:] == pytest.approx(
+                self._moment(x * (1.0 + 1e-12), 0.0, length)[2:], rel=1e-11
             )
 
     def test_rejects_poisson(self):
+        # a Poisson atom alone, or beside a trig atom in either order
         lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
-        with pytest.raises(UnsupportedCurrentError):
-            _exact_schedule(single_atom_current(lam, 1.3, flat_poisson()), [1.0])
+        trig = TransversalAtom(0.7, 0.4, FourierSpec(b=1, a0=1.0))
+        poisson = TransversalAtom(1.3, 0.6, flat_poisson())
+        for atoms in ([poisson], [trig, poisson], [poisson, trig]):
+            with pytest.raises(UnsupportedCurrentError):
+                mass_closed_form(build_current(lam, atoms), 1.0)
 
     @staticmethod
     def _mp_mass(current, r):
@@ -662,7 +681,7 @@ class TestExactRoute:
             )),
         }[case]
         for r in (1.0, 0.3, 2.0**-10):
-            value, bound = _exact_schedule(current, [r])[0]
+            value, bound = _exact_pairs(current, [r])[0]
             if value == 0.0:
                 continue
             assert float(abs(value - self._mp_mass(current, r))) <= bound <= 1e-12 * abs(value)
@@ -675,7 +694,7 @@ class TestExactRoute:
         am = 0.25 * (1.0 - 1e-9)
         spec = normalize(FourierSpec(b=1, a0=1.0, b0=0.5, strip_c=-math.log(am)))
         current = build_current(lam, [TransversalAtom(am, 1.0, spec)])
-        value, bound = _exact_schedule(current, [0.5])[0]
+        value, bound = _exact_pairs(current, [0.5])[0]
         assert value > 0.0
         assert float(abs(value - self._mp_mass(current, 0.5))) <= bound
 
@@ -726,7 +745,7 @@ def _trig_currents(draw):
 @settings(max_examples=60, deadline=None)
 def test_exact_route_matches_quadrature(current, k0, log2_r):
     r = 2.0**log2_r
-    value, bound = _exact_schedule(current, [r], k0)[0]
+    value, bound = _exact_pairs(current, [r], k0)[0]
     result = mass_quadrature(current, r, k0=k0)
     assert abs(value - result.value) <= result.error_estimate + bound
 
@@ -954,7 +973,7 @@ class TestExactRouteArrays:
     def test_same_masses_and_bounds(self, current, k0, rs):
         from oracles import exact_masses
 
-        assert _same_pairs(_exact_schedule(current, rs, k0), exact_masses(current, rs, k0))
+        assert _same_pairs(_exact_pairs(current, rs, k0), exact_masses(current, rs, k0))
 
     @pytest.mark.parametrize("lam_value", [-0.5, -0.5 + 5e-10, -0.25])
     def test_resonant_strips(self, lam_value):
@@ -971,7 +990,7 @@ class TestExactRouteArrays:
             for a in cur.atoms])
         rs = [2.0**-n for n in range(16)]
         for k0 in (0, 1):
-            assert _same_pairs(_exact_schedule(cur, rs, k0), exact_masses(cur, rs, k0))
+            assert _same_pairs(_exact_pairs(cur, rs, k0), exact_masses(cur, rs, k0))
 
     def test_corpus_currents(self):
         from oracles import exact_masses
@@ -979,13 +998,13 @@ class TestExactRouteArrays:
         rs = [0.7**n for n in range(16)]
         for case in corpus(42):
             if closed_form_applicable(case.current):
-                got = _exact_schedule(case.current, rs)
+                got = _exact_pairs(case.current, rs)
                 assert _same_pairs(got, exact_masses(case.current, rs)), case.case_id
 
     def test_radius_validation(self, flagship):
         for bad in (0.0, 1.5, math.nan):
             with pytest.raises(DomainError):
-                _exact_schedule(flagship, [0.5, bad])
+                _exact_pairs(flagship, [0.5, bad])
 
     @given(
         currents=st.lists(_trig_families(), min_size=1, max_size=5),
@@ -1013,5 +1032,5 @@ class TestExactRouteArrays:
         table = atom_table([(c.lam, c.atoms) for c in (flagship, poisson, flagship)])
         got = _exact_masses(table, rs)
         assert got[1] is None
-        assert _same_pairs(got[0], _exact_schedule(flagship, rs))
+        assert _same_pairs(got[0], _exact_pairs(flagship, rs))
         assert _same_pairs(got[2], got[0])

@@ -1,26 +1,44 @@
-"""The benchmark's layer trace still finds every lelonglab name it wraps.
+"""The benchmark still finds every lelonglab name it wraps or imports.
 
 perfbench/layers.py wraps module attributes by name (for example
 lelonglab.mass.window_model_error, which mass.py imports only for it), so a
 refactor that drops one of them breaks `perfbench/run.py --trace 1`. This
 test makes that a test failure instead, and a second one keeps a refactor of
-the corpus loop from hiding the schedules the trace still sees.
+the corpus loop from hiding the schedules the trace still sees. A third
+builds every workload of perfbench/workloads.py and runs its first op
+through the command line, so a refactor that breaks a name the workloads
+import, or an output they check, fails here too.
 """
 
+import contextlib
 import importlib.util
+import io
+import sys
 from pathlib import Path
+
+import pytest
 
 import lelonglab.mass
 import lelonglab.theorems
+from lelonglab.cli import main
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is made
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def _layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
+    return _load("layers")
 
 
 def test_tracer_wraps_and_restores_every_traced_name():
@@ -40,3 +58,13 @@ def test_traced_corpus_still_shows_the_poisson_schedules():
     assert len(reports) == 22
     assert len(op.schedules) == 2
     assert all(not lelonglab.mass.closed_form_applicable(current) for current, _ in op.schedules)
+
+
+@pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
+def test_each_workload_passes_its_own_check(name, tmp_path):
+    workload = _load("workloads").WORKLOADS[name](42, str(tmp_path))
+    op = workload.ops[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(op.argv)
+    op.check(out.getvalue(), code)
