@@ -24,7 +24,7 @@ from .current import (
     build_currents,
     current_from_json,
 )
-from .errors import InputError, LelongLabError, QuadratureFailure
+from .errors import InputError, LelongLabError, NumericalFailure
 from .foliation import Eigenvalue, torus_curve
 from .harmonic import FourierSpec, normalize
 from .mass import (
@@ -69,6 +69,27 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
     return QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
 
 
+def _non_finite_field(obj, path: str = "") -> Optional[str]:
+    """The path of the first number in obj that is not finite, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path or "result"
+    if isinstance(obj, dict):
+        items = ((f"{path}.{key}" if path else str(key), value) for key, value in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite_field(value, name) for name, value in items)), None)
+
+
+def _json_text(payload) -> str:
+    """payload as indented JSON; a number that is not finite is a numerical failure naming its field."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise NumericalFailure(f"{_non_finite_field(payload)} is not a finite number") from None
+
+
 def _add_quad_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-tol", type=float, default=1e-9)
     p.add_argument("--abs-tol", type=float, default=1e-12)
@@ -99,7 +120,7 @@ def cmd_mass(args: argparse.Namespace) -> int:
         closed = mass_closed_form(current, args.r, args.k0)
         payload["closed_form"] = closed
         payload["discrepancy"] = abs(result.value - closed)
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
     return 0
 
 
@@ -123,9 +144,10 @@ def cmd_lelong(args: argparse.Namespace) -> int:
         cfg=cfg,
         k0=args.k0,
     )
+    text = _json_text(lelong_to_json(est))  # before the CSV: a failure writes nothing
     if args.out:
         _write_schedule_csv(args.out, est)
-    print(json.dumps(lelong_to_json(est), indent=2))
+    print(text)
     return 0
 
 
@@ -133,7 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = VerifyConfig(quad=_quad_config(args), tol_scale=args.tol_scale)
     reports = run_corpus(seed=args.seed, cfg=cfg, only=args.case)
     payload = [report_to_json(rep) for rep in reports]
-    text = json.dumps(payload, indent=2)
+    text = _json_text(payload)
     # stdout carries the JSON report alone; the table is for people
     print(text)
     if args.out:
@@ -363,7 +385,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QuadratureFailure as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except json.JSONDecodeError as exc:

@@ -35,7 +35,11 @@ class UnsupportedCurrentError(LelongLabError, ValueError):
     """The requested engine has no closed form / no bound for this current."""
 
 
-class QuadratureFailure(LelongLabError, RuntimeError):
+class NumericalFailure(LelongLabError, RuntimeError):
+    """A computation gave no usable number: no convergence, or a result that is not finite."""
+
+
+class QuadratureFailure(NumericalFailure):
     """Adaptive quadrature failed to reach tolerance.
 
     Carries the best estimate and its error bound so callers can decide

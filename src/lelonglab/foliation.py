@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -30,6 +31,11 @@ TWO_PI = 2.0 * math.pi
 # Tolerances for float comparisons of moduli and angles in `equivalent`.
 MODULUS_RTOL = 1e-9
 ANGLE_TOL = 1e-9
+
+# The smallest |lambda| taken, about 1.49e-154: the square root of the
+# smallest normal float. The half-plane tails divide by the square of the
+# rate 2 lambda, which is then still a normal float.
+LAMBDA_MIN = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,10 @@ class Eigenvalue:
             raise InputError("lambda.value: eigenvalue must be finite and nonzero")
         if abs(self.value) > 1.0 + 1e-15:
             raise InputError("lambda.value: eigenvalue must lie in [-1, 0) or (0, 1]")
+        if abs(self.value) < LAMBDA_MIN:
+            raise InputError(
+                f"lambda.value: |eigenvalue| must be at least {LAMBDA_MIN:.3g}, so that its square is a normal float"
+            )
         if self.kind == "negative":
             if self.value >= 0.0:
                 raise InputError("lambda.value: negative eigenvalue must have value < 0")

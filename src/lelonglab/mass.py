@@ -9,11 +9,11 @@ Two independent routes to the mass of a current on the bidisc of radius r:
   radii: one GK15 partition seeded with every radius's v-limits, refined
   until each radius meets the tolerance on its own panels. All atoms are
   refined in lockstep, one integrand call per round for every atom's new
-  panels: trig atoms as rows of one FourierWindow, Poisson atoms one panel
-  per kernel block through their PoissonWindow (far grid nodes by moments,
-  near ones directly), with their grid-model defect, summed from the same
-  block, and the expansion's truncation remainder. mass_quadrature is the
-  one-radius case.
+  panels: trig atoms as rows of one FourierWindow, Poisson panels through
+  one poisson_panel_rows call, one kernel block per panel from its atom's
+  PoissonWindow (far grid nodes by moments, near ones directly), with their
+  grid-model defect, summed from the same block, and the expansion's
+  truncation remainder. mass_quadrature is the one-radius case.
 * mass_closed_form: exact for every trig-series current and u-window, as a
   finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}. Its
   engine, _exact_masses, takes an AtomTable of one or many currents, each
@@ -58,7 +58,7 @@ from .harmonic import (
     evaluate,
     fourier_window,
     mode_integrals,
-    poisson_rows,
+    poisson_panel_rows,
     poisson_window,
     window_integral,
     window_model_error,  # not called here: perfbench's layer trace wraps it by name
@@ -190,11 +190,13 @@ def mass_quadrature_schedule(
     per atom, seeded with every radius's limits and refined until each
     radius meets the tolerance on its own panels. The atoms share each
     round's integrand call. Trig rows are evaluated together through a
-    row-stacked FourierWindow; Poisson rows one panel, and so one kernel
-    block, at a time, with the grid-model defect as a second row summed
-    from the same block (harmonic.poisson_rows). Each Poisson atom's
-    PoissonWindow, with its shell ladders, is built once here and serves
-    both rows of every panel. The per-radius sums run over atoms in order.
+    row-stacked FourierWindow; Poisson rows through one
+    harmonic.poisson_panel_rows call per integrand call, which works out
+    the tail and linear terms for all of them at once and one kernel block
+    per panel, with the grid-model defect as a second row summed from the
+    same block. Each Poisson atom's PoissonWindow, with its shell ladders,
+    is built once here and serves both rows of every panel. The per-radius
+    sums run over atoms in order.
     """
     rs = tuple(rs)
     if not all(0.0 < r <= 1.0 for r in rs):
@@ -232,11 +234,12 @@ def mass_quadrature_schedule(
         if trig.any():
             out[trig, 0] = trig_rows(rows[trig], v[trig])
         panels = np.flatnonzero(~trig)
-        jac = jacobian_density(lam, area.take(rows[panels]), v[panels])
-        for p, job, jac_p in zip(panels.tolist(), rows[panels].tolist(), jac):
+        if panels.size:
             # the boundary grid, not the subdivision, limits how well different
             # u-windows of the same leaf can agree; account for it explicitly
-            out[p] = jac_p * poisson_rows(windows[job], v[p])
+            panel_jobs, v_p = rows[panels], v[panels]
+            rows_p = poisson_panel_rows([windows[job] for job in panel_jobs.tolist()], v_p)
+            out[panels] = jacobian_density(lam, area.take(panel_jobs), v_p)[:, None] * rows_p
         return out
 
     try:
@@ -480,9 +483,11 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     rates[0] = 2.0
     rates[1] = 2.0 * lv[part_owner]
     terms = np.empty((6,) + c.shape)
-    terms[:2] = weights[part_owner] * c
-    terms[2:4] = weights[part_owner] * np.abs(c)
-    terms[:4] *= parts[[0, 1, 3, 4], None, :]
+    # a weight near the float limit overflows to inf, as float arithmetic does
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms[:2] = weights[part_owner] * c
+        terms[2:4] = weights[part_owner] * np.abs(c)
+        terms[:4] *= parts[[0, 1, 3, 4], None, :]
     terms[4] = rates - grow
     terms[5] = np.abs(rates) + np.abs(grow)
     # the plaques' limits and the bound on their size, per atom and radius;
@@ -652,10 +657,13 @@ def _fit_against_log(rs, nus) -> Tuple[float, float]:
     start = 0 if len(rs) < 6 else len(rs) // 2
     x = -np.log(np.asarray(rs[start:]))
     y = np.asarray(nus[start:])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    # nus that are not finite, or whose squares overflow, give a fit that is
+    # not finite either, which the command line then refuses by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope, intercept = np.polyfit(x, y, 1)
+        fitted = slope * x + intercept
+        ss_res = float(np.sum((y - fitted) ** 2))
+        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     if ss_tot <= 1e-30:
         return float(slope), 0.0
     return float(slope), 1.0 - ss_res / ss_tot

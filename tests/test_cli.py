@@ -291,6 +291,83 @@ class TestVerify:
         assert payload[0]["verdict"] == "pass"
 
 
+def _one_constant_atom(lam, weight=1.0):
+    return {"lambda": lam, "atoms": [{"alpha": [0.5, 0.0], "weight": weight, "spec": CONST_SPEC}]}
+
+
+class TestNumericalEdges:
+    # every case runs with RuntimeWarnings as errors, as the suite does
+
+    @pytest.mark.parametrize("command", [["mass", "--r", "0.5"], ["lelong"]])
+    @pytest.mark.parametrize("lam", [
+        {"value": 1e-300, "class": "irrational"},
+        {"value": 1e-160, "class": "irrational"},
+        {"value": -1e-300, "class": "negative"},
+    ])
+    def test_eigenvalue_whose_square_underflows_is_input_error(self, command, lam, write_current, capsys):
+        # (2 lambda)^2 underflowed to 0: mass divided by it, lelong printed NaN
+        path = write_current(_one_constant_atom(lam))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(command + ["--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: lambda.value: |eigenvalue| must be at least 1.49e-154")
+
+    @pytest.mark.parametrize("command", [["mass", "--r", "0.5"], ["lelong"]])
+    def test_smallest_eigenvalue_loads(self, command, write_current, capsys):
+        from lelonglab.foliation import LAMBDA_MIN
+
+        assert LAMBDA_MIN ** 2 >= sys.float_info.min
+        path = write_current(_one_constant_atom({"value": LAMBDA_MIN, "class": "irrational"}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(command + ["--input", path]) == 0
+        json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("command, field", [
+        (["mass", "--r", "0.5"], "quadrature.value"),
+        (["lelong"], "nus[0]"),
+    ])
+    def test_non_finite_result_is_numerical_failure(self, command, field, write_current, tmp_path, capsys):
+        # the mass overflows: the weighted terms are inf, and the exact route's NaN
+        path = write_current(_one_constant_atom({"value": 1.0, "class": "rational", "a": 1, "b": 1}, 1e308))
+        csv_path = tmp_path / "schedule.csv"
+        extra = ["--out", str(csv_path)] if command == ["lelong"] else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(command + ["--input", path] + extra) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"numerical failure: {field} is not a finite number\n"
+        assert not csv_path.exists()
+
+    def test_non_finite_closed_form_is_named(self, write_current, capsys):
+        # a finite quadrature mass whose closed form overflows
+        payload = _one_constant_atom({"value": 1.0, "class": "rational", "a": 1, "b": 1}, 1e307)
+        payload["atoms"][0]["spec"] = dict(CONST_SPEC, b0=1.0)
+        path = write_current(payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["mass", "--r", "0.5", "--input", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: closed_form is not a finite number\n"
+
+    def test_non_finite_verify_report_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        from lelonglab.theorems import VerificationReport
+
+        reports = [VerificationReport("a", 0.5, "PositiveLelong", (1.0, 2.0), True, ""),
+                   VerificationReport("b", 0.5, "PositiveLelong", (1.0, math.inf), True, "")]
+        monkeypatch.setattr(cli, "run_corpus", lambda **kwargs: reports)
+        out_path = tmp_path / "report.json"
+        assert main(["verify", "--out", str(out_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: [1].observed[1] is not a finite number\n"
+        assert not out_path.exists()
+
+
 GOLDEN = Path(__file__).parent / "data"
 
 

@@ -614,6 +614,7 @@ class TestFarField:
         assert np.array_equal(value, want_value) and np.array_equal(model, want_model)
 
     def test_model_error_carries_the_remainders(self):
+        from oracles import _arctan_primitive as prim
         from oracles import poisson_rows as direct
 
         spec = flat_poisson(half_turns=256)  # 12289 nodes
@@ -622,7 +623,13 @@ class TestFarField:
         vs = np.linspace(0.5, 4.0, 15)
         remainder = 2.0 * window.full.remainder(4.0) + window.probe.remainder(4.0)
         assert 0.0 < remainder < 1e-13
-        value, coarse = harmonic._poisson_window(window, vs)
+        # the same tail and linear terms make both kernel sums window integrals
+        y_top, width = spec.half_width, u1 - u0
+        right = spec.tail * (0.5 * math.pi * width - prim(y_top - u0, vs) + prim(y_top - u1, vs))
+        left = spec.tail * (0.5 * math.pi * width + prim(-y_top - u0, vs) - prim(-y_top - u1, vs))
+        value, coarse = ((sums + right + left) / math.pi + spec.c_lin * vs * width
+                         for sums in harmonic._poisson_window(window, vs))
+        assert np.array_equal(window_integral(spec, u0, u1, vs), value)
         got = window_model_error(spec, u0, u1, vs)
         assert np.array_equal(got, np.abs(value - coarse) + remainder)
         _, plain = direct(spec, u0, u1, vs)
@@ -670,6 +677,42 @@ class TestOneKernelBlock:
         assert _bits(rows[0]) == _bits(value) and _bits(rows[1]) == _bits(model)
         assert _bits(window_integral(spec, u0, u1, vs)) == _bits(value)
         assert _bits(window_model_error(spec, u0, u1, vs)) == _bits(model)
+
+    @given(
+        panels=st.integers(min_value=1, max_value=16),
+        # up to 2397 nodes the grid has a shell ladder but its probe has none
+        n=st.one_of(st.integers(min_value=300, max_value=20000),
+                    st.integers(min_value=LADDER_MIN_POINTS, max_value=2 * LADDER_MIN_POINTS - 1)),
+        step=st.one_of(
+            st.integers(min_value=6, max_value=48).map(lambda m: math.pi / m),
+            st.floats(min_value=0.02, max_value=0.3),
+        ),
+        shape=st.sampled_from(["flat", "bump", "random"]),
+        tail=st.floats(min_value=0.0, max_value=2.0),
+        c_lin=st.sampled_from([0.0, 0.6]),
+        k0=st.integers(min_value=-2, max_value=2),
+        zeros=st.lists(st.sampled_from([0, 0, 0, 1, 3, 15]), min_size=16, max_size=16),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_panels_are_each_the_panel_alone(self, panels, n, step, shape, tail, c_lin, k0, zeros, seed):
+        # the terms worked out for the whole (P, 15) block give every panel
+        # the bits poisson_rows gives it alone, whatever its spec and shell
+        rng = np.random.default_rng(seed)
+        u0 = 2.0 * math.pi * k0
+        u1 = u0 + 2.0 * math.pi
+        pair = [poisson_window(_grid_spec(n, step, shape, tail, c_lin, seed), u0, u1),
+                poisson_window(_grid_spec(n, step, "random", 0.5 * tail, 0.6 - c_lin, seed + 1), u0, u1)]
+        windows = [pair[i] for i in rng.integers(0, 2, panels)]
+        # each panel's heights between v_lo and v_hi, so the panels take different shells
+        v_hi = 60.0 * 10.0 ** -rng.uniform(0.0, 4.0, (panels, 1))
+        v = v_hi * (1.0 - rng.uniform(0.0, 1.0, (panels, 1)) * np.sort(rng.uniform(size=(panels, 15)), axis=1))
+        for row, count in zip(v, zeros):
+            row[:count] = 0.0
+        rows = harmonic.poisson_panel_rows(windows, v)
+        assert rows.shape == (panels, 2, 15)
+        for window, heights, got in zip(windows, v, rows):
+            assert _bits(got) == _bits(harmonic.poisson_rows(window, heights))
 
     @pytest.mark.parametrize("n", [769, 768])
     def test_rows_keep_the_shape_of_v(self, n):

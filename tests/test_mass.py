@@ -336,7 +336,7 @@ class TestOneKernelBlockPerPanel:
         current = make()
         count = _Arctan2Count(monkeypatch)
         panels = []
-        real = lelonglab.mass.poisson_rows
+        real = harmonic._poisson_window
 
         def spy(window, v):
             first = len(count.blocks)
@@ -347,14 +347,42 @@ class TestOneKernelBlockPerPanel:
             panels.append((count.blocks[first:], (inside.size, near)))
             return out
 
-        monkeypatch.setattr(lelonglab.mass, "poisson_rows", spy)
+        monkeypatch.setattr(harmonic, "_poisson_window", spy)
         lelong_estimate(current)
         assert panels
+        assert len(count.blocks) == len(panels)  # no arctan2 block outside the panels'
         for blocks, block in panels:
             assert blocks == [block]
         assert sum(rows * cols for _, (rows, cols) in panels) == entries
         if current.atoms[0].spec.ys.size == 769:  # no ladder: every node direct
             assert all(cols == 769 for _, (_, cols) in panels)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_tail_terms_once_per_integrand_call(self, case, monkeypatch):
+        # the tail primitives are worked out once per integrand call, for all
+        # its panels, and the kernel sums once per panel
+        count = {"calls": 0, "panels": 0, "primitives": 0, "kernels": 0}
+        real_rows, real_primitive, real_kernel = (
+            lelonglab.mass.poisson_panel_rows, harmonic._arctan_primitive, harmonic._poisson_window)
+
+        def rows(windows, v):
+            count["calls"] += 1
+            count["panels"] += int((v > 0.0).any(axis=1).sum())  # panels with an interior height
+            return real_rows(windows, v)
+
+        def primitive(s, v):
+            count["primitives"] += 1
+            return real_primitive(s, v)
+
+        def kernel(window, v):
+            count["kernels"] += 1
+            return real_kernel(window, v)
+
+        monkeypatch.setattr(lelonglab.mass, "poisson_panel_rows", rows)
+        monkeypatch.setattr(harmonic, "_arctan_primitive", primitive)
+        monkeypatch.setattr(harmonic, "_poisson_window", kernel)
+        lelong_estimate(self.CASES[case][0]())
+        assert 0 < count["calls"] == count["primitives"] < count["panels"] == count["kernels"]
 
 
 class TestTruncation:
