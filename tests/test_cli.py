@@ -398,6 +398,14 @@ class TestGoldenOutputs:
         capsys.readouterr()
         assert out.read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
 
+    def test_mass_families(self):
+        # the quadrature route on three many-atom currents, through the mass command
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("make_golden", root / "scripts" / "make_golden.py")
+        make_golden = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_golden)
+        assert make_golden.mass_families().encode() == (GOLDEN / "mass-families.json").read_bytes()
+
     def test_figures(self, tmp_path, capsys):
         # scripts/make_figures.py, run into tmp_path, redraws figures/ byte for byte
         root = Path(__file__).resolve().parents[1]
