@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,34 +145,26 @@ def _truncate_half_plane(envelope, lam: Eigenvalue, jac, v_lo: float, cfg: Quadr
 
 
 def _atom_ranges(lam: Eigenvalue, table: AtomTable, rs, cfg: QuadratureConfig):
-    """Per atom of the table: the radii with a nonempty plaque, their v-ranges and the tail bound.
+    """(lo, hi, nonempty, tails): the v-ranges of every atom's plaques at rs, and its tail bound.
 
-    The plaques of every atom and radius come from one plaque_limits call.
-    Strips run between their ends. Half-planes share one truncation height
-    per atom: the highest any of its radii needs, so its tail bound covers
-    them all; their envelopes and Jacobian coefficients come from one
-    _envelopes and one jacobian_rows call.
+    lo, hi and nonempty are (atoms, radii) arrays from one plaque_limits
+    call, lo shifted by coordinate_shift; an empty plaque has lo = hi = 0.
+    Strips run between their ends. Half-planes, never empty, share one
+    truncation height per atom: the highest any of its radii needs, so its
+    tail bound, the atom's entry of tails, covers them all; their envelopes
+    and Jacobian coefficients come from one _envelopes and one jacobian_rows
+    call. Strips have no tail.
     """
     moduli = table.moduli
     v_min, v_max, empty = plaque_limits(lam, moduli, rs)
-    lows = (v_min - coordinate_shift(lam, moduli)[:, None]).tolist()
-    highs = v_max.tolist()
-    half_plane = lam.value > 0.0
-    if half_plane:
-        envelopes = _envelopes(table)
+    lo = np.where(empty, 0.0, v_min - coordinate_shift(lam, moduli)[:, None])
+    hi = np.where(empty, 0.0, v_max)
+    tails = np.zeros(moduli.size)
+    if lam.value > 0.0:
         jacs = jacobian_rows(lam, moduli).coefficients.T.tolist()
-    else:
-        envelopes = jacs = repeat(None)
-    out = []
-    for envelope, jac, nonempty, low, high in zip(envelopes, jacs, (~empty).tolist(), lows, highs):
-        where = [n for n, ok in enumerate(nonempty) if ok]
-        tail_bound = 0.0
-        if half_plane and where:
-            heights = [_truncate_half_plane(envelope, lam, jac, low[n], cfg) for n in where]
-            v_top, tail_bound = max(heights)
-            high = [v_top] * len(rs)
-        out.append((where, [(low[n], high[n]) for n in where], tail_bound))
-    return out
+        for i, (envelope, jac, lows) in enumerate(zip(_envelopes(table), jacs, lo.tolist())):
+            hi[i], tails[i] = max(_truncate_half_plane(envelope, lam, jac, low, cfg) for low in lows)
+    return lo, hi, ~empty, tails
 
 
 def mass_quadrature_schedule(
@@ -186,45 +176,39 @@ def mass_quadrature_schedule(
     """Masses at every radius in rs over the k0-th u-window, by quadrature.
 
     The integrand does not depend on r, only the v-limits do, so each atom
-    is one job of a single integrate_lockstep call: one adaptive partition
-    per atom, seeded with every radius's limits and refined until each
-    radius meets the tolerance on its own panels. The atoms share each
-    round's integrand call. Trig rows are evaluated together through a
-    row-stacked FourierWindow; Poisson rows through one
-    harmonic.poisson_panel_rows call per integrand call, which works out
-    the tail and linear terms for all of them at once and one kernel block
-    per panel, with the grid-model defect as a second row summed from the
-    same block. Each Poisson atom's PoissonWindow, with its shell ladders,
-    is built once here and serves both rows of every panel. The per-radius
-    sums run over atoms in order.
+    is one job of a single integrate_lockstep call, with one range per
+    radius: one adaptive partition per atom, seeded with every radius's
+    limits and refined until each radius meets the tolerance on its own
+    panels. The atoms share each round's integrand call. Trig rows are
+    evaluated together through a row-stacked FourierWindow; Poisson rows
+    through one harmonic.poisson_panel_rows call per integrand call, which
+    works out the tail and linear terms for all of them at once and one
+    kernel block per panel, with the grid-model defect as a second row
+    summed from the same block. Each Poisson atom's PoissonWindow, with its
+    shell ladders, is built once here and serves both rows of every panel.
+    The weighted (atom, radius) sums are added over the atoms in order.
     """
     rs = tuple(rs)
     if not all(0.0 < r <= 1.0 for r in rs):
         raise DomainError("radius must lie in (0, 1]")
+    if not rs:
+        return []
     lam = current.lam
     table = current.table
-    jobs, owners = [], []  # owners: (atom index, radius indices, tail bound) per job
-    for i, (where, spans, tail_bound) in enumerate(_atom_ranges(lam, table, rs, cfg)):
-        if where:
-            jobs.append((min(map(itemgetter(0), spans)), max(map(itemgetter(1), spans)), spans))
-            owners.append((i, where, tail_bound))
-    atom_of = np.array([i for i, _, _ in owners], dtype=np.intp)  # job -> atom
+    lo, hi, nonempty, tails = _atom_ranges(lam, table, rs, cfg)
     u0 = TWO_PI * k0
     u1 = u0 + TWO_PI
     # the area density's coefficients, worked out once per atom and taken by row
-    area = jacobian_rows(lam, table.moduli[atom_of].reshape(-1, 1))
-    is_trig = table.trig[atom_of]
+    area = jacobian_rows(lam, table.moduli.reshape(-1, 1))
+    is_trig = table.trig
     window = fourier_window(table.fourier, u0, u1)  # one row per atom
     poisson = not is_trig.all()
     # one PoissonWindow per Poisson atom: its grids and shell ladders serve
     # every panel, for the value row and the model-error row alike
-    windows = [None if trig else poisson_window(table.poisson[i], u0, u1)
-               for i, trig in zip(atom_of.tolist(), is_trig.tolist())]
+    windows = [None if spec is None else poisson_window(spec, u0, u1) for spec in table.poisson]
 
     def trig_rows(rows, v):
-        return jacobian_density(lam, area.take(rows), v) * window_integral(
-            window.take(atom_of[rows]), u0, u1, v
-        )
+        return jacobian_density(lam, area.take(rows), v) * window_integral(window.take(rows), u0, u1, v)
 
     def integrand(rows, v):
         if not poisson:
@@ -237,40 +221,31 @@ def mass_quadrature_schedule(
         if panels.size:
             # the boundary grid, not the subdivision, limits how well different
             # u-windows of the same leaf can agree; account for it explicitly
-            panel_jobs, v_p = rows[panels], v[panels]
-            rows_p = poisson_panel_rows([windows[job] for job in panel_jobs.tolist()], v_p)
-            out[panels] = jacobian_density(lam, area.take(panel_jobs), v_p)[:, None] * rows_p
+            atoms, v_p = rows[panels], v[panels]
+            rows_p = poisson_panel_rows([windows[i] for i in atoms.tolist()], v_p)
+            out[panels] = jacobian_density(lam, area.take(atoms), v_p)[:, None] * rows_p
         return out
 
     try:
-        parts = integrate_lockstep(
-            integrand, jobs, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_depth=cfg.max_depth,
+        values, errors = integrate_lockstep(
+            integrand, lo, hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_depth=cfg.max_depth,
         )
     except QuadratureFailure as exc:
-        i, where, _ = owners[exc.job]
-        radii = ", ".join(repr(rs[where[n]]) for n in exc.ranges)
+        radii = ", ".join(repr(rs[n]) for n in exc.ranges)
         raise QuadratureFailure(
-            f"atoms[{i}] at r = {radii}: {exc}", exc.best_estimate, exc.error_estimate,
+            f"atoms[{exc.job}] at r = {radii}: {exc}", exc.best_estimate, exc.error_estimate,
             job=exc.job, ranges=exc.ranges,
         ) from exc
-    weights = table.weights.tolist()
-    per_atom = [[(0.0, 0.0)] * len(rs) for _ in weights]
-    for (i, where, tail_bound), job_parts in zip(owners, parts):
-        weight = weights[i]
-        for n, (value, err) in zip(where, job_parts):
-            model_err = 0.0
-            if poisson:
-                # Kronrod sum of the defect plus its own Kronrod-Gauss gap
-                value, err, model_err = float(value[0]), float(err[0]), float(value[1] + err[1])
-            per_atom[i][n] = (weight * value, weight * (err + tail_bound + model_err))
-    return [
-        MassResult(
-            value=sum(p[n][0] for p in per_atom),
-            error_estimate=sum(p[n][1] for p in per_atom),
-            r=r,
-        )
-        for n, r in enumerate(rs)
-    ]
+    weights = table.weights[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # as float sums would
+        errs = errors[..., 0] + tails[:, None]
+        if poisson:
+            # Kronrod sum of the defect plus its own Kronrod-Gauss gap
+            errs = errs + (values[..., 1] + errors[..., 1])
+        parts = np.where(nonempty, np.stack((weights * values[..., 0], weights * errs)), 0.0)
+        # added over the atoms in order, as Python's sum adds them
+        value, error = (parts.cumsum(axis=1)[:, -1] + 0.0).tolist()
+    return [MassResult(value=v, error_estimate=e, r=r) for v, e, r in zip(value, error, rs)]
 
 
 def mass_quadrature(

@@ -4,9 +4,11 @@ One-dimensional only: every mass integral in this package reduces to a
 v-integral whose u-part is done in closed form (see harmonic.window_integral),
 so a careful scalar engine with honest error estimates beats a generic cubature.
 Integrands must accept and return ndarrays. integrate_lockstep refines many
-independent integrals side by side, with their state in arrays over (job,
-panel) and (job, range), and evaluates each round's panels in one integrand
-call; integrate is its one-job case.
+independent jobs side by side: it takes the ends of every job's ranges as two
+(job, range) arrays, an empty range having lo = hi, keeps its state in arrays
+over (job, panel) and (job, range), evaluates each round's panels in one
+integrand call, and returns each range's value and error as (job, range, m)
+arrays. integrate is its one-job case, on Python floats.
 """
 
 from __future__ import annotations
@@ -84,28 +86,6 @@ def _check_job(a: float, b: float, spans) -> None:
     for lo, hi in spans:
         if not (a <= lo <= hi <= b):
             raise InputError(f"range [{lo}, {hi}] is not an ordered sub-range of [{a}, {b}]")
-
-
-def _job_arrays(jobs):
-    """The validated ranges of every job as (J, R) arrays of ends, R the most ranges of a job.
-
-    A job with fewer ranges is padded with empty ranges [a, a].
-    """
-    spans_of = [list(ranges) for _, _, ranges in jobs]
-    width = max((len(spans) for spans in spans_of), default=0)
-    flat = []
-    for (a, b, _), spans in zip(jobs, spans_of):
-        flat += (a, b)
-        for lo, hi in spans:
-            flat += (lo, hi)
-        flat += (a, a) * (width - len(spans))
-    ends = np.array(flat, dtype=float).reshape(len(jobs), 2 + 2 * width)
-    a, b, lo, hi = ends[:, :1], ends[:, 1:2], ends[:, 2::2], ends[:, 3::2]
-    if not (np.isfinite(ends[:, :2]).all() and (a <= b).all()
-            and ((a <= lo) & (lo <= hi) & (hi <= b)).all()):
-        for (a, b, _), spans in zip(jobs, spans_of):  # the first job at fault names it
-            _check_job(a, b, spans)
-    return lo, hi, [len(spans) for spans in spans_of]
 
 
 def _seed_panels(lo, hi):
@@ -241,7 +221,8 @@ def _failure(ids, rec, members, is_open, sums, counts, go, kron, err, single, bu
 
 def integrate_lockstep(
     f,
-    jobs,
+    lo,
+    hi,
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-12,
     max_depth: int = 16,
@@ -249,10 +230,12 @@ def integrate_lockstep(
 ):
     """Integrals of many independent jobs, refined in lockstep.
 
-    A job is (a, b, ranges) with ranges sub-ranges (lo, hi) of [a, b] that
-    share one partition, as in integrate. Every job has its own panels,
-    open ranges and max_depth/max_panels budget, and is refined exactly as
-    integrate refines it alone: each round, every job with a range over its
+    lo and hi are (J, R) arrays: job j integrates over its ranges
+    [lo[j, r], hi[j, r]], which share one partition as in integrate. A
+    range with lo = hi is empty, and its sums are 0; a reversed or
+    non-finite range raises InputError naming its job and range. Every job
+    has its own panels, open ranges and max_depth/max_panels budget, and is
+    refined exactly as integrate refines it alone: each round, every job with a range over its
     tolerance splits its worst panel. The jobs share only the integrand
     call: f(rows, v) gets the (P, 15) nodes of all the panels of a round,
     row p belonging to job rows[p], and returns their (P, 15) values, or
@@ -271,15 +254,21 @@ def integrate_lockstep(
     the panel's slot, the right half the job's next free one. Jobs leave
     the arrays once none of their ranges is open.
 
-    The result holds, per job, a list with one (value, error) pair per
-    range. A failure is that of the lowest job in the first round that
-    fails: its message names the panel's interval, and the
-    QuadratureFailure carries the job and the ranges it leaves unresolved.
+    The result is (values, errors), two (J, R, m) arrays of every range's
+    sums, with m = 1 for a single-row f or when every range is empty. A
+    failure is that of the lowest job in the first round that fails: its
+    message names the panel's interval, and the QuadratureFailure carries
+    the job and the ranges it leaves unresolved.
     Within a job, a panel at max_depth fails first, then a non-finite half,
     then the max_panels budget.
     """
     budget = (max_panels, abs_tol, rel_tol)
-    lo, hi, n_ranges = _job_arrays(jobs)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
+    if bad.any():
+        j, r = np.argwhere(bad)[0].tolist()
+        ends = [float(lo[j, r]), float(hi[j, r])]
+        raise InputError(f"job {j}, range {r}: {ends} is not a finite ordered range")
     n_jobs, width = lo.shape
     seed_lo, seed_hi, seed_job, slot, seed_member, counts = _seed_panels(lo, hi)
     single = True
@@ -298,7 +287,6 @@ def integrate_lockstep(
         member = np.zeros(pan.shape[:2] + (width,), dtype=bool)
         pan[seed_job, slot] = _records(seed_lo, seed_hi, np.zeros(seed_job.size), kron, err)
         member[seed_job, slot] = seed_member
-        touched = member.any(axis=1)  # ranges some panel belongs to
         with np.errstate(over="ignore", invalid="ignore"):  # as float sums would
             # each range's sums over its seed panels, added left to right;
             # the final + 0.0 turns a -0.0 sum into the 0.0 that a sum
@@ -369,12 +357,7 @@ def integrate_lockstep(
         member.reshape(n * cap, -1)[fresh] = members
         live = [ids, pan, member, sums, is_open, counts + 1]
     m = sums_out.shape[2] // 2
-    values, errors = sums_out[..., 0].tolist(), sums_out[..., m].tolist()
-    if single:
-        return [list(zip(values[j][:n], errors[j][:n])) for j, n in enumerate(n_ranges)]
-    # a range no panel belongs to keeps scalar zero sums
-    return [[(sums_out[j, r, :m], sums_out[j, r, m:]) if touched[j, r] else (0.0, 0.0) for r in range(n)]
-            for j, n in enumerate(n_ranges)]
+    return sums_out[..., :m], sums_out[..., m:]
 
 
 def integrate(
@@ -413,9 +396,16 @@ def integrate(
     def per_panel(rows, v):
         return np.stack([np.asarray(f(nodes), dtype=float) for nodes in v])
 
-    spans = [(a, b)] if ranges is None else ranges
-    (parts,) = integrate_lockstep(
-        per_panel, [(a, b, spans)], rel_tol=rel_tol, abs_tol=abs_tol,
+    spans = [(a, b)] if ranges is None else list(ranges)
+    _check_job(a, b, spans)
+    ends = np.array(spans, dtype=float).reshape(1, -1, 2)
+    values, errors = integrate_lockstep(
+        per_panel, ends[..., 0], ends[..., 1], rel_tol=rel_tol, abs_tol=abs_tol,
         max_depth=max_depth, max_panels=max_panels,
     )
+    if values.shape[2] == 1:
+        parts = list(zip(values[0, :, 0].tolist(), errors[0, :, 0].tolist()))
+    else:  # an empty range keeps scalar zero sums
+        parts = [(value, err) if lo < hi else (0.0, 0.0)
+                 for value, err, (lo, hi) in zip(values[0], errors[0], spans)]
     return parts[0] if ranges is None else parts

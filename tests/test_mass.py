@@ -138,18 +138,18 @@ class _IntegrateSpy:
     def __init__(self, monkeypatch):
         self.calls = 0
         self.points = 0
-        self.results = []  # one list of per-range (value, error) pairs per job
+        self.results = []  # per job, the (value, error) pairs of its nonempty ranges
         real = lelonglab.mass.integrate_lockstep
 
-        def spy(f, jobs, **kwargs):
+        def spy(f, lo, hi, **kwargs):
             def counted(rows, v):
                 self.points += np.size(v)
                 return f(rows, v)
 
             self.calls += 1
-            out = real(counted, jobs, **kwargs)
-            self.results.extend(out)
-            return out
+            values, errors = real(counted, lo, hi, **kwargs)
+            self.results.extend([list(zip(v[n], e[n])) for v, e, n in zip(values, errors, lo < hi)])
+            return values, errors
 
         monkeypatch.setattr(lelonglab.mass, "integrate_lockstep", spy)
 
@@ -197,6 +197,28 @@ class TestScheduleQuadrature:
         for m, (p, t) in zip(both, zip(*alone)):
             assert m.value == pytest.approx(p.value + t.value, rel=1e-14)
             assert m.error_estimate == pytest.approx(p.error_estimate + t.error_estimate, rel=1e-6)
+
+    @pytest.mark.parametrize("case", ["strip-family", "two-poisson"])
+    def test_sums_its_atoms_in_order(self, case):
+        # each radius's value and error are the in-order float sums of what
+        # every atom gets alone, an empty plaque adding nothing
+        if case == "strip-family":
+            lam = Eigenvalue.negative(-0.5)
+            atoms = accumulation_family(lam, 12, alpha_base=0.7, b0=0.2, modes=((-1, 0.02, 0.01),))
+        else:
+            lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
+            ys = np.linspace(-16.0 * math.pi, 16.0 * math.pi, 769)
+            bump = normalize(PoissonSpec(ys=ys, values=0.3 + np.exp(-(ys**2) / 8.0), tail=0.3))
+            atoms = [TransversalAtom(1.3, 0.6, flat_poisson()), TransversalAtom(0.8, 0.4, bump)]
+        rs = (1.0, 0.5, 0.25, 0.125, 0.0625)
+        together = mass_quadrature_schedule(build_current(lam, atoms), rs, k0=1)
+        alone = [mass_quadrature_schedule(build_current(lam, [atom]), rs, k0=1) for atom in atoms]
+        if case == "strip-family":
+            empty = [[m.value == 0.0 for m in masses] for masses in alone]
+            assert any(map(any, empty)) and not all(map(all, empty))
+        for n, m in enumerate(together):
+            assert m.value.hex() == sum(masses[n].value for masses in alone).hex()
+            assert m.error_estimate.hex() == sum(masses[n].error_estimate for masses in alone).hex()
 
     def test_failure_names_atom_radius_and_interval(self):
         # the short strip of atom 0 converges on its seed panel; the long
@@ -425,12 +447,13 @@ class TestTruncation:
                 continue
             for atom in case.current.atoms:
                 table = build_current(lam, [atom]).table
-                (_, spans, tail_bound), = lelonglab.mass._atom_ranges(lam, table, rs, DEFAULT_CONFIG)
+                lo, hi, nonempty, tails = lelonglab.mass._atom_ranges(lam, table, rs, DEFAULT_CONFIG)
+                assert nonempty.all()
                 heights = [truncate_half_plane(atom.spec, lam, atom.alpha_modulus, v_lo, DEFAULT_CONFIG)
-                           for v_lo, _ in spans]
+                           for v_lo in lo[0].tolist()]
                 v_top, want_bound = max(heights)
-                assert all(v_hi == v_top for _, v_hi in spans)
-                assert tail_bound == want_bound
+                assert all(v_hi == v_top for v_hi in hi[0].tolist())
+                assert tails[0] == want_bound
 
 
 class TestClosedFormPositive:

@@ -180,6 +180,25 @@ def _job_integrand(kind, params):
     return lambda x: np.polynomial.polynomial.polyval(x / 4.0, params)
 
 
+def _lockstep(f, jobs, **kw):
+    """integrate_lockstep on tuple jobs (a, b, ranges), the form tests/oracles.py takes.
+
+    The ranges go in as (J, R) arrays of ends, a job with fewer ranges padded
+    with empty ranges [a, a], and the sums come back as one list of
+    (value, error) pairs per job: floats for a single-row f, else arrays,
+    with scalar zeros for an empty range.
+    """
+    width = max((len(spans) for _, _, spans in jobs), default=0)
+    ends = np.array([list(spans) + [(a, a)] * (width - len(spans)) for a, _, spans in jobs], dtype=float)
+    ends = ends.reshape(len(jobs), width, 2)
+    values, errors = integrate_lockstep(f, ends[..., 0], ends[..., 1], **kw)
+    if values.shape[2] == 1:
+        return [list(zip(v[:len(spans), 0].tolist(), e[:len(spans), 0].tolist()))
+                for v, e, (_, _, spans) in zip(values, errors, jobs)]
+    return [[(v[r], e[r]) if lo < hi else (0.0, 0.0) for r, (lo, hi) in enumerate(spans)]
+            for v, e, (_, _, spans) in zip(values, errors, jobs)]
+
+
 def _rows_of(integrands, seen=None):
     """f(rows, v) evaluating every row with its own job's integrand."""
 
@@ -219,7 +238,7 @@ class TestLockstep:
             integrands.append(_job_integrand(kind, params))
             specs.append((a, a + width, [(a + width * lo, a + width * hi) for lo, hi in spans]))
         seen = []
-        together = integrate_lockstep(_rows_of(integrands, seen), specs, rel_tol=1e-10)
+        together = _lockstep(_rows_of(integrands, seen), specs, rel_tol=1e-10)
         per_job = np.sum(seen, axis=0) if seen else np.zeros(len(specs), dtype=int)
         for j, (g, (a, b, spans)) in enumerate(zip(integrands, specs)):
             calls = []
@@ -235,17 +254,40 @@ class TestLockstep:
             assert len(seen) == 1 + max(splits)
 
     def test_no_jobs(self):
-        assert integrate_lockstep(_rows_of([]), []) == []
+        values, errors = integrate_lockstep(_rows_of([]), np.empty((0, 0)), np.empty((0, 0)))
+        assert values.shape == errors.shape == (0, 0, 1)
+
+    def test_sums_are_job_by_range_arrays(self):
+        # job 1's second range is empty, and job 0's ranges overlap
+        lo = np.array([[0.0, 0.5], [2.0, 0.0]])
+        hi = np.array([[1.0, 2.0], [3.0, 0.0]])
+        values, errors = integrate_lockstep(_rows_of([np.exp, np.exp]), lo, hi)
+        assert values.shape == errors.shape == (2, 2, 1)
+        want = np.exp(hi) - np.exp(lo)
+        assert values[..., 0] == pytest.approx(want, rel=1e-13)
+        assert values[1, 1, 0] == errors[1, 1, 0] == 0.0
+        pair = lambda rows, v: np.stack((np.exp(v), np.ones_like(v)), axis=1)
+        values, errors = integrate_lockstep(pair, lo, hi)
+        assert values.shape == errors.shape == (2, 2, 2)
+        assert values[..., 1] == pytest.approx(hi - lo, rel=1e-14)
+
+    @pytest.mark.parametrize("end", [(0.6, 0.4), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_bad_range_names_its_job_and_range(self, end):
+        lo = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, end[0]]])
+        hi = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, end[1]]])
+        with pytest.raises(InputError, match=r"^job 1, range 2: \[") as exc_info:
+            integrate_lockstep(_rows_of([np.exp, np.exp]), lo, hi)
+        assert f"[{end[0]!r}, {end[1]!r}]" in str(exc_info.value)
 
     def test_panel_budget_is_per_job(self):
         easy, hard = np.exp, lambda x: np.cos(200.0 * x)
         jobs = [(0.0, 1.0, [(0.0, 1.0)]), (0.0, 10.0, [(0.0, 10.0)]), (0.0, 2.0, [(0.0, 2.0)])]
         with pytest.raises(QuadratureFailure, match="panel budget 20 exhausted") as exc_info:
-            integrate_lockstep(_rows_of([easy, hard, easy]), jobs, max_panels=20)
+            _lockstep(_rows_of([easy, hard, easy]), jobs, max_panels=20)
         assert exc_info.value.job == 1
         assert exc_info.value.ranges == (0,)
         # the easy jobs alone stay within that budget
-        parts = integrate_lockstep(_rows_of([easy, easy]), [jobs[0], jobs[2]], max_panels=20)
+        parts = _lockstep(_rows_of([easy, easy]), [jobs[0], jobs[2]], max_panels=20)
         assert parts[0][0][0] == pytest.approx(math.e - 1.0, rel=1e-12)
 
     def test_lowest_failing_job_is_reported(self):
@@ -253,7 +295,7 @@ class TestLockstep:
         hard = lambda x: np.cos(200.0 * x)
         jobs = [(0.0, 1.0, [(0.0, 1.0)]), (0.0, 10.0, [(0.0, 10.0)]), (0.0, 10.0, [(0.0, 10.0)])]
         with pytest.raises(QuadratureFailure, match="no convergence at depth 3") as exc_info:
-            integrate_lockstep(_rows_of([np.exp, hard, hard]), jobs, max_depth=3)
+            _lockstep(_rows_of([np.exp, hard, hard]), jobs, max_depth=3)
         assert exc_info.value.job == 1
 
     def test_nonfinite_row_names_its_interval(self):
@@ -263,7 +305,7 @@ class TestLockstep:
 
         jobs = [(0.0, 1.0, [(0.0, 1.0)])] * 3
         with pytest.raises(QuadratureFailure, match="non-finite") as exc_info:
-            integrate_lockstep(_rows_of([np.exp, spiky, spiky]), jobs)
+            _lockstep(_rows_of([np.exp, spiky, spiky]), jobs)
         failure = exc_info.value
         assert failure.job == 1
         lo, hi = map(float, re.search(r"on \[(\S+), (\S+)\]", str(failure)).groups())
@@ -274,7 +316,7 @@ class TestLockstep:
         jobs = [(0.0, 1.0, [(0.0, 0.5), (0.5, 1.0)]), (2.0, 3.0, [(2.0, 3.0)])]
         nan_past_two = lambda x: np.where(x > 2.5, math.nan, x)
         with pytest.raises(QuadratureFailure, match=r"non-finite integrand on \[2\.0, 3\.0\]") as exc_info:
-            integrate_lockstep(_rows_of([np.exp, nan_past_two]), jobs)
+            _lockstep(_rows_of([np.exp, nan_past_two]), jobs)
         assert exc_info.value.job == 1
 
     def test_rows_of_several_integrands(self):
@@ -290,7 +332,7 @@ class TestLockstep:
         def f(rows, v):
             return np.stack([pairs[j](x) for j, x in zip(rows, v)])
 
-        together = integrate_lockstep(f, jobs)
+        together = _lockstep(f, jobs)
         for j, (a, b, spans) in enumerate(jobs):
             alone = integrate(pairs[j], a, b, ranges=spans)
             steer = []
@@ -351,7 +393,7 @@ def _same_numbers(x, y):
 def _assert_same_as_heap(f, jobs, **kw):
     from oracles import integrate_lockstep as heap_lockstep
 
-    got, got_log = _outcome(integrate_lockstep, f, jobs, **kw)
+    got, got_log = _outcome(_lockstep, f, jobs, **kw)
     want, want_log = _outcome(heap_lockstep, f, jobs, **kw)
     assert _same_numbers(got, want), (got, want)
     assert len(got_log) == len(want_log)
@@ -448,12 +490,15 @@ class TestAgainstHeapEngine:
         assert any(abs(lo - 0.5) < 1e-12 for lo in lefts)
 
     def test_invalid_jobs(self):
-        jobs = [(0.0, 1.0, [(0.0, 1.0)]), (0.0, 1.0, [(0.2, 0.1)]), (math.nan, 1.0, [])]
-        for bad in ([jobs[0], (0.0, math.inf, [])], [jobs[0], (2.0, 1.0, [])], jobs, jobs[::-1]):
-            with pytest.raises(InputError) as got:
-                integrate_lockstep(_rows_of([np.exp] * 3), bad)
-            from oracles import integrate_lockstep as heap_lockstep
+        # a job's [a, b] and its ranges are integrate's to check; integrate_lockstep
+        # takes range ends alone (see TestLockstep.test_bad_range_names_its_job_and_range)
+        from oracles import integrate_lockstep as heap_lockstep
 
+        for bad in ((0.0, 1.0, [(0.2, 0.1)]), (math.nan, 1.0, []), (0.0, math.inf, []), (2.0, 1.0, []),
+                    (0.0, 1.0, [(0.5, 1.5)])):
+            a, b, spans = bad
+            with pytest.raises(InputError) as got:
+                integrate(np.exp, a, b, ranges=spans)
             with pytest.raises(InputError) as want:
-                heap_lockstep(_rows_of([np.exp] * 3), bad)
+                heap_lockstep(_rows_of([np.exp]), [bad])
             assert str(got.value) == str(want.value)
