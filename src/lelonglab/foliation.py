@@ -169,9 +169,13 @@ def plaque_limits(lam, moduli, rs):
     Each is an (atoms, radii) array, in unshifted leaf coordinates like
     leaf_domain, entry [i, n] for moduli[i] and rs[n]: v_max is inf on
     half-planes, and v_min and v_max mean nothing where empty is True.
-    lam is an Eigenvalue or one eigenvalue per modulus, so that the atoms of
-    many currents take one call; each entry is the one its eigenvalue alone
-    gives. This is the one plaque formula; leaf_domain is its scalar case.
+    Both cuts are compared in logarithms: v_min = max(-log r, cut) on
+    half-planes, with cut = (log|alpha| - log r)/lambda, and a strip is
+    empty iff not cut > -log r, so no power r^(1 - lambda) rounds the
+    comparison away when lambda is tiny. lam is an Eigenvalue or one
+    eigenvalue per modulus, so that the atoms of many currents take one
+    call; each entry is the one its eigenvalue alone gives. This is the one
+    plaque formula; leaf_domain is its scalar case.
     """
     moduli = np.asarray(moduli, dtype=float).reshape(-1)
     radii = np.asarray(rs, dtype=float).reshape(-1)
@@ -180,28 +184,17 @@ def plaque_limits(lam, moduli, rs):
         raise DomainError("alpha modulus must be positive and finite")
     if not (np.minimum.reduce(radii, initial=1.0) > 0.0 and np.maximum.reduce(radii, initial=1.0) <= 1.0):
         raise DomainError("radius must lie in (0, 1]")
-    lv = lam_values(lam, moduli.shape)
-    # r^(1 - lambda) once per run of rows with one eigenvalue, such as a
-    # current's rows, then taken by row
-    first = np.empty(lv.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(lv[1:], lv[:-1], out=first[1:])
-    values = lv[first].tolist()
-    bound = np.empty((len(values), radii.size))
-    for j, value in enumerate(values):
-        bound[j] = float_map(math.pow, radii, 1.0 - value)
-    bound = bound[first.cumsum() - 1]
-    lv = lv[:, None]
+    lv = lam_values(lam, moduli.shape)[:, None]
     logs = float_map(math.log, np.concatenate((moduli, radii)))
     log_am, log_r = logs[:moduli.size, None], logs[moduli.size:]
-    above = moduli[:, None] >= bound  # |w| < r binds, or nothing is left
+    # |z| < r needs v > -log r. |w| < r needs v > cut for lambda > 0, a
+    # half-plane above the binding cut, and v < cut for lambda < 0, a strip
+    # that is empty unless cut > -log r
     cut = (log_am - log_r) / lv
-    entry = np.empty(above.shape)
-    entry[:] = -log_r
-    # lambda > 0: a half-plane above the binding cut; lambda < 0: |w| < r
-    # needs v < (log|alpha| - log r)/lambda, an upper cut
+    entry = np.broadcast_to(-log_r, cut.shape)
     positive = lv > 0.0
-    return np.where(positive & above, cut, entry), np.where(positive, math.inf, cut), ~positive & above
+    v_min = np.where(positive & (cut >= entry), cut, entry)
+    return v_min, np.where(positive, math.inf, cut), ~positive & ~(cut > entry)
 
 
 def leaf_domain(lam: Eigenvalue, alpha_modulus: float, r: float) -> LeafDomain:

@@ -8,16 +8,20 @@ from hypothesis import strategies as st
 from lelonglab import (
     DomainError,
     Eigenvalue,
+    FourierSpec,
     InputError,
+    TransversalAtom,
+    build_current,
     coordinate_shift,
     equivalent,
     jacobian_density,
     leaf_domain,
+    mass_closed_form,
     monodromy,
     psi,
     torus_curve,
 )
-from lelonglab.foliation import jacobian_rows, plaque_limits
+from lelonglab.foliation import LAMBDA_MIN, jacobian_rows, plaque_limits
 
 from oracles import jacobian_coefficients
 
@@ -272,6 +276,31 @@ class TestPlaqueArrays:
             assert float.hex(float(shifts[i])) == float.hex(coordinate_shift(lam, am))
             assert [float.hex(float(c)) for c in coefficients[:, i]] == [
                 float.hex(c) for c in jacobian_coefficients(lam.value, am)]
+
+    @pytest.mark.parametrize("exponent", range(15, 21))
+    def test_tiny_eigenvalue_keeps_the_z_cut(self, exponent):
+        # |alpha| = r = 1/2: the plaque starts where |z| = r, at log 2, however
+        # close 1 - lambda rounds to 1
+        lam = Eigenvalue.irrational(10.0**-exponent)
+        assert leaf_domain(lam, 0.5, 0.5).v_min == math.log(2.0)
+        current = build_current(lam, [TransversalAtom(0.5, 1.0, FourierSpec(b=1, a0=1.0))])
+        assert mass_closed_form(current, 0.5) == pytest.approx(0.5 * math.pi, rel=1e-12)
+
+    @given(
+        lvs=st.lists(st.floats(LAMBDA_MIN, 1.0).flatmap(lambda x: st.sampled_from([x, -x])),
+                     min_size=1, max_size=6),
+        scale=st.floats(1e-300, 1e300),
+        rs=st.lists(st.one_of(st.just(1.0), st.floats(1e-300, 1.0)), min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_plaques_lie_inside_the_z_cut(self, lvs, scale, rs):
+        moduli = scale * np.linspace(0.5, 2.0, len(lvs))
+        v_min, v_max, empty = plaque_limits(np.array(lvs), moduli, rs)
+        z_cut = np.array([-math.log(r) for r in rs])
+        assert (v_min >= z_cut).all()
+        strip = np.array(lvs)[:, None] < 0.0
+        assert np.array_equal(empty, strip & (v_max <= v_min))
+        assert (v_max[~strip[:, 0]] == math.inf).all()
 
     def test_validation(self):
         lam = Eigenvalue.negative(-0.5)
