@@ -541,9 +541,10 @@ FAR_RATIO = 2.5
 # heights allow, so it sums at most SHELL_GROWTH times the fewest near nodes
 # possible, and a grid has about 2 log2(extent / (FAR_RATIO h)) shells.
 SHELL_GROWTH = math.sqrt(2.0)
-# Grids with fewer nodes are always summed directly: a ladder costs about
-# FAR_ORDER / 2 vector passes over its grid to build, and on a small grid the
-# near range of a high block is most of the grid anyway. Timed on the 14
+# A spec with fewer nodes is always summed directly, on its full grid and
+# its half-grid probe alike: a ladder costs about FAR_ORDER / 2 vector
+# passes over its grid to build, and on a small grid the near range of a
+# high block is most of the grid anyway. Timed on the 14
 # 15-node blocks of a 12-halving schedule (v_max 1.7 to 44, step pi/24,
 # ladder build included; 2-core Xeon, medians of 15): 1025 nodes 2.2 ms
 # direct against 2.4 ms with a ladder, 1281 nodes 2.0 against 1.8, 1537 2.4
@@ -624,14 +625,14 @@ class BoundaryGrid:
         return 2.0 * self.far_weight[j] * x ** (FAR_ORDER + 1) / ((1.0 - x) * math.pi)
 
 
-def _shells(s: np.ndarray, weighted: np.ndarray, half: float):
+def _shells(s: np.ndarray, weighted: np.ndarray, half: float, ladder: bool):
     """radii, near, betas and far_weight of the shell ladder of nodes at s = y - c.
 
-    Grids under LADDER_MIN_POINTS nodes, and grids inside the first shell, get none.
+    Grids without a ladder, and grids inside the first shell, get none.
     """
     dist = np.abs(s)
     extent = float(dist.max())
-    if s.size < LADDER_MIN_POINTS or extent <= FAR_RATIO * half:
+    if not ladder or extent <= FAR_RATIO * half:
         return np.empty(0), np.empty((0, 2), dtype=int), np.empty((0, FAR_ORDER // 2)), np.empty(0)
     count = math.ceil(math.log(extent / (FAR_RATIO * half)) / math.log(SHELL_GROWTH))
     radii = FAR_RATIO * half * SHELL_GROWTH ** np.arange(count + 1)
@@ -666,10 +667,10 @@ def _shells(s: np.ndarray, weighted: np.ndarray, half: float):
     return radii, near, _far_coefficients(moments, half / radii), far_weight
 
 
-def _boundary_grid(ys, weighted, u0: float, u1: float) -> BoundaryGrid:
-    """ys's grid over [u0, u1], with its shell ladder."""
+def _boundary_grid(ys, weighted, u0: float, u1: float, ladder: bool) -> BoundaryGrid:
+    """ys's grid over [u0, u1], with its shell ladder if it gets one."""
     half = 0.5 * (u1 - u0)
-    shells = _shells(ys - 0.5 * (u0 + u1), weighted, half)
+    shells = _shells(ys - 0.5 * (u0 + u1), weighted, half, ladder)
     return BoundaryGrid(half, weighted, (ys - u0) * (ys - u1), *shells)
 
 
@@ -699,7 +700,9 @@ class PoissonWindow:
 
     The counterpart of FourierWindow for sampled data, built once per atom
     and schedule: the full grid and the half-grid probe of the grid-model
-    error, each with its shell ladder (see BoundaryGrid).
+    error, each with its shell ladder (see BoundaryGrid). The probe spans
+    the full grid, so both ladders have the same radii, and one shell index
+    serves both.
     """
 
     spec: PoissonSpec
@@ -710,13 +713,14 @@ class PoissonWindow:
 
 
 def poisson_window(spec: PoissonSpec, u0: float, u1: float) -> PoissonWindow:
-    """The PoissonWindow of spec over [u0, u1]; grids under LADDER_MIN_POINTS get no shells."""
+    """The PoissonWindow of spec over [u0, u1]; a spec under LADDER_MIN_POINTS nodes gets no shells."""
     if not u1 > u0:
         raise DomainError("window integral needs u0 < u1")
+    ladder = spec.ys.size >= LADDER_MIN_POINTS
     return PoissonWindow(
         spec, u0, u1,
-        full=_boundary_grid(*_full_samples(spec), u0, u1),
-        probe=_boundary_grid(*_probe_samples(spec), u0, u1),
+        full=_boundary_grid(*_full_samples(spec), u0, u1, ladder),
+        probe=_boundary_grid(*_probe_samples(spec), u0, u1, ladder),
     )
 
 
@@ -854,25 +858,21 @@ def _poisson_window(window: PoissonWindow, vflat):
     vi = vflat[:, None]
     v_max = float(vflat.max())
     n = grid.gap.size
+    # the probe has the grid's shells, so its near nodes are among the grid's
     j = grid.shell(v_max)
-    near = (0, n) if j is None else tuple(grid.near[j])
-    # with the same shells (the same radii) a probe's near nodes are among
-    # the grid's, else the block takes them all
-    jp = probe.shell(v_max)
-    lo, hi = (0, n) if jp is None else near
+    lo, hi = (0, n) if j is None else grid.near[j]
     # arctan((y - u0)/v) - arctan((y - u1)/v) folded into one arctan2, valid
     # for v > 0 and u1 > u0: half the transcendental calls, and no
     # cancellation between two nearly equal angles far from the window
     kern = np.arctan2(width * vi, vi * vi + grid.gap[lo:hi])
-    full = kern if (lo, hi) == near else kern[:, near[0] - lo:near[1] - lo]
     # probe node k is grid node 2k, but for an even-length grid's last,
     # which is its last node: every other column from 2a, then that node's
-    a, b = (0, probe.gap.size) if jp is None else probe.near[jp]
+    a, b = (0, probe.gap.size) if j is None else probe.near[j]
     even = (n + 1) // 2  # probe nodes at even grid nodes
     coarse = kern[:, 2 * a - lo::2][:, :min(b, even) - a]
     if b > even:
         coarse = np.concatenate((coarse, kern[:, -1:]), axis=1)
-    return _grid_sum(grid, j, full, vflat), _grid_sum(probe, jp, coarse, vflat)
+    return _grid_sum(grid, j, kern, vflat), _grid_sum(probe, j, coarse, vflat)
 
 
 def _grid_sum(grid: BoundaryGrid, j: Optional[int], block: np.ndarray, vflat) -> np.ndarray:
