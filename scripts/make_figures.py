@@ -73,7 +73,6 @@ def main(out_root: str = "figures") -> int:
                 "leafplot",
                 "--input", spec_path,
                 "--out", out_dir,
-                "--r", "0.8",
                 "--loops", str(LOOPS[name]),
             ])
         finally:

@@ -243,7 +243,6 @@ def cmd_leafplot(args: argparse.Namespace) -> int:
     curve = torus_curve(
         current.lam,
         atom.alpha,
-        args.r,
         u_span=2.0 * math.pi * loops,
         samples=max(2, 128 * loops),
     )
@@ -365,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("leafplot", help="torus leaf curve + nu schedule SVGs")
     p_plot.add_argument("--input", required=True)
     p_plot.add_argument("--out", default=None, help="output directory")
-    p_plot.add_argument("--r", type=float, default=0.5)
     p_plot.add_argument("--k0", type=int, default=0)
     p_plot.add_argument("--loops", type=int, default=12, help="turns of the torus curve")
     _add_schedule_flags(p_plot)

@@ -311,7 +311,6 @@ def equivalent(lam: Eigenvalue, alpha: complex, beta: complex, k_max: int = 64) 
 def torus_curve(
     lam: Eigenvalue,
     alpha: complex,
-    r: float,
     u_span: float,
     samples: int,
 ) -> np.ndarray:
@@ -319,10 +318,8 @@ def torus_curve(
 
     Returns an (samples, 2) array of (arg z, arg w) mod 2 pi along the real
     leaf direction; closed iff lambda is rational and u_span covers b turns.
-    The radius only gates validity (the curve sits on |z| = const scaled out).
+    It is the same on every torus |z| = const, |w| = const.
     """
-    if not (0.0 < r < 1.0):
-        raise DomainError("torus curve radius must lie in (0, 1)")
     if samples < 2:
         raise InputError("need at least two samples")
     if u_span <= 0.0:

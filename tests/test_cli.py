@@ -426,7 +426,7 @@ class TestLeafplot:
         path = write_current(FLAGSHIP_JSON)
         code = main([
             "leafplot", "--input", path, "--out", str(tmp_path),
-            "--r", "0.5", "--loops", "2",
+            "--loops", "2",
         ])
         assert code == 0
         paths = json.loads(capsys.readouterr().out)

@@ -204,7 +204,7 @@ class TestMonodromy:
 class TestTorusCurve:
     def test_closes_for_rational(self):
         lam = Eigenvalue.rational(1, 2)
-        curve = torus_curve(lam, 1.0, 0.5, u_span=4.0 * math.pi, samples=257)
+        curve = torus_curve(lam, 1.0, u_span=4.0 * math.pi, samples=257)
         d0 = np.abs(curve[0] - curve[-1])
         wrap = np.minimum(d0, 2.0 * math.pi - d0)
         assert np.max(wrap) < 1e-9
@@ -212,7 +212,7 @@ class TestTorusCurve:
     def test_example_waypoints(self):
         # lambda = 1, alpha real: curve passes (0,0) -> (pi,pi) -> (0,0)
         lam = Eigenvalue.rational(1, 1)
-        curve = torus_curve(lam, 1.0, 0.5, u_span=2.0 * math.pi, samples=3)
+        curve = torus_curve(lam, 1.0, u_span=2.0 * math.pi, samples=3)
         assert curve[0] == pytest.approx([0.0, 0.0], abs=1e-12)
         assert curve[1] == pytest.approx([math.pi, math.pi], rel=1e-12)
         d = np.abs(curve[2])
@@ -220,12 +220,10 @@ class TestTorusCurve:
 
     def test_validation(self):
         lam = Eigenvalue.rational(1, 1)
-        with pytest.raises(DomainError):
-            torus_curve(lam, 1.0, 1.0, 2.0, 10)
         with pytest.raises(InputError):
-            torus_curve(lam, 1.0, 0.5, 2.0, 1)
+            torus_curve(lam, 1.0, 2.0, 1)
         with pytest.raises(InputError):
-            torus_curve(lam, 1.0, 0.5, -2.0, 10)
+            torus_curve(lam, 1.0, -2.0, 10)
 
 
 class TestPlaqueArrays:
