@@ -145,15 +145,15 @@ def _truncate_half_plane(envelope, lam: Eigenvalue, jac, v_lo: float, cfg: Quadr
 
 
 def _atom_ranges(lam: Eigenvalue, table: AtomTable, rs, cfg: QuadratureConfig):
-    """(lo, hi, nonempty, tails): the v-ranges of every atom's plaques at rs, and its tail bound.
+    """(lo, hi, tails): the v-ranges of every atom's plaques at rs, and its tail bound.
 
-    lo, hi and nonempty are (atoms, radii) arrays from one plaque_limits
-    call, lo shifted by coordinate_shift; an empty plaque has lo = hi = 0.
-    Strips run between their ends. Half-planes, never empty, share one
-    truncation height per atom: the highest any of its radii needs, so its
-    tail bound, the atom's entry of tails, covers them all; their envelopes
-    and Jacobian coefficients come from one _envelopes and one jacobian_rows
-    call. Strips have no tail.
+    lo and hi are (atoms, radii) arrays from one plaque_limits call, lo
+    shifted by coordinate_shift; an empty plaque has lo = hi = 0, so its
+    sums are 0. Strips run between their ends and have no tail. Half-planes,
+    never empty, share one truncation height per atom: the highest any of
+    its radii needs, so its tail bound, the atom's entry of tails, covers
+    them all; their envelopes and Jacobian coefficients come from one
+    _envelopes and one jacobian_rows call.
     """
     moduli = table.moduli
     v_min, v_max, empty = plaque_limits(lam, moduli, rs)
@@ -164,7 +164,7 @@ def _atom_ranges(lam: Eigenvalue, table: AtomTable, rs, cfg: QuadratureConfig):
         jacs = jacobian_rows(lam, moduli).coefficients.T.tolist()
         for i, (envelope, jac, lows) in enumerate(zip(_envelopes(table), jacs, lo.tolist())):
             hi[i], tails[i] = max(_truncate_half_plane(envelope, lam, jac, low, cfg) for low in lows)
-    return lo, hi, ~empty, tails
+    return lo, hi, tails
 
 
 def mass_quadrature_schedule(
@@ -195,7 +195,7 @@ def mass_quadrature_schedule(
         return []
     lam = current.lam
     table = current.table
-    lo, hi, nonempty, tails = _atom_ranges(lam, table, rs, cfg)
+    lo, hi, tails = _atom_ranges(lam, table, rs, cfg)
     u0 = TWO_PI * k0
     u1 = u0 + TWO_PI
     # the area density's coefficients, worked out once per atom and taken by row
@@ -242,7 +242,7 @@ def mass_quadrature_schedule(
         if poisson:
             # Kronrod sum of the defect plus its own Kronrod-Gauss gap
             errs = errs + (values[..., 1] + errors[..., 1])
-        parts = np.where(nonempty, np.stack((weights * values[..., 0], weights * errs)), 0.0)
+        parts = np.stack((weights * values[..., 0], weights * errs))
         # added over the atoms in order, as Python's sum adds them
         value, error = (parts.cumsum(axis=1)[:, -1] + 0.0).tolist()
     return [MassResult(value=v, error_estimate=e, r=r) for v, e, r in zip(value, error, rs)]
