@@ -235,11 +235,12 @@ def integrate_lockstep(
     range with lo = hi is empty, and its sums are 0; a reversed or
     non-finite range raises InputError naming its job and range. Every job
     has its own panels, open ranges and max_depth/max_panels budget, and is
-    refined exactly as integrate refines it alone: each round, every job with a range over its
-    tolerance splits its worst panel. The jobs share only the integrand
-    call: f(rows, v) gets the (P, 15) nodes of all the panels of a round,
-    row p belonging to job rows[p], and returns their (P, 15) values, or
-    (P, m, 15) for m integrands on one partition, of which row 0 steers.
+    refined exactly as integrate refines it alone: each round, every job
+    with a range over its tolerance splits its worst panel. The jobs share
+    only the integrand call: f(rows, v) gets the (P, 15) nodes of all the
+    panels of a round, row p belonging to job rows[p], and returns their
+    (P, 15) values, or (P, m, 15) for m integrands on one partition, of
+    which row 0 steers.
 
     The state is a few arrays over (job, panel slot) and (job, range), with
     no Python loop over jobs or panels: each slot's panel record and member
@@ -258,9 +259,9 @@ def integrate_lockstep(
     sums, with m = 1 for a single-row f or when every range is empty. A
     failure is that of the lowest job in the first round that fails: its
     message names the panel's interval, and the QuadratureFailure carries
-    the job and the ranges it leaves unresolved.
-    Within a job, a panel at max_depth fails first, then a non-finite half,
-    then the max_panels budget.
+    the job and the ranges it leaves unresolved. Within a job, a panel at
+    max_depth fails first, then a non-finite half, then the max_panels
+    budget.
     """
     budget = (max_panels, abs_tol, rel_tol)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)

@@ -265,6 +265,10 @@ class TestScheduleQuadrature:
         with pytest.raises(DomainError):
             mass_quadrature_schedule(flagship, (1.0, 0.0))
 
+    @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+    def test_no_radii_no_masses(self, case):
+        assert mass_quadrature_schedule(SCHEDULE_CASES[case], ()) == []
+
 
 class _KernelSpy:
     """Wraps harmonic._poisson_window: kernel entries summed directly, and all the grid holds."""
