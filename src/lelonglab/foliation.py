@@ -175,7 +175,17 @@ def plaque_limits(lam, moduli, rs):
     comparison away when lambda is tiny. lam is an Eigenvalue or one
     eigenvalue per modulus, so that the atoms of many currents take one
     call; each entry is the one its eigenvalue alone gives. This is the one
-    plaque formula; leaf_domain is its scalar case.
+    plaque formula; leaf_domain is its scalar case. It is
+    plaques_from_logs of plaque_logs, for a caller that needs the logs too.
+    """
+    return plaques_from_logs(lam, *plaque_logs(moduli, rs))
+
+
+def plaque_logs(moduli, rs):
+    """(log|alpha| as an (atoms, 1) column, log r as a (radii,) row), through math.log.
+
+    Raises DomainError unless every modulus is positive and finite and
+    every radius lies in (0, 1].
     """
     moduli = np.asarray(moduli, dtype=float).reshape(-1)
     radii = np.asarray(rs, dtype=float).reshape(-1)
@@ -184,9 +194,13 @@ def plaque_limits(lam, moduli, rs):
         raise DomainError("alpha modulus must be positive and finite")
     if not (np.minimum.reduce(radii, initial=1.0) > 0.0 and np.maximum.reduce(radii, initial=1.0) <= 1.0):
         raise DomainError("radius must lie in (0, 1]")
-    lv = lam_values(lam, moduli.shape)[:, None]
     logs = float_map(math.log, np.concatenate((moduli, radii)))
-    log_am, log_r = logs[:moduli.size, None], logs[moduli.size:]
+    return logs[:moduli.size, None], logs[moduli.size:]
+
+
+def plaques_from_logs(lam, log_am, log_r):
+    """plaque_limits from plaque_logs's (log|alpha|, log r)."""
+    lv = lam_values(lam, log_am.shape[:1])[:, None]
     # |z| < r needs v > -log r. |w| < r needs v > cut for lambda > 0, a
     # half-plane above the binding cut, and v < cut for lambda < 0, a strip
     # that is empty unless cut > -log r
@@ -243,7 +257,7 @@ class JacobianRows:
 
     def take(self, rows) -> "JacobianRows":
         """The coefficients of the moduli at rows, in that order."""
-        return JacobianRows(self.coefficients[:, rows])
+        return JacobianRows(self.coefficients.take(rows, axis=1))
 
 
 def jacobian_rows(lam, moduli) -> JacobianRows:

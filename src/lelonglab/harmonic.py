@@ -473,54 +473,75 @@ def mode_integrals(cols: FourierColumns, u0: float, u1: float) -> np.ndarray:
     k, b = cols.k.astype(float), cols.b[cols.owner].astype(float)
     n = k.size
     phases = np.concatenate((k * u1 / b, k * u0 / b))
-    sin, cos = float_map(math.sin, phases), float_map(math.cos, phases)
+    # the specs of a family repeat their modes: one sin and one cos per
+    # distinct phase, told apart by their bits, so 0.0 and -0.0 stay two
+    bits, inverse = np.unique(phases.view(np.int64), return_inverse=True)
+    sin, cos = (float_map(fn, bits.view(float)).take(inverse) for fn in (math.sin, math.cos))
     ds, dc = sin[:n] - sin[n:], cos[:n] - cos[n:]
     return b / k * (cols.ak * ds - cols.bk * dc)
 
 
-@dataclass(frozen=True, eq=False)
-class FourierWindow:
+class FourierWindow(NamedTuple):
     """Trig specs stacked one per row, with their integrals over u in [u0, u1].
 
-    Each spec field is a column of shape (n, 1), or (n, M) for the modes,
-    so a window broadcasts against an (n, nodes) block of heights, row i
-    being the i-th spec. strip_c is inf on half-planes, where a0 (1 - v / strip_c)
-    is then a0; rows with fewer than M modes are padded with zero modes.
+    fields holds one column per spec and one row per field: a0, b0,
+    strip_c, b, then the M mode rates k and the M integrals C_k of
+    mode_integrals, specs with fewer than M modes padded with zero modes.
+    strip_c is inf on half-planes, where a0 (1 - v / strip_c) is then a0.
+    Each field reads as an (n, 1) column, or (n, M) for the modes, so a
+    window broadcasts against an (n, nodes) block of heights, row i being
+    the i-th spec; every (n, 1) column is contiguous, and take gathers a
+    window's specs with one copy.
     """
 
     u0: float
     u1: float
-    a0: np.ndarray
-    b0: np.ndarray
-    strip_c: np.ndarray
-    b: np.ndarray
-    ks: np.ndarray
-    coefs: np.ndarray  # mode_integrals's C_k over [u0, u1]
+    fields: np.ndarray
+
+    @property
+    def a0(self) -> np.ndarray:
+        return self.fields[0, :, None]
+
+    @property
+    def b0(self) -> np.ndarray:
+        return self.fields[1, :, None]
+
+    @property
+    def strip_c(self) -> np.ndarray:
+        return self.fields[2, :, None]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.fields[3, :, None]
+
+    @property
+    def ks(self) -> np.ndarray:
+        return self.fields[4:4 + self.modes].T
+
+    @property
+    def coefs(self) -> np.ndarray:
+        """mode_integrals's C_k over [u0, u1]."""
+        return self.fields[4 + self.modes:].T
+
+    @property
+    def modes(self) -> int:
+        return (self.fields.shape[0] - 4) // 2
 
     def take(self, rows) -> "FourierWindow":
         """The window of the specs at rows, in that order."""
-        return FourierWindow(self.u0, self.u1, self.a0[rows], self.b0[rows], self.strip_c[rows],
-                             self.b[rows], self.ks[rows], self.coefs[rows])
+        return FourierWindow(self.u0, self.u1, self.fields.take(rows, axis=1))
 
 
 def fourier_window(cols: FourierColumns, u0: float, u1: float) -> FourierWindow:
     """The row-stacked window over [u0, u1] of the specs in cols, one row per spec."""
-    rows = cols.a0.size
-    counts = np.bincount(cols.owner, minlength=rows)
+    counts = np.bincount(cols.owner, minlength=cols.a0.size)
     slot = np.arange(cols.owner.size) - (np.cumsum(counts) - counts)[cols.owner]
-    ks = np.zeros((rows, int(counts.max(initial=0))))
-    coefs = np.zeros(ks.shape)
-    ks[cols.owner, slot] = cols.k
-    coefs[cols.owner, slot] = mode_integrals(cols, u0, u1)
-    return FourierWindow(
-        u0, u1,
-        a0=cols.a0.reshape(-1, 1),
-        b0=cols.b0.reshape(-1, 1),
-        strip_c=cols.strip_c.reshape(-1, 1),
-        b=cols.b.astype(float).reshape(-1, 1),
-        ks=ks,
-        coefs=coefs,
-    )
+    n_modes = int(counts.max(initial=0))
+    fields = np.zeros((4 + 2 * n_modes, cols.a0.size))
+    fields[0], fields[1], fields[2], fields[3] = cols.a0, cols.b0, cols.strip_c, cols.b
+    fields[4 + slot, cols.owner] = cols.k
+    fields[4 + n_modes + slot, cols.owner] = mode_integrals(cols, u0, u1)
+    return FourierWindow(u0, u1, fields)
 
 
 # Far-field expansion of the Poisson window kernel, after Greengard & Rokhlin,
@@ -752,10 +773,22 @@ def window_integral(spec: HarmonicSpec, u0: float, u1: float, v):
         raise InputError("window integral over another u-window than its FourierWindow's")
     v_arr = np.asarray(v, dtype=float)
     _check_v_domain(spec, v_arr)
-    out = (u1 - u0) * (spec.a0 * (1.0 - v_arr / spec.strip_c) + spec.b0 * v_arr)
-    for m in range(spec.ks.shape[1]):
-        out = out + np.exp(spec.ks[:, m:m + 1] * v_arr / spec.b) * spec.coefs[:, m:m + 1]
-    if spec.a0.shape[0] == 1:
+    # (u1 - u0) (a0 (1 - v / strip_c) + b0 v) + sum_k C_k e^{k v / b}, each
+    # step in place on one block, in the formula's order
+    a0, b0, strip_c, b = spec.a0, spec.b0, spec.strip_c, spec.b
+    out = v_arr / strip_c
+    np.subtract(1.0, out, out=out)
+    out *= a0
+    out += b0 * v_arr
+    out *= u1 - u0
+    fields, n = spec.fields, spec.modes
+    for m in range(4, 4 + n):
+        term = fields[m, :, None] * v_arr
+        term /= b
+        np.exp(term, out=term)
+        term *= fields[m + n, :, None]
+        out += term
+    if fields.shape[1] == 1:
         out = out.reshape(v_arr.shape)
     return float(out) if out.ndim == 0 else out
 

@@ -48,6 +48,8 @@ from .foliation import (
     jacobian_rows,
     leaf_domain,
     plaque_limits,
+    plaque_logs,
+    plaques_from_logs,
 )
 from .harmonic import (
     FourierSpec,
@@ -205,10 +207,13 @@ def mass_quadrature_schedule(
     poisson = not is_trig.all()
     # one PoissonWindow per Poisson atom: its grids and shell ladders serve
     # every panel, for the value row and the model-error row alike
-    windows = [None if spec is None else poisson_window(spec, u0, u1) for spec in table.poisson]
+    windows = [None if spec is None else poisson_window(spec, u0, u1) for spec in table.poisson] if poisson else None
 
     def trig_rows(rows, v):
-        return jacobian_density(lam, area.take(rows), v) * window_integral(window.take(rows), u0, u1, v)
+        # each round gathers its rows of both with one take apiece
+        out = window_integral(window.take(rows), u0, u1, v)
+        out *= jacobian_density(lam, area.take(rows), v)
+        return out
 
     def integrand(rows, v):
         if not poisson:
@@ -468,16 +473,16 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     # the plaques' limits and the bound on their size, per atom and radius;
     # coordinate_shift is 0 on strips, and half-planes run to infinity. The
     # atoms of a current with a Poisson atom count as empty everywhere.
-    v_min, v_max, empty = plaque_limits(lv, moduli, rs)
+    log_am, log_r = plaque_logs(moduli, rs)
+    v_min, v_max, empty = plaques_from_logs(lv, log_am, log_r)
     n_currents = int(table.current[-1]) + 1 if n_atoms else 0
     exact = np.ones(n_currents, dtype=bool)
     exact[table.current[~table.trig]] = False
     empty |= ~exact[table.current][:, None]
-    logs = float_map(math.log, np.concatenate((moduli, rs)))
     limits = np.empty((3,) + v_min.shape)
     limits[0] = v_min - coordinate_shift(lv, moduli)[:, None]
     limits[1] = v_max
-    limits[2] = (np.abs(logs[:n_atoms, None]) - logs[n_atoms:]) / np.abs(lv)[:, None]
+    limits[2] = (np.abs(log_am) - log_r) / np.abs(lv)[:, None]
     # one entry per (current, radius) group, window part whose atom has a
     # nonempty plaque at that radius, and jacobian term, in that order
     n_radii = v_min.shape[1]

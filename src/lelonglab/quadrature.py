@@ -97,6 +97,11 @@ def _seed_panels(lo, hi):
     dropped: nothing asks for it.
     """
     n_jobs, width = lo.shape
+    if width == 1:  # as below: each nonempty range is its job's one panel
+        full = lo[:, 0] < hi[:, 0]
+        job = np.flatnonzero(full)
+        return (lo[job, 0], hi[job, 0], job, np.zeros(job.size, dtype=np.intp),
+                np.ones((job.size, 1), dtype=bool), full.astype(np.intp))
     # each job's distinct ends of nonempty ranges; a stable sort keeps the
     # first of equal ends (0.0 and -0.0) in range order, as a set would
     ends = np.empty((n_jobs, width, 2))
@@ -121,8 +126,9 @@ def _evaluate(f, rows, lo, hi):
     all. Values and errors are (P, m) arrays, m = 1 for a single-row f.
     """
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    fv = np.asarray(f(rows, mid[:, None] + half[:, None] * _NODES), dtype=float)
+    nodes = half[:, None] * _NODES
+    nodes += 0.5 * (lo + hi)[:, None]  # the midpoints
+    fv = np.asarray(f(rows, nodes), dtype=float)
     single = fv.ndim == 2
     if single:
         fv = fv[:, None, :]
@@ -135,27 +141,29 @@ def _evaluate(f, rows, lo, hi):
     return kron, err, single
 
 
-# Columns of a panel record; a record is (lo, hi, depth, row-0 error,
-# m values, m errors), and a range's sums are (m values, m errors).
+# Fields of a panel record; a record is (lo, hi, depth, row-0 error,
+# m values, m errors), and a range's sums are (m values, m errors). Records
+# and sums are stored field by field, with panels or jobs along the last
+# axis, so that each step of a round is a few long array operations.
 _LO, _HI, _DEPTH, _LEAD, _SUMS = 0, 1, 2, 3, 4
 
 
 def _records(lo, hi, depth, kron, err) -> np.ndarray:
-    """Panel records (lo, hi, depth, row-0 error, values, errors), one row per panel."""
-    return np.concatenate((lo[:, None], hi[:, None], depth[:, None], err[:, :1], kron, err), axis=1)
+    """Panel records (lo, hi, depth, row-0 error, values, errors), one column per panel."""
+    return np.concatenate((lo[None], hi[None], depth[None], err[:, :1].T, kron.T, err.T))
 
 
 def _open(sums, m: int, abs_tol: float, rel_tol: float) -> np.ndarray:
-    """Which ranges are over their tolerance; row 0 steers.
+    """Which ranges of sums (2m, ...) are over their tolerance; row 0 steers.
 
     fmax, like max(abs_tol, x), ignores a NaN x.
     """
-    return sums[..., m] > np.fmax(abs_tol, rel_tol * np.abs(sums[..., 0]))
+    return sums[m] > np.fmax(abs_tol, rel_tol * np.abs(sums[0]))
 
 
 def _add_split(sums, member, delta):
-    """sums (J, R, 2m) with delta (J, 2m) added on the member ranges (J, R)."""
-    return np.where(member[..., None], sums + delta[:, None, :], sums)
+    """sums (2m, J, R) with delta (2m, J) added on the member ranges (J, R)."""
+    return np.where(member, sums + delta[..., None], sums)
 
 
 def _ranges(mask) -> tuple:
@@ -181,7 +189,7 @@ def _failure(ids, rec, members, is_open, sums, counts, go, kron, err, single, bu
     kron[2 j + 1].
     """
     max_panels, abs_tol, rel_tol = budget
-    m = sums.shape[2] // 2
+    m = sums.shape[0] // 2
     bad_half = np.zeros((ids.size, 2), dtype=bool)
     if kron is not None:
         bad_half[go] = ~np.isfinite(err).all(axis=1).reshape(-1, 2)
@@ -189,14 +197,14 @@ def _failure(ids, rec, members, is_open, sums, counts, go, kron, err, single, bu
     if not failing.any():
         return None
     j = int(failing.argmax())
-    job, pa, pb = int(ids[j]), float(rec[j, _LO]), float(rec[j, _HI])
+    job, pa, pb = int(ids[j]), float(rec[_LO, j]), float(rec[_HI, j])
     mid = 0.5 * (pa + pb)
     if not go[j]:
         unresolved = _ranges(members[j] & is_open[j])
         return QuadratureFailure(
-            f"no convergence at depth {int(rec[j, _DEPTH])} on [{pa}, {pb}] (err {rec[j, _LEAD]:.3e})",
-            best_estimate=float(sums[j, unresolved[0], 0]),
-            error_estimate=float(sums[j, unresolved[0], m]),
+            f"no convergence at depth {int(rec[_DEPTH, j])} on [{pa}, {pb}] (err {rec[_LEAD, j]:.3e})",
+            best_estimate=float(sums[0, j, unresolved[0]]),
+            error_estimate=float(sums[m, j, unresolved[0]]),
             job=job,
             ranges=unresolved,
         )
@@ -207,13 +215,14 @@ def _failure(ids, rec, members, is_open, sums, counts, go, kron, err, single, bu
         return _nonfinite(job, *((pa, mid), (mid, pb))[h], _ranges(members[j]), value, error)
     halves = np.concatenate((kron[2 * j:2 * j + 2], err[2 * j:2 * j + 2]), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # as float sums would
-        after = _add_split(sums[j:j + 1], members[j:j + 1], halves[0] + halves[1] - rec[j:j + 1, _SUMS:])[0]
-        still_open = np.where(members[j], _open(after, m, abs_tol, rel_tol), is_open[j])
+        delta = (halves[0] + halves[1] - rec[_SUMS:, j])[:, None]
+        after = _add_split(sums[:, j:j + 1], members[j:j + 1], delta)[:, 0]
+        still_open = _open(after, m, abs_tol, rel_tol)
     first = int(members[j].argmax())
     return QuadratureFailure(
         f"panel budget {max_panels} exhausted splitting [{pa}, {pb}]",
-        best_estimate=float(after[first, 0]),
-        error_estimate=float(after[first, m]),
+        best_estimate=float(after[0, first]),
+        error_estimate=float(after[m, first]),
         job=job,
         ranges=_ranges(still_open),
     )
@@ -242,18 +251,28 @@ def integrate_lockstep(
     (P, 15) values, or (P, m, 15) for m integrands on one partition, of
     which row 0 steers.
 
-    The state is a few arrays over (job, panel slot) and (job, range), with
-    no Python loop over jobs or panels: each slot's panel record and member
-    ranges, and each range's sums and whether it is open, that is, over its
-    tolerance. A panel is eligible while any of its ranges is open, and
-    each round a job splits its eligible panel of largest row-0 error, ties
-    going to the shallower, then the leftmost panel. Eligibility is worked
-    out afresh each round, so no heap of panels is kept: the panels of a
-    converged range drop out of the choice, and come back when a split
-    pushes that range over its tolerance again. A split adds the halves'
-    sums less the panel's to the ranges it belongs to; the left half takes
-    the panel's slot, the right half the job's next free one. Jobs leave
-    the arrays once none of their ranges is open.
+    A panel is eligible while any of its ranges is open, that is, over its
+    tolerance, and each round a job splits its eligible panel of largest
+    row-0 error, ties going to the shallower, then the leftmost panel. A
+    split adds the halves' sums less the panel's to the ranges it belongs
+    to; the left half takes the panel's slot, the right half the job's next
+    free one. The state is arrays with no Python loop over jobs or panels,
+    and a round touches only the panels it splits:
+
+    - every (job, slot)'s panel record and member ranges, job j's slots at
+      j cap, ..., j cap + cap - 1, which a round reads and writes at the
+      split panels' slots alone, and which are copied only when cap
+      doubles;
+    - per job still refining: its (slot,) scores, the row-0 error of each
+      eligible panel and -1 elsewhere, its ranges' sums and open flags, and
+      its panel count. Only these are cut down when jobs leave, once none
+      of their ranges is open.
+
+    The halves of a split are eligible, as their panel was, unless the
+    split closes or reopens a range of a job that goes on; only then are
+    that job's scores worked out afresh from its records. So no heap of
+    panels is kept: the panels of a converged range drop out of the choice,
+    and come back when a split pushes that range over its tolerance again.
 
     The result is (values, errors), two (J, R, m) arrays of every range's
     sums, with m = 1 for a single-row f or when every range is empty. A
@@ -272,63 +291,68 @@ def integrate_lockstep(
         raise InputError(f"job {j}, range {r}: {ends} is not a finite ordered range")
     n_jobs, width = lo.shape
     seed_lo, seed_hi, seed_job, slot, seed_member, counts = _seed_panels(lo, hi)
-    single = True
-    sums_out = np.zeros((n_jobs, width, 2))
-    live = None
-    if seed_job.size:
-        kron, err, single = _evaluate(f, seed_job, seed_lo, seed_hi)
-        if not np.isfinite(err).all():
-            k = int(np.isfinite(err).all(axis=1).argmin())
-            value, error = (float(kron[k, 0]), float(err[k, 0])) if single else (kron[k], err[k])
-            raise _nonfinite(int(seed_job[k]), float(seed_lo[k]), float(seed_hi[k]),
-                             _ranges(seed_member[k]), value, error)
-        m = kron.shape[1]
-        top = int(counts.max())  # no job has more panels than this
-        pan = np.zeros((n_jobs, 2 * top + 2, _SUMS + 2 * m))
-        member = np.zeros(pan.shape[:2] + (width,), dtype=bool)
-        pan[seed_job, slot] = _records(seed_lo, seed_hi, np.zeros(seed_job.size), kron, err)
-        member[seed_job, slot] = seed_member
-        with np.errstate(over="ignore", invalid="ignore"):  # as float sums would
-            # each range's sums over its seed panels, added left to right;
-            # the final + 0.0 turns a -0.0 sum into the 0.0 that a sum
-            # started at 0.0 gives, and leaves every other sum as it is
-            parts = np.where(member[:, :top, :, None], pan[:, :top, None, _SUMS:], 0.0)
-            sums = parts.cumsum(axis=1)[:, -1] + 0.0
-            is_open = _open(sums, m, abs_tol, rel_tol)
-        sums_out = np.zeros((n_jobs, width, 2 * m))
-        live = [np.arange(n_jobs), pan, member, sums, is_open, counts]
+    if not seed_job.size:
+        return np.zeros((n_jobs, width, 1)), np.zeros((n_jobs, width, 1))
+    kron, err, single = _evaluate(f, seed_job, seed_lo, seed_hi)
+    if not np.isfinite(err).all():
+        k = int(np.isfinite(err).all(axis=1).argmin())
+        value, error = (float(kron[k, 0]), float(err[k, 0])) if single else (kron[k], err[k])
+        raise _nonfinite(int(seed_job[k]), float(seed_lo[k]), float(seed_hi[k]),
+                         _ranges(seed_member[k]), value, error)
+    m = kron.shape[1]
+    top = int(counts.max())  # no job has more panels than this
+    cap = 2 * top + 2
+    pan = np.zeros((_SUMS + 2 * m, n_jobs * cap))
+    member = np.zeros((n_jobs * cap, width), dtype=bool)
+    seed_at = seed_job * cap + slot
+    pan[:, seed_at] = _records(seed_lo, seed_hi, np.zeros(seed_job.size), kron, err)
+    member[seed_at] = seed_member
+    with np.errstate(over="ignore", invalid="ignore"):  # as float sums would
+        # each range's sums over its seed panels, added left to right;
+        # the final + 0.0 turns a -0.0 sum into the 0.0 that a sum
+        # started at 0.0 gives, and leaves every other sum as it is
+        seeded = member.reshape(n_jobs, cap, width)[:, :top]
+        parts = np.where(seeded, pan.reshape(-1, n_jobs, cap)[_SUMS:, :, :top, None], 0.0)
+        sums = parts.cumsum(axis=2)[:, :, -1] + 0.0
+        is_open = _open(sums, m, abs_tol, rel_tol)
+    score = np.full((n_jobs, cap), -1.0)
+    eligible = np.logical_or.reduce(seed_member & is_open[seed_job], axis=1)
+    score[seed_job, slot] = np.where(eligible, err[:, 0], -1.0)
+    sums_out = np.zeros((2 * m, n_jobs, width))
+    ids = rr = np.arange(n_jobs)
+    base = ids * cap  # each job's first slot
+    going = np.logical_or.reduce(is_open, axis=1)
     rounds = 0  # no panel is deeper than this
-    while live is not None:
-        ids, pan, member, sums, is_open, counts = live
-        going = np.logical_or.reduce(is_open, axis=1)
+    while True:
         if not going.all():
-            sums_out[ids[~going]] = sums[~going]
+            sums_out[:, ids] = sums
             if not going.any():
                 break
-            live = [x[going] for x in live]
-            ids, pan, member, sums, is_open, counts = live
-        n, cap = pan.shape[:2]
-        rr = np.arange(n)
-        # the row-0 error of each eligible panel, -1 elsewhere
-        score = np.where(np.logical_or.reduce(member & is_open[:, None, :], axis=2), pan[..., _LEAD], -1.0)
+            keep = np.flatnonzero(going)
+            ids, counts, is_open = ids.take(keep), counts.take(keep), is_open.take(keep, axis=0)
+            score, sums = score.take(keep, axis=0), sums.take(keep, axis=1)
+            base = ids * cap
+            rr = np.arange(ids.size)
+        n = ids.size
         pick = score.argmax(axis=1)
-        best = score[rr, pick][:, None]
-        if np.count_nonzero(score == best) > n:
+        best = score[rr, pick]
+        if np.count_nonzero(score == best[:, None]) > n:
             # ties: the shallower, then the leftmost panel
-            tied = score == best
-            for col in (_DEPTH, _LO, _HI):
-                key = np.where(tied, pan[..., col], math.inf)
+            tied = score == best[:, None]
+            block = pan.reshape(-1, n_jobs, cap).take(ids, axis=1)
+            for field in (_DEPTH, _LO, _HI):
+                key = np.where(tied, block[field], math.inf)
                 tied &= key == key.min(axis=1)[:, None]
             pick = tied.argmax(axis=1)
-        at = rr * cap + pick  # flat slot of the panel, then of its left half
-        rec = pan.reshape(n * cap, -1)[at]
-        members = member.reshape(n * cap, -1)[at]
-        mid = 0.5 * (rec[:, _LO] + rec[:, _HI])
+        at = base + pick  # the panel's slot, then its left half's
+        rec = pan.take(at, axis=1)
+        members = member.take(at, axis=0)
+        mid = 0.5 * (rec[_LO] + rec[_HI])
         los, his = np.empty(2 * n), np.empty(2 * n)  # the halves' ends
-        los[0::2], los[1::2] = rec[:, _LO], mid
-        his[0::2], his[1::2] = mid, rec[:, _HI]
+        los[0::2], los[1::2] = rec[_LO], mid
+        his[0::2], his[1::2] = mid, rec[_HI]
         if rounds >= max_depth:
-            go = rec[:, _DEPTH] < max_depth
+            go = rec[_DEPTH] < max_depth
             if not go.all():
                 kron = err = None
                 if go.any():
@@ -340,24 +364,40 @@ def integrate_lockstep(
                                single, budget)
             if failure is not None:
                 raise failure
-        halves = _records(los, his, rec[:, _DEPTH].repeat(2) + 1.0, kron, err).reshape(n, 2, -1)
+        halves = _records(los, his, rec[_DEPTH].repeat(2) + 1.0, kron, err)
         with np.errstate(over="ignore", invalid="ignore"):  # as float sums would
-            sums = _add_split(sums, members, halves[:, 0, _SUMS:] + halves[:, 1, _SUMS:] - rec[:, _SUMS:])
-            is_open = np.where(members, _open(sums, m, abs_tol, rel_tol), is_open)
+            sums = _add_split(sums, members, halves[_SUMS:, 0::2] + halves[_SUMS:, 1::2] - rec[_SUMS:])
+            # only the members' sums moved, so is_open stays _open(sums)
+            opened = _open(sums, m, abs_tol, rel_tol)
         top += 1
         rounds += 1
         if top > cap:
-            pan = np.concatenate((pan, np.zeros_like(pan)), axis=1)
-            member = np.concatenate((member, np.zeros_like(member)), axis=1)
-            at += rr * cap
+            pan = np.concatenate((pan.reshape(-1, n_jobs, cap), np.zeros((pan.shape[0], n_jobs, cap))), axis=2)
+            member = np.concatenate((member.reshape(n_jobs, cap, -1), np.zeros((n_jobs, cap, width), bool)), axis=1)
+            score = np.concatenate((score, np.full(score.shape, -1.0)), axis=1)
             cap *= 2
-        fresh = rr * cap + counts  # flat slot of the right half
-        flat = pan.reshape(n * cap, -1)
-        flat[at] = halves[:, 0]
-        flat[fresh] = halves[:, 1]
-        member.reshape(n * cap, -1)[fresh] = members
-        live = [ids, pan, member, sums, is_open, counts + 1]
-    m = sums_out.shape[2] // 2
+            pan, member = pan.reshape(-1, n_jobs * cap), member.reshape(n_jobs * cap, -1)
+            base = ids * cap
+            at = base + pick
+        fresh = base + counts  # the right half's slot
+        dest = np.empty(2 * n, dtype=np.intp)
+        dest[0::2], dest[1::2] = at, fresh
+        pan[:, dest] = halves
+        member[fresh] = members
+        score[rr, pick] = err[0::2, 0]
+        score[rr, counts] = err[1::2, 0]
+        counts = counts + 1
+        going = np.logical_or.reduce(opened, axis=1)
+        if width > 1:
+            # a job may close or reopen a range and go on; its panels'
+            # eligibility then changes (a one-range job leaves as it closes)
+            moved = np.flatnonzero(np.logical_or.reduce(opened != is_open, axis=1) & going)
+            if moved.size:
+                slots = base[moved, None] + np.arange(cap)
+                eligible = np.logical_or.reduce(member[slots] & opened[moved, None, :], axis=2)
+                score[moved] = np.where(eligible, pan[_LEAD].take(slots), -1.0)
+        is_open = opened
+    sums_out = sums_out.transpose(1, 2, 0)
     return sums_out[..., :m], sums_out[..., m:]
 
 

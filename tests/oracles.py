@@ -374,15 +374,19 @@ def _moments(sigma, lo, hi):
 
 
 def _leaf_domain(lv, am, r):
-    """(v_min, v_max) of the plaque, v_max None on half-planes; None if empty."""
-    threshold = r ** (1.0 - lv)
+    """(v_min, v_max) of the plaque, v_max None on half-planes; None if empty.
+
+    In logarithms: |z| = e^{-v} < r is v > -log r, and |w| = am e^{-lv v} < r
+    is lv v > log am - log r, a lower cut for lv > 0 and an upper one for
+    lv < 0, so no power of r rounds the comparison away when lv is tiny.
+    """
+    z_cut = -math.log(r)
+    w_cut = (math.log(am) - math.log(r)) / lv
     if lv > 0.0:
-        if am >= threshold:
-            return (math.log(am) - math.log(r)) / lv, None
-        return -math.log(r), None
-    if am >= threshold:
-        return None
-    return -math.log(r), (math.log(am) - math.log(r)) / lv
+        return (w_cut if w_cut >= z_cut else z_cut), None
+    if w_cut > z_cut:
+        return z_cut, w_cut
+    return None
 
 
 def exact_masses(current, rs, k0=0):

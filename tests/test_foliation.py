@@ -230,15 +230,19 @@ class TestPlaqueArrays:
     """plaque_limits and coordinate_shift on arrays, bit for bit the scalar formulas."""
 
     @given(
-        idx=st.integers(min_value=0, max_value=len(LAMBDAS) - 1),
-        moduli=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8),
-        rs=st.lists(st.one_of(st.just(1.0), st.floats(1e-4, 1.0)), min_size=1, max_size=8),
+        lam=st.one_of(
+            st.sampled_from(LAMBDAS),
+            # both signs down to |lambda| = 1e-20, where 1 - lambda rounds to 1
+            st.builds(lambda e, sign: Eigenvalue(sign * 10.0**e, "irrational" if sign > 0 else "negative"),
+                      st.floats(-20.0, 0.0), st.sampled_from([1.0, -1.0])),
+        ),
+        moduli=st.lists(st.one_of(st.just(0.5), st.floats(1e-3, 3.0)), min_size=1, max_size=8),
+        rs=st.lists(st.one_of(st.just(1.0), st.just(0.5), st.floats(1e-4, 1.0)), min_size=1, max_size=8),
     )
     @settings(max_examples=150, deadline=None)
-    def test_entries_are_the_scalar_plaques(self, idx, moduli, rs):
+    def test_entries_are_the_scalar_plaques(self, lam, moduli, rs):
         from oracles import _leaf_domain
 
-        lam = LAMBDAS[idx]
         v_min, v_max, empty = plaque_limits(lam, moduli, rs)
         shifts = coordinate_shift(lam, np.array(moduli))
         for i, am in enumerate(moduli):

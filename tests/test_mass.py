@@ -962,6 +962,22 @@ class TestPositiveLimit:
         est = lelong_estimate(cur, steps=16)
         assert est.limit_estimate == pytest.approx(0.8, rel=1e-4)
 
+    # r = 2^-4 ... 2^-128, far below a 16-step schedule
+    DEEP_RADII = [2.0**-n for n in range(4, 129)]
+
+    @pytest.mark.parametrize("lv", [0.1, 0.01, 0.001])
+    def test_constant_atom_nu_is_two_lambda(self, lv):
+        # a0 = 1, |alpha| = 1/2, weight 1: the exact route's nu(r) is 2 lambda
+        # at every radius, so result 1's positive limit tends to 0 with lambda
+        cur = single_atom_current(Eigenvalue.irrational(lv), 0.5, FourierSpec(b=1, a0=1.0))
+        for r in self.DEEP_RADII:
+            nu = mass_closed_form(cur, r) / (math.pi * r * r)
+            assert abs(nu / (2.0 * lv) - 1.0) <= 1e-12, r
+
+    def test_constant_atom_nu_at_lambda_one(self, flagship):
+        for r in self.DEEP_RADII:
+            assert abs(mass_closed_form(flagship, r) / (math.pi * r * r) - 2.5) <= 1e-12, r
+
     def test_poisson_atoms_are_unsupported(self):
         lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
         trig = TransversalAtom(1.2, 1.0, FourierSpec(b=1, a0=1.0))

@@ -7,12 +7,14 @@ test makes that a test failure instead, and a second one keeps a refactor of
 the corpus loop from hiding the schedules the trace still sees. A third
 builds every workload of perfbench/workloads.py and runs its first op
 through the command line, so a refactor that breaks a name the workloads
-import, or an output they check, fails here too.
+import, or an output they check, fails here too. A fourth keeps the trace's
+foliation.jacobian_points counting on trig strips and on Poisson data.
 """
 
 import contextlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import pytest
 
 import lelonglab.mass
 import lelonglab.theorems
+from lelonglab import Eigenvalue, accumulation_family
 from lelonglab.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -58,6 +61,22 @@ def test_traced_corpus_still_shows_the_poisson_schedules():
     assert len(reports) == 22
     assert len(op.schedules) == 2
     assert all(not lelonglab.mass.closed_form_applicable(current) for current, _ in op.schedules)
+
+
+def test_trace_counts_jacobian_points_on_strips_and_poisson(tmp_path):
+    # foliation.jacobian_points is the last work counter the trace still
+    # reads above 0: on trig strips and on Poisson data alike
+    layers, workloads = _layers(), _load("workloads")
+    lam = Eigenvalue.negative(-0.5)
+    strips = tmp_path / "strips.json"
+    strips.write_text(json.dumps(workloads._strip_payload(accumulation_family(lam, 8, alpha_base=0.9, b0=0.2))))
+    poisson = tmp_path / "poisson.json"
+    half = {"value": 0.5, "class": "rational", "a": 1, "b": 2}
+    poisson.write_text(json.dumps(workloads._poisson_payload(half, complex(1.1, 0.0), 1.0, 0.0)))
+    for argv in (["mass", "--input", str(strips), "--r", "1.0"], ["lelong", "--input", str(poisson)]):
+        with layers.Tracer() as op, contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert op.summary()["foliation.jacobian_points"] > 0, argv
 
 
 @pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
