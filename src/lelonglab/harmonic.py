@@ -515,10 +515,6 @@ class FourierWindow(NamedTuple):
         return self.fields[3, :, None]
 
     @property
-    def ks(self) -> np.ndarray:
-        return self.fields[4:4 + self.modes].T
-
-    @property
     def coefs(self) -> np.ndarray:
         """mode_integrals's C_k over [u0, u1]."""
         return self.fields[4 + self.modes:].T

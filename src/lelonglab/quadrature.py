@@ -273,6 +273,10 @@ def integrate_lockstep(
     that job's scores worked out afresh from its records. So no heap of
     panels is kept: the panels of a converged range drop out of the choice,
     and come back when a split pushes that range over its tolerance again.
+    A round is a fixed number of array operations over the panels it
+    splits and the jobs still refining, none over every panel held, and
+    one integrand call; a job with one range is seeded with that range as
+    its one panel.
 
     The result is (values, errors), two (J, R, m) arrays of every range's
     sums, with m = 1 for a single-row f or when every range is empty. A
@@ -325,7 +329,7 @@ def integrate_lockstep(
     rounds = 0  # no panel is deeper than this
     while True:
         if not going.all():
-            sums_out[:, ids] = sums
+            sums_out[:, ids] = sums  # the finished jobs' among them
             if not going.any():
                 break
             keep = np.flatnonzero(going)
@@ -393,9 +397,10 @@ def integrate_lockstep(
             # eligibility then changes (a one-range job leaves as it closes)
             moved = np.flatnonzero(np.logical_or.reduce(opened != is_open, axis=1) & going)
             if moved.size:
-                slots = base[moved, None] + np.arange(cap)
-                eligible = np.logical_or.reduce(member[slots] & opened[moved, None, :], axis=2)
-                score[moved] = np.where(eligible, pan[_LEAD].take(slots), -1.0)
+                jobs = ids[moved]
+                held = member.reshape(n_jobs, cap, width).take(jobs, axis=0)
+                eligible = np.logical_or.reduce(held & opened[moved, None, :], axis=2)
+                score[moved] = np.where(eligible, pan[_LEAD].reshape(n_jobs, cap).take(jobs, axis=0), -1.0)
         is_open = opened
     sums_out = sums_out.transpose(1, 2, 0)
     return sums_out[..., :m], sums_out[..., m:]

@@ -7,7 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lelonglab import InputError, QuadratureConfig, QuadratureFailure, integrate
-from lelonglab.quadrature import _NODES, _W_KRONROD, integrate_lockstep
+from lelonglab.quadrature import _NODES, _W_KRONROD, _seed_panels, integrate_lockstep
 
 
 class TestIntegrate:
@@ -344,6 +344,21 @@ class TestLockstep:
                 assert value.shape == err.shape == (2,)
                 assert np.array_equal(value, want) and np.array_equal(err, want_err)
                 assert value[1] > 0.0
+
+
+@given(ends=st.lists(st.tuples(st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0)),
+                     min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_one_range_seeds_as_beside_an_empty_range(ends):
+    # jobs of one range take a shortcut in _seed_panels; an empty second
+    # range, which adds no panel, sends the same jobs down the general path
+    lo = np.array([[a] for a, _ in ends])
+    hi = lo + np.array([[w] for _, w in ends])
+    one = _seed_panels(lo, hi)
+    two = _seed_panels(np.hstack((lo, lo)), np.hstack((hi, lo)))
+    for got, want in zip(one[:4] + one[5:], two[:4] + two[5:]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(one[4], two[4][:, :1]) and not two[4][:, 1:].any()
 
 
 class TestConfig:
