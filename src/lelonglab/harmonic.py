@@ -473,10 +473,7 @@ def mode_integrals(cols: FourierColumns, u0: float, u1: float) -> np.ndarray:
     k, b = cols.k.astype(float), cols.b[cols.owner].astype(float)
     n = k.size
     phases = np.concatenate((k * u1 / b, k * u0 / b))
-    # the specs of a family repeat their modes: one sin and one cos per
-    # distinct phase, told apart by their bits, so 0.0 and -0.0 stay two
-    bits, inverse = np.unique(phases.view(np.int64), return_inverse=True)
-    sin, cos = (float_map(fn, bits.view(float)).take(inverse) for fn in (math.sin, math.cos))
+    sin, cos = float_map(math.sin, phases), float_map(math.cos, phases)
     ds, dc = sin[:n] - sin[n:], cos[:n] - cos[n:]
     return b / k * (cols.ak * ds - cols.bk * dc)
 

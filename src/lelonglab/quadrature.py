@@ -259,10 +259,10 @@ def integrate_lockstep(
     free one. The state is arrays with no Python loop over jobs or panels,
     and a round touches only the panels it splits:
 
-    - every (job, slot)'s panel record and member ranges, job j's slots at
-      j cap, ..., j cap + cap - 1, which a round reads and writes at the
-      split panels' slots alone, and which are copied only when cap
-      doubles;
+    - every (job, slot)'s panel record and member ranges, each job's cap
+      slots in one block, which a round reads and writes at the split
+      panels' slots alone, and which are copied, for the jobs still
+      refining alone, only when cap doubles;
     - per job still refining: its (slot,) scores, the row-0 error of each
       eligible panel and -1 elsewhere, its ranges' sums and open flags, and
       its panel count. Only these are cut down when jobs leave, once none
@@ -323,8 +323,9 @@ def integrate_lockstep(
     eligible = np.logical_or.reduce(seed_member & is_open[seed_job], axis=1)
     score[seed_job, slot] = np.where(eligible, err[:, 0], -1.0)
     sums_out = np.zeros((2 * m, n_jobs, width))
-    ids = rr = np.arange(n_jobs)
-    base = ids * cap  # each job's first slot
+    ids = home = rr = np.arange(n_jobs)  # each job still refining, its block of slots and its row
+    blocks = n_jobs
+    base = home * cap  # each job's first slot
     going = np.logical_or.reduce(is_open, axis=1)
     rounds = 0  # no panel is deeper than this
     while True:
@@ -333,9 +334,9 @@ def integrate_lockstep(
             if not going.any():
                 break
             keep = np.flatnonzero(going)
-            ids, counts, is_open = ids.take(keep), counts.take(keep), is_open.take(keep, axis=0)
-            score, sums = score.take(keep, axis=0), sums.take(keep, axis=1)
-            base = ids * cap
+            ids, home, counts = ids.take(keep), home.take(keep), counts.take(keep)
+            score, sums, is_open = score.take(keep, axis=0), sums.take(keep, axis=1), is_open.take(keep, axis=0)
+            base = home * cap
             rr = np.arange(ids.size)
         n = ids.size
         pick = score.argmax(axis=1)
@@ -343,7 +344,7 @@ def integrate_lockstep(
         if np.count_nonzero(score == best[:, None]) > n:
             # ties: the shallower, then the leftmost panel
             tied = score == best[:, None]
-            block = pan.reshape(-1, n_jobs, cap).take(ids, axis=1)
+            block = pan.reshape(-1, blocks, cap).take(home, axis=1)
             for field in (_DEPTH, _LO, _HI):
                 key = np.where(tied, block[field], math.inf)
                 tied &= key == key.min(axis=1)[:, None]
@@ -376,12 +377,15 @@ def integrate_lockstep(
         top += 1
         rounds += 1
         if top > cap:
-            pan = np.concatenate((pan.reshape(-1, n_jobs, cap), np.zeros((pan.shape[0], n_jobs, cap))), axis=2)
-            member = np.concatenate((member.reshape(n_jobs, cap, -1), np.zeros((n_jobs, cap, width), bool)), axis=1)
+            # twice the slots, for the jobs still refining alone
+            pan = pan.reshape(-1, blocks, cap).take(home, axis=1)
+            pan = np.concatenate((pan, np.zeros(pan.shape)), axis=2).reshape(pan.shape[0], -1)
+            member = member.reshape(blocks, cap, width).take(home, axis=0)
+            member = np.concatenate((member, np.zeros(member.shape, bool)), axis=1).reshape(-1, width)
             score = np.concatenate((score, np.full(score.shape, -1.0)), axis=1)
             cap *= 2
-            pan, member = pan.reshape(-1, n_jobs * cap), member.reshape(n_jobs * cap, -1)
-            base = ids * cap
+            home, blocks = rr, n
+            base = home * cap
             at = base + pick
         fresh = base + counts  # the right half's slot
         dest = np.empty(2 * n, dtype=np.intp)
@@ -397,10 +401,9 @@ def integrate_lockstep(
             # eligibility then changes (a one-range job leaves as it closes)
             moved = np.flatnonzero(np.logical_or.reduce(opened != is_open, axis=1) & going)
             if moved.size:
-                jobs = ids[moved]
-                held = member.reshape(n_jobs, cap, width).take(jobs, axis=0)
+                held = member.reshape(blocks, cap, width).take(home[moved], axis=0)
                 eligible = np.logical_or.reduce(held & opened[moved, None, :], axis=2)
-                score[moved] = np.where(eligible, pan[_LEAD].reshape(n_jobs, cap).take(jobs, axis=0), -1.0)
+                score[moved] = np.where(eligible, pan[_LEAD].reshape(blocks, cap).take(home[moved], axis=0), -1.0)
         is_open = opened
     sums_out = sums_out.transpose(1, 2, 0)
     return sums_out[..., :m], sums_out[..., m:]
