@@ -471,10 +471,15 @@ def mode_integrals(cols: FourierColumns, u0: float, u1: float) -> np.ndarray:
     if not cols.k.size:  # mode-free specs: no numpy calls on empty arrays
         return np.zeros(0)
     k, b = cols.k.astype(float), cols.b[cols.owner].astype(float)
-    n = k.size
-    phases = np.concatenate((k * u1 / b, k * u0 / b))
-    sin, cos = float_map(math.sin, phases), float_map(math.cos, phases)
-    ds, dc = sin[:n] - sin[n:], cos[:n] - cos[n:]
+    upper, lower = k * u1 / b, k * u0 / b
+    if u0 == 0.0:
+        # the window of k0 = 0: every lower phase is +-0, whose sine is
+        # itself and whose cosine is 1, as math gives them
+        ds = float_map(math.sin, upper) - lower
+        dc = float_map(math.cos, upper) - 1.0
+    else:
+        ds = float_map(math.sin, upper) - float_map(math.sin, lower)
+        dc = float_map(math.cos, upper) - float_map(math.cos, lower)
     return b / k * (cols.ak * ds - cols.bk * dc)
 
 
