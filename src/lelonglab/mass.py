@@ -207,7 +207,8 @@ def mass_quadrature_schedule(
     poisson = not is_trig.all()
     # one PoissonWindow per Poisson atom: its grids and shell ladders serve
     # every panel, for the value row and the model-error row alike
-    windows = [None if spec is None else poisson_window(spec, u0, u1) for spec in table.poisson] if poisson else None
+    windows = ([None if spec is None else poisson_window(spec, u0, u1) for spec in table.poisson]
+               if poisson else None)
 
     def trig_rows(rows, v):
         # each round gathers its rows of both with one take apiece

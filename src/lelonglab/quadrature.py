@@ -143,8 +143,8 @@ def _evaluate(f, rows, lo, hi):
 
 # Fields of a panel record; a record is (lo, hi, depth, row-0 error,
 # m values, m errors), and a range's sums are (m values, m errors). Records
-# and sums are stored field by field, with panels or jobs along the last
-# axis, so that each step of a round is a few long array operations.
+# are stored one row per field and sums as (2m, job, range), so that each
+# step of a round runs along the panels or jobs, not along a few fields.
 _LO, _HI, _DEPTH, _LEAD, _SUMS = 0, 1, 2, 3, 4
 
 
@@ -402,8 +402,8 @@ def integrate_lockstep(
             moved = np.flatnonzero(np.logical_or.reduce(opened != is_open, axis=1) & going)
             if moved.size:
                 held = member.reshape(blocks, cap, width).take(home[moved], axis=0)
-                eligible = np.logical_or.reduce(held & opened[moved, None, :], axis=2)
-                score[moved] = np.where(eligible, pan[_LEAD].reshape(blocks, cap).take(home[moved], axis=0), -1.0)
+                lead = pan[_LEAD].reshape(blocks, cap).take(home[moved], axis=0)
+                score[moved] = np.where(np.logical_or.reduce(held & opened[moved, None, :], axis=2), lead, -1.0)
         is_open = opened
     sums_out = sums_out.transpose(1, 2, 0)
     return sums_out[..., :m], sums_out[..., m:]
