@@ -293,14 +293,14 @@ SWEEP_FAMILIES = ("single-constant", "single-modes", "geometric-family")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # every sweep current is a trig series: one table, one exact-route call
+    # every sweep current is a trig series: one table, one exact-route call,
+    # one batch of summaries
     lams = (Eigenvalue.rational(1, 1), Eigenvalue.rational(1, 2), Eigenvalue.negative(-1.0))
     grid = [(lam, family) for lam in lams for family in SWEEP_FAMILIES]
     rs = lelong_radii(args.r_start, args.ratio, args.steps)
     _, table = build_currents([(lam, _sweep_atoms(lam, family)) for lam, family in grid])
     rows = []
-    for (lam, family), masses in zip(grid, _exact_masses(table, rs)):
-        est = lelong_from_masses(rs, masses)
+    for (lam, family), est in zip(grid, lelong_from_masses(rs, _exact_masses(table, rs))):
         rows.append([
             repr(lam.value),
             family,

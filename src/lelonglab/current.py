@@ -210,10 +210,14 @@ def _envelope_holds(cols: FourierColumns) -> np.ndarray:
     """Per row of strip specs: c - sum_k R_k >= -POSITIVITY_TOL on both edges.
 
     On the edge v = 0, c = a0 and R_k = hypot(a_k, b_k); on v = C, c = b0 C
-    and R_k = hypot(a_k, b_k) e^{k C / b}. hypot and exp go through math and
-    each sum runs left to right from 0, so a row holds exactly when
-    check_positivity's envelope holds on both edges. A row with a growth
-    exponent above EXP_SAFE fails. Call it with floating-point warnings off.
+    and R_k = hypot(a_k, b_k) e^{k C / b}, one R_k per mode as the spec
+    lists them. hypot and exp go through math and each sum runs left to
+    right from 0. c - sum_k R_k is a lower bound on the density on its
+    edge, so a row that holds is positive. A row that fails goes to
+    check_positivity, which sums modes of equal k before its own envelope
+    (no looser than this one) and then scans the edge, so it may still
+    certify the row. A row with a growth exponent above EXP_SAFE fails.
+    Call it with floating-point warnings off.
     """
     rows, owner = cols.a0.size, cols.owner
     low, high = cols.a0.copy(), cols.b0 * cols.strip_c

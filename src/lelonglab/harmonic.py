@@ -253,7 +253,7 @@ def _edges(spec: FourierSpec):
     return ((0.0, spec.a0),)
 
 
-def _scan_edge(spec: FourierSpec, base: float, growth, amps) -> bool:
+def _scan_edge(b: int, modes, base: float, growth, amps) -> bool:
     """Certified scan of T(u) = base + sum_k g_k (a_k cos + b_k sin)(k u/b).
 
     g_k = e^{k v/b} is the mode's growth to the edge and R_k = hypot(a_k,
@@ -264,17 +264,17 @@ def _scan_edge(spec: FourierSpec, base: float, growth, amps) -> bool:
     interval is certified, False as soon as a sample dips below
     -POSITIVITY_TOL.
     """
-    ks = np.array([k for k, _, _ in spec.modes], dtype=float)
-    freqs = ks / spec.b
-    cos_coef = np.array([a for _, a, _ in spec.modes]) * growth
-    sin_coef = np.array([bb for _, _, bb in spec.modes]) * growth
+    ks = np.array([k for k, _, _ in modes], dtype=float)
+    freqs = ks / b
+    cos_coef = np.array([a for _, a, _ in modes]) * growth
+    sin_coef = np.array([bb for _, _, bb in modes]) * growth
     curvature = float(np.dot(freqs**2, amps))
     # the sums round at a few eps of their terms; a phase k u/b <= 2 pi |k|
     # and a sample point round at eps of their size, moving T by that much
     # times its slope
     eps = np.finfo(float).eps
     rounding = 4.0 * eps * (ks.size + 2) * (abs(base) + float(np.dot(1.0 + TWO_PI * np.abs(ks), amps)))
-    half = math.pi * spec.b / EDGE_SCAN_START
+    half = math.pi * b / EDGE_SCAN_START
     mids = (2.0 * np.arange(EDGE_SCAN_START) + 1.0) * half
     samples = 0
     while mids.size:
@@ -301,12 +301,15 @@ def check_positivity(spec: HarmonicSpec) -> bool:
     A trig spec is harmonic and 2 pi b-periodic in u, so its minimum over a
     strip lies on an edge, v = 0 or v = C; on a half-plane it lies on v = 0,
     since the density tends to a0 + b0 v >= 0 as v grows. No 2-D grid is
-    needed. On an edge the density is base + sum_k R_k cos(k u/b - phi_k),
-    at least base - sum_k R_k with equality for one mode, and the edge
-    passes when that is >= -1e-12. A multi-mode edge that fails this
-    envelope gets a certified 1-D scan over one period (_scan_edge). A spec
-    whose scan runs out of budget, or whose mode growth e^{k v / b} to an
-    edge overflows a float, raises InvalidSpecError instead of answering.
+    needed. Modes of equal k are first summed into one, (a, b) added left
+    to right in their order, so the density is the same and its envelope
+    no looser: modes that cancel leave nothing to bound. On an edge the
+    density is then base + sum_k R_k cos(k u/b - phi_k), at least base -
+    sum_k R_k with equality for one mode, and the edge passes when that is
+    >= -1e-12. A multi-mode edge that fails this envelope gets a certified
+    1-D scan over one period (_scan_edge). A spec whose scan runs out of
+    budget, or whose mode growth e^{k v / b} to an edge overflows a float,
+    raises InvalidSpecError instead of answering.
 
     A PoissonSpec is positive by construction, so the answer is True: its
     constructor refuses negative samples, tail and c_lin, and the Poisson
@@ -314,24 +317,49 @@ def check_positivity(spec: HarmonicSpec) -> bool:
     """
     if isinstance(spec, PoissonSpec):
         return True
+    merged = {}  # k -> (a, b), in the order each k first appears
+    for k, a, bb in spec.modes:
+        if k in merged:
+            a, bb = merged[k][0] + a, merged[k][1] + bb
+        merged[k] = (a, bb)
+    modes = [(k, a, bb) for k, (a, bb) in merged.items()]
     for v, base in _edges(spec):
         try:
-            growth = [math.exp(k * v / spec.b) for k, _, _ in spec.modes]
+            growth = [math.exp(k * v / spec.b) for k, _, _ in modes]
         except OverflowError:
             raise InvalidSpecError(
                 f"spec.modes: a mode's growth e^(k v / b) to the edge v = {v} overflows a float"
             ) from None
-        amps = [math.hypot(a, bb) * g for (_, a, bb), g in zip(spec.modes, growth)]
+        amps = [math.hypot(a, bb) * g for (_, a, bb), g in zip(modes, growth)]
         if base - sum(amps) >= -POSITIVITY_TOL:
             continue
-        if len(amps) == 1 or not _scan_edge(spec, base, growth, amps):
+        if len(amps) == 1 or not _scan_edge(spec.b, modes, base, growth, amps):
             return False
     return True
 
 
+def _base_value(spec: HarmonicSpec) -> float:
+    """Density at the base point u = v = 0, equal to evaluate(spec, 0.0, 0.0).
+
+    For a trig spec that is a0 + sum_k a_k, since every sine vanishes and
+    every exponential is 1 there; the terms are added left to right from 0,
+    in the order evaluate adds them, so the two agree to the bit.
+    """
+    if isinstance(spec, PoissonSpec):
+        return evaluate(spec, 0.0, 0.0)
+    base = 0.0 + spec.a0
+    for _, a, _ in spec.modes:
+        base += a
+    return base
+
+
 def normalize(spec: HarmonicSpec) -> HarmonicSpec:
-    """Rescale so the density is 1 at the base point u = v = 0."""
-    base = evaluate(spec, 0.0, 0.0)
+    """Rescale so the density is 1 at the base point u = v = 0.
+
+    The density there is _base_value's: a trig spec's a0 + sum_k a_k, with
+    no numpy evaluate call.
+    """
+    base = _base_value(spec)
     if not (base > 0.0) or not math.isfinite(base):
         raise NormalizationError(f"degenerate normalization: density at the base point is {base}")
     if isinstance(spec, FourierSpec):
@@ -362,7 +390,7 @@ def translate(spec: HarmonicSpec, k: int) -> Tuple[HarmonicSpec, float]:
     boundary grid must still cover a symmetric window after the shift.
     """
     if k == 0:
-        return normalize(spec), evaluate(spec, 0.0, 0.0)
+        return normalize(spec), _base_value(spec)
     shift = TWO_PI * k
     c = evaluate(spec, shift, 0.0)
     if not (c > 0.0):

@@ -26,13 +26,15 @@ The two must agree to quadrature error; the test suite pins that agreement
 and checks the paper's displays (three-region brackets, strip integrals
 Ia/Ib) against the exact route. Everything downstream (Lelong schedules,
 verifiers, CLI) consumes these two engines; lelong_from_masses turns the
-masses of a schedule, from either, into its LelongEstimate.
+masses of a batch of schedules at the same radii, from either, into their
+LelongEstimates.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -296,58 +298,118 @@ def _bracket_b(lv: float, am: float, r: float) -> float:
 # the paper's strip integrals: negative eigenvalue
 
 
-def _strip_terms(lv: float, am: float, r: float):
-    """log|alpha|, log r and the inner and outer weights of the strip integrals."""
-    if not lv < 0.0:
-        raise DomainError("strip integrals need a negative eigenvalue")
-    if not (0.0 < r <= 1.0):
-        raise DomainError("radius must lie in (0, 1]")
-    if not (0.0 < am < r ** (1.0 - lv)):
-        raise DomainError(
-            f"|alpha| = {am} outside the admissible range (0, r^(1-lambda)) at r = {r}"
-        )
-    log_am, log_r = math.log(am), math.log(r)
-    # On the admissible range both weights are below 1, but one power of a
-    # product can overflow while the other underflows; only then does the
-    # weight go through logarithms.
+def _pow(x: float, y: float) -> float:
+    """math.pow(x, y), or inf where it overflows and NaN outside its domain."""
     try:
-        s_in = am**2 * r ** (2.0 * lv - 2.0)  # e^{-2 lambda v} weight at work
+        return math.pow(x, y)
     except OverflowError:
-        s_in = math.exp(2.0 * log_am + (2.0 * lv - 2.0) * log_r)
+        return math.inf
+    except ValueError:
+        return math.nan
+
+
+def _powers(base, exponent) -> np.ndarray:
+    """base ** exponent through math.pow, entry by entry over the broadcast of the two (see _pow)."""
+    ones = np.ones(np.broadcast(base, exponent).shape)
+    xs, ys = (base * ones).ravel().tolist(), (exponent * ones).ravel().tolist()
     try:
-        s_out = am ** (-2.0 / lv) * r ** (2.0 / lv - 2.0)
-    except OverflowError:
-        s_out = math.exp(-2.0 / lv * log_am + (2.0 / lv - 2.0) * log_r)
-    return log_am, log_r, s_in, s_out
+        out = np.fromiter(map(math.pow, xs, ys), float, ones.size)
+    except (OverflowError, ValueError):
+        out = np.fromiter(map(_pow, xs, ys), float, ones.size)
+    return out.reshape(ones.shape)
 
 
-def ia(lv: float, am: float, r: float) -> float:
-    """Strip integral of the interpolating part against the area density.
+def _weight(factor, power, log_weight) -> np.ndarray:
+    """factor * power, or exp(log_weight()) where the power overflowed, entry by entry.
 
-    (1/r^2) int (1 - lambda v / log|alpha|) jac dv over the plaque strip.
+    On the strip integrals' admissible range both weights are below 1, but
+    one power of a product can overflow while the other underflows; only
+    there does the weight go through logarithms.
     """
-    log_am, log_r, s_in, s_out = _strip_terms(lv, am, r)
+    weight = np.asarray(factor * power)
+    over = np.isinf(power)
+    if over.any():
+        over = np.broadcast_to(over, weight.shape)
+        weight[over] = float_map(math.exp, np.broadcast_to(log_weight(), weight.shape)[over])
+    return weight
+
+
+def _strip_terms(lv, am, r):
+    """lambda, log|alpha|, log r and the inner and outer weights of the strip integrals.
+
+    Entry by entry over the broadcast of lv, am and r, floats or arrays.
+    Each term is worked out on the broadcast of the arguments it depends on
+    alone, so a lattice given as broadcastable axes takes each log and
+    power once per distinct argument. Every log, power and exp goes through
+    math and the rest is numpy arithmetic in scalar order, so each entry
+    has the bits of the scalar formulas. An inadmissible entry raises
+    DomainError: the first such entry in order, with the first of its
+    checks that fails.
+    """
+    lv, am, r = (np.asarray(a, dtype=float) for a in (lv, am, r))
+    checks = (~(lv < 0.0), ~((0.0 < r) & (r <= 1.0)), ~((0.0 < am) & (am < _powers(r, 1.0 - lv))))
+    bad = checks[0] | checks[1] | checks[2]
+    if bad.any():
+        at = int(np.argmax(bad))
+        if np.broadcast_to(checks[0], bad.shape).flat[at]:
+            raise DomainError("strip integrals need a negative eigenvalue")
+        if np.broadcast_to(checks[1], bad.shape).flat[at]:
+            raise DomainError("radius must lie in (0, 1]")
+        am_at, r_at = (float(np.broadcast_to(a, bad.shape).flat[at]) for a in (am, r))
+        raise DomainError(
+            f"|alpha| = {am_at} outside the admissible range (0, r^(1-lambda)) at r = {r_at}"
+        )
+    log_am, log_r = float_map(math.log, am), float_map(math.log, r)
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic would
+        inner, outer = 2.0 * lv - 2.0, 2.0 / lv - 2.0
+        s_in = _weight(float_map(math.pow, am, 2.0), _powers(r, inner), lambda: 2.0 * log_am + inner * log_r)
+        s_out = _weight(_powers(am, -2.0 / lv), _powers(r, outer), lambda: -2.0 / lv * log_am + outer * log_r)
+    return lv, log_am, log_r, s_in, s_out
+
+
+def _scalar(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
+def _ia(lv, log_am, log_r, s_in, s_out):
     return (
         1.0
         + lv * s_in
         + (
             -2.0 * s_out * log_r
             + lv * s_out
-            + 2.0 * lv**2 * s_in * log_r
+            + 2.0 * float_map(math.pow, lv, 2.0) * s_in * log_r
             - lv * s_in
         )
         / (2.0 * log_am)
     )
 
 
-def ib(lv: float, am: float, r: float) -> float:
-    """Strip integral of v against the area density, (1/r^2) int v jac dv."""
-    log_am, log_r, s_in, s_out = _strip_terms(lv, am, r)
+def _ib(lv, log_am, log_r, s_in, s_out):
     return 0.5 * (
         -s_out * (lv + 2.0 * log_am - 2.0 * log_r) / lv
         + s_in * (1.0 - 2.0 * lv * log_r)
         - 2.0 * log_am
     )
+
+
+def ia(lv, am, r):
+    """Strip integral of the interpolating part against the area density.
+
+    (1/r^2) int (1 - lambda v / log|alpha|) jac dv over the plaque strip.
+    Floats give a float; arrays, broadcast against each other, give one
+    entry per (lambda, |alpha|, r), each with the bits of its scalar call
+    (see _strip_terms).
+    """
+    return _scalar(_ia(*_strip_terms(lv, am, r)))
+
+
+def ib(lv, am, r):
+    """Strip integral of v against the area density, (1/r^2) int v jac dv.
+
+    Takes floats or arrays as ia does.
+    """
+    return _scalar(_ib(*_strip_terms(lv, am, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -631,23 +693,8 @@ def lower_bound_nonperiodic(
 # -log r, its last nu exceeds this multiple of its first (or of that error)
 DIVERGENCE_FACTOR = 2.0
 
-
-def _fit_against_log(rs, nus) -> Tuple[float, float]:
-    # fit the asymptotic tail: early radii carry decaying transients from
-    # the outer-region terms that would pollute slope and R^2
-    start = 0 if len(rs) < 6 else len(rs) // 2
-    x = -np.log(np.asarray(rs[start:]))
-    y = np.asarray(nus[start:])
-    # nus that are not finite, or whose squares overflow, give a fit that is
-    # not finite either, which the command line then refuses by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope, intercept = np.polyfit(x, y, 1)
-        fitted = slope * x + intercept
-        ss_res = float(np.sum((y - fitted) ** 2))
-        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot <= 1e-30:
-        return float(slope), 0.0
-    return float(slope), 1.0 - ss_res / ss_tot
+# the signs of the rising and the falling monotonicity tests
+_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
 def lelong_radii(r_start: float, ratio: float, steps: int) -> List[float]:
@@ -683,55 +730,87 @@ def lelong_estimate(
             (m.value, m.error_estimate)
             for m in mass_quadrature_schedule(current, rs, k0=k0, cfg=cfg)
         ]
-    return lelong_from_masses(rs, masses)
+    return lelong_from_masses(rs, [masses])[0]
 
 
-def lelong_from_masses(rs: Sequence[float], masses: Sequence[Tuple[float, float]]) -> LelongEstimate:
-    """The LelongEstimate of (mass, error) pairs at the radii rs of a schedule.
+def lelong_from_masses(
+    rs: Sequence[float], schedules: Sequence[Sequence[Tuple[float, float]]]
+) -> List[LelongEstimate]:
+    """The LelongEstimate of each schedule of (mass, error) pairs at the shared radii rs.
 
-    monotone_ok accepts monotonicity in either direction within per-point
-    error bars: Skoda-style decay and b0-divergence are both monotone
-    schedules, a hump is neither.
+    schedules holds one sequence of pairs per schedule, its n-th pair at
+    rs[n], and the result one estimate per schedule, in order; a lone
+    schedule is the batch of one. monotone_ok accepts monotonicity in either
+    direction within per-point error bars: Skoda-style decay and
+    b0-divergence are both monotone schedules, a hump is neither. slope and
+    r_squared fit nu against -log r over the schedule's asymptotic tail,
+    its later half from 6 radii on: early radii carry decaying transients
+    from the outer-region terms that would pollute both.
+
+    Everything per radius is one pass over (schedules, radii) arrays, and
+    each schedule gets the bits it got judged alone by scalar Python
+    (tests/oracles.py keeps that judge): pi r^2 is the scalar expression,
+    the numpy arithmetic runs in scalar order, sums of squares run along
+    each row's contiguous axis, and each row's fit is one np.linalg.lstsq
+    on the scaled Vandermonde matrix np.polyfit builds, shared by the rows,
+    which gives polyfit's bits where one lstsq over all the rows would not.
+    The few floats per schedule that remain (bracket, R^2, the divergence
+    test) are the scalar expressions. nus that are not finite, or whose
+    squares overflow, give a fit that is not finite either, which the
+    command line then refuses by name.
     """
+    rs = tuple(rs)
+    if not schedules:
+        return []
     steps = len(rs)
-    nus, errs = [], []
-    for r, (value, err) in zip(rs, masses):
-        area = math.pi * r**2
-        nus.append(value / area)
-        errs.append(err / area)
-
-    eps = 1e-12
-    up_break = any(
-        nus[i + 1] > nus[i] + errs[i] + errs[i + 1] + eps * max(1.0, nus[i])
-        for i in range(steps - 1)
-    )
-    down_break = any(
-        nus[i + 1] < nus[i] - errs[i] - errs[i + 1] - eps * max(1.0, nus[i])
-        for i in range(steps - 1)
-    )
-    monotone_ok = not (up_break and down_break)
-
-    limit_estimate = nus[-1]
-    lower = max(0.0, nus[-1] - errs[-1])
-    upper = max(nus[-2] + errs[-2], nus[-1] + errs[-1])
-    slope, r_squared = _fit_against_log(rs, nus)
-    first = nus[0]
-    diverging = bool(
-        slope > 0.0
-        and r_squared > 0.99
-        and nus[-1] > DIVERGENCE_FACTOR * max(first, errs[0])
-    )
-    return LelongEstimate(
-        rs=tuple(rs),
-        nus=tuple(nus),
-        errs=tuple(errs),
-        monotone_ok=monotone_ok,
-        limit_estimate=limit_estimate,
-        limit_bracket=(lower, upper),
-        slope=slope,
-        r_squared=r_squared,
-        diverging=diverging,
-    )
+    areas = [math.pi * r**2 for r in rs]
+    if 0.0 in areas:
+        raise ZeroDivisionError("float division by zero")
+    start = 0 if steps < 6 else steps // 2
+    # -log r as np.polyfit takes it, x + 0.0, whose -0.0 at r = 1 is 0.0
+    x = 0.0 - np.log(np.asarray(rs[start:]))
+    # the ufunc reductions of ndarray.sum and .any, called directly
+    add, either = np.add.reduce, np.logical_or.reduce
+    # polyfit's scaled Vandermonde matrix of x, [x, 1] by rows
+    lhs = np.empty((len(x), 2))
+    lhs[:, 0], lhs[:, 1] = x, 1.0
+    scale = np.sqrt(add(lhs * lhs, axis=0))
+    lhs /= scale
+    rcond = len(x) * sys.float_info.epsilon
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as float arithmetic would
+        nus, errs = (np.array(schedules, dtype=float) / np.array(areas)[:, None]).transpose(2, 0, 1)
+        # rises and falls beyond the error bars in one pass, on nus and -nus:
+        # ((a - b) - c) - d is -((((-a) + b) + c) + d) exactly. A NaN nu makes
+        # its bound NaN, so maximum serves for max(1, nu) there.
+        signed = nus * _SIGNS
+        slack = 1e-12 * np.maximum(nus[:, :-1], 1.0)
+        breaks = either(signed[..., 1:] > signed[..., :-1] + errs[:, :-1] + errs[:, 1:] + slack, axis=2)
+        y = nus[:, start:] + 0.0  # as polyfit takes it, in contiguous rows
+        fits = [np.linalg.lstsq(lhs, row, rcond) for row in y]
+        if any(rank != 2 for _, _, rank, _ in fits):  # polyfit's warning
+            warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+        slope, intercept = (np.array([coef for coef, _, _, _ in fits]) / scale).T
+        ss_res = add((y - (slope[:, None] * x + intercept[:, None])) ** 2, axis=1)
+        ss_tot = add((y - (add(y, axis=1) / len(x))[:, None]) ** 2, axis=1)
+    estimates = []
+    # the rest is a few floats per schedule
+    for nu, err, monotone_ok, fitted, res, tot in zip(
+        nus.tolist(), errs.tolist(), (~(breaks[0] & breaks[1])).tolist(), slope.tolist(),
+        ss_res.tolist(), ss_tot.tolist(),
+    ):
+        r_squared = 0.0 if tot <= 1e-30 else 1.0 - res / tot
+        estimates.append(LelongEstimate(
+            rs=rs,
+            nus=tuple(nu),
+            errs=tuple(err),
+            monotone_ok=monotone_ok,
+            limit_estimate=nu[-1],
+            limit_bracket=(max(0.0, nu[-1] - err[-1]), max(nu[-2] + err[-2], nu[-1] + err[-1])),
+            slope=fitted,
+            r_squared=r_squared,
+            diverging=bool(fitted > 0.0 and r_squared > 0.99 and nu[-1] > DIVERGENCE_FACTOR * max(nu[0], err[0])),
+        ))
+    return estimates
 
 
 def lelong_to_json(est: LelongEstimate) -> dict:

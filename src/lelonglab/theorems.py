@@ -13,8 +13,10 @@ only jitters benign mode coefficients.
 Each verifier is an argument check, a schedule and a judge of it, and one
 loop, _verify, runs them for a batch of cases whose currents are the rows of
 one AtomTable: every check first, then one exact-route call at
-PERIODIC_STEPS radii for the trig currents and a quadrature lelong_estimate
-for each current with a Poisson atom, each judged as it is scheduled.
+PERIODIC_STEPS radii for the trig currents, whose schedules
+lelong_from_masses summarizes in one call per schedule length, and a
+quadrature lelong_estimate for each current with a Poisson atom; then each
+case's judge, in order.
 run_corpus builds the corpus with one build_currents call and runs it as one
 batch; each verify_* is the batch of one case on its current's own table, so
 it gives the report run_corpus gives for the same case.
@@ -40,11 +42,14 @@ from .current import (
     monodromy_family,
 )
 from .errors import InputError
-from .foliation import Eigenvalue
+from .foliation import Eigenvalue, float_map
 from .harmonic import FourierSpec, PoissonSpec, normalize
 from .mass import (
     _bracket_a,
     _exact_masses,
+    _ia,
+    _ib,
+    _strip_terms,
     ia,
     ib,
     kernel_weight,
@@ -256,13 +261,21 @@ def _verify(cases: Sequence[CorpusCase], table: AtomTable, cfg: VerifyConfig) ->
         _KINDS[case.kind][0](case.current)
     rs = lelong_radii(R_START, RATIO, PERIODIC_STEPS)
     exact = _exact_masses(table, rs) if table.trig.any() else [None] * len(cases)
+    # the exact schedules, judged in one lelong_from_masses call per length:
+    # an exact mass depends on its radius alone, so a prefix is bit for bit
+    # its schedule
+    batches = {}
+    for i, (case, masses) in enumerate(zip(cases, exact)):
+        if masses is not None:
+            batches.setdefault(PERIODIC_STEPS if case.kind == "positive" else STEPS, []).append(i)
+    estimates = [None] * len(cases)
+    for steps, rows in batches.items():
+        for i, est in zip(rows, lelong_from_masses(rs[:steps], [exact[i][:steps] for i in rows])):
+            estimates[i] = est
     reports = []
-    for case, masses in zip(cases, exact):
-        if masses is None:
+    for case, masses, est in zip(cases, exact, estimates):
+        if est is None:
             est = lelong_estimate(case.current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
-        else:  # an exact mass depends on its radius alone, so a prefix is bit for bit its schedule
-            steps = PERIODIC_STEPS if case.kind == "positive" else STEPS
-            est = lelong_from_masses(rs[:steps], masses[:steps])
         reports.append(_KINDS[case.kind][1](case.current, est, masses, cfg, case.case_id))
     return reports
 
@@ -304,31 +317,38 @@ def _poisson_ratios():
 _LATTICE_T = tuple(np.linspace(0.1, 0.9, 9).tolist())
 _LATTICE_R = np.linspace(0.05, 0.95, 10)
 _LATTICE_R.setflags(write=False)
+_STRIP_LAMS = (-1.0, -0.5, -0.25)
 # (lambda, |alpha| = t r^(1 - lambda), r) for the strip integrals
 _STRIP_LATTICE = tuple(
     (lv, t * r ** (1.0 - lv), r)
-    for lv in (-1.0, -0.5, -0.25)
+    for lv in _STRIP_LAMS
     for t in _LATTICE_T
     for r in _LATTICE_R.tolist()
+)
+# the same lattice as broadcastable axes, for one _strip_terms call that
+# serves the lattice and its caps at r = 1: lambda (3, 1, 1, 1), |alpha| (3,
+# 9, 10, 1) and r (1, 1, 10, 2), whose last axis holds each entry's r and
+# then its cap's. Each log and power of |alpha| then serves an entry and its
+# cap, and each of r is taken once per (lambda, r).
+_STRIP_AXES = (
+    np.reshape(_STRIP_LAMS, (3, 1, 1, 1)),
+    np.reshape([am for _, am, _ in _STRIP_LATTICE], (3, 9, 10, 1)),
+    np.stack((_LATTICE_R, np.ones(10)), axis=-1).reshape(1, 1, 10, 2),
 )
 
 
 def _strip_a_bound():
-    values = [ia(lv, am, r) for lv, am, r in _STRIP_LATTICE]
-    caps = [ia(lv, am, 1.0) for lv, am, _ in _STRIP_LATTICE]
+    values, caps = _ia(*_strip_terms(*_STRIP_AXES)).reshape(-1, 2).T
     return values, 0.0, caps
 
 
 def _strip_b_bound():
     # the amplified bound holds for r below exp(1 / (2 lambda (1 - lambda)))
-    points = [
-        (lv, am, r)
-        for lv, am, r in _STRIP_LATTICE
-        if r < math.exp(1.0 / (2.0 * lv * (1.0 - lv)))
-    ]
-    values = [ib(lv, am, r) for lv, am, r in points]
-    bounds = [math.exp(-1.0 / (lv * (1.0 - lv))) * ib(lv, am, 1.0) for lv, am, _ in points]
-    return values, -math.inf, bounds, len(_STRIP_LATTICE) - len(points)
+    lv, am, r = _STRIP_AXES
+    values, caps = _ib(*_strip_terms(*_STRIP_AXES)).reshape(-1, 2).T
+    keep = np.broadcast_to(r[..., :1] < float_map(math.exp, 1.0 / (2.0 * lv * (1.0 - lv))), am.shape).ravel()
+    amplify = np.broadcast_to(float_map(math.exp, -1.0 / (lv * (1.0 - lv))), am.shape).ravel()
+    return values[keep], -math.inf, (amplify * caps)[keep], keep.size - int(np.count_nonzero(keep))
 
 
 def _interval_kernel():

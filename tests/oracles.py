@@ -21,6 +21,14 @@ load_current decodes every input file with the stdlib json and loads it with
 that per-atom loader, as cli._load_current does with orjson and the column
 loader: the two must load the same current from any text, or fail with the
 same error.
+lelong_from_masses judges one schedule in scalar Python, fitting it with
+np.polyfit; ia and ib are the strip integrals of one (lambda, |alpha|, r),
+and strip_a_bound and strip_b_bound their lemma lattices, entry by entry;
+normalize reads the base value with a numpy evaluate at (0, 0). They are the
+earlier forms of mass.lelong_from_masses, which judges a batch of schedules
+as arrays, of mass.ia and mass.ib, which take arrays, of theorems'
+_strip_a_bound and _strip_b_bound, which share one term table, and of
+harmonic.normalize: each must give their bits, and the same errors.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import heapq
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -60,8 +69,9 @@ from lelonglab.harmonic import (
     json_float,
     spec_from_json,
 )
-from lelonglab.mass import EXACT_ROUNDING, TWO_PI, _tail_integral
+from lelonglab.mass import DIVERGENCE_FACTOR, EXACT_ROUNDING, TWO_PI, LelongEstimate, _tail_integral
 from lelonglab.quadrature import _NODES, _W_GAUSS, _W_KRONROD
+from lelonglab.theorems import _STRIP_LATTICE
 
 
 def load_current(path):
@@ -516,3 +526,161 @@ def truncate_half_plane(spec, lam, am, v_lo, cfg):
     tail = sum(_tail_integral(p, q, rate, v_hi) for _, rate in terms)
     return v_hi, tail
 
+
+
+def _fit_against_log(rs, nus):
+    # fit the asymptotic tail: early radii carry decaying transients from
+    # the outer-region terms that would pollute slope and R^2
+    start = 0 if len(rs) < 6 else len(rs) // 2
+    x = -np.log(np.asarray(rs[start:]))
+    y = np.asarray(nus[start:])
+    # nus that are not finite, or whose squares overflow, give a fit that is
+    # not finite either, which the command line then refuses by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope, intercept = np.polyfit(x, y, 1)
+        fitted = slope * x + intercept
+        ss_res = float(np.sum((y - fitted) ** 2))
+        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    if ss_tot <= 1e-30:
+        return float(slope), 0.0
+    return float(slope), 1.0 - ss_res / ss_tot
+
+
+def lelong_from_masses(rs, masses):
+    """The LelongEstimate of (mass, error) pairs at the radii rs of a schedule.
+
+    monotone_ok accepts monotonicity in either direction within per-point
+    error bars: Skoda-style decay and b0-divergence are both monotone
+    schedules, a hump is neither.
+    """
+    steps = len(rs)
+    nus, errs = [], []
+    for r, (value, err) in zip(rs, masses):
+        area = math.pi * r**2
+        nus.append(value / area)
+        errs.append(err / area)
+
+    eps = 1e-12
+    up_break = any(
+        nus[i + 1] > nus[i] + errs[i] + errs[i + 1] + eps * max(1.0, nus[i])
+        for i in range(steps - 1)
+    )
+    down_break = any(
+        nus[i + 1] < nus[i] - errs[i] - errs[i + 1] - eps * max(1.0, nus[i])
+        for i in range(steps - 1)
+    )
+    monotone_ok = not (up_break and down_break)
+
+    limit_estimate = nus[-1]
+    lower = max(0.0, nus[-1] - errs[-1])
+    upper = max(nus[-2] + errs[-2], nus[-1] + errs[-1])
+    slope, r_squared = _fit_against_log(rs, nus)
+    first = nus[0]
+    diverging = bool(
+        slope > 0.0
+        and r_squared > 0.99
+        and nus[-1] > DIVERGENCE_FACTOR * max(first, errs[0])
+    )
+    return LelongEstimate(
+        rs=tuple(rs),
+        nus=tuple(nus),
+        errs=tuple(errs),
+        monotone_ok=monotone_ok,
+        limit_estimate=limit_estimate,
+        limit_bracket=(lower, upper),
+        slope=slope,
+        r_squared=r_squared,
+        diverging=diverging,
+    )
+
+
+def _strip_terms(lv: float, am: float, r: float):
+    """log|alpha|, log r and the inner and outer weights of the strip integrals."""
+    if not lv < 0.0:
+        raise DomainError("strip integrals need a negative eigenvalue")
+    if not (0.0 < r <= 1.0):
+        raise DomainError("radius must lie in (0, 1]")
+    if not (0.0 < am < r ** (1.0 - lv)):
+        raise DomainError(
+            f"|alpha| = {am} outside the admissible range (0, r^(1-lambda)) at r = {r}"
+        )
+    log_am, log_r = math.log(am), math.log(r)
+    # On the admissible range both weights are below 1, but one power of a
+    # product can overflow while the other underflows; only then does the
+    # weight go through logarithms.
+    try:
+        s_in = am**2 * r ** (2.0 * lv - 2.0)  # e^{-2 lambda v} weight at work
+    except OverflowError:
+        s_in = math.exp(2.0 * log_am + (2.0 * lv - 2.0) * log_r)
+    try:
+        s_out = am ** (-2.0 / lv) * r ** (2.0 / lv - 2.0)
+    except OverflowError:
+        s_out = math.exp(-2.0 / lv * log_am + (2.0 / lv - 2.0) * log_r)
+    return log_am, log_r, s_in, s_out
+
+
+def ia(lv: float, am: float, r: float) -> float:
+    """Strip integral of the interpolating part against the area density.
+
+    (1/r^2) int (1 - lambda v / log|alpha|) jac dv over the plaque strip.
+    """
+    log_am, log_r, s_in, s_out = _strip_terms(lv, am, r)
+    return (
+        1.0
+        + lv * s_in
+        + (
+            -2.0 * s_out * log_r
+            + lv * s_out
+            + 2.0 * lv**2 * s_in * log_r
+            - lv * s_in
+        )
+        / (2.0 * log_am)
+    )
+
+
+def ib(lv: float, am: float, r: float) -> float:
+    """Strip integral of v against the area density, (1/r^2) int v jac dv."""
+    log_am, log_r, s_in, s_out = _strip_terms(lv, am, r)
+    return 0.5 * (
+        -s_out * (lv + 2.0 * log_am - 2.0 * log_r) / lv
+        + s_in * (1.0 - 2.0 * lv * log_r)
+        - 2.0 * log_am
+    )
+
+
+def strip_a_bound():
+    values = [ia(lv, am, r) for lv, am, r in _STRIP_LATTICE]
+    caps = [ia(lv, am, 1.0) for lv, am, _ in _STRIP_LATTICE]
+    return values, 0.0, caps
+
+
+def strip_b_bound():
+    # the amplified bound holds for r below exp(1 / (2 lambda (1 - lambda)))
+    points = [
+        (lv, am, r)
+        for lv, am, r in _STRIP_LATTICE
+        if r < math.exp(1.0 / (2.0 * lv * (1.0 - lv)))
+    ]
+    values = [ib(lv, am, r) for lv, am, r in points]
+    bounds = [math.exp(-1.0 / (lv * (1.0 - lv))) * ib(lv, am, 1.0) for lv, am, _ in points]
+    return values, -math.inf, bounds, len(_STRIP_LATTICE) - len(points)
+
+
+def normalize(spec: HarmonicSpec) -> HarmonicSpec:
+    """Rescale so the density is 1 at the base point u = v = 0."""
+    base = evaluate(spec, 0.0, 0.0)
+    if not (base > 0.0) or not math.isfinite(base):
+        raise NormalizationError(f"degenerate normalization: density at the base point is {base}")
+    if isinstance(spec, FourierSpec):
+        return replace(
+            spec,
+            a0=spec.a0 / base,
+            b0=spec.b0 / base,
+            modes=tuple((k, a / base, bb / base) for k, a, bb in spec.modes),
+        )
+    return PoissonSpec(
+        ys=spec.ys,
+        values=spec.values / base,
+        tail=spec.tail / base,
+        c_lin=spec.c_lin / base,
+    )

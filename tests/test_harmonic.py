@@ -5,7 +5,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -226,6 +226,14 @@ class TestPositivity:
         dipping = FourierSpec(b=1, a0=1.5 - 1e-9, modes=((-1, -2.0, 0.0), (-2, 0.5, 0.0)))
         assert not check_positivity(dipping)
 
+    def test_cancelling_modes_are_the_zero_density(self):
+        # two k = -3 modes that cancel: the density is identically 0, which
+        # the scan alone could not certify within its budget
+        zero = FourierSpec(b=1, a0=0.0, b0=0.0, modes=((-3, 0.5, -0.5), (-3, -0.5, 0.5)))
+        assert check_positivity(zero)
+        # modes of equal k are summed: 1 - 0.6 cos u - 0.6 cos u dips at u = 0
+        assert not check_positivity(FourierSpec(b=1, a0=1.0, modes=((-1, -0.6, 0.0), (-2, 0.01, 0.0), (-1, -0.6, 0.0))))
+
     def test_trig_spec_makes_no_2d_evaluate_call(self, monkeypatch):
         ndims = []
         real = harmonic.evaluate
@@ -292,6 +300,7 @@ class TestEdgeCertificate:
         return sampled, max(self.grid_miss(spec, v, h) for v in _edge_heights(spec))
 
     @given(spec=trig_specs())
+    @example(spec=FourierSpec(b=1, a0=0.0, b0=0.0, modes=((-3, 0.5, -0.5), (-3, -0.5, 0.5))))
     @settings(max_examples=200, deadline=None)
     def test_against_fine_grid(self, spec):
         accepted = check_positivity(spec)
@@ -347,6 +356,26 @@ class TestNormalize:
         spec = FourierSpec(b=1, a0=1.0, modes=((-1, -1.0, 0.0),))  # vanishes at base
         with pytest.raises(NormalizationError):
             normalize(spec)
+
+    @given(spec=trig_specs(min_modes=0, max_modes=4))
+    @example(spec=FourierSpec(b=1, a0=-0.0))
+    @example(spec=FourierSpec(b=1, a0=0.0, b0=1.0, modes=((-1, -0.0, 0.5),)))
+    @settings(max_examples=200, deadline=None)
+    def test_trig_base_value_is_evaluate(self, spec):
+        # normalize reads a0 + sum_k a_k where tests/oracles.py evaluates at (0, 0)
+        import oracles
+
+        def outcome(fn):
+            try:
+                out = fn(spec)
+            except NormalizationError as exc:
+                return str(exc)
+            return [x.hex() for x in (out.a0, out.b0)] + [(k, a.hex(), bb.hex()) for k, a, bb in out.modes]
+
+        want = outcome(oracles.normalize)
+        assert outcome(normalize) == want
+        if not isinstance(want, str):  # zero deck turns: its factor is the base value
+            assert translate(spec, 0)[1].hex() == evaluate(spec, 0.0, 0.0).hex()
 
 
 class TestTranslate:

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -42,9 +43,9 @@ import lelonglab.mass
 from lelonglab import harmonic
 from lelonglab.current import atom_table
 from lelonglab.foliation import jacobian_rows
-from lelonglab.mass import _bracket_a, _bracket_b, _exact_masses, _moments
+from lelonglab.mass import _bracket_a, _bracket_b, _exact_masses, _moments, lelong_from_masses, lelong_radii
 from lelonglab.quadrature import DEFAULT_CONFIG, QuadratureConfig
-from lelonglab.theorems import corpus
+from lelonglab.theorems import _STRIP_LATTICE, _corpus_batch, corpus
 
 from conftest import flat_poisson
 
@@ -548,6 +549,77 @@ class TestStripIntegrals:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def _strip_outcome(fn, *args):
+    """The bits of fn(*args), entry by entry, or the type and message of what it raises."""
+    try:
+        out = fn(*args)
+    except DomainError as exc:
+        return DomainError, str(exc)
+    return [x.hex() for x in np.ravel(out).tolist()]
+
+
+# (lambda, |alpha|, r) where a power of the outer weight overflows and the
+# weight goes through logarithms
+_OVERFLOW_ENTRY = (-0.01, 0.5 * 1e-6 ** 1.01, 1e-6)
+
+
+class TestStripIntegralArrays:
+    """Array ia and ib against the scalar formulas of tests/oracles.py, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["ia", "ib"])
+    def test_lattice_and_its_caps(self, name):
+        import oracles
+
+        fn, scalar = getattr(lelonglab.mass, name), getattr(oracles, name)
+        lv, am, r = np.array(_STRIP_LATTICE).T
+        assert _strip_outcome(fn, lv, am, r) == [scalar(*entry).hex() for entry in _STRIP_LATTICE]
+        assert _strip_outcome(fn, lv, am, 1.0) == [scalar(lv, am, 1.0).hex() for lv, am, _ in _STRIP_LATTICE]
+
+    @pytest.mark.parametrize("name", ["ia", "ib"])
+    def test_floats_give_a_float(self, name):
+        import oracles
+
+        fn, scalar = getattr(lelonglab.mass, name), getattr(oracles, name)
+        for entry in (_OVERFLOW_ENTRY, (-0.5, 0.2, 0.5), (-1.0, math.exp(-1.0), 1.0)):
+            got = fn(*entry)
+            assert type(got) is float and got.hex() == scalar(*entry).hex()
+
+    @given(
+        entries=st.lists(
+            st.tuples(st.floats(-2.0, 1.8), st.floats(0.01, 0.99), st.floats(0.0, 8.0)),
+            min_size=1, max_size=6,
+        ),
+        overflow=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_entries_are_the_scalar_formulas(self, entries, overflow):
+        import oracles
+
+        # lambda = -10^e down to -0.01, |alpha| = t r^(1 - lambda), r = 10^-f
+        points = [(-(10.0**e), t * (10.0**-f) ** (1.0 + 10.0**e), 10.0**-f) for e, t, f in entries]
+        if overflow:
+            points.append(_OVERFLOW_ENTRY)
+        for name in ("ia", "ib"):
+            fn, scalar = getattr(lelonglab.mass, name), getattr(oracles, name)
+            want = [_strip_outcome(scalar, *p) for p in points]
+            raised = [w for w in want if isinstance(w, tuple)]
+            assert _strip_outcome(fn, *np.array(points).T) == (raised[0] if raised else [w[0] for w in want])
+
+    def test_inadmissible_entry_raises_its_scalar_error(self):
+        import oracles
+
+        # the second entry has |alpha| >= r^(1 - lambda): no strip
+        points = [(-1.0, 0.1, 0.5), (-1.0, 0.5, 0.5), (0.5, 0.1, 0.5)]
+        with pytest.raises(DomainError) as want:
+            oracles.ia(*points[1])
+        for fn in (ia, ib):
+            with pytest.raises(DomainError) as got:
+                fn(*np.array(points).T)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(DomainError, match="negative eigenvalue"):
+            ia(*np.array(points[::-1]).T)
+
+
 class TestClosedFormNegative:
     def test_single_atom(self, neg_single):
         want = 2.0 * math.pi * (1.0 - math.exp(-2.0))
@@ -944,6 +1016,113 @@ class TestLelongEstimate:
             "limit_estimate", "limit_bracket", "slope", "r_squared", "diverging",
         }
         assert len(payload["rs"]) == 4
+
+
+def _bits(value):
+    """A value with its type, floats by their bits, tuples entry by entry."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def _summary_bits(est):
+    return tuple(_bits(getattr(est, field.name)) for field in dataclasses.fields(est))
+
+
+def _outcome(judge):
+    """The bits of what judge() returns, or the type and message of what it raises."""
+    try:
+        result = judge()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [_summary_bits(est) for est in result]
+
+
+@st.composite
+def _summary_batches(draw):
+    """Radii 2 to 20, falling or rising, and a batch of schedules at them.
+
+    Each schedule is flat (its nus equal, so ss_tot is at most rounding),
+    rising or falling in -log r, or noise, with errors from 0 up; some
+    masses and errors are then inf or NaN.
+    """
+    steps = draw(st.integers(2, 20))
+    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=steps - 1, max_size=steps - 1))
+    heights = np.cumsum([-math.log(draw(st.sampled_from([1.0, 0.9, 0.5])))] + gaps)
+    rs = [math.exp(-h) for h in heights]
+    if draw(st.booleans()):
+        rs.reverse()
+    level = st.floats(0.0, 10.0)
+    schedules = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["flat", "rising", "falling", "noise"]))
+        a, b = draw(level), draw(st.floats(0.0, 3.0))
+        if kind == "flat":
+            nus = [a] * steps
+        elif kind == "noise":
+            nus = draw(st.lists(level, min_size=steps, max_size=steps))
+        else:
+            sign = 1.0 if kind == "rising" else -1.0
+            nus = [a + sign * b * -math.log(r) for r in rs]
+        errs = draw(st.lists(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 0.5]), min_size=steps, max_size=steps))
+        pairs = [[nu * math.pi * r**2, err * math.pi * r**2] for nu, err, r in zip(nus, errs, rs)]
+        for i, j in draw(st.lists(st.tuples(st.integers(0, steps - 1), st.integers(0, 1)), max_size=2)):
+            pairs[i][j] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        schedules.append([tuple(pair) for pair in pairs])
+    return rs, schedules
+
+
+def _rising_schedule(rs, first_error):
+    # nu = 1 - 2 log r, whose first error alone may be NaN
+    return [(((1.0 - 2.0 * math.log(r)) * math.pi * r**2), first_error if n == 0 else 0.0)
+            for n, r in enumerate(rs)]
+
+
+_HALVINGS = [0.5**n for n in range(12)]
+
+
+class TestScheduleSummaries:
+    """lelong_from_masses against the scalar judge of tests/oracles.py, row by row and bit for bit."""
+
+    # a diverging schedule whose first error is NaN: max(nu_0, NaN) is nu_0
+    @example(batch=(_HALVINGS, [_rising_schedule(_HALVINGS, math.nan), _rising_schedule(_HALVINGS, 0.0)]))
+    @example(batch=(_HALVINGS[:4], [[(0.0, 0.0)] * 4]))
+    @given(batch=_summary_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_are_the_scalar_judge(self, batch):
+        import oracles
+
+        rs, schedules = batch
+        want = [_outcome(lambda s=s: [oracles.lelong_from_masses(rs, s)]) for s in schedules]
+        raised = [w for w in want if isinstance(w, tuple)]
+        got = _outcome(lambda: lelong_from_masses(rs, schedules))
+        assert got == (raised[0] if raised else [row for w in want for row in w])
+        # the batch of one is the first row of the batch
+        assert _outcome(lambda: lelong_from_masses(rs, schedules[:1])) == want[0]
+
+    def test_corpus_schedules(self):
+        import oracles
+
+        cases, table = _corpus_batch(42)
+        rs = lelong_radii(1.0, 0.5, 16)
+        schedules = [masses for masses in _exact_masses(table, rs) if masses is not None]
+        for steps in (16, 12):
+            rows = [masses[:steps] for masses in schedules]
+            got = lelong_from_masses(rs[:steps], rows)
+            assert [_summary_bits(est) for est in got] == [
+                _summary_bits(oracles.lelong_from_masses(rs[:steps], row)) for row in rows]
+
+    def test_area_that_underflows_raises_as_float_division(self):
+        import oracles
+
+        rs, masses = [1e-100, 1e-200], [(1.0, 0.0), (1.0, 0.0)]
+        with pytest.raises(ZeroDivisionError):
+            oracles.lelong_from_masses(rs, masses)
+        with pytest.raises(ZeroDivisionError):
+            lelong_from_masses(rs, [masses])
+
+    def test_no_schedules(self):
+        assert lelong_from_masses([1.0, 0.5], []) == []
 
 
 class TestPositiveLimit:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lelonglab import (
@@ -163,6 +164,25 @@ class TestLemmaLattices:
         )
 
 
+def _lattice_bits(lattice):
+    """The arguments of check_bounds, every float by its bits."""
+    return [[float(x).hex() for x in np.ravel(part).tolist()] for part in lattice]
+
+
+class TestStripLattices:
+    """The strip lemmas from one term table against the scalar ia and ib of tests/oracles.py."""
+
+    def test_lattices_are_the_scalar_ones(self):
+        import oracles
+        import lelonglab.theorems as theorems
+
+        for lattice, scalar in ((theorems._strip_a_bound, oracles.strip_a_bound),
+                                (theorems._strip_b_bound, oracles.strip_b_bound)):
+            got, want = lattice(), scalar()
+            assert _lattice_bits(got) == _lattice_bits(want)
+            assert check_bounds(*got) == check_bounds(*want)
+
+
 class TestCheckBounds:
     """The one bound checker, on 3-point lattices worked out by hand."""
 
@@ -231,6 +251,23 @@ class TestRunCorpus:
             monkeypatch.setattr(module, name, spy)
         assert len(run_corpus()) == 22
         assert sorted(calls) == ["_exact_masses", "_validate"]
+
+    def test_two_summary_calls(self, monkeypatch):
+        import lelonglab.mass
+        import lelonglab.theorems
+
+        calls = []
+        for module in (lelonglab.theorems, lelonglab.mass):
+            def spy(rs, schedules, _real=module.lelong_from_masses, _name=module.__name__):
+                calls.append((_name, len(rs), len(schedules)))
+                return _real(rs, schedules)
+
+            monkeypatch.setattr(module, "lelong_from_masses", spy)
+        assert len(run_corpus(42)) == 22
+        # the 14 trig schedules in one batch per length, and each of the two
+        # Poisson schedules, from lelong_estimate, as a batch of one
+        assert sorted(calls) == [("lelonglab.mass", 12, 1)] * 2 + [
+            ("lelonglab.theorems", 12, 7), ("lelonglab.theorems", 16, 7)]
 
     def test_lone_case_schedules_only_its_own_current(self, monkeypatch):
         import lelonglab.theorems
