@@ -246,10 +246,7 @@ def cmd_leafplot(args: argparse.Namespace) -> int:
         u_span=2.0 * math.pi * loops,
         samples=max(2, 128 * loops),
     )
-    torus_path = args.out + "/torus.svg" if args.out else "torus.svg"
-    schedule_path = args.out + "/schedule.svg" if args.out else "schedule.svg"
-    with open(torus_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_torus_svg(curve))
+    # the estimate before either file: a failure writes nothing
     est = lelong_estimate(
         current,
         r_start=args.r_start,
@@ -258,6 +255,10 @@ def cmd_leafplot(args: argparse.Namespace) -> int:
         cfg=_quad_config(args),
         k0=args.k0,
     )
+    torus_path = args.out + "/torus.svg" if args.out else "torus.svg"
+    schedule_path = args.out + "/schedule.svg" if args.out else "schedule.svg"
+    with open(torus_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_torus_svg(curve))
     with open(schedule_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_schedule_svg(est.rs, est.nus))
     print(json.dumps({"torus": torus_path, "schedule": schedule_path}))

@@ -352,32 +352,36 @@ def total_weight(current: Current) -> float:
     return sum(current.table.weights.tolist())
 
 
-def _poisson_period(spec: PoissonSpec, b_max: int) -> Optional[int]:
-    """Least b with 2 pi b boundary periodicity at 1e-8, scanned numerically."""
+# the largest period multiple b that is_periodic scans Poisson data for
+PERIOD_B_MAX = 12
+
+
+def _poisson_period(spec: PoissonSpec) -> Optional[int]:
+    """Least b <= PERIOD_B_MAX with 2 pi b boundary periodicity at 1e-8, scanned numerically."""
     y_top = spec.half_width
     probe = np.linspace(-y_top - 2.0 * TWO_PI, y_top + 2.0 * TWO_PI, 2048)
     base = boundary_value(spec, probe)
     scale = max(1.0, float(np.max(np.abs(base))))
-    for b in range(1, b_max + 1):
+    for b in range(1, PERIOD_B_MAX + 1):
         shifted = boundary_value(spec, probe + TWO_PI * b)
         if float(np.max(np.abs(shifted - base))) <= 1e-8 * scale:
             return b
     return None
 
 
-def is_periodic(current: Current, b_max: int = 12) -> Optional[int]:
+def is_periodic(current: Current) -> Optional[int]:
     """Least b with every atom 2 pi b-periodic in u, or None.
 
     Fourier specs declare their period; Poisson specs get a numeric scan of
-    the boundary profile. A constant boundary is 2 pi-periodic; a lone bump
-    is not periodic at all.
+    the boundary profile for b up to PERIOD_B_MAX. A constant boundary is
+    2 pi-periodic; a lone bump is not periodic at all.
     """
     b = 1
     for atom in current.atoms:
         if isinstance(atom.spec, FourierSpec):
             b_atom = atom.spec.b
         else:
-            b_atom = _poisson_period(atom.spec, b_max)
+            b_atom = _poisson_period(atom.spec)
             if b_atom is None:
                 return None
         b = math.lcm(b, b_atom)

@@ -28,9 +28,11 @@ from .errors import DomainError, InputError
 
 TWO_PI = 2.0 * math.pi
 
-# Tolerances for float comparisons of moduli and angles in `equivalent`.
+# Tolerances for float comparisons of moduli and angles in `equivalent`,
+# and the largest |k| it tries.
 MODULUS_RTOL = 1e-9
 ANGLE_TOL = 1e-9
+EQUIVALENT_K_MAX = 64
 
 # The smallest |lambda| taken, about 1.49e-154: the square root of the
 # smallest normal float. The half-plane tails divide by the square of the
@@ -301,8 +303,8 @@ def monodromy(lam: Eigenvalue, alpha: complex, k: int) -> complex:
     return alpha * cmath.exp(2j * math.pi * k * lam.value)
 
 
-def equivalent(lam: Eigenvalue, alpha: complex, beta: complex, k_max: int = 64) -> Optional[int]:
-    """Smallest |k| with monodromy(lam, alpha, k) = beta, or None.
+def equivalent(lam: Eigenvalue, alpha: complex, beta: complex) -> Optional[int]:
+    """Smallest |k| <= EQUIVALENT_K_MAX with monodromy(lam, alpha, k) = beta, or None.
 
     Moduli must agree to MODULUS_RTOL relative; the angle must match a
     multiple of 2 pi lambda to ANGLE_TOL radians. Search order
@@ -314,7 +316,7 @@ def equivalent(lam: Eigenvalue, alpha: complex, beta: complex, k_max: int = 64) 
     if abs(rb - ra) > MODULUS_RTOL * max(ra, rb):
         return None
     target = cmath.phase(beta / alpha)
-    for k in range(0, k_max + 1):
+    for k in range(0, EQUIVALENT_K_MAX + 1):
         for kk in ((k,) if k == 0 else (k, -k)):
             diff = (TWO_PI * kk * lam.value - target) % TWO_PI
             if min(diff, TWO_PI - diff) <= ANGLE_TOL:

@@ -13,10 +13,11 @@ sums over the boundary grid, and a PoissonWindow is the one way into them:
 poisson_rows(window, v) gives the window integral and its grid-model error
 from one kernel block, since the error's half-density probe grid has its
 nodes among the full grid's, and poisson_panel_rows does so for many
-panels, one kernel block each. A window built on a grid of LADDER_MIN_POINTS
-nodes or more sums the nodes far from the u-window through their moments on
-a ladder of shells (a one-level far-field expansion) and the rest directly,
-and adds the expansion's truncation remainder to the error row.
+panels above the boundary v = 0, one kernel block each. A window built on a
+grid of LADDER_MIN_POINTS nodes or more sums the nodes far from the u-window
+through their moments on a ladder of shells (a one-level far-field
+expansion) and the rest directly, and adds the expansion's truncation
+remainder to the error row.
 """
 
 from __future__ import annotations
@@ -353,28 +354,34 @@ def _base_value(spec: HarmonicSpec) -> float:
     return base
 
 
+def _refuse_overflow(c: float, *coefs: float) -> None:
+    """Refuse coefficients divided by c that are not finite, as a subnormal c makes them.
+
+    The spec constructors would refuse them too, but as a non-finite field
+    of the input, where the fault is the normalization's.
+    """
+    if not all(map(math.isfinite, coefs)):
+        raise NormalizationError(f"degenerate normalization: rescaling by the density {c} overflows")
+
+
 def normalize(spec: HarmonicSpec) -> HarmonicSpec:
     """Rescale so the density is 1 at the base point u = v = 0.
 
     The density there is _base_value's: a trig spec's a0 + sum_k a_k, with
-    no numpy evaluate call.
+    no numpy evaluate call. A base that is not positive and finite, or so
+    small that a rescaled coefficient overflows, raises NormalizationError.
     """
     base = _base_value(spec)
     if not (base > 0.0) or not math.isfinite(base):
         raise NormalizationError(f"degenerate normalization: density at the base point is {base}")
     if isinstance(spec, FourierSpec):
-        return replace(
-            spec,
-            a0=spec.a0 / base,
-            b0=spec.b0 / base,
-            modes=tuple((k, a / base, bb / base) for k, a, bb in spec.modes),
-        )
-    return PoissonSpec(
-        ys=spec.ys,
-        values=spec.values / base,
-        tail=spec.tail / base,
-        c_lin=spec.c_lin / base,
-    )
+        a0, b0 = spec.a0 / base, spec.b0 / base
+        modes = tuple((k, a / base, bb / base) for k, a, bb in spec.modes)
+        _refuse_overflow(base, a0, b0, *(x for _, a, bb in modes for x in (a, bb)))
+        return replace(spec, a0=a0, b0=b0, modes=modes)
+    tail, c_lin = spec.tail / base, spec.c_lin / base
+    _refuse_overflow(base, float(spec.values.max()) / base, tail, c_lin)  # the values are >= 0
+    return PoissonSpec(ys=spec.ys, values=spec.values / base, tail=tail, c_lin=c_lin)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +394,9 @@ def translate(spec: HarmonicSpec, k: int) -> Tuple[HarmonicSpec, float]:
     Returns (spec_beta, c) with spec_beta(u + i v) = spec(u + 2 k pi + i v)/c
     and c = spec at (2 k pi, 0), so spec_beta is again normalized. For
     Poisson data the shift must be a whole number of grid steps and the
-    boundary grid must still cover a symmetric window after the shift.
+    boundary grid must still cover a symmetric window after the shift. A
+    c so small that a coefficient divided by it overflows raises
+    NormalizationError, as in normalize.
     """
     if k == 0:
         return normalize(spec), _base_value(spec)
@@ -401,10 +410,9 @@ def translate(spec: HarmonicSpec, k: int) -> Tuple[HarmonicSpec, float]:
             theta = shift * km / spec.b
             ct, st = math.cos(theta), math.sin(theta)
             new_modes.append((km, (a * ct + bb * st) / c, (-a * st + bb * ct) / c))
-        return (
-            replace(spec, a0=spec.a0 / c, b0=spec.b0 / c, modes=tuple(new_modes)),
-            c,
-        )
+        a0, b0 = spec.a0 / c, spec.b0 / c
+        _refuse_overflow(c, a0, b0, *(x for _, a, bb in new_modes for x in (a, bb)))
+        return replace(spec, a0=a0, b0=b0, modes=tuple(new_modes)), c
     step = spec.step
     m = shift / step
     m_int = round(m)
@@ -415,26 +423,27 @@ def translate(spec: HarmonicSpec, k: int) -> Tuple[HarmonicSpec, float]:
     if n - drop < 2:
         raise InvalidSpecError("spec.boundary.ys: grid too narrow for this translation")
     start = m_int + abs(m_int)  # 2m for k > 0, 0 for k < 0
-    new_values = spec.values[start : n - (drop - start)] / c
+    kept = spec.values[start : n - (drop - start)]
+    tail, c_lin = spec.tail / c, spec.c_lin / c
+    _refuse_overflow(c, float(kept.max()) / c, tail, c_lin)  # the values are >= 0
     half = spec.half_width - abs(shift)
     new_ys = np.linspace(-half, half, n - drop)
-    return PoissonSpec(ys=new_ys, values=new_values, tail=spec.tail / c, c_lin=spec.c_lin / c), c
+    return PoissonSpec(ys=new_ys, values=kept / c, tail=tail, c_lin=c_lin), c
 
 
-def verify_monodromy_relation(
-    lam,
-    spec_alpha: HarmonicSpec,
-    spec_beta: HarmonicSpec,
-    k: int,
-    tol: float = 1e-6,
-) -> bool:
+# relative tolerance of verify_monodromy_relation's lattice comparison
+MONODROMY_TOL = 1e-6
+
+
+def verify_monodromy_relation(spec_alpha: HarmonicSpec, spec_beta: HarmonicSpec, k: int) -> bool:
     """Check spec_alpha(u + i v) = c * spec_beta(u - 2 k pi + i v) on a lattice.
 
-    c is spec_alpha at (2 k pi, 0). The eigenvalue is part of the contract
-    (the relation is only meaningful when beta = alpha e^{2 pi i k lam}),
-    but the lattice test itself runs on the two densities alone.
+    c is spec_alpha at (2 k pi, 0), and the two sides must agree within
+    MONODROMY_TOL relative to max(1, max |lhs|) on each lattice row. The
+    relation is only meaningful when beta = alpha e^{2 pi i k lam}; that is
+    the caller's to ensure, as the lattice test runs on the two densities
+    alone.
     """
-    del lam  # caller's responsibility; see docstring
     shift = TWO_PI * k
     c = evaluate(spec_alpha, shift, 0.0)
     us = np.linspace(-3.0 * math.pi, 3.0 * math.pi, 13) + shift
@@ -445,7 +454,7 @@ def verify_monodromy_relation(
     for v in vs:
         lhs = evaluate(spec_alpha, us, v)
         rhs = c * np.asarray(evaluate(spec_beta, us - shift, v))
-        if np.max(np.abs(lhs - rhs)) > tol * max(1.0, float(np.max(np.abs(lhs)))):
+        if np.max(np.abs(lhs - rhs)) > MONODROMY_TOL * max(1.0, float(np.max(np.abs(lhs)))):
             return False
     return True
 
@@ -844,62 +853,64 @@ def poisson_rows(window: PoissonWindow, v):
 
     Row 0 of the result is the integral of window.spec over u in
     [window.u0, window.u1] and row 1 its grid-model error bound, each shaped
-    like v; at v = 0 the integral is the data-exact boundary integral and
-    the bound 0. It is the one-panel case of poisson_panel_rows, whose
-    docstring says how the rows are made.
+    like v. At v = 0 the integral is the data-exact boundary integral and
+    the bound 0; the heights above the boundary are one panel of
+    poisson_panel_rows, whose docstring says how the rows are made.
     """
     v_arr = np.asarray(v, dtype=float)
-    return poisson_panel_rows((window,), v_arr.reshape(1, -1))[0].reshape((2,) + v_arr.shape)
+    flat = v_arr.reshape(1, -1)
+    _check_v_domain(window.spec, flat)
+    inside = flat[0] > 0.0
+    if inside.all():
+        out = poisson_panel_rows((window,), flat)[0]
+    else:
+        # kernel tends to a Dirac comb: the u-integral tends to the
+        # boundary integral over the window, which is data-exact
+        out = np.empty((2, flat.size))
+        out[0] = boundary_integral(window.spec, window.u0, window.u1)
+        out[1] = 0.0
+        if inside.any():
+            out[:, inside] = poisson_panel_rows((window,), flat[:, inside])[0]
+    return out.reshape((2,) + v_arr.shape)
 
 
 def poisson_panel_rows(windows, v: np.ndarray) -> np.ndarray:
-    """poisson_rows of P panels: out[p] holds windows[p]'s two rows at the heights v[p].
+    """poisson_rows of P panels above the boundary: out[p] holds windows[p]'s two rows at the heights v[p].
 
-    v is a (P, k) block and out (P, 2, k), each panel's rows bit for bit
-    what it gets alone. Everything elementwise in the heights is one pass
-    over the block: the domain check, the v = 0 mask, the tail and linear
-    terms and both rows. Per panel run only its kernel sums (_poisson_window,
-    one arctan2 block) and, where a shell of its window's ladders fits, the
-    truncated far sums' remainder bounds at its largest height, added to row
-    1: the full grid's twice (for the integral, and for its part in the
-    gap) and the probe's once.
+    v is a (P, k) block of heights > 0, as the nodes of quadrature panels
+    inside a plaque are, and out (P, 2, k), each panel's rows bit for bit
+    what it gets alone; a height <= 0 raises DomainError. Everything
+    elementwise in the heights is one pass over the block: the tail and
+    linear terms and both rows. Per panel run only its kernel sums
+    (_poisson_window, one arctan2 block) and, where a shell of its window's
+    ladders fits, the truncated far sums' remainder bounds at its largest
+    height, added to row 1: the full grid's twice (for the integral, and for
+    its part in the gap) and the probe's once.
     """
-    _check_v_domain(windows[0].spec, v)
-    inside = v > 0.0
-    # the panels' constants as (P, 1) columns; 1 stands in for v = 0, whose
-    # tail terms are not used, so that they stay finite
+    v_lo = float(v.min())
+    if not v_lo > 0.0:
+        raise DomainError(f"v = {v_lo} is not above the boundary v = 0")
+    # the panels' constants as (P, 1) columns
     tail, y_top, c_lin, u0, u1 = np.array(
         [(w.spec.tail, w.spec.half_width, w.spec.c_lin, w.u0, w.u1) for w in windows]).T[:, :, None]
     width = u1 - u0
-    heights = np.where(inside, v, 1.0)
-    prim = _arctan_primitive(np.stack((y_top - u0, y_top - u1, -y_top - u0, -y_top - u1)), heights)
+    prim = _arctan_primitive(np.stack((y_top - u0, y_top - u1, -y_top - u0, -y_top - u1)), v)
     right = tail * (0.5 * math.pi * width - prim[0] + prim[1])
     left = tail * (0.5 * math.pi * width + prim[2] - prim[3])
-    linear = c_lin * heights * width
+    linear = c_lin * v * width
     # one arctan2 block per panel, never one for the whole call: a stacked
     # block no longer fits in cache. Twelve 15-height panels on a 769-node
     # grid, sums included, take 1.15 ms as one (180, 769) block and 0.60 ms
     # as twelve (15, 769) blocks, and stacking made corpus verification go
     # from 11.4 to 12.9 ms (2-core Xeon)
-    sums = np.zeros((2,) + v.shape)
-    remainder = np.zeros((len(windows), 1))
-    whole = inside.all(axis=1)
-    for p, (window, all_in) in enumerate(zip(windows, whole.tolist())):
-        at = slice(None) if all_in else inside[p]
-        v_in = v[p, at]
-        if v_in.size:
-            sums[0, p, at], sums[1, p, at] = _poisson_window(window, v_in)
-            v_max = float(v_in.max())
-            remainder[p] = 2.0 * window.full.remainder(v_max) + window.probe.remainder(v_max)
+    sums = np.empty((2,) + v.shape)
+    remainder = np.empty((len(windows), 1))
+    for p, window in enumerate(windows):
+        sums[0, p], sums[1, p] = _poisson_window(window, v[p])
+        v_max = float(v[p].max())
+        remainder[p] = 2.0 * window.full.remainder(v_max) + window.probe.remainder(v_max)
     value, coarse = (sums + right + left) / math.pi + linear
-    out = np.stack((value, np.abs(value - coarse) + remainder), axis=1)
-    for p in np.flatnonzero(~whole).tolist():
-        # kernel tends to a Dirac comb: the u-integral tends to the
-        # boundary integral over the window, which is data-exact
-        window, at = windows[p], ~inside[p]
-        out[p, 0, at] = boundary_integral(window.spec, window.u0, window.u1)
-        out[p, 1, at] = 0.0
-    return out
+    return np.stack((value, np.abs(value - coarse) + remainder), axis=1)
 
 
 def _poisson_window(window: PoissonWindow, vflat):

@@ -592,7 +592,7 @@ def mass_closed_form(current: Current, r: float, k0: int = 0) -> float:
 
 
 def boundary_reduction_check(
-    lam_value: float,
+    lam: Eigenvalue,
     alpha_modulus: float,
     spec: PoissonSpec,
     r: float,
@@ -605,13 +605,12 @@ def boundary_reduction_check(
     value at v_r (times a bounded constant); this returns the raw ratio so
     tests can pin the window it must land in.
     """
-    if not (0.0 < lam_value <= 1.0):
+    if not (0.0 < lam.value <= 1.0):
         raise DomainError("reduction check needs an eigenvalue in (0, 1]")
     if not isinstance(spec, PoissonSpec) or spec.c_lin != 0.0:
         raise InputError("reduction check expects Poisson data with no linear term")
-    if not (0.0 < r <= math.exp(-1.0 / lam_value)):
+    if not (0.0 < r <= math.exp(-1.0 / lam.value)):
         raise DomainError("radius must lie in (0, e^(-1/lambda)]")
-    lam = Eigenvalue(lam_value, "irrational") if lam_value != 1.0 else Eigenvalue(1.0, "rational", 1, 1)
     dom = leaf_domain(lam, alpha_modulus, r)
     shift = coordinate_shift(lam, alpha_modulus)
     v_r = dom.v_min - shift
@@ -621,14 +620,7 @@ def boundary_reduction_check(
     def integrand(v):
         return jacobian_density(lam, area, v) * np.asarray(evaluate(spec, u, v))
 
-    value, _err = integrate(
-        integrand,
-        v_r,
-        v_hi,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_depth=cfg.max_depth,
-    )
+    value, _err = integrate(integrand, v_r, v_hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_depth=cfg.max_depth)
     denom = evaluate(spec, u, v_r)
     if not denom > 0.0:
         raise DomainError("density vanishes at the boundary height; ratio undefined")
@@ -656,14 +648,17 @@ def interval_window(n: int, k: int) -> Tuple[float, float]:
     return width * (n - 1) + TWO_PI, width * n + TWO_PI
 
 
-def lower_bound_nonperiodic(
-    current: Current,
-    k: int = 2,
-    n_max: int = 20,
-) -> float:
+# the 2 k pi interval decomposition of lower_bound_nonperiodic: its k, and
+# the intervals N in [-N_MAX, N_MAX] that it sums
+INTERVAL_K = 2
+INTERVAL_N_MAX = 20
+
+
+def lower_bound_nonperiodic(current: Current) -> float:
     """Positive lower bound on the Lelong limit from boundary mass alone.
 
-    Sums the per-interval boundary integrals against the kernel weights and
+    Sums the per-interval boundary integrals of the INTERVAL_K decomposition,
+    N from -INTERVAL_N_MAX to INTERVAL_N_MAX, against the kernel weights and
     scales by the declared constant min(1, lambda)/(2 pi); the bound is
     crude but certifiably below the limit for the corpus currents, which is
     all the positivity theorem needs in the aperiodic case.
@@ -676,12 +671,12 @@ def lower_bound_nonperiodic(
         if atom.spec.c_lin != 0.0:
             raise UnsupportedCurrentError("interval lower bound needs c_lin = 0")
     raw = 0.0
-    for n in range(-n_max, n_max + 1):
-        lo, hi = interval_window(n, k)
+    for n in range(-INTERVAL_N_MAX, INTERVAL_N_MAX + 1):
+        lo, hi = interval_window(n, INTERVAL_K)
         per_atom = sum(
             atom.weight * boundary_integral(atom.spec, lo, hi) for atom in current.atoms
         )
-        raw += kernel_weight(n) * per_atom / (TWO_PI * k)
+        raw += kernel_weight(n) * per_atom / (TWO_PI * INTERVAL_K)
     return min(1.0, current.lam.value) / TWO_PI * raw
 
 
@@ -757,7 +752,8 @@ def lelong_from_masses(
     The few floats per schedule that remain (bracket, R^2, the divergence
     test) are the scalar expressions. nus that are not finite, or whose
     squares overflow, give a fit that is not finite either, which the
-    command line then refuses by name.
+    command line then refuses by name. A radius whose area pi r^2
+    underflows to 0 raises DomainError naming the first such radius.
     """
     rs = tuple(rs)
     if not schedules:
@@ -765,7 +761,7 @@ def lelong_from_masses(
     steps = len(rs)
     areas = [math.pi * r**2 for r in rs]
     if 0.0 in areas:
-        raise ZeroDivisionError("float division by zero")
+        raise DomainError(f"r = {rs[areas.index(0.0)]!r}: the area pi r^2 underflows to 0")
     start = 0 if steps < 6 else steps // 2
     # -log r as np.polyfit takes it, x + 0.0, whose -0.0 at r = 1 is 0.0
     x = 0.0 - np.log(np.asarray(rs[start:]))

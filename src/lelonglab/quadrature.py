@@ -8,7 +8,7 @@ independent jobs side by side: it takes the ends of every job's ranges as two
 (job, range) arrays, an empty range having lo = hi, keeps its state in arrays
 over (job, panel) and (job, range), evaluates each round's panels in one
 integrand call, and returns each range's value and error as (job, range, m)
-arrays. integrate is its one-job case, on Python floats.
+arrays. integrate is its one-job, one-range case, on Python floats.
 """
 
 from __future__ import annotations
@@ -76,16 +76,6 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
-
-
-def _check_job(a: float, b: float, spans) -> None:
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InputError("integration endpoints must be finite")
-    if a > b:
-        raise InputError("integration needs a < b")
-    for lo, hi in spans:
-        if not (a <= lo <= hi <= b):
-            raise InputError(f"range [{lo}, {hi}] is not an ordered sub-range of [{a}, {b}]")
 
 
 def _seed_panels(lo, hi):
@@ -240,16 +230,17 @@ def integrate_lockstep(
     """Integrals of many independent jobs, refined in lockstep.
 
     lo and hi are (J, R) arrays: job j integrates over its ranges
-    [lo[j, r], hi[j, r]], which share one partition as in integrate. A
-    range with lo = hi is empty, and its sums are 0; a reversed or
-    non-finite range raises InputError naming its job and range. Every job
-    has its own panels, open ranges and max_depth/max_panels budget, and is
-    refined exactly as integrate refines it alone: each round, every job
-    with a range over its tolerance splits its worst panel. The jobs share
-    only the integrand call: f(rows, v) gets the (P, 15) nodes of all the
-    panels of a round, row p belonging to job rows[p], and returns their
-    (P, 15) values, or (P, m, 15) for m integrands on one partition, of
-    which row 0 steers.
+    [lo[j, r], hi[j, r]], which share one partition: it starts from the
+    panels between consecutive range ends, and each range's value and error
+    is the sum over its own panels. A range with lo = hi is empty, and its
+    sums are 0; a reversed or non-finite range raises InputError naming its
+    job and range. Every job has its own panels, open ranges and
+    max_depth/max_panels budget, and is refined exactly as it would be
+    alone: each round, every job with a range over its tolerance splits its
+    worst panel. The jobs share only the integrand call: f(rows, v) gets
+    the (P, 15) nodes of all the panels of a round, row p belonging to job
+    rows[p], and returns their (P, 15) values, or (P, m, 15) for m
+    integrands on one partition, of which row 0 steers.
 
     A panel is eligible while any of its ranges is open, that is, over its
     tolerance, and each round a job splits its eligible panel of largest
@@ -416,45 +407,33 @@ def integrate(
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-12,
     max_depth: int = 16,
-    max_panels: int = 20000,
-    ranges=None,
 ):
     """Integral of the vectorized f over [a, b] with an error estimate.
 
     The worst panel is split until the summed Kronrod-vs-Gauss discrepancy
     meets max(abs_tol, rel_tol * |value|); panels that would need more than
     max_depth splits raise QuadratureFailure carrying the best estimate, and
-    so does a panel whose value or error is not finite.
-
-    With ranges, a sequence of sub-ranges (lo, hi) of [a, b], one partition
-    serves them all: it starts from the panels between consecutive range
-    ends, each range's value and error is the sum over its own panels, and
-    the worst panel of any range still over its tolerance is split next
-    (ties go to the shallower, then the leftmost panel). The result is then
-    a list with one (value, error) pair per range; without ranges it is the
-    single pair for [a, b].
+    so does a panel whose value or error is not finite. An empty range,
+    a = b, gives (0.0, 0.0).
 
     f may also return an (m, n) array for its n nodes: m integrands on one
     partition. Row 0 alone steers refinement and tolerances; values and
     errors then come back as length-m arrays.
 
-    This is the one-job case of integrate_lockstep, with f called on the
-    nodes of one panel at a time.
+    This is the one-job, one-range case of integrate_lockstep, with f
+    called on the nodes of one panel at a time.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InputError("integration endpoints must be finite")
+    if a > b:
+        raise InputError("integration needs a < b")
 
     def per_panel(rows, v):
         return np.stack([np.asarray(f(nodes), dtype=float) for nodes in v])
 
-    spans = [(a, b)] if ranges is None else list(ranges)
-    _check_job(a, b, spans)
-    ends = np.array(spans, dtype=float).reshape(1, -1, 2)
     values, errors = integrate_lockstep(
-        per_panel, ends[..., 0], ends[..., 1], rel_tol=rel_tol, abs_tol=abs_tol,
-        max_depth=max_depth, max_panels=max_panels,
+        per_panel, [[a]], [[b]], rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth,
     )
     if values.shape[2] == 1:
-        parts = list(zip(values[0, :, 0].tolist(), errors[0, :, 0].tolist()))
-    else:  # an empty range keeps scalar zero sums
-        parts = [(value, err) if lo < hi else (0.0, 0.0)
-                 for value, err, (lo, hi) in zip(values[0], errors[0], spans)]
-    return parts[0] if ranges is None else parts
+        return float(values[0, 0, 0]), float(errors[0, 0, 0])
+    return values[0, 0], errors[0, 0]

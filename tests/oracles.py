@@ -672,12 +672,12 @@ def normalize(spec: HarmonicSpec) -> HarmonicSpec:
     if not (base > 0.0) or not math.isfinite(base):
         raise NormalizationError(f"degenerate normalization: density at the base point is {base}")
     if isinstance(spec, FourierSpec):
-        return replace(
-            spec,
-            a0=spec.a0 / base,
-            b0=spec.b0 / base,
-            modes=tuple((k, a / base, bb / base) for k, a, bb in spec.modes),
-        )
+        a0, b0 = spec.a0 / base, spec.b0 / base
+        modes = tuple((k, a / base, bb / base) for k, a, bb in spec.modes)
+        coefs = [a0, b0] + [x for _, a, bb in modes for x in (a, bb)]
+        if not all(math.isfinite(x) for x in coefs):  # a subnormal base
+            raise NormalizationError(f"degenerate normalization: rescaling by the density {base} overflows")
+        return replace(spec, a0=a0, b0=b0, modes=modes)
     return PoissonSpec(
         ys=spec.ys,
         values=spec.values / base,

@@ -13,7 +13,6 @@ import pytest
 from scipy.integrate import quad
 
 from lelonglab import (
-    Eigenvalue,
     FourierSpec,
     PoissonSpec,
     ia,
@@ -239,24 +238,24 @@ def test_09_window_independence(cases, announce):
 
 
 def test_10_monodromy_relation(announce):
-    lam = Eigenvalue.rational(1, 2)
+    # the deck turn k = 1 of an eigenvalue with period 2, such as lambda = 1/2
     mother = normalize(FourierSpec(b=2, a0=1.0, modes=((-1, 0.2, 0.1), (-3, 0.05, 0.0))))
     moved, _c = translate(mother, 1)
-    fourier_ok = verify_monodromy_relation(lam, mother, moved, 1, tol=1e-6)
+    fourier_ok = verify_monodromy_relation(mother, moved, 1)
 
     n = 1153
     ys = np.linspace(-24.0 * math.pi, 24.0 * math.pi, n)
     values = 0.3 + np.exp(-(ys**2) / 8.0)
     bump = normalize(PoissonSpec(ys=ys, values=values, tail=0.3))
     moved_bump, _c2 = translate(bump, 1)
-    poisson_ok = verify_monodromy_relation(lam, bump, moved_bump, 1, tol=1e-6)
+    poisson_ok = verify_monodromy_relation(bump, moved_bump, 1)
 
     # a tampered pair must be rejected, or the check certifies nothing
     tampered = FourierSpec(
         b=2, a0=mother.a0,
         modes=tuple((k, 1.01 * ak, bk) for k, ak, bk in mother.modes),
     )
-    rejected = not verify_monodromy_relation(lam, mother, tampered, 1, tol=1e-6)
+    rejected = not verify_monodromy_relation(mother, tampered, 1)
 
     ok = fourier_ok and poisson_ok and rejected
     announce(

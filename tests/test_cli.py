@@ -354,6 +354,22 @@ class TestNumericalEdges:
         assert out == ""
         assert err == "numerical failure: closed_form is not a finite number\n"
 
+    @pytest.mark.parametrize("command", [["lelong"], ["sweep"], ["leafplot"]])
+    def test_area_that_underflows_is_input_error(self, command, write_current, tmp_path, capsys):
+        # 540 halvings from r = 1 reach 2^-538 = 1.11e-162, where pi r^2 is 0
+        path = write_current(FLAGSHIP_JSON)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out_path = out_dir if command == ["leafplot"] else out_dir / "out.csv"
+        extra = [] if command == ["sweep"] else ["--input", path]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(command + extra + ["--steps", "540", "--out", str(out_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: r = 1.1113793747425387e-162: the area pi r^2 underflows to 0\n"
+        assert list(out_dir.iterdir()) == []
+
     def test_non_finite_verify_report_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         from lelonglab.theorems import VerificationReport
 
@@ -462,6 +478,17 @@ class TestLeafplot:
         capsys.readouterr()
         assert seen["steps"] == 5 and seen["k0"] == 2
         assert (tmp_path / "schedule.svg").read_text(encoding="utf-8").count("<circle") == 5
+
+    def test_failure_writes_no_file(self, write_current, tmp_path, capsys):
+        # the schedule fails before either SVG is written
+        path = write_current(FLAGSHIP_JSON)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["leafplot", "--input", path, "--out", str(out_dir), "--steps", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: a schedule needs at least two steps\n"
+        assert list(out_dir.iterdir()) == []
 
 
 class TestSweep:

@@ -880,28 +880,29 @@ class TestBoundaryReduction:
     def test_flat_boundary_frozen_ratio(self):
         # H == 1 collapses the ratio to the pure jacobian integral: at
         # lambda = 1, |alpha| = 1/2 that is exactly 1 + |alpha|^2 = 1.25
-        ratio = boundary_reduction_check(1.0, 0.5, flat_poisson(), math.exp(-1.0), 0.0)
+        ratio = boundary_reduction_check(Eigenvalue.rational(1, 1), 0.5, flat_poisson(), math.exp(-1.0), 0.0)
         assert ratio == pytest.approx(1.25, rel=1e-5)
 
     @pytest.mark.parametrize("lam_value", [0.5, 1.0])
     @pytest.mark.parametrize("u", [0.0, 2.0, -5.0])
     def test_bump_ratios_inside_lemma_window(self, lam_value, u):
+        lam = Eigenvalue.rational(1, round(1.0 / lam_value))
         n = 769
         ys = np.linspace(-16.0 * math.pi, 16.0 * math.pi, n)
         values = 0.4 + np.exp(-(ys**2) / 18.0)
         spec = PoissonSpec(ys=ys, values=values, tail=0.4)
         r = math.exp(-1.2 / lam_value)
-        ratio = boundary_reduction_check(lam_value, 1.2, spec, r, u)
+        ratio = boundary_reduction_check(lam, 1.2, spec, r, u)
         c_min, c_max = min(1.0, lam_value), 1.0 + lam_value
         assert 0.5 * c_min <= ratio <= 2.0 * c_max
 
     def test_radius_gate(self):
         with pytest.raises(DomainError):
-            boundary_reduction_check(0.5, 1.2, flat_poisson(), 0.5, 0.0)
+            boundary_reduction_check(Eigenvalue.rational(1, 2), 1.2, flat_poisson(), 0.5, 0.0)
 
     def test_rejects_linear_term(self):
         with pytest.raises(InputError):
-            boundary_reduction_check(1.0, 0.5, flat_poisson(c_lin=0.2), math.exp(-1.0), 0.0)
+            boundary_reduction_check(Eigenvalue.rational(1, 1), 0.5, flat_poisson(c_lin=0.2), math.exp(-1.0), 0.0)
 
 
 class TestIntervalBound:
@@ -923,13 +924,13 @@ class TestIntervalBound:
         lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
         spec = flat_poisson()
         cur = build_current(lam, [TransversalAtom(1.3, 0.9, spec)])
-        k, n_max = 2, 20
+        k, n_max = 2, 20  # the decomposition lower_bound_nonperiodic sums
         expected = 0.0
         for n in range(-n_max, n_max + 1):
             lo, hi = interval_window(n, k)
             expected += kernel_weight(n) * 0.9 * boundary_integral(spec, lo, hi) / (2.0 * math.pi * k)
         expected *= min(1.0, lam.value) / (2.0 * math.pi)
-        assert lower_bound_nonperiodic(cur, k=k, n_max=n_max) == pytest.approx(expected, rel=1e-12)
+        assert lower_bound_nonperiodic(cur) == pytest.approx(expected, rel=1e-12)
 
     def test_flat_boundary_window_lengths(self):
         # constant boundary turns the sum into pure window arithmetic
@@ -937,13 +938,7 @@ class TestIntervalBound:
         cur = build_current(lam, [TransversalAtom(1.3, 1.0, flat_poisson())])
         raw = 0.75 + 2.0 * sum(1.0 / (1.0 + m**2) for m in range(2, 22))
         want = 1.0 / (2.0 * math.pi) * raw
-        assert lower_bound_nonperiodic(cur, k=2, n_max=20) == pytest.approx(want, rel=1e-12)
-
-    def test_monotone_in_n_max(self):
-        lam = Eigenvalue.irrational(1.0 / math.pi)
-        cur = build_current(lam, [TransversalAtom(1.3, 1.0, flat_poisson())])
-        bounds = [lower_bound_nonperiodic(cur, n_max=n) for n in (5, 10, 20)]
-        assert bounds[0] < bounds[1] < bounds[2]
+        assert lower_bound_nonperiodic(cur) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_negative_eigenvalue(self, neg_single):
         with pytest.raises(InputError):
@@ -1112,14 +1107,11 @@ class TestScheduleSummaries:
             assert [_summary_bits(est) for est in got] == [
                 _summary_bits(oracles.lelong_from_masses(rs[:steps], row)) for row in rows]
 
-    def test_area_that_underflows_raises_as_float_division(self):
-        import oracles
-
-        rs, masses = [1e-100, 1e-200], [(1.0, 0.0), (1.0, 0.0)]
-        with pytest.raises(ZeroDivisionError):
-            oracles.lelong_from_masses(rs, masses)
-        with pytest.raises(ZeroDivisionError):
-            lelong_from_masses(rs, [masses])
+    def test_area_that_underflows_is_domain_error(self):
+        # pi r^2 is 0 for r below about 9e-163; the error names the first such radius
+        rs, masses = [1e-100, 1e-200, 1e-300], [(1.0, 0.0)] * 3
+        with pytest.raises(DomainError, match=r"^r = 1e-200: the area pi r\^2 underflows to 0$"):
+            lelong_from_masses(rs, [masses, masses])
 
     def test_no_schedules(self):
         assert lelong_from_masses([1.0, 0.5], []) == []

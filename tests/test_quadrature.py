@@ -78,14 +78,16 @@ def _oscillating(x):
 
 
 class TestSubRanges:
+    """Ranges of one job, through _lockstep; integrate is the one-range case."""
+
     def test_one_full_range_is_the_plain_call(self):
         plain = integrate(_oscillating, 0.0, 9.0)
-        assert integrate(_oscillating, 0.0, 9.0, ranges=[(0.0, 9.0)]) == [plain]
+        assert _one_job(_oscillating, 0.0, 9.0, [(0.0, 9.0)]) == [plain]
 
     def test_each_range_meets_its_own_tolerance(self):
         ranges = [(lo, 12.0) for lo in (0.0, 0.7, 1.4, 2.8, 5.6)] + [(1.0, 3.0)]
         rel_tol, abs_tol = 1e-10, 1e-13
-        parts = integrate(_oscillating, 0.0, 12.0, rel_tol=rel_tol, abs_tol=abs_tol, ranges=ranges)
+        parts = _one_job(_oscillating, 0.0, 12.0, ranges, rel_tol=rel_tol, abs_tol=abs_tol)
         assert len(parts) == len(ranges)
         for (lo, hi), (value, err) in zip(ranges, parts):
             alone, alone_err = integrate(_oscillating, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol)
@@ -97,22 +99,19 @@ class TestSubRanges:
             assert not np.any((x > 1.0) & (x < 2.0)), "evaluated inside the gap"
             return np.cos(x)
 
-        (v1, _), (v2, _) = integrate(f, 0.0, 3.0, ranges=[(0.0, 1.0), (2.0, 3.0)])
+        (v1, _), (v2, _) = _one_job(f, 0.0, 3.0, [(0.0, 1.0), (2.0, 3.0)])
         assert v1 == pytest.approx(math.sin(1.0), rel=1e-12)
         assert v2 == pytest.approx(math.sin(3.0) - math.sin(2.0), rel=1e-12)
 
     def test_empty_and_invalid_ranges(self):
-        assert integrate(np.exp, 0.0, 1.0, ranges=[(0.5, 0.5)]) == [(0.0, 0.0)]
+        assert _one_job(np.exp, 0.0, 1.0, [(0.5, 0.5)]) == [(0.0, 0.0)]
+        assert _one_job(np.exp, 0.0, 1.0, [(0.0, 1.0), (0.5, 0.5)])[1] == (0.0, 0.0)
         with pytest.raises(InputError):
-            integrate(np.exp, 0.0, 1.0, ranges=[(0.5, 1.5)])
-        with pytest.raises(InputError):
-            integrate(np.exp, 0.0, 1.0, ranges=[(0.6, 0.4)])
+            _one_job(np.exp, 0.0, 1.0, [(0.6, 0.4)])
 
     def test_deterministic(self):
         ranges = [(0.0, 8.0), (0.5, 8.0), (3.0, 5.0)]
-        assert integrate(_oscillating, 0.0, 8.0, ranges=ranges) == integrate(
-            _oscillating, 0.0, 8.0, ranges=ranges
-        )
+        assert _one_job(_oscillating, 0.0, 8.0, ranges) == _one_job(_oscillating, 0.0, 8.0, ranges)
 
     def test_reopened_range_gets_its_parked_panels_back(self):
         # a constant integrand plus a chosen Kronrod-only error per panel;
@@ -129,9 +128,7 @@ class TestSubRanges:
             out[0::2] += inject.get((lo, hi), 0.0) / (half * _W_KRONROD[0::2].sum())
             return out
 
-        (va, ea), (vb, eb) = integrate(
-            f, 0.0, 3.0, rel_tol=1e-3, abs_tol=1e-9, ranges=[(0.0, 2.0), (1.0, 3.0)]
-        )
+        (va, ea), (vb, eb) = _one_job(f, 0.0, 3.0, [(0.0, 2.0), (1.0, 3.0)], rel_tol=1e-3, abs_tol=1e-9)
         # A starts converged, so its worst panel [0, 1] is parked while B
         # refines; splitting [1, 2] raises A's error over budget again, and
         # [0, 1] is then the worst panel of an open range
@@ -146,7 +143,7 @@ class TestSubRanges:
             calls.append(x.size)
             return np.stack((_oscillating(x), np.abs(np.cos(x))))
 
-        (value, err), = integrate(pair, 0.0, 9.0, ranges=[(0.0, 9.0)])
+        value, err = integrate(pair, 0.0, 9.0)
         plain, plain_err = integrate(_oscillating, 0.0, 9.0)
         assert value.shape == err.shape == (2,)
         assert value[0] == pytest.approx(plain, rel=1e-14)
@@ -199,6 +196,15 @@ def _lockstep(f, jobs, **kw):
             for v, e, (_, _, spans) in zip(values, errors, jobs)]
 
 
+def _one_job(g, a, b, spans, **kw):
+    """The sums of the one job (a, b, spans) through _lockstep, g called once per panel as integrate calls it."""
+
+    def per_panel(rows, v):
+        return np.stack([np.asarray(g(x), dtype=float) for x in v])
+
+    return _lockstep(per_panel, [(a, b, spans)], **kw)[0]
+
+
 def _rows_of(integrands, seen=None):
     """f(rows, v) evaluating every row with its own job's integrand."""
 
@@ -242,7 +248,7 @@ class TestLockstep:
         per_job = np.sum(seen, axis=0) if seen else np.zeros(len(specs), dtype=int)
         for j, (g, (a, b, spans)) in enumerate(zip(integrands, specs)):
             calls = []
-            alone = integrate(lambda x: calls.append(1) or g(x), a, b, rel_tol=1e-10, ranges=spans)
+            alone = _one_job(lambda x: calls.append(1) or g(x), a, b, spans, rel_tol=1e-10)
             assert per_job[j] == len(calls)
             for (value, err), (want, want_err) in zip(together[j], alone):
                 assert value == pytest.approx(want, rel=1e-14, abs=1e-300)
@@ -334,11 +340,11 @@ class TestLockstep:
 
         together = _lockstep(f, jobs)
         for j, (a, b, spans) in enumerate(jobs):
-            alone = integrate(pairs[j], a, b, ranges=spans)
+            alone = _one_job(pairs[j], a, b, spans)
             steer = []
-            integrate(lambda x: steer.append(1) or pairs[j](x)[0], a, b, ranges=spans)
+            _one_job(lambda x: steer.append(1) or pairs[j](x)[0], a, b, spans)
             pair_calls = []
-            integrate(lambda x: pair_calls.append(1) or pairs[j](x), a, b, ranges=spans)
+            _one_job(lambda x: pair_calls.append(1) or pairs[j](x), a, b, spans)
             assert len(pair_calls) == len(steer)
             for (value, err), (want, want_err) in zip(together[j], alone):
                 assert value.shape == err.shape == (2,)
@@ -505,15 +511,20 @@ class TestAgainstHeapEngine:
         assert any(abs(lo - 0.5) < 1e-12 for lo in lefts)
 
     def test_invalid_jobs(self):
-        # a job's [a, b] and its ranges are integrate's to check; integrate_lockstep
-        # takes range ends alone (see TestLockstep.test_bad_range_names_its_job_and_range)
+        # a job's [a, b] is integrate's to check; integrate_lockstep takes
+        # range ends alone (see TestLockstep.test_bad_range_names_its_job_and_range)
         from oracles import integrate_lockstep as heap_lockstep
 
-        for bad in ((0.0, 1.0, [(0.2, 0.1)]), (math.nan, 1.0, []), (0.0, math.inf, []), (2.0, 1.0, []),
-                    (0.0, 1.0, [(0.5, 1.5)])):
-            a, b, spans = bad
+        for bad in ((math.nan, 1.0, []), (0.0, math.inf, []), (2.0, 1.0, [])):
+            a, b, _ = bad
             with pytest.raises(InputError) as got:
-                integrate(np.exp, a, b, ranges=spans)
+                integrate(np.exp, a, b)
             with pytest.raises(InputError) as want:
                 heap_lockstep(_rows_of([np.exp]), [bad])
             assert str(got.value) == str(want.value)
+        # a reversed range, which both engines refuse
+        bad = (0.0, 1.0, [(0.2, 0.1)])
+        with pytest.raises(InputError):
+            _lockstep(_rows_of([np.exp]), [bad])
+        with pytest.raises(InputError):
+            heap_lockstep(_rows_of([np.exp]), [bad])
