@@ -354,13 +354,15 @@ def _base_value(spec: HarmonicSpec) -> float:
     return base
 
 
-def _refuse_overflow(c: float, *coefs: float) -> None:
-    """Refuse coefficients divided by c that are not finite, as a subnormal c makes them.
+def _refuse_overflow(c: float, coefs) -> None:
+    """Refuse a rescale by c whose coefficients, coefs(), are not all finite.
 
-    The spec constructors would refuse them too, but as a non-finite field
-    of the input, where the fault is the normalization's.
+    Only a c below 1, as a subnormal density makes it, can overflow a
+    finite coefficient, so coefs is called only then. The spec constructors
+    would refuse the overflow too, but as a non-finite field of the input,
+    where the fault is the normalization's.
     """
-    if not all(map(math.isfinite, coefs)):
+    if c < 1.0 and not all(map(math.isfinite, coefs())):
         raise NormalizationError(f"degenerate normalization: rescaling by the density {c} overflows")
 
 
@@ -377,10 +379,10 @@ def normalize(spec: HarmonicSpec) -> HarmonicSpec:
     if isinstance(spec, FourierSpec):
         a0, b0 = spec.a0 / base, spec.b0 / base
         modes = tuple((k, a / base, bb / base) for k, a, bb in spec.modes)
-        _refuse_overflow(base, a0, b0, *(x for _, a, bb in modes for x in (a, bb)))
+        _refuse_overflow(base, lambda: (a0, b0, *(x for _, a, bb in modes for x in (a, bb))))
         return replace(spec, a0=a0, b0=b0, modes=modes)
     tail, c_lin = spec.tail / base, spec.c_lin / base
-    _refuse_overflow(base, float(spec.values.max()) / base, tail, c_lin)  # the values are >= 0
+    _refuse_overflow(base, lambda: (float(spec.values.max()) / base, tail, c_lin))  # the values are >= 0
     return PoissonSpec(ys=spec.ys, values=spec.values / base, tail=tail, c_lin=c_lin)
 
 
@@ -411,7 +413,7 @@ def translate(spec: HarmonicSpec, k: int) -> Tuple[HarmonicSpec, float]:
             ct, st = math.cos(theta), math.sin(theta)
             new_modes.append((km, (a * ct + bb * st) / c, (-a * st + bb * ct) / c))
         a0, b0 = spec.a0 / c, spec.b0 / c
-        _refuse_overflow(c, a0, b0, *(x for _, a, bb in new_modes for x in (a, bb)))
+        _refuse_overflow(c, lambda: (a0, b0, *(x for _, a, bb in new_modes for x in (a, bb))))
         return replace(spec, a0=a0, b0=b0, modes=tuple(new_modes)), c
     step = spec.step
     m = shift / step
@@ -425,7 +427,7 @@ def translate(spec: HarmonicSpec, k: int) -> Tuple[HarmonicSpec, float]:
     start = m_int + abs(m_int)  # 2m for k > 0, 0 for k < 0
     kept = spec.values[start : n - (drop - start)]
     tail, c_lin = spec.tail / c, spec.c_lin / c
-    _refuse_overflow(c, float(kept.max()) / c, tail, c_lin)  # the values are >= 0
+    _refuse_overflow(c, lambda: (float(kept.max()) / c, tail, c_lin))  # the values are >= 0
     half = spec.half_width - abs(shift)
     new_ys = np.linspace(-half, half, n - drop)
     return PoissonSpec(ys=new_ys, values=kept / c, tail=tail, c_lin=c_lin), c
