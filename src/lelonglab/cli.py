@@ -21,24 +21,21 @@ from .current import (
     Current,
     TransversalAtom,
     accumulation_family,
-    build_currents,
+    build_current,
     current_from_json,
 )
 from .errors import InputError, LelongLabError, NumericalFailure
 from .foliation import Eigenvalue, torus_curve
 from .harmonic import FourierSpec, normalize
 from .mass import (
-    _exact_masses,
     closed_form_applicable,
     lelong_estimate,
-    lelong_from_masses,
-    lelong_radii,
     lelong_to_json,
     mass_closed_form,
     mass_quadrature,
 )
 from .quadrature import QuadratureConfig
-from .theorems import VerifyConfig, report_to_json, run_corpus
+from .theorems import report_to_json, run_corpus
 
 CANVAS = 800
 MARGIN = 40
@@ -95,10 +92,17 @@ def _add_quad_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--abs-tol", type=float, default=1e-12)
 
 
-def _add_schedule_flags(p: argparse.ArgumentParser, steps_default: int = 12) -> None:
+def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r-start", type=float, default=1.0)
     p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=steps_default)
+    p.add_argument("--steps", type=int, default=12)
+
+
+def _estimate(args: argparse.Namespace, current: Current):
+    """The LelongEstimate of current along the schedule and settings of the flags."""
+    return lelong_estimate(
+        current, r_start=args.r_start, ratio=args.ratio, steps=args.steps, cfg=_quad_config(args), k0=args.k0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +138,7 @@ def _write_schedule_csv(path: str, est) -> None:
 
 
 def cmd_lelong(args: argparse.Namespace) -> int:
-    current = _load_current(args.input)
-    cfg = _quad_config(args)
-    est = lelong_estimate(
-        current,
-        r_start=args.r_start,
-        ratio=args.ratio,
-        steps=args.steps,
-        cfg=cfg,
-        k0=args.k0,
-    )
+    est = _estimate(args, _load_current(args.input))
     text = _json_text(lelong_to_json(est))  # before the CSV: a failure writes nothing
     if args.out:
         _write_schedule_csv(args.out, est)
@@ -152,8 +147,7 @@ def cmd_lelong(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = VerifyConfig(quad=_quad_config(args), tol_scale=args.tol_scale)
-    reports = run_corpus(seed=args.seed, cfg=cfg, only=args.case)
+    reports = run_corpus(seed=args.seed, only=args.case, tol_scale=args.tol_scale)
     payload = [report_to_json(rep) for rep in reports]
     text = _json_text(payload)
     # stdout carries the JSON report alone; the table is for people
@@ -246,15 +240,7 @@ def cmd_leafplot(args: argparse.Namespace) -> int:
         u_span=2.0 * math.pi * loops,
         samples=max(2, 128 * loops),
     )
-    # the estimate before either file: a failure writes nothing
-    est = lelong_estimate(
-        current,
-        r_start=args.r_start,
-        ratio=args.ratio,
-        steps=args.steps,
-        cfg=_quad_config(args),
-        k0=args.k0,
-    )
+    est = _estimate(args, current)  # before either file: a failure writes nothing
     torus_path = args.out + "/torus.svg" if args.out else "torus.svg"
     schedule_path = args.out + "/schedule.svg" if args.out else "schedule.svg"
     with open(torus_path, "w", encoding="utf-8", newline="") as fh:
@@ -294,24 +280,27 @@ SWEEP_FAMILIES = ("single-constant", "single-modes", "geometric-family")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # every sweep current is a trig series: one table, one exact-route call,
-    # one batch of summaries
+    """The nu summary of every (eigenvalue, family) current, one lelong_estimate each.
+
+    Every sweep current is a trig series, so each schedule takes the exact
+    route at its default settings; the sweep takes no tolerance flags.
+    """
     lams = (Eigenvalue.rational(1, 1), Eigenvalue.rational(1, 2), Eigenvalue.negative(-1.0))
-    grid = [(lam, family) for lam in lams for family in SWEEP_FAMILIES]
-    rs = lelong_radii(args.r_start, args.ratio, args.steps)
-    _, table = build_currents([(lam, _sweep_atoms(lam, family)) for lam, family in grid])
     rows = []
-    for (lam, family), est in zip(grid, lelong_from_masses(rs, _exact_masses(table, rs))):
-        rows.append([
-            repr(lam.value),
-            family,
-            repr(est.rs[-1]),
-            repr(est.nus[-1]),
-            repr(est.limit_bracket[0]),
-            repr(est.limit_bracket[1]),
-            int(est.monotone_ok),
-            int(est.diverging),
-        ])
+    for lam in lams:
+        for family in SWEEP_FAMILIES:
+            current = build_current(lam, _sweep_atoms(lam, family))
+            est = lelong_estimate(current, r_start=args.r_start, ratio=args.ratio, steps=args.steps)
+            rows.append([
+                repr(lam.value),
+                family,
+                repr(est.rs[-1]),
+                repr(est.nus[-1]),
+                repr(est.limit_bracket[0]),
+                repr(est.limit_bracket[1]),
+                int(est.monotone_ok),
+                int(est.diverging),
+            ])
     out = args.out or "sweep.csv"
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -359,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--case", default=None, help="run a single case id")
     p_verify.add_argument("--out", default=None, help="JSON report path")
     p_verify.add_argument("--tol-scale", type=float, default=1.0)
-    _add_quad_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_plot = sub.add_parser("leafplot", help="torus leaf curve + nu schedule SVGs")

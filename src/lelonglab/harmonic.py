@@ -138,10 +138,6 @@ class PoissonSpec:
         object.__setattr__(self, "values", values)
 
     @property
-    def on_strip(self) -> bool:
-        return False
-
-    @property
     def half_width(self) -> float:
         return float(self.ys[-1])
 

@@ -193,8 +193,6 @@ def mass_quadrature_schedule(
     The weighted (atom, radius) sums are added over the atoms in order.
     """
     rs = tuple(rs)
-    if not all(0.0 < r <= 1.0 for r in rs):
-        raise DomainError("radius must lie in (0, 1]")
     if not rs:
         return []
     lam = current.lam
@@ -371,8 +369,17 @@ def _scalar(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _ia(lv, log_am, log_r, s_in, s_out):
-    return (
+def ia(lv, am, r):
+    """Strip integral of the interpolating part against the area density.
+
+    (1/r^2) int (1 - lambda v / log|alpha|) jac dv over the plaque strip.
+    Floats give a float; arrays, broadcast against each other, give one
+    entry per (lambda, |alpha|, r), each with the bits of its scalar call.
+    Given as broadcastable axes, a lattice takes each log and power once
+    per distinct argument (see _strip_terms).
+    """
+    lv, log_am, log_r, s_in, s_out = _strip_terms(lv, am, r)
+    return _scalar(
         1.0
         + lv * s_in
         + (
@@ -385,31 +392,17 @@ def _ia(lv, log_am, log_r, s_in, s_out):
     )
 
 
-def _ib(lv, log_am, log_r, s_in, s_out):
-    return 0.5 * (
-        -s_out * (lv + 2.0 * log_am - 2.0 * log_r) / lv
-        + s_in * (1.0 - 2.0 * lv * log_r)
-        - 2.0 * log_am
-    )
-
-
-def ia(lv, am, r):
-    """Strip integral of the interpolating part against the area density.
-
-    (1/r^2) int (1 - lambda v / log|alpha|) jac dv over the plaque strip.
-    Floats give a float; arrays, broadcast against each other, give one
-    entry per (lambda, |alpha|, r), each with the bits of its scalar call
-    (see _strip_terms).
-    """
-    return _scalar(_ia(*_strip_terms(lv, am, r)))
-
-
 def ib(lv, am, r):
     """Strip integral of v against the area density, (1/r^2) int v jac dv.
 
-    Takes floats or arrays as ia does.
+    Takes floats, arrays or broadcastable axes as ia does.
     """
-    return _scalar(_ib(*_strip_terms(lv, am, r)))
+    lv, log_am, log_r, s_in, s_out = _strip_terms(lv, am, r)
+    return _scalar(0.5 * (
+        -s_out * (lv + 2.0 * log_am - 2.0 * log_r) / lv
+        + s_in * (1.0 - 2.0 * lv * log_r)
+        - 2.0 * log_am
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +686,25 @@ _SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
 def lelong_radii(r_start: float, ratio: float, steps: int) -> List[float]:
-    """The geometric schedule r_start ratio^n, n < steps, of lelong_estimate."""
+    """The geometric schedule r_start ratio^n, n < steps, of lelong_estimate.
+
+    A radius that underflows to 0 raises DomainError naming the first such
+    radius by its index, r_start and ratio, since no caller gave it.
+    """
     if not (0.0 < r_start <= 1.0):
         raise DomainError("r_start must lie in (0, 1]")
     if not (0.0 < ratio < 1.0):
         raise InputError("ratio must lie in (0, 1)")
     if steps < 2:
         raise InputError("a schedule needs at least two steps")
-    return [r_start * ratio**n for n in range(steps)]
+    rs = [r_start * ratio**n for n in range(steps)]
+    if 0.0 in rs:
+        n = rs.index(0.0)
+        raise DomainError(
+            f"schedule radius {n}, r_start * ratio^{n} with r_start = {r_start!r} and ratio = {ratio!r}, "
+            "underflows to 0"
+        )
+    return rs
 
 
 def lelong_estimate(

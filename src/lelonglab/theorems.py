@@ -47,9 +47,6 @@ from .harmonic import FourierSpec, PoissonSpec, normalize
 from .mass import (
     _bracket_a,
     _exact_masses,
-    _ia,
-    _ib,
-    _strip_terms,
     ia,
     ib,
     kernel_weight,
@@ -60,7 +57,6 @@ from .mass import (
     lower_bound_nonperiodic,
     nu_limit_positive_periodic,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,17 +81,6 @@ PERIODIC_STEPS = 16
 
 
 @dataclass(frozen=True)
-class VerifyConfig:
-    quad: QuadratureConfig = DEFAULT_CONFIG
-    # scales every pass threshold; 0 turns each check into an unmeetable
-    # exact-equality demand (the forced-failure path)
-    tol_scale: float = 1.0
-
-
-DEFAULT_VERIFY = VerifyConfig()
-
-
-@dataclass(frozen=True)
 class CorpusCase:
     case_id: str
     kind: str  # "positive" | "negative" | "divergence"
@@ -108,16 +93,16 @@ class CorpusCase:
 
 def verify_positive_lambda(
     current: Current,
-    cfg: VerifyConfig = DEFAULT_VERIFY,
+    tol_scale: float = 1.0,
     case_id: str = "positive-lambda",
 ) -> VerificationReport:
     """Positive eigenvalue: the Lelong limit is strictly positive.
 
     The rigorous check is limit_bracket.lower > 0. Trig-series currents are
     additionally pinned to the closed-form limit; Poisson currents to the
-    interval lower bound.
+    interval lower bound. tol_scale scales both thresholds (see _verify).
     """
-    return _verify([CorpusCase(case_id, "positive", current)], current.table, cfg)[0]
+    return _verify([CorpusCase(case_id, "positive", current)], current.table, tol_scale)[0]
 
 
 def _check_positive(current: Current) -> None:
@@ -127,10 +112,10 @@ def _check_positive(current: Current) -> None:
         raise InputError("positive-limit verifier needs b0 = 0 and c_lin = 0 atoms")
 
 
-def _judge_positive(current: Current, est, masses, cfg: VerifyConfig, case_id: str) -> VerificationReport:
+def _judge_positive(current: Current, est, masses, tol_scale: float, case_id: str) -> VerificationReport:
     if masses is not None:  # trig data
         reference = nu_limit_positive_periodic(current)
-        tol = 1e-4 * cfg.tol_scale
+        tol = 1e-4 * tol_scale
         agrees = abs(est.limit_estimate - reference) <= tol * max(abs(reference), 1e-30)
         details = (
             f"pass iff bracket lower > 0 and |limit - {reference:.12g}| <= {tol:.3g} rel "
@@ -138,10 +123,10 @@ def _judge_positive(current: Current, est, masses, cfg: VerifyConfig, case_id: s
         )
     else:
         reference = lower_bound_nonperiodic(current)
-        agrees = est.limit_bracket[0] >= reference * (1.0 - 0.05 * cfg.tol_scale)
+        agrees = est.limit_bracket[0] >= reference * (1.0 - 0.05 * tol_scale)
         details = (
             f"pass iff bracket lower > 0 and >= interval bound {reference:.12g} "
-            f"x (1 - 0.05 x {cfg.tol_scale:g})"
+            f"x (1 - 0.05 x {tol_scale:g})"
         )
     positive = est.limit_bracket[0] > 0.0
     return VerificationReport(
@@ -156,7 +141,7 @@ def _judge_positive(current: Current, est, masses, cfg: VerifyConfig, case_id: s
 
 def verify_negative_periodic(
     current: Current,
-    cfg: VerifyConfig = DEFAULT_VERIFY,
+    tol_scale: float = 1.0,
     case_id: str = "negative-periodic",
 ) -> VerificationReport:
     """Negative eigenvalue, periodic current: the Lelong limit vanishes.
@@ -164,8 +149,9 @@ def verify_negative_periodic(
     Numeric half: nu at the end of the halving schedule falls below 5% of
     nu(1). Structural half: the atoms still admissible at the end radius
     carry a closed-form tail below 1% of the full mass (or none are left).
+    tol_scale scales both thresholds (see _verify).
     """
-    return _verify([CorpusCase(case_id, "negative", current)], current.table, cfg)[0]
+    return _verify([CorpusCase(case_id, "negative", current)], current.table, tol_scale)[0]
 
 
 def _check_negative(current: Current) -> None:
@@ -175,11 +161,11 @@ def _check_negative(current: Current) -> None:
         raise InputError("vanishing-limit verifier needs a periodic current")
 
 
-def _judge_negative(current: Current, est, masses, cfg: VerifyConfig, case_id: str) -> VerificationReport:
+def _judge_negative(current: Current, est, masses, tol_scale: float, case_id: str) -> VerificationReport:
     # a negative eigenvalue's atoms are trig strips, so masses is the exact
     # schedule, and rs[0] = R_START = 1 puts the mass at r = 1 in masses[0]
     nu_start, nu_end = est.nus[0], est.nus[-1]
-    decay_ok = nu_end < 0.05 * cfg.tol_scale * nu_start
+    decay_ok = nu_end < 0.05 * tol_scale * nu_start
     r_end = est.rs[-1]
     lv = current.lam.value
     admissible = [
@@ -195,7 +181,7 @@ def _judge_negative(current: Current, est, masses, cfg: VerifyConfig, case_id: s
             )
             for atom in admissible
         )
-        tail_ok = tail < 0.01 * cfg.tol_scale * masses[0][0]
+        tail_ok = tail < 0.01 * tol_scale * masses[0][0]
     else:
         tail = 0.0
         tail_ok = True
@@ -206,7 +192,7 @@ def _judge_negative(current: Current, est, masses, cfg: VerifyConfig, case_id: s
         observed=(nu_start, nu_end, tail, float(len(admissible))),
         verdict=bool(decay_ok and tail_ok),
         details=(
-            f"pass iff nu({r_end:.3g}) < 0.05 x {cfg.tol_scale:g} x nu({est.rs[0]:g}) "
+            f"pass iff nu({r_end:.3g}) < 0.05 x {tol_scale:g} x nu({est.rs[0]:g}) "
             f"and the surviving-atom tail stays under 1% of the full mass"
         ),
     )
@@ -214,11 +200,14 @@ def _judge_negative(current: Current, est, masses, cfg: VerifyConfig, case_id: s
 
 def verify_b0_divergence(
     current: Current,
-    cfg: VerifyConfig = DEFAULT_VERIFY,
+    tol_scale: float = 1.0,
     case_id: str = "b0-divergence",
 ) -> VerificationReport:
-    """Linear boundary growth forces nu to diverge like -log r."""
-    return _verify([CorpusCase(case_id, "divergence", current)], current.table, cfg)[0]
+    """Linear boundary growth forces nu to diverge like -log r.
+
+    The fit must reach R^2 > 1 - 0.01 tol_scale (see _verify).
+    """
+    return _verify([CorpusCase(case_id, "divergence", current)], current.table, tol_scale)[0]
 
 
 def _check_divergence(current: Current) -> None:
@@ -228,8 +217,8 @@ def _check_divergence(current: Current) -> None:
         raise InputError("divergence verifier needs an atom with b0 > 0 or c_lin > 0")
 
 
-def _judge_divergence(current: Current, est, masses, cfg: VerifyConfig, case_id: str) -> VerificationReport:
-    r2_floor = 1.0 - 0.01 * cfg.tol_scale
+def _judge_divergence(current: Current, est, masses, tol_scale: float, case_id: str) -> VerificationReport:
+    r2_floor = 1.0 - 0.01 * tol_scale
     slope_ok = est.slope > 0.0
     fit_ok = est.r_squared > r2_floor
     growth_ok = est.nus[-1] > 2.0 * est.nus[0]
@@ -255,8 +244,14 @@ _KINDS = {
 }
 
 
-def _verify(cases: Sequence[CorpusCase], table: AtomTable, cfg: VerifyConfig) -> List[VerificationReport]:
-    """The reports of cases whose currents are, in order, the currents of table."""
+def _verify(cases: Sequence[CorpusCase], table: AtomTable, tol_scale: float) -> List[VerificationReport]:
+    """The reports of cases whose currents are, in order, the currents of table.
+
+    tol_scale scales every judge's pass threshold; 0 turns each check into
+    an unmeetable exact-equality demand (the forced-failure path). A
+    current with a Poisson atom is scheduled by lelong_estimate at its
+    default quadrature settings.
+    """
     for case in cases:
         _KINDS[case.kind][0](case.current)
     rs = lelong_radii(R_START, RATIO, PERIODIC_STEPS)
@@ -275,8 +270,8 @@ def _verify(cases: Sequence[CorpusCase], table: AtomTable, cfg: VerifyConfig) ->
     reports = []
     for case, masses, est in zip(cases, exact, estimates):
         if est is None:
-            est = lelong_estimate(case.current, r_start=R_START, ratio=RATIO, steps=STEPS, cfg=cfg.quad)
-        reports.append(_KINDS[case.kind][1](case.current, est, masses, cfg, case.case_id))
+            est = lelong_estimate(case.current, r_start=R_START, ratio=RATIO, steps=STEPS)
+        reports.append(_KINDS[case.kind][1](case.current, est, masses, tol_scale, case.case_id))
     return reports
 
 
@@ -325,8 +320,8 @@ _STRIP_LATTICE = tuple(
     for t in _LATTICE_T
     for r in _LATTICE_R.tolist()
 )
-# the same lattice as broadcastable axes, for one _strip_terms call that
-# serves the lattice and its caps at r = 1: lambda (3, 1, 1, 1), |alpha| (3,
+# the same lattice as broadcastable axes, for one ia or ib call that serves
+# the lattice and its caps at r = 1: lambda (3, 1, 1, 1), |alpha| (3,
 # 9, 10, 1) and r (1, 1, 10, 2), whose last axis holds each entry's r and
 # then its cap's. Each log and power of |alpha| then serves an entry and its
 # cap, and each of r is taken once per (lambda, r).
@@ -338,14 +333,14 @@ _STRIP_AXES = (
 
 
 def _strip_a_bound():
-    values, caps = _ia(*_strip_terms(*_STRIP_AXES)).reshape(-1, 2).T
+    values, caps = ia(*_STRIP_AXES).reshape(-1, 2).T
     return values, 0.0, caps
 
 
 def _strip_b_bound():
     # the amplified bound holds for r below exp(1 / (2 lambda (1 - lambda)))
     lv, am, r = _STRIP_AXES
-    values, caps = _ib(*_strip_terms(*_STRIP_AXES)).reshape(-1, 2).T
+    values, caps = ib(*_STRIP_AXES).reshape(-1, 2).T
     keep = np.broadcast_to(r[..., :1] < float_map(math.exp, 1.0 / (2.0 * lv * (1.0 - lv))), am.shape).ravel()
     amplify = np.broadcast_to(float_map(math.exp, -1.0 / (lv * (1.0 - lv))), am.shape).ravel()
     return values[keep], -math.inf, (amplify * caps)[keep], keep.size - int(np.count_nonzero(keep))
@@ -542,25 +537,27 @@ DUAL_ROUTE_CASE_IDS = (
 
 def run_corpus(
     seed: int = 42,
-    cfg: VerifyConfig = DEFAULT_VERIFY,
     only: Optional[str] = None,
+    tol_scale: float = 1.0,
 ) -> List[VerificationReport]:
     """Run every applicable verifier over the corpus, reports in corpus order.
 
-    `only` filters to a single case id (theorem case or lemma lattice). The
-    whole corpus is one _verify batch on its one table; a lone theorem case
-    is a batch of one on its own current's table.
+    `only` filters to a single case id (theorem case or lemma lattice), and
+    tol_scale scales the theorem verifiers' pass thresholds (see _verify);
+    the lemma lattices have none. The whole corpus is one _verify batch on
+    its one table; a lone theorem case is a batch of one on its own
+    current's table.
     """
     cases, table = _corpus_batch(seed)
     known = [c.case_id for c in cases] + list(LEMMAS)
     if only is not None and only not in known:
         raise InputError(f"unknown case id {only!r}; known: {', '.join(known)}")
     if only is None:
-        return _verify(cases, table, cfg) + verify_lemma_bounds()
+        return _verify(cases, table, tol_scale) + verify_lemma_bounds()
     if only in LEMMAS:
         return [_lemma_report(only)]
     case = cases[known.index(only)]
-    return _verify([case], case.current.table, cfg)
+    return _verify([case], case.current.table, tol_scale)
 
 
 def report_to_json(report: VerificationReport) -> dict:

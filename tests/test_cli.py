@@ -370,6 +370,21 @@ class TestNumericalEdges:
         assert err == "input error: r = 1.1113793747425387e-162: the area pi r^2 underflows to 0\n"
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["lelong"], ["sweep"], ["leafplot"]])
+    def test_schedule_radius_that_underflows_is_input_error(self, command, write_current, tmp_path, capsys):
+        # r_start * ratio^2 = 1e-400 is 0.0: the error names that radius, which no flag gave
+        path = write_current(FLAGSHIP_JSON)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out_path = out_dir if command == ["leafplot"] else out_dir / "out.csv"
+        extra = [] if command == ["sweep"] else ["--input", path]
+        assert main(command + extra + ["--ratio", "1e-200", "--steps", "3", "--out", str(out_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("input error: schedule radius 2, r_start * ratio^2 with r_start = 1.0 and "
+                       "ratio = 1e-200, underflows to 0\n")
+        assert list(out_dir.iterdir()) == []
+
     def test_non_finite_verify_report_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         from lelonglab.theorems import VerificationReport
 
@@ -522,13 +537,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("flag, value", [("--rel-tol", "0"), ("--rel-tol", "1e-9"), ("--abs-tol", "0")])
     def test_tolerance_flag_is_usage_error(self, flag, value, tmp_path, capsys):
-        # the sweep runs no quadrature, so it takes no tolerance, good or bad
-        out = tmp_path / "sweep.csv"
-        with pytest.raises(SystemExit) as exc_info:
-            main(["sweep", flag, value, "--out", str(out)])
-        assert exc_info.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-        assert not out.exists()
+        # the sweep runs no quadrature, and verify runs the corpus at the
+        # default settings, so neither takes a tolerance, good or bad
+        for command in ("sweep", "verify"):
+            out = tmp_path / f"{command}.out"
+            with pytest.raises(SystemExit) as exc_info:
+                main([command, flag, value, "--out", str(out)])
+            assert exc_info.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def _replaced(base, keys, value):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lelonglab import (
+    Current,
     EmptyLeafError,
     Eigenvalue,
     FourierSpec,
@@ -250,6 +251,20 @@ class TestSerialization:
         for a, b in zip(again.atoms, cur.atoms):
             assert a.alpha == pytest.approx(b.alpha, rel=1e-15)
             assert a.weight == pytest.approx(b.weight, rel=1e-15)
+
+    def test_equal_currents_hash_equal(self):
+        # equal when their eigenvalues and atoms are, however each was built:
+        # from atoms, or from the table of a JSON load
+        lam = Eigenvalue.rational(1, 2)
+        mother = normalize(FourierSpec(b=2, a0=1.0, modes=((-1, 0.2, 0.1),)))
+        atoms = monodromy_family(lam, 1.0, 0.7, mother)
+        cur = build_current(lam, atoms)
+        loaded = current_from_json(json.loads(json.dumps(current_to_json(cur))))
+        assert loaded == cur and hash(loaded) == hash(cur)
+        assert len({cur, loaded, build_current(lam, atoms)}) == 1
+        assert cur != Current(lam, atoms[:1])
+        assert cur != Current(Eigenvalue.rational(2, 3), atoms)
+        assert cur.__eq__(atoms) is NotImplemented and cur != atoms
 
     def test_poisson_atom_round_trip(self):
         lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)

@@ -192,6 +192,12 @@ class TestMonodromy:
         assert equivalent(lam, alpha, beta) == 3
         assert equivalent(lam, alpha, beta * 1.001) is None
 
+    def test_equivalent_none_when_no_turn_matches(self):
+        # equal moduli; the turns of lambda = 1/2 reach the angles 0 and pi alone
+        lam = Eigenvalue.rational(1, 2)
+        assert equivalent(lam, 0.8, 0.8 * complex(math.cos(1.0), math.sin(1.0))) is None
+        assert equivalent(lam, 0.8, -0.8) == 1
+
     def test_equivalent_identity(self):
         lam = Eigenvalue.rational(1, 3)
         assert equivalent(lam, 0.5, 0.5) == 0

@@ -442,6 +442,14 @@ class TestTranslate:
         )
         assert not verify_monodromy_relation(spec, tampered, 1)
 
+    def test_monodromy_relation_on_a_strip(self):
+        # a strip density is compared on heights up to its strip_c, where it
+        # is defined; the linear part b0 shows only above v = 0
+        spec = normalize(FourierSpec(b=2, a0=1.0, b0=0.3, modes=((-1, 0.1, 0.05),), strip_c=1.5))
+        moved, _ = translate(spec, 1)
+        assert verify_monodromy_relation(spec, moved, 1)
+        assert not verify_monodromy_relation(spec, replace(moved, b0=moved.b0 * 1.01), 1)
+
 
 class TestWindowIntegral:
     @pytest.mark.parametrize(

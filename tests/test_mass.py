@@ -263,8 +263,10 @@ class TestScheduleQuadrature:
         assert [(m.value, m.error_estimate) for m in masses[1:]] == [(0.0, 0.0)] * 2
 
     def test_radius_validation(self, flagship):
-        with pytest.raises(DomainError):
-            mass_quadrature_schedule(flagship, (1.0, 0.0))
+        # foliation.plaque_logs refuses the radius, before any quadrature
+        for bad in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(DomainError, match=r"^radius must lie in \(0, 1\]$"):
+                mass_quadrature_schedule(flagship, (1.0, bad))
 
     @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
     def test_no_radii_no_masses(self, case):
@@ -715,6 +717,13 @@ class TestExactRoute:
             paper = self._paper_mass(case.current, r)
             assert mass_closed_form(case.current, r) == pytest.approx(paper, rel=1e-12, abs=1e-300)
 
+    def test_middle_region_linear_bracket(self):
+        # r^(1 - lambda) <= |alpha| < 1 from r = 0.3 on: the log|alpha| terms
+        # of the linear bracket, which no corpus current reaches
+        cur = single_atom_current(Eigenvalue.rational(1, 2), 0.8, FourierSpec(b=1, a0=1.0, b0=0.6))
+        for r in self.RADII:
+            assert mass_closed_form(cur, r) == pytest.approx(self._paper_mass(cur, r), rel=1e-12)
+
     @pytest.mark.parametrize("lam_value", [-0.5, -0.5 + 5e-10])
     def test_resonant_strip_family(self, lam_value):
         # mode k = -1 against the e^{-2 lambda v} jacobian term: decay rate
@@ -1115,6 +1124,16 @@ class TestScheduleSummaries:
 
     def test_no_schedules(self):
         assert lelong_from_masses([1.0, 0.5], []) == []
+
+    @pytest.mark.parametrize("r_start, ratio, index", [(1.0, 1e-200, 2), (1e-10, 1e-160, 2), (0.5, 0.5, 1074)])
+    def test_radius_that_underflows_is_domain_error(self, r_start, ratio, index):
+        # the error names the first radius that is 0.0 by its index, r_start and ratio
+        want = (f"schedule radius {index}, r_start * ratio^{index} with r_start = {r_start!r} and "
+                f"ratio = {ratio!r}, underflows to 0")
+        with pytest.raises(DomainError) as exc_info:
+            lelong_radii(r_start, ratio, index + 2)
+        assert str(exc_info.value) == want
+        assert lelong_radii(r_start, ratio, index)[-1] > 0.0
 
 
 class TestPositiveLimit:

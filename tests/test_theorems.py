@@ -8,10 +8,10 @@ from lelonglab import (
     FourierSpec,
     InputError,
     TransversalAtom,
-    VerifyConfig,
     build_current,
     corpus,
     current_to_json,
+    mass_closed_form,
     report_to_json,
     run_corpus,
     verify_b0_divergence,
@@ -92,6 +92,45 @@ class TestVerifiers:
         assert nu_start == pytest.approx(2.0 * (1.0 - math.exp(-2.0)), rel=1e-9)
         assert nu_end == 0.0
         assert tail == 0.0 and n_admissible == 0.0  # strip empties long before r_end
+
+    @pytest.mark.parametrize("small, tail_ok", [
+        (((1e-7, 3e-4, 0.5),), True),
+        (((1e-7, 1e-3, 0.5),), False),
+        (((1e-7, 1e-4, 0.5), (5e-8, 2e-4, 0.25)), True),
+        (((1e-7, 5e-4, 0.5), (5e-8, 5e-4, 0.25)), False),
+    ])
+    def test_negative_surviving_atoms_tail(self, small, tail_ok):
+        # atoms below r_end^(1 - lambda) = 2^-22 still meet the bidisc at the
+        # end of the schedule; the 1/e atom has left it long before
+        mp = pytest.importorskip("mpmath").mp
+        lam = Eigenvalue.negative(-1.0)
+        atoms = [TransversalAtom(am, w, FourierSpec(b=1, a0=1.0, b0=b0, strip_c=-math.log(am)))
+                 for am, w, b0 in small]
+        atoms.append(TransversalAtom(math.exp(-1.0), 1.0, FourierSpec(b=1, a0=1.0, strip_c=1.0)))
+        current = build_current(lam, atoms)
+        rep = verify_negative_periodic(current)
+        nu_start, nu_end, tail, survivors = rep.observed
+        assert survivors == len(small)
+        # 2 pi sum w (a0 Ia(1) + b0 e^(-1/(lambda (1 - lambda))) Ib(1)), with
+        # Ia and Ib the integrals the docstrings of ia and ib define, at r = 1
+        with mp.workdps(40):
+            lv, want = mp.mpf(-1), mp.mpf(0)
+            for am, w, b0 in small:
+                log_am = mp.log(mp.mpf(am))
+                top = log_am / lv
+
+                def jac(v, am=mp.mpf(am)):
+                    return 2 * (mp.exp(-2 * v) + (lv * am) ** 2 * mp.exp(-2 * lv * v))
+
+                limits = [0, 1, top - 1, top]
+                strip_a = mp.quad(lambda v: (1 - lv * v / log_am) * jac(v), limits)
+                strip_b = mp.quad(lambda v: v * jac(v), limits)
+                want += w * (strip_a + b0 * mp.exp(-1 / (lv * (1 - lv))) * strip_b)
+            want *= 2 * mp.pi
+        assert tail == pytest.approx(float(want), rel=1e-12)
+        mass_at_one = mass_closed_form(current, 1.0)
+        assert (tail < 0.01 * mass_at_one) == tail_ok
+        assert rep.verdict == (nu_end < 0.05 * nu_start and tail_ok)
 
     def test_negative_rejects_positive_eigenvalue(self, flagship):
         with pytest.raises(InputError):
@@ -235,7 +274,7 @@ class TestRunCorpus:
             run_corpus(only="no-such-case")
 
     def test_zero_tolerance_forces_failures(self):
-        reports = run_corpus(cfg=VerifyConfig(tol_scale=0.0))
+        reports = run_corpus(tol_scale=0.0)
         assert any(not r.verdict for r in reports)
 
     def test_one_validation_and_one_exact_call(self, monkeypatch):
