@@ -28,13 +28,16 @@ from .errors import InputError, LelongLabError, NumericalFailure
 from .foliation import Eigenvalue, torus_curve
 from .harmonic import FourierSpec, normalize
 from .mass import (
+    RATIO,
+    R_START,
+    STEPS,
     closed_form_applicable,
     lelong_estimate,
     lelong_to_json,
     mass_closed_form,
     mass_quadrature,
 )
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .theorems import report_to_json, run_corpus
 
 CANVAS = 800
@@ -88,14 +91,14 @@ def _json_text(payload) -> str:
 
 
 def _add_quad_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol)
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r-start", type=float, default=1.0)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=12)
+    p.add_argument("--r-start", type=float, default=R_START)
+    p.add_argument("--ratio", type=float, default=RATIO)
+    p.add_argument("--steps", type=int, default=STEPS)
 
 
 def _estimate(args: argparse.Namespace, current: Current):
@@ -234,6 +237,8 @@ def cmd_leafplot(args: argparse.Namespace) -> int:
     current = _load_current(args.input)
     atom = current.atoms[0]
     loops = args.loops
+    if loops < 1:
+        raise InputError(f"--loops must be a positive integer, not {loops}")
     curve = torus_curve(
         current.lam,
         atom.alpha,

@@ -96,6 +96,22 @@ class LelongEstimate:
     diverging: bool
 
 
+def _window(k0: int) -> Tuple[float, float]:
+    """The ends (u0, u1) of the k0-th u-window, [2 pi k0, 2 pi k0 + 2 pi], for both routes.
+
+    A k0 whose window end overflows, or lies so far out that its two ends
+    are one float, raises InputError naming k0.
+    """
+    try:
+        u0 = TWO_PI * k0
+    except OverflowError:  # k0 past the float range
+        u0 = math.inf
+    u1 = u0 + TWO_PI
+    if not u1 > u0:
+        raise InputError("k0: the u-window [2 pi k0, 2 pi k0 + 2 pi] overflows or has no width in floats")
+    return u0, u1
+
+
 # ---------------------------------------------------------------------------
 # quadrature route
 
@@ -198,8 +214,7 @@ def mass_quadrature_schedule(
     lam = current.lam
     table = current.table
     lo, hi, tails = _atom_ranges(lam, table, rs, cfg)
-    u0 = TWO_PI * k0
-    u1 = u0 + TWO_PI
+    u0, u1 = _window(k0)
     # the area density's coefficients, worked out once per atom and taken by row
     area = jacobian_rows(lam, table.moduli.reshape(-1, 1))
     is_trig = table.trig
@@ -233,9 +248,7 @@ def mass_quadrature_schedule(
         return out
 
     try:
-        values, errors = integrate_lockstep(
-            integrand, lo, hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_depth=cfg.max_depth,
-        )
+        values, errors = integrate_lockstep(integrand, lo, hi, cfg=cfg)
     except QuadratureFailure as exc:
         radii = ", ".join(repr(rs[n]) for n in exc.ranges)
         raise QuadratureFailure(
@@ -489,8 +502,7 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     np.exp rounds differently from math.exp on a few percent of inputs,
     and would move the masses in their last bits.
     """
-    u0 = TWO_PI * k0
-    u1 = u0 + TWO_PI
+    u0, u1 = _window(k0)
     cols = table.fourier
     moduli, weights, lv, owner, ak, bk = table.moduli, table.weights, table.lam, cols.owner, cols.ak, cols.bk
     coef = mode_integrals(cols, u0, u1)
@@ -590,13 +602,13 @@ def boundary_reduction_check(
     spec: PoissonSpec,
     r: float,
     u: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
     """Ratio of the leafwise v-integral to the density at the boundary height.
 
     The reduction lemma trades the integral over the plaque for the density
     value at v_r (times a bounded constant); this returns the raw ratio so
-    tests can pin the window it must land in.
+    tests can pin the window it must land in. The integral is truncated and
+    integrated at DEFAULT_CONFIG's tolerances.
     """
     if not (0.0 < lam.value <= 1.0):
         raise DomainError("reduction check needs an eigenvalue in (0, 1]")
@@ -608,12 +620,12 @@ def boundary_reduction_check(
     shift = coordinate_shift(lam, alpha_modulus)
     v_r = dom.v_min - shift
     area = jacobian_rows(lam, alpha_modulus)
-    v_hi, _tail = _truncate_half_plane(_envelope_coefficients(spec), lam, area.coefficients.tolist(), v_r, cfg)
+    v_hi, _tail = _truncate_half_plane(_envelope_coefficients(spec), lam, area.coefficients.tolist(), v_r, DEFAULT_CONFIG)
 
     def integrand(v):
         return jacobian_density(lam, area, v) * np.asarray(evaluate(spec, u, v))
 
-    value, _err = integrate(integrand, v_r, v_hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_depth=cfg.max_depth)
+    value, _err = integrate(integrand, v_r, v_hi)
     denom = evaluate(spec, u, v_r)
     if not denom > 0.0:
         raise DomainError("density vanishes at the boundary height; ratio undefined")
@@ -677,6 +689,11 @@ def lower_bound_nonperiodic(current: Current) -> float:
 # Lelong schedule
 
 
+# the default schedule, STEPS radii from R_START down by RATIO: r = 1, 1/2, ..., 2^-11
+R_START = 1.0
+RATIO = 0.5
+STEPS = 12
+
 # a schedule counts as diverging when, besides a rising linear fit against
 # -log r, its last nu exceeds this multiple of its first (or of that error)
 DIVERGENCE_FACTOR = 2.0
@@ -689,7 +706,10 @@ def lelong_radii(r_start: float, ratio: float, steps: int) -> List[float]:
     """The geometric schedule r_start ratio^n, n < steps, of lelong_estimate.
 
     A radius that underflows to 0 raises DomainError naming the first such
-    radius by its index, r_start and ratio, since no caller gave it.
+    radius by its index, r_start and ratio, since no caller gave it. The
+    radii do not increase, so only the last one is tested, and a bisection
+    finds the first zero without building the schedule: a schedule of 10^12
+    halvings is refused at once.
     """
     if not (0.0 < r_start <= 1.0):
         raise DomainError("r_start must lie in (0, 1]")
@@ -697,29 +717,44 @@ def lelong_radii(r_start: float, ratio: float, steps: int) -> List[float]:
         raise InputError("ratio must lie in (0, 1)")
     if steps < 2:
         raise InputError("a schedule needs at least two steps")
-    rs = [r_start * ratio**n for n in range(steps)]
-    if 0.0 in rs:
-        n = rs.index(0.0)
+
+    def vanishes(n: int) -> bool:
+        try:
+            return r_start * ratio**n == 0.0
+        except OverflowError:  # n past the float range, where ratio^n underflows
+            return True
+
+    if vanishes(steps - 1):
+        lo, n = 0, steps - 1  # radius lo is r_start > 0, radius n is 0
+        while n - lo > 1:
+            mid = (lo + n) // 2
+            if vanishes(mid):
+                n = mid
+            else:
+                lo = mid
         raise DomainError(
             f"schedule radius {n}, r_start * ratio^{n} with r_start = {r_start!r} and ratio = {ratio!r}, "
             "underflows to 0"
         )
-    return rs
+    return [r_start * ratio**n for n in range(steps)]
 
 
 def lelong_estimate(
     current: Current,
-    r_start: float = 1.0,
-    ratio: float = 0.5,
-    steps: int = 12,
+    r_start: float = R_START,
+    ratio: float = RATIO,
+    steps: int = STEPS,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     k0: int = 0,
 ) -> LelongEstimate:
     """nu(r) along a geometric schedule with a monotone limit bracket.
 
-    All-trig currents take the exact route, with its rounding bound as the
-    error; any other current is integrated by mass_quadrature_schedule.
-    lelong_from_masses judges the masses.
+    The schedule is lelong_radii(r_start, ratio, steps), by default the
+    R_START, RATIO, STEPS halvings the command line and the verifiers
+    share. All-trig currents take the exact route, with its rounding bound
+    as the error; any other current is integrated by
+    mass_quadrature_schedule at cfg's tolerances. lelong_from_masses judges
+    the masses.
     """
     rs = lelong_radii(r_start, ratio, steps)
     if closed_form_applicable(current):

@@ -9,6 +9,11 @@ independent jobs side by side: it takes the ends of every job's ranges as two
 over (job, panel) and (job, range), evaluates each round's panels in one
 integrand call, and returns each range's value and error as (job, range, m)
 arrays. integrate is its one-job, one-range case, on Python floats.
+
+Both take their tolerances as one QuadratureConfig, which refuses a
+tolerance that is not positive when it is built. The budgets of a call,
+MAX_DEPTH splits of a panel and MAX_PANELS panels per job, are module
+constants, read at each call.
 """
 
 from __future__ import annotations
@@ -62,17 +67,24 @@ _W_KRONROD = np.concatenate((_WGK_HALF[:-1], _WGK_HALF[::-1]))
 _W_GAUSS = np.concatenate((_WG_HALF[:-1], _WG_HALF[::-1]))
 
 
+# the budgets of every engine call: splits of one panel, and panels of one job
+MAX_DEPTH = 16
+MAX_PANELS = 20000
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """The tolerances of an engine call.
+
+    A range converges once its error is at most max(abs_tol, rel_tol * |value|).
+    """
+
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_depth: int = 16
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise InputError("quadrature tolerances must be positive")
-        if not (isinstance(self.max_depth, int) and self.max_depth >= 1):
-            raise InputError("max_depth must be an integer >= 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -125,8 +137,8 @@ def _evaluate(f, rows, lo, hi):
     # a (P, m, 15) @ (15,) product sums every panel as np.dot sums it alone,
     # so a panel's numbers do not depend on the block it is evaluated in
     half = half[:, None]
-    kron = half * (fv @ _W_KRONROD)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite panels raise
+        kron = half * (fv @ _W_KRONROD)
         err = np.abs(kron - half * (fv[..., 1::2] @ _W_GAUSS))
     return kron, err, single
 
@@ -143,12 +155,12 @@ def _records(lo, hi, depth, kron, err) -> np.ndarray:
     return np.concatenate((lo[None], hi[None], depth[None], err[:, :1].T, kron.T, err.T))
 
 
-def _open(sums, m: int, abs_tol: float, rel_tol: float) -> np.ndarray:
+def _open(sums, m: int, cfg: QuadratureConfig) -> np.ndarray:
     """Which ranges of sums (2m, ...) are over their tolerance; row 0 steers.
 
     fmax, like max(abs_tol, x), ignores a NaN x.
     """
-    return sums[m] > np.fmax(abs_tol, rel_tol * np.abs(sums[0]))
+    return sums[m] > np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(sums[0]))
 
 
 def _add_split(sums, member, delta):
@@ -170,15 +182,15 @@ def _nonfinite(job: int, pa: float, pb: float, members, value, err) -> Quadratur
     )
 
 
-def _failure(ids, rec, members, is_open, sums, counts, go, kron, err, single, budget):
+def _failure(ids, rec, members, is_open, sums, counts, go, kron, err, single, max_panels, cfg):
     """The failure of the lowest failing job of a round, or None.
 
-    In a job, a panel at max_depth fails first, then a non-finite half,
-    then the panel budget, with the sums after the split. Every job below
-    the lowest failing one went on, so job j's halves are kron[2 j] and
-    kron[2 j + 1].
+    go marks the jobs whose panel is still below the depth budget. In a
+    job, a panel at that budget fails first, then a non-finite half, then
+    the budget of max_panels panels, with the sums after the split judged
+    by cfg's tolerances. Every job below the lowest failing one went on,
+    so job j's halves are kron[2 j] and kron[2 j + 1].
     """
-    max_panels, abs_tol, rel_tol = budget
     m = sums.shape[0] // 2
     bad_half = np.zeros((ids.size, 2), dtype=bool)
     if kron is not None:
@@ -207,7 +219,7 @@ def _failure(ids, rec, members, is_open, sums, counts, go, kron, err, single, bu
     with np.errstate(over="ignore", invalid="ignore"):  # as float sums would
         delta = (halves[0] + halves[1] - rec[_SUMS:, j])[:, None]
         after = _add_split(sums[:, j:j + 1], members[j:j + 1], delta)[:, 0]
-        still_open = _open(after, m, abs_tol, rel_tol)
+        still_open = _open(after, m, cfg)
     first = int(members[j].argmax())
     return QuadratureFailure(
         f"panel budget {max_panels} exhausted splitting [{pa}, {pb}]",
@@ -218,16 +230,8 @@ def _failure(ids, rec, members, is_open, sums, counts, go, kron, err, single, bu
     )
 
 
-def integrate_lockstep(
-    f,
-    lo,
-    hi,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-    max_depth: int = 16,
-    max_panels: int = 20000,
-):
-    """Integrals of many independent jobs, refined in lockstep.
+def integrate_lockstep(f, lo, hi, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Integrals of many independent jobs, refined in lockstep, to cfg's tolerances.
 
     lo and hi are (J, R) arrays: job j integrates over its ranges
     [lo[j, r], hi[j, r]], which share one partition: it starts from the
@@ -235,7 +239,7 @@ def integrate_lockstep(
     is the sum over its own panels. A range with lo = hi is empty, and its
     sums are 0; a reversed or non-finite range raises InputError naming its
     job and range. Every job has its own panels, open ranges and
-    max_depth/max_panels budget, and is refined exactly as it would be
+    MAX_DEPTH/MAX_PANELS budget, and is refined exactly as it would be
     alone: each round, every job with a range over its tolerance splits its
     worst panel. The jobs share only the integrand call: f(rows, v) gets
     the (P, 15) nodes of all the panels of a round, row p belonging to job
@@ -274,10 +278,10 @@ def integrate_lockstep(
     failure is that of the lowest job in the first round that fails: its
     message names the panel's interval, and the QuadratureFailure carries
     the job and the ranges it leaves unresolved. Within a job, a panel at
-    max_depth fails first, then a non-finite half, then the max_panels
-    budget.
+    MAX_DEPTH fails first, then a non-finite half, then the MAX_PANELS
+    budget. Both budgets are read once per call.
     """
-    budget = (max_panels, abs_tol, rel_tol)
+    max_depth, max_panels = MAX_DEPTH, MAX_PANELS
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
     if bad.any():
@@ -309,7 +313,7 @@ def integrate_lockstep(
         seeded = member.reshape(n_jobs, cap, width)[:, :top]
         parts = np.where(seeded, pan.reshape(-1, n_jobs, cap)[_SUMS:, :, :top, None], 0.0)
         sums = parts.cumsum(axis=2)[:, :, -1] + 0.0
-        is_open = _open(sums, m, abs_tol, rel_tol)
+        is_open = _open(sums, m, cfg)
     score = np.full((n_jobs, cap), -1.0)
     eligible = np.logical_or.reduce(seed_member & is_open[seed_job], axis=1)
     score[seed_job, slot] = np.where(eligible, err[:, 0], -1.0)
@@ -353,18 +357,18 @@ def integrate_lockstep(
                 kron = err = None
                 if go.any():
                     kron, err, _ = _evaluate(f, ids[go].repeat(2), los[go.repeat(2)], his[go.repeat(2)])
-                raise _failure(ids, rec, members, is_open, sums, counts, go, kron, err, single, budget)
+                raise _failure(ids, rec, members, is_open, sums, counts, go, kron, err, single, max_panels, cfg)
         kron, err, _ = _evaluate(f, ids.repeat(2), los, his)
         if top >= max_panels or not np.isfinite(err).all():
             failure = _failure(ids, rec, members, is_open, sums, counts, np.ones(n, dtype=bool), kron, err,
-                               single, budget)
+                               single, max_panels, cfg)
             if failure is not None:
                 raise failure
         halves = _records(los, his, rec[_DEPTH].repeat(2) + 1.0, kron, err)
         with np.errstate(over="ignore", invalid="ignore"):  # as float sums would
             sums = _add_split(sums, members, halves[_SUMS:, 0::2] + halves[_SUMS:, 1::2] - rec[_SUMS:])
             # only the members' sums moved, so is_open stays _open(sums)
-            opened = _open(sums, m, abs_tol, rel_tol)
+            opened = _open(sums, m, cfg)
         top += 1
         rounds += 1
         if top > cap:
@@ -400,21 +404,15 @@ def integrate_lockstep(
     return sums_out[..., :m], sums_out[..., m:]
 
 
-def integrate(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-    max_depth: int = 16,
-):
+def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Integral of the vectorized f over [a, b] with an error estimate.
 
     The worst panel is split until the summed Kronrod-vs-Gauss discrepancy
-    meets max(abs_tol, rel_tol * |value|); panels that would need more than
-    max_depth splits raise QuadratureFailure carrying the best estimate, and
-    so does a panel whose value or error is not finite. An empty range,
-    a = b, gives (0.0, 0.0).
+    meets max(cfg.abs_tol, cfg.rel_tol * |value|); a panel that would need
+    more than MAX_DEPTH splits, a job that would need more than MAX_PANELS
+    panels, and a panel whose value or error is not finite raise
+    QuadratureFailure carrying the best estimate. An empty range, a = b,
+    gives (0.0, 0.0).
 
     f may also return an (m, n) array for its n nodes: m integrands on one
     partition. Row 0 alone steers refinement and tolerances; values and
@@ -431,9 +429,7 @@ def integrate(
     def per_panel(rows, v):
         return np.stack([np.asarray(f(nodes), dtype=float) for nodes in v])
 
-    values, errors = integrate_lockstep(
-        per_panel, [[a]], [[b]], rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth,
-    )
+    values, errors = integrate_lockstep(per_panel, [[a]], [[b]], cfg)
     if values.shape[2] == 1:
         return float(values[0, 0, 0]), float(errors[0, 0, 0])
     return values[0, 0], errors[0, 0]

@@ -45,6 +45,9 @@ from .errors import InputError
 from .foliation import Eigenvalue, float_map
 from .harmonic import FourierSpec, PoissonSpec, normalize
 from .mass import (
+    RATIO,
+    R_START,
+    STEPS,
     _bracket_a,
     _exact_masses,
     ia,
@@ -71,12 +74,9 @@ class VerificationReport:
     details: str
 
 
-# The verifiers' schedules: STEPS halvings from r = 1. Closed-form schedules
-# are cheap, so the periodic limit check runs deeper; 16 halvings put the
-# slowest corpus decay safely inside 1e-4.
-R_START = 1.0
-RATIO = 0.5
-STEPS = 12
+# The verifiers' schedules: lelong_estimate's default, mass.STEPS halvings
+# from r = 1. Closed-form schedules are cheap, so the periodic limit check
+# runs deeper; 16 halvings put the slowest corpus decay safely inside 1e-4.
 PERIODIC_STEPS = 16
 
 
@@ -250,7 +250,7 @@ def _verify(cases: Sequence[CorpusCase], table: AtomTable, tol_scale: float) -> 
     tol_scale scales every judge's pass threshold; 0 turns each check into
     an unmeetable exact-equality demand (the forced-failure path). A
     current with a Poisson atom is scheduled by lelong_estimate at its
-    default quadrature settings.
+    defaults: the R_START, RATIO, STEPS schedule and DEFAULT_CONFIG.
     """
     for case in cases:
         _KINDS[case.kind][0](case.current)
@@ -270,7 +270,7 @@ def _verify(cases: Sequence[CorpusCase], table: AtomTable, tol_scale: float) -> 
     reports = []
     for case, masses, est in zip(cases, exact, estimates):
         if est is None:
-            est = lelong_estimate(case.current, r_start=R_START, ratio=RATIO, steps=STEPS)
+            est = lelong_estimate(case.current)
         reports.append(_KINDS[case.kind][1](case.current, est, masses, tol_scale, case.case_id))
     return reports
 
@@ -450,7 +450,12 @@ def _flat_poisson(c_lin: float = 0.0) -> PoissonSpec:
 
 
 def _corpus_batch(seed: int) -> Tuple[List[CorpusCase], AtomTable]:
-    """The corpus's cases and the one AtomTable of all their currents, from one build_currents call."""
+    """The corpus's cases and the one AtomTable of all their currents, from one build_currents call.
+
+    A negative seed raises InputError naming seed.
+    """
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, not {seed}")
     rng = np.random.default_rng(seed)
     entries = []
 

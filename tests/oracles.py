@@ -204,8 +204,8 @@ def _evaluate(f, rows, los, his):
     if single:
         fv = fv[:, None, :]
     half = half[:, None]
-    kron = half * (fv @ _W_KRONROD)
     with np.errstate(invalid="ignore", over="ignore"):
+        kron = half * (fv @ _W_KRONROD)
         err = np.abs(kron - half * (fv[..., 1::2] @ _W_GAUSS))
     finite = np.isfinite(err).all(axis=1).tolist()
     leads = err[:, 0].tolist()

@@ -295,6 +295,9 @@ def _one_constant_atom(lam, weight=1.0):
     return {"lambda": lam, "atoms": [{"alpha": [0.5, 0.0], "weight": weight, "spec": CONST_SPEC}]}
 
 
+K0_REFUSAL = "k0: the u-window [2 pi k0, 2 pi k0 + 2 pi] overflows or has no width in floats"
+
+
 class TestNumericalEdges:
     # every case runs with RuntimeWarnings as errors, as the suite does
 
@@ -383,6 +386,29 @@ class TestNumericalEdges:
         assert out == ""
         assert err == ("input error: schedule radius 2, r_start * ratio^2 with r_start = 1.0 and "
                        "ratio = 1e-200, underflows to 0\n")
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command, message", [
+        (["verify", "--seed", "-1"], "seed must be a non-negative integer, not -1"),
+        (["mass", "--k0", str(10**400)], K0_REFUSAL),
+        (["mass", "--k0", str(10**300)], K0_REFUSAL),
+        (["mass", "--k0", str(-10**300)], K0_REFUSAL),
+        (["lelong", "--k0", str(10**300)], K0_REFUSAL),
+        (["leafplot", "--loops", "0"], "--loops must be a positive integer, not 0"),
+    ], ids=["seed=-1", "mass-k0=1e400", "mass-k0=1e300", "mass-k0=-1e300", "lelong-k0=1e300", "loops=0"])
+    def test_flag_out_of_range_is_named(self, command, message, write_current, tmp_path, capsys):
+        # each crashed, blamed an internal value or printed a meaningless schedule
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        extra = [] if command[0] == "verify" else ["--input", write_current(FLAGSHIP_JSON)]
+        if command[0] != "mass":
+            extra += ["--out", str(out_dir if command[0] == "leafplot" else out_dir / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(command + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: {message}\n"
         assert list(out_dir.iterdir()) == []
 
     def test_non_finite_verify_report_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
@@ -586,6 +612,10 @@ def test_integer_field_takes_only_json_integers(field, keys, bad, write_current,
     ({"class": "rational", "a": 2, "b": 4}, "lambda"),
     ({"class": "negative", "value": 0.5}, "lambda.value"),
     ({"class": "irrational", "value": None}, "lambda.value"),
+    (5, "lambda"),
+    ({"class": "rational", "value": 1.0}, "lambda"),
+    ({"class": "irrational"}, "lambda.value"),
+    ({"class": "complex", "value": 0.5}, "lambda.class"),
 ])
 def test_eigenvalue_errors_name_the_field(lam, field, write_current, capsys):
     payload = dict(FLAGSHIP_JSON, **{"lambda": lam})
@@ -597,12 +627,31 @@ def test_eigenvalue_errors_name_the_field(lam, field, write_current, capsys):
     ("atoms[0]", ("atoms", 0, "weight")),
     ("atoms[0].spec", ("atoms", 0, "spec", "a0")),
     ("atoms[0].spec.boundary", ("atoms", 0, "spec", "boundary", "values", 2)),
+    ("lambda.value", ("lambda", "value")),
+    ("atoms[0].spec", ("atoms", 0, "spec", "boundary", "tail")),
 ])
 def test_integer_too_large_for_a_float_is_input_error(field, keys, write_current, capsys):
     # 10**400 is written out as 401 digits, too large for a double
     payload = _replaced(POISSON_JSON if "boundary" in keys else FLAGSHIP_JSON, keys, 10**400)
     assert main(["mass", "--input", write_current(payload)]) == 2
     assert capsys.readouterr().err.startswith(f"input error: {field}: non-numeric")
+
+
+@pytest.mark.parametrize("field, base, keys, bad", [
+    ("current", FLAGSHIP_JSON, (), [FLAGSHIP_JSON]),
+    ("atoms", FLAGSHIP_JSON, ("atoms",), []),
+    ("atoms[0]", FLAGSHIP_JSON, ("atoms", 0), 5),
+    ("atoms[0].spec", FLAGSHIP_JSON, ("atoms", 0, "spec"), 5),
+    ("atoms[0].spec.modes", FLAGSHIP_JSON, ("atoms", 0, "spec", "modes"), 5),
+    ("atoms[0].spec.boundary", POISSON_JSON, ("atoms", 0, "spec", "boundary"), 5),
+    ("atoms[0].spec.boundary", POISSON_JSON, ("atoms", 0, "spec", "boundary", "values"), [1.0] * 4),
+], ids=["top-level-list", "no-atoms", "atom-not-object", "spec-5", "modes-5", "boundary-5", "ys-values-lengths"])
+def test_malformed_document_names_the_field(field, base, keys, bad, write_current, capsys):
+    payload = _replaced(base, keys, bad) if keys else bad
+    assert main(["mass", "--input", write_current(payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error: {field}: ")
 
 
 def test_non_utf8_input_is_input_error(tmp_path, capsys):

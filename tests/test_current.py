@@ -223,6 +223,21 @@ class TestFamilies:
         with pytest.raises(InputError):
             accumulation_family(Eigenvalue.rational(1, 1), 3)
 
+    @pytest.mark.parametrize("count, alpha_base, message", [
+        (0, 0.25, "need at least one family member"),
+        (3, 0.0, r"alpha_base must lie in \(0, 1\)"),
+        (3, 1.0, r"alpha_base must lie in \(0, 1\)"),
+    ])
+    def test_accumulation_family_arguments(self, count, alpha_base, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            accumulation_family(Eigenvalue.negative(-1.0), count, alpha_base=alpha_base)
+
+    def test_monodromy_family_needs_half_plane_trig_mother(self):
+        lam = Eigenvalue.rational(1, 1)
+        for mother in (FourierSpec(b=1, a0=1.0, strip_c=1.0), flat_poisson()):
+            with pytest.raises(InputError, match="^monodromy families are built from half-plane trig specs$"):
+                monodromy_family(lam, 1.0, 1.0, mother)
+
 
 class TestSerialization:
     @pytest.mark.parametrize(

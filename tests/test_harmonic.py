@@ -176,6 +176,9 @@ class TestHarmonicity:
             laplacian_residual(FourierSpec(), 0.0, 0.0005, 1e-3)
         with pytest.raises(DomainError):
             laplacian_residual(FourierSpec(strip_c=1.0), 0.0, 0.9999, 1e-3)
+        for h in (0.0, -1e-3):
+            with pytest.raises(DomainError, match="^stencil step must be positive$"):
+                laplacian_residual(FourierSpec(), 0.0, 1.0, h)
 
     @pytest.mark.parametrize(
         "spec",
@@ -831,6 +834,11 @@ class TestBoundaryIntegral:
     def test_flat_window(self):
         spec = flat_poisson()
         assert boundary_integral(spec, 0.0, 2.0 * math.pi) == pytest.approx(2.0 * math.pi)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_window_needs_lo_below_hi(self, lo, hi):
+        with pytest.raises(DomainError, match="^boundary integral needs lo < hi$"):
+            boundary_integral(flat_poisson(), lo, hi)
 
     def test_tail_only_window(self):
         spec = bump_poisson(tail=0.3, half_turns=24)

@@ -221,7 +221,7 @@ class TestScheduleQuadrature:
             assert m.value.hex() == sum(masses[n].value for masses in alone).hex()
             assert m.error_estimate.hex() == sum(masses[n].error_estimate for masses in alone).hex()
 
-    def test_failure_names_atom_radius_and_interval(self):
+    def test_failure_names_atom_radius_and_interval(self, monkeypatch):
         # the short strip of atom 0 converges on its seed panel; the long
         # strip of atom 1 needs more than one split
         lam = Eigenvalue.negative(-0.5)
@@ -231,10 +231,10 @@ class TestScheduleQuadrature:
                 b=1, a0=1.0, b0=0.2, modes=((-1, 0.03, 0.01),), strip_c=math.log(1e-4) / -0.5,
             ))),
         ]
-        cfg = QuadratureConfig(max_depth=1)
+        monkeypatch.setattr(lelonglab.quadrature, "MAX_DEPTH", 1)
         current = build_current(lam, atoms)
         with pytest.raises(QuadratureFailure) as exc_info:
-            mass_quadrature_schedule(current, (1.0, 0.5), cfg=cfg)
+            mass_quadrature_schedule(current, (1.0, 0.5))
         failure = exc_info.value
         message = str(failure)
         assert message.startswith("atoms[1] at r = ")
@@ -243,7 +243,7 @@ class TestScheduleQuadrature:
         for n in failure.ranges:
             assert repr((1.0, 0.5)[n]) in message
         # atom 0 alone is fine at that depth
-        mass_quadrature_schedule(build_current(lam, atoms[:1]), (1.0, 0.5), cfg=cfg)
+        mass_quadrature_schedule(build_current(lam, atoms[:1]), (1.0, 0.5))
 
     def test_schedule_work_is_near_one_mass(self, monkeypatch):
         # 3073-point flat grid; a schedule used to cost about 7 single masses
@@ -543,6 +543,8 @@ class TestStripIntegrals:
             ib(-1.0, 1.2, 1.0)
         with pytest.raises(DomainError):
             ia(0.5, 0.1, 0.5)  # positive eigenvalue has no strip integral
+        with pytest.raises(DomainError, match=r"^radius must lie in \(0, 1\]$"):
+            ia(-1.0, 0.1, 0.0)
 
     def test_b_part_mass_increases_with_r(self):
         # 0.2 < r^1.5 keeps the strip nonempty along the whole sweep
@@ -913,6 +915,10 @@ class TestBoundaryReduction:
         with pytest.raises(InputError):
             boundary_reduction_check(Eigenvalue.rational(1, 1), 0.5, flat_poisson(c_lin=0.2), math.exp(-1.0), 0.0)
 
+    def test_eigenvalue_gate(self):
+        with pytest.raises(DomainError, match=r"^reduction check needs an eigenvalue in \(0, 1\]$"):
+            boundary_reduction_check(Eigenvalue.negative(-0.5), 0.5, flat_poisson(), 0.1, 0.0)
+
 
 class TestIntervalBound:
     def test_kernel_weight_symmetric(self):
@@ -952,6 +958,11 @@ class TestIntervalBound:
     def test_rejects_negative_eigenvalue(self, neg_single):
         with pytest.raises(InputError):
             lower_bound_nonperiodic(neg_single)
+
+    def test_rejects_linear_term(self):
+        cur = build_current(Eigenvalue.rational(1, 1), [TransversalAtom(1.3, 1.0, flat_poisson(c_lin=0.2))])
+        with pytest.raises(UnsupportedCurrentError, match="^interval lower bound needs c_lin = 0$"):
+            lower_bound_nonperiodic(cur)
 
     def test_rejects_fourier_atoms(self, flagship):
         with pytest.raises(UnsupportedCurrentError):
@@ -1134,6 +1145,36 @@ class TestScheduleSummaries:
             lelong_radii(r_start, ratio, index + 2)
         assert str(exc_info.value) == want
         assert lelong_radii(r_start, ratio, index)[-1] > 0.0
+
+    @pytest.mark.parametrize("steps", [10**12, 10**400])
+    def test_long_schedule_is_refused_without_its_radii(self, steps):
+        # radius 1075 of a halving schedule is 0.0; a list of 10^12 radii
+        # would not fit in memory, and 10^400 is past the float range
+        with pytest.raises(DomainError, match=r"^schedule radius 1075, r_start \* ratio\^1075 with r_start = 1\.0 "):
+            lelong_radii(1.0, 0.5, steps)
+
+    @given(
+        r_start=st.floats(min_value=5e-324, max_value=1.0),
+        ratio=st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+        steps=st.integers(2, 3000),
+    )
+    @example(r_start=1.0, ratio=0.5, steps=1076).via("the first zero is the last radius")
+    @example(r_start=1.0, ratio=0.5, steps=1075).via("the last radius is the smallest subnormal")
+    @example(r_start=0.3, ratio=1e-300, steps=3).via("r_start * ratio^2 underflows")
+    @settings(max_examples=300, deadline=None)
+    def test_first_zero_is_the_list_scan(self, r_start, ratio, steps):
+        rs = [r_start * ratio**n for n in range(steps)]
+        if 0.0 not in rs:
+            assert lelong_radii(r_start, ratio, steps) == rs
+            return
+        n = rs.index(0.0)
+        with pytest.raises(DomainError, match=rf"^schedule radius {n}, r_start \* ratio\^{n} with "):
+            lelong_radii(r_start, ratio, steps)
+
+    @pytest.mark.parametrize("r_start", [0.0, -0.5, 1.5, math.nan])
+    def test_start_outside_the_unit_interval(self, r_start):
+        with pytest.raises(DomainError, match=r"^r_start must lie in \(0, 1\]$"):
+            lelong_radii(r_start, 0.5, 12)
 
 
 class TestPositiveLimit:

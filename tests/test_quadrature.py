@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 
@@ -7,7 +8,19 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lelonglab import InputError, QuadratureConfig, QuadratureFailure, integrate
+from lelonglab import quadrature
 from lelonglab.quadrature import _NODES, _W_KRONROD, _seed_panels, integrate_lockstep
+
+
+@contextlib.contextmanager
+def _budgets(max_depth=quadrature.MAX_DEPTH, max_panels=quadrature.MAX_PANELS):
+    """The engine's MAX_DEPTH and MAX_PANELS budgets set to these while the block runs."""
+    saved = quadrature.MAX_DEPTH, quadrature.MAX_PANELS
+    quadrature.MAX_DEPTH, quadrature.MAX_PANELS = max_depth, max_panels
+    try:
+        yield
+    finally:
+        quadrature.MAX_DEPTH, quadrature.MAX_PANELS = saved
 
 
 class TestIntegrate:
@@ -34,8 +47,8 @@ class TestIntegrate:
     def test_failure_carries_best_estimate(self):
         # endpoint singularity x^{-0.9}: integrable but not resolvable at
         # 1e-12 within the depth budget
-        with pytest.raises(QuadratureFailure) as exc_info:
-            integrate(lambda x: x**-0.9, 0.0, 1.0, rel_tol=1e-13, abs_tol=1e-15, max_depth=10)
+        with pytest.raises(QuadratureFailure) as exc_info, _budgets(max_depth=10):
+            integrate(lambda x: x**-0.9, 0.0, 1.0, QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15))
         failure = exc_info.value
         # exact value is 10; the unresolved corner loses some mass but the
         # carried estimate must still be in the right ballpark
@@ -90,7 +103,7 @@ class TestSubRanges:
         parts = _one_job(_oscillating, 0.0, 12.0, ranges, rel_tol=rel_tol, abs_tol=abs_tol)
         assert len(parts) == len(ranges)
         for (lo, hi), (value, err) in zip(ranges, parts):
-            alone, alone_err = integrate(_oscillating, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol)
+            alone, alone_err = integrate(_oscillating, lo, hi, QuadratureConfig(rel_tol, abs_tol))
             assert abs(value - alone) <= err + alone_err + 1e-15 * abs(alone)
             assert err <= max(abs_tol, rel_tol * abs(value))
 
@@ -159,8 +172,8 @@ class TestSubRanges:
         def pair(x):
             return np.stack((x**-0.9, np.ones_like(x)))
 
-        with pytest.raises(QuadratureFailure) as exc_info:
-            integrate(pair, 0.0, 1.0, rel_tol=1e-13, abs_tol=1e-15, max_depth=10)
+        with pytest.raises(QuadratureFailure) as exc_info, _budgets(max_depth=10):
+            integrate(pair, 0.0, 1.0, QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15))
         failure = exc_info.value
         assert type(failure.best_estimate) is float
         assert type(failure.error_estimate) is float
@@ -177,18 +190,20 @@ def _job_integrand(kind, params):
     return lambda x: np.polynomial.polynomial.polyval(x / 4.0, params)
 
 
-def _lockstep(f, jobs, **kw):
-    """integrate_lockstep on tuple jobs (a, b, ranges), the form tests/oracles.py takes.
+def _lockstep(f, jobs, max_depth=quadrature.MAX_DEPTH, max_panels=quadrature.MAX_PANELS, **tols):
+    """integrate_lockstep on tuple jobs (a, b, ranges), with the settings tests/oracles.py takes.
 
     The ranges go in as (J, R) arrays of ends, a job with fewer ranges padded
-    with empty ranges [a, a], and the sums come back as one list of
+    with empty ranges [a, a], the tolerances as a QuadratureConfig and the
+    budgets through _budgets, and the sums come back as one list of
     (value, error) pairs per job: floats for a single-row f, else arrays,
     with scalar zeros for an empty range.
     """
     width = max((len(spans) for _, _, spans in jobs), default=0)
     ends = np.array([list(spans) + [(a, a)] * (width - len(spans)) for a, _, spans in jobs], dtype=float)
     ends = ends.reshape(len(jobs), width, 2)
-    values, errors = integrate_lockstep(f, ends[..., 0], ends[..., 1], **kw)
+    with _budgets(max_depth, max_panels):
+        values, errors = integrate_lockstep(f, ends[..., 0], ends[..., 1], QuadratureConfig(**tols))
     if values.shape[2] == 1:
         return [list(zip(v[:len(spans), 0].tolist(), e[:len(spans), 0].tolist()))
                 for v, e, (_, _, spans) in zip(values, errors, jobs)]
@@ -372,13 +387,22 @@ class TestConfig:
         cfg = QuadratureConfig()
         assert cfg.rel_tol == 1e-9
         assert cfg.abs_tol == 1e-12
-        assert cfg.max_depth == 16
+        assert (quadrature.MAX_DEPTH, quadrature.MAX_PANELS) == (16, 20000)
 
     def test_validation(self):
-        with pytest.raises(InputError):
-            QuadratureConfig(rel_tol=-1.0)
-        with pytest.raises(InputError):
-            QuadratureConfig(max_depth=0)
+        for tols in ({"rel_tol": -1.0}, {"rel_tol": 0.0}, {"abs_tol": 0.0}, {"rel_tol": math.nan},
+                     {"abs_tol": math.nan}):
+            with pytest.raises(InputError, match="quadrature tolerances must be positive"):
+                QuadratureConfig(**tols)
+
+    def test_engine_takes_settings_only_as_a_config(self):
+        # tolerances reach the engine only as a QuadratureConfig, which
+        # refuses a NaN, and its budgets are module constants
+        for setting in ({"rel_tol": math.nan, "abs_tol": math.nan}, {"max_depth": 0}, {"max_panels": 4}):
+            with pytest.raises(TypeError):
+                integrate(np.sqrt, 0.0, 1.0, **setting)
+            with pytest.raises(TypeError):
+                integrate_lockstep(_rows_of([np.sqrt]), [[0.0]], [[1.0]], **setting)
 
 
 def _logged(f, log):
@@ -487,6 +511,21 @@ class TestAgainstHeapEngine:
         (kind, *rest), _ = _assert_same_as_heap(f, specs, rel_tol=rel_tol, abs_tol=1e-12,
                                                 max_depth=max_depth, max_panels=max_panels)
         event(kind if kind == "ok" else rest[0].split(" ")[0])
+
+    def test_panel_too_narrow_for_its_nodes(self):
+        # the half-width of [0, 5e-324] rounds to 0, and _noisy is inf on its
+        # nodes: 0 * inf is a non-finite panel in both engines, not a warning
+        g = _noisy(0)
+
+        def f(rows, v):
+            return np.stack([g(x) for x in v])
+
+        (kind, message, job, ranges, *_), _ = _assert_same_as_heap(
+            f, [(0.0, 1.0, [(0.0, 5e-324)])], rel_tol=1e-3, abs_tol=1e-12, max_depth=3, max_panels=4,
+        )
+        assert kind == "failure"
+        assert message == "non-finite integrand on [0.0, 5e-324] (value nan, err nan)"
+        assert (job, ranges) == (0, (0,))
 
     def test_reopened_range(self):
         # the injected errors of test_reopened_range_gets_its_parked_panels_back

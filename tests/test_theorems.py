@@ -41,6 +41,11 @@ class TestCorpus:
         b = {c.case_id: current_to_json(c.current) for c in corpus(42)}
         assert a == b
 
+    def test_negative_seed_is_refused(self):
+        for build in (corpus, run_corpus):
+            with pytest.raises(InputError, match="^seed must be a non-negative integer, not -1$"):
+                build(-1)
+
     def test_seed_jitters_only_mode_coefficients(self):
         by_id_a = {c.case_id: c for c in corpus(42)}
         by_id_b = {c.case_id: c for c in corpus(7)}
