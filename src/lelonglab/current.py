@@ -195,11 +195,14 @@ def _base_values(table: AtomTable) -> np.ndarray:
 
     For trig specs that is a0 + sum_k a_k, since every sine vanishes and
     every exponential is 1 there; the terms are added left to right, in the
-    order evaluate adds them, so the sums agree to the bit.
+    order evaluate adds them, so the sums agree to the bit. A sum that
+    overflows is inf (or nan from inf - inf), as in evaluate's float adds,
+    and fails the normalization check rather than raising a RuntimeWarning.
     """
     cols = table.fourier
     base = cols.a0.copy()
-    np.add.at(base, cols.owner, cols.ak)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(base, cols.owner, cols.ak)
     for i, spec in enumerate(table.poisson):
         if spec is not None:
             base[i] = evaluate(spec, 0.0, 0.0)

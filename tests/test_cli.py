@@ -782,6 +782,8 @@ class TestDecoders:
     # strings and bools in float fields, which float() used to take
     @example(doc=_fill(FOURIER_DOC, FOURIER_FIELDS, {"re": b'"0.5"', "im": b"false", "a0": b'"1.0"'}))
     @example(doc=_fill(POISSON_DOC, POISSON_FIELDS, {"weight": b"true", "tail": b'"1.0"', "value": b'"1.0"'}))
+    # a0 + a_k overflows at the base point, which the column sum warned of
+    @example(doc=_fill(FOURIER_DOC, FOURIER_FIELDS, {"a0": b"8.988465674311579e+307", "ak": b"8.98846567431158e+307"}))
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_current_or_same_error(self, doc, tmp_path):
         from oracles import load_current
