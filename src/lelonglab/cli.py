@@ -43,6 +43,14 @@ from .theorems import report_to_json, run_corpus
 CANVAS = 800
 MARGIN = 40
 
+# Cost bounds of the size flags, so that no typed number asks for unbounded
+# memory or output. A schedule holds one radius per step: 10**4 steps, past
+# the 1075 halvings a float radius survives, run in about 0.1 s and write a
+# 0.6 MB CSV for one trig atom (2-core Xeon). A loop of the torus curve is 128
+# samples and about 2.9 KB of SVG, so 10**3 loops write about 2.9 MB.
+MAX_STEPS = 10_000
+MAX_LOOPS = 1_000
+
 
 def _load_current(path: str) -> Current:
     # imported here, not at the top: verify and sweep read no input file, so
@@ -101,11 +109,17 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=STEPS)
 
 
+def _at_most(flag: str, value: int, bound: int) -> int:
+    """The value of a size flag, refused above its bound before anything is built."""
+    if value > bound:
+        raise InputError(f"{flag} must be at most {bound}, not {value}")
+    return value
+
+
 def _estimate(args: argparse.Namespace, current: Current):
     """The LelongEstimate of current along the schedule and settings of the flags."""
-    return lelong_estimate(
-        current, r_start=args.r_start, ratio=args.ratio, steps=args.steps, cfg=_quad_config(args), k0=args.k0,
-    )
+    return lelong_estimate(current, r_start=args.r_start, ratio=args.ratio,
+                           steps=_at_most("--steps", args.steps, MAX_STEPS), cfg=_quad_config(args), k0=args.k0)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +128,7 @@ def _estimate(args: argparse.Namespace, current: Current):
 
 def cmd_mass(args: argparse.Namespace) -> int:
     current = _load_current(args.input)
-    cfg = _quad_config(args)
-    result = mass_quadrature(current, args.r, k0=args.k0, cfg=cfg)
+    result = mass_quadrature(current, args.r, k0=args.k0, cfg=_quad_config(args))
     payload = {
         "r": result.r,
         "k0": args.k0,
@@ -239,13 +252,14 @@ def cmd_leafplot(args: argparse.Namespace) -> int:
     loops = args.loops
     if loops < 1:
         raise InputError(f"--loops must be a positive integer, not {loops}")
+    _at_most("--loops", loops, MAX_LOOPS)
+    est = _estimate(args, current)  # before the curve and either file: a failure writes nothing
     curve = torus_curve(
         current.lam,
         atom.alpha,
         u_span=2.0 * math.pi * loops,
         samples=max(2, 128 * loops),
     )
-    est = _estimate(args, current)  # before either file: a failure writes nothing
     torus_path = args.out + "/torus.svg" if args.out else "torus.svg"
     schedule_path = args.out + "/schedule.svg" if args.out else "schedule.svg"
     with open(torus_path, "w", encoding="utf-8", newline="") as fh:
@@ -290,12 +304,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     Every sweep current is a trig series, so each schedule takes the exact
     route at its default settings; the sweep takes no tolerance flags.
     """
+    steps = _at_most("--steps", args.steps, MAX_STEPS)
     lams = (Eigenvalue.rational(1, 1), Eigenvalue.rational(1, 2), Eigenvalue.negative(-1.0))
     rows = []
     for lam in lams:
         for family in SWEEP_FAMILIES:
             current = build_current(lam, _sweep_atoms(lam, family))
-            est = lelong_estimate(current, r_start=args.r_start, ratio=args.ratio, steps=args.steps)
+            est = lelong_estimate(current, r_start=args.r_start, ratio=args.ratio, steps=steps)
             rows.append([
                 repr(lam.value),
                 family,

@@ -5,19 +5,21 @@ series with decaying modes (periodic leaves, both half-plane and strip
 variants) and a Poisson integral of sampled boundary data with constant
 tails plus an optional linear term (aperiodic leaves). Both evaluate
 exactly harmonically: the trig modes are harmonic one by one, and the
-Poisson value is a trapezoid sum of harmonic kernels plus closed-form
-arctangent tails, each harmonic in (u, v) on its own.
+Poisson value is tail + c_lin v, the exact extension of the constant tail,
+plus a trapezoid sum of harmonic kernels weighting each sample's departure
+from the tail, each harmonic in (u, v) on its own.
 
 Integrals over a u-window are exact in u. For Poisson data they are kernel
 sums over the boundary grid, and a PoissonWindow is the one way into them:
 poisson_rows(window, v) gives the window integral and its grid-model error
 from one kernel block, since the error's half-density probe grid has its
 nodes among the full grid's, and poisson_panel_rows does so for many
-panels above the boundary v = 0, one kernel block each. A window built on a
-grid of LADDER_MIN_POINTS nodes or more sums the nodes far from the u-window
-through their moments on a ladder of shells (a one-level far-field
-expansion) and the rest directly, and adds the expansion's truncation
-remainder to the error row.
+panels above the boundary v = 0, one kernel block each. Only the nodes
+whose samples depart from the tail enter a block, so flat data computes no
+kernel entry. A window whose support spans LADDER_MIN_POINTS nodes or more
+sums the nodes far from the u-window through their moments on a ladder of
+shells (a one-level far-field expansion) and the rest directly, and adds
+the expansion's truncation remainder to the error row.
 """
 
 from __future__ import annotations
@@ -183,24 +185,18 @@ def boundary_value(spec: PoissonSpec, y):
 
 def _poisson_eval(spec: PoissonSpec, u, v):
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    shape = u.shape
-    u = np.ravel(u)
-    v = np.ravel(v)
-    out = np.empty_like(u)
+    out = np.empty(u.shape)
     at_boundary = v <= 0.0
-    if np.any(at_boundary):
+    if at_boundary.any():
         out[at_boundary] = boundary_value(spec, u[at_boundary])
     inside = ~at_boundary
-    if np.any(inside):
-        ui = u[inside]
-        vi = v[inside]
-        kernel = vi[:, None] / (vi[:, None] ** 2 + (spec.ys[None, :] - ui[:, None]) ** 2)
-        bulk = _trapezoid(spec.values[None, :] * kernel, spec.ys, axis=1)
-        y_top = spec.half_width
-        right = spec.tail * (0.5 * math.pi - np.arctan((y_top - ui) / vi))
-        left = spec.tail * (0.5 * math.pi + np.arctan((-y_top - ui) / vi))
-        out[inside] = (bulk + right + left) / math.pi + spec.c_lin * vi
-    out = out.reshape(shape)
+    if inside.any():
+        # tail + c_lin v, exact, plus the trapezoid kernel sum of the
+        # samples' departures from the tail
+        ui, vi = u[inside], v[inside]
+        ys, weighted = _full_samples(spec)
+        kernel = vi[:, None] / (vi[:, None] ** 2 + (ys - ui[:, None]) ** 2)
+        out[inside] = spec.tail + spec.c_lin * vi + (kernel @ weighted) / math.pi
     return out
 
 
@@ -310,7 +306,9 @@ def check_positivity(spec: HarmonicSpec) -> bool:
 
     A PoissonSpec is positive by construction, so the answer is True: its
     constructor refuses negative samples, tail and c_lin, and the Poisson
-    kernel, the tail terms and c_lin v keep nonnegative data nonnegative.
+    integral of nonnegative data plus c_lin v is nonnegative. The discrete
+    model weighs a sample below the tail negatively, so it keeps that sign
+    only within its grid-model error (window_model_error).
     """
     if isinstance(spec, PoissonSpec):
         return True
@@ -588,7 +586,7 @@ def fourier_window(cols: FourierColumns, u0: float, u1: float) -> FourierWindow:
 # order-p term is at most 2 x^p, x = (h + v) / |s| < 1 / FAR_RATIO, so
 # stopping at p = FAR_ORDER leaves at most 2 x^(FAR_ORDER + 1) / (1 - x) per
 # unit weight: 2 * 0.4^41 / 0.6 = 1.6e-16, or 5e-17 W in the window integral
-# after its division by pi, W being the far weight.
+# after its division by pi, W being the far nodes' total absolute weight.
 FAR_ORDER = 40
 FAR_RATIO = 2.5
 # Shells R_j = FAR_RATIO h SHELL_GROWTH^j. A block takes the smallest shell its
@@ -647,12 +645,13 @@ def _far_sum(betas: np.ndarray, t: np.ndarray) -> np.ndarray:
 class BoundaryGrid:
     """One trapezoid grid of a PoissonWindow, with its ladder of shells.
 
-    weighted holds the samples times their trapezoid weights, and gap the
-    products (y - u0)(y - u1), so no kernel block rebuilds them. Shell j has
-    radius radii[j] about the window centre: the nodes within it are
-    near[j, 0]:near[j, 1], and the others enter only through betas[j] (see
-    _far_coefficients) and their total weight far_weight[j]. A grid with no
-    shells sums every block directly.
+    weighted holds the samples' departures from the tail times their
+    trapezoid weights, and gap the products (y - u0)(y - u1), so no kernel
+    block rebuilds them. Shell j has radius radii[j] about the window
+    centre: the nodes within it are near[j, 0]:near[j, 1], and the others
+    enter only through betas[j] (see _far_coefficients) and their total
+    absolute weight far_weight[j]. A grid with no shells sums every block
+    directly.
     """
 
     half: float  # h, the half-width of the u-window
@@ -685,7 +684,7 @@ def _shells(s: np.ndarray, weighted: np.ndarray, half: float, ladder: bool):
     Grids without a ladder, and grids inside the first shell, get none.
     """
     dist = np.abs(s)
-    extent = float(dist.max())
+    extent = float(dist.max(initial=0.0))  # 0 on a grid with no node
     if not ladder or extent <= FAR_RATIO * half:
         return np.empty(0), np.empty((0, 2), dtype=int), np.empty((0, FAR_ORDER // 2)), np.empty(0)
     count = math.ceil(math.log(extent / (FAR_RATIO * half)) / math.log(SHELL_GROWTH))
@@ -710,7 +709,9 @@ def _shells(s: np.ndarray, weighted: np.ndarray, half: float, ladder: bool):
         term = term * x2
         sums[:, i] = np.add.reduceat(term, starts)
     moments = owner @ sums
-    far_weight = owner @ np.add.reduceat(w, starts)
+    # the weights are departures from the tail, of either sign: the
+    # remainder bound takes their sizes
+    far_weight = owner @ np.add.reduceat(np.abs(w), starts)
     # shell j's far nodes are annuli j, j + 1, ...: carry the moments inward,
     # from R_{j+1} to R_j = R_{j+1} / SHELL_GROWTH
     inward = SHELL_GROWTH ** (-2.0 * np.arange(1, order + 1))
@@ -728,24 +729,41 @@ def _boundary_grid(ys, weighted, u0: float, u1: float, ladder: bool) -> Boundary
     return BoundaryGrid(half, weighted, (ys - u0) * (ys - u1), *shells)
 
 
+def _support(spec: PoissonSpec) -> Tuple[int, int]:
+    """(lo, stop): the smallest node range from an even node that holds every node off the tail.
+
+    It ends on an even node too, but for an even-length grid's last node,
+    which the probe keeps; (0, 0) when every sample is the tail.
+    """
+    off = np.flatnonzero(spec.values != spec.tail)
+    if not off.size:
+        return 0, 0
+    return off[0] - off[0] % 2, min(off[-1] + off[-1] % 2, spec.ys.size - 1) + 1
+
+
 def _full_samples(spec: PoissonSpec):
-    """The grid's nodes and its samples times their trapezoid weights."""
-    weighted = spec.step * spec.values
+    """The nodes of the grid's support, and their departures from the tail times their trapezoid weights."""
+    weighted = spec.step * (spec.values - spec.tail)
     weighted[[0, -1]] *= 0.5
-    return spec.ys, weighted
+    lo, stop = _support(spec)
+    return spec.ys[lo:stop], weighted[lo:stop]
 
 
 def _probe_samples(spec: PoissonSpec):
     """The same for the half-density grid of the grid-model error's probe."""
     # every other node; an even-length grid keeps its last node too, one
     # step past the others, so the probe spans the whole grid
-    ys, weighted = spec.ys[::2], 2.0 * spec.step * spec.values[::2]
+    ys, weighted = spec.ys[::2], 2.0 * spec.step * (spec.values[::2] - spec.tail)
     weighted[[0, -1]] *= 0.5
     if spec.ys.size % 2 == 0:
         weighted[-1] *= 1.5
         ys = np.append(ys, spec.ys[-1])
-        weighted = np.append(weighted, 0.5 * spec.step * spec.values[-1])
-    return ys, weighted
+        weighted = np.append(weighted, 0.5 * spec.step * (spec.values[-1] - spec.tail))
+    # probe node k is grid node 2k, and the support starts and ends on
+    # probe nodes, so it spans the full grid's support
+    lo, stop = _support(spec)
+    keep = slice(lo // 2, stop // 2 + 1) if stop else slice(0, 0)
+    return ys[keep], weighted[keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -754,9 +772,11 @@ class PoissonWindow:
 
     The counterpart of FourierWindow for sampled data, built once per atom
     and schedule: the full grid and the half-grid probe of the grid-model
-    error, each with its shell ladder (see BoundaryGrid). The probe spans
-    the full grid, so both ladders have the same radii, and one shell index
-    serves both.
+    error, each with its shell ladder (see BoundaryGrid), on the support of
+    the samples' departure from the tail (_support) and weighting that
+    departure. The probe spans the full grid's support, so both ladders have
+    the same radii, and one shell index serves both. A spec whose samples
+    are all the tail leaves both grids empty.
     """
 
     spec: PoissonSpec
@@ -767,20 +787,16 @@ class PoissonWindow:
 
 
 def poisson_window(spec: PoissonSpec, u0: float, u1: float) -> PoissonWindow:
-    """The PoissonWindow of spec over [u0, u1]; a spec under LADDER_MIN_POINTS nodes gets no shells."""
+    """The PoissonWindow of spec over [u0, u1]; a support under LADDER_MIN_POINTS nodes gets no shells."""
     if not u1 > u0:
         raise DomainError("window integral needs u0 < u1")
-    ladder = spec.ys.size >= LADDER_MIN_POINTS
+    ys, weighted = _full_samples(spec)
+    ladder = ys.size >= LADDER_MIN_POINTS
     return PoissonWindow(
         spec, u0, u1,
-        full=_boundary_grid(*_full_samples(spec), u0, u1, ladder),
+        full=_boundary_grid(ys, weighted, u0, u1, ladder),
         probe=_boundary_grid(*_probe_samples(spec), u0, u1, ladder),
     )
-
-
-def _arctan_primitive(s, v):
-    # d/ds [ s arctan(s/v) - (v/2) log(v^2 + s^2) ] = arctan(s/v)
-    return s * np.arctan(s / v) - 0.5 * v * np.log(v * v + s * s)
 
 
 def window_integral(spec: HarmonicSpec, u0: float, u1: float, v):
@@ -790,9 +806,11 @@ def window_integral(spec: HarmonicSpec, u0: float, u1: float, v):
     FourierWindow built for the same [u0, u1]: then row i of the (n, k)
     block v holds heights for its i-th spec. One FourierSpec is the
     one-row case. For Poisson specs the u-integral commutes with the finite
-    trapezoid sum defining eval, so the result is the trapezoid sum of
-    arctan differences plus closed-form tail terms: exactly the u-integral
-    of eval, not a second approximation. It is row 0 of poisson_rows on
+    trapezoid sum defining eval, so the result is (tail + c_lin v)(u1 - u0)
+    plus the trapezoid sum of arctan differences weighting the samples'
+    departures from the tail: exactly the u-integral of eval, not a second
+    approximation. Samples equal to the tail add nothing, so flat data
+    gives (tail + c_lin v)(u1 - u0) exactly. It is row 0 of poisson_rows on
     the PoissonWindow of spec over [u0, u1]; on a grid with a shell ladder
     its far sum is within that window's full.remainder(max v).
     """
@@ -836,8 +854,11 @@ def window_model_error(spec: PoissonSpec, u0: float, u1: float, v):
     continuum both in the smooth O(step^2) regime and in the near-boundary
     regime where the error is first order in the step. Tail and linear
     terms are continuum-exact and identical on both grids, so the gap is
-    that of the grid sums alone. It is row 1 of poisson_rows on the
-    PoissonWindow of spec over [u0, u1].
+    that of the grid sums of the departures from the tail alone, and 0
+    when every sample is the tail. It is row 1 of poisson_rows on the
+    PoissonWindow of spec over [u0, u1]. Nonnegative data whose samples lie
+    below the tail weigh some nodes negatively, so the window integral of
+    such data is nonnegative only within this bound.
     """
     return _row(poisson_rows(poisson_window(spec, u0, u1), v)[1])
 
@@ -878,37 +899,35 @@ def poisson_panel_rows(windows, v: np.ndarray) -> np.ndarray:
     v is a (P, k) block of heights > 0, as the nodes of quadrature panels
     inside a plaque are, and out (P, 2, k), each panel's rows bit for bit
     what it gets alone; a height <= 0 raises DomainError. Everything
-    elementwise in the heights is one pass over the block: the tail and
-    linear terms and both rows. Per panel run only its kernel sums
-    (_poisson_window, one arctan2 block) and, where a shell of its window's
-    ladders fits, the truncated far sums' remainder bounds at its largest
-    height, added to row 1: the full grid's twice (for the integral, and for
-    its part in the gap) and the probe's once.
+    elementwise in the heights is one pass over the block: the exact part
+    (tail + c_lin v)(u1 - u0) and both rows. Per panel whose window has a
+    node off the tail run only its kernel sums (_poisson_window, one
+    arctan2 block) and, where a shell of its window's ladders fits, the
+    truncated far sums' remainder bounds at its largest height, added to
+    row 1: the full grid's twice (for the integral, and for its part in the
+    gap) and the probe's once. Row 0 is the full grid's sum over pi plus
+    the exact part, and row 1 the gap of the two sums over pi plus the
+    remainders.
     """
     v_lo = float(v.min())
     if not v_lo > 0.0:
         raise DomainError(f"v = {v_lo} is not above the boundary v = 0")
     # the panels' constants as (P, 1) columns
-    tail, y_top, c_lin, u0, u1 = np.array(
-        [(w.spec.tail, w.spec.half_width, w.spec.c_lin, w.u0, w.u1) for w in windows]).T[:, :, None]
-    width = u1 - u0
-    prim = _arctan_primitive(np.stack((y_top - u0, y_top - u1, -y_top - u0, -y_top - u1)), v)
-    right = tail * (0.5 * math.pi * width - prim[0] + prim[1])
-    left = tail * (0.5 * math.pi * width + prim[2] - prim[3])
-    linear = c_lin * v * width
+    tail, c_lin, u0, u1 = np.array([(w.spec.tail, w.spec.c_lin, w.u0, w.u1) for w in windows]).T[:, :, None]
+    level = (tail + c_lin * v) * (u1 - u0)
     # one arctan2 block per panel, never one for the whole call: a stacked
     # block no longer fits in cache. Twelve 15-height panels on a 769-node
     # grid, sums included, take 1.15 ms as one (180, 769) block and 0.60 ms
     # as twelve (15, 769) blocks, and stacking made corpus verification go
     # from 11.4 to 12.9 ms (2-core Xeon)
-    sums = np.empty((2,) + v.shape)
-    remainder = np.empty((len(windows), 1))
+    sums = np.zeros((2,) + v.shape)
+    remainder = np.zeros((len(windows), 1))
     for p, window in enumerate(windows):
-        sums[0, p], sums[1, p] = _poisson_window(window, v[p])
-        v_max = float(v[p].max())
-        remainder[p] = 2.0 * window.full.remainder(v_max) + window.probe.remainder(v_max)
-    value, coarse = (sums + right + left) / math.pi + linear
-    return np.stack((value, np.abs(value - coarse) + remainder), axis=1)
+        if window.full.gap.size:
+            sums[0, p], sums[1, p] = _poisson_window(window, v[p])
+            v_max = float(v[p].max())
+            remainder[p] = 2.0 * window.full.remainder(v_max) + window.probe.remainder(v_max)
+    return np.stack((sums[0] / math.pi + level, np.abs(sums[0] - sums[1]) / math.pi + remainder), axis=1)
 
 
 def _poisson_window(window: PoissonWindow, vflat):
@@ -916,10 +935,12 @@ def _poisson_window(window: PoissonWindow, vflat):
 
     The near nodes of the heights' shell are summed directly, as one
     arctan2 block, and the far ones through the shell's moments; every node
-    when no shell fits. The probe's entries are every other column of the
-    same block, so it computes no kernel entry of its own. This is the only
-    code that computes kernel entries; the tail and linear terms that make
-    the sums into window integrals are poisson_panel_rows's.
+    of the support when no shell fits. The probe's entries are every other
+    column of the same block, so it computes no kernel entry of its own.
+    This is the only code that computes kernel entries, and only over the
+    nodes off the tail: the exact part that makes the sums into window
+    integrals is poisson_panel_rows's, and a window with no such node
+    computes none.
     """
     grid, probe = window.full, window.probe
     width = window.u1 - window.u0

@@ -10,10 +10,13 @@ Two independent routes to the mass of a current on the bidisc of radius r:
   until each radius meets the tolerance on its own panels. All atoms are
   refined in lockstep, one integrand call per round for every atom's new
   panels: trig atoms as rows of one FourierWindow, Poisson panels through
-  one poisson_panel_rows call, one kernel block per panel from its atom's
-  PoissonWindow (far grid nodes by moments, near ones directly), with their
-  grid-model defect, summed from the same block, and the expansion's
-  truncation remainder. mass_quadrature is the one-radius case.
+  one poisson_panel_rows call. A Poisson window integral is the tail's
+  exact part, (tail + c_lin v) times the window width, plus one kernel
+  block per panel over the grid nodes whose samples depart from the tail
+  (far ones by moments, near ones directly), with its grid-model defect,
+  summed from the same block, and the expansion's truncation remainder;
+  flat data computes no kernel block. mass_quadrature is the one-radius
+  case.
 * mass_closed_form: exact for every trig-series current and u-window, as a
   finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}. Its
   engine, _exact_masses, takes an AtomTable of one or many currents, each
@@ -145,7 +148,9 @@ def _truncate_half_plane(envelope, lam: Eigenvalue, jac, v_lo: float, cfg: Quadr
 
     envelope is the atom's (P, Q) of _envelopes, and jac its (c1, c2) of
     jacobian_rows. The height is the first step where the integrand's
-    envelope falls below abs_tol / 1000.
+    envelope, 2 pi (P + Q v)(2 c1 e^{-2v} + 2 c2 e^{-2 lambda v}), falls
+    below abs_tol / 1000, and the bound is that envelope's integral above
+    the height, term by term.
     """
     p, q = envelope
     p *= TWO_PI
@@ -161,7 +166,7 @@ def _truncate_half_plane(envelope, lam: Eigenvalue, jac, v_lo: float, cfg: Quadr
     step = max(0.5, 0.5 / min(1.0, lam.value))
     while env(v_hi) > threshold and v_hi < v_lo + 5000.0:
         v_hi += step
-    return v_hi, _tail_integral(p, q, r1, v_hi) + _tail_integral(p, q, r2, v_hi)
+    return v_hi, c1 * _tail_integral(p, q, r1, v_hi) + c2 * _tail_integral(p, q, r2, v_hi)
 
 
 def _atom_ranges(lam: Eigenvalue, table: AtomTable, rs, cfg: QuadratureConfig):
@@ -202,8 +207,9 @@ def mass_quadrature_schedule(
     panels. The atoms share each round's integrand call. Trig rows are
     evaluated together through a row-stacked FourierWindow; Poisson rows
     through one harmonic.poisson_panel_rows call per integrand call, which
-    works out the tail and linear terms for all of them at once and one
-    kernel block per panel, with the grid-model defect as a second row
+    works out the exact tail and linear part for all of them at once and
+    one kernel block per panel with a node off the tail, with the
+    grid-model defect as a second row
     summed from the same block. Each Poisson atom's PoissonWindow, with its
     shell ladders, is built once here and serves both rows of every panel.
     The weighted (atom, radius) sums are added over the atoms in order.

@@ -38,6 +38,13 @@ def flat_poisson(c_lin=0.0, half_turns=16, step_div=24):
     return PoissonSpec(ys=ys, values=np.ones(n), tail=1.0, c_lin=c_lin)
 
 
+def spanning_poisson(c_lin=0.0, half_turns=16, step_div=24):
+    """Samples 1 + sin(y/3)/2 over a tail of 1 on flat_poisson's grid: they depart from the tail at both ends."""
+    n = 2 * half_turns * step_div + 1
+    ys = np.linspace(-half_turns * math.pi, half_turns * math.pi, n)
+    return PoissonSpec(ys=ys, values=1.0 + 0.5 * np.sin(ys / 3.0), tail=1.0, c_lin=c_lin)
+
+
 @pytest.fixture
 def announce(capfd):
     """One visible pass/fail line per acceptance criterion, capture or not."""

@@ -6,9 +6,11 @@ are the earlier implementations of quadrature.integrate_lockstep and
 mass._exact_masses, kept verbatim as oracles: the array versions must give
 the same numbers bit for bit, the same integrand calls and the same failures.
 poisson_rows sums a Poisson window's full grid and its half-density probe
-as two kernel blocks, each with its own tail terms, and truncate_half_plane
-sums the truncation envelope with a generator, from each spec's own
-envelope: the earlier forms of harmonic.poisson_rows and
+as two kernel blocks over the samples' departures from the tail, each made
+a window integral by the same exact (tail + c_lin v)(u1 - u0), and
+truncate_half_plane sums the truncation envelope and its tail bound, each
+exponential's tail weighted by its coefficient, with a generator, from
+each spec's own envelope: the earlier forms of harmonic.poisson_rows and
 mass._truncate_half_plane, which must agree with them bit for bit.
 jacobian_coefficients is the scalar formula of foliation.jacobian_rows,
 modulus by modulus. Without a PoissonWindow, poisson_rows sums grids it builds
@@ -440,7 +442,7 @@ def exact_masses(current, rs, k0=0):
     return [(math.fsum(v), unit * math.fsum(m)) for v, m in zip(values, mags)]
 
 
-def _poisson_window(grid, tail, y_top, c_lin, u0, u1, vflat):
+def _kernel_sum(grid, u0, u1, vflat):
     width = u1 - u0
     vi = vflat[:, None]
     j = grid.shell(float(vflat.max()))
@@ -449,21 +451,7 @@ def _poisson_window(grid, tail, y_top, c_lin, u0, u1, vflat):
     bulk = kern @ grid.weighted[near]
     if j is not None:
         bulk = bulk + _far_sum(grid.betas[j], vflat / grid.radii[j])
-    right = tail * (
-        0.5 * math.pi * width
-        - _arctan_primitive(y_top - u0, vflat)
-        + _arctan_primitive(y_top - u1, vflat)
-    )
-    left = tail * (
-        0.5 * math.pi * width
-        + _arctan_primitive(-y_top - u0, vflat)
-        - _arctan_primitive(-y_top - u1, vflat)
-    )
-    return (bulk + right + left) / math.pi + c_lin * vflat * width
-
-
-def _arctan_primitive(s, v):
-    return s * np.arctan(s / v) - 0.5 * v * np.log(v * v + s * s)
+    return bulk
 
 
 def _direct_grid(ys, weighted, u0, u1):
@@ -492,17 +480,17 @@ def poisson_rows(spec, u0, u1, v, window=None):
     at_boundary = vv <= 0.0
     if np.any(at_boundary):
         value[at_boundary] = boundary_integral(spec, u0, u1)
+    model = np.zeros_like(vv)
     inside = ~at_boundary
     if np.any(inside):
-        value[inside] = _poisson_window(full, spec.tail, spec.half_width, spec.c_lin, u0, u1, vv[inside])
-    model = np.zeros_like(vv)
-    inside = vv > 0.0
-    if np.any(inside):
         v_in = vv[inside]
+        level = (spec.tail + spec.c_lin * v_in) * (u1 - u0)
+        bulk = _kernel_sum(full, u0, u1, v_in)
+        value[inside] = bulk / math.pi + level
         v_max = float(v_in.max())
         remainder = 2.0 * full.remainder(v_max) + probe.remainder(v_max)
-        coarse = _poisson_window(probe, spec.tail, spec.half_width, spec.c_lin, u0, u1, v_in)
-        model[inside] = np.abs(value[inside] - coarse) + remainder
+        coarse = _kernel_sum(probe, u0, u1, v_in)
+        model[inside] = np.abs(bulk - coarse) / math.pi + remainder
     return value.reshape(v_arr.shape), model.reshape(v_arr.shape)
 
 
@@ -523,7 +511,7 @@ def truncate_half_plane(spec, lam, am, v_lo, cfg):
     step = max(0.5, 0.5 / min(1.0, lam.value))
     while env(v_hi) > threshold and v_hi < v_lo + 5000.0:
         v_hi += step
-    tail = sum(_tail_integral(p, q, rate, v_hi) for _, rate in terms)
+    tail = sum(c * _tail_integral(p, q, rate, v_hi) for c, rate in terms)
     return v_hi, tail
 
 

@@ -411,6 +411,38 @@ class TestNumericalEdges:
         assert err == f"input error: {message}\n"
         assert list(out_dir.iterdir()) == []
 
+    HUGE = str(10**12)
+
+    @pytest.mark.parametrize("command, message", [
+        (["lelong", "--steps", HUGE, "--ratio", "0.9999999999999"], f"--steps must be at most {cli.MAX_STEPS}"),
+        (["sweep", "--steps", HUGE, "--ratio", "0.9999999999999"], f"--steps must be at most {cli.MAX_STEPS}"),
+        (["leafplot", "--steps", HUGE, "--ratio", "0.9999999999999"], f"--steps must be at most {cli.MAX_STEPS}"),
+        (["leafplot", "--loops", HUGE], f"--loops must be at most {cli.MAX_LOOPS}"),
+    ], ids=["lelong-steps", "sweep-steps", "leafplot-steps", "leafplot-loops"])
+    def test_size_flag_above_its_bound_is_named(self, command, message, write_current, tmp_path, capsys,
+                                                monkeypatch):
+        # refused before a radius or a curve sample is formed: the builders
+        # stand in for ones that would fail the test if they ran
+        def never(*args, **kwargs):
+            raise AssertionError("built the refused schedule or curve")
+
+        monkeypatch.setattr(cli, "lelong_estimate", never)
+        monkeypatch.setattr(cli, "torus_curve", never)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        extra = [] if command[0] == "sweep" else ["--input", write_current(FLAGSHIP_JSON)]
+        extra += ["--out", str(out_dir if command[0] == "leafplot" else out_dir / "out")]
+        assert main(command + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: {message}, not {self.HUGE}\n"
+        assert list(out_dir.iterdir()) == []
+
+    def test_size_bounds_admit_their_own_value(self):
+        assert cli._at_most("--steps", cli.MAX_STEPS, cli.MAX_STEPS) == cli.MAX_STEPS
+        with pytest.raises(InputError, match="^--loops must be at most 1000, not 1001$"):
+            cli._at_most("--loops", cli.MAX_LOOPS + 1, cli.MAX_LOOPS)
+
     def test_non_finite_verify_report_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         from lelonglab.theorems import VerificationReport
 

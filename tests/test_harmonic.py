@@ -35,7 +35,7 @@ from lelonglab.harmonic import (
     FAR_ORDER, FAR_RATIO, LADDER_MIN_POINTS, fourier_columns, fourier_window, poisson_window,
 )
 
-from conftest import flat_poisson
+from conftest import flat_poisson, spanning_poisson
 
 
 def bump_poisson(sigma=2.0, tail=0.3, half_turns=24, step_div=24):
@@ -555,8 +555,9 @@ class TestWindowIntegral:
 class TestWindowModelError:
     @staticmethod
     def _flat(n):
+        # samples 1 over a tail of 0, so every node departs from the tail
         ys = np.linspace(-16.0 * math.pi, 16.0 * math.pi, n)
-        return PoissonSpec(ys=ys, values=np.ones(n), tail=1.0)
+        return PoissonSpec(ys=ys, values=np.ones(n), tail=0.0)
 
     @pytest.mark.parametrize("odd, even", [(769, 768), (1537, 1536)])
     def test_even_grid_probe_spans_the_grid(self, odd, even):
@@ -569,9 +570,15 @@ class TestWindowModelError:
         assert on_odd / 10.0 <= on_even <= 10.0 * on_odd
 
     def test_odd_grid_probe_unchanged(self):
-        # frozen from the probe before it learned even grids
+        # the gap of samples 1 over a tail of 0 is that of samples 1 over a
+        # tail of 1 in the model that summed the samples themselves, frozen
+        # from the probe before it learned even grids. That model took value
+        # - coarse, which rounds at a few ulps of the window integral; the
+        # gap of the two kernel sums does not, and is frozen from this one
         got = window_model_error(self._flat(769), 0.0, 2.0 * math.pi, np.array([0.05, 0.5, 2.0]))
-        assert list(got) == [1.3923305175467249e-08, 1.392045358983296e-07, 5.550900699091699e-07]
+        before = np.array([1.3923305175467249e-08, 1.392045358983296e-07, 5.550900699091699e-07])
+        assert np.all(np.abs(got - before) <= 8.0 * np.finfo(float).eps * 2.0 * math.pi)
+        assert list(got) == [1.3923304736507818e-08, 1.3920453602476562e-07, 5.550900698628672e-07]
 
     def test_bounds_the_full_grid_deviation(self):
         # the full-grid sum of smooth data is far closer to the continuum
@@ -584,14 +591,31 @@ class TestWindowModelError:
                       - window_integral(fine, 0.0, 2.0 * math.pi, v))
             assert dev <= gap
 
+    @pytest.mark.parametrize("tail", [0.3, 1.0, 5.0])
+    def test_bounds_the_full_grid_deviation_over_a_tail(self, tail):
+        # the same over a tail: the tail is exact on both grids, so only the
+        # bump is left to the grid sums
+        spec = bump_poisson(sigma=1.0, tail=tail, step_div=6)
+        fine = bump_poisson(sigma=1.0, tail=tail, step_div=96)
+        for v in (0.3, 1.0, 4.0):
+            gap = window_model_error(spec, 0.0, 2.0 * math.pi, v)
+            dev = abs(window_integral(spec, 0.0, 2.0 * math.pi, v)
+                      - window_integral(fine, 0.0, 2.0 * math.pi, v))
+            assert dev <= gap
+
 
 def _grid_spec(n, step, shape, tail, c_lin, seed):
-    """An n-node symmetric grid of the given step with flat, bump or random data."""
+    """An n-node symmetric grid of the given step with flat, bump or random data.
+
+    Flat data sits half a unit above the tail, and the bump decays like
+    1/y^2, never to the tail, so that every node departs from the tail and
+    enters the kernel sums.
+    """
     ys = np.linspace(-0.5 * (n - 1) * step, 0.5 * (n - 1) * step, n)
     if shape == "flat":
-        values = np.ones(n)
+        values = np.full(n, tail + 0.5)
     elif shape == "bump":
-        values = tail + np.exp(-(ys / 7.0) ** 2)
+        values = tail + 1.0 / (1.0 + (ys / 7.0) ** 2)
     else:
         values = np.random.default_rng(seed).uniform(0.0, 3.0, n)
     return PoissonSpec(ys=ys, values=values, tail=tail, c_lin=c_lin)
@@ -655,7 +679,7 @@ class TestFarField:
             assert full == probe == 0.0
             assert np.array_equal(value, want_value) and np.array_equal(model, want_model)
         else:
-            rounding = 1e-14 * math.pi * window.full.weighted.sum()
+            rounding = 1e-14 * math.pi * np.abs(window.full.weighted).sum()
             assert np.all(np.abs(value - want_value) <= full + rounding)
             # each far sum is within its remainder, and the model row adds
             # 2 full + probe on top of the gap, so it still covers the
@@ -666,8 +690,9 @@ class TestFarField:
     def test_small_grids_stay_direct(self):
         from oracles import poisson_rows as direct
 
-        spec = flat_poisson(c_lin=0.4)  # 769 nodes, probe 385
+        spec = spanning_poisson(c_lin=0.4)  # 769 nodes, probe 385
         window = poisson_window(spec, 0.0, 2.0 * math.pi)
+        assert (window.full.gap.size, window.probe.gap.size) == (769, 385)
         assert window.full.radii.size == window.probe.radii.size == 0
         vs = np.array([0.0, 0.05, 0.5, 3.0, 40.0])
         value, model = harmonic.poisson_rows(window, vs)
@@ -675,24 +700,22 @@ class TestFarField:
         assert np.array_equal(value, want_value) and np.array_equal(model, want_model)
 
     def test_model_error_carries_the_remainders(self):
-        from oracles import _arctan_primitive as prim
         from oracles import poisson_rows as direct
 
-        spec = flat_poisson(half_turns=256)  # 12289 nodes
+        spec = spanning_poisson(c_lin=0.4, half_turns=256)  # 12289 nodes
         u0, u1 = 2.0 * math.pi, 4.0 * math.pi
         window = poisson_window(spec, u0, u1)
+        assert window.full.gap.size == 12289
         vs = np.linspace(0.5, 4.0, 15)
         remainder = 2.0 * window.full.remainder(4.0) + window.probe.remainder(4.0)
         assert 0.0 < remainder < 1e-13
-        # the same tail and linear terms make both kernel sums window integrals
-        y_top, width = spec.half_width, u1 - u0
-        right = spec.tail * (0.5 * math.pi * width - prim(y_top - u0, vs) + prim(y_top - u1, vs))
-        left = spec.tail * (0.5 * math.pi * width + prim(-y_top - u0, vs) - prim(-y_top - u1, vs))
-        value, coarse = ((sums + right + left) / math.pi + spec.c_lin * vs * width
-                         for sums in harmonic._poisson_window(window, vs))
-        assert np.array_equal(window_integral(spec, u0, u1, vs), value)
+        # the same exact tail and linear part makes the full grid's kernel
+        # sum a window integral, and the gap is the two sums'
+        full, probe = harmonic._poisson_window(window, vs)
+        level = (spec.tail + spec.c_lin * vs) * (u1 - u0)
+        assert np.array_equal(window_integral(spec, u0, u1, vs), full / math.pi + level)
         got = window_model_error(spec, u0, u1, vs)
-        assert np.array_equal(got, np.abs(value - coarse) + remainder)
+        assert np.array_equal(got, np.abs(full - probe) / math.pi + remainder)
         _, plain = direct(spec, u0, u1, vs)
         assert np.allclose(got, plain, rtol=0.0, atol=remainder + 1e-12)
 
@@ -828,6 +851,110 @@ class TestOneKernelBlock:
         window = poisson_window(spec, 0.0, 2.0 * math.pi)
         with pytest.raises(DomainError, match="below the boundary"):
             harmonic.poisson_rows(window, np.array([0.5, -0.1]))
+
+
+class _Arctan2Entries:
+    """Stands in for numpy inside harmonic, counting the entries of every arctan2 block."""
+
+    def __init__(self, monkeypatch):
+        self.entries = 0
+        monkeypatch.setattr(harmonic, "np", self)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def arctan2(self, y, x):
+        out = np.arctan2(y, x)
+        self.entries += out.size
+        return out
+
+
+class TestTailExactModel:
+    @given(
+        n=st.integers(min_value=3, max_value=3000),
+        step=st.one_of(
+            st.integers(min_value=6, max_value=48).map(lambda m: math.pi / m),
+            st.floats(min_value=0.02, max_value=0.3),
+        ),
+        tail=st.floats(min_value=0.0, max_value=2.0),
+        c=st.floats(min_value=0.0, max_value=10.0),
+        c_lin=st.sampled_from([0.0, 0.6]),
+        k0=st.integers(min_value=-2, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_constant_on_data_and_tail_adds_its_window_integral(self, n, step, tail, c, c_lin, k0, seed):
+        # the tail's extension is exact, so raising the data and the tail by
+        # c leaves the kernel sums as they were but for the rounding of the
+        # departures, and adds c (u1 - u0)
+        rng = np.random.default_rng(seed)
+        ys = np.linspace(-0.5 * (n - 1) * step, 0.5 * (n - 1) * step, n)
+        values = rng.uniform(0.0, 3.0, n)
+        u0 = 2.0 * math.pi * k0
+        u1 = u0 + 2.0 * math.pi
+        vs = 10.0 ** rng.uniform(-3.0, math.log10(50.0), 15)
+        base = window_integral(PoissonSpec(ys=ys, values=values, tail=tail, c_lin=c_lin), u0, u1, vs)
+        raised = window_integral(PoissonSpec(ys=ys, values=values + c, tail=tail + c, c_lin=c_lin), u0, u1, vs)
+        width = u1 - u0
+        ulps = 8.0 * np.finfo(float).eps * (values.max() + tail + c + c_lin * vs) * width
+        assert np.all(np.abs(raised - base - c * width) <= ulps)
+
+    @pytest.mark.parametrize("n, half_width", [(769, 16.0 * math.pi), (768, 16.0 * math.pi),
+                                               (12289, 256.0 * math.pi)])
+    @pytest.mark.parametrize("k0", [0, 1])
+    def test_flat_data_is_exact_and_computes_no_kernel_entry(self, n, half_width, k0, monkeypatch):
+        # samples equal to the tail leave no node to sum: the rows are the
+        # tail's extension, exactly, and its model error is 0, also on the
+        # 768-node grid, whose step does not divide 2 pi
+        ys = np.linspace(-half_width, half_width, n)
+        spec = PoissonSpec(ys=ys, values=np.full(n, 1.7), tail=1.7, c_lin=0.4)
+        u0 = 2.0 * math.pi * k0
+        u1 = u0 + 2.0 * math.pi
+        vs = np.array([1e-4, 0.05, 0.5, 3.0, 40.0])
+        count = _Arctan2Entries(monkeypatch)
+        assert list(window_integral(spec, u0, u1, vs)) == list((spec.tail + spec.c_lin * vs) * (u1 - u0))
+        assert list(window_model_error(spec, u0, u1, vs)) == [0.0] * vs.size
+        assert count.entries == 0
+
+    @pytest.mark.parametrize("tail", [0.0, 0.3, 1.96])
+    @given(
+        k=st.integers(min_value=1, max_value=1500),
+        m=st.integers(min_value=6, max_value=48),
+        kind=st.sampled_from(["zero", "random", "sparse"]),
+        c_lin=st.sampled_from([0.0, 0.6]),
+        k0=st.integers(min_value=-2, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_model_error_keeps_the_window_integral_nonnegative(self, tail, k, m, kind, c_lin, k0, seed):
+        # a sample below the tail weighs its node negatively, so the window
+        # integral of nonnegative data can dip below 0, but not below minus
+        # its model error, on grids whose step pi / m divides 2 pi
+        rng = np.random.default_rng(seed)
+        n = 2 * k + 1
+        ys = (np.arange(n) - k) * (math.pi / m)
+        values = {"zero": np.zeros(n), "random": rng.uniform(0.0, 3.0, n),
+                  "sparse": rng.uniform(0.0, 3.0, n) * (rng.uniform(size=n) < 0.2)}[kind]
+        spec = PoissonSpec(ys=ys, values=values, tail=tail, c_lin=c_lin)
+        u0 = 2.0 * math.pi * k0
+        u1 = u0 + 2.0 * math.pi
+        vs = 10.0 ** rng.uniform(-4.0, math.log10(50.0), 15)
+        assert np.all(window_integral(spec, u0, u1, vs) + window_model_error(spec, u0, u1, vs) >= 0.0)
+
+    def test_narrow_bump_sums_only_its_support(self, monkeypatch):
+        # a bump of width 1/4 on a tail of 1/2 departs from the tail on 33 of
+        # the 12289 nodes, and its 12-halving schedule computes 6930 kernel
+        # entries; the model that summed the samples themselves computed
+        # 179955, every node near each panel
+        from lelonglab import Eigenvalue, TransversalAtom, build_current, lelong_estimate
+
+        ys = np.linspace(-256.0 * math.pi, 256.0 * math.pi, 12289)
+        spec = PoissonSpec(ys=ys, values=0.5 + 0.5 * np.exp(-0.5 * (ys / 0.25) ** 2), tail=0.5)
+        assert poisson_window(spec, 0.0, 2.0 * math.pi).full.gap.size == 33
+        current = build_current(Eigenvalue.irrational(math.sqrt(2.0) - 1.0), [TransversalAtom(1.3, 1.0, spec)])
+        count = _Arctan2Entries(monkeypatch)
+        lelong_estimate(current)
+        assert 0 < count.entries < 0.05 * 179955
 
 
 class TestBoundaryIntegral:

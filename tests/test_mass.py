@@ -47,7 +47,7 @@ from lelonglab.mass import _bracket_a, _bracket_b, _exact_masses, _moments, lelo
 from lelonglab.quadrature import DEFAULT_CONFIG, QuadratureConfig
 from lelonglab.theorems import _STRIP_LATTICE, _corpus_batch, corpus
 
-from conftest import flat_poisson
+from conftest import flat_poisson, spanning_poisson
 
 
 def single_atom_current(lam, alpha, spec, weight=1.0):
@@ -319,10 +319,17 @@ class TestFarFieldSchedule:
 
     @pytest.mark.parametrize("case_id", ["pos-silver-poisson-flat", "div-half-poisson-linear"])
     def test_corpus_grids_are_summed_directly(self, case_id, monkeypatch):
+        # the corpus's flat data computes no kernel entry; on its grid, data
+        # that departs from the tail at both ends is summed node by node
         current = next(case.current for case in corpus(42) if case.case_id == case_id)
-        assert current.atoms[0].spec.ys.size == 769
+        atom = current.atoms[0]
+        assert atom.spec.ys.size == 769
         spy = _KernelSpy(monkeypatch)
         lelong_estimate(current)
+        assert spy.calls == 0
+        spec = spanning_poisson(atom.spec.c_lin)
+        assert np.array_equal(spec.ys, atom.spec.ys) and spec.tail == atom.spec.tail
+        lelong_estimate(build_current(current.lam, [dataclasses.replace(atom, spec=spec)]))
         assert spy.calls > 0
         assert spy.direct == spy.dense
 
@@ -344,24 +351,30 @@ class _Arctan2Count:
 
 
 class TestOneKernelBlockPerPanel:
-    # (current, kernel entries of its 12-halving schedule): the two
-    # benchmark-sized flat atoms and the corpus's two Poisson currents
+    # (current, kernel entries of its 12-halving schedule, panels with a
+    # kernel block): the two benchmark-sized flat atoms and the corpus's two
+    # Poisson currents, whose data is the tail and computes no entry, and
+    # the silver atom on data that departs from the tail at both ends of the
+    # grid, which keeps every node and panel of the model that summed the
+    # samples themselves
     CASES = {
         "silver-12289": (lambda: single_atom_current(
-            Eigenvalue.irrational(math.sqrt(2.0) - 1.0), 1.3, flat_poisson(0.0, 256)), 179955),
+            Eigenvalue.irrational(math.sqrt(2.0) - 1.0), 1.3, flat_poisson(0.0, 256)), 0, 0),
         "half-linear-12289": (lambda: single_atom_current(
-            Eigenvalue.rational(1, 2), 1.1, flat_poisson(0.6, 256)), 199680),
+            Eigenvalue.rational(1, 2), 1.1, flat_poisson(0.6, 256)), 0, 0),
         "pos-silver-poisson-flat": (lambda: next(
-            case.current for case in corpus(42) if case.case_id == "pos-silver-poisson-flat"), 161490),
+            case.current for case in corpus(42) if case.case_id == "pos-silver-poisson-flat"), 0, 0),
         "div-half-poisson-linear": (lambda: next(
-            case.current for case in corpus(42) if case.case_id == "div-half-poisson-linear"), 184560),
+            case.current for case in corpus(42) if case.case_id == "div-half-poisson-linear"), 0, 0),
+        "silver-12289-spanning": (lambda: single_atom_current(
+            Eigenvalue.irrational(math.sqrt(2.0) - 1.0), 1.3, spanning_poisson(0.0, 256)), 191160, 18),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_probe_takes_its_entries_from_the_panel_block(self, case, monkeypatch):
         # each panel computes one arctan2 block, the full grid's near nodes
         # at its interior heights, and the probe none
-        make, entries = self.CASES[case]
+        make, entries, kernel_panels = self.CASES[case]
         current = make()
         count = _Arctan2Count(monkeypatch)
         panels = []
@@ -378,7 +391,7 @@ class TestOneKernelBlockPerPanel:
 
         monkeypatch.setattr(harmonic, "_poisson_window", spy)
         lelong_estimate(current)
-        assert panels
+        assert len(panels) == kernel_panels
         assert len(count.blocks) == len(panels)  # no arctan2 block outside the panels'
         for blocks, block in panels:
             assert blocks == [block]
@@ -388,30 +401,27 @@ class TestOneKernelBlockPerPanel:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_tail_terms_once_per_integrand_call(self, case, monkeypatch):
-        # the tail primitives are worked out once per integrand call, for all
-        # its panels, and the kernel sums once per panel
-        count = {"calls": 0, "panels": 0, "primitives": 0, "kernels": 0}
-        real_rows, real_primitive, real_kernel = (
-            lelonglab.mass.poisson_panel_rows, harmonic._arctan_primitive, harmonic._poisson_window)
+        # the exact tail and linear part is worked out in one
+        # poisson_panel_rows call per integrand call, for all its panels, and
+        # the kernel sums once per panel whose window has a node off the tail
+        count = {"calls": 0, "panels": 0, "kernels": 0}
+        real_rows, real_kernel = lelonglab.mass.poisson_panel_rows, harmonic._poisson_window
 
         def rows(windows, v):
             count["calls"] += 1
             count["panels"] += int((v > 0.0).any(axis=1).sum())  # panels with an interior height
             return real_rows(windows, v)
 
-        def primitive(s, v):
-            count["primitives"] += 1
-            return real_primitive(s, v)
-
         def kernel(window, v):
             count["kernels"] += 1
             return real_kernel(window, v)
 
         monkeypatch.setattr(lelonglab.mass, "poisson_panel_rows", rows)
-        monkeypatch.setattr(harmonic, "_arctan_primitive", primitive)
         monkeypatch.setattr(harmonic, "_poisson_window", kernel)
-        lelong_estimate(self.CASES[case][0]())
-        assert 0 < count["calls"] == count["primitives"] < count["panels"] == count["kernels"]
+        make, _, kernel_panels = self.CASES[case]
+        lelong_estimate(make())
+        assert 0 < count["calls"] < count["panels"]
+        assert count["kernels"] == (count["panels"] if kernel_panels else 0)
 
 
 class TestTruncation:
@@ -442,6 +452,37 @@ class TestTruncation:
         got = lelonglab.mass._truncate_half_plane(envelope, eig, jac, v_lo, cfg)
         want = truncate_half_plane(spec, eig, modulus, v_lo, cfg)
         assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
+
+    @given(
+        # sizes whose tails stay normal floats, so that rounding is relative
+        p=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0)),
+        q=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=3.0)),
+        lam=st.one_of(st.floats(min_value=0.01, max_value=1.0), st.sampled_from([1.0, 0.5])),
+        modulus=st.floats(min_value=0.01, max_value=5.0),
+        v_lo=st.floats(min_value=0.0, max_value=40.0),  # on the half-plane, where p + q v >= 0
+        cfg=st.sampled_from([DEFAULT_CONFIG, QuadratureConfig(abs_tol=1e-9)]),
+    )
+    @example(p=1.0, q=0.0, lam=1.0, modulus=0.5, v_lo=0.0, cfg=DEFAULT_CONFIG)
+    @settings(max_examples=60, deadline=None)
+    def test_tail_bound_is_the_envelope_tail(self, p, q, lam, modulus, v_lo, cfg):
+        # the bound is the integral above the height of the envelope
+        # 2 pi (p + q v)(2 c1 e^{-2v} + 2 c2 e^{-2 lambda v}), as mpmath's
+        # quadrature gives it, to rounding: no coefficient left out. Each
+        # exponential is integrated at v = v_hi + s / rate, its size
+        # e^{-rate v_hi} taken out, since mpmath's tolerance is absolute
+        import mpmath
+
+        eig = Eigenvalue.irrational(lam)
+        c1, c2 = jacobian_rows(eig, modulus).coefficients.tolist()
+        v_hi, bound = lelonglab.mass._truncate_half_plane((p, q), eig, [c1, c2], v_lo, cfg)
+        mpmath.mp.dps = 30
+        want = 0
+        for c, rate in ((c1, 2.0), (c2, 2.0 * lam)):
+            shape = mpmath.quad(lambda s: 2 * mpmath.pi * (p + q * (v_hi + s / rate)) * 2 * c * mpmath.exp(-s) / rate,
+                                [0, mpmath.inf])
+            want += mpmath.exp(-mpmath.mpf(rate) * v_hi) * shape
+        assert bound >= float(want) * (1.0 - 1e-12)
+        assert bound <= float(want) * (1.0 + 1e-12)
 
     def test_corpus_schedules_keep_their_heights(self):
         # every atom and radius of the corpus's half-plane schedules
