@@ -44,11 +44,12 @@ CANVAS = 800
 MARGIN = 40
 
 # Cost bounds of the size flags, so that no typed number asks for unbounded
-# memory or output. A schedule holds one radius per step: 10**4 steps, past
-# the 1075 halvings a float radius survives, run in about 0.1 s and write a
-# 0.6 MB CSV for one trig atom (2-core Xeon). A loop of the torus curve is 128
+# memory or output. A schedule step costs about 0.72 KB of peak memory (its
+# radius, v-limits, panels and mass; measured at 10**5 and 3 10**5 steps of
+# a trig atom, 2 us a step on a 2-core Xeon) and 60 B of CSV, so 10**6 steps
+# take about 0.7 GB and write 60 MB. A loop of the torus curve is 128
 # samples and about 2.9 KB of SVG, so 10**3 loops write about 2.9 MB.
-MAX_STEPS = 10_000
+MAX_STEPS = 1_000_000
 MAX_LOOPS = 1_000
 
 

@@ -14,12 +14,13 @@ sums over the boundary grid, and a PoissonWindow is the one way into them:
 poisson_rows(window, v) gives the window integral and its grid-model error
 from one kernel block, since the error's half-density probe grid has its
 nodes among the full grid's, and poisson_panel_rows does so for many
-panels above the boundary v = 0, one kernel block each. Only the nodes
-whose samples depart from the tail enter a block, so flat data computes no
-kernel entry. A window whose support spans LADDER_MIN_POINTS nodes or more
-sums the nodes far from the u-window through their moments on a ladder of
-shells (a one-level far-field expansion) and the rest directly, and adds
-the expansion's truncation remainder to the error row.
+panels above the boundary v = 0, one kernel block each. Data whose samples
+are all the tail computes no kernel entry. A window on a grid of
+LADDER_MIN_POINTS nodes or more sums the nodes far from the u-window
+through their moments on a ladder of shells (a one-level far-field
+expansion) and the rest directly, and adds the expansion's truncation
+remainder to the error row, as it does the error of the window's partial
+cells at its ends.
 """
 
 from __future__ import annotations
@@ -729,24 +730,11 @@ def _boundary_grid(ys, weighted, u0: float, u1: float, ladder: bool) -> Boundary
     return BoundaryGrid(half, weighted, (ys - u0) * (ys - u1), *shells)
 
 
-def _support(spec: PoissonSpec) -> Tuple[int, int]:
-    """(lo, stop): the smallest node range from an even node that holds every node off the tail.
-
-    It ends on an even node too, but for an even-length grid's last node,
-    which the probe keeps; (0, 0) when every sample is the tail.
-    """
-    off = np.flatnonzero(spec.values != spec.tail)
-    if not off.size:
-        return 0, 0
-    return off[0] - off[0] % 2, min(off[-1] + off[-1] % 2, spec.ys.size - 1) + 1
-
-
 def _full_samples(spec: PoissonSpec):
-    """The nodes of the grid's support, and their departures from the tail times their trapezoid weights."""
+    """The grid's nodes and their samples' departures from the tail times their trapezoid weights."""
     weighted = spec.step * (spec.values - spec.tail)
     weighted[[0, -1]] *= 0.5
-    lo, stop = _support(spec)
-    return spec.ys[lo:stop], weighted[lo:stop]
+    return spec.ys, weighted
 
 
 def _probe_samples(spec: PoissonSpec):
@@ -759,11 +747,46 @@ def _probe_samples(spec: PoissonSpec):
         weighted[-1] *= 1.5
         ys = np.append(ys, spec.ys[-1])
         weighted = np.append(weighted, 0.5 * spec.step * (spec.values[-1] - spec.tail))
-    # probe node k is grid node 2k, and the support starts and ends on
-    # probe nodes, so it spans the full grid's support
-    lo, stop = _support(spec)
-    keep = slice(lo // 2, stop // 2 + 1) if stop else slice(0, 0)
-    return ys[keep], weighted[keep]
+    return ys, weighted
+
+
+# A window end u strictly inside a grid cell [y_k, y_k + step] is a partial
+# cell, which the Richardson probe can miss: where its own cells alias the
+# full grid's, both grids count the same nodes and their gap vanishes. By
+# Poisson summation, an infinite grid's trapezoid sum of a unit step at u,
+# smoothed by the kernel at height v, is off by
+#   (step / pi) arctan(q sin x / (1 - q cos x)),  q = e^{-2 pi v / step},
+# x = 2 pi (u - y_k) / step: the sawtooth step (1/2 - (u - y_k) / step) as v
+# falls to 0, 0 for an end on a node or mid-cell, and decaying as q above
+# the boundary. The window's grid-model error adds it at each partial cell,
+# times the larger departure from the tail at the cell's two nodes.
+
+
+def _end_cells(spec: PoissonSpec, u0: float, u1: float):
+    """(size, sin x, 1 - cos x) of each end of [u0, u1] inside a grid cell whose nodes depart from the tail."""
+    ys, step = spec.ys, spec.step
+    cells = []
+    for u in (u0, u1):
+        k = int(ys.searchsorted(u, "right")) - 1
+        # an end that is a node but for the rounding of the grid is off it
+        # by that rounding, as the kernel sums see it
+        if not 0 <= k < ys.size - 1 or u == ys[k]:
+            continue  # off the grid, or on a node
+        size = max(abs(spec.values[k] - spec.tail), abs(spec.values[k + 1] - spec.tail))
+        if size > 0.0:
+            x = 2.0 * math.pi * (u - ys[k]) / step
+            cells.append((size, math.sin(x), 2.0 * math.sin(0.5 * x) ** 2))
+    return tuple(cells)
+
+
+def _partial_cell_error(spec: PoissonSpec, cells, v: np.ndarray) -> np.ndarray:
+    """The grid-model error of a window's partial cells at the heights v > 0."""
+    em = np.expm1((-2.0 * math.pi / spec.step) * v)  # q - 1, exact as q tends to 1
+    q = em + 1.0
+    out = 0.0
+    for size, sin_x, versin_x in cells:
+        out = out + size * np.abs(np.arctan(q * sin_x / (q * versin_x - em)))
+    return (spec.step / math.pi) * out
 
 
 @dataclass(frozen=True, eq=False)
@@ -772,11 +795,11 @@ class PoissonWindow:
 
     The counterpart of FourierWindow for sampled data, built once per atom
     and schedule: the full grid and the half-grid probe of the grid-model
-    error, each with its shell ladder (see BoundaryGrid), on the support of
-    the samples' departure from the tail (_support) and weighting that
-    departure. The probe spans the full grid's support, so both ladders have
-    the same radii, and one shell index serves both. A spec whose samples
-    are all the tail leaves both grids empty.
+    error, each weighting the samples' departures from the tail and with its
+    shell ladder (see BoundaryGrid), and the window ends' partial cells
+    (_end_cells). The probe spans the full grid, so both ladders have the
+    same radii, and one shell index serves both. A spec whose samples are
+    all the tail has no node to sum, and leaves both grids empty.
     """
 
     spec: PoissonSpec
@@ -784,18 +807,22 @@ class PoissonWindow:
     u1: float
     full: BoundaryGrid
     probe: BoundaryGrid
+    cells: tuple
 
 
 def poisson_window(spec: PoissonSpec, u0: float, u1: float) -> PoissonWindow:
-    """The PoissonWindow of spec over [u0, u1]; a support under LADDER_MIN_POINTS nodes gets no shells."""
+    """The PoissonWindow of spec over [u0, u1]; a spec under LADDER_MIN_POINTS nodes gets no shells."""
     if not u1 > u0:
         raise DomainError("window integral needs u0 < u1")
-    ys, weighted = _full_samples(spec)
-    ladder = ys.size >= LADDER_MIN_POINTS
+    full, probe = _full_samples(spec), _probe_samples(spec)
+    if not full[1].any():
+        full = probe = (np.empty(0), np.empty(0))
+    ladder = spec.ys.size >= LADDER_MIN_POINTS
     return PoissonWindow(
         spec, u0, u1,
-        full=_boundary_grid(ys, weighted, u0, u1, ladder),
-        probe=_boundary_grid(*_probe_samples(spec), u0, u1, ladder),
+        full=_boundary_grid(*full, u0, u1, ladder),
+        probe=_boundary_grid(*probe, u0, u1, ladder),
+        cells=_end_cells(spec, u0, u1),
     )
 
 
@@ -855,7 +882,9 @@ def window_model_error(spec: PoissonSpec, u0: float, u1: float, v):
     regime where the error is first order in the step. Tail and linear
     terms are continuum-exact and identical on both grids, so the gap is
     that of the grid sums of the departures from the tail alone, and 0
-    when every sample is the tail. It is row 1 of poisson_rows on the
+    when every sample is the tail. A window end inside a grid cell adds
+    that partial cell's error, which the probe can alias (_end_cells). It
+    is row 1 of poisson_rows on the
     PoissonWindow of spec over [u0, u1]. Nonnegative data whose samples lie
     below the tail weigh some nodes negatively, so the window integral of
     such data is nonnegative only within this bound.
@@ -900,14 +929,14 @@ def poisson_panel_rows(windows, v: np.ndarray) -> np.ndarray:
     inside a plaque are, and out (P, 2, k), each panel's rows bit for bit
     what it gets alone; a height <= 0 raises DomainError. Everything
     elementwise in the heights is one pass over the block: the exact part
-    (tail + c_lin v)(u1 - u0) and both rows. Per panel whose window has a
-    node off the tail run only its kernel sums (_poisson_window, one
-    arctan2 block) and, where a shell of its window's ladders fits, the
-    truncated far sums' remainder bounds at its largest height, added to
-    row 1: the full grid's twice (for the integral, and for its part in the
-    gap) and the probe's once. Row 0 is the full grid's sum over pi plus
-    the exact part, and row 1 the gap of the two sums over pi plus the
-    remainders.
+    (tail + c_lin v)(u1 - u0) and both rows. Per panel whose samples are
+    not all the tail run only its kernel sums (_poisson_window, one arctan2
+    block) and the bounds added to row 1: where a shell of its window's
+    ladders fits, the truncated far sums' remainders at its largest height,
+    the full grid's twice (for the integral, and for its part in the gap)
+    and the probe's once, and the error of its window's partial cells
+    (_end_cells). Row 0 is the full grid's sum over pi plus the exact part,
+    and row 1 the gap of the two sums over pi plus the bounds.
     """
     v_lo = float(v.min())
     if not v_lo > 0.0:
@@ -921,13 +950,15 @@ def poisson_panel_rows(windows, v: np.ndarray) -> np.ndarray:
     # as twelve (15, 769) blocks, and stacking made corpus verification go
     # from 11.4 to 12.9 ms (2-core Xeon)
     sums = np.zeros((2,) + v.shape)
-    remainder = np.zeros((len(windows), 1))
+    bounds = np.zeros(v.shape)
     for p, window in enumerate(windows):
         if window.full.gap.size:
             sums[0, p], sums[1, p] = _poisson_window(window, v[p])
             v_max = float(v[p].max())
-            remainder[p] = 2.0 * window.full.remainder(v_max) + window.probe.remainder(v_max)
-    return np.stack((sums[0] / math.pi + level, np.abs(sums[0] - sums[1]) / math.pi + remainder), axis=1)
+            bounds[p] = 2.0 * window.full.remainder(v_max) + window.probe.remainder(v_max)
+            if window.cells:
+                bounds[p] += _partial_cell_error(window.spec, window.cells, v[p])
+    return np.stack((sums[0] / math.pi + level, np.abs(sums[0] - sums[1]) / math.pi + bounds), axis=1)
 
 
 def _poisson_window(window: PoissonWindow, vflat):
@@ -935,12 +966,10 @@ def _poisson_window(window: PoissonWindow, vflat):
 
     The near nodes of the heights' shell are summed directly, as one
     arctan2 block, and the far ones through the shell's moments; every node
-    of the support when no shell fits. The probe's entries are every other
-    column of the same block, so it computes no kernel entry of its own.
-    This is the only code that computes kernel entries, and only over the
-    nodes off the tail: the exact part that makes the sums into window
-    integrals is poisson_panel_rows's, and a window with no such node
-    computes none.
+    when no shell fits. The probe's entries are every other column of the
+    same block, so it computes no kernel entry of its own. This is the only
+    code that computes kernel entries; the exact part that makes the sums
+    into window integrals is poisson_panel_rows's.
     """
     grid, probe = window.full, window.probe
     width = window.u1 - window.u0

@@ -12,11 +12,11 @@ Two independent routes to the mass of a current on the bidisc of radius r:
   panels: trig atoms as rows of one FourierWindow, Poisson panels through
   one poisson_panel_rows call. A Poisson window integral is the tail's
   exact part, (tail + c_lin v) times the window width, plus one kernel
-  block per panel over the grid nodes whose samples depart from the tail
-  (far ones by moments, near ones directly), with its grid-model defect,
-  summed from the same block, and the expansion's truncation remainder;
-  flat data computes no kernel block. mass_quadrature is the one-radius
-  case.
+  block per panel weighting the samples' departures from the tail (far
+  nodes by moments, near ones directly), with its grid-model defect,
+  summed from the same block, the expansion's truncation remainder and the
+  window ends' partial cells; flat data computes no kernel block.
+  mass_quadrature is the one-radius case.
 * mass_closed_form: exact for every trig-series current and u-window, as a
   finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}. Its
   engine, _exact_masses, takes an AtomTable of one or many currents, each
@@ -208,10 +208,10 @@ def mass_quadrature_schedule(
     evaluated together through a row-stacked FourierWindow; Poisson rows
     through one harmonic.poisson_panel_rows call per integrand call, which
     works out the exact tail and linear part for all of them at once and
-    one kernel block per panel with a node off the tail, with the
-    grid-model defect as a second row
-    summed from the same block. Each Poisson atom's PoissonWindow, with its
-    shell ladders, is built once here and serves both rows of every panel.
+    one kernel block per panel whose samples are not all the tail, with
+    the grid-model defect as a second row summed from the same block. Each
+    Poisson atom's PoissonWindow, with its shell ladders, is built once here
+    and serves both rows of every panel.
     The weighted (atom, radius) sums are added over the atoms in order.
     """
     rs = tuple(rs)

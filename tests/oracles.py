@@ -7,7 +7,8 @@ mass._exact_masses, kept verbatim as oracles: the array versions must give
 the same numbers bit for bit, the same integrand calls and the same failures.
 poisson_rows sums a Poisson window's full grid and its half-density probe
 as two kernel blocks over the samples' departures from the tail, each made
-a window integral by the same exact (tail + c_lin v)(u1 - u0), and
+a window integral by the same exact (tail + c_lin v)(u1 - u0), with the
+package's error of the window's partial cells in the model row, and
 truncate_half_plane sums the truncation envelope and its tail bound, each
 exponential's tail weighted by its coefficient, with a generator, from
 each spec's own envelope: the earlier forms of harmonic.poisson_rows and
@@ -61,8 +62,10 @@ from lelonglab.harmonic import (
     HarmonicSpec,
     PoissonSpec,
     _check_v_domain,
+    _end_cells,
     _far_sum,
     _full_samples,
+    _partial_cell_error,
     _probe_samples,
     _require,
     boundary_integral,
@@ -489,8 +492,9 @@ def poisson_rows(spec, u0, u1, v, window=None):
         value[inside] = bulk / math.pi + level
         v_max = float(v_in.max())
         remainder = 2.0 * full.remainder(v_max) + probe.remainder(v_max)
+        partial = _partial_cell_error(spec, _end_cells(spec, u0, u1), v_in)
         coarse = _kernel_sum(probe, u0, u1, v_in)
-        model[inside] = np.abs(bulk - coarse) / math.pi + remainder
+        model[inside] = np.abs(bulk - coarse) / math.pi + (remainder + partial)
     return value.reshape(v_arr.shape), model.reshape(v_arr.shape)
 
 

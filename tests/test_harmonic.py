@@ -574,11 +574,13 @@ class TestWindowModelError:
         # tail of 1 in the model that summed the samples themselves, frozen
         # from the probe before it learned even grids. That model took value
         # - coarse, which rounds at a few ulps of the window integral; the
-        # gap of the two kernel sums does not, and is frozen from this one
+        # gap of the two kernel sums does not, and is frozen from this one,
+        # with the partial cell of the window's end at 2 pi, which the grid
+        # puts 7e-15 past its nearest node
         got = window_model_error(self._flat(769), 0.0, 2.0 * math.pi, np.array([0.05, 0.5, 2.0]))
         before = np.array([1.3923305175467249e-08, 1.392045358983296e-07, 5.550900699091699e-07])
         assert np.all(np.abs(got - before) <= 8.0 * np.finfo(float).eps * 2.0 * math.pi)
-        assert list(got) == [1.3923304736507818e-08, 1.3920453602476562e-07, 5.550900698628672e-07]
+        assert list(got) == [1.3923306154307344e-08, 1.3920453602476562e-07, 5.550900698628672e-07]
 
     def test_bounds_the_full_grid_deviation(self):
         # the full-grid sum of smooth data is far closer to the continuum
@@ -710,12 +712,14 @@ class TestFarField:
         remainder = 2.0 * window.full.remainder(4.0) + window.probe.remainder(4.0)
         assert 0.0 < remainder < 1e-13
         # the same exact tail and linear part makes the full grid's kernel
-        # sum a window integral, and the gap is the two sums'
+        # sum a window integral, and the gap is the two sums', with the
+        # remainders and the window's partial cells on top
         full, probe = harmonic._poisson_window(window, vs)
         level = (spec.tail + spec.c_lin * vs) * (u1 - u0)
         assert np.array_equal(window_integral(spec, u0, u1, vs), full / math.pi + level)
         got = window_model_error(spec, u0, u1, vs)
-        assert np.array_equal(got, np.abs(full - probe) / math.pi + remainder)
+        partial = harmonic._partial_cell_error(spec, window.cells, vs)
+        assert np.array_equal(got, np.abs(full - probe) / math.pi + (remainder + partial))
         _, plain = direct(spec, u0, u1, vs)
         assert np.allclose(got, plain, rtol=0.0, atol=remainder + 1e-12)
 
@@ -918,43 +922,61 @@ class TestTailExactModel:
 
     @pytest.mark.parametrize("tail", [0.0, 0.3, 1.96])
     @given(
-        k=st.integers(min_value=1, max_value=1500),
-        m=st.integers(min_value=6, max_value=48),
+        n=st.integers(min_value=3, max_value=3001),
+        step=st.one_of(
+            st.integers(min_value=6, max_value=48).map(lambda m: math.pi / m),
+            st.floats(min_value=0.02, max_value=0.3),
+        ),
         kind=st.sampled_from(["zero", "random", "sparse"]),
         c_lin=st.sampled_from([0.0, 0.6]),
         k0=st.integers(min_value=-2, max_value=2),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    # the 768-node grid over +-16 pi, whose step does not divide 2 pi: the
+    # window's end at 2 pi cuts a cell that the half-grid probe aliases
+    @example(n=768, step=32.0 * math.pi / 767.0, kind="zero", c_lin=0.0, k0=0, seed=0)
     @settings(max_examples=40, deadline=None)
-    def test_model_error_keeps_the_window_integral_nonnegative(self, tail, k, m, kind, c_lin, k0, seed):
+    def test_model_error_keeps_the_window_integral_nonnegative(self, tail, n, step, kind, c_lin, k0, seed):
         # a sample below the tail weighs its node negatively, so the window
         # integral of nonnegative data can dip below 0, but not below minus
-        # its model error, on grids whose step pi / m divides 2 pi
+        # its model error, on any grid
         rng = np.random.default_rng(seed)
-        n = 2 * k + 1
-        ys = (np.arange(n) - k) * (math.pi / m)
+        ys = np.linspace(-0.5 * (n - 1) * step, 0.5 * (n - 1) * step, n)
         values = {"zero": np.zeros(n), "random": rng.uniform(0.0, 3.0, n),
                   "sparse": rng.uniform(0.0, 3.0, n) * (rng.uniform(size=n) < 0.2)}[kind]
         spec = PoissonSpec(ys=ys, values=values, tail=tail, c_lin=c_lin)
         u0 = 2.0 * math.pi * k0
         u1 = u0 + 2.0 * math.pi
-        vs = 10.0 ** rng.uniform(-4.0, math.log10(50.0), 15)
+        vs = np.concatenate(([1e-6, 1e-4], 10.0 ** rng.uniform(-4.0, math.log10(50.0), 13)))
         assert np.all(window_integral(spec, u0, u1, vs) + window_model_error(spec, u0, u1, vs) >= 0.0)
 
-    def test_narrow_bump_sums_only_its_support(self, monkeypatch):
-        # a bump of width 1/4 on a tail of 1/2 departs from the tail on 33 of
-        # the 12289 nodes, and its 12-halving schedule computes 6930 kernel
-        # entries; the model that summed the samples themselves computed
-        # 179955, every node near each panel
-        from lelonglab import Eigenvalue, TransversalAtom, build_current, lelong_estimate
+    @pytest.mark.parametrize("n", [768, 769, 1000])
+    @pytest.mark.parametrize("k0", [-1, 0, 1])
+    def test_model_error_covers_the_partial_cells(self, n, k0):
+        # zero samples under a tail of 1.96 over +-16 pi: the continuum window
+        # integral is the tail's extension less its part over the grid, in
+        # closed form through the primitive s arctan(s/v) - (v/2) log(v^2 + s^2)
+        # of arctan(s/v). On the 768- and 1000-node grids the window's ends cut
+        # grid cells, and the model error must still cover the grid sum's
+        # deviation; on the 769-node grid they fall on nodes
+        ys = np.linspace(-16.0 * math.pi, 16.0 * math.pi, n)
+        spec = PoissonSpec(ys=ys, values=np.zeros(n), tail=1.96)
+        u0 = 2.0 * math.pi * k0
+        u1 = u0 + 2.0 * math.pi
+        vs = np.array([1e-6, 1e-4, 1e-2, 0.1, 0.5, 2.0])
+        got = window_integral(spec, u0, u1, vs)
+        err = window_model_error(spec, u0, u1, vs)
+        mpmath.mp.dps = 40
+        y = mpmath.mpf(spec.half_width)
+        for v, value, bound in zip(vs, got, err):
+            v = mpmath.mpf(v)
 
-        ys = np.linspace(-256.0 * math.pi, 256.0 * math.pi, 12289)
-        spec = PoissonSpec(ys=ys, values=0.5 + 0.5 * np.exp(-0.5 * (ys / 0.25) ** 2), tail=0.5)
-        assert poisson_window(spec, 0.0, 2.0 * math.pi).full.gap.size == 33
-        current = build_current(Eigenvalue.irrational(math.sqrt(2.0) - 1.0), [TransversalAtom(1.3, 1.0, spec)])
-        count = _Arctan2Entries(monkeypatch)
-        lelong_estimate(current)
-        assert 0 < count.entries < 0.05 * 179955
+            def primitive(s):
+                return s * mpmath.atan(s / v) - v / 2 * mpmath.log(v * v + s * s)
+
+            over_grid = primitive(y - u0) - primitive(-y - u0) - primitive(y - u1) + primitive(-y - u1)
+            want = spec.tail * (u1 - u0 - over_grid / mpmath.pi)
+            assert abs(value - float(want)) <= bound + 1e-13
 
 
 class TestBoundaryIntegral:

@@ -403,7 +403,7 @@ class TestOneKernelBlockPerPanel:
     def test_tail_terms_once_per_integrand_call(self, case, monkeypatch):
         # the exact tail and linear part is worked out in one
         # poisson_panel_rows call per integrand call, for all its panels, and
-        # the kernel sums once per panel whose window has a node off the tail
+        # the kernel sums once per panel whose samples are not all the tail
         count = {"calls": 0, "panels": 0, "kernels": 0}
         real_rows, real_kernel = lelonglab.mass.poisson_panel_rows, harmonic._poisson_window
 
