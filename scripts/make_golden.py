@@ -1,11 +1,15 @@
 """Regenerate the golden CLI outputs under tests/data/.
 
 tests/test_cli.py (TestGoldenOutputs) compares the CLI's output with these
-files byte for byte: the verify reports at seeds 42 and 7, the lelong
-schedule of each of the corpus's two Poisson currents, the sweep CSV
-with its default schedule, and the mass of three many-atom currents on the
-quadrature route (mass-families.json). Regenerate them only for a change that is meant to move
-the numbers, and say so with the change:
+files: the verify reports at seeds 42 and 7, the lelong schedule of each of
+the corpus's two Poisson currents, the sweep CSV with its default schedule,
+and the mass of three many-atom currents on the quadrature route
+(mass-families.json). Keys, verdicts, radii and flags must match exactly;
+each number must lie within the error that the same output reports for it,
+or within a few ulps where it reports none, since numpy's exp, log, sin and
+cos round differently on different CPU features. Regenerate the files only
+for a change that is meant to move the numbers beyond that, and say so with
+the change:
 
     PYTHONPATH=src python scripts/make_golden.py [out_dir]
 """

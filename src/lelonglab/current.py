@@ -41,7 +41,7 @@ from .errors import (
     InvalidSpecError,
     NormalizationError,
 )
-from .foliation import Eigenvalue, float_map, monodromy
+from .foliation import Eigenvalue, monodromy
 from .harmonic import (
     POSITIVITY_TOL,
     FourierColumns,
@@ -69,7 +69,7 @@ NORMALIZATION_TOL = 1e-12
 # produced by exact translations accumulate a few ulps.
 L1_SLACK = 1e-9
 
-# math.exp overflows a little above this; an edge growth e^{k C / b} past it
+# exp overflows a little above this; an edge growth e^{k C / b} past it
 # is left to check_positivity, which refuses the spec as an input error
 EXP_SAFE = 709.0
 
@@ -214,8 +214,7 @@ def _envelope_holds(cols: FourierColumns) -> np.ndarray:
 
     On the edge v = 0, c = a0 and R_k = hypot(a_k, b_k); on v = C, c = b0 C
     and R_k = hypot(a_k, b_k) e^{k C / b}, one R_k per mode as the spec
-    lists them. hypot and exp go through math and each sum runs left to
-    right from 0. c - sum_k R_k is a lower bound on the density on its
+    lists them. c - sum_k R_k is a lower bound on the density on its
     edge, so a row that holds is positive. A row that fails goes to
     check_positivity, which sums modes of equal k before its own envelope
     (no looser than this one) and then scans the edge, so it may still
@@ -225,11 +224,11 @@ def _envelope_holds(cols: FourierColumns) -> np.ndarray:
     rows, owner = cols.a0.size, cols.owner
     low, high = cols.a0.copy(), cols.b0 * cols.strip_c
     if owner.size:
-        radii = np.fromiter(map(math.hypot, cols.ak.tolist(), cols.bk.tolist()), float, owner.size)
+        radii = np.hypot(cols.ak, cols.bk)
         rate = cols.k * cols.strip_c[owner] / cols.b[owner]
         safe = rate <= EXP_SAFE
         low -= np.bincount(owner, radii, rows)
-        high -= np.bincount(owner, radii * float_map(math.exp, np.where(safe, rate, 0.0)), rows)
+        high -= np.bincount(owner, radii * np.exp(np.where(safe, rate, 0.0)), rows)
         low[owner[~safe]] = -math.inf
     return (low >= -POSITIVITY_TOL) & (high >= -POSITIVITY_TOL)
 
@@ -277,7 +276,7 @@ def _validate(table: AtomTable, atom) -> None:
         ]
         if any_negative:
             # only atoms with 0 < |alpha| < 1 reach this check
-            c_expected = float_map(math.log, np.where(am > 0.0, am, 1.0)) / lv
+            c_expected = np.log(np.where(am > 0.0, am, 1.0)) / lv
             checks += [
                 (negative & (am >= 1.0), lambda a, tag, i: EmptyLeafError(
                     f"{tag}: leaf through |alpha| = {a.alpha_modulus} misses the bidisc when the eigenvalue is negative")),

@@ -15,7 +15,6 @@ branch presumes (see jacobian_density).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -147,17 +146,6 @@ def psi(lam: Eigenvalue, alpha: complex, zeta: complex) -> LeafPoint:
     return LeafPoint(cmath.exp(1j * zeta), alpha * cmath.exp(1j * lam.value * zeta))
 
 
-def float_map(fn, values, *args) -> np.ndarray:
-    """fn(x, *args) of every entry x of an array, called on Python floats.
-
-    Each entry is then bit for bit what a scalar call gives: numpy's exp,
-    log and power round differently from math's on a few percent of inputs.
-    """
-    values = np.asarray(values, dtype=float)
-    each = map(fn, values.ravel().tolist(), *(itertools.repeat(a) for a in args))
-    return np.fromiter(each, float, values.size).reshape(values.shape)
-
-
 def lam_values(lam, shape) -> np.ndarray:
     """One eigenvalue per entry of an array of that shape: an Eigenvalue's value, or the values given."""
     if isinstance(lam, Eigenvalue):
@@ -184,7 +172,7 @@ def plaque_limits(lam, moduli, rs):
 
 
 def plaque_logs(moduli, rs):
-    """(log|alpha| as an (atoms, 1) column, log r as a (radii,) row), through math.log.
+    """(log|alpha| as an (atoms, 1) column, log r as a (radii,) row).
 
     Raises DomainError unless every modulus is positive and finite and
     every radius lies in (0, 1].
@@ -196,7 +184,7 @@ def plaque_logs(moduli, rs):
         raise DomainError("alpha modulus must be positive and finite")
     if not (np.minimum.reduce(radii, initial=1.0) > 0.0 and np.maximum.reduce(radii, initial=1.0) <= 1.0):
         raise DomainError("radius must lie in (0, 1]")
-    logs = float_map(math.log, np.concatenate((moduli, radii)))
+    logs = np.log(np.concatenate((moduli, radii)))
     return logs[:moduli.size, None], logs[moduli.size:]
 
 
@@ -241,7 +229,7 @@ def coordinate_shift(lam, alpha_modulus):
     outer = (moduli >= 1.0) & (lv > 0.0)
     shift = np.zeros(moduli.shape)
     if outer.any():
-        shift[outer] = float_map(math.log, moduli[outer]) / lv[outer]
+        shift[outer] = np.log(moduli[outer]) / lv[outer]
     return float(shift) if shift.ndim == 0 else shift
 
 
@@ -251,8 +239,8 @@ class JacobianRows:
 
     coefficients[0] and coefficients[1] are c1 and c2, each shaped like the
     moduli, with jacobian_density = 2 (c1 e^{-2v} + c2 e^{-2 lambda v}).
-    They are worked out once, modulus by modulus in float arithmetic, then
-    taken by row as often as needed.
+    They are worked out once, in one pass over the moduli, then taken by
+    row as often as needed.
     """
 
     coefficients: np.ndarray
@@ -266,19 +254,20 @@ def jacobian_rows(lam, moduli) -> JacobianRows:
     """The JacobianRows of a modulus or an array of them, for an Eigenvalue or one eigenvalue per modulus.
 
     Inside the unit disc c1 = 1 and c2 = (lambda |alpha|)^2; outside,
-    c1 = |alpha|^{-2/lambda} and c2 = lambda^2. Each branch's powers go
-    through math.pow on that branch's entries alone, so none can overflow
-    where its branch does not reach it, and each entry is what float
-    arithmetic gives. A NaN modulus takes the outer branch.
+    c1 = |alpha|^{-2/lambda} and c2 = lambda^2. Each branch's powers are
+    taken on that branch's entries alone, so none can overflow where its
+    branch does not reach it; a power that overflows on its own branch is
+    inf. A NaN modulus takes the outer branch.
     """
     moduli = np.asarray(moduli, dtype=float)
     lv = lam_values(lam, moduli.shape)
     outer = ~(moduli < 1.0)
     coefficients = np.ones((2,) + moduli.shape)
     c1, c2 = coefficients[0, ...], coefficients[1, ...]  # views, for a 0-d modulus too
-    c1[outer] = np.fromiter(map(math.pow, moduli[outer].tolist(), (-2.0 / lv[outer]).tolist()), float)
+    with np.errstate(over="ignore"):
+        c1[outer] = np.power(moduli[outer], -2.0 / lv[outer])
     # lambda^2 outside, (lambda |alpha|)^2 inside
-    c2[...] = float_map(math.pow, lv * np.where(outer, 1.0, moduli), 2.0)
+    c2[...] = np.square(lv * np.where(outer, 1.0, moduli))
     return JacobianRows(coefficients)
 
 

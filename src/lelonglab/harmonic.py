@@ -32,7 +32,6 @@ from typing import NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, InputError, InvalidSpecError, NormalizationError
-from .foliation import float_map
 
 TWO_PI = 2.0 * math.pi
 
@@ -496,24 +495,32 @@ def fourier_columns(specs) -> FourierColumns:
     )
 
 
-def mode_integrals(cols: FourierColumns, u0: float, u1: float) -> np.ndarray:
-    """C_k per mode of cols, with C_k e^{k v / b} the mode's integral over u in [u0, u1].
+def mode_turns(cols: FourierColumns, turns: int) -> np.ndarray:
+    """k turns mod b per mode of cols, reduced in integers, as floats in [0, b).
 
-    Each C_k is bit for bit what scalar arithmetic gives: sin and cos go
-    through math.
+    A mode's phase k (u + 2 pi turns) / b is k u / b plus 2 pi times this
+    over b, modulo 2 pi. It is exact for any integers: only turns other
+    than 0 pay for Python ints.
+    """
+    if not turns:
+        return np.zeros(cols.k.size)
+    return np.array([(k * turns) % b for k, b in zip(cols.k.tolist(), cols.b[cols.owner].tolist())], dtype=float)
+
+
+def mode_integrals(cols: FourierColumns, u0: float, u1: float, turns: int = 0) -> np.ndarray:
+    """C_k per mode of cols, with C_k e^{k v / b} the mode's integral over u in [u0, u1] + 2 pi turns.
+
+    The turns enter the phases through mode_turns, before any float is
+    formed, so a window any number of turns out has the phases, and the C_k,
+    of a window within one period of [u0, u1].
     """
     if not cols.k.size:  # mode-free specs: no numpy calls on empty arrays
         return np.zeros(0)
     k, b = cols.k.astype(float), cols.b[cols.owner].astype(float)
-    upper, lower = k * u1 / b, k * u0 / b
-    if u0 == 0.0:
-        # the window of k0 = 0: every lower phase is +-0, whose sine is
-        # itself and whose cosine is 1, as math gives them
-        ds = float_map(math.sin, upper) - lower
-        dc = float_map(math.cos, upper) - 1.0
-    else:
-        ds = float_map(math.sin, upper) - float_map(math.sin, lower)
-        dc = float_map(math.cos, upper) - float_map(math.cos, lower)
+    shift = TWO_PI * mode_turns(cols, turns)
+    upper, lower = (shift + k * u1) / b, (shift + k * u0) / b
+    ds = np.sin(upper) - np.sin(lower)
+    dc = np.cos(upper) - np.cos(lower)
     return b / k * (cols.ak * ds - cols.bk * dc)
 
 
@@ -564,15 +571,19 @@ class FourierWindow(NamedTuple):
         return FourierWindow(self.u0, self.u1, self.fields.take(rows, axis=1))
 
 
-def fourier_window(cols: FourierColumns, u0: float, u1: float) -> FourierWindow:
-    """The row-stacked window over [u0, u1] of the specs in cols, one row per spec."""
+def fourier_window(cols: FourierColumns, u0: float, u1: float, turns: int = 0) -> FourierWindow:
+    """The row-stacked window over [u0, u1] + 2 pi turns of the specs in cols, one row per spec.
+
+    The window keeps u0 and u1, the ends less the turns: its width is u1 - u0
+    however many turns out it lies, and mode_integrals reduces the turns.
+    """
     counts = np.bincount(cols.owner, minlength=cols.a0.size)
     slot = np.arange(cols.owner.size) - (np.cumsum(counts) - counts)[cols.owner]
     n_modes = int(counts.max(initial=0))
     fields = np.zeros((4 + 2 * n_modes, cols.a0.size))
     fields[0], fields[1], fields[2], fields[3] = cols.a0, cols.b0, cols.strip_c, cols.b
     fields[4 + slot, cols.owner] = cols.k
-    fields[4 + n_modes + slot, cols.owner] = mode_integrals(cols, u0, u1)
+    fields[4 + n_modes + slot, cols.owner] = mode_integrals(cols, u0, u1, turns)
     return FourierWindow(u0, u1, fields)
 
 
@@ -830,7 +841,8 @@ def window_integral(spec: HarmonicSpec, u0: float, u1: float, v):
     """Integral of the density over u in [u0, u1] at height(s) v, exact in u.
 
     For trig specs the antiderivative is elementary. spec may also be a
-    FourierWindow built for the same [u0, u1]: then row i of the (n, k)
+    FourierWindow built for the same [u0, u1], any number of turns out
+    (fourier_window): then row i of the (n, k)
     block v holds heights for its i-th spec. One FourierSpec is the
     one-row case. For Poisson specs the u-integral commutes with the finite
     trapezoid sum defining eval, so the result is (tail + c_lin v)(u1 - u0)

@@ -21,9 +21,10 @@ Two independent routes to the mass of a current on the bidisc of radius r:
   finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}. Its
   engine, _exact_masses, takes an AtomTable of one or many currents, each
   row with its own eigenvalue, and sums every current at every radius in
-  one call: each term is one array entry and math.fsum, correctly rounded
-  in any order, adds each (current, radius) group, so a batch gives every
-  current the bits it gets alone.
+  one call: each term is one array entry, each (current, radius) group is
+  added by one pairwise tree, and the reported rounding bound covers the
+  terms and that summation. A group's tree does not depend on the other
+  groups, so a batch gives every current what it gets alone.
 
 The two must agree to quadrature error; the test suite pins that agreement
 and checks the paper's displays (three-region brackets, strip integrals
@@ -48,7 +49,6 @@ from .errors import DomainError, InputError, QuadratureFailure, UnsupportedCurre
 from .foliation import (
     Eigenvalue,
     coordinate_shift,
-    float_map,
     jacobian_density,
     jacobian_rows,
     leaf_domain,
@@ -63,6 +63,7 @@ from .harmonic import (
     evaluate,
     fourier_window,
     mode_integrals,
+    mode_turns,
     poisson_panel_rows,
     poisson_window,
     window_integral,
@@ -99,11 +100,19 @@ class LelongEstimate:
     diverging: bool
 
 
+# A Poisson window's ends are floats, and rounding either end moves the
+# window integral by up to an ulp of it times the density: a k0 whose window
+# end has an ulp above this fraction of the window's width 2 pi is refused,
+# so that move stays below about 1e-12 of the integral.
+POISSON_END_ULP = 2.0**-40
+
+
 def _window(k0: int) -> Tuple[float, float]:
-    """The ends (u0, u1) of the k0-th u-window, [2 pi k0, 2 pi k0 + 2 pi], for both routes.
+    """The ends (u0, u1) of the k0-th u-window, [2 pi k0, 2 pi k0 + 2 pi], as floats.
 
     A k0 whose window end overflows, or lies so far out that its two ends
-    are one float, raises InputError naming k0.
+    are one float, raises InputError naming k0. Trig windows do not use these
+    ends: their phases are reduced in integers (harmonic.mode_integrals).
     """
     try:
         u0 = TWO_PI * k0
@@ -211,8 +220,11 @@ def mass_quadrature_schedule(
     one kernel block per panel whose samples are not all the tail, with
     the grid-model defect as a second row summed from the same block. Each
     Poisson atom's PoissonWindow, with its shell ladders, is built once here
-    and serves both rows of every panel.
-    The weighted (atom, radius) sums are added over the atoms in order.
+    and serves both rows of every panel. The trig rows' window is k0
+    turns out with its phases reduced in integers; a current with a Poisson
+    atom refuses a k0 whose window end has an ulp above POISSON_END_ULP of
+    2 pi, naming k0. The weighted (atom, radius) sums are added over the
+    atoms.
     """
     rs = tuple(rs)
     if not rs:
@@ -220,12 +232,19 @@ def mass_quadrature_schedule(
     lam = current.lam
     table = current.table
     lo, hi, tails = _atom_ranges(lam, table, rs, cfg)
+    is_trig = table.trig
+    poisson = not is_trig.all()
     u0, u1 = _window(k0)
+    if poisson and math.ulp(max(abs(u0), abs(u1))) > POISSON_END_ULP * TWO_PI:
+        raise InputError(
+            f"k0 = {k0}: an end of the Poisson window [2 pi k0, 2 pi k0 + 2 pi] has an ulp above "
+            f"{POISSON_END_ULP!r} of its width 2 pi"
+        )
     # the area density's coefficients, worked out once per atom and taken by row
     area = jacobian_rows(lam, table.moduli.reshape(-1, 1))
-    is_trig = table.trig
-    window = fourier_window(table.fourier, u0, u1)  # one row per atom
-    poisson = not is_trig.all()
+    # one row per atom, k0 turns out: its width is 2 pi, and its phases are
+    # reduced in integers
+    window = fourier_window(table.fourier, 0.0, TWO_PI, k0)
     # one PoissonWindow per Poisson atom: its grids and shell ladders serve
     # every panel, for the value row and the model-error row alike
     windows = ([None if spec is None else poisson_window(spec, u0, u1) for spec in table.poisson]
@@ -233,7 +252,7 @@ def mass_quadrature_schedule(
 
     def trig_rows(rows, v):
         # each round gathers its rows of both with one take apiece
-        out = window_integral(window.take(rows), u0, u1, v)
+        out = window_integral(window.take(rows), 0.0, TWO_PI, v)
         out *= jacobian_density(lam, area.take(rows), v)
         return out
 
@@ -262,14 +281,13 @@ def mass_quadrature_schedule(
             job=exc.job, ranges=exc.ranges,
         ) from exc
     weights = table.weights[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # as float sums would
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite mass
         errs = errors[..., 0] + tails[:, None]
         if poisson:
             # Kronrod sum of the defect plus its own Kronrod-Gauss gap
             errs = errs + (values[..., 1] + errors[..., 1])
         parts = np.stack((weights * values[..., 0], weights * errs))
-        # added over the atoms in order, as Python's sum adds them
-        value, error = (parts.cumsum(axis=1)[:, -1] + 0.0).tolist()
+        value, error = (parts.sum(axis=1) + 0.0).tolist()  # + 0.0: a -0.0 sum reads 0.0
     return [MassResult(value=v, error_estimate=e, r=r) for v, e, r in zip(value, error, rs)]
 
 
@@ -315,27 +333,6 @@ def _bracket_b(lv: float, am: float, r: float) -> float:
 # the paper's strip integrals: negative eigenvalue
 
 
-def _pow(x: float, y: float) -> float:
-    """math.pow(x, y), or inf where it overflows and NaN outside its domain."""
-    try:
-        return math.pow(x, y)
-    except OverflowError:
-        return math.inf
-    except ValueError:
-        return math.nan
-
-
-def _powers(base, exponent) -> np.ndarray:
-    """base ** exponent through math.pow, entry by entry over the broadcast of the two (see _pow)."""
-    ones = np.ones(np.broadcast(base, exponent).shape)
-    xs, ys = (base * ones).ravel().tolist(), (exponent * ones).ravel().tolist()
-    try:
-        out = np.fromiter(map(math.pow, xs, ys), float, ones.size)
-    except (OverflowError, ValueError):
-        out = np.fromiter(map(_pow, xs, ys), float, ones.size)
-    return out.reshape(ones.shape)
-
-
 def _weight(factor, power, log_weight) -> np.ndarray:
     """factor * power, or exp(log_weight()) where the power overflowed, entry by entry.
 
@@ -347,7 +344,7 @@ def _weight(factor, power, log_weight) -> np.ndarray:
     over = np.isinf(power)
     if over.any():
         over = np.broadcast_to(over, weight.shape)
-        weight[over] = float_map(math.exp, np.broadcast_to(log_weight(), weight.shape)[over])
+        weight[over] = np.exp(np.broadcast_to(log_weight(), weight.shape)[over])
     return weight
 
 
@@ -357,14 +354,13 @@ def _strip_terms(lv, am, r):
     Entry by entry over the broadcast of lv, am and r, floats or arrays.
     Each term is worked out on the broadcast of the arguments it depends on
     alone, so a lattice given as broadcastable axes takes each log and
-    power once per distinct argument. Every log, power and exp goes through
-    math and the rest is numpy arithmetic in scalar order, so each entry
-    has the bits of the scalar formulas. An inadmissible entry raises
+    power once per distinct argument. An inadmissible entry raises
     DomainError: the first such entry in order, with the first of its
     checks that fails.
     """
     lv, am, r = (np.asarray(a, dtype=float) for a in (lv, am, r))
-    checks = (~(lv < 0.0), ~((0.0 < r) & (r <= 1.0)), ~((0.0 < am) & (am < _powers(r, 1.0 - lv))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN power fails its check
+        checks = (~(lv < 0.0), ~((0.0 < r) & (r <= 1.0)), ~((0.0 < am) & (am < np.power(r, 1.0 - lv))))
     bad = checks[0] | checks[1] | checks[2]
     if bad.any():
         at = int(np.argmax(bad))
@@ -376,11 +372,11 @@ def _strip_terms(lv, am, r):
         raise DomainError(
             f"|alpha| = {am_at} outside the admissible range (0, r^(1-lambda)) at r = {r_at}"
         )
-    log_am, log_r = float_map(math.log, am), float_map(math.log, r)
-    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic would
+    log_am, log_r = np.log(am), np.log(r)
+    with np.errstate(over="ignore", invalid="ignore"):  # _weight takes over where a power overflows
         inner, outer = 2.0 * lv - 2.0, 2.0 / lv - 2.0
-        s_in = _weight(float_map(math.pow, am, 2.0), _powers(r, inner), lambda: 2.0 * log_am + inner * log_r)
-        s_out = _weight(_powers(am, -2.0 / lv), _powers(r, outer), lambda: -2.0 / lv * log_am + outer * log_r)
+        s_in = _weight(np.square(am), np.power(r, inner), lambda: 2.0 * log_am + inner * log_r)
+        s_out = _weight(np.power(am, -2.0 / lv), np.power(r, outer), lambda: -2.0 / lv * log_am + outer * log_r)
     return lv, log_am, log_r, s_in, s_out
 
 
@@ -393,9 +389,8 @@ def ia(lv, am, r):
 
     (1/r^2) int (1 - lambda v / log|alpha|) jac dv over the plaque strip.
     Floats give a float; arrays, broadcast against each other, give one
-    entry per (lambda, |alpha|, r), each with the bits of its scalar call.
-    Given as broadcastable axes, a lattice takes each log and power once
-    per distinct argument (see _strip_terms).
+    entry per (lambda, |alpha|, r). Given as broadcastable axes, a lattice
+    takes each log and power once per distinct argument (see _strip_terms).
     """
     lv, log_am, log_r, s_in, s_out = _strip_terms(lv, am, r)
     return _scalar(
@@ -404,7 +399,7 @@ def ia(lv, am, r):
         + (
             -2.0 * s_out * log_r
             + lv * s_out
-            + 2.0 * float_map(math.pow, lv, 2.0) * s_in * log_r
+            + 2.0 * lv * lv * s_in * log_r
             - lv * s_in
         )
         / (2.0 * log_am)
@@ -427,11 +422,15 @@ def ib(lv, am, r):
 # ---------------------------------------------------------------------------
 # exact route: every trig-series atom
 
-# The exact route's rounding bound is EXACT_ROUNDING eps times the fsum of the
-# term magnitudes in _exact_masses. A term passes through about ten roundings
-# (two logs, a subtraction, a division and the shift for its limits; its
-# coefficient and rate; exp or expm1; the products), each amplified no more
-# than its magnitude allows, and fsum adds one ulp: 16 covers that count.
+# The exact route's rounding bound is EXACT_ROUNDING eps times the sum of the
+# term magnitudes in _exact_masses, plus the bound on adding the terms. A
+# term passes through about ten roundings (two logs, a subtraction, a
+# division and the shift for its limits; its coefficient and rate; exp or
+# expm1; the products), each within an ulp or two of numpy's ufuncs and
+# amplified no more than its magnitude allows: 16 covers that count. The
+# terms of a (current, radius) group are added by a pairwise tree, whose
+# error is at most ceil(log2 n) eps times the sum of the |terms|
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2).
 EXACT_ROUNDING = 16.0
 
 
@@ -440,18 +439,16 @@ def _moments(sigma, lo, hi):
 
     Entry by entry for flat arrays of one length. hi = inf needs
     sigma > 0. Near and at the resonance sigma = 0 the moments come from
-    their Taylor series, so nothing cancels. Every exp, expm1 and power
-    goes through math, entry by entry, and the rest is numpy arithmetic in
-    scalar order, so each entry is bit for bit what float arithmetic gives.
+    their Taylor series, so nothing cancels.
     """
-    e_lo = float_map(math.exp, -sigma * lo)
+    e_lo = np.exp(-sigma * lo)
     e_hi, m0, m1 = np.zeros(sigma.size), np.empty(sigma.size), np.empty(sigma.size)
     tail = hi == math.inf
     at = np.flatnonzero(tail)
     if at.size:
         s = sigma[at]
         m0[at] = 1.0 / s
-        m1[at] = 1.0 / float_map(math.pow, s, 2.0)
+        m1[at] = 1.0 / (s * s)
     fin = np.flatnonzero(~tail)
     if not fin.size:  # half-planes only
         return e_lo, e_hi, m0, m1
@@ -460,27 +457,42 @@ def _moments(sigma, lo, hi):
     series = np.abs(x) < 0.5
     at, xs, ls = fin[series], x[series], length[series]
     if at.size:
-        # the terms (-x)^n / n! and the partial sums over n = 0..17, each
-        # accumulated in order, as the scalar recurrence does
+        # the terms (-x)^n / n!, n = 0..17, over n + 1 and n + 2, added in
+        # order by cumsum: a sum's order would follow the array's layout,
+        # and an entry would then depend on how many share the call
         n = np.arange(1.0, 19.0)[:, None]
         steps = np.ones((18, at.size))
         steps[1:] = -xs / n[:-1]
         terms = np.cumprod(steps, axis=0)
-        sums = np.zeros((2, 19, at.size))
-        sums[0, 1:] = terms / n
-        sums[1, 1:] = terms / (n + 1.0)
-        s0, s1 = np.cumsum(sums, axis=1)[:, -1]
-        e_hi[at] = e_lo[at] * float_map(math.exp, -xs)
-        m0[at] = s0 * ls
-        m1[at] = s1 * float_map(math.pow, ls, 2.0)
+        e_hi[at] = e_lo[at] * np.exp(-xs)
+        m0[at] = np.cumsum(terms / n, axis=0)[-1] * ls
+        m1[at] = np.cumsum(terms / (n + 1.0), axis=0)[-1] * (ls * ls)
     at, xs, ls = fin[~series], x[~series], length[~series]
     if at.size:
         sg = sigma[at]
-        em = float_map(math.expm1, -xs)
+        em = np.expm1(-xs)
         m0[at] = -em / sg
         e_hi[at] = e_lo[at] * (1.0 + em)
         m1[at] = (m0[at] - ls * (1.0 + em)) / sg
     return e_lo, e_hi, m0, m1
+
+
+def _group_sums(group, n_groups: int, rows: np.ndarray):
+    """Each group's sums of rows (m, N), by a pairwise tree, and the tree's depth.
+
+    group (N,) is nondecreasing, each entry's group. A group's entries are
+    added in adjacent pairs, then the pairs' sums in pairs, and so on, so a
+    group of n entries takes ceil(log2 n) levels, its depth, whatever the
+    other groups hold: the groups are padded with zeros to one power-of-two
+    width, and adding a zero is exact.
+    """
+    counts = np.bincount(group, minlength=n_groups)
+    width = 1 << int(counts.max(initial=1) - 1).bit_length()
+    block = np.zeros((rows.shape[0], n_groups, width))
+    block[:, group, np.arange(group.size) - (np.cumsum(counts) - counts)[group]] = rows
+    while block.shape[2] > 1:
+        block = block[..., 0::2] + block[..., 1::2]
+    return block[..., 0], np.frexp(np.maximum(counts - 1, 0))[1]
 
 
 def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple[float, float]]]]:
@@ -494,27 +506,25 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     is a finite sum of (alpha + beta v) e^{-sigma v}. Each term is
     integrated in closed form over the range the quadrature route uses: the
     plaque, shifted by coordinate_shift and running to infinity on
-    half-planes.
+    half-planes. The window's width is 2 pi and its mode phases are
+    reduced in integers, so any integer k0 is taken.
 
     Every term of every current at every radius is one entry of a few flat
     arrays, with no Python loop over currents, atoms or terms; each atom's
     eigenvalue is read by row. The rounding bound is accounted term by term,
-    so the arrays keep one entry per term and math.fsum adds each (current,
-    radius) group. An entry depends only on its atom, its eigenvalue, its
-    radius and k0, and math.fsum is correctly rounded in any order, so each
-    current's pairs are bit for bit those of a table of that current alone
-    at those radii alone. Every exp, expm1, log and power goes through math,
-    entry by entry, and the rest is numpy arithmetic in scalar order:
-    np.exp rounds differently from math.exp on a few percent of inputs,
-    and would move the masses in their last bits.
+    and _group_sums adds each (current, radius) group's terms, their sizes
+    and their magnitudes. An entry depends only on its atom, its
+    eigenvalue, its radius and k0, and a group's sum only on its entries, so
+    each current's pairs are those of a table of that current alone at
+    those radii alone.
     """
-    u0, u1 = _window(k0)
     cols = table.fourier
     moduli, weights, lv, owner, ak, bk = table.moduli, table.weights, table.lam, cols.owner, cols.ak, cols.bk
-    coef = mode_integrals(cols, u0, u1)
+    coef = mode_integrals(cols, 0.0, TWO_PI, k0)
     # window parts (alpha, beta, growth rate, bound on |alpha|, bound on
     # |beta|): every atom's base, a0 (1 - v/C) + b0 v on a strip of height
-    # C, then every mode, whose bound also covers the rounding of its phases
+    # C, then every mode, whose bound also covers the rounding of its
+    # phases: up to 2 pi (1 + m / |k|) in u, m its mode_turns
     n_atoms = moduli.size
     drop = TWO_PI * cols.a0 / cols.strip_c
     base, slope = TWO_PI * cols.a0, TWO_PI * cols.b0
@@ -525,9 +535,10 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     parts[4, :n_atoms] = slope + drop
     part_owner = np.arange(n_atoms)
     if owner.size:
+        reach = TWO_PI * (1.0 + mode_turns(cols, k0) / np.abs(cols.k))
         parts[0, n_atoms:] = coef
         parts[2, n_atoms:] = grow
-        parts[3, n_atoms:] = (np.abs(ak) + np.abs(bk)) * (2.0 / np.abs(grow) + max(abs(u0), abs(u1)))
+        parts[3, n_atoms:] = (np.abs(ak) + np.abs(bk)) * (2.0 / np.abs(grow) + reach)
         part_owner = np.concatenate((part_owner, owner))
     grow = parts[2]
     # weighted terms, one per jacobian exponential and window part: alpha,
@@ -537,7 +548,7 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     rates[0] = 2.0
     rates[1] = 2.0 * lv[part_owner]
     terms = np.empty((6,) + c.shape)
-    # a weight near the float limit overflows to inf, as float arithmetic does
+    # a weight near the float limit overflows to inf, a non-finite mass
     with np.errstate(over="ignore", invalid="ignore"):
         terms[:2] = weights[part_owner] * c
         terms[2:4] = weights[part_owner] * np.abs(c)
@@ -563,10 +574,10 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     radius, part = np.nonzero(~empty.T[:, part_owner])
     group = table.current[part_owner[part]] * n_radii + radius
     order = np.argsort(group, kind="stable")
-    radius, part = radius[order], part[order]
+    radius, part, group = radius[order], part[order], group[order]
     a, bt, a_mag, b_mag, sigma, rate = terms[:, :, part].swapaxes(1, 2).reshape(6, -1)
     lo, hi, cond = limits[:, part_owner[part].repeat(2), radius.repeat(2)]
-    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic would
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite mass
         e_lo, e_hi, m0, m1 = _moments(sigma, lo, hi)
         values = e_lo * ((a + bt * lo) * m0 + bt * m1)
         # the integral of the bounds, amplified by the exponent's size,
@@ -574,10 +585,10 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
         size = a_mag + b_mag * cond
         body = (1.0 + rate * cond) * (size * m0 + b_mag * m1)
         mags = e_lo * (body + cond * size) + e_hi * cond * size
-    values, mags = values.tolist(), mags.tolist()
-    ends = (2 * np.cumsum(np.bincount(group, minlength=n_currents * n_radii))).tolist()
-    unit = EXACT_ROUNDING * sys.float_info.epsilon
-    pairs = [(math.fsum(values[i:j]), unit * math.fsum(mags[i:j])) for i, j in zip([0] + ends, ends)]
+        (value, size, mag), depth = _group_sums(group.repeat(2), n_currents * n_radii,
+                                                np.stack((values, np.abs(values), mags)))
+        bound = sys.float_info.epsilon * (EXACT_ROUNDING * mag + depth * size)
+    pairs = list(zip(value.tolist(), bound.tolist()))
     return [pairs[n * n_radii:(n + 1) * n_radii] if ok else None for n, ok in enumerate(exact.tolist())]
 
 
@@ -591,7 +602,12 @@ def closed_form_applicable(current: Current) -> bool:
 
 
 def mass_closed_form(current: Current, r: float, k0: int = 0) -> float:
-    """Exact mass of an all-trig current on the bidisc of radius r, k0-th u-window."""
+    """Exact mass of an all-trig current on the bidisc of radius r, k0-th u-window.
+
+    It takes the k0s the quadrature route takes (_window), though its own
+    phases are reduced in integers.
+    """
+    _window(k0)
     masses = _exact_masses(current.table, (r,), k0)[0]
     if masses is None:
         raise UnsupportedCurrentError("exact mass needs trig-series atoms")
@@ -764,6 +780,7 @@ def lelong_estimate(
     """
     rs = lelong_radii(r_start, ratio, steps)
     if closed_form_applicable(current):
+        _window(k0)  # the k0s the quadrature route takes
         masses = _exact_masses(current.table, rs, k0)[0]
     else:
         masses = [
@@ -788,17 +805,14 @@ def lelong_from_masses(
     from the outer-region terms that would pollute both.
 
     Everything per radius is one pass over (schedules, radii) arrays, and
-    each schedule gets the bits it got judged alone by scalar Python
-    (tests/oracles.py keeps that judge): pi r^2 is the scalar expression,
-    the numpy arithmetic runs in scalar order, sums of squares run along
-    each row's contiguous axis, and each row's fit is one np.linalg.lstsq
-    on the scaled Vandermonde matrix np.polyfit builds, shared by the rows,
-    which gives polyfit's bits where one lstsq over all the rows would not.
-    The few floats per schedule that remain (bracket, R^2, the divergence
-    test) are the scalar expressions. nus that are not finite, or whose
-    squares overflow, give a fit that is not finite either, which the
-    command line then refuses by name. A radius whose area pi r^2
-    underflows to 0 raises DomainError naming the first such radius.
+    every schedule is fitted at once by the closed-form least squares of a
+    line: about the mean of -log r, whose spread is shared by the rows. The
+    few floats per schedule that remain (bracket, R^2, the divergence test)
+    are scalar expressions. nus that are not finite, or whose squares
+    overflow, give a fit that is not finite either, which the command line
+    then refuses by name. A radius whose area pi r^2 underflows to 0 raises
+    DomainError naming the first such radius. Radii whose -log r are one
+    value to rounding warn as np.polyfit does.
     """
     rs = tuple(rs)
     if not schedules:
@@ -808,31 +822,27 @@ def lelong_from_masses(
     if 0.0 in areas:
         raise DomainError(f"r = {rs[areas.index(0.0)]!r}: the area pi r^2 underflows to 0")
     start = 0 if steps < 6 else steps // 2
-    # -log r as np.polyfit takes it, x + 0.0, whose -0.0 at r = 1 is 0.0
-    x = 0.0 - np.log(np.asarray(rs[start:]))
-    # the ufunc reductions of ndarray.sum and .any, called directly
-    add, either = np.add.reduce, np.logical_or.reduce
-    # polyfit's scaled Vandermonde matrix of x, [x, 1] by rows
-    lhs = np.empty((len(x), 2))
-    lhs[:, 0], lhs[:, 1] = x, 1.0
-    scale = np.sqrt(add(lhs * lhs, axis=0))
-    lhs /= scale
-    rcond = len(x) * sys.float_info.epsilon
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as float arithmetic would
+    x = -np.log(np.asarray(rs[start:]))
+    dx = x - x.mean()
+    sxx = float(dx @ dx)
+    # np.polyfit's rank test, within a factor 2: its scaled Vandermonde
+    # matrix [x, 1] has singular values in a ratio of about sqrt(sxx / sum x^2)
+    if not sxx > (2.0 * len(x) * sys.float_info.epsilon) ** 2 * float(x @ x):
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite nu gives a non-finite fit
         nus, errs = (np.array(schedules, dtype=float) / np.array(areas)[:, None]).transpose(2, 0, 1)
         # rises and falls beyond the error bars in one pass, on nus and -nus:
         # ((a - b) - c) - d is -((((-a) + b) + c) + d) exactly. A NaN nu makes
         # its bound NaN, so maximum serves for max(1, nu) there.
         signed = nus * _SIGNS
         slack = 1e-12 * np.maximum(nus[:, :-1], 1.0)
-        breaks = either(signed[..., 1:] > signed[..., :-1] + errs[:, :-1] + errs[:, 1:] + slack, axis=2)
-        y = nus[:, start:] + 0.0  # as polyfit takes it, in contiguous rows
-        fits = [np.linalg.lstsq(lhs, row, rcond) for row in y]
-        if any(rank != 2 for _, _, rank, _ in fits):  # polyfit's warning
-            warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
-        slope, intercept = (np.array([coef for coef, _, _, _ in fits]) / scale).T
-        ss_res = add((y - (slope[:, None] * x + intercept[:, None])) ** 2, axis=1)
-        ss_tot = add((y - (add(y, axis=1) / len(x))[:, None]) ** 2, axis=1)
+        breaks = np.logical_or.reduce(signed[..., 1:] > signed[..., :-1] + errs[:, :-1] + errs[:, 1:] + slack, axis=2)
+        y = nus[:, start:]
+        dy = y - y.mean(axis=1)[:, None]
+        slope = (dy * dx).sum(axis=1) / sxx
+        intercept = y.mean(axis=1) - slope * x.mean()
+        ss_res = ((y - (slope[:, None] * x + intercept[:, None])) ** 2).sum(axis=1)
+        ss_tot = (dy * dy).sum(axis=1)
     estimates = []
     # the rest is a few floats per schedule
     for nu, err, monotone_ok, fitted, res, tot in zip(

@@ -19,6 +19,7 @@ constants, read at each call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,12 @@ _W_GAUSS = np.concatenate((_WG_HALF[:-1], _WG_HALF[::-1]))
 MAX_DEPTH = 16
 MAX_PANELS = 20000
 
+# A panel's error is its Kronrod-Gauss gap plus ROUNDING_FLOOR eps times
+# half its width times sum |w f| over its Kronrod nodes: the rounding of a
+# 15-term weighted sum of integrand values each good to an ulp or two. On a
+# smooth integrand the gap can fall below that rounding, even to 0.
+ROUNDING_FLOOR = 8.0
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -122,10 +129,11 @@ def _seed_panels(lo, hi):
 
 
 def _evaluate(f, rows, lo, hi):
-    """Kronrod values and Kronrod-Gauss errors of panels, and whether f is single-row.
+    """Kronrod values and errors of panels, and whether f is single-row.
 
     Panel p is [lo[p], hi[p]] of job rows[p]; one call of f evaluates them
-    all. Values and errors are (P, m) arrays, m = 1 for a single-row f.
+    all. Values and errors are (P, m) arrays, m = 1 for a single-row f; an
+    error is the Kronrod-Gauss gap plus the ROUNDING_FLOOR floor.
     """
     half = 0.5 * (hi - lo)
     nodes = half[:, None] * _NODES
@@ -140,6 +148,7 @@ def _evaluate(f, rows, lo, hi):
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite panels raise
         kron = half * (fv @ _W_KRONROD)
         err = np.abs(kron - half * (fv[..., 1::2] @ _W_GAUSS))
+        err += (ROUNDING_FLOOR * sys.float_info.epsilon) * half * (np.abs(fv) @ _W_KRONROD)
     return kron, err, single
 
 
@@ -407,8 +416,9 @@ def integrate_lockstep(f, lo, hi, cfg: QuadratureConfig = DEFAULT_CONFIG):
 def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Integral of the vectorized f over [a, b] with an error estimate.
 
-    The worst panel is split until the summed Kronrod-vs-Gauss discrepancy
-    meets max(cfg.abs_tol, cfg.rel_tol * |value|); a panel that would need
+    The worst panel is split until the summed panel errors (each its
+    Kronrod-vs-Gauss discrepancy plus the ROUNDING_FLOOR floor) meet
+    max(cfg.abs_tol, cfg.rel_tol * |value|); a panel that would need
     more than MAX_DEPTH splits, a job that would need more than MAX_PANELS
     panels, and a panel whose value or error is not finite raise
     QuadratureFailure carrying the best estimate. An empty range, a = b,

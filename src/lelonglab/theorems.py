@@ -42,7 +42,7 @@ from .current import (
     monodromy_family,
 )
 from .errors import InputError
-from .foliation import Eigenvalue, float_map
+from .foliation import Eigenvalue
 from .harmonic import FourierSpec, PoissonSpec, normalize
 from .mass import (
     RATIO,
@@ -257,8 +257,8 @@ def _verify(cases: Sequence[CorpusCase], table: AtomTable, tol_scale: float) -> 
     rs = lelong_radii(R_START, RATIO, PERIODIC_STEPS)
     exact = _exact_masses(table, rs) if table.trig.any() else [None] * len(cases)
     # the exact schedules, judged in one lelong_from_masses call per length:
-    # an exact mass depends on its radius alone, so a prefix is bit for bit
-    # its schedule
+    # an exact mass depends on its radius alone, so a prefix is its
+    # schedule
     batches = {}
     for i, (case, masses) in enumerate(zip(cases, exact)):
         if masses is not None:
@@ -341,8 +341,8 @@ def _strip_b_bound():
     # the amplified bound holds for r below exp(1 / (2 lambda (1 - lambda)))
     lv, am, r = _STRIP_AXES
     values, caps = ib(*_STRIP_AXES).reshape(-1, 2).T
-    keep = np.broadcast_to(r[..., :1] < float_map(math.exp, 1.0 / (2.0 * lv * (1.0 - lv))), am.shape).ravel()
-    amplify = np.broadcast_to(float_map(math.exp, -1.0 / (lv * (1.0 - lv))), am.shape).ravel()
+    keep = np.broadcast_to(r[..., :1] < np.exp(1.0 / (2.0 * lv * (1.0 - lv))), am.shape).ravel()
+    amplify = np.broadcast_to(np.exp(-1.0 / (lv * (1.0 - lv))), am.shape).ravel()
     return values[keep], -math.inf, (amplify * caps)[keep], keep.size - int(np.count_nonzero(keep))
 
 

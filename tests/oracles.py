@@ -1,10 +1,10 @@
-"""Earlier reference implementations the current code is checked against.
+"""Reference implementations the package is checked against.
 
-integrate_lockstep refines each job with a heap of panels and a parked list,
-and exact_masses sums the exact route term by term in scalar Python. Both
-are the earlier implementations of quadrature.integrate_lockstep and
-mass._exact_masses, kept verbatim as oracles: the array versions must give
-the same numbers bit for bit, the same integrand calls and the same failures.
+integrate_lockstep refines each job with a heap of panels and a parked list:
+the earlier implementation of quadrature.integrate_lockstep, kept as an
+oracle, which must split the same panels, give the same numbers bit for bit,
+make the same integrand calls and fail the same way; its panel errors carry
+the same rounding floor.
 poisson_rows sums a Poisson window's full grid and its half-density probe
 as two kernel blocks over the samples' departures from the tail, each made
 a window integral by the same exact (tail + c_lin v)(u1 - u0), with the
@@ -14,8 +14,9 @@ exponential's tail weighted by its coefficient, with a generator, from
 each spec's own envelope: the earlier forms of harmonic.poisson_rows and
 mass._truncate_half_plane, which must agree with them bit for bit.
 jacobian_coefficients is the scalar formula of foliation.jacobian_rows,
-modulus by modulus. Without a PoissonWindow, poisson_rows sums grids it builds
-with no shells, every node directly: the reference for the far field.
+modulus by modulus, which must agree with it to an ulp or two of its
+powers. Without a PoissonWindow, poisson_rows sums grids it builds with no
+shells, every node directly: the reference for the far field.
 current_from_json and build_current are the per-atom loader and validator:
 one FourierSpec, one _validate_atom call and one positivity certificate per
 atom. The package's column loader and array validator must build the same
@@ -24,14 +25,17 @@ load_current decodes every input file with the stdlib json and loads it with
 that per-atom loader, as cli._load_current does with orjson and the column
 loader: the two must load the same current from any text, or fail with the
 same error.
+mp_exact_masses is the exact route's closed form in mpmath, from the same
+float inputs, and mp_mode_integrals its window coefficients: the masses of
+mass._exact_masses must lie within their reported rounding bounds of it.
+mp_strip gives ia and ib in mpmath with a rounding tolerance for the float
+formulas; ia and ib here, of one (lambda, |alpha|, r) in scalar Python, say
+which entry of an array call must raise, and how.
 lelong_from_masses judges one schedule in scalar Python, fitting it with
-np.polyfit; ia and ib are the strip integrals of one (lambda, |alpha|, r),
-and strip_a_bound and strip_b_bound their lemma lattices, entry by entry;
-normalize reads the base value with a numpy evaluate at (0, 0). They are the
-earlier forms of mass.lelong_from_masses, which judges a batch of schedules
-as arrays, of mass.ia and mass.ib, which take arrays, of theorems'
-_strip_a_bound and _strip_b_bound, which share one term table, and of
-harmonic.normalize: each must give their bits, and the same errors.
+np.polyfit: mass.lelong_from_masses must agree with it, its fit within a
+stated bound and the rest bit for bit. normalize reads the base value with
+a numpy evaluate at (0, 0), the earlier form of harmonic.normalize, which
+must give its bits and the same errors.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
+import mpmath
 import numpy as np
 
 from lelonglab.current import L1_SLACK, NORMALIZATION_TOL, Current, TransversalAtom, eigenvalue_from_json
@@ -54,7 +59,7 @@ from lelonglab.errors import (
     NormalizationError,
     QuadratureFailure,
 )
-from lelonglab.foliation import Eigenvalue, coordinate_shift
+from lelonglab.foliation import Eigenvalue
 from lelonglab.harmonic import (
     FAR_ORDER,
     BoundaryGrid,
@@ -74,9 +79,8 @@ from lelonglab.harmonic import (
     json_float,
     spec_from_json,
 )
-from lelonglab.mass import DIVERGENCE_FACTOR, EXACT_ROUNDING, TWO_PI, LelongEstimate, _tail_integral
-from lelonglab.quadrature import _NODES, _W_GAUSS, _W_KRONROD
-from lelonglab.theorems import _STRIP_LATTICE
+from lelonglab.mass import DIVERGENCE_FACTOR, TWO_PI, LelongEstimate, _tail_integral
+from lelonglab.quadrature import _NODES, _W_GAUSS, _W_KRONROD, ROUNDING_FLOOR
 
 
 def load_current(path):
@@ -212,6 +216,7 @@ def _evaluate(f, rows, los, his):
     with np.errstate(invalid="ignore", over="ignore"):
         kron = half * (fv @ _W_KRONROD)
         err = np.abs(kron - half * (fv[..., 1::2] @ _W_GAUSS))
+        err += (ROUNDING_FLOOR * sys.float_info.epsilon) * half * (np.abs(fv) @ _W_KRONROD)
     finite = np.isfinite(err).all(axis=1).tolist()
     leads = err[:, 0].tolist()
     if single:
@@ -348,15 +353,6 @@ def integrate_lockstep(f, jobs, rel_tol=1e-9, abs_tol=1e-12, max_depth=16, max_p
     return [list(zip(job.values, job.errors)) for job in states]
 
 
-def mode_window_coefficients(spec, u0, u1):
-    out = []
-    for k, ak, bk in spec.modes:
-        ds = math.sin(k * u1 / spec.b) - math.sin(k * u0 / spec.b)
-        dc = math.cos(k * u1 / spec.b) - math.cos(k * u0 / spec.b)
-        out.append(spec.b / k * (ak * ds - bk * dc))
-    return tuple(out)
-
-
 def jacobian_coefficients(lv, alpha_modulus):
     """(c1, c2) with jacobian_density = 2 (c1 e^{-2v} + c2 e^{-2 lambda v})."""
     if alpha_modulus < 1.0:
@@ -367,25 +363,6 @@ def jacobian_coefficients(lv, alpha_modulus):
 def _jac_terms(lam, am):
     c1, c2 = jacobian_coefficients(lam.value, am)
     return (2.0 * c1, 2.0), (2.0 * c2, 2.0 * lam.value)
-
-
-def _moments(sigma, lo, hi):
-    e_lo = math.exp(-sigma * lo)
-    if hi == math.inf:
-        return e_lo, 0.0, 1.0 / sigma, 1.0 / sigma**2
-    length = hi - lo
-    x = sigma * length
-    if abs(x) < 0.5:
-        m0 = m1 = 0.0
-        term = 1.0
-        for n in range(18):
-            m0 += term / (n + 1)
-            m1 += term / (n + 2)
-            term *= -x / (n + 1)
-        return e_lo, e_lo * math.exp(-x), m0 * length, m1 * length**2
-    em = math.expm1(-x)
-    m0 = -em / sigma
-    return e_lo, e_lo * (1.0 + em), m0, (m0 - length * (1.0 + em)) / sigma
 
 
 def _leaf_domain(lv, am, r):
@@ -404,45 +381,71 @@ def _leaf_domain(lv, am, r):
     return None
 
 
-def exact_masses(current, rs, k0=0):
-    """(mass, rounding bound) per radius, term by term in scalar Python."""
-    lam = current.lam
-    u0 = TWO_PI * k0
-    u1 = u0 + TWO_PI
-    values = [[] for _ in rs]
-    mags = [[] for _ in rs]
-    for atom in current.atoms:
-        am, spec = atom.alpha_modulus, atom.spec
-        drop = TWO_PI * spec.a0 / spec.strip_c if spec.on_strip else 0.0
-        base, slope = TWO_PI * spec.a0, TWO_PI * spec.b0
-        parts = [(base, slope - drop, 0.0, base, slope + drop)]
-        for (k, ak, bk), coef in zip(spec.modes, mode_window_coefficients(spec, u0, u1)):
-            grow = k / spec.b
-            coef_bound = (abs(ak) + abs(bk)) * (2.0 / abs(grow) + max(abs(u0), abs(u1)))
-            parts.append((coef, 0.0, grow, coef_bound, 0.0))
-        w = atom.weight
-        terms = [
-            (w * c * a, w * c * b, s - grow, w * abs(c) * a_mag, w * abs(c) * b_mag,
-             abs(s) + abs(grow))
-            for c, s in _jac_terms(lam, am)
-            for a, b, grow, a_mag, b_mag in parts
-        ]
-        shift = coordinate_shift(lam, am)
-        log_am = abs(math.log(am))
-        for r, vals, sizes in zip(rs, values, mags):
-            dom = _leaf_domain(lam.value, am, r)
-            if dom is None:
-                continue
-            lo, hi = dom[0] - shift, math.inf if dom[1] is None else dom[1]
-            cond = (log_am - math.log(r)) / abs(lam.value)
-            for a, b, sigma, a_mag, b_mag, rate in terms:
-                e_lo, e_hi, m0, m1 = _moments(sigma, lo, hi)
-                vals.append(e_lo * ((a + b * lo) * m0 + b * m1))
-                size = a_mag + b_mag * cond
-                body = (1.0 + rate * cond) * (size * m0 + b_mag * m1)
-                sizes.append(e_lo * (body + cond * size) + e_hi * cond * size)
-    unit = EXACT_ROUNDING * sys.float_info.epsilon
-    return [(math.fsum(v), unit * math.fsum(m)) for v, m in zip(values, mags)]
+def mp_mode_integrals(spec, u0, u1):
+    """mode_integrals of one spec over [u0, u1], in mpmath at the working precision.
+
+    u0 and u1 may be mpmath numbers, so 2 pi k0 is exact.
+    """
+    out = []
+    for k, ak, bk in spec.modes:
+        upper, lower = k * mpmath.mpf(u1) / spec.b, k * mpmath.mpf(u0) / spec.b
+        ds = mpmath.sin(upper) - mpmath.sin(lower)
+        dc = mpmath.cos(upper) - mpmath.cos(lower)
+        out.append(mpmath.mpf(spec.b) / k * (ak * ds - bk * dc))
+    return out
+
+
+def _mp_segment(a, b, s, lo, hi):
+    """int_lo^hi (a + b v) e^{-s v} dv in mpmath; hi = inf needs s > 0."""
+    if s == 0:
+        return a * (hi - lo) + b * (hi**2 - lo**2) / 2
+
+    def antiderivative(v):
+        return -mpmath.exp(-s * v) * ((a + b * v) / s + b / s**2)
+
+    return (0 if hi == mpmath.inf else antiderivative(hi)) - antiderivative(lo)
+
+
+def mp_exact_masses(current, rs, k0=0, dps=40):
+    """The mass of an all-trig current at each radius, in mpmath from the same float inputs.
+
+    The closed form the exact route sums, with every number the float code
+    rounds taken exactly: the eigenvalue, moduli, weights, coefficients and
+    radii as given, 2 pi k0, the logs, powers, phases and exponentials at dps
+    digits. Its gap to the float masses is their rounding error alone.
+    """
+    mpf = mpmath.mpf
+    with mpmath.workdps(dps):
+        lv = mpf(current.lam.value)
+        u0 = 2 * mpmath.pi * k0
+        u1 = u0 + 2 * mpmath.pi
+        atoms = []
+        for atom in current.atoms:
+            am, spec = mpf(atom.alpha_modulus), atom.spec
+            drop = 0 if spec.strip_c is None else mpf(spec.a0) / mpf(spec.strip_c)
+            parts = [(2 * mpmath.pi * spec.a0, 2 * mpmath.pi * (spec.b0 - drop), 0)]
+            parts += [(coef, 0, mpf(k) / spec.b)
+                      for (k, _, _), coef in zip(spec.modes, mp_mode_integrals(spec, u0, u1))]
+            c1, c2 = (1, (lv * am) ** 2) if am < 1 else (am ** (-2 / lv), lv**2)
+            atoms.append((mpf(atom.weight), am, mpmath.log(am), ((2 * c1, 2), (2 * c2, 2 * lv)), parts))
+        masses = []
+        for r in rs:
+            log_r = mpmath.log(mpf(r))
+            total = mpf(0)
+            for weight, am, log_am, jac, parts in atoms:
+                cut = (log_am - log_r) / lv
+                if lv > 0:
+                    lo = (cut if cut >= -log_r else -log_r) - (log_am / lv if am >= 1 else 0)
+                    hi = mpmath.inf
+                elif cut > -log_r:
+                    lo, hi = -log_r, cut
+                else:
+                    continue
+                for c, rate in jac:
+                    for a, b, grow in parts:
+                        total += weight * c * _mp_segment(a, b, rate - grow, lo, hi)
+            masses.append(total)
+    return masses
 
 
 def _kernel_sum(grid, u0, u1, vflat):
@@ -640,22 +643,32 @@ def ib(lv: float, am: float, r: float) -> float:
     )
 
 
-def strip_a_bound():
-    values = [ia(lv, am, r) for lv, am, r in _STRIP_LATTICE]
-    caps = [ia(lv, am, 1.0) for lv, am, _ in _STRIP_LATTICE]
-    return values, 0.0, caps
+def mp_strip(lv, am, r, dps=40):
+    """(ia, ib, ia_tol, ib_tol) of one (lambda, |alpha|, r) in mpmath, from the same floats.
 
-
-def strip_b_bound():
-    # the amplified bound holds for r below exp(1 / (2 lambda (1 - lambda)))
-    points = [
-        (lv, am, r)
-        for lv, am, r in _STRIP_LATTICE
-        if r < math.exp(1.0 / (2.0 * lv * (1.0 - lv)))
-    ]
-    values = [ib(lv, am, r) for lv, am, r in points]
-    bounds = [math.exp(-1.0 / (lv * (1.0 - lv))) * ib(lv, am, 1.0) for lv, am, _ in points]
-    return values, -math.inf, bounds, len(_STRIP_LATTICE) - len(points)
+    Each tolerance is a rounding bound for the float formula: 8 eps times
+    the sum of the magnitudes of its terms, each term's magnitude times
+    1 + the conditioning of its powers, |y log x| summed over the powers
+    x^y it takes, which a rounded exponent or base amplifies.
+    """
+    mpf = mpmath.mpf
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(dps):
+        lv, am, r = mpf(lv), mpf(am), mpf(r)
+        log_am, log_r = mpmath.log(am), mpmath.log(r)
+        inner, outer = 2 * lv - 2, 2 / lv - 2
+        s_in = am**2 * r**inner
+        s_out = am ** (-2 / lv) * r**outer
+        k_in = 1 + abs(2 * log_am) + abs(inner * log_r)
+        k_out = 1 + abs(2 / lv * log_am) + abs(outer * log_r)
+        a_terms = [(1, 1), (lv * s_in, k_in)] + [
+            (t / (2 * log_am), k) for t, k in (
+                (-2 * s_out * log_r, k_out), (lv * s_out, k_out), (2 * lv**2 * s_in * log_r, k_in), (-lv * s_in, k_in))]
+        b_terms = [(-s_out / 2, k_out), (-s_out * log_am / lv, k_out), (s_out * log_r / lv, k_out),
+                   (s_in / 2, k_in), (-s_in * lv * log_r, k_in), (-log_am, 1)]
+        value_a, value_b = (sum(t for t, _ in terms) for terms in (a_terms, b_terms))
+        tol_a, tol_b = (8 * eps * sum(abs(t) * k for t, k in terms) for terms in (a_terms, b_terms))
+        return float(value_a), float(value_b), float(tol_a), float(tol_b)
 
 
 def normalize(spec: HarmonicSpec) -> HarmonicSpec:

@@ -152,16 +152,18 @@ class TestPsiAndJacobian:
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_array_of_moduli_is_the_scalar_calls(self, lam):
-        # one modulus per row, both branches, bit for bit against the scalar
-        # formula; numpy's own power rounds differently from float ** on a
-        # few percent of such moduli
+        # one modulus per row, both branches: each row is the formula on its
+        # coefficients, which are the scalar formula's within an ulp or two
+        # of their powers, and each entry is its scalar call's
         moduli = np.exp(np.random.default_rng(5).uniform(-12.0, 3.0, 240))
         moduli[:3] = (1e-4, 0.9999999, 1.0)
         vs = np.linspace(0.0, 6.0, 15 * moduli.size).reshape(moduli.size, 15)
         block = jacobian_density(lam, moduli[:, None], vs)
         assert block.shape == vs.shape
-        for am, v, row in zip(moduli.tolist(), vs, block):
-            c1, c2 = jacobian_coefficients(lam.value, am)
+        coefficients = jacobian_rows(lam, moduli).coefficients
+        for am, v, row, (c1, c2) in zip(moduli.tolist(), vs, block, coefficients.T.tolist()):
+            want = jacobian_coefficients(lam.value, am)
+            assert np.allclose([c1, c2], want, rtol=4.0 * np.finfo(float).eps, atol=0.0)
             assert np.array_equal(row, 2.0 * (c1 * np.exp(-2.0 * v) + c2 * np.exp(-2.0 * lam.value * v)))
             assert float.hex(jacobian_density(lam, am, float(v[1]))) == float.hex(float(row[1]))
 
@@ -233,7 +235,13 @@ class TestTorusCurve:
 
 
 class TestPlaqueArrays:
-    """plaque_limits and coordinate_shift on arrays, bit for bit the scalar formulas."""
+    """plaque_limits and coordinate_shift on arrays, against the scalar formulas within their rounding.
+
+    The logs are numpy's there and math's in tests/oracles.py, an ulp or so
+    apart: a limit may move by a few eps (|log|alpha|| + |log r|) / |lambda|,
+    and a plaque whose cuts meet within that may be empty in one and not the
+    other.
+    """
 
     @given(
         lam=st.one_of(
@@ -256,14 +264,20 @@ class TestPlaqueArrays:
             for n, r in enumerate(rs):
                 want = _leaf_domain(lam.value, am, r)
                 dom = leaf_domain(lam, am, r)
-                assert bool(empty[i, n]) == (want is None) == dom.is_empty
+                tol = 4.0 * np.finfo(float).eps * (abs(math.log(am)) + abs(math.log(r))) / abs(lam.value)
+                assert bool(empty[i, n]) == dom.is_empty
+                if (want is None) != dom.is_empty:
+                    # a strip whose cuts meet within rounding
+                    cut = (math.log(am) - math.log(r)) / lam.value
+                    assert abs(cut + math.log(r)) <= tol
+                    continue
                 if want is None:
                     continue
                 got = (float(v_min[i, n]), None if lam.value > 0.0 else float(v_max[i, n]))
-                assert [None if x is None else float.hex(x) for x in got] == [
-                    None if x is None else float.hex(x) for x in want]
+                for g, w in zip(got, want):
+                    assert (g is None) == (w is None)
+                    assert g is None or abs(g - w) <= tol
                 assert (dom.v_min, dom.v_max) == got
-                assert math.copysign(1.0, dom.v_min) == math.copysign(1.0, want[0])
 
     def test_per_row_eigenvalues_are_each_rows_own(self):
         # rows of mixed eigenvalues, in runs and alone, against one call per
@@ -282,8 +296,8 @@ class TestPlaqueArrays:
             for got, want in zip(rows, one):
                 assert np.array_equal(got[i], want[0])
             assert float.hex(float(shifts[i])) == float.hex(coordinate_shift(lam, am))
-            assert [float.hex(float(c)) for c in coefficients[:, i]] == [
-                float.hex(c) for c in jacobian_coefficients(lam.value, am)]
+            assert np.allclose(coefficients[:, i], jacobian_coefficients(lam.value, am),
+                               rtol=4.0 * np.finfo(float).eps, atol=0.0)
 
     @pytest.mark.parametrize("exponent", range(15, 21))
     def test_tiny_eigenvalue_keeps_the_z_cut(self, exponent):
@@ -304,7 +318,7 @@ class TestPlaqueArrays:
     def test_plaques_lie_inside_the_z_cut(self, lvs, scale, rs):
         moduli = scale * np.linspace(0.5, 2.0, len(lvs))
         v_min, v_max, empty = plaque_limits(np.array(lvs), moduli, rs)
-        z_cut = np.array([-math.log(r) for r in rs])
+        z_cut = -np.log(rs)
         assert (v_min >= z_cut).all()
         strip = np.array(lvs)[:, None] < 0.0
         assert np.array_equal(empty, strip & (v_max <= v_min))

@@ -508,15 +508,25 @@ class TestWindowIntegral:
         for row, v, got in zip(rows, vs, block):
             assert np.array_equal(got, window_integral(self.STACKED[row], u0, u1, v))
 
-    @pytest.mark.parametrize("window", [(0.0, 2.0 * math.pi), (-1.3, 5.1), (4.0 * math.pi, 6.0 * math.pi)])
+    @pytest.mark.parametrize("window", [(0.0, 2.0 * math.pi), (-1.3, 5.1), (4.0 * math.pi, 6.0 * math.pi),
+                                        (0.0, 2.0 * math.pi, 10**15), (-1.3, 5.1, -7)])
     def test_stacked_coefficients_are_the_scalar_formula(self, window):
-        from oracles import mode_window_coefficients as scalar_coefficients
+        # each C_k within its rounding of the formula in mpmath, the turns
+        # taken exactly: 8 eps b / |k| (|a_k| + |b_k|) (2 + |phases|)
+        from oracles import mp_mode_integrals
 
-        stacked = fourier_window(fourier_columns(self.STACKED), *window)
+        u0, u1, turns = (window + (0,))[:3]
+        stacked = fourier_window(fourier_columns(self.STACKED), u0, u1, turns)
+        assert (stacked.u0, stacked.u1) == (u0, u1)
+        eps = np.finfo(float).eps
         for row, spec in enumerate(self.STACKED):
-            want = scalar_coefficients(spec, *window)
+            with mpmath.workdps(40):
+                shift = 2 * mpmath.pi * turns
+                want = [float(c) for c in mp_mode_integrals(spec, u0 + shift, u1 + shift)]
             got = stacked.coefs[row, :len(want)].tolist()
-            assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
+            for (k, ak, bk), g, w in zip(spec.modes, got, want):
+                reach = 2.0 * math.pi * (turns * k % spec.b) + abs(k) * max(abs(u0), abs(u1))
+                assert abs(g - w) <= 8.0 * eps * spec.b / abs(k) * (abs(ak) + abs(bk)) * (2.0 + 2.0 * reach / spec.b)
             assert not stacked.coefs[row, len(want):].any()
 
     def test_stacked_window_checks_each_strip(self):

@@ -208,23 +208,29 @@ class TestLemmaLattices:
         )
 
 
-def _lattice_bits(lattice):
-    """The arguments of check_bounds, every float by its bits."""
-    return [[float(x).hex() for x in np.ravel(part).tolist()] for part in lattice]
-
-
 class TestStripLattices:
-    """The strip lemmas from one term table against the scalar ia and ib of tests/oracles.py."""
+    """The strip lemmas from one term table against ia and ib in mpmath, entry by entry, within their rounding."""
 
     def test_lattices_are_the_scalar_ones(self):
         import oracles
         import lelonglab.theorems as theorems
 
-        for lattice, scalar in ((theorems._strip_a_bound, oracles.strip_a_bound),
-                                (theorems._strip_b_bound, oracles.strip_b_bound)):
-            got, want = lattice(), scalar()
-            assert _lattice_bits(got) == _lattice_bits(want)
-            assert check_bounds(*got) == check_bounds(*want)
+        strips = [oracles.mp_strip(*entry) for entry in theorems._STRIP_LATTICE]
+        caps = [oracles.mp_strip(lv, am, 1.0) for lv, am, _ in theorems._STRIP_LATTICE]
+        values, lower, bounds = theorems._strip_a_bound()
+        assert lower == 0.0
+        for got, (want, _, tol, _) in zip(values.tolist() + bounds.tolist(), strips + caps):
+            assert abs(got - want) <= tol
+        # Ib's amplified bound holds for r below exp(1 / (2 lambda (1 - lambda)))
+        keep = [r < math.exp(1.0 / (2.0 * lv * (1.0 - lv))) for lv, _, r in theorems._STRIP_LATTICE]
+        values, lower, bounds, skipped = theorems._strip_b_bound()
+        assert lower == -math.inf and skipped == keep.count(False)
+        kept = [(s, c, lv) for s, c, ok, (lv, _, _) in zip(strips, caps, keep, theorems._STRIP_LATTICE) if ok]
+        assert len(values) == len(bounds) == len(kept)
+        for got, bound, ((_, want, _, tol), (_, cap, _, cap_tol), lv) in zip(values.tolist(), bounds.tolist(), kept):
+            amplify = math.exp(-1.0 / (lv * (1.0 - lv)))
+            assert abs(got - want) <= tol
+            assert abs(bound - amplify * cap) <= amplify * cap_tol + 4.0 * np.finfo(float).eps * abs(bound)
 
 
 class TestCheckBounds:
