@@ -271,19 +271,22 @@ def jacobian_rows(lam, moduli) -> JacobianRows:
     return JacobianRows(coefficients)
 
 
-def jacobian_density(lam: Eigenvalue, alpha_modulus, v):
+def jacobian_density(lam, alpha_modulus, v):
     """Leafwise area density 2(|z'|^2 + |w'|^2) along psi, as a function of v.
 
     Accepts a scalar or ndarray v, and either JacobianRows or a modulus or
     ndarray of moduli, which go through jacobian_rows; the coefficients
-    broadcast against v (one atom per row, say). The two branches agree at
+    broadcast against v (one atom per row, say). lam is an Eigenvalue, or
+    with JacobianRows an array of eigenvalues that broadcasts against v
+    like the coefficients, one per atom. The two branches agree at
     |alpha| = 1; the outer branch absorbs the coordinate_shift above, which
     is why it carries |alpha|^{-2/lambda} rather than |alpha|^2.
     """
     rows = alpha_modulus if isinstance(alpha_modulus, JacobianRows) else jacobian_rows(lam, alpha_modulus)
     c1, c2 = rows.coefficients
     v = np.asarray(v, dtype=float)
-    out = 2.0 * (c1 * np.exp(-2.0 * v) + c2 * np.exp(-2.0 * lam.value * v))
+    lv = lam.value if isinstance(lam, Eigenvalue) else lam
+    out = 2.0 * (c1 * np.exp(-2.0 * v) + c2 * np.exp(-2.0 * lv * v))
     return float(out) if out.ndim == 0 else out
 
 

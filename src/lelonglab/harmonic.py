@@ -14,8 +14,10 @@ sums over the boundary grid, and a PoissonWindow is the one way into them:
 poisson_rows(window, v) gives the window integral and its grid-model error
 from one kernel block, since the error's half-density probe grid has its
 nodes among the full grid's, and poisson_panel_rows does so for many
-panels above the boundary v = 0, one kernel block each. Data whose samples
-are all the tail computes no kernel entry. A window on a grid of
+panels above the boundary v = 0, one kernel block each.
+poisson_departure_rows gives the same rows without the tail's exact part,
+for a caller that sums that part in closed form. Data whose samples are
+all the tail computes no kernel entry. A window on a grid of
 LADDER_MIN_POINTS nodes or more sums the nodes far from the u-window
 through their moments on a ladder of shells (a one-level far-field
 expansion) and the rest directly, and adds the expansion's truncation
@@ -939,23 +941,34 @@ def poisson_panel_rows(windows, v: np.ndarray) -> np.ndarray:
 
     v is a (P, k) block of heights > 0, as the nodes of quadrature panels
     inside a plaque are, and out (P, 2, k), each panel's rows bit for bit
-    what it gets alone; a height <= 0 raises DomainError. Everything
-    elementwise in the heights is one pass over the block: the exact part
-    (tail + c_lin v)(u1 - u0) and both rows. Per panel whose samples are
-    not all the tail run only its kernel sums (_poisson_window, one arctan2
-    block) and the bounds added to row 1: where a shell of its window's
-    ladders fits, the truncated far sums' remainders at its largest height,
-    the full grid's twice (for the integral, and for its part in the gap)
-    and the probe's once, and the error of its window's partial cells
-    (_end_cells). Row 0 is the full grid's sum over pi plus the exact part,
-    and row 1 the gap of the two sums over pi plus the bounds.
+    what it gets alone; a height <= 0 raises DomainError. They are
+    poisson_departure_rows plus, on row 0, the exact part
+    (tail + c_lin v)(u1 - u0), one pass over the block.
+    """
+    out = poisson_departure_rows(windows, v)
+    # the panels' constants as (P, 1) columns
+    tail, c_lin, u0, u1 = np.array([(w.spec.tail, w.spec.c_lin, w.u0, w.u1) for w in windows]).T[:, :, None]
+    out[:, 0] += (tail + c_lin * v) * (u1 - u0)
+    return out
+
+
+def poisson_departure_rows(windows, v: np.ndarray) -> np.ndarray:
+    """The kernel part of poisson_panel_rows: the samples' departures from the tail, without the exact part.
+
+    out[p] holds, at the heights v[p] > 0, windows[p]'s kernel sum over pi
+    (row 0) and the whole grid-model error bound (row 1); a height <= 0
+    raises DomainError. Per panel whose samples are not all the tail run
+    only its kernel sums (_poisson_window, one arctan2 block) and the
+    bounds added to row 1: where a shell of its window's ladders fits, the
+    truncated far sums' remainders at its largest height, the full grid's
+    twice (for the integral, and for its part in the gap) and the probe's
+    once, and the error of its window's partial cells (_end_cells). Row 0
+    is the full grid's sum over pi, and row 1 the gap of the two sums over
+    pi plus the bounds; a panel whose samples are all the tail gets zeros.
     """
     v_lo = float(v.min())
     if not v_lo > 0.0:
         raise DomainError(f"v = {v_lo} is not above the boundary v = 0")
-    # the panels' constants as (P, 1) columns
-    tail, c_lin, u0, u1 = np.array([(w.spec.tail, w.spec.c_lin, w.u0, w.u1) for w in windows]).T[:, :, None]
-    level = (tail + c_lin * v) * (u1 - u0)
     # one arctan2 block per panel, never one for the whole call: a stacked
     # block no longer fits in cache. Twelve 15-height panels on a 769-node
     # grid, sums included, take 1.15 ms as one (180, 769) block and 0.60 ms
@@ -970,7 +983,7 @@ def poisson_panel_rows(windows, v: np.ndarray) -> np.ndarray:
             bounds[p] = 2.0 * window.full.remainder(v_max) + window.probe.remainder(v_max)
             if window.cells:
                 bounds[p] += _partial_cell_error(window.spec, window.cells, v[p])
-    return np.stack((sums[0] / math.pi + level, np.abs(sums[0] - sums[1]) / math.pi + bounds), axis=1)
+    return np.stack((sums[0] / math.pi, np.abs(sums[0] - sums[1]) / math.pi + bounds), axis=1)
 
 
 def _poisson_window(window: PoissonWindow, vflat):
@@ -981,7 +994,8 @@ def _poisson_window(window: PoissonWindow, vflat):
     when no shell fits. The probe's entries are every other column of the
     same block, so it computes no kernel entry of its own. This is the only
     code that computes kernel entries; the exact part that makes the sums
-    into window integrals is poisson_panel_rows's.
+    into window integrals is poisson_panel_rows's, or, on the exact route,
+    the tail's trig row (mass._exact_masses).
     """
     grid, probe = window.full, window.probe
     width = window.u1 - window.u0

@@ -28,10 +28,19 @@ Two independent routes to the mass of a current on the bidisc of radius r:
 
 The two must agree to quadrature error; the test suite pins that agreement
 and checks the paper's displays (three-region brackets, strip integrals
-Ia/Ib) against the exact route. Everything downstream (Lelong schedules,
-verifiers, CLI) consumes these two engines; lelong_from_masses turns the
-masses of a batch of schedules at the same radii, from either, into their
-LelongEstimates.
+Ia/Ib) against the exact route.
+
+Lelong schedules (lelong_estimate, and the verifiers' batches) take one
+path for every current. The exact route sums every row's base: a trig row
+whole, and a Poisson row's tail extension (tail + c_lin v), which is the
+trig row a0 = tail, b0 = c_lin with no modes. Then _departure_masses
+integrates by quadrature only the Poisson atoms whose samples depart from
+their tail, the kernel sums of values - tail with their grid-model error,
+and adds them to their currents' masses. So flat Poisson data costs no
+quadrature at all. mass_quadrature_schedule integrates every atom whole,
+and stays the independent reference that the tests hold the split to.
+lelong_from_masses turns the masses of a batch of schedules at the same
+radii into their LelongEstimates.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +73,7 @@ from .harmonic import (
     fourier_window,
     mode_integrals,
     mode_turns,
+    poisson_departure_rows,
     poisson_panel_rows,
     poisson_window,
     window_integral,
@@ -107,12 +117,14 @@ class LelongEstimate:
 POISSON_END_ULP = 2.0**-40
 
 
-def _window(k0: int) -> Tuple[float, float]:
+def _window(k0: int, poisson: bool = False) -> Tuple[float, float]:
     """The ends (u0, u1) of the k0-th u-window, [2 pi k0, 2 pi k0 + 2 pi], as floats.
 
     A k0 whose window end overflows, or lies so far out that its two ends
-    are one float, raises InputError naming k0. Trig windows do not use these
-    ends: their phases are reduced in integers (harmonic.mode_integrals).
+    are one float, raises InputError naming k0; for a current with a
+    Poisson atom (poisson), so does a k0 whose window end has an ulp above
+    POISSON_END_ULP of 2 pi. Trig windows do not use these ends: their
+    phases are reduced in integers (harmonic.mode_integrals).
     """
     try:
         u0 = TWO_PI * k0
@@ -121,6 +133,11 @@ def _window(k0: int) -> Tuple[float, float]:
     u1 = u0 + TWO_PI
     if not u1 > u0:
         raise InputError("k0: the u-window [2 pi k0, 2 pi k0 + 2 pi] overflows or has no width in floats")
+    if poisson and math.ulp(max(abs(u0), abs(u1))) > POISSON_END_ULP * TWO_PI:
+        raise InputError(
+            f"k0 = {k0}: an end of the Poisson window [2 pi k0, 2 pi k0 + 2 pi] has an ulp above "
+            f"{POISSON_END_ULP!r} of its width 2 pi"
+        )
     return u0, u1
 
 
@@ -152,53 +169,68 @@ def _tail_integral(p: float, q: float, rate: float, v0: float) -> float:
     return math.exp(-rate * v0) * ((p + q * v0) / rate + q / rate**2)
 
 
-def _truncate_half_plane(envelope, lam: Eigenvalue, jac, v_lo: float, cfg: QuadratureConfig):
+def _truncate_half_plane(envelope, lv: float, jac, v_lo: float, cfg: QuadratureConfig):
     """Truncation height plus a certified bound on the discarded tail.
 
-    envelope is the atom's (P, Q) of _envelopes, and jac its (c1, c2) of
-    jacobian_rows. The height is the first step where the integrand's
-    envelope, 2 pi (P + Q v)(2 c1 e^{-2v} + 2 c2 e^{-2 lambda v}), falls
-    below abs_tol / 1000, and the bound is that envelope's integral above
-    the height, term by term.
+    envelope is the atom's (P, Q) of _envelopes, lv its eigenvalue and jac
+    its (c1, c2) of jacobian_rows. The height is the first step where the
+    integrand's envelope, 2 pi (P + Q v)(2 c1 e^{-2v} + 2 c2 e^{-2 lambda v}),
+    falls below abs_tol / 1000, and the bound is that envelope's integral
+    above the height, term by term.
     """
     p, q = envelope
     p *= TWO_PI
     q *= TWO_PI
     c1, c2 = 2.0 * jac[0], 2.0 * jac[1]
-    r1, r2 = 2.0, 2.0 * lam.value
+    r1, r2 = 2.0, 2.0 * lv
     threshold = cfg.abs_tol * 1e-3
 
     def env(v: float) -> float:
         return (p + q * v) * (c1 * math.exp(-r1 * v) + c2 * math.exp(-r2 * v))
 
     v_hi = v_lo + 1.0
-    step = max(0.5, 0.5 / min(1.0, lam.value))
+    step = max(0.5, 0.5 / min(1.0, lv))
     while env(v_hi) > threshold and v_hi < v_lo + 5000.0:
         v_hi += step
     return v_hi, c1 * _tail_integral(p, q, r1, v_hi) + c2 * _tail_integral(p, q, r2, v_hi)
 
 
-def _atom_ranges(lam: Eigenvalue, table: AtomTable, rs, cfg: QuadratureConfig):
+def _atom_ranges(lv: np.ndarray, moduli: np.ndarray, envelopes, rs, cfg: QuadratureConfig):
     """(lo, hi, tails): the v-ranges of every atom's plaques at rs, and its tail bound.
 
+    lv holds each atom's eigenvalue, and envelopes its (P, Q) (_envelopes),
+    which only half-plane atoms read.
     lo and hi are (atoms, radii) arrays from one plaque_limits call, lo
     shifted by coordinate_shift; an empty plaque has lo = hi = 0, so its
     sums are 0. Strips run between their ends and have no tail. Half-planes,
     never empty, share one truncation height per atom: the highest any of
     its radii needs, so its tail bound, the atom's entry of tails, covers
-    them all; their envelopes and Jacobian coefficients come from one
-    _envelopes and one jacobian_rows call.
+    them all; their Jacobian coefficients come from one jacobian_rows call.
     """
-    moduli = table.moduli
-    v_min, v_max, empty = plaque_limits(lam, moduli, rs)
-    lo = np.where(empty, 0.0, v_min - coordinate_shift(lam, moduli)[:, None])
+    v_min, v_max, empty = plaque_limits(lv, moduli, rs)
+    lo = np.where(empty, 0.0, v_min - coordinate_shift(lv, moduli)[:, None])
     hi = np.where(empty, 0.0, v_max)
     tails = np.zeros(moduli.size)
-    if lam.value > 0.0:
-        jacs = jacobian_rows(lam, moduli).coefficients.T.tolist()
-        for i, (envelope, jac, lows) in enumerate(zip(_envelopes(table), jacs, lo.tolist())):
-            hi[i], tails[i] = max(_truncate_half_plane(envelope, lam, jac, low, cfg) for low in lows)
+    half = np.flatnonzero(lv > 0.0)
+    if half.size:
+        jacs = jacobian_rows(lv[half], moduli[half]).coefficients.T.tolist()
+        for i, jac in zip(half.tolist(), jacs):
+            hi[i], tails[i] = max(_truncate_half_plane(envelopes[i], float(lv[i]), jac, low, cfg)
+                                  for low in lo[i].tolist())
     return lo, hi, tails
+
+
+def _integrate_atoms(integrand, lo, hi, rs, cfg: QuadratureConfig, atoms):
+    """integrate_lockstep with one job per atom; a failure names the job's atom, atoms[job], and its radii in rs."""
+    try:
+        return integrate_lockstep(integrand, lo, hi, cfg=cfg)
+    except QuadratureFailure as exc:
+        atom = atoms[exc.job]
+        radii = ", ".join(repr(rs[n]) for n in exc.ranges)
+        raise QuadratureFailure(
+            f"atoms[{atom}] at r = {radii}: {exc}", exc.best_estimate, exc.error_estimate,
+            job=atom, ranges=exc.ranges,
+        ) from exc
 
 
 def mass_quadrature_schedule(
@@ -231,15 +263,12 @@ def mass_quadrature_schedule(
         return []
     lam = current.lam
     table = current.table
-    lo, hi, tails = _atom_ranges(lam, table, rs, cfg)
+    # envelopes bound the half-plane atoms' tails, and a strip has none
+    envelopes = _envelopes(table) if lam.value > 0.0 else None
+    lo, hi, tails = _atom_ranges(table.lam, table.moduli, envelopes, rs, cfg)
     is_trig = table.trig
     poisson = not is_trig.all()
-    u0, u1 = _window(k0)
-    if poisson and math.ulp(max(abs(u0), abs(u1))) > POISSON_END_ULP * TWO_PI:
-        raise InputError(
-            f"k0 = {k0}: an end of the Poisson window [2 pi k0, 2 pi k0 + 2 pi] has an ulp above "
-            f"{POISSON_END_ULP!r} of its width 2 pi"
-        )
+    u0, u1 = _window(k0, poisson)
     # the area density's coefficients, worked out once per atom and taken by row
     area = jacobian_rows(lam, table.moduli.reshape(-1, 1))
     # one row per atom, k0 turns out: its width is 2 pi, and its phases are
@@ -272,14 +301,7 @@ def mass_quadrature_schedule(
             out[panels] = jacobian_density(lam, area.take(atoms), v_p)[:, None] * rows_p
         return out
 
-    try:
-        values, errors = integrate_lockstep(integrand, lo, hi, cfg=cfg)
-    except QuadratureFailure as exc:
-        radii = ", ".join(repr(rs[n]) for n in exc.ranges)
-        raise QuadratureFailure(
-            f"atoms[{exc.job}] at r = {radii}: {exc}", exc.best_estimate, exc.error_estimate,
-            job=exc.job, ranges=exc.ranges,
-        ) from exc
+    values, errors = _integrate_atoms(integrand, lo, hi, rs, cfg, range(lo.shape[0]))
     weights = table.weights[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite mass
         errs = errors[..., 0] + tails[:, None]
@@ -495,23 +517,27 @@ def _group_sums(group, n_groups: int, rows: np.ndarray):
     return block[..., 0], np.frexp(np.maximum(counts - 1, 0))[1]
 
 
-def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple[float, float]]]]:
+def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[List[Tuple[float, float]]]:
     """(mass, rounding bound) at each radius in rs, for every current of the table.
 
     One entry per current of the table, in order: its pairs, one per
-    radius, or None for a current with a Poisson atom, which the exact
-    route does not cover. Per atom, jacobian_density is two exponentials
-    (its jacobian_rows coefficients, rates 2 and 2 lambda) and the k0-th
-    window integral is (A + B v) + sum_k C_k e^{k v / b}, so the integrand
-    is a finite sum of (alpha + beta v) e^{-sigma v}. Each term is
+    radius. A trig atom is summed whole. A Poisson atom is summed by its
+    base, the tail's extension (tail + c_lin v), which is the trig row
+    a0 = tail, b0 = c_lin, b = 1 with no modes; its samples' departures
+    from the tail are _departure_masses's. Per atom, jacobian_density is
+    two exponentials (its jacobian_rows coefficients, rates 2 and
+    2 lambda) and the k0-th window integral is
+    (A + B v) + sum_k C_k e^{k v / b}, so the integrand is a finite sum of
+    (alpha + beta v) e^{-sigma v}. Each term is
     integrated in closed form over the range the quadrature route uses: the
     plaque, shifted by coordinate_shift and running to infinity on
     half-planes. The window's width is 2 pi and its mode phases are
     reduced in integers, so any integer k0 is taken.
 
     Every term of every current at every radius is one entry of a few flat
-    arrays, with no Python loop over currents, atoms or terms; each atom's
-    eigenvalue is read by row. The rounding bound is accounted term by term,
+    arrays, with no Python loop over currents, atoms or terms (only one
+    over the table's rows to read the Poisson tails, when it has any);
+    each atom's eigenvalue is read by row. The rounding bound is accounted term by term,
     and _group_sums adds each (current, radius) group's terms, their sizes
     and their magnitudes. An entry depends only on its atom, its
     eigenvalue, its radius and k0, and a group's sum only on its entries, so
@@ -520,14 +546,22 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     """
     cols = table.fourier
     moduli, weights, lv, owner, ak, bk = table.moduli, table.weights, table.lam, cols.owner, cols.ak, cols.bk
+    a0, b0 = cols.a0, cols.b0
+    if not table.trig.all():
+        # a Poisson row's base: a0 = tail, b0 = c_lin on its mode-free
+        # half-plane row of the columns
+        a0, b0 = a0.copy(), b0.copy()
+        for i, spec in enumerate(table.poisson):
+            if spec is not None:
+                a0[i], b0[i] = spec.tail, spec.c_lin
     coef = mode_integrals(cols, 0.0, TWO_PI, k0)
     # window parts (alpha, beta, growth rate, bound on |alpha|, bound on
     # |beta|): every atom's base, a0 (1 - v/C) + b0 v on a strip of height
     # C, then every mode, whose bound also covers the rounding of its
     # phases: up to 2 pi (1 + m / |k|) in u, m its mode_turns
     n_atoms = moduli.size
-    drop = TWO_PI * cols.a0 / cols.strip_c
-    base, slope = TWO_PI * cols.a0, TWO_PI * cols.b0
+    drop = TWO_PI * a0 / cols.strip_c
+    base, slope = TWO_PI * a0, TWO_PI * b0
     grow = cols.k.astype(float) / cols.b[owner].astype(float)
     parts = np.zeros((5, n_atoms + owner.size))
     parts[0, :n_atoms] = parts[3, :n_atoms] = base
@@ -556,14 +590,10 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
     terms[4] = rates - grow
     terms[5] = np.abs(rates) + np.abs(grow)
     # the plaques' limits and the bound on their size, per atom and radius;
-    # coordinate_shift is 0 on strips, and half-planes run to infinity. The
-    # atoms of a current with a Poisson atom count as empty everywhere.
+    # coordinate_shift is 0 on strips, and half-planes run to infinity
     log_am, log_r = plaque_logs(moduli, rs)
     v_min, v_max, empty = plaques_from_logs(lv, log_am, log_r)
     n_currents = int(table.current[-1]) + 1 if n_atoms else 0
-    exact = np.ones(n_currents, dtype=bool)
-    exact[table.current[~table.trig]] = False
-    empty |= ~exact[table.current][:, None]
     limits = np.empty((3,) + v_min.shape)
     limits[0] = v_min - coordinate_shift(lv, moduli)[:, None]
     limits[1] = v_max
@@ -589,11 +619,67 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[Optional[List[Tuple
                                                 np.stack((values, np.abs(values), mags)))
         bound = sys.float_info.epsilon * (EXACT_ROUNDING * mag + depth * size)
     pairs = list(zip(value.tolist(), bound.tolist()))
-    return [pairs[n * n_radii:(n + 1) * n_radii] if ok else None for n, ok in enumerate(exact.tolist())]
+    return [pairs[n * n_radii:(n + 1) * n_radii] for n in range(n_currents)]
+
+
+def _departure_masses(table: AtomTable, rs, k0: int = 0, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """{current: [(mass, error) per radius]} of the Poisson atoms' departures from their tails.
+
+    A Poisson atom's window integral is its tail extension's, whose mass
+    _exact_masses sums, plus the kernel sum of its samples' departures from
+    the tail over pi. Only atoms with a sample off the tail are integrated
+    here, each as one job of a single integrate_lockstep call with one
+    range per radius, as in mass_quadrature_schedule. The integrand is the
+    area density times harmonic.poisson_departure_rows: the kernel sum and
+    its grid-model error row. The truncation envelope is
+    (max |values - tail|, 0), and the error adds the tail bound, the model
+    error and its Kronrod-Gauss gap. A current with no such atom has no
+    entry, so a flat atom gets no job, no PoissonWindow and no truncation
+    walk. A table with a Poisson atom refuses the k0s _window refuses for
+    Poisson windows, whether or not an atom departs.
+    """
+    u0, u1 = _window(k0, not table.trig.all())
+    rows = np.array([i for i, spec in enumerate(table.poisson)
+                     if spec is not None and (spec.values != spec.tail).any()], dtype=np.intp)
+    if not rows.size:
+        return {}
+    specs = [table.poisson[i] for i in rows.tolist()]
+    lv, moduli = table.lam[rows], table.moduli[rows]
+    envelopes = [(float(np.max(np.abs(spec.values - spec.tail))), 0.0) for spec in specs]
+    lo, hi, tails = _atom_ranges(lv, moduli, envelopes, rs, cfg)
+    area = jacobian_rows(lv, moduli.reshape(-1, 1))
+    windows = [poisson_window(spec, u0, u1) for spec in specs]
+    lam_rows = lv[:, None]
+
+    def integrand(jobs, v):
+        out = poisson_departure_rows([windows[j] for j in jobs.tolist()], v)
+        out *= jacobian_density(lam_rows[jobs], area.take(jobs), v)[:, None]
+        return out
+
+    # each job's atom as its current numbers it
+    owners = table.current[rows]
+    atoms = (rows - np.searchsorted(table.current, owners)).tolist()
+    values, errors = _integrate_atoms(integrand, lo, hi, rs, cfg, atoms)
+    weights = table.weights[rows, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite mass
+        errs = errors[..., 0] + tails[:, None] + (values[..., 1] + errors[..., 1])
+        parts = np.stack((weights * values[..., 0], weights * errs))
+    out = {}
+    for n in np.unique(owners).tolist():
+        value, error = (parts[:, owners == n].sum(axis=1) + 0.0).tolist()
+        out[n] = list(zip(value, error))
+    return out
+
+
+def _with_departures(masses, departures):
+    """masses with each current's departures added, pair by pair, cut to the shorter schedule."""
+    for n, extra in departures.items():
+        masses[n] = [(m + d, e + de) for (m, e), (d, de) in zip(masses[n], extra)]
+    return masses
 
 
 def closed_form_applicable(current: Current) -> bool:
-    """True iff every atom is a trig series, so the exact route applies.
+    """True iff every atom is a trig series, so the exact route gives the whole mass.
 
     Read from current.table, which a current built in a batch builds on
     first use and keeps for the exact route.
@@ -608,10 +694,9 @@ def mass_closed_form(current: Current, r: float, k0: int = 0) -> float:
     phases are reduced in integers.
     """
     _window(k0)
-    masses = _exact_masses(current.table, (r,), k0)[0]
-    if masses is None:
+    if not closed_form_applicable(current):
         raise UnsupportedCurrentError("exact mass needs trig-series atoms")
-    return masses[0][0]
+    return _exact_masses(current.table, (r,), k0)[0][0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +727,8 @@ def boundary_reduction_check(
     shift = coordinate_shift(lam, alpha_modulus)
     v_r = dom.v_min - shift
     area = jacobian_rows(lam, alpha_modulus)
-    v_hi, _tail = _truncate_half_plane(_envelope_coefficients(spec), lam, area.coefficients.tolist(), v_r, DEFAULT_CONFIG)
+    v_hi, _tail = _truncate_half_plane(_envelope_coefficients(spec), lam.value, area.coefficients.tolist(), v_r,
+                                       DEFAULT_CONFIG)
 
     def integrand(v):
         return jacobian_density(lam, area, v) * np.asarray(evaluate(spec, u, v))
@@ -773,21 +859,18 @@ def lelong_estimate(
 
     The schedule is lelong_radii(r_start, ratio, steps), by default the
     R_START, RATIO, STEPS halvings the command line and the verifiers
-    share. All-trig currents take the exact route, with its rounding bound
-    as the error; any other current is integrated by
-    mass_quadrature_schedule at cfg's tolerances. lelong_from_masses judges
-    the masses.
+    share. Every current takes the exact route, with its rounding bound as
+    the error: a trig atom whole, a Poisson atom by its tail's extension.
+    The Poisson atoms whose samples depart from their tail add those
+    departures, integrated by _departure_masses at cfg's tolerances, with
+    their quadrature, truncation and grid-model errors. lelong_from_masses
+    judges the masses. The k0s refused are those mass_quadrature_schedule
+    refuses.
     """
     rs = lelong_radii(r_start, ratio, steps)
-    if closed_form_applicable(current):
-        _window(k0)  # the k0s the quadrature route takes
-        masses = _exact_masses(current.table, rs, k0)[0]
-    else:
-        masses = [
-            (m.value, m.error_estimate)
-            for m in mass_quadrature_schedule(current, rs, k0=k0, cfg=cfg)
-        ]
-    return lelong_from_masses(rs, [masses])[0]
+    table = current.table
+    departures = _departure_masses(table, rs, k0, cfg)  # refuses the k0s the quadrature route refuses
+    return lelong_from_masses(rs, _with_departures(_exact_masses(table, rs, k0), departures))[0]
 
 
 def lelong_from_masses(

@@ -13,10 +13,10 @@ only jitters benign mode coefficients.
 Each verifier is an argument check, a schedule and a judge of it, and one
 loop, _verify, runs them for a batch of cases whose currents are the rows of
 one AtomTable: every check first, then one exact-route call at
-PERIODIC_STEPS radii for the trig currents, whose schedules
-lelong_from_masses summarizes in one call per schedule length, and a
-quadrature lelong_estimate for each current with a Poisson atom; then each
-case's judge, in order.
+PERIODIC_STEPS radii for every current (a Poisson atom by its tail's
+extension), one quadrature pass for the Poisson atoms whose samples depart
+from their tail (none in the corpus), and one lelong_from_masses call per
+schedule length; then each case's judge, in order.
 run_corpus builds the corpus with one build_currents call and runs it as one
 batch; each verify_* is the batch of one case on its current's own table, so
 it gives the report run_corpus gives for the same case.
@@ -49,12 +49,14 @@ from .mass import (
     R_START,
     STEPS,
     _bracket_a,
+    _departure_masses,
     _exact_masses,
+    _with_departures,
     ia,
     ib,
     kernel_weight,
     interval_window,
-    lelong_estimate,
+    lelong_estimate,  # not called here: perfbench's layer trace wraps it by name
     lelong_from_masses,
     lelong_radii,
     lower_bound_nonperiodic,
@@ -248,31 +250,34 @@ def _verify(cases: Sequence[CorpusCase], table: AtomTable, tol_scale: float) -> 
     """The reports of cases whose currents are, in order, the currents of table.
 
     tol_scale scales every judge's pass threshold; 0 turns each check into
-    an unmeetable exact-equality demand (the forced-failure path). A
-    current with a Poisson atom is scheduled by lelong_estimate at its
-    defaults: the R_START, RATIO, STEPS schedule and DEFAULT_CONFIG.
+    an unmeetable exact-equality demand (the forced-failure path). Every
+    current's schedule comes from one exact-route call at PERIODIC_STEPS
+    radii: a trig current's masses whole, a Poisson atom's its tail's
+    extension. A current with a Poisson atom keeps lelong_estimate's
+    default R_START, RATIO, STEPS schedule, to which one _departure_masses
+    call at DEFAULT_CONFIG adds its atoms' departures from their tails, and
+    its judge gets no exact masses (None).
     """
     for case in cases:
         _KINDS[case.kind][0](case.current)
     rs = lelong_radii(R_START, RATIO, PERIODIC_STEPS)
-    exact = _exact_masses(table, rs) if table.trig.any() else [None] * len(cases)
-    # the exact schedules, judged in one lelong_from_masses call per length:
-    # an exact mass depends on its radius alone, so a prefix is its
-    # schedule
+    poisson = np.zeros(len(cases), dtype=bool)
+    poisson[table.current[~table.trig]] = True
+    masses = _with_departures(_exact_masses(table, rs), _departure_masses(table, rs[:STEPS]))
+    # judged in one lelong_from_masses call per schedule length: an exact
+    # mass depends on its radius alone, so a prefix is its schedule
     batches = {}
-    for i, (case, masses) in enumerate(zip(cases, exact)):
-        if masses is not None:
-            batches.setdefault(PERIODIC_STEPS if case.kind == "positive" else STEPS, []).append(i)
+    for i, case in enumerate(cases):
+        deep = case.kind == "positive" and not poisson[i]
+        batches.setdefault(PERIODIC_STEPS if deep else STEPS, []).append(i)
     estimates = [None] * len(cases)
     for steps, rows in batches.items():
-        for i, est in zip(rows, lelong_from_masses(rs[:steps], [exact[i][:steps] for i in rows])):
+        for i, est in zip(rows, lelong_from_masses(rs[:steps], [masses[i][:steps] for i in rows])):
             estimates[i] = est
-    reports = []
-    for case, masses, est in zip(cases, exact, estimates):
-        if est is None:
-            est = lelong_estimate(case.current)
-        reports.append(_KINDS[case.kind][1](case.current, est, masses, tol_scale, case.case_id))
-    return reports
+    return [
+        _KINDS[case.kind][1](case.current, est, None if is_poisson else pairs, tol_scale, case.case_id)
+        for case, pairs, est, is_poisson in zip(cases, masses, estimates, poisson.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

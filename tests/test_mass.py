@@ -356,7 +356,10 @@ class TestOneKernelBlockPerPanel:
     # Poisson currents, whose data is the tail and computes no entry, and
     # the silver atom on data that departs from the tail at both ends of the
     # grid, which keeps every node and panel of the model that summed the
-    # samples themselves
+    # samples themselves. The schedule's departure pass and
+    # mass_quadrature_schedule at the same radii give the spanning atom the
+    # same 18 panels and entries, though the pass truncates lower: its
+    # envelope is the departures', not the samples'
     CASES = {
         "silver-12289": (lambda: single_atom_current(
             Eigenvalue.irrational(math.sqrt(2.0) - 1.0), 1.3, flat_poisson(0.0, 256)), 0, 0),
@@ -401,9 +404,10 @@ class TestOneKernelBlockPerPanel:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_tail_terms_once_per_integrand_call(self, case, monkeypatch):
-        # the exact tail and linear part is worked out in one
-        # poisson_panel_rows call per integrand call, for all its panels, and
-        # the kernel sums once per panel whose samples are not all the tail
+        # on the quadrature route, the exact tail and linear part is worked
+        # out in one poisson_panel_rows call per integrand call, for all its
+        # panels, and the kernel sums once per panel whose samples are not
+        # all the tail
         count = {"calls": 0, "panels": 0, "kernels": 0}
         real_rows, real_kernel = lelonglab.mass.poisson_panel_rows, harmonic._poisson_window
 
@@ -419,9 +423,100 @@ class TestOneKernelBlockPerPanel:
         monkeypatch.setattr(lelonglab.mass, "poisson_panel_rows", rows)
         monkeypatch.setattr(harmonic, "_poisson_window", kernel)
         make, _, kernel_panels = self.CASES[case]
-        lelong_estimate(make())
+        mass_quadrature_schedule(make(), HALVINGS)
         assert 0 < count["calls"] < count["panels"]
         assert count["kernels"] == (count["panels"] if kernel_panels else 0)
+
+
+@st.composite
+def _poisson_currents(draw):
+    """A positive-eigenvalue current with one to two Poisson atoms, and maybe a trig atom.
+
+    Each Poisson atom's samples are its tail, a bump above it or a dip below
+    it, on a 768- or 769-node grid over +-16 pi, with c_lin 0 or above.
+    """
+    lam = Eigenvalue.irrational(draw(st.sampled_from([1.0, 0.5, math.sqrt(2.0) - 1.0, 1.0 / math.pi])))
+    atoms = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.sampled_from([768, 769]))
+        ys = np.linspace(-16.0 * math.pi, 16.0 * math.pi, n)
+        tail = draw(st.floats(0.2, 2.0))
+        shape = draw(st.sampled_from(["flat", "bump", "dip"]))
+        height = draw(st.floats(0.05, 0.9)) * tail
+        centre, width = draw(st.floats(-20.0, 20.0)), draw(st.floats(0.5, 8.0))
+        sign = {"flat": 0.0, "bump": 1.0, "dip": -1.0}[shape]
+        values = tail + sign * height * np.exp(-((ys - centre) ** 2) / width)
+        c_lin = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+        spec = normalize(PoissonSpec(ys=ys, values=values, tail=tail, c_lin=c_lin))
+        atoms.append(TransversalAtom(draw(st.floats(0.3, 3.0)), draw(st.floats(0.2, 2.0)), spec))
+    if draw(st.booleans()):
+        mode = draw(st.floats(-0.4, 0.4))
+        spec = normalize(FourierSpec(b=1, a0=1.0, b0=draw(st.floats(0.0, 0.5)), modes=((-1, mode, 0.1),)))
+        atoms.insert(draw(st.integers(0, len(atoms))), TransversalAtom(draw(st.floats(0.3, 3.0)), 0.7, spec))
+    return build_current(lam, atoms)
+
+
+class TestDepartureSplit:
+    """lelong_estimate's split, the exact route for every base and quadrature for the departures only.
+
+    mass_quadrature_schedule integrates every atom whole, and is the
+    independent reference the split is held to.
+    """
+
+    @given(current=_poisson_currents(), k0=st.integers(-2, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_the_quadrature_route(self, current, k0):
+        est = lelong_estimate(current, k0=k0)
+        ref = mass_quadrature_schedule(current, est.rs, k0=k0)
+        for r, nu, err, m in zip(est.rs, est.nus, est.errs, ref):
+            area = math.pi * r * r
+            # two divisions by the area, an ulp each
+            slack = 4.0 * np.finfo(float).eps * abs(nu)
+            assert abs(nu - m.value / area) <= err + m.error_estimate / area + slack, r
+
+    @pytest.mark.parametrize("c_lin", [0.0, 0.6])
+    def test_flat_schedule_is_its_trig_twin_with_no_quadrature(self, c_lin, monkeypatch):
+        # flat data is its tail's extension: no lockstep call, no window, no
+        # kernel block, and the schedule of the trig twin a0 = 1, b0 = c_lin
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a flat schedule reached the quadrature side")
+
+        lam = Eigenvalue.rational(1, 2)
+        trig = TransversalAtom(0.7, 0.4, normalize(FourierSpec(b=1, a0=1.0, modes=((-1, 0.2, 0.1),))))
+        current = build_current(lam, [TransversalAtom(1.1, 0.8, flat_poisson(c_lin)), trig])
+        twin = build_current(lam, [TransversalAtom(1.1, 0.8, FourierSpec(b=1, a0=1.0, b0=c_lin)), trig])
+        for name in ("integrate_lockstep", "poisson_window", "poisson_departure_rows"):
+            monkeypatch.setattr(lelonglab.mass, name, forbidden)
+        monkeypatch.setattr(harmonic, "_poisson_window", forbidden)
+        for k0 in (0, -2, 5214):
+            assert lelong_estimate(current, k0=k0) == lelong_estimate(twin, k0=k0)
+        # a Poisson atom still refuses a window end whose ulp is too coarse
+        with pytest.raises(InputError, match="has an ulp above"):
+            lelong_estimate(current, k0=5215)
+        lelong_estimate(twin, k0=5215)
+
+    def test_only_departing_atoms_are_jobs(self, monkeypatch):
+        # a flat atom beside a bump: one lockstep call, with the bump's job alone
+        spy = _IntegrateSpy(monkeypatch)
+        lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
+        ys = np.linspace(-16.0 * math.pi, 16.0 * math.pi, 769)
+        bump = normalize(PoissonSpec(ys=ys, values=0.3 + np.exp(-(ys**2) / 8.0), tail=0.3))
+        lelong_estimate(build_current(lam, [TransversalAtom(1.3, 0.6, flat_poisson()),
+                                            TransversalAtom(0.8, 0.4, bump)]))
+        assert spy.calls == 1
+        assert len(spy.results) == 1
+
+    def test_failure_names_the_atom_in_its_current(self, monkeypatch):
+        # the bump is atom 1 of its current, and job 0 of the departure pass
+        lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
+        ys = np.linspace(-16.0 * math.pi, 16.0 * math.pi, 769)
+        bump = normalize(PoissonSpec(ys=ys, values=0.3 + np.exp(-(ys**2) / 8.0), tail=0.3))
+        current = build_current(lam, [TransversalAtom(1.3, 0.6, flat_poisson()), TransversalAtom(0.8, 0.4, bump)])
+        monkeypatch.setattr(lelonglab.quadrature, "MAX_DEPTH", 1)
+        with pytest.raises(QuadratureFailure) as exc_info:
+            lelong_estimate(current, cfg=QuadratureConfig(rel_tol=1e-16))
+        assert str(exc_info.value).startswith("atoms[1] at r = ")
+        assert exc_info.value.job == 1
 
 
 class TestTruncation:
@@ -449,7 +544,7 @@ class TestTruncation:
         table = atom_table([(eig, [TransversalAtom(modulus, 1.0, spec)])])
         envelope, = lelonglab.mass._envelopes(table)
         jac = jacobian_rows(eig, modulus).coefficients.tolist()
-        got = lelonglab.mass._truncate_half_plane(envelope, eig, jac, v_lo, cfg)
+        got = lelonglab.mass._truncate_half_plane(envelope, lam, jac, v_lo, cfg)
         want = truncate_half_plane(spec, eig, modulus, v_lo, cfg)
         # the Jacobian coefficients are numpy's powers here and Python's in
         # the oracle, an ulp apart: the same height, and the tail within 4 eps
@@ -477,7 +572,7 @@ class TestTruncation:
 
         eig = Eigenvalue.irrational(lam)
         c1, c2 = jacobian_rows(eig, modulus).coefficients.tolist()
-        v_hi, bound = lelonglab.mass._truncate_half_plane((p, q), eig, [c1, c2], v_lo, cfg)
+        v_hi, bound = lelonglab.mass._truncate_half_plane((p, q), lam, [c1, c2], v_lo, cfg)
         mpmath.mp.dps = 30
         want = 0
         for c, rate in ((c1, 2.0), (c2, 2.0 * lam)):
@@ -498,7 +593,8 @@ class TestTruncation:
                 continue
             for atom in case.current.atoms:
                 table = build_current(lam, [atom]).table
-                lo, hi, tails = lelonglab.mass._atom_ranges(lam, table, rs, DEFAULT_CONFIG)
+                lo, hi, tails = lelonglab.mass._atom_ranges(table.lam, table.moduli, lelonglab.mass._envelopes(table),
+                                                            rs, DEFAULT_CONFIG)
                 heights = [truncate_half_plane(atom.spec, lam, atom.alpha_modulus, v_lo, DEFAULT_CONFIG)
                            for v_lo in lo[0].tolist()]
                 v_top, want_bound = max(heights)
@@ -1258,7 +1354,7 @@ class TestScheduleSummaries:
 
         cases, table = _corpus_batch(42)
         rs = lelong_radii(1.0, 0.5, 16)
-        schedules = [masses for masses in _exact_masses(table, rs) if masses is not None]
+        schedules = _exact_masses(table, rs)
         for steps in (16, 12):
             rows = [masses[:steps] for masses in schedules]
             for est, row in zip(lelong_from_masses(rs[:steps], rows), rows):
@@ -1535,13 +1631,18 @@ class TestExactRouteArrays:
             assert _same_pairs(pairs, _exact_pairs(current, rs, k0))
             assert _same_pairs(pairs, [_exact_pairs(current, [r], k0)[0] for r in rs])
 
-    def test_a_poisson_current_gets_none(self, flagship):
+    def test_a_poisson_current_gets_its_tail_twin(self, flagship):
+        # a Poisson atom's base is its tail's extension: the trig atom
+        # a0 = tail, b0 = c_lin, whatever its samples are and at any k0
         from lelonglab.current import atom_table
 
-        poisson = single_atom_current(Eigenvalue.rational(1, 2), 1.3, flat_poisson())
+        lam = Eigenvalue.rational(1, 2)
+        poisson = single_atom_current(lam, 1.3, spanning_poisson(0.6))
+        twin = single_atom_current(lam, 1.3, FourierSpec(b=1, a0=1.0, b0=0.6))
         rs = [2.0**-n for n in range(6)]
         table = atom_table([(c.lam, c.atoms) for c in (flagship, poisson, flagship)])
-        got = _exact_masses(table, rs)
-        assert got[1] is None
-        assert _same_pairs(got[0], _exact_pairs(flagship, rs))
-        assert _same_pairs(got[2], got[0])
+        for k0 in (0, 3):
+            got = _exact_masses(table, rs, k0)
+            assert _same_pairs(got[1], _exact_pairs(twin, rs))
+            assert _same_pairs(got[0], _exact_pairs(flagship, rs, k0))
+            assert _same_pairs(got[2], got[0])

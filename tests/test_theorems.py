@@ -166,9 +166,9 @@ class TestVerifiers:
         def no_schedule(*args, **kwargs):
             raise AssertionError("scheduled before the argument checks")
 
-        # trig currents are scheduled by the exact route, Poisson ones by
-        # lelong_estimate
-        monkeypatch.setattr(lelonglab.theorems, "lelong_estimate", no_schedule)
+        # every current is scheduled by the exact route, and a Poisson
+        # atom's departures from its tail by _departure_masses
+        monkeypatch.setattr(lelonglab.theorems, "_departure_masses", no_schedule)
         monkeypatch.setattr(lelonglab.theorems, "_exact_masses", no_schedule)
         for verify, current in ((verify_positive_lambda, neg_single), (verify_negative_periodic, flagship),
                                 (verify_b0_divergence, flagship), (verify_b0_divergence, neg_single)):
@@ -314,10 +314,9 @@ class TestRunCorpus:
 
             monkeypatch.setattr(module, "lelong_from_masses", spy)
         assert len(run_corpus(42)) == 22
-        # the 14 trig schedules in one batch per length, and each of the two
-        # Poisson schedules, from lelong_estimate, as a batch of one
-        assert sorted(calls) == [("lelonglab.mass", 12, 1)] * 2 + [
-            ("lelonglab.theorems", 12, 7), ("lelonglab.theorems", 16, 7)]
+        # all 16 schedules in one batch per length: the 7 positive trig
+        # ones at 16 radii, the rest, the two Poisson ones among them, at 12
+        assert sorted(calls) == [("lelonglab.theorems", 12, 9), ("lelonglab.theorems", 16, 7)]
 
     def test_lone_case_schedules_only_its_own_current(self, monkeypatch):
         import lelonglab.theorems
@@ -330,10 +329,10 @@ class TestRunCorpus:
             return real(table, rs)
 
         monkeypatch.setattr(lelonglab.theorems, "_exact_masses", spy)
+        # Poisson data takes the exact route too, for its tail's extension
         assert run_corpus(only="pos-silver-poisson-flat")[0].verdict
-        assert tables == []  # Poisson data: no exact-route call
         assert run_corpus(only="neg-unit-single-strip")[0].verdict
-        assert [table.trig.size for table in tables] == [1]
+        assert [(table.trig.size, bool(table.trig[0])) for table in tables] == [(1, False), (1, True)]
 
     def test_public_verifiers_give_the_batch_reports(self):
         # each verify_* schedules its own current; run_corpus judges the

@@ -3,18 +3,20 @@
 perfbench/layers.py wraps module attributes by name (for example
 lelonglab.mass.window_model_error, which mass.py imports only for it), so a
 refactor that drops one of them breaks `perfbench/run.py --trace 1`. This
-test makes that a test failure instead, and a second one keeps a refactor of
-the corpus loop from hiding the schedules the trace still sees. A third
+test makes that a test failure instead, and a second one pins what the trace
+sees of the corpus: one exact-route call and no quadrature. A third
 builds every workload of perfbench/workloads.py and runs its first op
 through the command line, so a refactor that breaks a name the workloads
 import, or an output they check, fails here too. A fourth keeps the trace's
-foliation.jacobian_points counting on trig strips and on Poisson data.
+foliation.jacobian_points counting on trig strips and on Poisson data that
+departs from its tail.
 """
 
 import contextlib
 import importlib.util
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,26 +55,48 @@ def test_tracer_wraps_and_restores_every_traced_name():
     assert lelonglab.mass.window_model_error is original
 
 
-def test_traced_corpus_still_shows_the_poisson_schedules():
-    # the two Poisson cases are scheduled through theorems.lelong_estimate,
-    # which the trace wraps; the trig cases share one exact-route call
+def test_traced_corpus_makes_one_exact_call_and_no_quadrature(monkeypatch):
+    # every corpus schedule, the two Poisson ones among them, comes from one
+    # exact-route call, and the flat Poisson data leaves no departure to
+    # integrate: the trace sees no quadrature and no lelong_estimate, so no
+    # schedule for its mass.bracket_misses to judge
+    calls = []
+    real = lelonglab.theorems._exact_masses
+
+    def exact(*args):
+        calls.append(len(args[0].trig))
+        return real(*args)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the corpus called the quadrature engine")
+
+    monkeypatch.setattr(lelonglab.theorems, "_exact_masses", exact)
+    monkeypatch.setattr(lelonglab.mass, "integrate_lockstep", no_quadrature)
+    monkeypatch.setattr(lelonglab.mass, "integrate", no_quadrature)
     with _layers().Tracer() as op:
         reports = lelonglab.theorems.run_corpus(42)
-    assert len(reports) == 22
-    assert len(op.schedules) == 2
-    assert all(not lelonglab.mass.closed_form_applicable(current) for current, _ in op.schedules)
+    assert len(reports) == 22 and all(report.verdict for report in reports)
+    n_atoms = len(lelonglab.theorems._corpus_batch(42)[1].trig)
+    assert calls == [n_atoms]
+    assert op.schedules == []
+    assert op.summary()["quadrature.calls"] == 0
 
 
 def test_trace_counts_jacobian_points_on_strips_and_poisson(tmp_path):
     # foliation.jacobian_points is the last work counter the trace still
-    # reads above 0: on trig strips and on Poisson data alike
+    # reads above 0: on trig strips and on Poisson data alike. Flat Poisson
+    # data takes the exact route alone, so the samples carry a bump off the
+    # tail, whose departures are integrated
     layers, workloads = _layers(), _load("workloads")
     lam = Eigenvalue.negative(-0.5)
     strips = tmp_path / "strips.json"
     strips.write_text(json.dumps(workloads._strip_payload(accumulation_family(lam, 8, alpha_base=0.9, b0=0.2))))
     poisson = tmp_path / "poisson.json"
     half = {"value": 0.5, "class": "rational", "a": 1, "b": 2}
-    poisson.write_text(json.dumps(workloads._poisson_payload(half, complex(1.1, 0.0), 1.0, 0.0)))
+    payload = workloads._poisson_payload(half, complex(1.1, 0.0), 1.0, 0.0)
+    boundary = payload["atoms"][0]["spec"]["boundary"]
+    boundary["values"] = [1.0 + math.exp(-((y - 10.0) ** 2)) for y in boundary["ys"]]
+    poisson.write_text(json.dumps(payload))
     for argv in (["mass", "--input", str(strips), "--r", "1.0"], ["lelong", "--input", str(poisson)]):
         with layers.Tracer() as op, contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
