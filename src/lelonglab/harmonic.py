@@ -9,7 +9,9 @@ Poisson value is tail + c_lin v, the exact extension of the constant tail,
 plus a trapezoid sum of harmonic kernels weighting each sample's departure
 from the tail, each harmonic in (u, v) on its own.
 
-Integrals over a u-window are exact in u. For Poisson data they are kernel
+Integrals over a u-window are exact in u. Over the whole turn [0, 2 pi]
+that the mass routes take, a trig mode with b | k integrates to exactly 0,
+and the window leaves it out. For Poisson data they are kernel
 sums over the boundary grid, and a PoissonWindow is the one way into them:
 poisson_rows(window, v) gives the window integral and its grid-model error
 from one kernel block, since the error's half-density probe grid has its
@@ -502,11 +504,30 @@ def mode_turns(cols: FourierColumns, turns: int) -> np.ndarray:
 
     A mode's phase k (u + 2 pi turns) / b is k u / b plus 2 pi times this
     over b, modulo 2 pi. It is exact for any integers: only turns other
-    than 0 pay for Python ints.
+    than 0 and 1, whose products with an int64 k may overflow, pay for
+    Python ints.
     """
-    if not turns:
-        return np.zeros(cols.k.size)
+    if turns in (0, 1):
+        return np.mod(cols.k * turns, cols.b[cols.owner]).astype(float)
     return np.array([(k * turns) % b for k, b in zip(cols.k.tolist(), cols.b[cols.owner].tolist())], dtype=float)
+
+
+def whole_turn_columns(cols: FourierColumns) -> FourierColumns:
+    """cols without the modes that a whole-turn u-window integrates to zero, those with b | k.
+
+    Such a mode's period 2 pi b / |k| divides 2 pi, so it has as much area
+    above 0 as below over any whole number of turns. The rows and the other
+    modes, in their order, stay as they are.
+    """
+    keep = np.mod(cols.k, cols.b[cols.owner]) != 0
+    if keep.all():
+        return cols
+    return cols._replace(owner=cols.owner[keep], k=cols.k[keep], ak=cols.ak[keep], bk=cols.bk[keep])
+
+
+def _whole_turn(u0: float, u1: float) -> bool:
+    """True for the window [0, 2 pi] that both mass routes take, k0 turns out: one whole turn."""
+    return u0 == 0.0 and u1 == TWO_PI
 
 
 def mode_integrals(cols: FourierColumns, u0: float, u1: float, turns: int = 0) -> np.ndarray:
@@ -514,13 +535,21 @@ def mode_integrals(cols: FourierColumns, u0: float, u1: float, turns: int = 0) -
 
     The turns enter the phases through mode_turns, before any float is
     formed, so a window any number of turns out has the phases, and the C_k,
-    of a window within one period of [u0, u1].
+    of a window within one period of [u0, u1]. On the whole turn [0, 2 pi]
+    both phase ends are reduced so: they are 2 pi / b times the mode_turns
+    of turns and of turns + 1, each in [0, 2 pi), so a mode with b | k has
+    two equal ends and a C_k of exactly 0. Any other window keeps its ends
+    k u0 / b and k u1 / b, so every mode there has its float C_k.
     """
     if not cols.k.size:  # mode-free specs: no numpy calls on empty arrays
         return np.zeros(0)
     k, b = cols.k.astype(float), cols.b[cols.owner].astype(float)
-    shift = TWO_PI * mode_turns(cols, turns)
-    upper, lower = (shift + k * u1) / b, (shift + k * u0) / b
+    if _whole_turn(u0, u1):
+        lower = TWO_PI * mode_turns(cols, turns) / b
+        upper = TWO_PI * mode_turns(cols, turns + 1) / b
+    else:
+        shift = TWO_PI * mode_turns(cols, turns)
+        upper, lower = (shift + k * u1) / b, (shift + k * u0) / b
     ds = np.sin(upper) - np.sin(lower)
     dc = np.cos(upper) - np.cos(lower)
     return b / k * (cols.ak * ds - cols.bk * dc)
@@ -532,6 +561,8 @@ class FourierWindow(NamedTuple):
     fields holds one column per spec and one row per field: a0, b0,
     strip_c, b, then the M mode rates k and the M integrals C_k of
     mode_integrals, specs with fewer than M modes padded with zero modes.
+    On the whole turn [0, 2 pi] the modes are those whole_turn_columns
+    keeps, and M counts only them.
     strip_c is inf on half-planes, where a0 (1 - v / strip_c) is then a0.
     Each field reads as an (n, 1) column, or (n, M) for the modes, so a
     window broadcasts against an (n, nodes) block of heights, row i being
@@ -578,7 +609,13 @@ def fourier_window(cols: FourierColumns, u0: float, u1: float, turns: int = 0) -
 
     The window keeps u0 and u1, the ends less the turns: its width is u1 - u0
     however many turns out it lies, and mode_integrals reduces the turns.
+    The whole turn [0, 2 pi], the window of both mass routes, keeps only
+    the modes whose integral over it is not 0 (whole_turn_columns): a row
+    whose modes all have b | k has none, and costs its window integral no
+    exponential. Every other window keeps every mode.
     """
+    if _whole_turn(u0, u1):
+        cols = whole_turn_columns(cols)
     counts = np.bincount(cols.owner, minlength=cols.a0.size)
     slot = np.arange(cols.owner.size) - (np.cumsum(counts) - counts)[cols.owner]
     n_modes = int(counts.max(initial=0))
@@ -846,11 +883,15 @@ def window_integral(spec: HarmonicSpec, u0: float, u1: float, v):
     FourierWindow built for the same [u0, u1], any number of turns out
     (fourier_window): then row i of the (n, k)
     block v holds heights for its i-th spec. One FourierSpec is the
-    one-row case. For Poisson specs the u-integral commutes with the finite
-    trapezoid sum defining eval, so the result is (tail + c_lin v)(u1 - u0)
-    plus the trapezoid sum of arctan differences weighting the samples'
-    departures from the tail: exactly the u-integral of eval, not a second
-    approximation. Samples equal to the tail add nothing, so flat data
+    one-row case. Over the whole turn [0, 2 pi] the window sums only the
+    modes with b not dividing k, since the others integrate to 0 over it
+    (whole_turn_columns); over any other window it sums every mode. The
+    density (evaluate), check_positivity and the half-plane truncation
+    envelope (mass._envelopes) always see every mode. For Poisson specs
+    the u-integral commutes with the finite trapezoid sum defining eval,
+    so the result is (tail + c_lin v)(u1 - u0) plus the trapezoid sum of
+    arctan differences weighting the samples' departures from the tail:
+    exactly the u-integral of eval, not a second approximation. Samples equal to the tail add nothing, so flat data
     gives (tail + c_lin v)(u1 - u0) exactly. It is row 0 of poisson_rows on
     the PoissonWindow of spec over [u0, u1]; on a grid with a shell ladder
     its far sum is within that window's full.remainder(max v).

@@ -76,6 +76,7 @@ from .harmonic import (
     poisson_departure_rows,
     poisson_panel_rows,
     poisson_window,
+    whole_turn_columns,
     window_integral,
     window_model_error,  # not called here: perfbench's layer trace wraps it by name
 )
@@ -532,7 +533,11 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[List[Tuple[float, f
     integrated in closed form over the range the quadrature route uses: the
     plaque, shifted by coordinate_shift and running to infinity on
     half-planes. The window's width is 2 pi and its mode phases are
-    reduced in integers, so any integer k0 is taken.
+    reduced in integers, so any integer k0 is taken. A mode with b | k
+    integrates to exactly 0 over that whole turn, so only the modes with
+    b not dividing k get a window part and a bound term
+    (harmonic.whole_turn_columns); the truncation envelope of the
+    quadrature route (_envelopes) still bounds every mode.
 
     Every term of every current at every radius is one entry of a few flat
     arrays, with no Python loop over currents, atoms or terms (only one
@@ -544,7 +549,7 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[List[Tuple[float, f
     each current's pairs are those of a table of that current alone at
     those radii alone.
     """
-    cols = table.fourier
+    cols = whole_turn_columns(table.fourier)
     moduli, weights, lv, owner, ak, bk = table.moduli, table.weights, table.lam, cols.owner, cols.ak, cols.bk
     a0, b0 = cols.a0, cols.b0
     if not table.trig.all():
@@ -557,8 +562,9 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[List[Tuple[float, f
     coef = mode_integrals(cols, 0.0, TWO_PI, k0)
     # window parts (alpha, beta, growth rate, bound on |alpha|, bound on
     # |beta|): every atom's base, a0 (1 - v/C) + b0 v on a strip of height
-    # C, then every mode, whose bound also covers the rounding of its
-    # phases: up to 2 pi (1 + m / |k|) in u, m its mode_turns
+    # C, then every mode the window keeps, whose bound also covers the
+    # rounding of its phases: up to 2 pi m / |k| in u, m the larger of its
+    # mode_turns at k0 and k0 + 1 turns, which give its phase ends
     n_atoms = moduli.size
     drop = TWO_PI * a0 / cols.strip_c
     base, slope = TWO_PI * a0, TWO_PI * b0
@@ -569,7 +575,7 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[List[Tuple[float, f
     parts[4, :n_atoms] = slope + drop
     part_owner = np.arange(n_atoms)
     if owner.size:
-        reach = TWO_PI * (1.0 + mode_turns(cols, k0) / np.abs(cols.k))
+        reach = TWO_PI * np.maximum(mode_turns(cols, k0), mode_turns(cols, k0 + 1)) / np.abs(cols.k)
         parts[0, n_atoms:] = coef
         parts[2, n_atoms:] = grow
         parts[3, n_atoms:] = (np.abs(ak) + np.abs(bk)) * (2.0 / np.abs(grow) + reach)

@@ -32,7 +32,7 @@ from lelonglab import (
 )
 from lelonglab import harmonic
 from lelonglab.harmonic import (
-    FAR_ORDER, FAR_RATIO, LADDER_MIN_POINTS, fourier_columns, fourier_window, poisson_window,
+    FAR_ORDER, FAR_RATIO, LADDER_MIN_POINTS, fourier_columns, fourier_window, mode_integrals, poisson_window,
 )
 
 from conftest import flat_poisson, spanning_poisson
@@ -488,11 +488,12 @@ class TestWindowIntegral:
         with pytest.raises(DomainError):
             window_integral(FourierSpec(), 1.0, 1.0, 0.5)
 
+    # modes with b | k, whose whole-turn integrals are 0, among the others
     STACKED = (
-        FourierSpec(b=2, a0=0.8, b0=0.3, modes=((-1, 0.2, 0.1), (-3, 0.05, 0.02))),
+        FourierSpec(b=2, a0=0.8, b0=0.3, modes=((-1, 0.2, 0.1), (-2, 0.03, -0.01), (-3, 0.05, 0.02))),
         FourierSpec(b=1, a0=1.0, modes=((-2, 0.1, 0.05), (1, 0.002, 0.0)), strip_c=2.5),
         FourierSpec(b=1, a0=1.0),
-        FourierSpec(b=3, a0=0.5, b0=0.1, modes=((-1, 0.01, -0.02),), strip_c=4.0),
+        FourierSpec(b=3, a0=0.5, b0=0.1, modes=((3, 0.004, 0.001), (-1, 0.01, -0.02)), strip_c=4.0),
     )
 
     @pytest.mark.parametrize("window", [(0.0, 2.0 * math.pi), (-1.3, 5.1)])
@@ -509,25 +510,37 @@ class TestWindowIntegral:
             assert np.array_equal(got, window_integral(self.STACKED[row], u0, u1, v))
 
     @pytest.mark.parametrize("window", [(0.0, 2.0 * math.pi), (-1.3, 5.1), (4.0 * math.pi, 6.0 * math.pi),
-                                        (0.0, 2.0 * math.pi, 10**15), (-1.3, 5.1, -7)])
+                                        (0.0, 2.0 * math.pi, 10**15), (-1.3, 5.1, -7)]
+                             + [(0.0, 2.0 * math.pi, k0) for k0 in (-3, -2, -1, 1, 2, 3, 10**18 + 1)])
     def test_stacked_coefficients_are_the_scalar_formula(self, window):
         # each C_k within its rounding of the formula in mpmath, the turns
-        # taken exactly: 8 eps b / |k| (|a_k| + |b_k|) (2 + |phases|)
+        # taken exactly: 8 eps b / |k| (|a_k| + |b_k|) (2 + |phases|). On the
+        # whole turn [0, 2 pi], any number of turns out, a mode with b | k
+        # integrates to exactly 0 and its window keeps only the other modes,
+        # in their order; every other window keeps every mode
         from oracles import mp_mode_integrals
 
         u0, u1, turns = (window + (0,))[:3]
-        stacked = fourier_window(fourier_columns(self.STACKED), u0, u1, turns)
+        whole = (u0, u1) == (0.0, 2.0 * math.pi)
+        cols = fourier_columns(self.STACKED)
+        coefs = iter(mode_integrals(cols, u0, u1, turns).tolist())
+        stacked = fourier_window(cols, u0, u1, turns)
         assert (stacked.u0, stacked.u1) == (u0, u1)
         eps = np.finfo(float).eps
         for row, spec in enumerate(self.STACKED):
             with mpmath.workdps(40):
                 shift = 2 * mpmath.pi * turns
                 want = [float(c) for c in mp_mode_integrals(spec, u0 + shift, u1 + shift)]
-            got = stacked.coefs[row, :len(want)].tolist()
-            for (k, ak, bk), g, w in zip(spec.modes, got, want):
+            kept = []
+            for (k, ak, bk), g, w in zip(spec.modes, coefs, want):
+                if whole and k % spec.b == 0:
+                    assert g == 0.0
+                    continue
+                kept.append(g)
                 reach = 2.0 * math.pi * (turns * k % spec.b) + abs(k) * max(abs(u0), abs(u1))
                 assert abs(g - w) <= 8.0 * eps * spec.b / abs(k) * (abs(ak) + abs(bk)) * (2.0 + 2.0 * reach / spec.b)
-            assert not stacked.coefs[row, len(want):].any()
+            assert stacked.coefs[row, :len(kept)].tolist() == kept
+            assert not stacked.coefs[row, len(kept):].any()
 
     def test_stacked_window_checks_each_strip(self):
         stacked = fourier_window(fourier_columns(self.STACKED), 0.0, 2.0 * math.pi)

@@ -273,6 +273,67 @@ class TestScheduleQuadrature:
         assert mass_quadrature_schedule(SCHEDULE_CASES[case], ()) == []
 
 
+def _strip_family(modes=((-1, -0.007481757672913113, 0.026837484657127236),)):
+    """perfbench's strip-family-mass current at seed 42: 256 strips at lambda = -1/2, each with one b = 1 mode."""
+    lam = Eigenvalue.negative(-0.5)
+    return build_current(lam, accumulation_family(lam, 256, alpha_base=0.9, b0=0.2, modes=modes))
+
+
+class TestWholeTurnModes:
+    """A mode with b | k integrates to 0 over the whole turn, and neither route carries it."""
+
+    def test_quadrature_window_carries_no_mode(self, monkeypatch):
+        windows = []
+        real = lelonglab.mass.fourier_window
+
+        def spy(*args):
+            windows.append(real(*args))
+            return windows[-1]
+
+        monkeypatch.setattr(lelonglab.mass, "fourier_window", spy)
+        current = _strip_family()
+        for k0 in (0, 3):
+            mass_quadrature(current, 0.5, k0=k0)
+        assert [w.fields.shape for w in windows] == [(4, 256)] * 2
+        assert [w.modes for w in windows] == [0, 0]
+        # another window keeps the mode
+        assert harmonic.fourier_window(current.table.fourier, -1.3, 5.1).modes == 1
+
+    def test_exact_route_builds_one_part_per_atom(self, monkeypatch):
+        # the mode adds no term: each atom's base, times the two jacobian
+        # exponentials, at each radius where its plaque is not empty, as
+        # for the family without the mode
+        sizes = []
+        real = lelonglab.mass._moments
+
+        def spy(sigma, lo, hi):
+            sizes.append(sigma.size)
+            return real(sigma, lo, hi)
+
+        monkeypatch.setattr(lelonglab.mass, "_moments", spy)
+        rs = (1.0, 0.5, 0.25, 0.125)
+        for current in (_strip_family(), _strip_family(modes=())):
+            _exact_masses(current.table, rs, 1)
+            _exact_masses(current.table, (1.0,))
+        assert sizes[:2] == sizes[2:]
+        assert sizes[1] == 2 * 256
+
+    def test_quadrature_keeps_its_partitions(self, monkeypatch):
+        # the panels the family gets when its window carries the mode, whose
+        # whole-turn integral is then rounding noise: leaving the mode out
+        # moves no panel. Each mass is within its error of the closed form
+        current = _strip_family()
+        spy = _IntegrateSpy(monkeypatch)
+        panels = []
+        for r in (1.0, 0.5, 0.25, 0.125):
+            spy.points = 0
+            result = mass_quadrature(current, r)
+            assert spy.points % 15 == 0
+            panels.append(spy.points // 15)
+            assert abs(result.value - mass_closed_form(current, r)) <= result.error_estimate
+        assert panels == [2580, 2447, 2305, 2163]
+
+
 class _KernelSpy:
     """Wraps harmonic._poisson_window: kernel entries summed directly, and all the grid holds."""
 
