@@ -8,7 +8,8 @@ exact up to quadrature error.
 
 A current keeps its atoms as one AtomTable: alpha, |alpha| and the weights
 as columns, the trig specs as FourierColumns with their flat mode table,
-and each Poisson spec as its object. current_from_json fills the table
+and each Poisson spec as its object and, in the columns, as its tail's
+extension. current_from_json fills the table
 straight from the decoded lists, checking each field's type column by
 column; build_current builds it from atom objects. One validator checks
 the table for both, and both mass routes read it. A loaded current builds
@@ -51,6 +52,7 @@ from .harmonic import (
     _require,
     boundary_value,
     check_positivity,
+    column_row,
     evaluate,
     fourier_columns,
     json_float,
@@ -91,11 +93,13 @@ class AtomTable(NamedTuple):
 
     Rows run current by current, each current's atoms in atom order.
     alpha_re, alpha_im, moduli and weights are float columns, and trig marks
-    the trig-series atoms. fourier holds their specs; poisson holds each
-    Poisson atom's spec, and None on trig rows. The moduli are np.hypot of
-    alpha, bit for bit abs(alpha), and inf where abs would overflow. lam is
-    each row's eigenvalue, and current the index of the row's current, so
-    every check and sum that depends on the eigenvalue reads it by row.
+    the trig-series atoms. fourier holds their specs, and on a Poisson
+    atom's row its tail's extension tail + c_lin v (harmonic.column_row);
+    poisson holds each Poisson atom's spec, and None on trig rows. The
+    moduli are np.hypot of alpha, bit for bit abs(alpha), and inf where abs
+    would overflow. lam is each row's eigenvalue, and current the index of
+    the row's current, so every check and sum that depends on the
+    eigenvalue reads it by row.
     """
 
     alpha_re: np.ndarray
@@ -598,9 +602,13 @@ def _json_table(lam: Eigenvalue, entries: list) -> AtomTable:
     poisson = [None if t else spec_from_json(spec, f"atoms[{i}].spec") for i, (t, spec) in enumerate(zip(trig, specs))]
     rows = np.flatnonzero(trig)
     n = len(entries)
-    columns = [np.ones(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.full(n, math.inf)]
+    columns = [np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), np.empty(n)]
     for column, values in zip(columns, (b, a0, b0, strip_c)):
         column[rows] = values
+    for i, spec in enumerate(poisson):
+        if spec is not None:
+            for column, value in zip(columns, column_row(spec)):
+                column[i] = value
     with np.errstate(over="ignore"):  # _validate refuses an infinite modulus
         moduli = np.hypot(alpha_re, alpha_im)
     return AtomTable(

@@ -11,20 +11,22 @@ from the tail, each harmonic in (u, v) on its own.
 
 Integrals over a u-window are exact in u. Over the whole turn [0, 2 pi]
 that the mass routes take, a trig mode with b | k integrates to exactly 0,
-and the window leaves it out. For Poisson data they are kernel
-sums over the boundary grid, and a PoissonWindow is the one way into them:
-poisson_rows(window, v) gives the window integral and its grid-model error
-from one kernel block, since the error's half-density probe grid has its
-nodes among the full grid's, and poisson_panel_rows does so for many
-panels above the boundary v = 0, one kernel block each.
-poisson_departure_rows gives the same rows without the tail's exact part,
-for a caller that sums that part in closed form. Data whose samples are
-all the tail computes no kernel entry. A window on a grid of
-LADDER_MIN_POINTS nodes or more sums the nodes far from the u-window
-through their moments on a ladder of shells (a one-level far-field
-expansion) and the rest directly, and adds the expansion's truncation
-remainder to the error row, as it does the error of the window's partial
-cells at its ends.
+and the window leaves it out. A PoissonSpec's row in FourierColumns is its
+tail's extension tail + c_lin v, the mode-free trig row that column_row
+gives it, so both mass routes integrate that part as a trig row. The rest
+of its window integral is a kernel sum over the boundary grid of the
+samples' departures from the tail, and a PoissonWindow is the one way into
+it: poisson_departure_rows gives that sum and the window integral's
+grid-model error for many panels above the boundary v = 0, one kernel
+block each, since the error's half-density probe grid has its nodes among
+the full grid's. poisson_rows adds the tail's exact part for one window
+and takes the boundary itself, for window_integral and window_model_error.
+Data whose samples are all the tail computes no kernel entry. A window on
+a grid of LADDER_MIN_POINTS nodes or more sums the nodes far from the
+u-window through their moments on a ladder of shells (a one-level
+far-field expansion) and the rest directly, and adds the expansion's
+truncation remainder to the error row, as it does the error of the
+window's partial cells at its ends.
 """
 
 from __future__ import annotations
@@ -470,8 +472,8 @@ class FourierColumns(NamedTuple):
     Per row: the period multiple b, a0, b0 and strip_c, which is inf on
     half-planes. Per mode, in row and mode order: owner, the row it belongs
     to, and k, a_k, b_k. b and k are int64, so every JSON integer field
-    keeps its value. A row may also stand for a spec that is not a trig
-    series; it then holds the zero density, b = 1 and no modes.
+    keeps its value. A PoissonSpec's row is its tail's extension
+    tail + c_lin v (column_row), with no modes.
     """
 
     b: np.ndarray
@@ -484,10 +486,23 @@ class FourierColumns(NamedTuple):
     bk: np.ndarray
 
 
+def column_row(spec: HarmonicSpec) -> Tuple[int, float, float, float]:
+    """(b, a0, b0, strip_c) of spec's row in FourierColumns.
+
+    A trig spec's row holds its own fields, strip_c inf on a half-plane. A
+    PoissonSpec's is its tail's extension tail + c_lin v, the part of its
+    density that is harmonic with no kernel: b = 1, a0 = tail, b0 = c_lin,
+    strip_c inf, and it owns no modes. Its samples' departures from the
+    tail are the kernel sums of poisson_departure_rows.
+    """
+    if isinstance(spec, PoissonSpec):
+        return 1, spec.tail, spec.c_lin, math.inf
+    return spec.b, spec.a0, spec.b0, math.inf if spec.strip_c is None else spec.strip_c
+
+
 def fourier_columns(specs) -> FourierColumns:
-    """The FourierColumns of a sequence of specs; other specs get zero rows."""
-    rows = [(spec.b, spec.a0, spec.b0, math.inf if spec.strip_c is None else spec.strip_c)
-            if isinstance(spec, FourierSpec) else (1, 0.0, 0.0, math.inf) for spec in specs]
+    """The FourierColumns of a sequence of specs, each row its column_row."""
+    rows = [column_row(spec) for spec in specs]
     modes = [(i, k, ak, bk) for i, spec in enumerate(specs) if isinstance(spec, FourierSpec)
              for k, ak, bk in spec.modes]
     b, a0, b0, strip_c = zip(*rows) if rows else ((),) * 4
@@ -881,18 +896,19 @@ def window_integral(spec: HarmonicSpec, u0: float, u1: float, v):
 
     For trig specs the antiderivative is elementary. spec may also be a
     FourierWindow built for the same [u0, u1], any number of turns out
-    (fourier_window): then row i of the (n, k)
-    block v holds heights for its i-th spec. One FourierSpec is the
-    one-row case. Over the whole turn [0, 2 pi] the window sums only the
-    modes with b not dividing k, since the others integrate to 0 over it
-    (whole_turn_columns); over any other window it sums every mode. The
+    (fourier_window): then row i of the (n, k) block v holds heights for
+    its i-th spec. One FourierSpec is the one-row case. Over the whole
+    turn [0, 2 pi] the window sums only the modes with b not dividing k,
+    since the others integrate to 0 over it (whole_turn_columns); over any
+    other window it sums every mode. The
     density (evaluate), check_positivity and the half-plane truncation
     envelope (mass._envelopes) always see every mode. For Poisson specs
     the u-integral commutes with the finite trapezoid sum defining eval,
     so the result is (tail + c_lin v)(u1 - u0) plus the trapezoid sum of
     arctan differences weighting the samples' departures from the tail:
-    exactly the u-integral of eval, not a second approximation. Samples equal to the tail add nothing, so flat data
-    gives (tail + c_lin v)(u1 - u0) exactly. It is row 0 of poisson_rows on
+    exactly the u-integral of eval, not a second approximation. Samples
+    equal to the tail add nothing, so flat data gives
+    (tail + c_lin v)(u1 - u0) exactly. It is row 0 of poisson_rows on
     the PoissonWindow of spec over [u0, u1]; on a grid with a shell ladder
     its far sum is within that window's full.remainder(max v).
     """
@@ -957,48 +973,40 @@ def poisson_rows(window: PoissonWindow, v):
     Row 0 of the result is the integral of window.spec over u in
     [window.u0, window.u1] and row 1 its grid-model error bound, each shaped
     like v. At v = 0 the integral is the data-exact boundary integral and
-    the bound 0; the heights above the boundary are one panel of
-    poisson_panel_rows, whose docstring says how the rows are made.
+    the bound 0. Above the boundary they are poisson_departure_rows, whose
+    docstring says how the rows are made, with the tail's exact part
+    (tail + c_lin v)(u1 - u0) added to row 0.
     """
     v_arr = np.asarray(v, dtype=float)
     flat = v_arr.reshape(1, -1)
-    _check_v_domain(window.spec, flat)
+    spec = window.spec
+    _check_v_domain(spec, flat)
     inside = flat[0] > 0.0
-    if inside.all():
-        out = poisson_panel_rows((window,), flat)[0]
-    else:
+    out = np.empty((2, flat.size))
+    if not inside.all():
         # kernel tends to a Dirac comb: the u-integral tends to the
         # boundary integral over the window, which is data-exact
-        out = np.empty((2, flat.size))
-        out[0] = boundary_integral(window.spec, window.u0, window.u1)
+        out[0] = boundary_integral(spec, window.u0, window.u1)
         out[1] = 0.0
-        if inside.any():
-            out[:, inside] = poisson_panel_rows((window,), flat[:, inside])[0]
+    if inside.any():
+        above = flat[:, inside]
+        rows = poisson_departure_rows((window,), above)[0]
+        rows[0] += (spec.tail + spec.c_lin * above[0]) * (window.u1 - window.u0)
+        out[:, inside] = rows
     return out.reshape((2,) + v_arr.shape)
 
 
-def poisson_panel_rows(windows, v: np.ndarray) -> np.ndarray:
-    """poisson_rows of P panels above the boundary: out[p] holds windows[p]'s two rows at the heights v[p].
+def poisson_departure_rows(windows, v: np.ndarray) -> np.ndarray:
+    """The kernel sums of P panels above the boundary: the samples' departures from the tail.
 
     v is a (P, k) block of heights > 0, as the nodes of quadrature panels
-    inside a plaque are, and out (P, 2, k), each panel's rows bit for bit
-    what it gets alone; a height <= 0 raises DomainError. They are
-    poisson_departure_rows plus, on row 0, the exact part
-    (tail + c_lin v)(u1 - u0), one pass over the block.
-    """
-    out = poisson_departure_rows(windows, v)
-    # the panels' constants as (P, 1) columns
-    tail, c_lin, u0, u1 = np.array([(w.spec.tail, w.spec.c_lin, w.u0, w.u1) for w in windows]).T[:, :, None]
-    out[:, 0] += (tail + c_lin * v) * (u1 - u0)
-    return out
-
-
-def poisson_departure_rows(windows, v: np.ndarray) -> np.ndarray:
-    """The kernel part of poisson_panel_rows: the samples' departures from the tail, without the exact part.
-
-    out[p] holds, at the heights v[p] > 0, windows[p]'s kernel sum over pi
-    (row 0) and the whole grid-model error bound (row 1); a height <= 0
-    raises DomainError. Per panel whose samples are not all the tail run
+    inside a plaque are, and out (P, 2, k): out[p] holds, at the heights
+    v[p], windows[p]'s kernel sum over pi (row 0) and the whole grid-model
+    error bound of its window integral (row 1), each panel's rows bit for
+    bit what it gets alone; a height <= 0 raises DomainError. The window
+    integral is row 0 plus the tail's exact part (tail + c_lin v)(u1 - u0),
+    which poisson_rows adds and the mass routes integrate as the spec's
+    trig row (column_row). Per panel whose samples are not all the tail run
     only its kernel sums (_poisson_window, one arctan2 block) and the
     bounds added to row 1: where a shell of its window's ladders fits, the
     truncated far sums' remainders at its largest height, the full grid's
@@ -1035,8 +1043,8 @@ def _poisson_window(window: PoissonWindow, vflat):
     when no shell fits. The probe's entries are every other column of the
     same block, so it computes no kernel entry of its own. This is the only
     code that computes kernel entries; the exact part that makes the sums
-    into window integrals is poisson_panel_rows's, or, on the exact route,
-    the tail's trig row (mass._exact_masses).
+    into window integrals is poisson_rows's, or, on both mass routes, the
+    tail's trig row (column_row).
     """
     grid, probe = window.full, window.probe
     width = window.u1 - window.u0

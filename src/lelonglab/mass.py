@@ -4,19 +4,17 @@ Two independent routes to the mass of a current on the bidisc of radius r:
 
 * mass_quadrature: per atom, an adaptive v-integral of the exact u-window
   integral of the density times the leafwise area density, with certified
-  truncation of the half-plane tail. The integrand does not depend on r,
-  so mass_quadrature_schedule integrates each atom once for a whole list of
+  truncation of the half-plane tail. Every row of the atom table's
+  FourierColumns is a trig row: a trig atom whole, and a Poisson atom's
+  tail extension (tail + c_lin v), which harmonic.column_row makes the row
+  a0 = tail, b0 = c_lin with no modes. The integrand does not depend on r,
+  so mass_quadrature_schedule integrates each row once for a whole list of
   radii: one GK15 partition seeded with every radius's v-limits, refined
-  until each radius meets the tolerance on its own panels. All atoms are
-  refined in lockstep, one integrand call per round for every atom's new
-  panels: trig atoms as rows of one FourierWindow, Poisson panels through
-  one poisson_panel_rows call. A Poisson window integral is the tail's
-  exact part, (tail + c_lin v) times the window width, plus one kernel
-  block per panel weighting the samples' departures from the tail (far
-  nodes by moments, near ones directly), with its grid-model defect,
-  summed from the same block, the expansion's truncation remainder and the
-  window ends' partial cells; flat data computes no kernel block.
-  mass_quadrature is the one-radius case.
+  until each radius meets the tolerance on its own panels. All rows are
+  refined in lockstep, one integrand call per round for every row's new
+  panels, as rows of one FourierWindow. The Poisson atoms' departures from
+  their tails are then added by _departure_masses, the pass Lelong
+  schedules take too. mass_quadrature is the one-radius case.
 * mass_closed_form: exact for every trig-series current and u-window, as a
   finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}. Its
   engine, _exact_masses, takes an AtomTable of one or many currents, each
@@ -31,14 +29,13 @@ and checks the paper's displays (three-region brackets, strip integrals
 Ia/Ib) against the exact route.
 
 Lelong schedules (lelong_estimate, and the verifiers' batches) take one
-path for every current. The exact route sums every row's base: a trig row
-whole, and a Poisson row's tail extension (tail + c_lin v), which is the
-trig row a0 = tail, b0 = c_lin with no modes. Then _departure_masses
-integrates by quadrature only the Poisson atoms whose samples depart from
-their tail, the kernel sums of values - tail with their grid-model error,
-and adds them to their currents' masses. So flat Poisson data costs no
-quadrature at all. mass_quadrature_schedule integrates every atom whole,
-and stays the independent reference that the tests hold the split to.
+path for every current. The exact route sums every row of the columns, a
+Poisson row being its tail's extension. Then _departure_masses integrates
+by quadrature only the Poisson atoms whose samples depart from their tail,
+the kernel sums of values - tail with their grid-model error, and adds
+them to their currents' masses. So flat Poisson data costs no kernel sum
+on either route, and no quadrature on the exact one. The tests hold both
+routes to a reference that integrates each Poisson atom whole.
 lelong_from_masses turns the masses of a batch of schedules at the same
 radii into their LelongEstimates.
 """
@@ -61,7 +58,6 @@ from .foliation import (
     jacobian_density,
     jacobian_rows,
     leaf_domain,
-    plaque_limits,
     plaque_logs,
     plaques_from_logs,
 )
@@ -74,7 +70,6 @@ from .harmonic import (
     mode_integrals,
     mode_turns,
     poisson_departure_rows,
-    poisson_panel_rows,
     poisson_window,
     whole_turn_columns,
     window_integral,
@@ -118,23 +113,21 @@ class LelongEstimate:
 POISSON_END_ULP = 2.0**-40
 
 
-def _window(k0: int, poisson: bool = False) -> Tuple[float, float]:
-    """The ends (u0, u1) of the k0-th u-window, [2 pi k0, 2 pi k0 + 2 pi], as floats.
+def _window(k0: int) -> Tuple[float, float]:
+    """The ends (u0, u1) of the k0-th u-window of a Poisson atom, [2 pi k0, 2 pi k0 + 2 pi], as floats.
 
-    A k0 whose window end overflows, or lies so far out that its two ends
-    are one float, raises InputError naming k0; for a current with a
-    Poisson atom (poisson), so does a k0 whose window end has an ulp above
-    POISSON_END_ULP of 2 pi. Trig windows do not use these ends: their
-    phases are reduced in integers (harmonic.mode_integrals).
+    A k0 whose window end has an ulp above POISSON_END_ULP of 2 pi raises
+    InputError naming k0, and so does a k0 whose end overflows, as its ulp
+    is then inf. Only the kernel sums of Poisson atoms use these ends: trig
+    rows reduce their phases in integers (harmonic.mode_integrals), and
+    take any integer k0.
     """
     try:
         u0 = TWO_PI * k0
     except OverflowError:  # k0 past the float range
         u0 = math.inf
     u1 = u0 + TWO_PI
-    if not u1 > u0:
-        raise InputError("k0: the u-window [2 pi k0, 2 pi k0 + 2 pi] overflows or has no width in floats")
-    if poisson and math.ulp(max(abs(u0), abs(u1))) > POISSON_END_ULP * TWO_PI:
+    if math.ulp(max(abs(u0), abs(u1))) > POISSON_END_ULP * TWO_PI:
         raise InputError(
             f"k0 = {k0}: an end of the Poisson window [2 pi k0, 2 pi k0 + 2 pi] has an ulp above "
             f"{POISSON_END_ULP!r} of its width 2 pi"
@@ -146,23 +139,17 @@ def _window(k0: int, poisson: bool = False) -> Tuple[float, float]:
 # quadrature route
 
 
-def _envelope_coefficients(spec: PoissonSpec) -> Tuple[float, float]:
-    """(P, Q) with |window integral| <= 2 pi (P + Q v) on the half plane, for Poisson data."""
-    peak = max(float(np.max(spec.values)), spec.tail)
-    return peak, spec.c_lin
-
-
 def _envelopes(table: AtomTable) -> List[Tuple[float, float]]:
-    """The (P, Q) envelope of every atom of the table.
+    """The (P, Q) of every row of the table's columns, with |window integral| <= 2 pi (P + Q v) on the half plane.
 
-    A trig row's bound is (a0 + sum_k |a_k| + |b_k|, b0), its ell-1 sum run
-    left to right from 0, as FourierSpec.mode_l1 adds it; a Poisson row's
-    is _envelope_coefficients.
+    A row's bound is (a0 + sum_k |a_k| + |b_k|, b0), its ell-1 sum run left
+    to right from 0, as FourierSpec.mode_l1 adds it. A Poisson row is its
+    tail's extension, so its bound is (tail, c_lin); its departures from
+    the tail have their own (_departure_masses).
     """
     cols = table.fourier
     peaks = cols.a0 + np.bincount(cols.owner, np.abs(cols.ak) + np.abs(cols.bk), cols.a0.size)
-    return [(p, q) if spec is None else _envelope_coefficients(spec)
-            for p, q, spec in zip(peaks.tolist(), cols.b0.tolist(), table.poisson)]
+    return list(zip(peaks.tolist(), cols.b0.tolist()))
 
 
 def _tail_integral(p: float, q: float, rate: float, v0: float) -> float:
@@ -197,18 +184,23 @@ def _truncate_half_plane(envelope, lv: float, jac, v_lo: float, cfg: QuadratureC
 
 
 def _atom_ranges(lv: np.ndarray, moduli: np.ndarray, envelopes, rs, cfg: QuadratureConfig):
-    """(lo, hi, tails): the v-ranges of every atom's plaques at rs, and its tail bound.
+    """(lo, hi, tails, sizes): the v-ranges of every atom's plaques at rs, its tail bound, and the limits' size.
 
     lv holds each atom's eigenvalue, and envelopes its (P, Q) (_envelopes),
     which only half-plane atoms read.
-    lo and hi are (atoms, radii) arrays from one plaque_limits call, lo
-    shifted by coordinate_shift; an empty plaque has lo = hi = 0, so its
-    sums are 0. Strips run between their ends and have no tail. Half-planes,
+    lo and hi are (atoms, radii) arrays of the plaques' limits (one
+    plaque_logs call), lo shifted by coordinate_shift; an empty plaque has
+    lo = hi = 0, so its sums are 0. Strips run between their ends and have
+    no tail. Half-planes,
     never empty, share one truncation height per atom: the highest any of
     its radii needs, so its tail bound, the atom's entry of tails, covers
     them all; their Jacobian coefficients come from one jacobian_rows call.
+    sizes, (|log|alpha|| - log r) / |lambda| per atom and radius, bounds
+    the size of the logarithms that lo and a strip's hi are formed from,
+    so their rounding is a few eps times it, as _exact_masses counts it.
     """
-    v_min, v_max, empty = plaque_limits(lv, moduli, rs)
+    log_am, log_r = plaque_logs(moduli, rs)
+    v_min, v_max, empty = plaques_from_logs(lv, log_am, log_r)
     lo = np.where(empty, 0.0, v_min - coordinate_shift(lv, moduli)[:, None])
     hi = np.where(empty, 0.0, v_max)
     tails = np.zeros(moduli.size)
@@ -218,7 +210,7 @@ def _atom_ranges(lv: np.ndarray, moduli: np.ndarray, envelopes, rs, cfg: Quadrat
         for i, jac in zip(half.tolist(), jacs):
             hi[i], tails[i] = max(_truncate_half_plane(envelopes[i], float(lv[i]), jac, low, cfg)
                                   for low in lo[i].tolist())
-    return lo, hi, tails
+    return lo, hi, tails, (np.abs(log_am) - log_r) / np.abs(lv)[:, None]
 
 
 def _integrate_atoms(integrand, lo, hi, rs, cfg: QuadratureConfig, atoms):
@@ -242,76 +234,53 @@ def mass_quadrature_schedule(
 ) -> List[MassResult]:
     """Masses at every radius in rs over the k0-th u-window, by quadrature.
 
-    The integrand does not depend on r, only the v-limits do, so each atom
+    Every row of the table's FourierColumns is integrated as a trig row: a
+    trig atom whole, a Poisson atom by its tail's extension (tail + c_lin v).
+    The integrand does not depend on r, only the v-limits do, so each row
     is one job of a single integrate_lockstep call, with one range per
-    radius: one adaptive partition per atom, seeded with every radius's
+    radius: one adaptive partition per row, seeded with every radius's
     limits and refined until each radius meets the tolerance on its own
-    panels. The atoms share each round's integrand call. Trig rows are
-    evaluated together through a row-stacked FourierWindow; Poisson rows
-    through one harmonic.poisson_panel_rows call per integrand call, which
-    works out the exact tail and linear part for all of them at once and
-    one kernel block per panel whose samples are not all the tail, with
-    the grid-model defect as a second row summed from the same block. Each
-    Poisson atom's PoissonWindow, with its shell ladders, is built once here
-    and serves both rows of every panel. The trig rows' window is k0
-    turns out with its phases reduced in integers; a current with a Poisson
-    atom refuses a k0 whose window end has an ulp above POISSON_END_ULP of
-    2 pi, naming k0. The weighted (atom, radius) sums are added over the
-    atoms.
+    panels. The rows share each round's integrand call, on one row-stacked
+    FourierWindow k0 turns out whose phases are reduced in integers, so a
+    trig current takes any integer k0. A row's error adds to its panels'
+    errors and its tail bound the rounding of its range ends: the
+    integrand's size there, from one more integrand call, times
+    EXACT_ROUNDING eps times the limits' size (_atom_ranges), as the exact
+    route counts it. The weighted (row, radius) sums are added over the
+    rows, then the Poisson atoms' departures from their tails
+    (_departure_masses, which first refuses the k0s _window refuses).
     """
     rs = tuple(rs)
     if not rs:
         return []
     lam = current.lam
     table = current.table
+    departures = _departure_masses(table, rs, k0, cfg)
     # envelopes bound the half-plane atoms' tails, and a strip has none
     envelopes = _envelopes(table) if lam.value > 0.0 else None
-    lo, hi, tails = _atom_ranges(table.lam, table.moduli, envelopes, rs, cfg)
-    is_trig = table.trig
-    poisson = not is_trig.all()
-    u0, u1 = _window(k0, poisson)
+    lo, hi, tails, sizes = _atom_ranges(table.lam, table.moduli, envelopes, rs, cfg)
     # the area density's coefficients, worked out once per atom and taken by row
     area = jacobian_rows(lam, table.moduli.reshape(-1, 1))
     # one row per atom, k0 turns out: its width is 2 pi, and its phases are
     # reduced in integers
     window = fourier_window(table.fourier, 0.0, TWO_PI, k0)
-    # one PoissonWindow per Poisson atom: its grids and shell ladders serve
-    # every panel, for the value row and the model-error row alike
-    windows = ([None if spec is None else poisson_window(spec, u0, u1) for spec in table.poisson]
-               if poisson else None)
 
-    def trig_rows(rows, v):
+    def integrand(rows, v):
         # each round gathers its rows of both with one take apiece
         out = window_integral(window.take(rows), 0.0, TWO_PI, v)
         out *= jacobian_density(lam, area.take(rows), v)
         return out
 
-    def integrand(rows, v):
-        if not poisson:
-            return trig_rows(rows, v)
-        out = np.zeros((len(rows), 2, v.shape[1]))
-        trig = is_trig[rows]
-        if trig.any():
-            out[trig, 0] = trig_rows(rows[trig], v[trig])
-        panels = np.flatnonzero(~trig)
-        if panels.size:
-            # the boundary grid, not the subdivision, limits how well different
-            # u-windows of the same leaf can agree; account for it explicitly
-            atoms, v_p = rows[panels], v[panels]
-            rows_p = poisson_panel_rows([windows[i] for i in atoms.tolist()], v_p)
-            out[panels] = jacobian_density(lam, area.take(atoms), v_p)[:, None] * rows_p
-        return out
-
     values, errors = _integrate_atoms(integrand, lo, hi, rs, cfg, range(lo.shape[0]))
+    ends = np.abs(integrand(np.arange(lo.shape[0]), np.hstack((lo, hi))))
     weights = table.weights[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite mass
-        errs = errors[..., 0] + tails[:, None]
-        if poisson:
-            # Kronrod sum of the defect plus its own Kronrod-Gauss gap
-            errs = errs + (values[..., 1] + errors[..., 1])
+        rounding = EXACT_ROUNDING * sys.float_info.epsilon * sizes * (ends[:, :len(rs)] + ends[:, len(rs):])
+        errs = errors[..., 0] + tails[:, None] + np.where(lo < hi, rounding, 0.0)
         parts = np.stack((weights * values[..., 0], weights * errs))
         value, error = (parts.sum(axis=1) + 0.0).tolist()  # + 0.0: a -0.0 sum reads 0.0
-    return [MassResult(value=v, error_estimate=e, r=r) for v, e, r in zip(value, error, rs)]
+    masses = _with_departures([list(zip(value, error))], departures)[0]
+    return [MassResult(value=v, error_estimate=e, r=r) for (v, e), r in zip(masses, rs)]
 
 
 def mass_quadrature(
@@ -522,10 +491,10 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[List[Tuple[float, f
     """(mass, rounding bound) at each radius in rs, for every current of the table.
 
     One entry per current of the table, in order: its pairs, one per
-    radius. A trig atom is summed whole. A Poisson atom is summed by its
-    base, the tail's extension (tail + c_lin v), which is the trig row
-    a0 = tail, b0 = c_lin, b = 1 with no modes; its samples' departures
-    from the tail are _departure_masses's. Per atom, jacobian_density is
+    radius. Every row of the table's columns is summed: a trig atom whole,
+    a Poisson atom by its tail's extension (tail + c_lin v), the row
+    harmonic.column_row gives it; its samples' departures from the tail
+    are _departure_masses's. Per atom, jacobian_density is
     two exponentials (its jacobian_rows coefficients, rates 2 and
     2 lambda) and the k0-th window integral is
     (A + B v) + sum_k C_k e^{k v / b}, so the integrand is a finite sum of
@@ -540,9 +509,8 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[List[Tuple[float, f
     quadrature route (_envelopes) still bounds every mode.
 
     Every term of every current at every radius is one entry of a few flat
-    arrays, with no Python loop over currents, atoms or terms (only one
-    over the table's rows to read the Poisson tails, when it has any);
-    each atom's eigenvalue is read by row. The rounding bound is accounted term by term,
+    arrays, with no Python loop over currents, atoms or terms; each atom's
+    eigenvalue is read by row. The rounding bound is accounted term by term,
     and _group_sums adds each (current, radius) group's terms, their sizes
     and their magnitudes. An entry depends only on its atom, its
     eigenvalue, its radius and k0, and a group's sum only on its entries, so
@@ -552,13 +520,6 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[List[Tuple[float, f
     cols = whole_turn_columns(table.fourier)
     moduli, weights, lv, owner, ak, bk = table.moduli, table.weights, table.lam, cols.owner, cols.ak, cols.bk
     a0, b0 = cols.a0, cols.b0
-    if not table.trig.all():
-        # a Poisson row's base: a0 = tail, b0 = c_lin on its mode-free
-        # half-plane row of the columns
-        a0, b0 = a0.copy(), b0.copy()
-        for i, spec in enumerate(table.poisson):
-            if spec is not None:
-                a0[i], b0[i] = spec.tail, spec.c_lin
     coef = mode_integrals(cols, 0.0, TWO_PI, k0)
     # window parts (alpha, beta, growth rate, bound on |alpha|, bound on
     # |beta|): every atom's base, a0 (1 - v/C) + b0 v on a strip of height
@@ -641,10 +602,12 @@ def _departure_masses(table: AtomTable, rs, k0: int = 0, cfg: QuadratureConfig =
     (max |values - tail|, 0), and the error adds the tail bound, the model
     error and its Kronrod-Gauss gap. A current with no such atom has no
     entry, so a flat atom gets no job, no PoissonWindow and no truncation
-    walk. A table with a Poisson atom refuses the k0s _window refuses for
-    Poisson windows, whether or not an atom departs.
+    walk. A table with a Poisson atom refuses the k0s _window refuses,
+    whether or not an atom departs; an all-trig table returns at once.
     """
-    u0, u1 = _window(k0, not table.trig.all())
+    if table.trig.all():
+        return {}
+    u0, u1 = _window(k0)
     rows = np.array([i for i, spec in enumerate(table.poisson)
                      if spec is not None and (spec.values != spec.tail).any()], dtype=np.intp)
     if not rows.size:
@@ -652,7 +615,7 @@ def _departure_masses(table: AtomTable, rs, k0: int = 0, cfg: QuadratureConfig =
     specs = [table.poisson[i] for i in rows.tolist()]
     lv, moduli = table.lam[rows], table.moduli[rows]
     envelopes = [(float(np.max(np.abs(spec.values - spec.tail))), 0.0) for spec in specs]
-    lo, hi, tails = _atom_ranges(lv, moduli, envelopes, rs, cfg)
+    lo, hi, tails, _ = _atom_ranges(lv, moduli, envelopes, rs, cfg)
     area = jacobian_rows(lv, moduli.reshape(-1, 1))
     windows = [poisson_window(spec, u0, u1) for spec in specs]
     lam_rows = lv[:, None]
@@ -696,10 +659,9 @@ def closed_form_applicable(current: Current) -> bool:
 def mass_closed_form(current: Current, r: float, k0: int = 0) -> float:
     """Exact mass of an all-trig current on the bidisc of radius r, k0-th u-window.
 
-    It takes the k0s the quadrature route takes (_window), though its own
-    phases are reduced in integers.
+    Its phases are reduced in integers, so it takes any integer k0, as the
+    quadrature route does for an all-trig current.
     """
-    _window(k0)
     if not closed_form_applicable(current):
         raise UnsupportedCurrentError("exact mass needs trig-series atoms")
     return _exact_masses(current.table, (r,), k0)[0][0][0]
@@ -733,8 +695,9 @@ def boundary_reduction_check(
     shift = coordinate_shift(lam, alpha_modulus)
     v_r = dom.v_min - shift
     area = jacobian_rows(lam, alpha_modulus)
-    v_hi, _tail = _truncate_half_plane(_envelope_coefficients(spec), lam.value, area.coefficients.tolist(), v_r,
-                                       DEFAULT_CONFIG)
+    # the density is at most its largest sample or tail, plus c_lin v
+    envelope = max(float(np.max(spec.values)), spec.tail), spec.c_lin
+    v_hi, _tail = _truncate_half_plane(envelope, lam.value, area.coefficients.tolist(), v_r, DEFAULT_CONFIG)
 
     def integrand(v):
         return jacobian_density(lam, area, v) * np.asarray(evaluate(spec, u, v))

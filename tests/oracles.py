@@ -25,6 +25,10 @@ load_current decodes every input file with the stdlib json and loads it with
 that per-atom loader, as cli._load_current does with orjson and the column
 loader: the two must load the same current from any text, or fail with the
 same error.
+whole_atom_masses integrates every atom of a current whole, a Poisson
+atom's tail extension and departures together, by quadrature.integrate one
+radius at a time: the reference for the split of both mass routes into the
+table's trig rows and the Poisson departures.
 mp_exact_masses is the exact route's closed form in mpmath, from the same
 float inputs, and mp_mode_integrals its window coefficients: the masses of
 mass._exact_masses must lie within their reported rounding bounds of it.
@@ -77,10 +81,13 @@ from lelonglab.harmonic import (
     check_positivity,
     evaluate,
     json_float,
+    poisson_window,
     spec_from_json,
+    window_integral,
 )
+from lelonglab import harmonic
 from lelonglab.mass import DIVERGENCE_FACTOR, TWO_PI, LelongEstimate, _tail_integral
-from lelonglab.quadrature import _NODES, _W_GAUSS, _W_KRONROD, ROUNDING_FLOOR
+from lelonglab.quadrature import _NODES, _W_GAUSS, _W_KRONROD, DEFAULT_CONFIG, ROUNDING_FLOOR, integrate
 
 
 def load_current(path):
@@ -521,6 +528,53 @@ def truncate_half_plane(spec, lam, am, v_lo, cfg):
     tail = sum(c * _tail_integral(p, q, rate, v_hi) for c, rate in terms)
     return v_hi, tail
 
+
+def whole_atom_masses(current, rs, k0=0, cfg=DEFAULT_CONFIG):
+    """(mass, error) at each radius in rs, every atom integrated whole, one radius at a time.
+
+    Per atom and radius, quadrature.integrate of the area density times the
+    atom's window integral over [2 pi k0, 2 pi k0 + 2 pi]: for a Poisson
+    atom, harmonic.poisson_rows on its PoissonWindow, which adds the tail's
+    exact part (tail + c_lin v)(u1 - u0) itself, with the grid-model error
+    as a second integrand on the same partition; for a trig atom,
+    window_integral. The plaque is _leaf_domain's, the area density the
+    scalar formula, and a half-plane is cut where truncate_half_plane puts
+    it, from the atom's whole envelope, with its tail bound added to the
+    error. Nothing here reads the atom table or splits off the departures.
+    """
+    lam = current.lam
+    lv = lam.value
+    u0 = TWO_PI * k0
+    u1 = u0 + TWO_PI
+    masses = [[0.0, 0.0] for _ in rs]
+    for atom in current.atoms:
+        am, spec = atom.alpha_modulus, atom.spec
+        terms = _jac_terms(lam, am)
+        if isinstance(spec, PoissonSpec):
+            window = poisson_window(spec, u0, u1)
+
+            def rows(v, window=window):
+                return harmonic.poisson_rows(window, v)
+        else:
+            def rows(v, spec=spec):
+                return np.stack((window_integral(spec, u0, u1, v), np.zeros(np.shape(v))))
+
+        def integrand(v, rows=rows, terms=terms):
+            return sum(c * np.exp(-rate * v) for c, rate in terms) * rows(v)
+
+        shift = math.log(am) / lv if lv > 0.0 and am >= 1.0 else 0.0
+        for mass, r in zip(masses, rs):
+            plaque = _leaf_domain(lv, am, r)
+            if plaque is None:
+                continue
+            lo, hi = plaque[0] - shift, plaque[1]
+            tail = 0.0
+            if hi is None:
+                hi, tail = truncate_half_plane(spec, lam, am, lo, cfg)
+            values, errors = integrate(integrand, lo, hi, cfg)
+            mass[0] += atom.weight * values[0]
+            mass[1] += atom.weight * (errors[0] + tail + values[1] + errors[1])
+    return [tuple(mass) for mass in masses]
 
 
 def _fit_against_log(rs, nus):

@@ -32,8 +32,9 @@ from lelonglab import (
 )
 from lelonglab import cli
 from lelonglab.cli import main
+from lelonglab.mass import POISSON_END_ULP
 
-from conftest import FLAGSHIP_JSON
+from conftest import FLAGSHIP_JSON, flat_poisson
 
 CONST_SPEC = {"type": "fourier", "b": 1, "a0": 1.0, "b0": 0.0, "modes": []}
 
@@ -155,6 +156,31 @@ class TestMass:
         assert out == ""
         assert err.startswith("input error: k0 = 5215: an end of the Poisson window [2 pi k0, 2 pi k0 + 2 pi] "
                               "has an ulp above ")
+
+    @pytest.mark.parametrize("k0", ["0", "-3"])
+    def test_flat_poisson_is_its_trig_twin(self, k0, write_current, capsys, monkeypatch):
+        # flat data is its tail's extension, a trig row of the columns: no
+        # PoissonWindow and no kernel sum, and the quadrature value and error
+        # of the trig twin a0 = tail, b0 = c_lin, bit for bit
+        import lelonglab.mass
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a flat Poisson mass reached the kernel sums")
+
+        lam = Eigenvalue.rational(1, 2)
+        trig = TransversalAtom(0.7, 0.4, normalize(FourierSpec(b=1, a0=1.0, modes=((-1, 0.2, 0.1),))))
+        paths = [write_current(current_to_json(build_current(lam, [TransversalAtom(1.1, 0.8, spec), trig])),
+                               name=name)
+                 for spec, name in ((flat_poisson(0.6), "flat.json"), (FourierSpec(b=1, a0=1.0, b0=0.6), "twin.json"))]
+        for name in ("poisson_window", "poisson_departure_rows"):
+            monkeypatch.setattr(lelonglab.mass, name, forbidden)
+        payloads = []
+        for path in paths:
+            assert main(["mass", "--input", path, "--r", "0.5", "--k0", k0]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        flat, twin = payloads
+        assert flat["closed_form"] is None and twin["closed_form"] is not None
+        assert flat["quadrature"] == twin["quadrature"]
 
     def test_error_estimate_has_a_rounding_floor(self, write_current, capsys):
         # the Kronrod-Gauss gap of this strip is 0 on every panel; the
@@ -332,7 +358,12 @@ def _one_constant_atom(lam, weight=1.0):
     return {"lambda": lam, "atoms": [{"alpha": [0.5, 0.0], "weight": weight, "spec": CONST_SPEC}]}
 
 
-K0_REFUSAL = "k0: the u-window [2 pi k0, 2 pi k0 + 2 pi] overflows or has no width in floats"
+def _k0_refusal(k0):
+    return (f"k0 = {k0}: an end of the Poisson window [2 pi k0, 2 pi k0 + 2 pi] has an ulp above "
+            f"{POISSON_END_ULP!r} of its width 2 pi")
+
+
+FAR_K0S = (10**400, 10**300, -10**300)
 
 
 class TestNumericalEdges:
@@ -427,17 +458,20 @@ class TestNumericalEdges:
 
     @pytest.mark.parametrize("command, message", [
         (["verify", "--seed", "-1"], "seed must be a non-negative integer, not -1"),
-        (["mass", "--k0", str(10**400)], K0_REFUSAL),
-        (["mass", "--k0", str(10**300)], K0_REFUSAL),
-        (["mass", "--k0", str(-10**300)], K0_REFUSAL),
-        (["lelong", "--k0", str(10**300)], K0_REFUSAL),
+        (["mass", "--k0", str(10**400)], _k0_refusal(10**400)),
+        (["mass", "--k0", str(10**300)], _k0_refusal(10**300)),
+        (["mass", "--k0", str(-10**300)], _k0_refusal(-10**300)),
+        (["lelong", "--k0", str(10**300)], _k0_refusal(10**300)),
         (["leafplot", "--loops", "0"], "--loops must be a positive integer, not 0"),
     ], ids=["seed=-1", "mass-k0=1e400", "mass-k0=1e300", "mass-k0=-1e300", "lelong-k0=1e300", "loops=0"])
     def test_flag_out_of_range_is_named(self, command, message, write_current, tmp_path, capsys):
-        # each crashed, blamed an internal value or printed a meaningless schedule
+        # each crashed, blamed an internal value or printed a meaningless schedule.
+        # A k0 is out of range only for a Poisson atom, whose kernel sums
+        # take the window's float ends; a trig current takes any integer k0
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        extra = [] if command[0] == "verify" else ["--input", write_current(FLAGSHIP_JSON)]
+        source = POISSON_JSON if "--k0" in command else FLAGSHIP_JSON
+        extra = [] if command[0] == "verify" else ["--input", write_current(source)]
         if command[0] != "mass":
             extra += ["--out", str(out_dir if command[0] == "leafplot" else out_dir / "out")]
         with warnings.catch_warnings():
@@ -447,6 +481,29 @@ class TestNumericalEdges:
         assert out == ""
         assert err == f"input error: {message}\n"
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("k0", FAR_K0S, ids=["1e400", "1e300", "-1e300"])
+    def test_trig_k0_far_out_is_k0_mod_b(self, k0, write_current, tmp_path, capsys):
+        # a trig current's phases are reduced in integers, so no k0 is out of
+        # range: both routes agree within the reported error, and every
+        # number is the one at k0 mod b (b = 3 here)
+        path = write_current(current_to_json(B3_CURRENT))
+        payloads = []
+        for turns in (k0, k0 % 3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["mass", "--input", path, "--r", "0.5", "--k0", str(turns)]) == 0
+                payload = json.loads(capsys.readouterr().out)
+                assert main(["lelong", "--input", path, "--k0", str(turns), "--steps", "4"]) == 0
+            assert payload.pop("k0") == turns
+            assert payload["discrepancy"] <= payload["quadrature"]["error_estimate"]
+            payloads.append((payload, json.loads(capsys.readouterr().out)))
+        (far, far_lelong), (near, near_lelong) = payloads
+        assert far == near and far_lelong == near_lelong
+        masses = mass_quadrature_schedule(B3_CURRENT, far_lelong["rs"], k0=k0)
+        for nu, err, m in zip(far_lelong["nus"], far_lelong["errs"], masses):
+            area = math.pi * m.r**2
+            assert abs(nu - m.value / area) <= err + m.error_estimate / area
 
     HUGE = str(10**12)
 

@@ -289,6 +289,28 @@ class TestSerialization:
         us = np.linspace(-2.0, 2.0, 5)
         assert np.allclose(evaluate(spec_a, us, 0.7), evaluate(spec_b, us, 0.7), atol=1e-14)
 
+    def test_poisson_row_is_its_tail_extension_built_or_loaded(self):
+        # both builders give a Poisson atom the row of its tail's extension,
+        # b = 1, a0 = tail, b0 = c_lin, strip_c = inf and no modes, among
+        # the trig rows, bit for bit the same columns
+        lam = Eigenvalue.rational(1, 2)
+        trig = normalize(FourierSpec(b=2, a0=1.0, modes=((-1, 0.2, 0.1), (-3, 0.05, 0.0))))
+        atoms = [TransversalAtom(1.3, 0.3, flat_poisson(0.6)), TransversalAtom(0.7, 0.2, trig),
+                 TransversalAtom(1.1, 0.4, bump_poisson()), TransversalAtom(0.9, 0.1, trig)]
+        built = atom_table([(lam, atoms)]).fourier
+        loaded = current_from_json(json.loads(json.dumps(current_to_json(build_current(lam, atoms))))).table.fourier
+        for field in built._fields:
+            got, want = getattr(loaded, field), getattr(built, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        for i, atom in enumerate(atoms):
+            spec = atom.spec
+            row = (int(built.b[i]), float(built.a0[i]), float(built.b0[i]), float(built.strip_c[i]))
+            if isinstance(spec, PoissonSpec):
+                assert row == (1, spec.tail, spec.c_lin, math.inf)
+            else:
+                assert row == (spec.b, spec.a0, spec.b0, math.inf)
+        assert built.owner.tolist() == [1, 1, 3, 3]
+
     def test_malformed_current_names_field(self):
         with pytest.raises(InputError, match="atoms"):
             current_from_json({"lambda": {"value": 1.0, "class": "rational", "a": 1, "b": 1}})

@@ -806,8 +806,9 @@ class TestOneKernelBlock:
     )
     @settings(max_examples=40, deadline=None)
     def test_panels_are_each_the_panel_alone(self, panels, n, step, shape, tail, c_lin, k0, seed):
-        # the terms worked out for the whole (P, 15) block give every panel
-        # the bits poisson_rows gives it alone, whatever its spec and shell
+        # the departure rows worked out for the whole (P, 15) block give
+        # every panel the bits it gets alone, whatever its spec and shell,
+        # and with the tail's exact part added the bits of poisson_rows
         rng = np.random.default_rng(seed)
         u0 = 2.0 * math.pi * k0
         u1 = u0 + 2.0 * math.pi
@@ -816,10 +817,14 @@ class TestOneKernelBlock:
         windows = [pair[i] for i in rng.integers(0, 2, panels)]
         v = _panel_heights(rng, panels)
         assert (v > 0.0).all()
-        rows = harmonic.poisson_panel_rows(windows, v)
+        rows = harmonic.poisson_departure_rows(windows, v)
         assert rows.shape == (panels, 2, 15)
         for window, heights, got in zip(windows, v, rows):
-            assert _bits(got) == _bits(harmonic.poisson_rows(window, heights))
+            assert _bits(got) == _bits(harmonic.poisson_departure_rows((window,), heights[None])[0])
+            spec = window.spec
+            level = (spec.tail + spec.c_lin * heights) * (u1 - u0)
+            want = harmonic.poisson_rows(window, heights)
+            assert _bits(got[0] + level) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
 
     @given(
         n=st.one_of(st.integers(min_value=300, max_value=20000),
@@ -835,7 +840,8 @@ class TestOneKernelBlock:
     @settings(max_examples=40, deadline=None)
     def test_boundary_heights_are_the_boundary_integral(self, n, step, shape, tail, c_lin, k0, zeros, seed):
         # poisson_rows alone takes v = 0: there the rows are the boundary
-        # integral and error 0, and above it the panel rows, bit for bit
+        # integral and error 0, and above it the departure rows plus the
+        # tail's exact part, bit for bit
         u0 = 2.0 * math.pi * k0
         u1 = u0 + 2.0 * math.pi
         spec = _grid_spec(n, step, shape, tail, c_lin, seed)
@@ -847,7 +853,8 @@ class TestOneKernelBlock:
         assert (rows[0, :zeros] == boundary_integral(spec, u0, u1)).all()
         assert (rows[1, :zeros] == 0.0).all()
         if zeros < 15:
-            above = harmonic.poisson_panel_rows((window,), heights[None, zeros:])[0]
+            above = harmonic.poisson_departure_rows((window,), heights[None, zeros:])[0]
+            above[0] += (spec.tail + spec.c_lin * heights[zeros:]) * (u1 - u0)
             assert _bits(rows[:, zeros:]) == _bits(above)
 
     def test_panel_rows_refuse_the_boundary(self):
@@ -855,7 +862,7 @@ class TestOneKernelBlock:
         for bad in (0.0, -0.0, -1e-12, math.nan):
             v = np.array([[0.5, 1.0], [2.0, bad]])
             with pytest.raises(DomainError, match="not above the boundary"):
-                harmonic.poisson_panel_rows((window, window), v)
+                harmonic.poisson_departure_rows((window, window), v)
 
     @pytest.mark.parametrize("n", [769, 768])
     def test_rows_keep_the_shape_of_v(self, n):
