@@ -28,6 +28,7 @@ from .errors import InputError, LelongLabError, NumericalFailure
 from .foliation import Eigenvalue, torus_curve
 from .harmonic import FourierSpec, normalize
 from .mass import (
+    MAX_STEPS,
     RATIO,
     R_START,
     STEPS,
@@ -44,12 +45,9 @@ CANVAS = 800
 MARGIN = 40
 
 # Cost bounds of the size flags, so that no typed number asks for unbounded
-# memory or output. A schedule step costs about 0.72 KB of peak memory (its
-# radius, v-limits, panels and mass; measured at 10**5 and 3 10**5 steps of
-# a trig atom, 2 us a step on a 2-core Xeon) and 60 B of CSV, so 10**6 steps
-# take about 0.7 GB and write 60 MB. A loop of the torus curve is 128
-# samples and about 2.9 KB of SVG, so 10**3 loops write about 2.9 MB.
-MAX_STEPS = 1_000_000
+# memory or output. --steps takes lelong_radii's MAX_STEPS, whose 10**6
+# steps also write 60 MB of CSV (60 B a step). A loop of the torus curve is
+# 128 samples and about 2.9 KB of SVG, so 10**3 loops write about 2.9 MB.
 MAX_LOOPS = 1_000
 
 

@@ -7,14 +7,15 @@ Two independent routes to the mass of a current on the bidisc of radius r:
   truncation of the half-plane tail. Every row of the atom table's
   FourierColumns is a trig row: a trig atom whole, and a Poisson atom's
   tail extension (tail + c_lin v), which harmonic.column_row makes the row
-  a0 = tail, b0 = c_lin with no modes. The integrand does not depend on r,
-  so mass_quadrature_schedule integrates each row once for a whole list of
-  radii: one GK15 partition seeded with every radius's v-limits, refined
-  until each radius meets the tolerance on its own panels. All rows are
-  refined in lockstep, one integrand call per round for every row's new
-  panels, as rows of one FourierWindow. The Poisson atoms' departures from
-  their tails are then added by _departure_masses, the pass Lelong
-  schedules take too. mass_quadrature is the one-radius case.
+  a0 = tail, b0 = c_lin with no modes. The Poisson atoms' departures from
+  their tails are integrated apart (_departure_masses, the pass Lelong
+  schedules take too) and added. Both are one _quadrature_pass, which
+  differs only in its u-window integrand: the integrand does not depend on
+  r, so each row is integrated once for a whole list of radii, one GK15
+  partition seeded with every radius's v-limits and refined until each
+  radius meets the tolerance on its own panels, all rows in lockstep with
+  one integrand call per round. mass_quadrature is the one-radius case of
+  mass_quadrature_schedule.
 * mass_closed_form: exact for every trig-series current and u-window, as a
   finite sum of elementary integrals of (alpha + beta v) e^{-sigma v}. Its
   engine, _exact_masses, takes an AtomTable of one or many currents, each
@@ -24,6 +25,9 @@ Two independent routes to the mass of a current on the bidisc of radius r:
   terms and that summation. A group's tree does not depend on the other
   groups, so a batch gives every current what it gets alone.
 
+Both engines of a batch return one (currents, radii, 2) array of masses and
+their errors, so a schedule's departures are added to its exact masses with +.
+
 The two must agree to quadrature error; the test suite pins that agreement
 and checks the paper's displays (three-region brackets, strip integrals
 Ia/Ib) against the exact route.
@@ -32,8 +36,8 @@ Lelong schedules (lelong_estimate, and the verifiers' batches) take one
 path for every current. The exact route sums every row of the columns, a
 Poisson row being its tail's extension. Then _departure_masses integrates
 by quadrature only the Poisson atoms whose samples depart from their tail,
-the kernel sums of values - tail with their grid-model error, and adds
-them to their currents' masses. So flat Poisson data costs no kernel sum
+the kernel sums of values - tail with their grid-model error, and they are
+added to their currents' masses. So flat Poisson data costs no kernel sum
 on either route, and no quadrature on the exact one. The tests hold both
 routes to a reference that integrates each Poisson atom whole.
 lelong_from_masses turns the masses of a batch of schedules at the same
@@ -89,10 +93,14 @@ class MassResult:
 
 @dataclass(frozen=True)
 class LelongEstimate:
-    """Mass-ratio schedule nu(r_n) with a rigorous limit bracket.
+    """Mass-ratio schedule nu(r_n) with a limit bracket.
 
-    slope and r_squared describe the linear fit of nu against -log r; the
-    diverging flag is the b0-divergence detector built from that fit.
+    limit_bracket is [nu_n - err_n, max(nu_{n-1} + err_{n-1}, nu_n + err_n)],
+    its lower end at least 0: it brackets the last two radii's nus within
+    their errors, and is not a certified bound on the limit, which can lie
+    below its lower end (it does on five corpus currents). slope and
+    r_squared describe the linear fit of nu against -log r; the diverging
+    flag is the b0-divergence detector built from that fit.
     """
 
     rs: Tuple[float, ...]
@@ -213,17 +221,71 @@ def _atom_ranges(lv: np.ndarray, moduli: np.ndarray, envelopes, rs, cfg: Quadrat
     return lo, hi, tails, (np.abs(log_am) - log_r) / np.abs(lv)[:, None]
 
 
-def _integrate_atoms(integrand, lo, hi, rs, cfg: QuadratureConfig, atoms):
-    """integrate_lockstep with one job per atom; a failure names the job's atom, atoms[job], and its radii in rs."""
+def _quadrature_pass(table: AtomTable, rows: np.ndarray, envelopes, integrand, rs,
+                     cfg: QuadratureConfig) -> np.ndarray:
+    """(currents, radii, 2): the masses and errors of the table's rows at rs by quadrature, summed by current.
+
+    integrand(jobs, v) is the u-window integral of each job's atom at the
+    (P, 15) heights v, job j being the atom of row rows[j]: (P, 15) values,
+    or (P, 2, 15) with the grid-model error as row 1. The pass multiplies
+    it by the area density, jacobian_density on one jacobian_rows call for
+    the rows, and integrates each row as one job of a single
+    integrate_lockstep call with one range per radius (_atom_ranges, which
+    truncates half-planes by the rows' envelopes): one adaptive partition
+    per row, seeded with every radius's limits and refined until each
+    radius meets the tolerance on its own panels. A failure names the atom
+    as its current numbers it, atoms[i], and the radii left open.
+
+    A row's error at a radius is its panels' errors, its tail bound, the
+    grid-model row's value and error when the integrand has one, and the
+    rounding of its nonempty range's ends: EXACT_ROUNDING eps times the
+    limits' size (_atom_ranges) times the integrand's size at each end, from
+    one more integrand call, as the exact route counts it. That call takes
+    each end at max(v, the least normal float): a half-plane's range starts
+    at v = 0 at r = 1, where a Poisson atom's kernel sums refuse the height,
+    and every integrand here is continuous as v -> 0+. The weighted (row,
+    radius) values and errors of each current are added over its rows in
+    order, and a current with no row gets zeros.
+    """
+    lv, moduli = table.lam[rows], table.moduli[rows]
+    lo, hi, tails, sizes = _atom_ranges(lv, moduli, envelopes, rs, cfg)
+    area = jacobian_rows(lv, moduli.reshape(-1, 1))
+    # the rows of one current share its eigenvalue, which then goes to the
+    # area density as a float, with no take per round
+    uniform = bool((lv == lv[0]).all())
+    lam = float(lv[0]) if uniform else lv[:, None]
+
+    def weighted(jobs, v):
+        out = integrand(jobs, v)
+        density = jacobian_density(lam if uniform else lam[jobs], area.take(jobs), v)
+        out *= density if out.ndim == 2 else density[:, None]
+        return out
+
+    owners = table.current[rows]
     try:
-        return integrate_lockstep(integrand, lo, hi, cfg=cfg)
+        values, errors = integrate_lockstep(weighted, lo, hi, cfg=cfg)
     except QuadratureFailure as exc:
-        atom = atoms[exc.job]
+        atom = int(rows[exc.job] - np.searchsorted(table.current, owners[exc.job]))
         radii = ", ".join(repr(rs[n]) for n in exc.ranges)
         raise QuadratureFailure(
             f"atoms[{atom}] at r = {radii}: {exc}", exc.best_estimate, exc.error_estimate,
             job=atom, ranges=exc.ranges,
         ) from exc
+    n_radii = len(rs)
+    ends = np.maximum(np.hstack((lo, hi)), sys.float_info.min)
+    ends = np.abs(weighted(np.arange(rows.size), ends)).reshape(rows.size, -1, 2 * n_radii)[:, 0]
+    weights = table.weights[rows, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite mass
+        rounding = EXACT_ROUNDING * sys.float_info.epsilon * sizes * (ends[:, :n_radii] + ends[:, n_radii:])
+        errs = errors[..., 0] + tails[:, None] + np.where(lo < hi, rounding, 0.0)
+        if values.shape[2] == 2:
+            errs += values[..., 1] + errors[..., 1]
+        parts = np.stack((weights * values[..., 0], weights * errs))
+    out = np.zeros((int(table.current[-1]) + 1, n_radii, 2))
+    for n in np.unique(owners).tolist():
+        # a contiguous copy is added in the order of parts itself
+        out[n] = (np.ascontiguousarray(parts[:, owners == n]).sum(axis=1) + 0.0).T  # + 0.0: a -0.0 sum reads 0.0
+    return out
 
 
 def mass_quadrature_schedule(
@@ -236,51 +298,28 @@ def mass_quadrature_schedule(
 
     Every row of the table's FourierColumns is integrated as a trig row: a
     trig atom whole, a Poisson atom by its tail's extension (tail + c_lin v).
-    The integrand does not depend on r, only the v-limits do, so each row
-    is one job of a single integrate_lockstep call, with one range per
-    radius: one adaptive partition per row, seeded with every radius's
-    limits and refined until each radius meets the tolerance on its own
-    panels. The rows share each round's integrand call, on one row-stacked
-    FourierWindow k0 turns out whose phases are reduced in integers, so a
-    trig current takes any integer k0. A row's error adds to its panels'
-    errors and its tail bound the rounding of its range ends: the
-    integrand's size there, from one more integrand call, times
-    EXACT_ROUNDING eps times the limits' size (_atom_ranges), as the exact
-    route counts it. The weighted (row, radius) sums are added over the
-    rows, then the Poisson atoms' departures from their tails
-    (_departure_masses, which first refuses the k0s _window refuses).
+    The integrand does not depend on r, only the v-limits do, so one
+    _quadrature_pass integrates every row at every radius. Its integrand is
+    one row-stacked FourierWindow k0 turns out, whose phases are reduced in
+    integers, so a trig current takes any integer k0; each round takes its
+    rows of it with one take. The Poisson atoms' departures from their
+    tails are then added (_departure_masses, which first refuses the k0s
+    _window refuses).
     """
     rs = tuple(rs)
     if not rs:
         return []
-    lam = current.lam
     table = current.table
     departures = _departure_masses(table, rs, k0, cfg)
     # envelopes bound the half-plane atoms' tails, and a strip has none
-    envelopes = _envelopes(table) if lam.value > 0.0 else None
-    lo, hi, tails, sizes = _atom_ranges(table.lam, table.moduli, envelopes, rs, cfg)
-    # the area density's coefficients, worked out once per atom and taken by row
-    area = jacobian_rows(lam, table.moduli.reshape(-1, 1))
+    envelopes = _envelopes(table) if current.lam.value > 0.0 else None
     # one row per atom, k0 turns out: its width is 2 pi, and its phases are
     # reduced in integers
     window = fourier_window(table.fourier, 0.0, TWO_PI, k0)
-
-    def integrand(rows, v):
-        # each round gathers its rows of both with one take apiece
-        out = window_integral(window.take(rows), 0.0, TWO_PI, v)
-        out *= jacobian_density(lam, area.take(rows), v)
-        return out
-
-    values, errors = _integrate_atoms(integrand, lo, hi, rs, cfg, range(lo.shape[0]))
-    ends = np.abs(integrand(np.arange(lo.shape[0]), np.hstack((lo, hi))))
-    weights = table.weights[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite mass
-        rounding = EXACT_ROUNDING * sys.float_info.epsilon * sizes * (ends[:, :len(rs)] + ends[:, len(rs):])
-        errs = errors[..., 0] + tails[:, None] + np.where(lo < hi, rounding, 0.0)
-        parts = np.stack((weights * values[..., 0], weights * errs))
-        value, error = (parts.sum(axis=1) + 0.0).tolist()  # + 0.0: a -0.0 sum reads 0.0
-    masses = _with_departures([list(zip(value, error))], departures)[0]
-    return [MassResult(value=v, error_estimate=e, r=r) for (v, e), r in zip(masses, rs)]
+    masses = _quadrature_pass(table, np.arange(table.lam.size), envelopes,
+                              lambda jobs, v: window_integral(window.take(jobs), 0.0, TWO_PI, v), rs, cfg)
+    masses += departures
+    return [MassResult(value=v, error_estimate=e, r=r) for (v, e), r in zip(masses[0].tolist(), rs)]
 
 
 def mass_quadrature(
@@ -487,11 +526,10 @@ def _group_sums(group, n_groups: int, rows: np.ndarray):
     return block[..., 0], np.frexp(np.maximum(counts - 1, 0))[1]
 
 
-def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[List[Tuple[float, float]]]:
-    """(mass, rounding bound) at each radius in rs, for every current of the table.
+def _exact_masses(table: AtomTable, rs, k0: int = 0) -> np.ndarray:
+    """(currents, radii, 2): the mass and its rounding bound at each radius in rs, for every current of the table.
 
-    One entry per current of the table, in order: its pairs, one per
-    radius. Every row of the table's columns is summed: a trig atom whole,
+    Every row of the table's columns is summed: a trig atom whole,
     a Poisson atom by its tail's extension (tail + c_lin v), the row
     harmonic.column_row gives it; its samples' departures from the tail
     are _departure_masses's. Per atom, jacobian_density is
@@ -514,8 +552,8 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[List[Tuple[float, f
     and _group_sums adds each (current, radius) group's terms, their sizes
     and their magnitudes. An entry depends only on its atom, its
     eigenvalue, its radius and k0, and a group's sum only on its entries, so
-    each current's pairs are those of a table of that current alone at
-    those radii alone.
+    each current's (radii, 2) block is that of a table of that current
+    alone at those radii alone.
     """
     cols = whole_turn_columns(table.fourier)
     moduli, weights, lv, owner, ak, bk = table.moduli, table.weights, table.lam, cols.owner, cols.ak, cols.bk
@@ -585,66 +623,36 @@ def _exact_masses(table: AtomTable, rs, k0: int = 0) -> List[List[Tuple[float, f
         (value, size, mag), depth = _group_sums(group.repeat(2), n_currents * n_radii,
                                                 np.stack((values, np.abs(values), mags)))
         bound = sys.float_info.epsilon * (EXACT_ROUNDING * mag + depth * size)
-    pairs = list(zip(value.tolist(), bound.tolist()))
-    return [pairs[n * n_radii:(n + 1) * n_radii] for n in range(n_currents)]
+    return np.stack((value, bound), axis=1).reshape(n_currents, n_radii, 2)
 
 
-def _departure_masses(table: AtomTable, rs, k0: int = 0, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """{current: [(mass, error) per radius]} of the Poisson atoms' departures from their tails.
+def _departure_masses(table: AtomTable, rs, k0: int = 0, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """(currents, radii, 2): the masses and errors of the Poisson atoms' departures from their tails.
 
     A Poisson atom's window integral is its tail extension's, whose mass
     _exact_masses sums, plus the kernel sum of its samples' departures from
     the tail over pi. Only atoms with a sample off the tail are integrated
-    here, each as one job of a single integrate_lockstep call with one
-    range per radius, as in mass_quadrature_schedule. The integrand is the
-    area density times harmonic.poisson_departure_rows: the kernel sum and
-    its grid-model error row. The truncation envelope is
-    (max |values - tail|, 0), and the error adds the tail bound, the model
-    error and its Kronrod-Gauss gap. A current with no such atom has no
-    entry, so a flat atom gets no job, no PoissonWindow and no truncation
-    walk. A table with a Poisson atom refuses the k0s _window refuses,
-    whether or not an atom departs; an all-trig table returns at once.
+    here, by one _quadrature_pass whose integrand is
+    harmonic.poisson_departure_rows: the kernel sum and its grid-model
+    error row. The truncation envelope is (max |values - tail|, 0). A
+    current with no such atom gets zeros, so a flat atom gets no job, no
+    PoissonWindow and no truncation walk. A table with a Poisson atom
+    refuses the k0s _window refuses, whether or not an atom departs; an
+    all-trig table returns at once.
     """
+    out = np.zeros((int(table.current[-1]) + 1, len(rs), 2))
     if table.trig.all():
-        return {}
+        return out
     u0, u1 = _window(k0)
     rows = np.array([i for i, spec in enumerate(table.poisson)
                      if spec is not None and (spec.values != spec.tail).any()], dtype=np.intp)
     if not rows.size:
-        return {}
-    specs = [table.poisson[i] for i in rows.tolist()]
-    lv, moduli = table.lam[rows], table.moduli[rows]
-    envelopes = [(float(np.max(np.abs(spec.values - spec.tail))), 0.0) for spec in specs]
-    lo, hi, tails, _ = _atom_ranges(lv, moduli, envelopes, rs, cfg)
-    area = jacobian_rows(lv, moduli.reshape(-1, 1))
-    windows = [poisson_window(spec, u0, u1) for spec in specs]
-    lam_rows = lv[:, None]
-
-    def integrand(jobs, v):
-        out = poisson_departure_rows([windows[j] for j in jobs.tolist()], v)
-        out *= jacobian_density(lam_rows[jobs], area.take(jobs), v)[:, None]
         return out
-
-    # each job's atom as its current numbers it
-    owners = table.current[rows]
-    atoms = (rows - np.searchsorted(table.current, owners)).tolist()
-    values, errors = _integrate_atoms(integrand, lo, hi, rs, cfg, atoms)
-    weights = table.weights[rows, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite mass
-        errs = errors[..., 0] + tails[:, None] + (values[..., 1] + errors[..., 1])
-        parts = np.stack((weights * values[..., 0], weights * errs))
-    out = {}
-    for n in np.unique(owners).tolist():
-        value, error = (parts[:, owners == n].sum(axis=1) + 0.0).tolist()
-        out[n] = list(zip(value, error))
-    return out
-
-
-def _with_departures(masses, departures):
-    """masses with each current's departures added, pair by pair, cut to the shorter schedule."""
-    for n, extra in departures.items():
-        masses[n] = [(m + d, e + de) for (m, e), (d, de) in zip(masses[n], extra)]
-    return masses
+    specs = [table.poisson[i] for i in rows.tolist()]
+    envelopes = [(float(np.max(np.abs(spec.values - spec.tail))), 0.0) for spec in specs]
+    windows = [poisson_window(spec, u0, u1) for spec in specs]
+    return _quadrature_pass(table, rows, envelopes,
+                            lambda jobs, v: poisson_departure_rows([windows[j] for j in jobs.tolist()], v), rs, cfg)
 
 
 def closed_form_applicable(current: Current) -> bool:
@@ -664,7 +672,7 @@ def mass_closed_form(current: Current, r: float, k0: int = 0) -> float:
     """
     if not closed_form_applicable(current):
         raise UnsupportedCurrentError("exact mass needs trig-series atoms")
-    return _exact_masses(current.table, (r,), k0)[0][0][0]
+    return float(_exact_masses(current.table, (r,), k0)[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +779,12 @@ R_START = 1.0
 RATIO = 0.5
 STEPS = 12
 
+# The most radii lelong_radii builds, so that no steps asks for unbounded
+# memory. A schedule step costs about 0.72 KB of peak memory (its radius,
+# v-limits, panels and mass; measured at 10**5 and 3 10**5 steps of a trig
+# atom, 2 us a step on a 2-core Xeon), so 10**6 steps take about 0.7 GB.
+MAX_STEPS = 1_000_000
+
 # a schedule counts as diverging when, besides a rising linear fit against
 # -log r, its last nu exceeds this multiple of its first (or of that error)
 DIVERGENCE_FACTOR = 2.0
@@ -786,7 +800,8 @@ def lelong_radii(r_start: float, ratio: float, steps: int) -> List[float]:
     radius by its index, r_start and ratio, since no caller gave it. The
     radii do not increase, so only the last one is tested, and a bisection
     finds the first zero without building the schedule: a schedule of 10^12
-    halvings is refused at once.
+    halvings is refused at once. A schedule of more than MAX_STEPS radii,
+    none of them 0, raises InputError naming steps, before any is built.
     """
     if not (0.0 < r_start <= 1.0):
         raise DomainError("r_start must lie in (0, 1]")
@@ -813,6 +828,8 @@ def lelong_radii(r_start: float, ratio: float, steps: int) -> List[float]:
             f"schedule radius {n}, r_start * ratio^{n} with r_start = {r_start!r} and ratio = {ratio!r}, "
             "underflows to 0"
         )
+    if steps > MAX_STEPS:
+        raise InputError(f"steps must be at most {MAX_STEPS}, not {steps}")
     return [r_start * ratio**n for n in range(steps)]
 
 
@@ -830,26 +847,24 @@ def lelong_estimate(
     R_START, RATIO, STEPS halvings the command line and the verifiers
     share. Every current takes the exact route, with its rounding bound as
     the error: a trig atom whole, a Poisson atom by its tail's extension.
-    The Poisson atoms whose samples depart from their tail add those
-    departures, integrated by _departure_masses at cfg's tolerances, with
-    their quadrature, truncation and grid-model errors. lelong_from_masses
-    judges the masses. The k0s refused are those mass_quadrature_schedule
+    The departures of its Poisson atoms from their tails, integrated by
+    _departure_masses at cfg's tolerances, are added to those masses, and
+    lelong_from_masses judges the sum. The k0s refused are those mass_quadrature_schedule
     refuses.
     """
     rs = lelong_radii(r_start, ratio, steps)
     table = current.table
     departures = _departure_masses(table, rs, k0, cfg)  # refuses the k0s the quadrature route refuses
-    return lelong_from_masses(rs, _with_departures(_exact_masses(table, rs, k0), departures))[0]
+    return lelong_from_masses(rs, _exact_masses(table, rs, k0) + departures)[0]
 
 
-def lelong_from_masses(
-    rs: Sequence[float], schedules: Sequence[Sequence[Tuple[float, float]]]
-) -> List[LelongEstimate]:
+def lelong_from_masses(rs: Sequence[float], schedules) -> List[LelongEstimate]:
     """The LelongEstimate of each schedule of (mass, error) pairs at the shared radii rs.
 
-    schedules holds one sequence of pairs per schedule, its n-th pair at
-    rs[n], and the result one estimate per schedule, in order; a lone
-    schedule is the batch of one. monotone_ok accepts monotonicity in either
+    schedules is a (schedules, radii, 2) array, as the mass engines return,
+    or one sequence of pairs per schedule: the n-th pair at rs[n]. The
+    result is one estimate per schedule, in order; a lone schedule is the
+    batch of one. monotone_ok accepts monotonicity in either
     direction within per-point error bars: Skoda-style decay and
     b0-divergence are both monotone schedules, a hump is neither. slope and
     r_squared fit nu against -log r over the schedule's asymptotic tail,
@@ -867,7 +882,7 @@ def lelong_from_masses(
     value to rounding warn as np.polyfit does.
     """
     rs = tuple(rs)
-    if not schedules:
+    if not len(schedules):
         return []
     steps = len(rs)
     areas = [math.pi * r**2 for r in rs]

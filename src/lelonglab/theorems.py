@@ -51,7 +51,6 @@ from .mass import (
     _bracket_a,
     _departure_masses,
     _exact_masses,
-    _with_departures,
     ia,
     ib,
     kernel_weight,
@@ -100,7 +99,9 @@ def verify_positive_lambda(
 ) -> VerificationReport:
     """Positive eigenvalue: the Lelong limit is strictly positive.
 
-    The rigorous check is limit_bracket.lower > 0. Trig-series currents are
+    The check is limit_bracket.lower > 0, which is not rigorous: the bracket
+    holds the last two nus within their errors, and the limit can lie below
+    it (see LelongEstimate). Trig-series currents are
     additionally pinned to the closed-form limit; Poisson currents to the
     interval lower bound. tol_scale scales both thresholds (see _verify).
     """
@@ -263,7 +264,8 @@ def _verify(cases: Sequence[CorpusCase], table: AtomTable, tol_scale: float) -> 
     rs = lelong_radii(R_START, RATIO, PERIODIC_STEPS)
     poisson = np.zeros(len(cases), dtype=bool)
     poisson[table.current[~table.trig]] = True
-    masses = _with_departures(_exact_masses(table, rs), _departure_masses(table, rs[:STEPS]))
+    masses = _exact_masses(table, rs)
+    masses[:, :STEPS] += _departure_masses(table, rs[:STEPS])
     # judged in one lelong_from_masses call per schedule length: an exact
     # mass depends on its radius alone, so a prefix is its schedule
     batches = {}
@@ -272,7 +274,7 @@ def _verify(cases: Sequence[CorpusCase], table: AtomTable, tol_scale: float) -> 
         batches.setdefault(PERIODIC_STEPS if deep else STEPS, []).append(i)
     estimates = [None] * len(cases)
     for steps, rows in batches.items():
-        for i, est in zip(rows, lelong_from_masses(rs[:steps], [masses[i][:steps] for i in rows])):
+        for i, est in zip(rows, lelong_from_masses(rs[:steps], masses[rows, :steps])):
             estimates[i] = est
     return [
         _KINDS[case.kind][1](case.current, est, None if is_poisson else pairs, tol_scale, case.case_id)

@@ -42,7 +42,7 @@ from lelonglab import (
 import lelonglab.mass
 from lelonglab import harmonic
 from lelonglab.current import Current, atom_table
-from lelonglab.foliation import jacobian_rows
+from lelonglab.foliation import jacobian_density, jacobian_rows
 from lelonglab.mass import _bracket_a, _bracket_b, _exact_masses, _moments, lelong_from_masses, lelong_radii
 from lelonglab.quadrature import DEFAULT_CONFIG, QuadratureConfig
 from lelonglab.theorems import _STRIP_LATTICE, _corpus_batch, corpus
@@ -227,17 +227,19 @@ class TestScheduleQuadrature:
         alone = [mass_quadrature_schedule(Current(lam, [dataclasses.replace(atom, spec=_row_spec(atom.spec))]),
                                           rs, k0=1) for atom in atoms]
         departures = lelonglab.mass._departure_masses(current.table, rs, 1)
+        assert departures.shape == (1, len(rs), 2)
         if case == "strip-family":
             empty = [[m.value == 0.0 for m in masses] for masses in alone]
             assert any(map(any, empty)) and not all(map(all, empty))
-            assert departures == {}
+            # no departing atom: zeros, which add nothing
+            assert departures.tolist() == [[[0.0, 0.0]] * len(rs)]
         else:
-            assert list(departures) == [0]
+            assert (departures[0, :, 0] > 0.0).all()
         for n, m in enumerate(together):
             value = sum(masses[n].value for masses in alone)
             error = sum(masses[n].error_estimate for masses in alone)
-            if departures:
-                value, error = value + departures[0][n][0], error + departures[0][n][1]
+            extra, extra_error = departures[0, n].tolist()
+            value, error = value + extra, error + extra_error
             assert m.value.hex() == value.hex()
             assert m.error_estimate.hex() == error.hex()
 
@@ -440,7 +442,8 @@ class TestOneKernelBlockPerPanel:
     # samples themselves. The schedule's departure pass and
     # mass_quadrature_schedule at the same radii give the spanning atom the
     # same 18 panels and entries, though the pass truncates lower: its
-    # envelope is the departures', not the samples'
+    # envelope is the departures', not the samples'. The pass adds one
+    # block at its range ends, the 2 x 12 limits on 1921 near nodes
     CASES = {
         "silver-12289": (lambda: single_atom_current(
             Eigenvalue.irrational(math.sqrt(2.0) - 1.0), 1.3, flat_poisson(0.0, 256)), 0, 0),
@@ -451,7 +454,7 @@ class TestOneKernelBlockPerPanel:
         "div-half-poisson-linear": (lambda: next(
             case.current for case in corpus(42) if case.case_id == "div-half-poisson-linear"), 0, 0),
         "silver-12289-spanning": (lambda: single_atom_current(
-            Eigenvalue.irrational(math.sqrt(2.0) - 1.0), 1.3, spanning_poisson(0.0, 256)), 191160, 18),
+            Eigenvalue.irrational(math.sqrt(2.0) - 1.0), 1.3, spanning_poisson(0.0, 256)), 191160 + 24 * 1921, 19),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -489,8 +492,9 @@ class TestOneKernelBlockPerPanel:
         # columns, worked out in one window_integral call per integrand call
         # for all its panels, plus one at the range ends. The departures'
         # kernel sums take one poisson_departure_rows call per integrand
-        # call of their own pass, and one kernel block per panel whose
-        # samples are not all the tail; flat data makes no such call
+        # call of their own pass, plus one at its range ends, and one
+        # kernel block per panel whose samples are not all the tail; flat
+        # data makes no such call
         count = {"f": 0, "window": 0, "calls": 0, "panels": 0, "kernels": 0}
         real_lockstep, real_window = lelonglab.mass.integrate_lockstep, lelonglab.mass.window_integral
         real_rows, real_kernel = lelonglab.mass.poisson_departure_rows, harmonic._poisson_window
@@ -521,7 +525,7 @@ class TestOneKernelBlockPerPanel:
         monkeypatch.setattr(harmonic, "_poisson_window", kernel)
         make, _, kernel_panels = self.CASES[case]
         mass_quadrature_schedule(make(), HALVINGS)
-        assert count["window"] + count["calls"] == count["f"] + 1
+        assert count["window"] + count["calls"] == count["f"] + (2 if kernel_panels else 1)
         assert count["kernels"] == count["panels"]
         if kernel_panels:
             assert 0 < count["calls"] < count["panels"]
@@ -611,6 +615,48 @@ class TestDepartureSplit:
                                             TransversalAtom(0.8, 0.4, bump)]))
         assert spy.calls == 1
         assert len(spy.results) == 1
+
+    @given(currents=st.lists(_poisson_currents(), min_size=1, max_size=3), k0=st.integers(-2, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_one_table_of_many_currents(self, currents, k0):
+        # currents with their own eigenvalues in one table: each current's
+        # departures are, bit for bit, those of its own table
+        table = atom_table([(current.lam, current.atoms) for current in currents])
+        rs = (1.0, 0.5, 0.125, 2.0**-7)
+        got = lelonglab.mass._departure_masses(table, rs, k0)
+        assert got.shape == (len(currents), len(rs), 2)
+        for current, masses in zip(currents, got):
+            alone = lelonglab.mass._departure_masses(current.table, rs, k0)
+            assert [x.hex() for x in masses.ravel().tolist()] == [x.hex() for x in alone.ravel().tolist()]
+
+    def test_error_counts_the_rounding_of_the_limits(self, monkeypatch):
+        # the bump of the mixed-bump-poisson-trig golden family: its error
+        # at each radius holds the rounding of its plaque limits, as the row
+        # pass's does, EXACT_ROUNDING eps cond (|f(lo)| + |f(hi)|), f the
+        # weighted integrand at each end, taken at v > 0 (at r = 1 the
+        # range starts at v = 0, where the integrand is its limit from above)
+        lam = Eigenvalue.irrational(math.sqrt(2.0) - 1.0)
+        ys = np.linspace(-16.0 * math.pi, 16.0 * math.pi, 769)
+        bump = normalize(PoissonSpec(ys=ys, values=0.3 + np.exp(-(ys**2) / 8.0), tail=0.3))
+        table = build_current(lam, [TransversalAtom(1.3, 1.0, bump)]).table
+        rs = (1.0, 0.5, 0.125, 2.0**-11)
+        got = lelonglab.mass._departure_masses(table, rs)
+        monkeypatch.setattr(lelonglab.mass, "EXACT_ROUNDING", 0.0)
+        without = lelonglab.mass._departure_masses(table, rs)
+        assert got[0, :, 0].tolist() == without[0, :, 0].tolist()
+        envelope = [(float(np.max(np.abs(bump.values - bump.tail))), 0.0)]
+        lo, hi, _, cond = lelonglab.mass._atom_ranges(table.lam, table.moduli, envelope, rs, DEFAULT_CONFIG)
+        window = harmonic.poisson_window(bump, 0.0, 2.0 * math.pi)
+        for n, (a, b) in enumerate(zip(lo[0].tolist(), hi[0].tolist())):
+            ends = np.array([[max(a, np.finfo(float).tiny), b]])
+            f = harmonic.poisson_departure_rows([window], ends)[0, 0] * jacobian_density(lam, 1.3, ends[0])
+            term = 16.0 * np.finfo(float).eps * cond[0, n] * float(np.abs(f).sum())
+            assert term > 0.0
+            # the two errors are sums of the same terms but this one, each
+            # to an ulp of the total
+            slack = 8.0 * math.ulp(got[0, n, 1])
+            assert got[0, n, 1] - without[0, n, 1] >= term - slack, n
+            assert got[0, n, 1] - without[0, n, 1] <= term + slack, n
 
     def test_failure_names_the_atom_in_its_current(self, monkeypatch):
         # the bump is atom 1 of its current, and job 0 of the departure pass
@@ -1470,8 +1516,9 @@ class TestScheduleSummaries:
         rs = lelong_radii(1.0, 0.5, 16)
         schedules = _exact_masses(table, rs)
         for steps in (16, 12):
-            rows = [masses[:steps] for masses in schedules]
-            for est, row in zip(lelong_from_masses(rs[:steps], rows), rows):
+            # the batch takes the array, the oracle the same numbers as Python floats
+            rows = schedules[:, :steps]
+            for est, row in zip(lelong_from_masses(rs[:steps], rows), rows.tolist()):
                 _same_judgement(est, oracles.lelong_from_masses(rs[:steps], row), rs[:steps])
 
     @given(
@@ -1523,6 +1570,14 @@ class TestScheduleSummaries:
         # would not fit in memory, and 10^400 is past the float range
         with pytest.raises(DomainError, match=r"^schedule radius 1075, r_start \* ratio\^1075 with r_start = 1\.0 "):
             lelong_radii(1.0, 0.5, steps)
+
+    def test_more_than_max_steps_is_refused_by_name(self):
+        # no radius of this schedule underflows, and its MAX_STEPS + 1
+        # radii are refused before any is built
+        from lelonglab.mass import MAX_STEPS
+
+        with pytest.raises(InputError, match=rf"^steps must be at most {MAX_STEPS}, not {MAX_STEPS + 1}$"):
+            lelong_radii(1.0, 1.0 - 1e-13, MAX_STEPS + 1)
 
     @given(
         r_start=st.floats(min_value=5e-324, max_value=1.0),
