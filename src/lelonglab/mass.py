@@ -225,27 +225,23 @@ def _quadrature_pass(table: AtomTable, rows: np.ndarray, envelopes, integrand, r
                      cfg: QuadratureConfig) -> np.ndarray:
     """(currents, radii, 2): the masses and errors of the table's rows at rs by quadrature, summed by current.
 
-    integrand(jobs, v) is the u-window integral of each job's atom at the
-    (P, 15) heights v, job j being the atom of row rows[j]: (P, 15) values,
-    or (P, 2, 15) with the grid-model error as row 1. The pass multiplies
-    it by the area density, jacobian_density on one jacobian_rows call for
-    the rows, and integrates each row as one job of a single
+    rows are table rows in ascending order, and integrand(jobs, v) the
+    u-window integral of the atom of row rows[job] at the (P, 15) heights
+    v: (P, 15) values, or (P, 2, 15) with the grid-model error as row 1.
+    Times the area density, each row is one job of a single
     integrate_lockstep call with one range per radius (_atom_ranges, which
-    truncates half-planes by the rows' envelopes): one adaptive partition
-    per row, seeded with every radius's limits and refined until each
-    radius meets the tolerance on its own panels. A failure names the atom
-    as its current numbers it, atoms[i], and the radii left open.
+    truncates half-planes by the rows' envelopes). A failure names the
+    atom as its current numbers it, and the radii.
 
-    A row's error at a radius is its panels' errors, its tail bound, the
-    grid-model row's value and error when the integrand has one, and the
-    rounding of its nonempty range's ends: EXACT_ROUNDING eps times the
-    limits' size (_atom_ranges) times the integrand's size at each end, from
-    one more integrand call, as the exact route counts it. That call takes
-    each end at max(v, the least normal float): a half-plane's range starts
-    at v = 0 at r = 1, where a Poisson atom's kernel sums refuse the height,
-    and every integrand here is continuous as v -> 0+. The weighted (row,
-    radius) values and errors of each current are added over its rows in
-    order, and a current with no row gets zeros.
+    A row's error adds to its panels' errors its tail bound, its grid-model
+    row's value and error, and the rounding of its nonempty ranges' ends:
+    EXACT_ROUNDING eps times the limits' size (_atom_ranges) times the
+    integrand's size at each end, from one more integrand call, as the
+    exact route counts it. That call takes each end at max(v, the least
+    normal float): at r = 1 a half-plane's range starts at v = 0, where the
+    kernel sums refuse the height, and every integrand here is continuous
+    as v -> 0+. Each current's weighted rows are added in order; a current
+    with no row gets zeros.
     """
     lv, moduli = table.lam[rows], table.moduli[rows]
     lo, hi, tails, sizes = _atom_ranges(lv, moduli, envelopes, rs, cfg)
@@ -273,6 +269,7 @@ def _quadrature_pass(table: AtomTable, rows: np.ndarray, envelopes, integrand, r
         ) from exc
     n_radii = len(rs)
     ends = np.maximum(np.hstack((lo, hi)), sys.float_info.min)
+    # the value row at every end, for a one-row integrand and a two-row one
     ends = np.abs(weighted(np.arange(rows.size), ends)).reshape(rows.size, -1, 2 * n_radii)[:, 0]
     weights = table.weights[rows, None]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite mass
@@ -282,9 +279,12 @@ def _quadrature_pass(table: AtomTable, rows: np.ndarray, envelopes, integrand, r
             errs += values[..., 1] + errors[..., 1]
         parts = np.stack((weights * values[..., 0], weights * errs))
     out = np.zeros((int(table.current[-1]) + 1, n_radii, 2))
-    for n in np.unique(owners).tolist():
-        # a contiguous copy is added in the order of parts itself
-        out[n] = (np.ascontiguousarray(parts[:, owners == n]).sum(axis=1) + 0.0).T  # + 0.0: a -0.0 sum reads 0.0
+    # rows run current by current, so each current's rows are one slice of
+    # parts, whose sum adds them in the order parts.sum would; + 0.0 makes a
+    # -0.0 sum read 0.0
+    cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), rows.size]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        out[owners[a]] = (parts[:, a:b].sum(axis=1) + 0.0).T
     return out
 
 
@@ -297,14 +297,12 @@ def mass_quadrature_schedule(
     """Masses at every radius in rs over the k0-th u-window, by quadrature.
 
     Every row of the table's FourierColumns is integrated as a trig row: a
-    trig atom whole, a Poisson atom by its tail's extension (tail + c_lin v).
-    The integrand does not depend on r, only the v-limits do, so one
-    _quadrature_pass integrates every row at every radius. Its integrand is
-    one row-stacked FourierWindow k0 turns out, whose phases are reduced in
-    integers, so a trig current takes any integer k0; each round takes its
-    rows of it with one take. The Poisson atoms' departures from their
-    tails are then added (_departure_masses, which first refuses the k0s
-    _window refuses).
+    trig atom whole, a Poisson atom by its tail's extension (tail + c_lin v),
+    by one _quadrature_pass at every radius. Its integrand is one
+    row-stacked FourierWindow k0 turns out, whose phases are reduced in
+    integers, so a trig current takes any integer k0. The Poisson atoms'
+    departures from their tails are then added (_departure_masses, which
+    first refuses the k0s _window refuses).
     """
     rs = tuple(rs)
     if not rs:
